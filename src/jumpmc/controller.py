@@ -16,10 +16,19 @@ statistical uncertainty.  Two drivers meet the budget:
   grows when the indicator average itself is statistically uncertain, and
   a plain Monte Carlo run on the frozen mesh finishes the job;
 * per-realization driver (``algorithm_s``): every realization refines its
-  own augmented mesh through ``control_time_error`` until its largest
-  indicator passes the acceptance test, with Brownian-bridge noise
-  refinement; batches grow until the payoff's statistical bound meets
-  TOL_S.
+  own augmented mesh until its largest indicator passes the acceptance
+  test, with Brownian-bridge noise refinement; batches grow until the
+  payoff's statistical bound meets TOL_S.
+
+Both drivers evaluate paths with one batched kernel, ``_path_batch``:
+forward Euler, order-3 dual weights and the per-step density for B
+same-length paths at once.  The mesh engine groups a chunk's
+realizations by step count; the per-realization driver refines blocks of
+STOCH_BLOCK realizations level-synchronously, regrouping the rows still
+refining at every level and drawing each row's bridge noise from its own
+Wiener stream (``control_time_error`` is the one-row case).  Kernel
+arithmetic is row-wise, so no realization's numbers depend on the rows
+it shares a batch with.
 
 Batches are chunked into fixed-size index ranges; a chunk is always
 computed the same way no matter how chunks are spread over workers, and
@@ -30,25 +39,29 @@ reports are byte-identical for any worker count.
 from __future__ import annotations
 
 import math
-import pickle
+import multiprocessing as mp
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .density import (
-    _rho_from_stacks,
-    cutoff_density_S,
-    interval_step_sums,
-    rho_per_step,
+# The scalar euler_path, backward_duals and rho_per_step are unused here
+# but stay importable from this module: perfbench/run.py patches them by
+# these names to time them.
+from .density import _rho_from_stacks, cutoff_density_S, rho_per_step  # noqa: F401
+from .duals import _required_callbacks, _stack_calls, backward_duals  # noqa: F401
+from .errors import (
+    ConvergenceError,
+    EvaluationError,
+    ParameterError,
+    PathDivergenceError,
 )
-from .duals import _stack_calls, backward_duals
-from .errors import ConvergenceError, EvaluationError, ParameterError
 from .euler import (
+    DIVERGENCE_BOUND,
     MIN_STEP_FRACTION,
     brownian_bridge_refine,
-    euler_path,
+    euler_path,  # noqa: F401
     sample_wiener_increments,
 )
 from .jumps import (
@@ -59,13 +72,14 @@ from .jumps import (
     sample_jumps,
     uniform_mesh,
 )
-from .model import MODELS, JumpDiffusionModel, build_model
+from .model import JumpDiffusionModel, as_vectorized
 from .rng import SeedConfig, realization_streams
 
 Array = np.ndarray
 
 MESH_CHUNK = 16384  # fixed chunk sizes keep grouping independent of workers
 STOCH_CHUNK = 2048
+STOCH_BLOCK = 256  # realizations refined together; bounds the level loop's memory
 
 
 # ---------------------------------------------------------------------------
@@ -363,32 +377,6 @@ _BATCHED_DENSITY_CALLBACKS = [
 ]
 
 
-def _simulate_one(model, det, seeds, index, integral, tol, want_density):
-    """Scalar pipeline for one realization on a shared deterministic mesh."""
-    w_rng, t_rng, z_rng = realization_streams(seeds, index)
-    jumps = sample_jumps(model, integral, t_rng, z_rng)
-    grid = build_augmented_grid(det, jumps, horizon=model.horizon)
-    dw = sample_wiener_increments(grid, w_rng, model.wiener_dim)
-    path = euler_path(model, grid, dw)
-    payoff = float(np.asarray(model.payoff(path.terminal), float))
-    out = {
-        "payoff": payoff,
-        "n_a": grid.n_steps,
-        "n_jumps": grid.n_jumps,
-        "collisions": grid.collisions,
-    }
-    if want_density:
-        duals = backward_duals(model, path, order=3)
-        rho = rho_per_step(model, path, duals)
-        signed = interval_step_sums(rho, grid)
-        widths = np.diff(det)
-        clamped = cutoff_density_S(signed / widths ** 2, tol) * widths ** 2
-        out["signed_interval"] = signed
-        out["r"] = clamped
-        out["signed_total"] = float(np.sum(rho * grid.dt ** 2))
-    return out
-
-
 def _propagate_batch(G1, G2, G3, phi, phi1, phi2, order):
     p = np.einsum("bji,bj->bi", G1, phi)
     p1 = p2 = None
@@ -413,39 +401,40 @@ def _propagate_batch(G1, G2, G3, phi, phi1, phi2, order):
     return p, p1, p2
 
 
-def _mesh_group_batched(model, det, recs, tol, want_density, outputs):
-    """Simulate a group of same-step-count realizations as one array batch.
-
-    ``recs`` holds (slot, grid, dw) triples; results land in ``outputs``
-    at the given slots.  Callback arithmetic is row-wise, so each
-    realization's numbers do not depend on the group it happens to share.
-    """
-    B = len(recs)
-    d = model.dim
-    n = recs[0][1].n_steps
-    slots = np.array([slot for slot, _, _ in recs], dtype=np.intp)
-    times = np.stack([g.times for _, g, _ in recs])
-    dw = np.stack([w for _, _, w in recs])
-    dt = np.diff(times, axis=1)
-    jump_flag = np.stack([g.jump_index >= 0 for _, g, _ in recs])
-    marks_dense = np.zeros((B, n + 1, model.mark_dim))
-    for b, (_, g, _) in enumerate(recs):
+def _stack_paths(model, grids, dws):
+    """(times, dw, jump_flag, dense marks) arrays of same-length paths."""
+    times = np.stack([g.times for g in grids])
+    jump_flag = np.stack([g.jump_index >= 0 for g in grids])
+    marks = np.zeros(times.shape + (model.mark_dim,))
+    for b, g in enumerate(grids):
         nodes = np.nonzero(g.jump_index >= 0)[0]
-        marks_dense[b, nodes] = g.marks[g.jump_index[nodes]]
+        marks[b, nodes] = g.marks[g.jump_index[nodes]]
+    return times, np.stack(dws), jump_flag, marks
 
+
+def _path_batch(model, times, dw, jump_flag, marks, realizations, want_rho):
+    """Forward Euler and, if ``want_rho``, order-3 duals and per-step rho
+    for B paths of n steps each.
+
+    ``times``, ``jump_flag`` and ``marks`` are (B, n+1[, mark_dim]) node
+    arrays and ``dw`` the (B, n, wiener_dim) increments, as built by
+    ``_stack_paths``; ``realizations`` are the rows' absolute indices,
+    named by PathDivergenceError.  Returns (payoff, rho, dt) with rho None
+    without ``want_rho``.  The model's callbacks must broadcast over rows
+    (see ``as_vectorized``).  Arithmetic is row-wise, so each row's
+    numbers do not depend on the rows it shares the batch with.
+    """
+    B, n = dw.shape[:2]
+    d = model.dim
+    dt = np.diff(times, axis=1)
     values = np.empty((B, n + 1, d))
     left = np.empty((B, n + 1, d))
     x = np.broadcast_to(model.x0, (B, d)).copy()
     left[:, 0] = x
     if jump_flag[:, 0].any():
         idx = np.nonzero(jump_flag[:, 0])[0]
-        x[idx] += np.asarray(
-            model.jump(times[idx, 0], x[idx], marks_dense[idx, 0]), float
-        )
+        x[idx] += np.asarray(model.jump(times[idx, 0], x[idx], marks[idx, 0]), float)
     values[:, 0] = x
-
-    from .errors import PathDivergenceError
-    from .euler import DIVERGENCE_BOUND
 
     for p in range(n):
         tcol = times[:, p]
@@ -454,16 +443,18 @@ def _mesh_group_batched(model, det, recs, tol, want_density, outputs):
         xl = x + a * dt[:, p, None] + np.einsum("bil,bl->bi", bmat, dw[:, p])
         bad = ~np.isfinite(xl).all(axis=1) | (np.abs(xl).max(axis=1) > DIVERGENCE_BOUND)
         if bad.any():
+            which = realizations[int(np.nonzero(bad)[0][0])]
             raise PathDivergenceError(
-                f"path diverged at step {p} (realization slot {slots[int(np.nonzero(bad)[0][0])]})",
+                f"path diverged at step {p} (realization {which})",
                 step=p,
+                realization=which,
             )
         mask = jump_flag[:, p + 1]
         if mask.any():
             idx = np.nonzero(mask)[0]
             x = xl.copy()
             x[idx] = xl[idx] + np.asarray(
-                model.jump(times[idx, p + 1], xl[idx], marks_dense[idx, p + 1]), float
+                model.jump(times[idx, p + 1], xl[idx], marks[idx, p + 1]), float
             )
         else:
             x = xl
@@ -471,13 +462,13 @@ def _mesh_group_batched(model, det, recs, tol, want_density, outputs):
         values[:, p + 1] = x
 
     payoff = np.asarray(model.payoff(values[:, -1]), float)
-    outputs["payoff"][slots] = payoff
-    outputs["n_a"][slots] = n
-    outputs["n_jumps"][slots] = [g.n_jumps for _, g, _ in recs]
-    outputs["collisions"][slots] = [g.collisions for _, g, _ in recs]
-    if not want_density:
-        return
+    if not want_rho:
+        return payoff, None, dt
 
+    jrows, jnodes = np.nonzero(jump_flag)
+    model.require(
+        *_required_callbacks(3, with_jumps=len(jrows) > 0), "drift_t", "diffusion_t"
+    )
     t_flat = times[:, :-1].reshape(-1)
     x_flat = values[:, :-1].reshape(-1, d)
     cb = _stack_calls(model, _BATCHED_DENSITY_CALLBACKS, t_flat, x_flat)
@@ -502,11 +493,10 @@ def _mesh_group_batched(model, det, recs, tol, want_density, outputs):
         "bnl,bniljkm->bnijkm", dw, b_xxx
     )
 
-    jrows, jnodes = np.nonzero(jump_flag)
     if len(jrows):
         tj = times[jrows, jnodes]
         xj = left[jrows, jnodes]
-        zj = marks_dense[jrows, jnodes]
+        zj = marks[jrows, jnodes]
         C1 = eye + np.asarray(model.jump_x(tj, xj, zj), float)
         C2 = np.asarray(model.jump_xx(tj, xj, zj), float)
         C3 = np.asarray(model.jump_xxx(tj, xj, zj), float)
@@ -545,7 +535,29 @@ def _mesh_group_batched(model, det, recs, tol, want_density, outputs):
         phi1_store.reshape(-1, d, d),
         phi2_store.reshape(-1, d, d, d),
     )
-    rho = rho_flat.reshape(B, n)
+    return payoff, rho_flat.reshape(B, n), dt
+
+
+def _mesh_group_batched(model, det, recs, tol, want_density, outputs, start):
+    """Simulate a group of same-step-count realizations as one array batch.
+
+    ``recs`` holds (slot, grid, dw) triples; results land in ``outputs``
+    at the given slots, and ``start + slot`` is the realization index.
+    """
+    slots = np.array([slot for slot, _, _ in recs], dtype=np.intp)
+    grids = [g for _, g, _ in recs]
+    times, dw, jump_flag, marks = _stack_paths(model, grids, [w for _, _, w in recs])
+    payoff, rho, dt = _path_batch(
+        model, times, dw, jump_flag, marks, (start + slots).tolist(), want_density
+    )
+    B, n = dt.shape
+    outputs["payoff"][slots] = payoff
+    outputs["n_a"][slots] = n
+    outputs["n_jumps"][slots] = [g.n_jumps for g in grids]
+    outputs["collisions"][slots] = [g.collisions for g in grids]
+    if not want_density:
+        return
+
     contrib = rho * dt ** 2
     n_det = len(det) - 1
     iv = np.clip(
@@ -566,6 +578,7 @@ def _mesh_group_batched(model, det, recs, tol, want_density, outputs):
 
 def _mesh_chunk(model, det, seeds, start, count, tol, want_density):
     """All per-realization results for one contiguous index chunk."""
+    model = as_vectorized(model)
     integral = intensity_integral_for(model)
     n_det = len(det) - 1
     outputs = {
@@ -579,55 +592,49 @@ def _mesh_chunk(model, det, seeds, start, count, tol, want_density):
         outputs["r"] = np.empty((count, n_det))
         outputs["signed_total"] = np.empty(count)
 
-    if model.vectorized:
-        recs = []
-        for i in range(count):
-            w_rng, t_rng, z_rng = realization_streams(seeds, start + i)
-            jumps = sample_jumps(model, integral, t_rng, z_rng)
-            grid = build_augmented_grid(det, jumps, horizon=model.horizon)
-            dw = sample_wiener_increments(grid, w_rng, model.wiener_dim)
-            recs.append((i, grid, dw))
-        groups = {}
-        for rec in recs:
-            groups.setdefault(rec[1].n_steps, []).append(rec)
-        for n_steps in sorted(groups):
-            _mesh_group_batched(model, det, groups[n_steps], tol, want_density, outputs)
-    else:
-        for i in range(count):
-            row = _simulate_one(model, det, seeds, start + i, integral, tol, want_density)
-            for key, value in row.items():
-                outputs[key][i] = value
+    groups = {}
+    for i in range(count):
+        w_rng, t_rng, z_rng = realization_streams(seeds, start + i)
+        jumps = sample_jumps(model, integral, t_rng, z_rng)
+        grid = build_augmented_grid(det, jumps, horizon=model.horizon)
+        dw = sample_wiener_increments(grid, w_rng, model.wiener_dim)
+        groups.setdefault(grid.n_steps, []).append((i, grid, dw))
+    for n_steps in sorted(groups):
+        _mesh_group_batched(
+            model, det, groups[n_steps], tol, want_density, outputs, start
+        )
     return outputs
 
 
-def _resolve_model(spec):
-    return build_model(spec) if isinstance(spec, str) else spec
+_worker_model = None  # set in each pool worker by _adopt_model
 
 
-def _mesh_chunk_task(args):
-    spec, det, seeds, start, count, tol, want_density = args
-    return _mesh_chunk(_resolve_model(spec), det, seeds, start, count, tol, want_density)
+def _adopt_model(model):
+    global _worker_model
+    _worker_model = model
 
 
-def _portable_model_spec(model: JumpDiffusionModel):
-    """Something picklable that workers can rebuild the model from."""
-    try:
-        pickle.dumps(model)
-        return model
-    except Exception:
-        if model.name in MODELS:
-            return model.name
-        return None
+def _in_worker(job):
+    chunk_fn, args = job
+    return chunk_fn(_worker_model, *args)
 
 
-def _run_chunked(task_fn, make_args, starts_counts, workers):
-    results = []
-    if workers > 1 and len(starts_counts) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task_fn, [make_args(s, c) for s, c in starts_counts]))
-    else:
-        results = [task_fn(make_args(s, c)) for s, c in starts_counts]
-    return results
+def _run_chunked(chunk_fn, model, arg_list, workers):
+    """``chunk_fn(model, *args)`` for every args tuple, in order.
+
+    Pool workers are forked and receive the model object itself through
+    the pool initializer, so closures and edited copies of builtin models
+    run unchanged; without fork support the chunks run in this process.
+    """
+    if workers > 1 and len(arg_list) > 1 and "fork" in mp.get_all_start_methods():
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=mp.get_context("fork"),
+            initializer=_adopt_model,
+            initargs=(model,),
+        ) as pool:
+            return list(pool.map(_in_worker, [(chunk_fn, a) for a in arg_list]))
+    return [chunk_fn(model, *a) for a in arg_list]
 
 
 def _chunk_ranges(start, count, chunk):
@@ -663,16 +670,13 @@ def run_mesh_batch(
     if want_density and tol is None:
         raise ParameterError("want_density needs tol for the density clamp")
     det = np.asarray(det, float)
-    ranges = _chunk_ranges(start, count, MESH_CHUNK)
-    spec = _portable_model_spec(model) if workers > 1 else model
-    if spec is None:
-        workers = 1
-        spec = model
-
     results = _run_chunked(
-        _mesh_chunk_task,
-        lambda s, c: (spec, det, seeds, s, c, tol, want_density),
-        ranges,
+        _mesh_chunk,
+        model,
+        [
+            (det, seeds, s, c, tol, want_density)
+            for s, c in _chunk_ranges(start, count, MESH_CHUNK)
+        ],
         workers,
     )
     merged = {}
@@ -718,96 +722,112 @@ def control_time_error(
     bisects every step with r_n >= s1 * tol_t / n_a_bar (inclusive) with
     Brownian-bridge noise refinement.  Steps never shrink below the floor
     (horizon * 2^-30); a realization that cannot refine further, or runs
-    out of refinement levels, is returned with ``accepted=False``.
+    out of refinement levels, is returned with ``accepted=False``.  This
+    is the one-row case of the level loop ``algorithm_s`` runs.
     """
     grid = build_augmented_grid(det, jumps, horizon=model.horizon)
     dw = sample_wiener_increments(grid, wiener_rng, model.wiener_dim)
+    out = _refine_levels(
+        as_vectorized(model),
+        [(grid, dw, wiener_rng, None)],
+        tol,
+        tol_t,
+        n_a_bar,
+        adapt,
+        min_step,
+    )
+    return TimeControlledRealization(
+        payoff=float(out["payoff"][0]),
+        n_a=int(out["n_a"][0]),
+        n_jumps=int(out["n_jumps"][0]),
+        levels=int(out["levels"][0]),
+        accepted=bool(out["accepted"][0]),
+        signed_time_error=float(out["signed_total"][0]),
+        r_total=float(out["r_total"][0]),
+        work=int(out["work"][0]),
+    )
+
+
+def _refine_levels(model, states, tol, tol_t, n_a_bar, adapt, min_step=None):
+    """Per-realization adaptive refinement, one level at a time.
+
+    ``states`` holds each realization's (grid, dw, wiener_rng, index).  At
+    every level the still-active rows are grouped by step count and each
+    group runs through ``_path_batch``; rows that fail the acceptance test
+    are bisected with bridge draws from their own Wiener generator, in
+    the order a lone run of that row would draw them.  Nothing is refined
+    after the last simulated level, so every output of a row comes from
+    the same mesh.  Returns per-row arrays.
+    """
     if min_step is None:
         min_step = float(model.horizon) * MIN_STEP_FRACTION
     refine_at = adapt.s1 * tol_t / n_a_bar
     accept_below = adapt.S1 * tol_t / n_a_bar
-
-    work = 0
-    accepted = False
-    levels = 0
+    grids = [g for g, _, _, _ in states]
+    dws = [w for _, w, _, _ in states]
+    count = len(states)
+    out = {
+        "payoff": np.empty(count),
+        "n_a": np.empty(count, dtype=np.intp),
+        "n_jumps": np.array([g.n_jumps for g in grids], dtype=np.intp),
+        "levels": np.empty(count, dtype=np.intp),
+        "accepted": np.empty(count, dtype=bool),
+        "signed_total": np.empty(count),
+        "r_total": np.empty(count),
+        "work": np.zeros(count, dtype=np.intp),
+    }
+    active = range(count)
     for level in range(adapt.max_refinements + 1):
-        levels = level
-        path = euler_path(model, grid, dw)
-        work += grid.n_steps
-        duals = backward_duals(model, path, order=3)
-        rho = rho_per_step(model, path, duals)
-        r = cutoff_density_S(rho, tol) * grid.dt ** 2
-        if float(np.max(r)) < accept_below:
-            accepted = True
+        groups = {}
+        for i in active:
+            groups.setdefault(grids[i].n_steps, []).append(i)
+        active = []
+        for n_steps in sorted(groups):
+            rows = groups[n_steps]
+            payoff, rho, dt = _path_batch(
+                model,
+                *_stack_paths(model, [grids[i] for i in rows], [dws[i] for i in rows]),
+                [states[i][3] for i in rows],
+                True,
+            )
+            r = cutoff_density_S(rho, tol) * dt ** 2
+            accepted = r.max(axis=1) < accept_below
+            out["payoff"][rows] = payoff
+            out["n_a"][rows] = n_steps
+            out["levels"][rows] = level
+            out["accepted"][rows] = accepted
+            out["signed_total"][rows] = (rho * dt ** 2).sum(axis=1)
+            out["r_total"][rows] = r.sum(axis=1)
+            out["work"][rows] += n_steps
+            if level == adapt.max_refinements:
+                continue
+            splittable = (r >= refine_at) & (0.5 * dt >= min_step)
+            for b in np.nonzero(~accepted & splittable.any(axis=1))[0]:
+                i = rows[b]
+                grids[i], dws[i] = brownian_bridge_refine(
+                    grids[i], dws[i], splittable[b], states[i][2], min_step=min_step
+                )
+                active.append(i)
+        if not active:
             break
-        mask = r >= refine_at
-        splittable = mask & (0.5 * grid.dt >= min_step)
-        if not splittable.any():
-            break  # floor reached on every step that still violates
-        grid, dw = brownian_bridge_refine(
-            grid, dw, splittable, wiener_rng, min_step=min_step
-        )
-    payoff = float(np.asarray(model.payoff(path.terminal), float))
-    return TimeControlledRealization(
-        payoff=payoff,
-        n_a=grid.n_steps,
-        n_jumps=grid.n_jumps,
-        levels=levels,
-        accepted=accepted,
-        signed_time_error=float(np.sum(rho * grid.dt ** 2)),
-        r_total=float(np.sum(r)),
-        work=work,
-    )
+    return out
 
 
 def _stoch_chunk(model, det, seeds, start, count, tol, tol_t, n_a_bar, adapt):
+    """``_refine_levels`` over one index chunk, STOCH_BLOCK rows at a time."""
+    model = as_vectorized(model)
     integral = intensity_integral_for(model)
-    payoff = np.empty(count)
-    n_a = np.empty(count, dtype=np.intp)
-    n_jumps = np.empty(count, dtype=np.intp)
-    levels = np.empty(count, dtype=np.intp)
-    accepted = np.empty(count, dtype=bool)
-    signed = np.empty(count)
-    r_total = np.empty(count)
-    work = np.empty(count, dtype=np.intp)
-    for i in range(count):
-        w_rng, t_rng, z_rng = realization_streams(seeds, start + i)
-        jumps = sample_jumps(model, integral, t_rng, z_rng)
-        res = control_time_error(
-            model,
-            jumps,
-            det,
-            w_rng,
-            tol=tol,
-            tol_t=tol_t,
-            n_a_bar=n_a_bar,
-            adapt=adapt,
-        )
-        payoff[i] = res.payoff
-        n_a[i] = res.n_a
-        n_jumps[i] = res.n_jumps
-        levels[i] = res.levels
-        accepted[i] = res.accepted
-        signed[i] = res.signed_time_error
-        r_total[i] = res.r_total
-        work[i] = res.work
-    return {
-        "payoff": payoff,
-        "n_a": n_a,
-        "n_jumps": n_jumps,
-        "levels": levels,
-        "accepted": accepted,
-        "signed_total": signed,
-        "r_total": r_total,
-        "work": work,
-    }
-
-
-def _stoch_chunk_task(args):
-    spec, det, seeds, start, count, tol, tol_t, n_a_bar, adapt = args
-    return _stoch_chunk(
-        _resolve_model(spec), det, seeds, start, count, tol, tol_t, n_a_bar, adapt
-    )
+    parts = []
+    for lo in range(start, start + count, STOCH_BLOCK):
+        states = []
+        for i in range(lo, min(lo + STOCH_BLOCK, start + count)):
+            w_rng, t_rng, z_rng = realization_streams(seeds, i)
+            jumps = sample_jumps(model, integral, t_rng, z_rng)
+            grid = build_augmented_grid(det, jumps, horizon=model.horizon)
+            dw = sample_wiener_increments(grid, w_rng, model.wiener_dim)
+            states.append((grid, dw, w_rng, i))
+        parts.append(_refine_levels(model, states, tol, tol_t, n_a_bar, adapt))
+    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 
 
 def run_stochastic_batch(
@@ -827,15 +847,13 @@ def run_stochastic_batch(
     if count < 1:
         raise ParameterError(f"batch size must be >= 1, got {count}")
     det = np.asarray(det, float)
-    ranges = _chunk_ranges(start, count, STOCH_CHUNK)
-    spec = _portable_model_spec(model) if workers > 1 else model
-    if spec is None:
-        workers = 1
-        spec = model
     results = _run_chunked(
-        _stoch_chunk_task,
-        lambda s, c: (spec, det, seeds, s, c, tol, tol_t, n_a_bar, adapt),
-        ranges,
+        _stoch_chunk,
+        model,
+        [
+            (det, seeds, s, c, tol, tol_t, n_a_bar, adapt)
+            for s, c in _chunk_ranges(start, count, STOCH_CHUNK)
+        ],
         workers,
     )
     merged = {}
@@ -1059,7 +1077,7 @@ def algorithm_s(
 ) -> AdaptiveRunReport:
     """Per-realization adaptive time stepping with batched sample control.
 
-    Every realization adapts its own mesh via ``control_time_error``; the
+    Every realization adapts its own mesh as in ``control_time_error``; the
     acceptance thresholds scale with the mean final step count of the
     previous batch (the initial mesh size for the first batch).  Batches
     grow by change_M until the payoff's statistical bound meets the

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .euler import EulerPath
-from .model import JumpDiffusionModel
+from .model import JumpDiffusionModel, _row_loop
 
 Array = np.ndarray
 
@@ -65,21 +65,11 @@ def _required_callbacks(order: int, with_jumps: bool):
 def _stack_calls(model, names, t, x, z=None):
     """Evaluate callbacks over all rows of (t, x[, z]) at once or by loop."""
     out = {}
-    if model.vectorized:
-        for name in names:
-            fn = getattr(model, name)
-            out[name] = np.asarray(fn(t, x) if z is None else fn(t, x, z), float)
-    else:
-        for name in names:
-            fn = getattr(model, name)
-            rows = [
-                np.asarray(
-                    fn(float(t[i]), x[i]) if z is None else fn(float(t[i]), x[i], z[i]),
-                    float,
-                )
-                for i in range(len(t))
-            ]
-            out[name] = np.array(rows)
+    for name in names:
+        fn = getattr(model, name)
+        if not model.vectorized:
+            fn = _row_loop(fn)
+        out[name] = np.asarray(fn(t, x) if z is None else fn(t, x, z), float)
     return out
 
 

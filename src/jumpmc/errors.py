@@ -23,11 +23,14 @@ class PathDivergenceError(EvaluationError):
 
     Attributes:
         step: index of the Euler step at which divergence was detected.
+        realization: absolute index of the diverging realization, or None
+            when the path was not drawn from a realization stream.
     """
 
-    def __init__(self, message: str, step: int):
+    def __init__(self, message: str, step: int, realization: int = None):
         super().__init__(message)
         self.step = step
+        self.realization = realization
 
 
 class RefinementDepthError(JumpMCError):

@@ -113,6 +113,45 @@ class JumpDiffusionModel:
             )
 
 
+_PAYOFF_CALLBACKS = ("payoff", "payoff_x", "payoff_xx", "payoff_xxx")
+_TIMED_CALLBACKS = (
+    "drift", "drift_t", "drift_x", "drift_xx", "drift_xxx",
+    "diffusion", "diffusion_t", "diffusion_x", "diffusion_xx", "diffusion_xxx",
+    "jump", "jump_x", "jump_xx", "jump_xxx",
+)
+
+
+def _row_loop(fn, timed: bool = True):
+    """Batched form of a scalar callback: one call per leading row.
+
+    ``timed`` callbacks take (t, x[, z]) with ``t`` passed as a float;
+    payoff callbacks take x alone.
+    """
+
+    def each_row(*args):
+        if timed:
+            t, rest = args[0], args[1:]
+            rows = (fn(float(t[i]), *(a[i] for a in rest)) for i in range(len(t)))
+        else:
+            rows = (fn(x) for x in args[0])
+        return np.array([np.asarray(r, float) for r in rows])
+
+    return each_row
+
+
+def as_vectorized(model: JumpDiffusionModel) -> JumpDiffusionModel:
+    """``model`` if its callbacks broadcast over rows, else a copy whose
+    callbacks loop over the rows of their batched arguments."""
+    if model.vectorized:
+        return model
+    loops = {
+        name: _row_loop(getattr(model, name), name in _TIMED_CALLBACKS)
+        for name in _TIMED_CALLBACKS + _PAYOFF_CALLBACKS
+        if getattr(model, name) is not None
+    }
+    return dataclasses.replace(model, vectorized=True, **loops)
+
+
 class Coefficients(NamedTuple):
     """Drift, diffusion and second-moment matrix at one (t, x)."""
 

@@ -1,6 +1,7 @@
 """Statistical control, refinement drivers, and batch reproducibility."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,19 +10,27 @@ from jumpmc import (
     AdaptParams,
     ConvergenceError,
     ParameterError,
+    PathDivergenceError,
     SeedConfig,
     StatParams,
     algorithm_d,
     algorithm_s,
+    backward_duals,
+    brownian_bridge_refine,
+    build_augmented_grid,
     build_model,
     change_M,
     control_time_error,
+    cutoff_density_S,
+    euler_path,
     monte_carlo,
     refine_deterministic,
     run_mesh_batch,
+    rho_per_step,
     run_stochastic_batch,
     sample_jumps,
     sample_stats,
+    sample_wiener_increments,
     split_tolerance,
     statistical_error_bound,
     stopping_deterministic,
@@ -296,3 +305,157 @@ def test_algorithm_s_batch_cap():
     with pytest.raises(ConvergenceError) as exc:
         algorithm_s(m, 0.02, stats=StatParams(m0=4, max_batches=1))
     assert len(exc.value.batches) == 1
+
+
+def reference_realization(model, seeds, index, det, tol, tol_t, n_a_bar, adapt):
+    """Per-realization refinement loop built from the public scalar
+    pipeline; stops refining at the last simulated level."""
+    integral = intensity_integral_for(model)
+    w_rng, t_rng, z_rng = realization_streams(seeds, index)
+    jumps = sample_jumps(model, integral, t_rng, z_rng)
+    grid = build_augmented_grid(det, jumps, horizon=model.horizon)
+    dw = sample_wiener_increments(grid, w_rng, model.wiener_dim)
+    min_step = model.horizon * 2.0 ** -30
+    work = 0
+    for level in range(adapt.max_refinements + 1):
+        path = euler_path(model, grid, dw)
+        work += grid.n_steps
+        rho = rho_per_step(model, path, backward_duals(model, path, order=3))
+        r = cutoff_density_S(rho, tol) * grid.dt ** 2
+        accepted = bool(r.max() < adapt.S1 * tol_t / n_a_bar)
+        splittable = (r >= adapt.s1 * tol_t / n_a_bar) & (0.5 * grid.dt >= min_step)
+        if accepted or level == adapt.max_refinements or not splittable.any():
+            break
+        grid, dw = brownian_bridge_refine(grid, dw, splittable, w_rng, min_step=min_step)
+    return {
+        "payoff": float(model.payoff(path.terminal)),
+        "n_a": grid.n_steps,
+        "n_jumps": grid.n_jumps,
+        "levels": level,
+        "accepted": accepted,
+        "signed_total": float(np.sum(rho * grid.dt ** 2)),
+        "r_total": float(np.sum(r)),
+        "work": work,
+    }
+
+
+EXACT_KEYS = ("payoff", "n_a", "n_jumps", "levels", "accepted", "work")
+
+
+@pytest.mark.parametrize(
+    "tol, adapt, count",
+    [(0.04, AdaptParams(), 300), (0.01, AdaptParams(max_refinements=2), 60)],
+)
+def test_level_loop_matches_scalar_reference(tol, adapt, count):
+    m = build_model("test5")
+    det = uniform_mesh(1.0, 5)
+    seeds = SeedConfig()
+    kw = dict(tol=tol, tol_t=split_tolerance(tol).time, n_a_bar=5.0, adapt=adapt)
+    res = run_stochastic_batch(m, det, seeds, 0, count, **kw)
+    for i in range(count):
+        ref = reference_realization(m, seeds, i, det, **kw)
+        for key in EXACT_KEYS:
+            assert res[key][i] == ref[key], (i, key)
+        # einsum (level loop) and tensordot (scalar duals) round differently
+        for key in ("signed_total", "r_total"):
+            assert abs(res[key][i] - ref[key]) <= 1e-15, (i, key)
+
+
+def test_control_time_error_level_cap_reports_last_mesh():
+    m = build_model("test5")
+    det = uniform_mesh(1.0, 5)
+    seeds = SeedConfig()
+    kw = dict(
+        tol=0.01,
+        tol_t=split_tolerance(0.01).time,
+        n_a_bar=5.0,
+        adapt=AdaptParams(max_refinements=1),
+    )
+    ref = reference_realization(m, seeds, 2, det, **kw)
+    wiener, jump_rng, mark_rng = realization_streams(seeds, 2)
+    jumps = sample_jumps(m, intensity_integral_for(m), jump_rng, mark_rng)
+    out = control_time_error(m, jumps, det, wiener, **kw)
+    assert not out.accepted and out.levels == 1
+    assert out.n_a == ref["n_a"] and out.work == ref["work"]
+    assert out.payoff == ref["payoff"]
+    assert abs(out.signed_time_error - ref["signed_total"]) <= 1e-15
+    assert abs(out.r_total - ref["r_total"]) <= 1e-15
+
+
+def test_level_loop_block_chunk_and_adapter_invariance(monkeypatch):
+    m = build_model("test5")
+    det = uniform_mesh(1.0, 5)
+    seeds = SeedConfig()
+    kw = dict(tol=0.04, tol_t=split_tolerance(0.04).time, n_a_bar=5.0)
+    base = run_stochastic_batch(m, det, seeds, 3, 60, **kw)
+    # the row-loop adapter feeds the kernel the same per-row callback values
+    looped = run_stochastic_batch(replace(m, vectorized=False), det, seeds, 3, 60, **kw)
+    monkeypatch.setattr(ctl, "STOCH_BLOCK", 7)
+    monkeypatch.setattr(ctl, "STOCH_CHUNK", 7)
+    small = run_stochastic_batch(m, det, seeds, 3, 60, **kw)
+    for key in base:
+        np.testing.assert_array_equal(base[key], looped[key])
+        np.testing.assert_array_equal(base[key], small[key])
+
+
+def test_mesh_batch_row_loop_adapter_matches_vectorized():
+    m = build_model("test5")
+    det = uniform_mesh(1.0, 5)
+    base = run_mesh_batch(m, det, SeedConfig(), 0, 40, tol=0.05, want_density=True)
+    looped = run_mesh_batch(
+        replace(m, vectorized=False), det, SeedConfig(), 0, 40, tol=0.05, want_density=True
+    )
+    for key in base:
+        np.testing.assert_array_equal(base[key], looped[key])
+
+
+def test_workers_run_the_given_model_object(monkeypatch):
+    # an edited builtin: rebuilding it by name would lose the new x0
+    m = replace(build_model("test5"), x0=[1.0, 1.0])
+    det = uniform_mesh(1.0, 5)
+    monkeypatch.setattr(ctl, "MESH_CHUNK", 50)
+    monkeypatch.setattr(ctl, "STOCH_CHUNK", 10)
+    one = run_mesh_batch(m, det, SeedConfig(), 0, 100)
+    two = run_mesh_batch(m, det, SeedConfig(), 0, 100, workers=2)
+    np.testing.assert_array_equal(one["payoff"], two["payoff"])
+    assert one["payoff"].mean() > 2.0  # |x|^2 starts at 2, not at 0
+    kw = dict(tol=0.1, tol_t=0.1 / 3.0, n_a_bar=5.0)
+    one = run_stochastic_batch(m, det, SeedConfig(), 0, 20, **kw)
+    two = run_stochastic_batch(m, det, SeedConfig(), 0, 20, workers=2, **kw)
+    for key in one:
+        np.testing.assert_array_equal(one[key], two[key])
+
+
+def diverging_model():
+    """test5 whose drift blows up once x1 passes 0.3."""
+    base = build_model("test5")
+
+    def drift(t, x):
+        return np.where(x[..., :1] > 0.3, 1e300, base.drift(t, x))
+
+    return replace(base, drift=drift)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda m, start, count: run_mesh_batch(m, uniform_mesh(1.0, 5), SeedConfig(), start, count),
+        lambda m, start, count: run_stochastic_batch(
+            m, uniform_mesh(1.0, 5), SeedConfig(), start, count,
+            tol=0.1, tol_t=0.1 / 3.0, n_a_bar=5.0,
+        ),
+    ],
+    ids=["mesh", "stochastic"],
+)
+def test_divergence_error_names_absolute_realization(run):
+    m = diverging_model()
+    start = 1000
+    with pytest.raises(PathDivergenceError) as exc:
+        run(m, start, 50)
+    index = exc.value.realization
+    assert start <= index < start + 50
+    assert f"realization {index}" in str(exc.value)
+    # the named realization diverges on its own too
+    with pytest.raises(PathDivergenceError) as alone:
+        run(m, index, 1)
+    assert alone.value.realization == index
