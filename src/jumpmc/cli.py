@@ -227,18 +227,17 @@ def _interval_signed_total(model, det, seeds, count, workers) -> float:
     Scalar per-realization pipeline; diagnostic mode, slower than the
     per-step density path.
     """
-    from .euler import euler_path, sample_wiener_increments
-    from .jumps import build_augmented_grid, intensity_integral_for, sample_jumps
-    from .rng import realization_streams
+    from .controller import _realization
+    from .euler import euler_path
+    from .jumps import intensity_integral_for
+    from .model import as_vectorized
 
+    model = as_vectorized(model)
     integral = intensity_integral_for(model)
     widths = np.diff(det)
     totals = np.empty(count)
     for i in range(count):
-        w_rng, t_rng, z_rng = realization_streams(seeds, i)
-        jumps = sample_jumps(model, integral, t_rng, z_rng)
-        grid = build_augmented_grid(det, jumps, horizon=model.horizon)
-        dw = sample_wiener_increments(grid, w_rng, model.wiener_dim)
+        grid, dw, _ = _realization(model, det, seeds, i, integral)
         path = euler_path(model, grid, dw)
         duals = backward_duals(model, path, order=3)
         rho = rho_per_interval(model, path, duals)

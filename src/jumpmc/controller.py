@@ -20,15 +20,19 @@ statistical uncertainty.  Two drivers meet the budget:
   test, with Brownian-bridge noise refinement; batches grow until the
   payoff's statistical bound meets TOL_S.
 
-Both drivers evaluate paths with one batched kernel, ``_path_batch``:
-forward Euler, order-3 dual weights and the per-step density for B
-same-length paths at once.  The mesh engine groups a chunk's
-realizations by step count; the per-realization driver refines blocks of
-STOCH_BLOCK realizations level-synchronously, regrouping the rows still
-refining at every level and drawing each row's bridge noise from its own
-Wiener stream (``control_time_error`` is the one-row case).  Kernel
-arithmetic is row-wise, so no realization's numbers depend on the rows
-it shares a batch with.
+Both drivers evaluate paths with one batched kernel, ``_path_batch``,
+which chains the batched layers for B same-length paths: forward Euler
+(``euler.euler_batch``), order-3 dual weights (``duals.dual_batch``) and
+the per-step density (``density.rho_batch``), with every callback
+evaluated once per node and shared by the dual and density layers.  The
+mesh engine groups a chunk's realizations by step count and reduces
+them per interval with ``density.interval_sums``; the per-realization
+driver refines blocks of STOCH_BLOCK realizations level-synchronously,
+regrouping the rows still refining at every level and drawing each
+row's bridge noise from its own Wiener stream (``control_time_error`` is
+the one-row case).  ``_realization`` sets up every realization's grid,
+increments and Wiener stream.  Layer arithmetic is row-wise, so no
+realization's numbers depend on the rows it shares a batch with.
 
 Batches are chunked into fixed-size index ranges; a chunk is always
 computed the same way no matter how chunks are spread over workers, and
@@ -41,31 +45,32 @@ from __future__ import annotations
 import math
 import multiprocessing as mp
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Tuple
 
 import numpy as np
 
 # The scalar euler_path, backward_duals and rho_per_step are unused here
 # but stay importable from this module: perfbench/run.py patches them by
 # these names to time them.
-from .density import _rho_from_stacks, cutoff_density_S, rho_per_step  # noqa: F401
-from .duals import _required_callbacks, _stack_calls, backward_duals  # noqa: F401
-from .errors import (
-    ConvergenceError,
-    EvaluationError,
-    ParameterError,
-    PathDivergenceError,
+from .density import (  # noqa: F401
+    STEP_DENSITY_CALLBACKS,
+    cutoff_density_S,
+    interval_sums,
+    rho_batch,
+    rho_per_step,
 )
-from .euler import (
-    DIVERGENCE_BOUND,
+from .duals import _required_callbacks, _stack_calls, backward_duals, dual_batch  # noqa: F401
+from .errors import ConvergenceError, EvaluationError, ParameterError
+from .euler import (  # noqa: F401
     MIN_STEP_FRACTION,
     brownian_bridge_refine,
-    euler_path,  # noqa: F401
+    euler_batch,
+    euler_path,
     sample_wiener_increments,
+    stack_paths,
 )
 from .jumps import (
-    AugmentedGrid,
     JumpRealization,
     build_augmented_grid,
     intensity_integral_for,
@@ -347,14 +352,8 @@ def refine_deterministic(mesh: Array, rbar: Array, tol_tt: float, d1: float, n: 
         )
     if n is None:
         n = len(mesh) - 1
-    threshold = d1 * tol_tt / n
-    out = []
-    for i in range(len(mesh) - 1):
-        out.append(mesh[i])
-        if rbar[i] >= threshold:
-            out.append(0.5 * (mesh[i] + mesh[i + 1]))
-    out.append(mesh[-1])
-    return np.array(out)
+    split = np.nonzero(rbar >= d1 * tol_tt / n)[0]
+    return np.insert(mesh, split + 1, 0.5 * (mesh[split] + mesh[split + 1]))
 
 
 def stopping_deterministic(rbar: Array, n: int, tol_tt: float, D1: float) -> bool:
@@ -365,177 +364,35 @@ def stopping_deterministic(rbar: Array, n: int, tol_tt: float, D1: float) -> boo
 # ---------------------------------------------------------------------------
 # fixed-mesh batch engine
 
-_BATCHED_DENSITY_CALLBACKS = [
-    "drift",
-    "drift_t",
-    "drift_x",
-    "drift_xx",
-    "diffusion",
-    "diffusion_t",
-    "diffusion_x",
-    "diffusion_xx",
-]
+_KERNEL_CALLBACKS = STEP_DENSITY_CALLBACKS + ["drift_xxx", "diffusion_xxx"]
 
 
-def _propagate_batch(G1, G2, G3, phi, phi1, phi2, order):
-    p = np.einsum("bji,bj->bi", G1, phi)
-    p1 = p2 = None
-    if order >= 2:
-        t = np.einsum("bji,bjp->bip", G1, phi1)
-        p1 = np.einsum("bip,bpk->bik", t, G1) + np.einsum("bjik,bj->bik", G2, phi)
-    if order >= 3:
-        t0 = np.einsum("bji,bjpr->bipr", G1, phi2)
-        t0 = np.einsum("bipr,bpk->bikr", t0, G1)
-        t0 = np.einsum("bikr,brm->bikm", t0, G1)
-        v = np.einsum("bji,bjp->bip", G1, phi1)
-        term2 = np.einsum("bip,bpkm->bikm", v, G2)
-        u = np.einsum("bjik,bjp->bikp", G2, phi1)
-        w = np.einsum("bikp,bpm->bikm", u, G1)
-        p2 = (
-            t0
-            + term2
-            + w
-            + w.transpose(0, 1, 3, 2)
-            + np.einsum("bjikm,bj->bikm", G3, phi)
-        )
-    return p, p1, p2
-
-
-def _stack_paths(model, grids, dws):
-    """(times, dw, jump_flag, dense marks) arrays of same-length paths."""
-    times = np.stack([g.times for g in grids])
-    jump_flag = np.stack([g.jump_index >= 0 for g in grids])
-    marks = np.zeros(times.shape + (model.mark_dim,))
-    for b, g in enumerate(grids):
-        nodes = np.nonzero(g.jump_index >= 0)[0]
-        marks[b, nodes] = g.marks[g.jump_index[nodes]]
-    return times, np.stack(dws), jump_flag, marks
-
-
-def _path_batch(model, times, dw, jump_flag, marks, realizations, want_rho):
+def _path_batch(model, paths, realizations, want_rho):
     """Forward Euler and, if ``want_rho``, order-3 duals and per-step rho
-    for B paths of n steps each.
+    for the B same-length rows of ``paths``.
 
-    ``times``, ``jump_flag`` and ``marks`` are (B, n+1[, mark_dim]) node
-    arrays and ``dw`` the (B, n, wiener_dim) increments, as built by
-    ``_stack_paths``; ``realizations`` are the rows' absolute indices,
-    named by PathDivergenceError.  Returns (payoff, rho, dt) with rho None
-    without ``want_rho``.  The model's callbacks must broadcast over rows
-    (see ``as_vectorized``).  Arithmetic is row-wise, so each row's
-    numbers do not depend on the rows it shares the batch with.
+    ``realizations`` are the rows' absolute indices, named by the
+    EvaluationError raised for a diverging path or a non-finite density.
+    Returns (payoff, rho) with rho None without ``want_rho``.  The model's
+    callbacks must broadcast over rows (see ``as_vectorized``); each is
+    evaluated once per node, and the dual and density layers share the
+    values.
     """
-    B, n = dw.shape[:2]
-    d = model.dim
-    dt = np.diff(times, axis=1)
-    values = np.empty((B, n + 1, d))
-    left = np.empty((B, n + 1, d))
-    x = np.broadcast_to(model.x0, (B, d)).copy()
-    left[:, 0] = x
-    if jump_flag[:, 0].any():
-        idx = np.nonzero(jump_flag[:, 0])[0]
-        x[idx] += np.asarray(model.jump(times[idx, 0], x[idx], marks[idx, 0]), float)
-    values[:, 0] = x
-
-    for p in range(n):
-        tcol = times[:, p]
-        a = np.asarray(model.drift(tcol, x), float)
-        bmat = np.asarray(model.diffusion(tcol, x), float)
-        xl = x + a * dt[:, p, None] + np.einsum("bil,bl->bi", bmat, dw[:, p])
-        bad = ~np.isfinite(xl).all(axis=1) | (np.abs(xl).max(axis=1) > DIVERGENCE_BOUND)
-        if bad.any():
-            which = realizations[int(np.nonzero(bad)[0][0])]
-            raise PathDivergenceError(
-                f"path diverged at step {p} (realization {which})",
-                step=p,
-                realization=which,
-            )
-        mask = jump_flag[:, p + 1]
-        if mask.any():
-            idx = np.nonzero(mask)[0]
-            x = xl.copy()
-            x[idx] = xl[idx] + np.asarray(
-                model.jump(times[idx, p + 1], xl[idx], marks[idx, p + 1]), float
-            )
-        else:
-            x = xl
-        left[:, p + 1] = xl
-        values[:, p + 1] = x
-
+    values, left = euler_batch(model, paths, realizations=realizations)
     payoff = np.asarray(model.payoff(values[:, -1]), float)
     if not want_rho:
-        return payoff, None, dt
-
-    jrows, jnodes = np.nonzero(jump_flag)
+        return payoff, None
     model.require(
-        *_required_callbacks(3, with_jumps=len(jrows) > 0), "drift_t", "diffusion_t"
+        *_required_callbacks(3, with_jumps=paths.jump_flag.any()), "drift_t", "diffusion_t"
     )
-    t_flat = times[:, :-1].reshape(-1)
-    x_flat = values[:, :-1].reshape(-1, d)
-    cb = _stack_calls(model, _BATCHED_DENSITY_CALLBACKS, t_flat, x_flat)
-    more = _stack_calls(
-        model, ["drift_xxx", "diffusion_xxx"], t_flat, x_flat
-    )
-
-    def shaped(name, src):
-        return src[name].reshape((B, n) + src[name].shape[1:])
-
-    a_x = shaped("drift_x", cb)
-    a_xx = shaped("drift_xx", cb)
-    a_xxx = shaped("drift_xxx", more)
-    b_x = shaped("diffusion_x", cb)
-    b_xx = shaped("diffusion_xx", cb)
-    b_xxx = shaped("diffusion_xxx", more)
-
-    eye = np.eye(d)
-    A1 = eye + dt[..., None, None] * a_x + np.einsum("bnl,bnilj->bnij", dw, b_x)
-    A2 = dt[..., None, None, None] * a_xx + np.einsum("bnl,bniljk->bnijk", dw, b_xx)
-    A3 = dt[..., None, None, None, None] * a_xxx + np.einsum(
-        "bnl,bniljkm->bnijkm", dw, b_xxx
-    )
-
-    if len(jrows):
-        tj = times[jrows, jnodes]
-        xj = left[jrows, jnodes]
-        zj = marks[jrows, jnodes]
-        C1 = eye + np.asarray(model.jump_x(tj, xj, zj), float)
-        C2 = np.asarray(model.jump_xx(tj, xj, zj), float)
-        C3 = np.asarray(model.jump_xxx(tj, xj, zj), float)
-
-    phi = np.asarray(model.payoff_x(values[:, -1]), float)
-    phi1 = np.asarray(model.payoff_xx(values[:, -1]), float)
-    phi2 = np.asarray(model.payoff_xxx(values[:, -1]), float)
-    phi_store = np.empty((B, n, d))
-    phi1_store = np.empty((B, n, d, d))
-    phi2_store = np.empty((B, n, d, d, d))
-    for p in range(n - 1, -1, -1):
-        node = p + 1
-        if len(jrows):
-            sel = np.nonzero(jnodes == node)[0]
-            if len(sel):
-                rows = jrows[sel]
-                pj, p1j, p2j = _propagate_batch(
-                    C1[sel], C2[sel], C3[sel], phi[rows], phi1[rows], phi2[rows], 3
-                )
-                phi = phi.copy()
-                phi1 = phi1.copy()
-                phi2 = phi2.copy()
-                phi[rows] = pj
-                phi1[rows] = p1j
-                phi2[rows] = p2j
-        phi_store[:, p] = phi
-        phi1_store[:, p] = phi1
-        phi2_store[:, p] = phi2
-        phi, phi1, phi2 = _propagate_batch(
-            A1[:, p], A2[:, p], A3[:, p], phi, phi1, phi2, 3
-        )
-
-    rho_flat = _rho_from_stacks(
-        cb,
-        phi_store.reshape(-1, d),
-        phi1_store.reshape(-1, d, d),
-        phi2_store.reshape(-1, d, d, d),
-    )
-    return payoff, rho_flat.reshape(B, n), dt
+    cb = _stack_calls(model, _KERNEL_CALLBACKS, paths.times[:, :-1], values[:, :-1])
+    stores, _, _ = dual_batch(model, cb, paths, values, left, 3)
+    rho = rho_batch(cb, *stores)
+    if not np.isfinite(rho).all():
+        which = realizations[int(np.nonzero(~np.isfinite(rho).all(axis=1))[0][0])]
+        named = "" if which is None else f" (realization {which})"
+        raise EvaluationError(f"error density is not finite{named}", realization=which)
+    return payoff, rho
 
 
 def _mesh_group_batched(model, det, recs, tol, want_density, outputs, start):
@@ -546,34 +403,39 @@ def _mesh_group_batched(model, det, recs, tol, want_density, outputs, start):
     """
     slots = np.array([slot for slot, _, _ in recs], dtype=np.intp)
     grids = [g for _, g, _ in recs]
-    times, dw, jump_flag, marks = _stack_paths(model, grids, [w for _, _, w in recs])
-    payoff, rho, dt = _path_batch(
-        model, times, dw, jump_flag, marks, (start + slots).tolist(), want_density
-    )
-    B, n = dt.shape
+    paths = stack_paths(model, grids, [w for _, _, w in recs])
+    payoff, rho = _path_batch(model, paths, (start + slots).tolist(), want_density)
     outputs["payoff"][slots] = payoff
-    outputs["n_a"][slots] = n
+    outputs["n_a"][slots] = paths.dt.shape[1]
     outputs["n_jumps"][slots] = [g.n_jumps for g in grids]
     outputs["collisions"][slots] = [g.collisions for g in grids]
     if not want_density:
         return
 
-    contrib = rho * dt ** 2
-    n_det = len(det) - 1
-    iv = np.clip(
-        np.searchsorted(det, times[:, :-1].ravel(), side="right") - 1, 0, n_det - 1
-    ).reshape(B, n)
-    signed = np.zeros((B, n_det))
-    np.add.at(
-        signed.reshape(-1),
-        (np.arange(B)[:, None] * n_det + iv).ravel(),
-        contrib.ravel(),
-    )
+    contrib = rho * paths.dt ** 2
+    signed = interval_sums(contrib, paths.times, det)
     widths = np.diff(det)
     clamped = cutoff_density_S(signed / widths ** 2, tol) * widths ** 2
     outputs["signed_interval"][slots] = signed
     outputs["r"][slots] = clamped
     outputs["signed_total"][slots] = contrib.sum(axis=1)
+
+
+def _realization(
+    model, det, seeds=None, index=None, integral=None, *, jumps=None, wiener_rng=None
+):
+    """Augmented grid, Wiener increments and Wiener generator of one
+    realization.
+
+    The realization's streams and jumps are drawn from ``seeds`` and
+    ``index`` (with the model's ``integral``) unless ``jumps`` and
+    ``wiener_rng`` are given.
+    """
+    if jumps is None:
+        wiener_rng, t_rng, z_rng = realization_streams(seeds, index)
+        jumps = sample_jumps(model, integral, t_rng, z_rng)
+    grid = build_augmented_grid(det, jumps, horizon=model.horizon)
+    return grid, sample_wiener_increments(grid, wiener_rng, model.wiener_dim), wiener_rng
 
 
 def _mesh_chunk(model, det, seeds, start, count, tol, want_density):
@@ -594,10 +456,7 @@ def _mesh_chunk(model, det, seeds, start, count, tol, want_density):
 
     groups = {}
     for i in range(count):
-        w_rng, t_rng, z_rng = realization_streams(seeds, start + i)
-        jumps = sample_jumps(model, integral, t_rng, z_rng)
-        grid = build_augmented_grid(det, jumps, horizon=model.horizon)
-        dw = sample_wiener_increments(grid, w_rng, model.wiener_dim)
+        grid, dw, _ = _realization(model, det, seeds, start + i, integral)
         groups.setdefault(grid.n_steps, []).append((i, grid, dw))
     for n_steps in sorted(groups):
         _mesh_group_batched(
@@ -637,6 +496,11 @@ def _run_chunked(chunk_fn, model, arg_list, workers):
     return [chunk_fn(model, *a) for a in arg_list]
 
 
+def _concat_rows(parts):
+    """Per-realization arrays of consecutive index ranges, joined."""
+    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+
+
 def _chunk_ranges(start, count, chunk):
     out = []
     done = 0
@@ -670,19 +534,11 @@ def run_mesh_batch(
     if want_density and tol is None:
         raise ParameterError("want_density needs tol for the density clamp")
     det = np.asarray(det, float)
-    results = _run_chunked(
-        _mesh_chunk,
-        model,
-        [
-            (det, seeds, s, c, tol, want_density)
-            for s, c in _chunk_ranges(start, count, MESH_CHUNK)
-        ],
-        workers,
-    )
-    merged = {}
-    for key in results[0]:
-        merged[key] = np.concatenate([r[key] for r in results])
-    return merged
+    args = [
+        (det, seeds, s, c, tol, want_density)
+        for s, c in _chunk_ranges(start, count, MESH_CHUNK)
+    ]
+    return _concat_rows(_run_chunked(_mesh_chunk, model, args, workers))
 
 
 # ---------------------------------------------------------------------------
@@ -725,11 +581,10 @@ def control_time_error(
     out of refinement levels, is returned with ``accepted=False``.  This
     is the one-row case of the level loop ``algorithm_s`` runs.
     """
-    grid = build_augmented_grid(det, jumps, horizon=model.horizon)
-    dw = sample_wiener_increments(grid, wiener_rng, model.wiener_dim)
+    model = as_vectorized(model)
     out = _refine_levels(
-        as_vectorized(model),
-        [(grid, dw, wiener_rng, None)],
+        model,
+        [_realization(model, det, jumps=jumps, wiener_rng=wiener_rng) + (None,)],
         tol,
         tol_t,
         n_a_bar,
@@ -784,12 +639,9 @@ def _refine_levels(model, states, tol, tol_t, n_a_bar, adapt, min_step=None):
         active = []
         for n_steps in sorted(groups):
             rows = groups[n_steps]
-            payoff, rho, dt = _path_batch(
-                model,
-                *_stack_paths(model, [grids[i] for i in rows], [dws[i] for i in rows]),
-                [states[i][3] for i in rows],
-                True,
-            )
+            paths = stack_paths(model, [grids[i] for i in rows], [dws[i] for i in rows])
+            payoff, rho = _path_batch(model, paths, [states[i][3] for i in rows], True)
+            dt = paths.dt
             r = cutoff_density_S(rho, tol) * dt ** 2
             accepted = r.max(axis=1) < accept_below
             out["payoff"][rows] = payoff
@@ -819,15 +671,12 @@ def _stoch_chunk(model, det, seeds, start, count, tol, tol_t, n_a_bar, adapt):
     integral = intensity_integral_for(model)
     parts = []
     for lo in range(start, start + count, STOCH_BLOCK):
-        states = []
-        for i in range(lo, min(lo + STOCH_BLOCK, start + count)):
-            w_rng, t_rng, z_rng = realization_streams(seeds, i)
-            jumps = sample_jumps(model, integral, t_rng, z_rng)
-            grid = build_augmented_grid(det, jumps, horizon=model.horizon)
-            dw = sample_wiener_increments(grid, w_rng, model.wiener_dim)
-            states.append((grid, dw, w_rng, i))
+        states = [
+            _realization(model, det, seeds, i, integral) + (i,)
+            for i in range(lo, min(lo + STOCH_BLOCK, start + count))
+        ]
         parts.append(_refine_levels(model, states, tol, tol_t, n_a_bar, adapt))
-    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+    return _concat_rows(parts)
 
 
 def run_stochastic_batch(
@@ -847,19 +696,11 @@ def run_stochastic_batch(
     if count < 1:
         raise ParameterError(f"batch size must be >= 1, got {count}")
     det = np.asarray(det, float)
-    results = _run_chunked(
-        _stoch_chunk,
-        model,
-        [
-            (det, seeds, s, c, tol, tol_t, n_a_bar, adapt)
-            for s, c in _chunk_ranges(start, count, STOCH_CHUNK)
-        ],
-        workers,
-    )
-    merged = {}
-    for key in results[0]:
-        merged[key] = np.concatenate([r[key] for r in results])
-    return merged
+    args = [
+        (det, seeds, s, c, tol, tol_t, n_a_bar, adapt)
+        for s, c in _chunk_ranges(start, count, STOCH_CHUNK)
+    ]
+    return _concat_rows(_run_chunked(_stoch_chunk, model, args, workers))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,11 @@ and aggregates over the steps inside one deterministic interval.  Both
 are clamped into [TOL^(1/9), TOL^(-1)] before they steer refinement, so
 rare large samples cannot stall or distort the mesh; estimation always
 uses the raw signed values.
+
+``rho_batch`` evaluates the per-step density of B same-length paths from
+callback values already evaluated, and ``interval_sums`` reduces per-step
+contributions over the deterministic intervals; both drivers use them,
+and ``rho_per_step`` and ``interval_step_sums`` are their one-row cases.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 from .duals import DualWeights, _stack_calls
 from .errors import ParameterError
 from .euler import EulerPath
-from .model import JumpDiffusionModel
+from .model import JumpDiffusionModel, as_vectorized, second_moment_arrays
 
 Array = np.ndarray
 
@@ -40,27 +45,32 @@ class ErrorIndicators:
     total: float
 
 
-def _second_moment_stacks(b, b_t, b_x, b_xx):
-    """d = b b^T / 2 and its derivatives from stacked diffusion arrays."""
-    bT = np.swapaxes(b, -1, -2)
-    dd = 0.5 * b @ bT
-    d_t = 0.5 * (b_t @ bT + b @ np.swapaxes(b_t, -1, -2))
-    cross = np.einsum("...klj,...ml->...kmj", b_x, b)
-    d_x = 0.5 * (cross + np.swapaxes(cross, -3, -2))
-    t1 = np.einsum("...klij,...ml->...kmij", b_xx, b)
-    t2 = np.einsum("...kli,...mlj->...kmij", b_x, b_x)
-    d_xx = 0.5 * (t1 + np.swapaxes(t1, -4, -3) + t2 + np.swapaxes(t2, -4, -3))
-    return dd, d_t, d_x, d_xx
+STEP_DENSITY_CALLBACKS = [
+    "drift",
+    "drift_t",
+    "drift_x",
+    "drift_xx",
+    "diffusion",
+    "diffusion_t",
+    "diffusion_x",
+    "diffusion_xx",
+]
 
 
-def _rho_from_stacks(cb: dict, phi: Array, phi1: Array, phi2: Array) -> Array:
-    """Per-row density from stacked coefficient calls and dual weights.
+def rho_batch(cb: dict, phi: Array, phi1: Array, phi2: Array) -> Array:
+    """Per-step density for B same-length paths, shape (B, n).
 
-    Row-wise arithmetic only, so a row's value never depends on which
-    other rows share the stack.
+    ``cb`` holds the ``STEP_DENSITY_CALLBACKS`` evaluated at the (B, n)
+    left nodes (t_n, X(t_n)), as ``duals._stack_calls`` returns them, and
+    ``phi``, ``phi1``, ``phi2`` are the (B, n, ...) left-limit dual
+    weights at the right nodes.  Row-wise arithmetic only, so a row's
+    value never depends on which other rows share the stack.
     """
+    lead = phi.shape[:2]
+    cb = {k: cb[k].reshape((-1,) + cb[k].shape[2:]) for k in STEP_DENSITY_CALLBACKS}
+    phi, phi1, phi2 = (w.reshape((-1,) + w.shape[2:]) for w in (phi, phi1, phi2))
     a = cb["drift"]
-    dd, d_t, d_x, d_xx = _second_moment_stacks(
+    dd, d_t, d_x, d_xx = second_moment_arrays(
         cb["diffusion"], cb["diffusion_t"], cb["diffusion_x"], cb["diffusion_xx"]
     )
     drift_part = (
@@ -75,15 +85,17 @@ def _rho_from_stacks(cb: dict, phi: Array, phi1: Array, phi2: Array) -> Array:
         + 2.0 * np.einsum("nkj,njm->nkm", cb["drift_x"], dd)
     )
     third_part = 2.0 * np.einsum("nkmj,njr->nkmr", d_x, dd)
-    return 0.5 * (
+    rho = 0.5 * (
         np.einsum("nk,nk->n", drift_part, phi)
         + np.einsum("nkm,nkm->n", diff_part, phi1)
         + np.einsum("nkmr,nkmr->n", third_part, phi2)
     )
+    return rho.reshape(lead)
 
 
 def rho_per_step(model: JumpDiffusionModel, path: EulerPath, duals: DualWeights) -> Array:
-    """Signed per-step error density, one value per augmented step.
+    """Signed per-step error density, one value per augmented step
+    (``rho_batch`` with one row).
 
     Requires third order dual weights and first time derivatives of drift
     and diffusion.
@@ -99,21 +111,14 @@ def rho_per_step(model: JumpDiffusionModel, path: EulerPath, duals: DualWeights)
         "drift_t", "drift_x", "drift_xx", "diffusion_t", "diffusion_x", "diffusion_xx"
     )
     cb = _stack_calls(
-        model,
-        [
-            "drift",
-            "drift_t",
-            "drift_x",
-            "drift_xx",
-            "diffusion",
-            "diffusion_t",
-            "diffusion_x",
-            "diffusion_xx",
-        ],
-        grid.times[:-1],
-        path.values[:-1],
+        as_vectorized(model),
+        STEP_DENSITY_CALLBACKS,
+        grid.times[None, :-1],
+        path.values[None, :-1],
     )
-    return _rho_from_stacks(cb, duals.phi_left[1:], duals.phi1_left[1:], duals.phi2_left[1:])
+    return rho_batch(
+        cb, duals.phi_left[None, 1:], duals.phi1_left[None, 1:], duals.phi2_left[None, 1:]
+    )[0]
 
 
 def rho_per_interval(
@@ -132,6 +137,7 @@ def rho_per_interval(
     grid = path.grid
     if duals.phi_left.shape[0] != grid.n_steps + 1:
         raise ParameterError("dual weights do not match the path's grid")
+    model = as_vectorized(model)
     lo = _stack_calls(model, ["drift", "diffusion"], grid.times[:-1], path.values[:-1])
     hi = _stack_calls(model, ["drift", "diffusion"], grid.times[1:], path.left_values[1:])
 
@@ -145,8 +151,7 @@ def rho_per_interval(
     )
 
     widths = np.diff(grid.det_times)
-    acc = np.zeros(grid.n_det)
-    np.add.at(acc, grid.interval_of_step, step_sum * grid.dt)
+    acc = interval_sums((step_sum * grid.dt)[None], grid.times[None], grid.det_times)[0]
     return 0.5 * acc / widths ** 2
 
 
@@ -163,11 +168,29 @@ def cutoff_density_S(rho: Array, tol: float) -> Array:
     return np.minimum(np.maximum(np.abs(rho), lo), hi)
 
 
-def interval_step_sums(rho_steps: Array, grid) -> Array:
-    """Signed sums of dt^2-weighted per-step density over each interval."""
-    acc = np.zeros(grid.n_det)
-    np.add.at(acc, grid.interval_of_step, np.asarray(rho_steps, float) * grid.dt ** 2)
+def interval_sums(contrib: Array, times: Array, det: Array) -> Array:
+    """Sums of per-step contributions over each deterministic interval.
+
+    ``contrib`` and the node ``times`` are (B, n) and (B, n+1) arrays of
+    same-length paths on the mesh ``det``; a step belongs to the interval
+    holding its left node.  Returns (B, N) sums, each accumulated in step
+    order.
+    """
+    B, n = contrib.shape
+    n_det = len(det) - 1
+    iv = np.clip(
+        np.searchsorted(det, times[:, :-1].ravel(), side="right") - 1, 0, n_det - 1
+    ).reshape(B, n)
+    acc = np.zeros((B, n_det))
+    np.add.at(acc.reshape(-1), (np.arange(B)[:, None] * n_det + iv).ravel(), contrib.ravel())
     return acc
+
+
+def interval_step_sums(rho_steps: Array, grid) -> Array:
+    """Signed sums of dt^2-weighted per-step density over each interval
+    (``interval_sums`` with one row)."""
+    contrib = np.asarray(rho_steps, float) * grid.dt ** 2
+    return interval_sums(contrib[None], grid.times[None], grid.det_times)[0]
 
 
 def cutoff_density_D(rho_steps: Array, grid, tol: float) -> Array:

@@ -14,6 +14,12 @@ and, at jump nodes, through the local jump map C_j(t, x, z) = x_j + c_j.
 The first order rule is phi(t_n) = (dA/dx)^T phi(t_{n+1}-); the higher
 order rules add curvature terms with the second and third derivatives of
 the local maps.  Left limits carry the identity at non-jump nodes.
+
+``dual_batch`` sweeps B same-length paths at once from callback values
+already evaluated; it is the dual layer of both drivers, and
+``backward_duals`` is its one-row case.  ``euler_map_derivatives`` and
+``jump_map_derivatives`` are the one implementation of each local map's
+derivatives, shared with the pointwise ``*_operator_derivatives``.
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError
-from .euler import EulerPath
-from .model import JumpDiffusionModel, _row_loop
+from .euler import EulerPath, stack_paths
+from .model import JumpDiffusionModel, as_vectorized
 
 Array = np.ndarray
 
@@ -47,30 +53,80 @@ class DualWeights:
     phi2_left: Optional[Array] = None
 
 
+def _euler_map_callbacks(order: int):
+    names = ["drift_x", "diffusion_x", "drift_xx", "diffusion_xx"]
+    return (names + ["drift_xxx", "diffusion_xxx"])[: 2 * order]
+
+
+def _jump_map_callbacks(order: int):
+    return ["jump_x", "jump_xx", "jump_xxx"][:order]
+
+
 def _required_callbacks(order: int, with_jumps: bool):
-    names = ["drift_x", "diffusion_x", "payoff_x"]
-    if with_jumps:
-        names.append("jump_x")
-    if order >= 2:
-        names += ["drift_xx", "diffusion_xx", "payoff_xx"]
-        if with_jumps:
-            names.append("jump_xx")
-    if order >= 3:
-        names += ["drift_xxx", "diffusion_xxx", "payoff_xxx"]
-        if with_jumps:
-            names.append("jump_xxx")
-    return names
+    names = _euler_map_callbacks(order) + ["payoff_x", "payoff_xx", "payoff_xxx"][:order]
+    return names + (_jump_map_callbacks(order) if with_jumps else [])
+
+
+def _check_order(order: int) -> None:
+    if order not in (1, 2, 3):
+        raise ParameterError(f"order must be 1, 2 or 3, got {order}")
 
 
 def _stack_calls(model, names, t, x, z=None):
-    """Evaluate callbacks over all rows of (t, x[, z]) at once or by loop."""
+    """Evaluate callbacks at every (t, x[, z]) row in one call each.
+
+    ``t`` may carry several leading axes, (B, n) say; the points are
+    flattened for the call and the results get those axes back.  The
+    model's callbacks must broadcast over rows (see ``as_vectorized``).
+    """
+    t = np.asarray(t)
+    lead = t.shape
+    args = (t.reshape(-1), x.reshape(t.size, -1))
+    if z is not None:
+        args += (z.reshape(t.size, -1),)
     out = {}
     for name in names:
-        fn = getattr(model, name)
-        if not model.vectorized:
-            fn = _row_loop(fn)
-        out[name] = np.asarray(fn(t, x) if z is None else fn(t, x, z), float)
+        value = np.asarray(getattr(model, name)(*args), float)
+        out[name] = value.reshape(lead + value.shape[1:])
     return out
+
+
+def euler_map_derivatives(cb: dict, dt, dw, order: int = 3):
+    """Derivatives of the local Euler map A(x) = x + a dt + b dW from
+    evaluated callbacks.
+
+    ``cb`` holds drift_x and diffusion_x (and the second and third
+    derivatives up to ``order``) over any leading axes, which ``dt`` and
+    ``dw`` share.  Returns (A1, A2, A3): Jacobian I + dt drift_x +
+    dW^l diffusion_x[:,l,:], then the same contraction of the higher
+    derivative stacks; entries above ``order`` are None.
+    """
+    dt = np.asarray(dt, float)
+    a_x = cb["drift_x"]
+    A1 = np.eye(a_x.shape[-1]) + dt[..., None, None] * a_x + np.einsum(
+        "...l,...ilj->...ij", dw, cb["diffusion_x"]
+    )
+    A2 = A3 = None
+    if order >= 2:
+        A2 = dt[..., None, None, None] * cb["drift_xx"] + np.einsum(
+            "...l,...iljk->...ijk", dw, cb["diffusion_xx"]
+        )
+    if order >= 3:
+        A3 = dt[..., None, None, None, None] * cb["drift_xxx"] + np.einsum(
+            "...l,...iljkm->...ijkm", dw, cb["diffusion_xxx"]
+        )
+    return A1, A2, A3
+
+
+def jump_map_derivatives(cb: dict, order: int = 3):
+    """Derivatives (C1, C2, C3) of the local jump map C(x) = x + c(t, x, z)
+    from evaluated jump_x (jump_xx, jump_xxx) callbacks; entries above
+    ``order`` are None."""
+    c_x = cb["jump_x"]
+    C1 = np.eye(c_x.shape[-1]) + c_x
+    C2 = cb["jump_xx"] if order >= 2 else None
+    C3 = cb["jump_xxx"] if order >= 3 else None
+    return C1, C2, C3
 
 
 def euler_operator_derivatives(
@@ -78,34 +134,14 @@ def euler_operator_derivatives(
 ):
     """Derivatives of the local Euler map A(x) = x + a dt + b dW at (t, x).
 
-    Returns (A1, A2, A3): Jacobian I + dt drift_x + dW^l diffusion_x[:,l,:],
-    then the same contraction of the second and third derivative stacks.
-    Entries above ``order`` are None.  Missing model callbacks raise a
+    See :func:`euler_map_derivatives`.  Missing model callbacks raise a
     capability error.
     """
-    if order not in (1, 2, 3):
-        raise ParameterError(f"order must be 1, 2 or 3, got {order}")
-    names = ["drift_x", "diffusion_x"]
-    if order >= 2:
-        names += ["drift_xx", "diffusion_xx"]
-    if order >= 3:
-        names += ["drift_xxx", "diffusion_xxx"]
+    _check_order(order)
+    names = _euler_map_callbacks(order)
     model.require(*names)
-    d = model.dim
-    dw = np.asarray(dw, float)
-    a_x = np.asarray(model.drift_x(t, x), float)
-    b_x = np.asarray(model.diffusion_x(t, x), float)
-    A1 = np.eye(d) + dt * a_x + np.einsum("l,ilj->ij", dw, b_x)
-    A2 = A3 = None
-    if order >= 2:
-        A2 = dt * np.asarray(model.drift_xx(t, x), float) + np.einsum(
-            "l,iljk->ijk", dw, np.asarray(model.diffusion_xx(t, x), float)
-        )
-    if order >= 3:
-        A3 = dt * np.asarray(model.drift_xxx(t, x), float) + np.einsum(
-            "l,iljkm->ijkm", dw, np.asarray(model.diffusion_xxx(t, x), float)
-        )
-    return A1, A2, A3
+    cb = {name: np.asarray(getattr(model, name)(t, x), float) for name in names}
+    return euler_map_derivatives(cb, dt, np.asarray(dw, float), order)
 
 
 def jump_operator_derivatives(
@@ -115,83 +151,101 @@ def jump_operator_derivatives(
 
     Returns (C1, C2, C3) with entries above ``order`` None.
     """
-    if order not in (1, 2, 3):
-        raise ParameterError(f"order must be 1, 2 or 3, got {order}")
-    names = ["jump_x"] + (["jump_xx"] if order >= 2 else []) + (
-        ["jump_xxx"] if order >= 3 else []
-    )
+    _check_order(order)
+    names = _jump_map_callbacks(order)
     model.require(*names)
-    C1 = np.eye(model.dim) + np.asarray(model.jump_x(t, x, z), float)
-    C2 = np.asarray(model.jump_xx(t, x, z), float) if order >= 2 else None
-    C3 = np.asarray(model.jump_xxx(t, x, z), float) if order >= 3 else None
-    return C1, C2, C3
+    cb = {name: np.asarray(getattr(model, name)(t, x, z), float) for name in names}
+    return jump_map_derivatives(cb, order)
 
 
-def _euler_stacks(model, grid, path, order):
-    """Stacked local-map derivatives over all steps at once."""
-    t = grid.times[:-1]
-    x = path.values[:-1]
-    dt = grid.dt
-    dw = path.increments
-    names = ["drift_x", "diffusion_x"]
-    if order >= 2:
-        names += ["drift_xx", "diffusion_xx"]
-    if order >= 3:
-        names += ["drift_xxx", "diffusion_xxx"]
-    cb = _stack_calls(model, names, t, x)
-    eye = np.eye(model.dim)
-    A1 = eye + dt[:, None, None] * cb["drift_x"] + np.einsum(
-        "nl,nilj->nij", dw, cb["diffusion_x"]
-    )
-    A2 = A3 = None
-    if order >= 2:
-        A2 = dt[:, None, None, None] * cb["drift_xx"] + np.einsum(
-            "nl,niljk->nijk", dw, cb["diffusion_xx"]
+def propagate(G, phi):
+    """One backward block for B rows: pull the weights ``phi`` = (phi[,
+    phi'[, phi'']]) through local maps with derivatives ``G`` = (G1[,
+    G2[, G3]]), all with a leading row axis.  The length of ``phi`` is
+    the order."""
+    G1 = G[0]
+    out = [np.einsum("bji,bj->bi", G1, phi[0])]
+    if len(phi) >= 2:
+        t = np.einsum("bji,bjp->bip", G1, phi[1])
+        out.append(np.einsum("bip,bpk->bik", t, G1) + np.einsum("bjik,bj->bik", G[1], phi[0]))
+    if len(phi) >= 3:
+        t0 = np.einsum("bji,bjpr->bipr", G1, phi[2])
+        t0 = np.einsum("bipr,bpk->bikr", t0, G1)
+        t0 = np.einsum("bikr,brm->bikm", t0, G1)
+        v = np.einsum("bji,bjp->bip", G1, phi[1])
+        term2 = np.einsum("bip,bpkm->bikm", v, G[1])
+        u = np.einsum("bjik,bjp->bikp", G[1], phi[1])
+        w = np.einsum("bikp,bpm->bikm", u, G1)
+        out.append(
+            t0
+            + term2
+            + w
+            + w.transpose(0, 1, 3, 2)
+            + np.einsum("bjikm,bj->bikm", G[2], phi[0])
         )
-    if order >= 3:
-        A3 = dt[:, None, None, None, None] * cb["drift_xxx"] + np.einsum(
-            "nl,niljkm->nijkm", dw, cb["diffusion_xxx"]
-        )
-    return A1, A2, A3
+    return out
 
 
-def _jump_stacks(model, grid, path, order):
-    nodes = np.nonzero(grid.jump_index >= 0)[0]
-    if len(nodes) == 0:
-        return nodes, None, None, None
-    t = grid.times[nodes]
-    x = path.left_values[nodes]
-    z = grid.marks[grid.jump_index[nodes]]
-    names = ["jump_x"]
-    if order >= 2:
-        names += ["jump_xx"]
-    if order >= 3:
-        names += ["jump_xxx"]
-    cb = _stack_calls(model, names, t, x, z)
-    C1 = np.eye(model.dim) + cb["jump_x"]
-    C2 = cb.get("jump_xx")
-    C3 = cb.get("jump_xxx")
-    return nodes, C1, C2, C3
+def dual_batch(model, cb: dict, paths, values: Array, left: Array, order: int = 3):
+    """Backward dual sweep for B same-length paths at once.
 
+    ``cb`` holds the Euler-map callbacks of ``order`` evaluated at the
+    (B, n) nodes (t_n, X(t_n)), n < N, as ``_stack_calls`` returns them;
+    ``values`` and ``left`` are the forward layer's node values and left
+    limits.  Jump-map and payoff derivatives are evaluated here, at the
+    jump left limits and at X(T).  Only left-limit weights are stored.
 
-def _propagate(G1, G2, G3, phi, phi1, phi2, order):
-    """One backward block: pull (phi, phi', phi'') through a local map."""
-    G1T = G1.T
-    p = G1T @ phi
-    p1 = p2 = None
-    if order >= 2:
-        p1 = G1T @ phi1 @ G1 + np.tensordot(phi, G2, axes=(0, 0))
-    if order >= 3:
-        t0 = np.tensordot(G1, phi2, axes=(0, 0))
-        t0 = np.tensordot(t0, G1, axes=(1, 0))
-        t0 = np.tensordot(t0, G1, axes=(1, 0))
-        term2 = np.tensordot(G1T @ phi1, G2, axes=(1, 0))
-        w = np.tensordot(G2, phi1, axes=(0, 0))
-        w = np.tensordot(w, G1, axes=(2, 0))
-        p2 = t0 + term2 + w + w.transpose(0, 2, 1) + np.tensordot(
-            phi, G3, axes=(0, 0)
-        )
-    return p, p1, p2
+    Returns (stores, first, at_jumps).  ``stores`` and ``first`` are
+    lists (phi[, phi'[, phi'']]) up to ``order``: the (B, n, ...)
+    left-limit weights at nodes 1..N and the (B, ...) left-limit weights
+    at node 0.  ``at_jumps`` lists (node, weights) for every jump node:
+    the node weights, before the jump block, of the rows that jump there
+    (in row order); only there do node and left-limit weights differ.
+    Arithmetic is row-wise.
+    """
+    B, n = paths.dt.shape
+    d = model.dim
+    A = euler_map_derivatives(cb, paths.dt, paths.dw, order)[:order]
+    jrows, jnodes = np.nonzero(paths.jump_flag)
+    jump_at = set(jnodes.tolist())
+    if jump_at:
+        C = jump_map_derivatives(
+            _stack_calls(
+                model,
+                _jump_map_callbacks(order),
+                paths.times[jrows, jnodes],
+                left[jrows, jnodes],
+                paths.marks[jrows, jnodes],
+            ),
+            order,
+        )[:order]
+    x_T = values[:, -1]
+    phi = [
+        np.asarray(getattr(model, name)(x_T), float)
+        for name in ("payoff_x", "payoff_xx", "payoff_xxx")[:order]
+    ]
+    stores = [np.empty((B, n) + (d,) * (k + 1)) for k in range(order)]
+    at_jumps = []
+
+    def jump_block(node, phi):
+        sel = np.nonzero(jnodes == node)[0]
+        rows = jrows[sel]
+        pre = [w[rows] for w in phi]
+        at_jumps.append((node, pre))
+        phi = [w.copy() for w in phi]
+        for w, post in zip(phi, propagate([c[sel] for c in C], pre)):
+            w[rows] = post
+        return phi
+
+    for p in range(n - 1, -1, -1):
+        if p + 1 in jump_at:
+            phi = jump_block(p + 1, phi)
+        for store, w in zip(stores, phi):
+            store[:, p] = w
+        phi = propagate([a[:, p] for a in A], phi)
+    if 0 in jump_at:
+        phi = jump_block(0, phi)
+    return stores, phi, at_jumps
 
 
 def backward_duals(
@@ -203,84 +257,28 @@ def backward_duals(
 
     Starts from the payoff derivatives at X(T) and sweeps backward,
     applying the jump block at jump left-limits, the identity otherwise,
-    and the Euler block across every step.  Cost is linear in the number
-    of steps.  Raises CapabilityError when the model lacks the derivative
-    callbacks the order needs, ParameterError for an unsupported order.
+    and the Euler block across every step (``dual_batch`` with one row).
+    Cost is linear in the number of steps.  Raises CapabilityError when
+    the model lacks the derivative callbacks the order needs,
+    ParameterError for an unsupported order.
     """
     if order not in (1, 2, 3):
         raise ParameterError(f"dual order must be 1, 2 or 3, got {order}")
     grid = path.grid
     model.require(*_required_callbacks(order, with_jumps=grid.n_jumps > 0))
-
-    n_steps = grid.n_steps
-    d = model.dim
-    A1, A2, A3 = _euler_stacks(model, grid, path, order)
-    jump_nodes, C1, C2, C3 = _jump_stacks(model, grid, path, order)
-    jump_slot = {int(node): i for i, node in enumerate(jump_nodes)}
-
-    phi = np.empty((n_steps + 1, d))
-    phi_left = np.empty((n_steps + 1, d))
-    phi1 = phi1_left = phi2 = phi2_left = None
-    if order >= 2:
-        phi1 = np.empty((n_steps + 1, d, d))
-        phi1_left = np.empty((n_steps + 1, d, d))
-    if order >= 3:
-        phi2 = np.empty((n_steps + 1, d, d, d))
-        phi2_left = np.empty((n_steps + 1, d, d, d))
-
-    x_T = path.values[-1]
-    p = np.asarray(model.payoff_x(x_T), float)
-    p1 = np.asarray(model.payoff_xx(x_T), float) if order >= 2 else None
-    p2 = np.asarray(model.payoff_xxx(x_T), float) if order >= 3 else None
-
-    def store(arrays, node, a, b, c):
-        arrays[0][node] = a
-        if order >= 2:
-            arrays[1][node] = b
-        if order >= 3:
-            arrays[2][node] = c
-
-    node_arrays = (phi, phi1, phi2)
-    left_arrays = (phi_left, phi1_left, phi2_left)
-
-    def jump_block(node, a, b, c):
-        slot = jump_slot.get(node)
-        if slot is None:
-            return a, b, c
-        return _propagate(
-            C1[slot],
-            C2[slot] if order >= 2 else None,
-            C3[slot] if order >= 3 else None,
-            a,
-            b,
-            c,
-            order,
-        )
-
-    store(node_arrays, n_steps, p, p1, p2)
-    for n in range(n_steps - 1, -1, -1):
-        p, p1, p2 = jump_block(n + 1, p, p1, p2)
-        store(left_arrays, n + 1, p, p1, p2)
-        p, p1, p2 = _propagate(
-            A1[n],
-            A2[n] if order >= 2 else None,
-            A3[n] if order >= 3 else None,
-            p,
-            p1,
-            p2,
-            order,
-        )
-        store(node_arrays, n, p, p1, p2)
-
-    p, p1, p2 = jump_block(0, p, p1, p2)
-    store(left_arrays, 0, p, p1, p2)
-
-    return DualWeights(
-        order=order,
-        phi=phi,
-        phi_left=phi_left,
-        phi1=phi1,
-        phi1_left=phi1_left,
-        phi2=phi2,
-        phi2_left=phi2_left,
+    model = as_vectorized(model)
+    paths = stack_paths(model, [grid], [path.increments])
+    values = path.values[None]
+    cb = _stack_calls(model, _euler_map_callbacks(order), paths.times[:, :-1], values[:, :-1])
+    stores, first, at_jumps = dual_batch(
+        model, cb, paths, values, path.left_values[None], order
     )
+    weights = {}
+    for k, name in enumerate(("phi", "phi1", "phi2")[:order]):
+        left = np.concatenate([first[k], stores[k][0]])
+        node = left.copy()
+        for n, pre in at_jumps:
+            node[n] = pre[k][0]
+        weights[name] = node
+        weights[name + "_left"] = left
+    return DualWeights(order=order, **weights)

@@ -15,7 +15,16 @@ class CapabilityError(JumpMCError):
 
 class EvaluationError(JumpMCError):
     """A model callback produced something unusable (bad shape, NaN,
-    negative intensity)."""
+    negative intensity).
+
+    Attributes:
+        realization: absolute index of the failing realization, or None
+            when the failure is not tied to a realization stream.
+    """
+
+    def __init__(self, message: str, realization: int = None):
+        super().__init__(message)
+        self.realization = realization
 
 
 class PathDivergenceError(EvaluationError):
@@ -23,19 +32,15 @@ class PathDivergenceError(EvaluationError):
 
     Attributes:
         step: index of the Euler step at which divergence was detected.
-        realization: absolute index of the diverging realization, or None
-            when the path was not drawn from a realization stream.
     """
 
     def __init__(self, message: str, step: int, realization: int = None):
-        super().__init__(message)
+        super().__init__(message, realization)
         self.step = step
-        self.realization = realization
 
 
 class RefinementDepthError(JumpMCError):
-    """A step refinement would go below the minimum step floor (or past
-    the refinement level cap)."""
+    """A step refinement would go below the minimum step floor."""
 
 
 class ConvergenceError(JumpMCError):

@@ -10,6 +10,10 @@ Both the node values and the left limits are kept, because the dual
 weights and the error densities are evaluated on the left limits.
 Meshes refine by bisection only, with midpoint Wiener values drawn from
 the Brownian bridge so coarse and fine paths stay consistent in law.
+
+``euler_batch`` steps B same-length paths at once, stacked into a
+``PathBatch`` by ``stack_paths``; it is the forward layer of both
+drivers, and ``euler_path`` is its one-row case.
 """
 
 from __future__ import annotations
@@ -20,13 +24,12 @@ import numpy as np
 
 from .errors import ParameterError, PathDivergenceError, RefinementDepthError
 from .jumps import AugmentedGrid
-from .model import JumpDiffusionModel
+from .model import JumpDiffusionModel, as_vectorized
 
 Array = np.ndarray
 
 DIVERGENCE_BOUND = 1e154  # keeps |x|^2-like payoffs representable
 MIN_STEP_FRACTION = 2.0 ** -30  # step floor, relative to the horizon
-MAX_REFINEMENT_LEVELS = 30
 
 
 @dataclass(frozen=True)
@@ -56,50 +59,103 @@ def sample_wiener_increments(
     return z * np.sqrt(dt)[:, None]
 
 
+@dataclass(frozen=True)
+class PathBatch:
+    """B same-length paths of n steps as stacked node arrays.
+
+    ``marks`` holds each jump node's mark and zeros elsewhere.
+    """
+
+    times: Array  # (B, n + 1)
+    dw: Array  # (B, n, wiener_dim)
+    jump_flag: Array  # (B, n + 1) bool
+    marks: Array  # (B, n + 1, mark_dim)
+    dt: Array  # (B, n)
+
+
+def stack_paths(model: JumpDiffusionModel, grids, dws) -> PathBatch:
+    """Stack the grids and increments of same-length paths."""
+    times = np.stack([g.times for g in grids])
+    jump_flag = np.stack([g.jump_index >= 0 for g in grids])
+    marks = np.zeros(times.shape + (model.mark_dim,))
+    for b, g in enumerate(grids):
+        nodes = np.nonzero(g.jump_index >= 0)[0]
+        marks[b, nodes] = g.marks[g.jump_index[nodes]]
+    return PathBatch(times, np.stack(dws), jump_flag, marks, np.diff(times, axis=1))
+
+
+def euler_batch(
+    model: JumpDiffusionModel, paths: PathBatch, x0: Array = None, realizations=None
+):
+    """Run the Euler scheme along B same-length paths at once.
+
+    Returns (values, left), the (B, n+1, d) node values and left limits.
+    The model's callbacks must broadcast over rows (see ``as_vectorized``).
+    ``realizations`` are the rows' absolute indices, named by
+    PathDivergenceError (None when the rows have none).  Arithmetic is
+    row-wise, so each row's numbers do not depend on the rows it shares
+    the batch with.
+    """
+    times, dw, jump_flag, marks, dt = (
+        paths.times, paths.dw, paths.jump_flag, paths.marks, paths.dt
+    )
+    B, n = dw.shape[:2]
+    d = model.dim
+    values = np.empty((B, n + 1, d))
+    left = np.empty((B, n + 1, d))
+    x = np.broadcast_to(model.x0 if x0 is None else x0, (B, d)).astype(float)
+    left[:, 0] = x
+    if jump_flag[:, 0].any():
+        idx = np.nonzero(jump_flag[:, 0])[0]
+        x[idx] += np.asarray(model.jump(times[idx, 0], x[idx], marks[idx, 0]), float)
+    values[:, 0] = x
+
+    for p in range(n):
+        tcol = times[:, p]
+        a = np.asarray(model.drift(tcol, x), float)
+        bmat = np.asarray(model.diffusion(tcol, x), float)
+        xl = x + a * dt[:, p, None] + np.einsum("bil,bl->bi", bmat, dw[:, p])
+        bad = ~np.isfinite(xl).all(axis=1) | (np.abs(xl).max(axis=1) > DIVERGENCE_BOUND)
+        if bad.any():
+            row = int(np.nonzero(bad)[0][0])
+            which = None if realizations is None else realizations[row]
+            where = f"t={times[row, p + 1]:g}"
+            if which is not None:
+                where += f", realization {which}"
+            raise PathDivergenceError(
+                f"path diverged at step {p} ({where})", step=p, realization=which
+            )
+        mask = jump_flag[:, p + 1]
+        if mask.any():
+            idx = np.nonzero(mask)[0]
+            x = xl.copy()
+            x[idx] = xl[idx] + np.asarray(
+                model.jump(times[idx, p + 1], xl[idx], marks[idx, p + 1]), float
+            )
+        else:
+            x = xl
+        left[:, p + 1] = xl
+        values[:, p + 1] = x
+    return values, left
+
+
 def euler_path(
     model: JumpDiffusionModel,
     grid: AugmentedGrid,
     dw: Array,
     x0: Array = None,
 ) -> EulerPath:
-    """Run the Euler scheme along one augmented grid."""
-    times = grid.times
-    dt = grid.dt
-    n_steps = grid.n_steps
+    """Run the Euler scheme along one augmented grid (``euler_batch`` with
+    one row)."""
     dw = np.asarray(dw, float)
-    if dw.shape != (n_steps, model.wiener_dim):
+    if dw.shape != (grid.n_steps, model.wiener_dim):
         raise ParameterError(
-            f"increments must have shape ({n_steps}, {model.wiener_dim}), got {dw.shape}"
+            f"increments must have shape ({grid.n_steps}, {model.wiener_dim}), "
+            f"got {dw.shape}"
         )
-    x = np.array(model.x0 if x0 is None else x0, float)
-
-    values = np.empty((n_steps + 1, model.dim))
-    left = np.empty((n_steps + 1, model.dim))
-
-    left[0] = x
-    k0 = grid.jump_index[0]
-    if k0 >= 0:
-        x = x + np.asarray(model.jump(times[0], x, grid.marks[k0]), float)
-    values[0] = x
-
-    for n in range(n_steps):
-        t = times[n]
-        a = np.asarray(model.drift(t, x), float)
-        b = np.asarray(model.diffusion(t, x), float)
-        xl = x + a * dt[n] + b @ dw[n]
-        if not np.all(np.isfinite(xl)) or np.max(np.abs(xl)) > DIVERGENCE_BOUND:
-            raise PathDivergenceError(
-                f"path diverged at step {n} (t={times[n + 1]:g})", step=n
-            )
-        k = grid.jump_index[n + 1]
-        if k >= 0:
-            x = xl + np.asarray(model.jump(times[n + 1], xl, grid.marks[k]), float)
-        else:
-            x = xl
-        left[n + 1] = xl
-        values[n + 1] = x
-
-    return EulerPath(grid=grid, increments=dw, values=values, left_values=left)
+    model = as_vectorized(model)
+    values, left = euler_batch(model, stack_paths(model, [grid], [dw]), x0)
+    return EulerPath(grid=grid, increments=dw, values=values[0], left_values=left[0])
 
 
 def bridge_split(dt: float, dw: Array, rng: np.random.Generator):

@@ -176,18 +176,15 @@ def eval_coefficients(model: JumpDiffusionModel, t, x) -> Coefficients:
     return Coefficients(a, b, d)
 
 
-def second_moment_derivatives(model: JumpDiffusionModel, t, x):
-    """Time and state derivatives of d = b b^T / 2 from those of b.
+def second_moment_arrays(b, b_t, b_x, b_xx):
+    """d = b b^T / 2 and its derivatives from evaluated diffusion arrays.
 
-    Returns (d_t, d_x, d_xx) with layouts (..., d, d), (..., d, d, j) and
-    (..., d, d, i, j); the j/i axes differentiate in x.
+    Returns (d, d_t, d_x, d_xx) with layouts (..., d, d), (..., d, d),
+    (..., d, d, j) and (..., d, d, i, j); the j/i axes differentiate in x.
+    Works over any leading axes.
     """
-    model.require("diffusion_t", "diffusion_x", "diffusion_xx")
-    b = np.asarray(model.diffusion(t, x), float)
-    b_t = np.asarray(model.diffusion_t(t, x), float)
-    b_x = np.asarray(model.diffusion_x(t, x), float)
-    b_xx = np.asarray(model.diffusion_xx(t, x), float)
     bT = np.swapaxes(b, -1, -2)
+    dd = 0.5 * b @ bT
     d_t = 0.5 * (b_t @ bT + b @ np.swapaxes(b_t, -1, -2))
     # d_x[..., k, m, j] = (b_x[k, l, j] b[m, l] + b[k, l] b_x[m, l, j]) / 2
     cross = np.einsum("...klj,...ml->...kmj", b_x, b)
@@ -196,6 +193,21 @@ def second_moment_derivatives(model: JumpDiffusionModel, t, x):
     t1 = np.einsum("...klij,...ml->...kmij", b_xx, b)
     t2 = np.einsum("...kli,...mlj->...kmij", b_x, b_x)
     d_xx = 0.5 * (t1 + np.swapaxes(t1, -4, -3) + t2 + np.swapaxes(t2, -4, -3))
+    return dd, d_t, d_x, d_xx
+
+
+def second_moment_derivatives(model: JumpDiffusionModel, t, x):
+    """Time and state derivatives of d = b b^T / 2 from those of b.
+
+    Returns (d_t, d_x, d_xx); see :func:`second_moment_arrays`.
+    """
+    model.require("diffusion_t", "diffusion_x", "diffusion_xx")
+    _, d_t, d_x, d_xx = second_moment_arrays(
+        *(
+            np.asarray(getattr(model, name)(t, x), float)
+            for name in ("diffusion", "diffusion_t", "diffusion_x", "diffusion_xx")
+        )
+    )
     return d_t, d_x, d_xx
 
 

@@ -6,6 +6,7 @@ import pytest
 from jumpmc import (
     CapabilityError,
     ParameterError,
+    SeedConfig,
     backward_duals,
     build_augmented_grid,
     build_model,
@@ -13,10 +14,13 @@ from jumpmc import (
     euler_path,
     jump_operator_derivatives,
     no_jumps,
+    realization_streams,
+    rho_per_step,
+    sample_jumps,
     sample_wiener_increments,
     uniform_mesh,
 )
-from jumpmc.jumps import JumpRealization
+from jumpmc.jumps import JumpRealization, intensity_integral_for
 from jumpmc.model import JumpDiffusionModel
 
 
@@ -225,3 +229,36 @@ def test_higher_arrays_none_below_order():
     assert d1.phi1 is None and d1.phi2 is None
     d2 = backward_duals(m, path, order=2)
     assert d2.phi1 is not None and d2.phi2 is None
+
+
+# Realizations 0-9 of test5 on the uniform N=5 mesh with SeedConfig():
+# (sum of rho dt^2, phi_left[0], phi1_left[0]) from the earlier
+# tensordot-based scalar dual sweep, an implementation independent of the
+# batched einsum sweep that backward_duals now runs.
+TENSORDOT_ORACLE = [
+    (-0.030727552629985076, [-0.032807334073131314, 0.00357154821501302], [[4.20108828762883, -0.4573486325144964], [-0.4573486325144964, 0.049788949277459235]]),
+    (-0.0004530543775717736, [0.0005421666684998827, -0.0007709462219714815], [[0.6632475698535093, -0.9431199627692342], [-0.9431199627692344, 1.3410908755689812]]),
+    (-0.2840644043464369, [0.9564088001796013, -0.03670033536879295], [[-2.355654352107052, 0.09039367341564679], [0.0903936734156468, -0.003468682146116181]]),
+    (-0.02337725298747778, [0.4010378585062365, -0.03676543412214637], [[0.2890066330780813, -0.0264948909533694], [-0.026494890953369404, 0.0024289381844093566]]),
+    (0.0, [0.0, 0.0], [[0.18824263652846282, 0.9288261343588993], [0.9288261343588993, 4.9186839628440024]]),
+    (0.0, [0.0, 0.0], [[7.165154361087346, 1.3484715798022444], [1.3484715798022446, 3.6404801626560666]]),
+    (-0.05536553278621105, [-0.0939888941862602, 0.00023705487358147398], [[-0.07538303860515846, 0.0001901279597068132], [0.00019012795970681318, -4.795328197317046e-07]]),
+    (0.0, [0.0, 0.0], [[1.5933201224400468, 1.0355153972562356], [1.0355153972562356, 4.464006514240343]]),
+    (0.0, [0.0, 0.0], [[3.3255550958977333, -0.7385693682861554], [-0.7385693682861553, 6.232991600148772]]),
+    (-0.4603344114231006, [1.7572116873041013, -0.2138900909343202], [[-6.719104537047644, 0.8178581390106657], [0.8178581390106657, -0.09955075588686982]]),
+]
+
+
+def test_duals_and_density_match_tensordot_oracle():
+    m = build_model("test5")
+    det = uniform_mesh(1.0, 5)
+    integral = intensity_integral_for(m)
+    for i, (signed_total, phi0, phi1_0) in enumerate(TENSORDOT_ORACLE):
+        w_rng, t_rng, z_rng = realization_streams(SeedConfig(), i)
+        grid = build_augmented_grid(det, sample_jumps(m, integral, t_rng, z_rng), horizon=1.0)
+        path = euler_path(m, grid, sample_wiener_increments(grid, w_rng, m.wiener_dim))
+        duals = backward_duals(m, path, order=3)
+        rho = rho_per_step(m, path, duals)
+        assert abs(np.sum(rho * grid.dt ** 2) - signed_total) <= 1e-15, i
+        assert np.max(np.abs(duals.phi_left[0] - phi0)) <= 7.8e-16, i
+        assert np.max(np.abs(duals.phi1_left[0] - np.array(phi1_0))) <= 7.1e-15, i
