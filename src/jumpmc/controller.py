@@ -30,8 +30,8 @@ them per interval with ``density.interval_sums``; the per-realization
 driver refines blocks of STOCH_BLOCK realizations level-synchronously,
 regrouping the rows still refining at every level and drawing each
 row's bridge noise from its own Wiener stream (``control_time_error`` is
-the one-row case).  ``_realization`` sets up every realization's grid,
-increments and Wiener stream.  Layer arithmetic is row-wise, so no
+the one-row case).  ``_realization`` sets up an indexed realization's
+grid, increments and Wiener stream.  Layer arithmetic is row-wise, so no
 realization's numbers depend on the rows it shares a batch with.
 
 Batches are chunked into fixed-size index ranges; a chunk is always
@@ -421,19 +421,12 @@ def _mesh_group_batched(model, det, recs, tol, want_density, outputs, start):
     outputs["signed_total"][slots] = contrib.sum(axis=1)
 
 
-def _realization(
-    model, det, seeds=None, index=None, integral=None, *, jumps=None, wiener_rng=None
-):
-    """Augmented grid, Wiener increments and Wiener generator of one
-    realization.
-
-    The realization's streams and jumps are drawn from ``seeds`` and
-    ``index`` (with the model's ``integral``) unless ``jumps`` and
-    ``wiener_rng`` are given.
-    """
-    if jumps is None:
-        wiener_rng, t_rng, z_rng = realization_streams(seeds, index)
-        jumps = sample_jumps(model, integral, t_rng, z_rng)
+def _realization(model, det, seeds, index, integral):
+    """Augmented grid, Wiener increments and Wiener generator of
+    realization ``index``, drawn from its streams (jumps with the model's
+    intensity ``integral``)."""
+    wiener_rng, t_rng, z_rng = realization_streams(seeds, index)
+    jumps = sample_jumps(model, integral, t_rng, z_rng)
     grid = build_augmented_grid(det, jumps, horizon=model.horizon)
     return grid, sample_wiener_increments(grid, wiener_rng, model.wiener_dim), wiener_rng
 
@@ -582,9 +575,11 @@ def control_time_error(
     is the one-row case of the level loop ``algorithm_s`` runs.
     """
     model = as_vectorized(model)
+    grid = build_augmented_grid(det, jumps, horizon=model.horizon)
+    dw = sample_wiener_increments(grid, wiener_rng, model.wiener_dim)
     out = _refine_levels(
         model,
-        [_realization(model, det, jumps=jumps, wiener_rng=wiener_rng) + (None,)],
+        [(grid, dw, wiener_rng, None)],
         tol,
         tol_t,
         n_a_bar,

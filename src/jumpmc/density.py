@@ -30,6 +30,7 @@ import numpy as np
 from .duals import DualWeights, _stack_calls
 from .errors import ParameterError
 from .euler import EulerPath
+from .jumps import interval_of_steps
 from .model import JumpDiffusionModel, as_vectorized, second_moment_arrays
 
 Array = np.ndarray
@@ -176,11 +177,9 @@ def interval_sums(contrib: Array, times: Array, det: Array) -> Array:
     holding its left node.  Returns (B, N) sums, each accumulated in step
     order.
     """
-    B, n = contrib.shape
+    B = len(contrib)
     n_det = len(det) - 1
-    iv = np.clip(
-        np.searchsorted(det, times[:, :-1].ravel(), side="right") - 1, 0, n_det - 1
-    ).reshape(B, n)
+    iv = interval_of_steps(det, times)
     acc = np.zeros((B, n_det))
     np.add.at(acc.reshape(-1), (np.arange(B)[:, None] * n_det + iv).ravel(), contrib.ravel())
     return acc

@@ -262,8 +262,7 @@ def backward_duals(
     the model lacks the derivative callbacks the order needs,
     ParameterError for an unsupported order.
     """
-    if order not in (1, 2, 3):
-        raise ParameterError(f"dual order must be 1, 2 or 3, got {order}")
+    _check_order(order)
     grid = path.grid
     model.require(*_required_callbacks(order, with_jumps=grid.n_jumps > 0))
     model = as_vectorized(model)

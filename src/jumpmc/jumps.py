@@ -260,8 +260,17 @@ class AugmentedGrid:
 
     @property
     def interval_of_step(self) -> Array:
-        idx = np.searchsorted(self.det_times, self.times[:-1], side="right") - 1
-        return np.clip(idx, 0, self.n_det - 1)
+        return interval_of_steps(self.det_times, self.times)
+
+
+def interval_of_steps(det_times: Array, times: Array) -> Array:
+    """Index of the deterministic interval holding each step's left node.
+
+    ``times`` are node times along the last axis (any leading axes); the
+    result has one entry per step.
+    """
+    idx = np.searchsorted(det_times, times[..., :-1], side="right") - 1
+    return np.clip(idx, 0, len(det_times) - 2)
 
 
 def build_augmented_grid(

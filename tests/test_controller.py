@@ -5,8 +5,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from jumpmc import (
     AdaptParams,
@@ -448,66 +446,48 @@ def overflowing_density_model():
     )
 
 
+def _mesh(m, start, count):
+    return run_mesh_batch(m, uniform_mesh(1.0, 5), SeedConfig(), start, count)
+
+
+def _mesh_density(m, start, count):
+    return run_mesh_batch(
+        m, uniform_mesh(1.0, 5), SeedConfig(), start, count, tol=0.05, want_density=True
+    )
+
+
+def _stochastic(m, start, count):
+    return run_stochastic_batch(
+        m, uniform_mesh(1.0, 5), SeedConfig(), start, count,
+        tol=0.1, tol_t=0.1 / 3.0, n_a_bar=5.0,
+    )
+
+
 @pytest.mark.parametrize(
-    "run",
+    "run, make_model, error",
     [
-        lambda m, start, count: run_mesh_batch(
-            m, uniform_mesh(1.0, 5), SeedConfig(), start, count, tol=0.05, want_density=True
+        pytest.param(_mesh, diverging_model, PathDivergenceError, id="mesh"),
+        pytest.param(_stochastic, diverging_model, PathDivergenceError, id="stochastic"),
+        pytest.param(
+            _mesh_density, overflowing_density_model, EvaluationError,
+            id="mesh-density-overflow",
         ),
-        lambda m, start, count: run_stochastic_batch(
-            m, uniform_mesh(1.0, 5), SeedConfig(), start, count,
-            tol=0.1, tol_t=0.1 / 3.0, n_a_bar=5.0,
+        pytest.param(
+            _stochastic, overflowing_density_model, EvaluationError,
+            id="stochastic-density-overflow",
         ),
     ],
-    ids=["mesh", "stochastic"],
 )
-def test_divergence_error_names_absolute_realization(run):
+def test_divergence_error_names_absolute_realization(run, make_model, error):
+    m = make_model()
     start = 1000
-    for model, error in (
-        (diverging_model(), PathDivergenceError),
-        (overflowing_density_model(), EvaluationError),
-    ):
-        with pytest.raises(error) as exc:
-            run(model, start, 50)
-        assert type(exc.value) is error
-        index = exc.value.realization
-        assert start <= index < start + 50
-        assert f"realization {index}" in str(exc.value)
-        # the named realization fails on its own too
-        with pytest.raises(error) as alone:
-            run(model, index, 1)
-        assert alone.value.realization == index
-
-
-def _one_step_count_group(n_steps=6, count=120):
-    """test5 and the (grid, dw, index) of its realizations below ``count``
-    whose augmented grid has ``n_steps`` steps."""
-    m = build_model("test5")
-    det = uniform_mesh(1.0, 5)
-    integral = intensity_integral_for(m)
-    group = []
-    for i in range(count):
-        grid, dw, _ = ctl._realization(m, det, SeedConfig(), i, integral)
-        if grid.n_steps == n_steps:
-            group.append((grid, dw, i))
-    return m, group
-
-
-ROW_MODEL, ROW_GROUP = _one_step_count_group()
-ROW_ALONE = [
-    ctl._path_batch(ROW_MODEL, ctl.stack_paths(ROW_MODEL, [g], [w]), [i], True)
-    for g, w, i in ROW_GROUP
-]
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(0, len(ROW_GROUP) - 1), min_size=1, unique=True))
-def test_batched_rows_match_their_one_row_result(rows):
-    paths = ctl.stack_paths(
-        ROW_MODEL, [ROW_GROUP[r][0] for r in rows], [ROW_GROUP[r][1] for r in rows]
-    )
-    payoff, rho = ctl._path_batch(ROW_MODEL, paths, [ROW_GROUP[r][2] for r in rows], True)
-    for b, r in enumerate(rows):
-        alone_payoff, alone_rho = ROW_ALONE[r]
-        assert payoff[b] == alone_payoff[0]
-        np.testing.assert_array_equal(rho[b], alone_rho[0])
+    with pytest.raises(error) as exc:
+        run(m, start, 50)
+    assert type(exc.value) is error
+    index = exc.value.realization
+    assert start <= index < start + 50
+    assert f"realization {index}" in str(exc.value)
+    # the named realization fails on its own too
+    with pytest.raises(error) as alone:
+        run(m, index, 1)
+    assert alone.value.realization == index
