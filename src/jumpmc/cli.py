@@ -227,21 +227,24 @@ def _interval_signed_total(model, det, seeds, count, workers) -> float:
     Scalar per-realization pipeline; diagnostic mode, slower than the
     per-step density path.
     """
-    from .controller import _realization
+    from .controller import MESH_CHUNK, _chunk_ranges, _setup_rows
     from .euler import euler_path
     from .jumps import intensity_integral_for
     from .model import as_vectorized
+    from .rng import keyed_streams
 
     model = as_vectorized(model)
     integral = intensity_integral_for(model)
+    streams = keyed_streams(seeds)
     widths = np.diff(det)
     totals = np.empty(count)
-    for i in range(count):
-        grid, dw, _ = _realization(model, det, seeds, i, integral)
-        path = euler_path(model, grid, dw)
-        duals = backward_duals(model, path, order=3)
-        rho = rho_per_interval(model, path, duals)
-        totals[i] = float(np.sum(rho * widths ** 2))
+    for start, size in _chunk_ranges(0, count, MESH_CHUNK):
+        grids, dws = _setup_rows(model, det, streams, start, size, integral)
+        for row, (grid, dw) in enumerate(zip(grids, dws)):
+            path = euler_path(model, grid, dw)
+            duals = backward_duals(model, path, order=3)
+            rho = rho_per_interval(model, path, duals)
+            totals[start + row] = float(np.sum(rho * widths ** 2))
     return math.fsum(totals) / count
 
 

@@ -30,9 +30,13 @@ them per interval with ``density.interval_sums``; the per-realization
 driver refines blocks of STOCH_BLOCK realizations level-synchronously,
 regrouping the rows still refining at every level and drawing each
 row's bridge noise from its own Wiener stream (``control_time_error`` is
-the one-row case).  ``_realization`` sets up an indexed realization's
-grid, increments and Wiener stream.  Layer arithmetic is row-wise, so no
-realization's numbers depend on the rows it shares a batch with.
+the one-row case).  ``_setup_groups`` sets up a whole index range at
+once: each realization's jumps and Wiener increments are drawn from its
+own keyed streams (``rng.KeyedStream``), and all grids are merged in one
+pass by ``jumps.build_grid_groups``, which hands the kernel stacked
+arrays per step count; the per-realization driver unstacks them into
+one-row grids for bridge refinement.  Layer arithmetic is row-wise, so
+no realization's numbers depend on the rows it shares a batch with.
 
 Batches are chunked into fixed-size index ranges; a chunk is always
 computed the same way no matter how chunks are spread over workers, and
@@ -50,9 +54,11 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-# The scalar euler_path, backward_duals and rho_per_step are unused here
-# but stay importable from this module: perfbench/run.py patches them by
-# these names to time them.
+# The one-row euler_path, backward_duals, rho_per_step and
+# realization_streams are unused here, and build_augmented_grid and
+# sample_wiener_increments serve only control_time_error, but all stay
+# importable from this module: perfbench/run.py patches them by these
+# names to time them.
 from .density import (  # noqa: F401
     STEP_DENSITY_CALLBACKS,
     cutoff_density_S,
@@ -61,9 +67,10 @@ from .density import (  # noqa: F401
     rho_per_step,
 )
 from .duals import _required_callbacks, _stack_calls, backward_duals, dual_batch  # noqa: F401
-from .errors import ConvergenceError, EvaluationError, ParameterError
+from .errors import ConvergenceError, EvaluationError, JumpMCError, ParameterError
 from .euler import (  # noqa: F401
     MIN_STEP_FRACTION,
+    PathBatch,
     brownian_bridge_refine,
     euler_batch,
     euler_path,
@@ -73,12 +80,13 @@ from .euler import (  # noqa: F401
 from .jumps import (
     JumpRealization,
     build_augmented_grid,
+    build_grid_groups,
     intensity_integral_for,
     sample_jumps,
     uniform_mesh,
 )
 from .model import JumpDiffusionModel, as_vectorized
-from .rng import SeedConfig, realization_streams
+from .rng import SeedConfig, keyed_streams, realization_streams  # noqa: F401
 
 Array = np.ndarray
 
@@ -395,20 +403,18 @@ def _path_batch(model, paths, realizations, want_rho):
     return payoff, rho
 
 
-def _mesh_group_batched(model, det, recs, tol, want_density, outputs, start):
+def _mesh_group_batched(model, det, group, paths, tol, want_density, outputs, start):
     """Simulate a group of same-step-count realizations as one array batch.
 
-    ``recs`` holds (slot, grid, dw) triples; results land in ``outputs``
-    at the given slots, and ``start + slot`` is the realization index.
+    Results land in ``outputs`` at the group's rows, and ``start + row``
+    is the realization index.
     """
-    slots = np.array([slot for slot, _, _ in recs], dtype=np.intp)
-    grids = [g for _, g, _ in recs]
-    paths = stack_paths(model, grids, [w for _, _, w in recs])
+    slots = group.rows
     payoff, rho = _path_batch(model, paths, (start + slots).tolist(), want_density)
     outputs["payoff"][slots] = payoff
     outputs["n_a"][slots] = paths.dt.shape[1]
-    outputs["n_jumps"][slots] = [g.n_jumps for g in grids]
-    outputs["collisions"][slots] = [g.collisions for g in grids]
+    outputs["n_jumps"][slots] = group.n_jumps
+    outputs["collisions"][slots] = group.collisions
     if not want_density:
         return
 
@@ -421,14 +427,50 @@ def _mesh_group_batched(model, det, recs, tol, want_density, outputs, start):
     outputs["signed_total"][slots] = contrib.sum(axis=1)
 
 
-def _realization(model, det, seeds, index, integral):
-    """Augmented grid, Wiener increments and Wiener generator of
-    realization ``index``, drawn from its streams (jumps with the model's
-    intensity ``integral``)."""
-    wiener_rng, t_rng, z_rng = realization_streams(seeds, index)
-    jumps = sample_jumps(model, integral, t_rng, z_rng)
-    grid = build_augmented_grid(det, jumps, horizon=model.horizon)
-    return grid, sample_wiener_increments(grid, wiener_rng, model.wiener_dim), wiener_rng
+def _setup_groups(model, det, streams, start, count, integral, positions=None):
+    """Augmented grids and Wiener increments of realizations
+    [start, start+count), as (GridGroup, PathBatch) pairs by ascending
+    step count.
+
+    Each realization draws its jumps (with the model's intensity
+    ``integral``) and marks from its own keyed ``streams``; all grids are
+    merged in one ``build_grid_groups`` pass; each row's standard normals
+    come from its own Wiener stream and are scaled by sqrt(dt) once per
+    group.  Set-up errors name the realization.  With ``positions``, the
+    Wiener generator's state after each row's draws is stored at the row.
+    """
+    wiener, jump_times, marks = streams
+    drawn = []
+    for i in range(start, start + count):
+        try:
+            drawn.append(sample_jumps(model, integral, jump_times.at(i), marks.at(i)))
+        except JumpMCError as exc:
+            exc.realization = i
+            exc.args = (f"{exc} (realization {i})",)
+            raise
+    out = []
+    realizations = range(start, start + count)
+    for group in build_grid_groups(det, drawn, horizon=model.horizon, realizations=realizations):
+        dt = group.dt
+        z = np.empty(dt.shape + (model.wiener_dim,))
+        for b, row in enumerate(group.rows.tolist()):
+            wiener.at(start + row).standard_normal(out=z[b])
+            if positions is not None:
+                positions[row] = wiener.generator.bit_generator.state
+        dw = z * np.sqrt(dt)[:, :, None]
+        out.append((group, PathBatch(group.times, dw, group.jump_index >= 0, group.marks, dt)))
+    return out
+
+
+def _setup_rows(model, det, streams, start, count, integral, positions=None):
+    """``_setup_groups`` unstacked: each row's AugmentedGrid and increments."""
+    grids = [None] * count
+    dws = [None] * count
+    for group, paths in _setup_groups(model, det, streams, start, count, integral, positions):
+        for b, row in enumerate(group.rows.tolist()):
+            grids[row] = group.grid(b)
+            dws[row] = paths.dw[b]
+    return grids, dws
 
 
 def _mesh_chunk(model, det, seeds, start, count, tol, want_density):
@@ -447,14 +489,9 @@ def _mesh_chunk(model, det, seeds, start, count, tol, want_density):
         outputs["r"] = np.empty((count, n_det))
         outputs["signed_total"] = np.empty(count)
 
-    groups = {}
-    for i in range(count):
-        grid, dw, _ = _realization(model, det, seeds, start + i, integral)
-        groups.setdefault(grid.n_steps, []).append((i, grid, dw))
-    for n_steps in sorted(groups):
-        _mesh_group_batched(
-            model, det, groups[n_steps], tol, want_density, outputs, start
-        )
+    streams = keyed_streams(seeds)
+    for group, paths in _setup_groups(model, det, streams, start, count, integral):
+        _mesh_group_batched(model, det, group, paths, tol, want_density, outputs, start)
     return outputs
 
 
@@ -579,7 +616,11 @@ def control_time_error(
     dw = sample_wiener_increments(grid, wiener_rng, model.wiener_dim)
     out = _refine_levels(
         model,
-        [(grid, dw, wiener_rng, None)],
+        [grid],
+        [dw],
+        [None],
+        wiener_rng,
+        [wiener_rng.bit_generator.state],
         tol,
         tol_t,
         n_a_bar,
@@ -598,24 +639,28 @@ def control_time_error(
     )
 
 
-def _refine_levels(model, states, tol, tol_t, n_a_bar, adapt, min_step=None):
+def _refine_levels(
+    model, grids, dws, realizations, wiener, positions, tol, tol_t, n_a_bar, adapt,
+    min_step=None,
+):
     """Per-realization adaptive refinement, one level at a time.
 
-    ``states`` holds each realization's (grid, dw, wiener_rng, index).  At
-    every level the still-active rows are grouped by step count and each
-    group runs through ``_path_batch``; rows that fail the acceptance test
-    are bisected with bridge draws from their own Wiener generator, in
-    the order a lone run of that row would draw them.  Nothing is refined
-    after the last simulated level, so every output of a row comes from
-    the same mesh.  Returns per-row arrays.
+    Row ``i`` starts from ``grids[i]`` and ``dws[i]``; ``realizations[i]``
+    is its absolute index (or None) and ``positions[i]`` the state of
+    ``wiener`` at its Wiener stream's current position.  At every level
+    the still-active rows are grouped by step count and each group runs
+    through ``_path_batch``; rows that fail the acceptance test are
+    bisected with bridge draws from ``wiener`` set to the row's own
+    position, in the order a lone run of that row would draw them.
+    Nothing is refined after the last simulated level, so every output of
+    a row comes from the same mesh.  ``grids``, ``dws`` and ``positions``
+    are updated in place; returns per-row arrays.
     """
     if min_step is None:
         min_step = float(model.horizon) * MIN_STEP_FRACTION
     refine_at = adapt.s1 * tol_t / n_a_bar
     accept_below = adapt.S1 * tol_t / n_a_bar
-    grids = [g for g, _, _, _ in states]
-    dws = [w for _, w, _, _ in states]
-    count = len(states)
+    count = len(grids)
     out = {
         "payoff": np.empty(count),
         "n_a": np.empty(count, dtype=np.intp),
@@ -635,7 +680,7 @@ def _refine_levels(model, states, tol, tol_t, n_a_bar, adapt, min_step=None):
         for n_steps in sorted(groups):
             rows = groups[n_steps]
             paths = stack_paths(model, [grids[i] for i in rows], [dws[i] for i in rows])
-            payoff, rho = _path_batch(model, paths, [states[i][3] for i in rows], True)
+            payoff, rho = _path_batch(model, paths, [realizations[i] for i in rows], True)
             dt = paths.dt
             r = cutoff_density_S(rho, tol) * dt ** 2
             accepted = r.max(axis=1) < accept_below
@@ -651,9 +696,11 @@ def _refine_levels(model, states, tol, tol_t, n_a_bar, adapt, min_step=None):
             splittable = (r >= refine_at) & (0.5 * dt >= min_step)
             for b in np.nonzero(~accepted & splittable.any(axis=1))[0]:
                 i = rows[b]
+                wiener.bit_generator.state = positions[i]
                 grids[i], dws[i] = brownian_bridge_refine(
-                    grids[i], dws[i], splittable[b], states[i][2], min_step=min_step
+                    grids[i], dws[i], splittable[b], wiener, min_step=min_step
                 )
+                positions[i] = wiener.bit_generator.state
                 active.append(i)
         if not active:
             break
@@ -664,13 +711,18 @@ def _stoch_chunk(model, det, seeds, start, count, tol, tol_t, n_a_bar, adapt):
     """``_refine_levels`` over one index chunk, STOCH_BLOCK rows at a time."""
     model = as_vectorized(model)
     integral = intensity_integral_for(model)
+    streams = keyed_streams(seeds)
     parts = []
     for lo in range(start, start + count, STOCH_BLOCK):
-        states = [
-            _realization(model, det, seeds, i, integral) + (i,)
-            for i in range(lo, min(lo + STOCH_BLOCK, start + count))
-        ]
-        parts.append(_refine_levels(model, states, tol, tol_t, n_a_bar, adapt))
+        size = min(STOCH_BLOCK, start + count - lo)
+        positions = [None] * size
+        grids, dws = _setup_rows(model, det, streams, lo, size, integral, positions)
+        parts.append(
+            _refine_levels(
+                model, grids, dws, range(lo, lo + size), streams[0].generator, positions,
+                tol, tol_t, n_a_bar, adapt,
+            )
+        )
     return _concat_rows(parts)
 
 

@@ -2,7 +2,16 @@
 
 
 class JumpMCError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    Attributes:
+        realization: absolute index of the failing realization, or None
+            when the failure is not tied to a realization stream.
+    """
+
+    def __init__(self, message: str = "", realization: int = None):
+        super().__init__(message)
+        self.realization = realization
 
 
 class ParameterError(JumpMCError, ValueError):
@@ -15,16 +24,7 @@ class CapabilityError(JumpMCError):
 
 class EvaluationError(JumpMCError):
     """A model callback produced something unusable (bad shape, NaN,
-    negative intensity).
-
-    Attributes:
-        realization: absolute index of the failing realization, or None
-            when the failure is not tied to a realization stream.
-    """
-
-    def __init__(self, message: str, realization: int = None):
-        super().__init__(message)
-        self.realization = realization
+    negative intensity)."""
 
 
 class PathDivergenceError(EvaluationError):

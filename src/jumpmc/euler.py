@@ -12,8 +12,9 @@ Meshes refine by bisection only, with midpoint Wiener values drawn from
 the Brownian bridge so coarse and fine paths stay consistent in law.
 
 ``euler_batch`` steps B same-length paths at once, stacked into a
-``PathBatch`` by ``stack_paths``; it is the forward layer of both
-drivers, and ``euler_path`` is its one-row case.
+``PathBatch`` (from one-row grids by ``stack_paths``, or from the arrays
+of a ``jumps.GridGroup``); it is the forward layer of both drivers, and
+``euler_path`` is its one-row case.
 """
 
 from __future__ import annotations

@@ -273,18 +273,61 @@ def interval_of_steps(det_times: Array, times: Array) -> Array:
     return np.clip(idx, 0, len(det_times) - 2)
 
 
-def build_augmented_grid(
+@dataclass(frozen=True)
+class GridGroup:
+    """Augmented grids of one length for several rows of a chunk, stacked.
+
+    ``rows`` are the rows' positions among the grids built together, in
+    ascending order.  ``jump_index[b, n]`` is the number of row ``b``'s
+    jump at node ``n`` (counted within the row) or -1, and ``marks[b, n]``
+    that jump's mark (zeros elsewhere).
+    """
+
+    rows: Array  # (B,)
+    times: Array  # (B, n + 1)
+    det_times: Array  # (N + 1,)
+    jump_index: Array  # (B, n + 1) int
+    is_det: Array  # (B, n + 1) bool
+    marks: Array  # (B, n + 1, mark_dim)
+    collisions: Array  # (B,)
+
+    @property
+    def dt(self) -> Array:
+        return np.diff(self.times, axis=1)
+
+    @property
+    def n_jumps(self) -> Array:
+        return np.count_nonzero(self.jump_index >= 0, axis=1)
+
+    def grid(self, b: int) -> AugmentedGrid:
+        """Row ``b`` as an ``AugmentedGrid``."""
+        jump_index = self.jump_index[b]
+        return AugmentedGrid(
+            times=self.times[b],
+            det_times=self.det_times,
+            jump_index=jump_index,
+            is_det=self.is_det[b],
+            marks=self.marks[b, jump_index >= 0],
+            collisions=int(self.collisions[b]),
+        )
+
+
+def build_grid_groups(
     det_times: Array,
-    jumps: JumpRealization,
+    jumps: Sequence[JumpRealization],
     *,
     horizon: float,
     collision_rtol: float = COLLISION_RTOL,
-) -> AugmentedGrid:
-    """Merge jump times into the deterministic mesh.
+    realizations=None,
+):
+    """Merge each row's jump times into the deterministic mesh, all rows
+    at once, and group the grids by step count (ascending).
 
     A jump within ``collision_rtol * horizon`` of a deterministic node is
     merged into the node (the node keeps its time and becomes a jump
-    node), so N_A = N + K - collisions.
+    node), so N_A = N + K - collisions.  ``realizations`` are the rows'
+    absolute indices, named by the errors raised for a row (None when the
+    rows have none).
     """
     det = np.asarray(det_times, float)
     if det.ndim != 1 or len(det) < 2:
@@ -294,45 +337,98 @@ def build_augmented_grid(
     if np.any(np.diff(det) <= 0.0):
         raise ParameterError("deterministic mesh must be strictly increasing")
 
-    tau = np.asarray(jumps.times, float)
-    if len(tau) and (np.any(np.diff(tau) <= 0.0) or tau[0] <= 0.0 or tau[-1] >= horizon):
-        raise ParameterError("jump times must be strictly increasing inside (0, horizon)")
+    def fail(error, message, row):
+        which = None if realizations is None else realizations[int(row)]
+        named = "" if which is None else f" (realization {which})"
+        raise error(message + named, realization=which)
 
-    tol = collision_rtol * horizon
-    pos = np.searchsorted(det, tau)
-    left = det[np.clip(pos - 1, 0, len(det) - 1)]
-    right = det[np.clip(pos, 0, len(det) - 1)]
-    use_left = np.abs(tau - left) <= np.abs(right - tau)
-    nearest = np.where(use_left, left, right)
-    collide = np.abs(tau - nearest) <= tol
+    count = len(jumps)
+    n_jumps = np.array([len(j.times) for j in jumps], dtype=np.intp)
+    owner = np.repeat(np.arange(count), n_jumps)
+    tau = np.concatenate([np.asarray(j.times, float) for j in jumps])
+    for row, j in enumerate(jumps):
+        shape = np.shape(j.marks)
+        if len(shape) != 2 or shape[0] != n_jumps[row]:
+            fail(ParameterError, f"marks must have shape (n_jumps, mark_dim), got {shape}", row)
+    marks = np.concatenate([np.asarray(j.marks, float) for j in jumps])
 
-    inserted = tau[~collide]
-    times = np.sort(np.concatenate([det, inserted]))
-
-    jump_index = np.full(len(times), -1, dtype=np.intp)
-    for k in range(len(tau)):
-        t_k = nearest[k] if collide[k] else tau[k]
-        n = int(np.searchsorted(times, t_k))
-        if times[n] != t_k:
-            raise EvaluationError("jump time lost while building the grid")
-        if jump_index[n] != -1:
-            raise EvaluationError("two jumps merged into one grid node")
-        jump_index[n] = k
-
-    marks = np.asarray(jumps.marks, float)
-    if marks.ndim != 2 or marks.shape[0] != len(tau):
-        raise ParameterError(
-            f"marks must have shape (n_jumps, mark_dim), got {marks.shape}"
+    # a jump out of (0, horizon) or not after the row's previous jump
+    bad = ~((tau > 0.0) & (tau < horizon))
+    bad[1:] |= (owner[1:] == owner[:-1]) & ~(np.diff(tau) > 0.0)
+    if bad.any():
+        fail(
+            ParameterError,
+            "jump times must be strictly increasing inside (0, horizon)",
+            owner[np.argmax(bad)],
         )
-    is_det = np.isin(times, det)
-    return AugmentedGrid(
-        times=times,
-        det_times=det,
-        jump_index=jump_index,
-        is_det=is_det,
-        marks=marks,
-        collisions=int(np.count_nonzero(collide)),
+
+    n = len(det) - 1
+    tol = collision_rtol * horizon
+    pos = np.searchsorted(det, tau)  # deterministic nodes before each jump
+    lo = np.clip(pos - 1, 0, n)
+    hi = np.clip(pos, 0, n)
+    near = np.where(np.abs(tau - det[lo]) <= np.abs(det[hi] - tau), lo, hi)
+    collide = np.abs(tau - det[near]) <= tol
+    inserted = ~collide
+
+    # Node of each jump: its deterministic position plus the inserted jumps
+    # of its row before it.  For a merged jump that position is its node's.
+    n_ins = np.bincount(owner[inserted], minlength=count)
+    ins_start = np.cumsum(n_ins) - n_ins
+    ins_key = (owner * (n + 2) + pos)[inserted]  # ascending
+    ins_before = np.where(
+        collide,
+        np.searchsorted(ins_key, owner * (n + 2) + near, side="right"),
+        np.cumsum(inserted) - 1,
+    ) - ins_start[owner]
+    node = np.where(collide, near, pos) + ins_before
+    node_time = np.where(collide, det[near], tau)
+    jump_no = np.arange(len(tau)) - (np.cumsum(n_jumps) - n_jumps)[owner]
+    collisions = np.bincount(owner[collide], minlength=count)
+
+    groups = []
+    for k in np.unique(n_ins):
+        rows = np.nonzero(n_ins == k)[0]
+        mine = n_ins[owner] == k
+        grown = np.concatenate(
+            [np.broadcast_to(det, (len(rows), n + 1)), tau[mine & inserted].reshape(len(rows), k)],
+            axis=1,
+        )
+        times = np.sort(grown, axis=1)
+        b = np.searchsorted(rows, owner[mine])
+        at = node[mine]
+        lost = times[b, at] != node_time[mine]
+        if lost.any():
+            row = owner[mine][np.argmax(lost)]
+            fail(EvaluationError, "jump time lost while building the grid", row)
+        jump_index = np.full(times.shape, -1, dtype=np.intp)
+        jump_index[b, at] = jump_no[mine]
+        merged = np.count_nonzero(jump_index >= 0, axis=1) != n_jumps[rows]
+        if merged.any():
+            fail(EvaluationError, "two jumps merged into one grid node", rows[np.argmax(merged)])
+        is_det = np.ones(times.shape, dtype=bool)
+        is_det[b[inserted[mine]], at[inserted[mine]]] = False
+        node_marks = np.zeros(times.shape + (marks.shape[1],))
+        node_marks[b, at] = marks[mine]
+        groups.append(
+            GridGroup(rows, times, det, jump_index, is_det, node_marks, collisions[rows])
+        )
+    return groups
+
+
+def build_augmented_grid(
+    det_times: Array,
+    jumps: JumpRealization,
+    *,
+    horizon: float,
+    collision_rtol: float = COLLISION_RTOL,
+) -> AugmentedGrid:
+    """Merge jump times into the deterministic mesh (``build_grid_groups``
+    with one row)."""
+    (group,) = build_grid_groups(
+        det_times, [jumps], horizon=horizon, collision_rtol=collision_rtol
     )
+    return group.grid(0)
 
 
 def uniform_mesh(horizon: float, n: int) -> Array:

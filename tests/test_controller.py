@@ -359,6 +359,19 @@ def test_level_loop_matches_scalar_reference(tol, adapt, count):
             assert res[key][i] == ref[key], (i, key)
 
 
+def test_level_loop_matches_scalar_reference_at_an_offset():
+    # realizations set up away from index 0, with other seeds
+    m = build_model("test5")
+    det = uniform_mesh(1.0, 5)
+    seeds = SeedConfig(wiener=1, jump_times=2, marks=3)
+    kw = dict(tol=0.04, tol_t=split_tolerance(0.04).time, n_a_bar=5.0, adapt=AdaptParams())
+    res = run_stochastic_batch(m, det, seeds, 1000, 100, **kw)
+    for i in range(100):
+        ref = reference_realization(m, seeds, 1000 + i, det, **kw)
+        for key in EXACT_KEYS + ("signed_total", "r_total"):
+            assert res[key][i] == ref[key], (i, key)
+
+
 def test_control_time_error_level_cap_reports_last_mesh():
     m = build_model("test5")
     det = uniform_mesh(1.0, 5)
@@ -446,6 +459,27 @@ def overflowing_density_model():
     )
 
 
+def bad_mark_model():
+    """test5 whose mark sampler returns three entries for jumps after t=0.5."""
+    base = build_model("test5")
+
+    def sampler(t, rng):
+        z = base.mark_sampler(t, rng)
+        return np.zeros(3) if t > 0.5 else z
+
+    return replace(base, mark_sampler=sampler)
+
+
+def unordered_jumps_model():
+    """test5 whose inverse integrated intensity halves the times past
+    L = 0.4, so a later jump can land before an earlier one."""
+    base = build_model("test5")
+    inverse = base.intensity_integral_inverse
+    return replace(
+        base, intensity_integral_inverse=lambda s: inverse(s) / (2.0 if s > 0.4 else 1.0)
+    )
+
+
 def _mesh(m, start, count):
     return run_mesh_batch(m, uniform_mesh(1.0, 5), SeedConfig(), start, count)
 
@@ -475,6 +509,13 @@ def _stochastic(m, start, count):
         pytest.param(
             _stochastic, overflowing_density_model, EvaluationError,
             id="stochastic-density-overflow",
+        ),
+        # errors raised while a realization is set up
+        pytest.param(_mesh, bad_mark_model, EvaluationError, id="mesh-mark-shape"),
+        pytest.param(_stochastic, bad_mark_model, EvaluationError, id="stochastic-mark-shape"),
+        pytest.param(_mesh, unordered_jumps_model, ParameterError, id="mesh-jump-order"),
+        pytest.param(
+            _stochastic, unordered_jumps_model, ParameterError, id="stochastic-jump-order"
         ),
     ],
 )

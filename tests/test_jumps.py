@@ -20,7 +20,7 @@ from jumpmc import (
     sample_marks,
     uniform_mesh,
 )
-from jumpmc.jumps import JumpRealization
+from jumpmc.jumps import JumpRealization, build_grid_groups
 from jumpmc.rng import STREAM_JUMP_TIMES, STREAM_MARKS, stream
 
 
@@ -222,6 +222,25 @@ def test_grid_validation():
     bad = JumpRealization(times=np.array([1.5]), marks=np.array([[0.0]]))
     with pytest.raises(ParameterError):
         build_augmented_grid(np.array([0.0, 1.0]), bad, horizon=1.0)
+
+
+def test_grid_groups_errors_name_the_realization():
+    det = np.array([0.0, 0.5, 1.0])
+    fine = JumpRealization(times=np.array([0.25]), marks=np.array([[1.0]]))
+    cases = [
+        # both jumps merge into the node at 0.5
+        (JumpRealization(np.array([0.5, 0.5 + 1e-16]), np.zeros((2, 1))), EvaluationError),
+        (JumpRealization(np.array([0.6, 0.3]), np.zeros((2, 1))), ParameterError),
+        (JumpRealization(np.array([0.3]), np.zeros((2, 1))), ParameterError),
+    ]
+    for bad, error in cases:
+        with pytest.raises(error) as exc:
+            build_grid_groups(det, [fine, bad, fine], horizon=1.0, realizations=[7, 8, 9])
+        assert type(exc.value) is error
+        assert exc.value.realization == 8 and "(realization 8)" in str(exc.value)
+        with pytest.raises(error) as alone:
+            build_augmented_grid(det, bad, horizon=1.0)
+        assert alone.value.realization is None
 
 
 def test_uniform_mesh():

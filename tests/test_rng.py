@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from jumpmc import ParameterError, SeedConfig, realization_streams, stream
-from jumpmc.rng import STREAM_JUMP_TIMES, STREAM_MARKS, STREAM_WIENER
+from jumpmc.rng import (
+    STREAM_JUMP_TIMES,
+    STREAM_MARKS,
+    STREAM_WIENER,
+    KeyedStream,
+    keyed_streams,
+)
 
 
 def test_streams_are_reproducible():
@@ -54,3 +60,32 @@ def test_no_consumption_order_coupling():
     tail_after = t1.standard_normal(4)
     _, t2, _ = realization_streams(seeds, 0)
     np.testing.assert_array_equal(tail_after, t2.standard_normal(4))
+
+
+def test_keyed_stream_reset_matches_a_new_stream():
+    rng = np.random.default_rng(4)
+    near_zero = rng.integers(0, 1000, size=4)
+    near_top = (1 << 60) - 1 - rng.integers(0, 1000, size=4)
+    for stream_id in (STREAM_WIENER, STREAM_JUMP_TIMES, STREAM_MARKS):
+        keyed = KeyedStream(2**64 - 5, stream_id)
+        for index in [0, (1 << 60) - 1, *near_zero.tolist(), *near_top.tolist()]:
+            # leave a half-used 64-bit word and a partly read buffer behind
+            keyed.at(index + 1 if index == 0 else index - 1).integers(
+                0, 2**32, size=3, dtype=np.uint32
+            )
+            got = keyed.at(index)
+            fresh = stream(2**64 - 5, index, stream_id)
+            assert got.integers(0, 2**32, dtype=np.uint32) == fresh.integers(
+                0, 2**32, dtype=np.uint32
+            )
+            np.testing.assert_array_equal(got.standard_normal(7), fresh.standard_normal(7))
+            np.testing.assert_array_equal(got.random(5), fresh.random(5))
+    for bad in (-1, 1 << 60):
+        with pytest.raises(ParameterError):
+            KeyedStream(7, STREAM_WIENER).at(bad)
+
+
+def test_keyed_streams_follow_the_realization_layout():
+    seeds = SeedConfig(wiener=3, jump_times=4, marks=5)
+    for keyed, fresh in zip(keyed_streams(seeds), realization_streams(seeds, 11)):
+        np.testing.assert_array_equal(keyed.at(11).standard_normal(6), fresh.standard_normal(6))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st  # noqa: E402
 from jumpmc import SeedConfig, build_model, uniform_mesh  # noqa: E402
 from jumpmc import controller as ctl  # noqa: E402
 from jumpmc.jumps import intensity_integral_for  # noqa: E402
+from jumpmc.rng import keyed_streams  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -19,11 +20,8 @@ def group():
     m = build_model("test5")
     det = uniform_mesh(1.0, 5)
     integral = intensity_integral_for(m)
-    rows = []
-    for i in range(120):
-        grid, dw, _ = ctl._realization(m, det, SeedConfig(), i, integral)
-        if grid.n_steps == 6:
-            rows.append((grid, dw, i))
+    grids, dws = ctl._setup_rows(m, det, keyed_streams(SeedConfig()), 0, 120, integral)
+    rows = [(g, w, i) for i, (g, w) in enumerate(zip(grids, dws)) if g.n_steps == 6]
     alone = [
         ctl._path_batch(m, ctl.stack_paths(m, [g], [w]), [i], True) for g, w, i in rows
     ]
