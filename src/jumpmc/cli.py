@@ -38,12 +38,11 @@ from .controller import (
     StatParams,
     algorithm_d,
     algorithm_s,
+    interval_signed_totals,
     run_mesh_batch,
     sample_stats,
     statistical_error_bound,
 )
-from .density import rho_per_interval
-from .duals import backward_duals
 from .errors import (
     CapabilityError,
     ConvergenceError,
@@ -221,33 +220,6 @@ def _cmd_simulate(config: RunConfig) -> int:
     return 0
 
 
-def _interval_signed_total(model, det, seeds, count, workers) -> float:
-    """Signed time-error estimate from the coefficient-difference density.
-
-    Scalar per-realization pipeline; diagnostic mode, slower than the
-    per-step density path.
-    """
-    from .controller import MESH_CHUNK, _chunk_ranges, _setup_rows
-    from .euler import euler_path
-    from .jumps import intensity_integral_for
-    from .model import as_vectorized
-    from .rng import keyed_streams
-
-    model = as_vectorized(model)
-    integral = intensity_integral_for(model)
-    streams = keyed_streams(seeds)
-    widths = np.diff(det)
-    totals = np.empty(count)
-    for start, size in _chunk_ranges(0, count, MESH_CHUNK):
-        grids, dws = _setup_rows(model, det, streams, start, size, integral)
-        for row, (grid, dw) in enumerate(zip(grids, dws)):
-            path = euler_path(model, grid, dw)
-            duals = backward_duals(model, path, order=3)
-            rho = rho_per_interval(model, path, duals)
-            totals[start + row] = float(np.sum(rho * widths ** 2))
-    return math.fsum(totals) / count
-
-
 def _cmd_estimate(config: RunConfig) -> int:
     model = build_model(config.model)
     det = uniform_mesh(model.horizon, config.n)
@@ -266,7 +238,8 @@ def _cmd_estimate(config: RunConfig) -> int:
     if config.density == "rhotilde":
         e_t = math.fsum(res["signed_total"]) / config.m
     else:
-        e_t = _interval_signed_total(model, det, config.seeds, config.m, config.workers)
+        totals = interval_signed_totals(model, det, config.seeds, config.m, config.workers)
+        e_t = math.fsum(totals) / config.m
     exact = model.exact_value
     e_c = exact - mean if exact is not None else math.nan
     efficiency = e_c / e_t if exact is not None and e_t != 0.0 else math.nan

@@ -24,7 +24,8 @@ Both drivers evaluate paths with one batched kernel, ``_path_batch``,
 which chains the batched layers for B same-length paths: forward Euler
 (``euler.euler_batch``), order-3 dual weights (``duals.dual_batch``) and
 the per-step density (``density.rho_batch``), with every callback
-evaluated once per node and shared by the dual and density layers.  The
+evaluated once per node and shared by the dual and density layers; the
+dual and density layers hold their arrays rows last, (t..., n, B).  The
 mesh engine groups a chunk's realizations by step count and reduces
 them per interval with ``density.interval_sums``; the per-realization
 driver refines blocks of STOCH_BLOCK realizations level-synchronously,
@@ -60,13 +61,21 @@ import numpy as np
 # importable from this module: perfbench/run.py patches them by these
 # names to time them.
 from .density import (  # noqa: F401
+    INTERVAL_DENSITY_CALLBACKS,
     STEP_DENSITY_CALLBACKS,
     cutoff_density_S,
     interval_sums,
     rho_batch,
+    rho_interval_batch,
     rho_per_step,
 )
-from .duals import _required_callbacks, _stack_calls, backward_duals, dual_batch  # noqa: F401
+from .duals import (  # noqa: F401
+    _euler_map_callbacks,
+    _required_callbacks,
+    _stack_calls,
+    backward_duals,
+    dual_batch,
+)
 from .errors import ConvergenceError, EvaluationError, JumpMCError, ParameterError
 from .euler import (  # noqa: F401
     MIN_STEP_FRACTION,
@@ -249,7 +258,9 @@ def change_M(m_in: int, s_in: float, tol_s: float, c0: float = 1.65, mch: int = 
     ratio = c0 * s_in / tol_s
     m_star = cap if ratio * ratio >= cap else int(ratio * ratio)
     m_star = max(m_star, 1)
-    return 2 ** (int(math.log2(m_star)) + 1)
+    # 2^(floor(log2 M*) + 1), exactly: math.log2 rounds up just below
+    # large powers of two, which broke the cap for M* near 2^49
+    return 2 ** m_star.bit_length()
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +504,39 @@ def _mesh_chunk(model, det, seeds, start, count, tol, want_density):
     for group, paths in _setup_groups(model, det, streams, start, count, integral):
         _mesh_group_batched(model, det, group, paths, tol, want_density, outputs, start)
     return outputs
+
+
+def _interval_chunk(model, det, seeds, start, count):
+    """Signed interval-density totals, sum of rho_I * width^2 over the
+    deterministic intervals, of one contiguous index chunk (the
+    ``--density rhodef`` diagnostic).
+
+    Same set-up and forward layer as ``_mesh_chunk``; the interval
+    density needs order-2 duals only, and its left-node drift and
+    diffusion come from the same callback call as the dual layer's.
+    """
+    model = as_vectorized(model)
+    integral = intensity_integral_for(model)
+    widths = np.diff(det)
+    totals = np.empty(count)
+    for group, paths in _setup_groups(model, det, keyed_streams(seeds), start, count, integral):
+        model.require(*_required_callbacks(2, with_jumps=paths.jump_flag.any()))
+        values, left = euler_batch(model, paths, realizations=(start + group.rows).tolist())
+        times = paths.times
+        names = _euler_map_callbacks(2) + INTERVAL_DENSITY_CALLBACKS
+        cb = _stack_calls(model, names, times[:, :-1], values[:, :-1])
+        stores, _, _ = dual_batch(model, cb, paths, values, left, 2)
+        hi = _stack_calls(model, INTERVAL_DENSITY_CALLBACKS, times[:, 1:], left[:, 1:])
+        rho = rho_interval_batch(cb, hi, *stores, times, det)
+        totals[group.rows] = np.sum(rho * widths ** 2, axis=1)
+    return {"total": totals}
+
+
+def interval_signed_totals(model, det, seeds, count, workers=1) -> Array:
+    """Per-realization signed interval-density totals of realizations
+    [0, count), in MESH_CHUNK chunks run on ``workers`` processes."""
+    args = [(det, seeds, s, c) for s, c in _chunk_ranges(0, count, MESH_CHUNK)]
+    return _concat_rows(_run_chunked(_interval_chunk, model, args, workers))["total"]
 
 
 _worker_model = None  # set in each pool worker by _adopt_model

@@ -19,6 +19,16 @@ uses the raw signed values.
 callback values already evaluated, and ``interval_sums`` reduces per-step
 contributions over the deterministic intervals; both drivers use them,
 and ``rho_per_step`` and ``interval_step_sums`` are their one-row cases.
+``rho_interval_batch`` is the batched interval density, and
+``rho_per_interval`` its one-row case.
+
+The batched density layers take the dual layer's rows-last arrays:
+tensor axes first and the trailing lead axes (n, B) at the end (see
+``duals``).  Only the final contraction of each term with the dual
+weights runs on a contiguous rows-first (B*n, ...) copy: numpy adds a
+contiguous run of products in another order than a loop over rows-last
+planes, and this keeps those 4- and 8-term sums in the order of the
+earlier rows-first kernel.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import DualWeights, _stack_calls
+from .duals import DualWeights, _rows_first, _rows_last, _stack_calls
 from .errors import ParameterError
 from .euler import EulerPath
 from .jumps import interval_of_steps
@@ -58,40 +68,50 @@ STEP_DENSITY_CALLBACKS = [
 ]
 
 
+def _flat_rows(w: Array) -> Array:
+    """A rows-last (t..., n, B) array as the contiguous (B*n, t...) stack
+    the final full contractions run on."""
+    return _rows_first(w, 2).reshape((-1,) + w.shape[:-2])
+
+
 def rho_batch(cb: dict, phi: Array, phi1: Array, phi2: Array) -> Array:
     """Per-step density for B same-length paths, shape (B, n).
 
     ``cb`` holds the ``STEP_DENSITY_CALLBACKS`` evaluated at the (B, n)
-    left nodes (t_n, X(t_n)), as ``duals._stack_calls`` returns them, and
-    ``phi``, ``phi1``, ``phi2`` are the (B, n, ...) left-limit dual
-    weights at the right nodes.  Row-wise arithmetic only, so a row's
-    value never depends on which other rows share the stack.
+    left nodes (t_n, X(t_n)), rows last as ``duals._stack_calls`` returns
+    them, and ``phi``, ``phi1``, ``phi2`` are the (t..., n, B) left-limit
+    dual weights at the right nodes.  Row-wise arithmetic only, so a
+    row's value never depends on which other rows share the stack.
     """
-    lead = phi.shape[:2]
-    cb = {k: cb[k].reshape((-1,) + cb[k].shape[2:]) for k in STEP_DENSITY_CALLBACKS}
-    phi, phi1, phi2 = (w.reshape((-1,) + w.shape[2:]) for w in (phi, phi1, phi2))
     a = cb["drift"]
+    a_x = cb["drift_x"]
     dd, d_t, d_x, d_xx = second_moment_arrays(
         cb["diffusion"], cb["diffusion_t"], cb["diffusion_x"], cb["diffusion_xx"]
     )
     drift_part = (
         cb["drift_t"]
-        + np.einsum("nkj,nj->nk", cb["drift_x"], a)
-        + np.einsum("nkij,nij->nk", cb["drift_xx"], dd)
+        + np.einsum("kj...,j...->k...", a_x, a)
+        + np.einsum("kij...,ij...->k...", cb["drift_xx"], dd)
     )
     diff_part = (
         d_t
-        + np.einsum("nkmj,nj->nkm", d_x, a)
-        + np.einsum("nkmij,nij->nkm", d_xx, dd)
-        + 2.0 * np.einsum("nkj,njm->nkm", cb["drift_x"], dd)
+        + np.einsum("kmj...,j...->km...", d_x, a)
+        + np.einsum("kmij...,ij...->km...", d_xx, dd)
+        + 2.0 * np.einsum("kj...,jm...->km...", a_x, dd)
     )
-    third_part = 2.0 * np.einsum("nkmj,njr->nkmr", d_x, dd)
+    third_part = 2.0 * np.einsum("kmj...,jr...->kmr...", d_x, dd)
     rho = 0.5 * (
-        np.einsum("nk,nk->n", drift_part, phi)
-        + np.einsum("nkm,nkm->n", diff_part, phi1)
-        + np.einsum("nkmr,nkmr->n", third_part, phi2)
+        np.einsum("nk,nk->n", _flat_rows(drift_part), _flat_rows(phi))
+        + np.einsum("nkm,nkm->n", _flat_rows(diff_part), _flat_rows(phi1))
+        + np.einsum("nkmr,nkmr->n", _flat_rows(third_part), _flat_rows(phi2))
     )
-    return rho.reshape(lead)
+    return rho.reshape(phi.shape[:0:-1])
+
+
+def _one_row(w: Array) -> Array:
+    """Left-limit weights at nodes 1..N of a ``DualWeights`` array,
+    rows last as (t..., n, 1)."""
+    return _rows_last(w[None, 1:], 2)
 
 
 def rho_per_step(model: JumpDiffusionModel, path: EulerPath, duals: DualWeights) -> Array:
@@ -117,19 +137,48 @@ def rho_per_step(model: JumpDiffusionModel, path: EulerPath, duals: DualWeights)
         grid.times[None, :-1],
         path.values[None, :-1],
     )
-    return rho_batch(
-        cb, duals.phi_left[None, 1:], duals.phi1_left[None, 1:], duals.phi2_left[None, 1:]
-    )[0]
+    weights = (duals.phi_left, duals.phi1_left, duals.phi2_left)
+    return rho_batch(cb, *map(_one_row, weights))[0]
+
+
+INTERVAL_DENSITY_CALLBACKS = ["drift", "diffusion"]
+
+
+def rho_interval_batch(
+    lo: dict, hi: dict, phi: Array, phi1: Array, times: Array, det: Array
+) -> Array:
+    """Signed coefficient-difference density per deterministic interval
+    for B same-length paths, shape (B, N).
+
+    ``lo`` and ``hi`` hold ``INTERVAL_DENSITY_CALLBACKS`` at the (B, n)
+    left nodes (t_n, X(t_n)) and at the right nodes' left limits
+    (t_{n+1}, X(t_{n+1}-)), rows last as ``duals._stack_calls`` returns
+    them; ``phi`` and ``phi1`` are the (t..., n, B) left-limit dual
+    weights at the right nodes and ``times`` the (B, n+1) node times on
+    the mesh ``det``.  Differences drift and d = b b^T / 2 across each
+    step, weights them with the duals, and scales the interval sum by
+    dt_n / (interval width)^2.  Row-wise arithmetic only.
+    """
+
+    def dd_of(b):
+        return 0.5 * np.einsum("kl...,ml...->km...", b, b)
+
+    da = hi["drift"] - lo["drift"]
+    ddd = dd_of(hi["diffusion"]) - dd_of(lo["diffusion"])
+    step_sum = np.einsum("nk,nk->n", _flat_rows(da), _flat_rows(phi)) + np.einsum(
+        "nkm,nkm->n", _flat_rows(ddd), _flat_rows(phi1)
+    )
+    contrib = step_sum.reshape(phi.shape[:0:-1]) * np.diff(times, axis=1)
+    return 0.5 * interval_sums(contrib, times, det) / np.diff(det) ** 2
 
 
 def rho_per_interval(
     model: JumpDiffusionModel, path: EulerPath, duals: DualWeights
 ) -> Array:
-    """Signed coefficient-difference density per deterministic interval.
+    """Signed coefficient-difference density per deterministic interval
+    (``rho_interval_batch`` with one row).
 
-    Differences drift and d = b b^T / 2 across each augmented step,
-    weights them with the first and second order duals, and scales the
-    interval sum by dt_n / (interval width)^2.
+    Requires dual weights of order 2 or more.
     """
     if duals.order < 2:
         raise ParameterError(
@@ -139,21 +188,13 @@ def rho_per_interval(
     if duals.phi_left.shape[0] != grid.n_steps + 1:
         raise ParameterError("dual weights do not match the path's grid")
     model = as_vectorized(model)
-    lo = _stack_calls(model, ["drift", "diffusion"], grid.times[:-1], path.values[:-1])
-    hi = _stack_calls(model, ["drift", "diffusion"], grid.times[1:], path.left_values[1:])
-
-    def dd_of(b):
-        return 0.5 * b @ np.swapaxes(b, -1, -2)
-
-    da = hi["drift"] - lo["drift"]
-    ddd = dd_of(hi["diffusion"]) - dd_of(lo["diffusion"])
-    step_sum = np.einsum("nk,nk->n", da, duals.phi_left[1:]) + np.einsum(
-        "nkm,nkm->n", ddd, duals.phi1_left[1:]
-    )
-
-    widths = np.diff(grid.det_times)
-    acc = interval_sums((step_sum * grid.dt)[None], grid.times[None], grid.det_times)[0]
-    return 0.5 * acc / widths ** 2
+    names = INTERVAL_DENSITY_CALLBACKS
+    lo = _stack_calls(model, names, grid.times[None, :-1], path.values[None, :-1])
+    hi = _stack_calls(model, names, grid.times[None, 1:], path.left_values[None, 1:])
+    return rho_interval_batch(
+        lo, hi, _one_row(duals.phi_left), _one_row(duals.phi1_left),
+        grid.times[None], grid.det_times,
+    )[0]
 
 
 def _check_tol(tol: float) -> None:

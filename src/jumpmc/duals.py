@@ -20,6 +20,12 @@ already evaluated; it is the dual layer of both drivers, and
 ``backward_duals`` is its one-row case.  ``euler_map_derivatives`` and
 ``jump_map_derivatives`` are the one implementation of each local map's
 derivatives, shared with the pointwise ``*_operator_derivatives``.
+
+The batched arrays are rows last: tensor axes first, then the trailing
+lead axes, (d, d, n, B) for a Jacobian at the (B, n) nodes of B paths.
+Every contraction then runs its inner loop over the contiguous rows,
+and a step slice ``[..., p, :]`` is one contiguous block.  A pointwise
+array is the case with no lead axes.
 """
 
 from __future__ import annotations
@@ -72,12 +78,31 @@ def _check_order(order: int) -> None:
         raise ParameterError(f"order must be 1, 2 or 3, got {order}")
 
 
+def _rows_last(value: Array, nlead: int) -> Array:
+    """Contiguous copy of ``value`` with its ``nlead`` leading axes moved,
+    reversed, to the end: (B, n, t...) -> (t..., n, B)."""
+    axes = tuple(range(nlead, value.ndim)) + tuple(range(nlead - 1, -1, -1))
+    return np.ascontiguousarray(value.transpose(axes))
+
+
+def _rows_first(value: Array, nlead: int) -> Array:
+    """Inverse of ``_rows_last``: (t..., n, B) -> contiguous (B, n, t...)."""
+    k = value.ndim - nlead
+    axes = tuple(range(value.ndim - 1, k - 1, -1)) + tuple(range(k))
+    return np.ascontiguousarray(value.transpose(axes))
+
+
 def _stack_calls(model, names, t, x, z=None):
-    """Evaluate callbacks at every (t, x[, z]) row in one call each.
+    """Evaluate callbacks at every (t, x[, z]) point in one call each,
+    returned rows last.
 
     ``t`` may carry several leading axes, (B, n) say; the points are
-    flattened for the call and the results get those axes back.  The
-    model's callbacks must broadcast over rows (see ``as_vectorized``).
+    flattened for the call, and each result is stored as a contiguous
+    array with its tensor axes first and those axes, reversed, as
+    trailing lead axes: (t..., n, B), or (t..., K) for K points.  Each value is
+    converted as soon as it is evaluated, so at most one rows-first copy
+    is alive.  The model's callbacks must broadcast over rows (see
+    ``as_vectorized``).
     """
     t = np.asarray(t)
     lead = t.shape
@@ -87,43 +112,47 @@ def _stack_calls(model, names, t, x, z=None):
     out = {}
     for name in names:
         value = np.asarray(getattr(model, name)(*args), float)
-        out[name] = value.reshape(lead + value.shape[1:])
+        out[name] = _rows_last(value.reshape(lead + value.shape[1:]), len(lead))
     return out
+
+
+def _eye(d: int, nlead: int) -> Array:
+    """The d x d identity, broadcastable over ``nlead`` trailing lead axes."""
+    return np.eye(d).reshape((d, d) + (1,) * nlead)
 
 
 def euler_map_derivatives(cb: dict, dt, dw, order: int = 3):
     """Derivatives of the local Euler map A(x) = x + a dt + b dW from
-    evaluated callbacks.
+    evaluated callbacks, rows last.
 
     ``cb`` holds drift_x and diffusion_x (and the second and third
-    derivatives up to ``order``) over any leading axes, which ``dt`` and
-    ``dw`` share.  Returns (A1, A2, A3): Jacobian I + dt drift_x +
+    derivatives up to ``order``) with their tensor axes first and any
+    trailing lead axes, which ``dt`` and ``dw`` (shaped (l, lead...))
+    share.  Returns (A1, A2, A3): Jacobian I + dt drift_x +
     dW^l diffusion_x[:,l,:], then the same contraction of the higher
     derivative stacks; entries above ``order`` are None.
     """
     dt = np.asarray(dt, float)
     a_x = cb["drift_x"]
-    A1 = np.eye(a_x.shape[-1]) + dt[..., None, None] * a_x + np.einsum(
-        "...l,...ilj->...ij", dw, cb["diffusion_x"]
+    A1 = _eye(len(a_x), dt.ndim) + dt * a_x + np.einsum(
+        "l...,ilj...->ij...", dw, cb["diffusion_x"]
     )
     A2 = A3 = None
     if order >= 2:
-        A2 = dt[..., None, None, None] * cb["drift_xx"] + np.einsum(
-            "...l,...iljk->...ijk", dw, cb["diffusion_xx"]
-        )
+        A2 = dt * cb["drift_xx"] + np.einsum("l...,iljk...->ijk...", dw, cb["diffusion_xx"])
     if order >= 3:
-        A3 = dt[..., None, None, None, None] * cb["drift_xxx"] + np.einsum(
-            "...l,...iljkm->...ijkm", dw, cb["diffusion_xxx"]
+        A3 = dt * cb["drift_xxx"] + np.einsum(
+            "l...,iljkm...->ijkm...", dw, cb["diffusion_xxx"]
         )
     return A1, A2, A3
 
 
 def jump_map_derivatives(cb: dict, order: int = 3):
     """Derivatives (C1, C2, C3) of the local jump map C(x) = x + c(t, x, z)
-    from evaluated jump_x (jump_xx, jump_xxx) callbacks; entries above
-    ``order`` are None."""
+    from evaluated jump_x (jump_xx, jump_xxx) callbacks, rows last as in
+    ``euler_map_derivatives``; entries above ``order`` are None."""
     c_x = cb["jump_x"]
-    C1 = np.eye(c_x.shape[-1]) + c_x
+    C1 = _eye(len(c_x), c_x.ndim - 2) + c_x
     C2 = cb["jump_xx"] if order >= 2 else None
     C3 = cb["jump_xxx"] if order >= 3 else None
     return C1, C2, C3
@@ -161,51 +190,57 @@ def jump_operator_derivatives(
 def propagate(G, phi):
     """One backward block for B rows: pull the weights ``phi`` = (phi[,
     phi'[, phi'']]) through local maps with derivatives ``G`` = (G1[,
-    G2[, G3]]), all with a leading row axis.  The length of ``phi`` is
-    the order."""
+    G2[, G3]]), all rows last: tensor axes first, the row axis at the
+    end.  The length of ``phi`` is the order."""
     G1 = G[0]
-    out = [np.einsum("bji,bj->bi", G1, phi[0])]
+    out = [np.einsum("ji...,j...->i...", G1, phi[0])]
     if len(phi) >= 2:
-        t = np.einsum("bji,bjp->bip", G1, phi[1])
-        out.append(np.einsum("bip,bpk->bik", t, G1) + np.einsum("bjik,bj->bik", G[1], phi[0]))
+        v = np.einsum("ji...,jp...->ip...", G1, phi[1])
+        out.append(
+            np.einsum("ip...,pk...->ik...", v, G1) + np.einsum("jik...,j...->ik...", G[1], phi[0])
+        )
     if len(phi) >= 3:
-        t0 = np.einsum("bji,bjpr->bipr", G1, phi[2])
-        t0 = np.einsum("bipr,bpk->bikr", t0, G1)
-        t0 = np.einsum("bikr,brm->bikm", t0, G1)
-        v = np.einsum("bji,bjp->bip", G1, phi[1])
-        term2 = np.einsum("bip,bpkm->bikm", v, G[1])
-        u = np.einsum("bjik,bjp->bikp", G[1], phi[1])
-        w = np.einsum("bikp,bpm->bikm", u, G1)
+        t0 = np.einsum("ji...,jpr...->ipr...", G1, phi[2])
+        t0 = np.einsum("ipr...,pk...->ikr...", t0, G1)
+        t0 = np.einsum("ikr...,rm...->ikm...", t0, G1)
+        term2 = np.einsum("ip...,pkm...->ikm...", v, G[1])
+        u = np.einsum("jik...,jp...->ikp...", G[1], phi[1])
+        w = np.einsum("ikp...,pm...->ikm...", u, G1)
         out.append(
             t0
             + term2
             + w
-            + w.transpose(0, 1, 3, 2)
-            + np.einsum("bjikm,bj->bikm", G[2], phi[0])
+            + np.swapaxes(w, 1, 2)
+            + np.einsum("jikm...,j...->ikm...", G[2], phi[0])
         )
     return out
 
 
 def dual_batch(model, cb: dict, paths, values: Array, left: Array, order: int = 3):
-    """Backward dual sweep for B same-length paths at once.
+    """Backward dual sweep for B same-length paths at once, rows last.
 
     ``cb`` holds the Euler-map callbacks of ``order`` evaluated at the
-    (B, n) nodes (t_n, X(t_n)), n < N, as ``_stack_calls`` returns them;
-    ``values`` and ``left`` are the forward layer's node values and left
-    limits.  Jump-map and payoff derivatives are evaluated here, at the
-    jump left limits and at X(T).  Only left-limit weights are stored.
+    (B, n) nodes (t_n, X(t_n)), n < N, as ``_stack_calls`` returns them
+    (t..., n, B); the third-derivative entries are dropped from it once
+    A3 is formed, since nothing else reads them.  ``values`` and ``left``
+    are the forward layer's (B, n+1, d) node values and left limits.
+    Jump-map and payoff derivatives are evaluated here, at the jump left
+    limits and at X(T).  Only left-limit weights are stored.
 
     Returns (stores, first, at_jumps).  ``stores`` and ``first`` are
-    lists (phi[, phi'[, phi'']]) up to ``order``: the (B, n, ...)
-    left-limit weights at nodes 1..N and the (B, ...) left-limit weights
+    lists (phi[, phi'[, phi'']]) up to ``order``: the (t..., n, B)
+    left-limit weights at nodes 1..N and the (t..., B) left-limit weights
     at node 0.  ``at_jumps`` lists (node, weights) for every jump node:
-    the node weights, before the jump block, of the rows that jump there
-    (in row order); only there do node and left-limit weights differ.
-    Arithmetic is row-wise.
+    the (t..., k) node weights, before the jump block, of the k rows that
+    jump there (in row order); only there do node and left-limit weights
+    differ.  Arithmetic is row-wise.
     """
     B, n = paths.dt.shape
     d = model.dim
-    A = euler_map_derivatives(cb, paths.dt, paths.dw, order)[:order]
+    dt, dw = _rows_last(paths.dt, 2), _rows_last(paths.dw, 2)
+    A = euler_map_derivatives(cb, dt, dw, order)[:order]
+    cb.pop("drift_xxx", None)
+    cb.pop("diffusion_xxx", None)
     jrows, jnodes = np.nonzero(paths.jump_flag)
     jump_at = set(jnodes.tolist())
     if jump_at:
@@ -221,28 +256,28 @@ def dual_batch(model, cb: dict, paths, values: Array, left: Array, order: int = 
         )[:order]
     x_T = values[:, -1]
     phi = [
-        np.asarray(getattr(model, name)(x_T), float)
+        _rows_last(np.asarray(getattr(model, name)(x_T), float), 1)
         for name in ("payoff_x", "payoff_xx", "payoff_xxx")[:order]
     ]
-    stores = [np.empty((B, n) + (d,) * (k + 1)) for k in range(order)]
+    stores = [np.empty((d,) * (k + 1) + (n, B)) for k in range(order)]
     at_jumps = []
 
     def jump_block(node, phi):
         sel = np.nonzero(jnodes == node)[0]
         rows = jrows[sel]
-        pre = [w[rows] for w in phi]
+        pre = [w[..., rows] for w in phi]
         at_jumps.append((node, pre))
         phi = [w.copy() for w in phi]
-        for w, post in zip(phi, propagate([c[sel] for c in C], pre)):
-            w[rows] = post
+        for w, post in zip(phi, propagate([c[..., sel] for c in C], pre)):
+            w[..., rows] = post
         return phi
 
     for p in range(n - 1, -1, -1):
         if p + 1 in jump_at:
             phi = jump_block(p + 1, phi)
         for store, w in zip(stores, phi):
-            store[:, p] = w
-        phi = propagate([a[:, p] for a in A], phi)
+            store[..., p, :] = w
+        phi = propagate([a[..., p, :] for a in A], phi)
     if 0 in jump_at:
         phi = jump_block(0, phi)
     return stores, phi, at_jumps
@@ -274,10 +309,11 @@ def backward_duals(
     )
     weights = {}
     for k, name in enumerate(("phi", "phi1", "phi2")[:order]):
-        left = np.concatenate([first[k], stores[k][0]])
+        # rows last (t..., [n,] 1) -> the (N_A + 1, t...) node layout
+        left = np.concatenate([first[k][None, ..., 0], _rows_first(stores[k][..., 0], 1)])
         node = left.copy()
         for n, pre in at_jumps:
-            node[n] = pre[k][0]
+            node[n] = pre[k][..., 0]
         weights[name] = node
         weights[name + "_left"] = left
     return DualWeights(order=order, **weights)

@@ -13,6 +13,18 @@ class JumpMCError(Exception):
         super().__init__(message)
         self.realization = realization
 
+    def __reduce__(self):
+        # Rebuilt without __init__, whose signature differs by subclass, so
+        # an error raised in a pool worker reaches the caller whole.
+        return _rebuild, (type(self), self.args, self.__dict__)
+
+
+def _rebuild(cls, args, state):
+    error = cls.__new__(cls, *args)
+    error.args = args
+    error.__dict__.update(state)
+    return error
+
 
 class ParameterError(JumpMCError, ValueError):
     """An argument is outside its documented domain."""

@@ -179,36 +179,42 @@ def eval_coefficients(model: JumpDiffusionModel, t, x) -> Coefficients:
 def second_moment_arrays(b, b_t, b_x, b_xx):
     """d = b b^T / 2 and its derivatives from evaluated diffusion arrays.
 
-    Returns (d, d_t, d_x, d_xx) with layouts (..., d, d), (..., d, d),
-    (..., d, d, j) and (..., d, d, i, j); the j/i axes differentiate in x.
-    Works over any leading axes.
+    Rows last, like the dual layer: the tensor axes come first and any
+    trailing lead axes follow them, so ``b`` is (d, l, lead...).  Returns
+    (d, d_t, d_x, d_xx) with layouts (d, d, lead...), (d, d, lead...),
+    (d, d, j, lead...) and (d, d, i, j, lead...); the j/i axes
+    differentiate in x.  A pointwise call has no lead axes.
     """
-    bT = np.swapaxes(b, -1, -2)
-    dd = 0.5 * b @ bT
-    d_t = 0.5 * (b_t @ bT + b @ np.swapaxes(b_t, -1, -2))
-    # d_x[..., k, m, j] = (b_x[k, l, j] b[m, l] + b[k, l] b_x[m, l, j]) / 2
-    cross = np.einsum("...klj,...ml->...kmj", b_x, b)
-    d_x = 0.5 * (cross + np.swapaxes(cross, -3, -2))
-    # d_xx[..., k, m, i, j]
-    t1 = np.einsum("...klij,...ml->...kmij", b_xx, b)
-    t2 = np.einsum("...kli,...mlj->...kmij", b_x, b_x)
-    d_xx = 0.5 * (t1 + np.swapaxes(t1, -4, -3) + t2 + np.swapaxes(t2, -4, -3))
+    dd = 0.5 * np.einsum("kl...,ml...->km...", b, b)
+    d_t = 0.5 * (
+        np.einsum("kl...,ml...->km...", b_t, b) + np.einsum("kl...,ml...->km...", b, b_t)
+    )
+    # d_x[k, m, j] = (b_x[k, l, j] b[m, l] + b[k, l] b_x[m, l, j]) / 2
+    cross = np.einsum("klj...,ml...->kmj...", b_x, b)
+    d_x = 0.5 * (cross + np.swapaxes(cross, 0, 1))
+    # d_xx[k, m, i, j]
+    t1 = np.einsum("klij...,ml...->kmij...", b_xx, b)
+    t2 = np.einsum("kli...,mlj...->kmij...", b_x, b_x)
+    d_xx = 0.5 * (t1 + np.swapaxes(t1, 0, 1) + t2 + np.swapaxes(t2, 0, 1))
     return dd, d_t, d_x, d_xx
 
 
 def second_moment_derivatives(model: JumpDiffusionModel, t, x):
     """Time and state derivatives of d = b b^T / 2 from those of b.
 
-    Returns (d_t, d_x, d_xx); see :func:`second_moment_arrays`.
+    Returns (d_t, d_x, d_xx) with any leading axes of ``x`` first, as
+    the callbacks return them; see :func:`second_moment_arrays`.
     """
     model.require("diffusion_t", "diffusion_x", "diffusion_xx")
+    lead = list(range(np.ndim(x) - 1))
+    trail = [-1 - k for k in reversed(lead)]
     _, d_t, d_x, d_xx = second_moment_arrays(
         *(
-            np.asarray(getattr(model, name)(t, x), float)
+            np.moveaxis(np.asarray(getattr(model, name)(t, x), float), lead, trail)
             for name in ("diffusion", "diffusion_t", "diffusion_x", "diffusion_xx")
         )
     )
-    return d_t, d_x, d_xx
+    return tuple(np.moveaxis(v, trail, lead) for v in (d_t, d_x, d_xx))
 
 
 def _oscillator_callbacks():

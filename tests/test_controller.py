@@ -480,8 +480,8 @@ def unordered_jumps_model():
     )
 
 
-def _mesh(m, start, count):
-    return run_mesh_batch(m, uniform_mesh(1.0, 5), SeedConfig(), start, count)
+def _mesh(m, start, count, workers=1):
+    return run_mesh_batch(m, uniform_mesh(1.0, 5), SeedConfig(), start, count, workers=workers)
 
 
 def _mesh_density(m, start, count):
@@ -490,10 +490,10 @@ def _mesh_density(m, start, count):
     )
 
 
-def _stochastic(m, start, count):
+def _stochastic(m, start, count, workers=1):
     return run_stochastic_batch(
         m, uniform_mesh(1.0, 5), SeedConfig(), start, count,
-        tol=0.1, tol_t=0.1 / 3.0, n_a_bar=5.0,
+        tol=0.1, tol_t=0.1 / 3.0, n_a_bar=5.0, workers=workers,
     )
 
 
@@ -532,3 +532,21 @@ def test_divergence_error_names_absolute_realization(run, make_model, error):
     with pytest.raises(error) as alone:
         run(m, index, 1)
     assert alone.value.realization == index
+
+
+@pytest.mark.parametrize(
+    "run, chunk_name", [(_mesh, "MESH_CHUNK"), (_stochastic, "STOCH_CHUNK")], ids=["mesh", "stochastic"]
+)
+def test_divergence_in_a_pool_worker_reaches_the_caller(monkeypatch, run, chunk_name):
+    # With 25-row chunks from 1037 the first chunk finishes and the error
+    # comes from the second one, so at workers=2 it must cross the process
+    # boundary with its attributes.
+    monkeypatch.setattr(ctl, chunk_name, 25)
+    m = diverging_model()
+    run(m, 1037, 25)
+    for workers in (1, 2):
+        with pytest.raises(PathDivergenceError) as exc:
+            run(m, 1037, 50, workers=workers)
+        assert type(exc.value) is PathDivergenceError
+        assert (exc.value.realization, exc.value.step) == (1064, 4)
+        assert "realization 1064" in str(exc.value)

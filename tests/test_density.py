@@ -5,6 +5,7 @@ import pytest
 
 from jumpmc import (
     ParameterError,
+    SeedConfig,
     backward_duals,
     build_augmented_grid,
     build_model,
@@ -18,8 +19,11 @@ from jumpmc import (
     rho_per_step,
     uniform_mesh,
 )
-from jumpmc.jumps import JumpRealization
+from jumpmc import controller as ctl
+from jumpmc.density import interval_sums
+from jumpmc.jumps import JumpRealization, intensity_integral_for
 from jumpmc.model import JumpDiffusionModel
+from jumpmc.rng import keyed_streams
 
 
 def scalar_drift_model():
@@ -227,3 +231,46 @@ def test_error_indicators_arithmetic():
 def test_error_indicators_shape_mismatch():
     with pytest.raises(ParameterError):
         error_indicators(np.zeros(3), np.zeros(2))
+
+
+def reference_rho_per_interval(m, path, duals):
+    """The one-row interval density as computed before it was batched:
+    rows-first stacks, d = b b^T / 2 by matmul."""
+    grid = path.grid
+
+    def coefficients(times, values):
+        return np.asarray(m.drift(times, values)), np.asarray(m.diffusion(times, values))
+
+    a_lo, b_lo = coefficients(grid.times[:-1], path.values[:-1])
+    a_hi, b_hi = coefficients(grid.times[1:], path.left_values[1:])
+
+    def dd_of(b):
+        return 0.5 * b @ np.swapaxes(b, -1, -2)
+
+    step_sum = np.einsum("nk,nk->n", a_hi - a_lo, duals.phi_left[1:]) + np.einsum(
+        "nkm,nkm->n", dd_of(b_hi) - dd_of(b_lo), duals.phi1_left[1:]
+    )
+    widths = np.diff(grid.det_times)
+    acc = interval_sums((step_sum * grid.dt)[None], grid.times[None], grid.det_times)[0]
+    return 0.5 * acc / widths ** 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batched_interval_totals_match_the_one_row_pipeline(monkeypatch, workers):
+    # --density rhodef: the batched chunks (three of them here, so
+    # workers=2 runs a pool) against the per-realization pipeline the CLI
+    # ran before, bit for bit.
+    monkeypatch.setattr(ctl, "MESH_CHUNK", 40)
+    m = build_model("test5")
+    det = uniform_mesh(1.0, 5)
+    totals = ctl.interval_signed_totals(m, det, SeedConfig(), 100, workers=workers)
+    grids, dws = ctl._setup_rows(
+        m, det, keyed_streams(SeedConfig()), 0, 100, intensity_integral_for(m)
+    )
+    widths = np.diff(det)
+    for i, (grid, dw) in enumerate(zip(grids, dws)):
+        path = euler_path(m, grid, dw)
+        duals = backward_duals(m, path, order=3)
+        rho = rho_per_interval(m, path, duals)
+        np.testing.assert_array_equal(rho, reference_rho_per_interval(m, path, duals))
+        assert totals[i] == float(np.sum(rho * widths ** 2))
