@@ -38,7 +38,7 @@ from .controller import (
     StatParams,
     algorithm_d,
     algorithm_s,
-    interval_signed_totals,
+    run_interval_batch,
     run_mesh_batch,
     sample_stats,
     statistical_error_bound,
@@ -223,23 +223,23 @@ def _cmd_simulate(config: RunConfig) -> int:
 def _cmd_estimate(config: RunConfig) -> int:
     model = build_model(config.model)
     det = uniform_mesh(model.horizon, config.n)
-    res = run_mesh_batch(
-        model,
-        det,
-        config.seeds,
-        0,
-        config.m,
-        tol=config.tol,
-        want_density=True,
-        workers=config.workers,
-    )
-    mean, std = sample_stats(res["payoff"])
-    e_s = statistical_error_bound(std, config.m, config.c0)
     if config.density == "rhotilde":
+        res = run_mesh_batch(
+            model,
+            det,
+            config.seeds,
+            0,
+            config.m,
+            tol=config.tol,
+            want_density=True,
+            workers=config.workers,
+        )
         e_t = math.fsum(res["signed_total"]) / config.m
     else:
-        totals = interval_signed_totals(model, det, config.seeds, config.m, config.workers)
-        e_t = math.fsum(totals) / config.m
+        res = run_interval_batch(model, det, config.seeds, config.m, config.workers)
+        e_t = math.fsum(res["total"]) / config.m
+    mean, std = sample_stats(res["payoff"])
+    e_s = statistical_error_bound(std, config.m, config.c0)
     exact = model.exact_value
     e_c = exact - mean if exact is not None else math.nan
     efficiency = e_c / e_t if exact is not None and e_t != 0.0 else math.nan

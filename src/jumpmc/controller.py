@@ -32,17 +32,24 @@ driver refines blocks of STOCH_BLOCK realizations level-synchronously,
 regrouping the rows still refining at every level and drawing each
 row's bridge noise from its own Wiener stream (``control_time_error`` is
 the one-row case).  ``_setup_groups`` sets up a whole index range at
-once: each realization's jumps and Wiener increments are drawn from its
-own keyed streams (``rng.KeyedStream``), and all grids are merged in one
-pass by ``jumps.build_grid_groups``, which hands the kernel stacked
-arrays per step count; the per-realization driver unstacks them into
-one-row grids for bridge refinement.  Layer arithmetic is row-wise, so
-no realization's numbers depend on the rows it shares a batch with.
+once from counter-based draws (``rng.KeyedStream``): every realization's
+jump times, marks (``jumps.sample_jump_chunk``) and Wiener normals come
+from its own Philox streams, computed for the whole range in numpy, and
+a realization whose draws need numpy's generator (a ziggurat rejection,
+a jump count past the drawn block, a mark sampler without a quantile)
+continues on it at its word offset.  All grids are merged in one pass by
+``jumps.build_grid_groups``, which hands the kernel stacked arrays per
+step count; the per-realization driver unstacks them into one-row grids
+for bridge refinement and keeps each row's Wiener stream position as a
+word offset.  Layer arithmetic is row-wise, so no realization's numbers
+depend on the rows it shares a batch with.
 
 Batches are chunked into fixed-size index ranges; a chunk is always
 computed the same way no matter how chunks are spread over workers, and
 reductions run in realization-index order with compensated summation, so
-reports are byte-identical for any worker count.
+reports are byte-identical for any worker count.  An error names the
+smallest failing realization of the batch, whatever the chunk size
+(``_run_chunk``).
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-# The one-row euler_path, backward_duals, rho_per_step and
+# The one-row euler_path, backward_duals, rho_per_step, sample_jumps and
 # realization_streams are unused here, and build_augmented_grid and
 # sample_wiener_increments serve only control_time_error, but all stay
 # importable from this module: perfbench/run.py patches them by these
@@ -86,11 +93,12 @@ from .euler import (  # noqa: F401
     sample_wiener_increments,
     stack_paths,
 )
-from .jumps import (
+from .jumps import (  # noqa: F401
     JumpRealization,
     build_augmented_grid,
     build_grid_groups,
     intensity_integral_for,
+    sample_jump_chunk,
     sample_jumps,
     uniform_mesh,
 )
@@ -406,7 +414,8 @@ def _path_batch(model, paths, realizations, want_rho):
     )
     cb = _stack_calls(model, _KERNEL_CALLBACKS, paths.times[:, :-1], values[:, :-1])
     stores, _, _ = dual_batch(model, cb, paths, values, left, 3)
-    rho = rho_batch(cb, *stores)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite rho raises below
+        rho = rho_batch(cb, *stores)
     if not np.isfinite(rho).all():
         which = realizations[int(np.nonzero(~np.isfinite(rho).all(axis=1))[0][0])]
         named = "" if which is None else f" (realization {which})"
@@ -443,32 +452,36 @@ def _setup_groups(model, det, streams, start, count, integral, positions=None):
     [start, start+count), as (GridGroup, PathBatch) pairs by ascending
     step count.
 
-    Each realization draws its jumps (with the model's intensity
-    ``integral``) and marks from its own keyed ``streams``; all grids are
-    merged in one ``build_grid_groups`` pass; each row's standard normals
-    come from its own Wiener stream and are scaled by sqrt(dt) once per
-    group.  Set-up errors name the realization.  With ``positions``, the
-    Wiener generator's state after each row's draws is stored at the row.
+    ``jumps.sample_jump_chunk`` draws every realization's jumps (with the
+    model's intensity ``integral``) and marks from its keyed ``streams``;
+    all grids are merged in one ``build_grid_groups`` pass; the standard
+    normals of every row come from one ``KeyedStream.draws`` call on the
+    Wiener family, in group order, and are scaled by sqrt(dt) in place
+    once per group.  Set-up errors name the realization.  With
+    ``positions``, each row's Wiener word offset after its draws is
+    stored at the row.
     """
     wiener, jump_times, marks = streams
-    drawn = []
-    for i in range(start, start + count):
-        try:
-            drawn.append(sample_jumps(model, integral, jump_times.at(i), marks.at(i)))
-        except JumpMCError as exc:
-            exc.realization = i
-            exc.args = (f"{exc} (realization {i})",)
-            raise
-    out = []
     realizations = range(start, start + count)
-    for group in build_grid_groups(det, drawn, horizon=model.horizon, realizations=realizations):
+    jumps = sample_jump_chunk(model, integral, jump_times, marks, realizations)
+    groups = build_grid_groups(
+        det, *jumps, horizon=model.horizon, realizations=realizations
+    )
+    rows = np.concatenate([group.rows for group in groups])
+    draws = np.concatenate(
+        [np.full(len(group.rows), group.times.shape[1] - 1) for group in groups]
+    ) * model.wiener_dim
+    ends = None if positions is None else np.empty(len(rows), dtype=np.int64)
+    z = wiener.draws("standard_normal", start + rows, draws, ends)
+    if positions is not None:
+        positions[rows] = ends
+    out = []
+    at = 0
+    for group in groups:
         dt = group.dt
-        z = np.empty(dt.shape + (model.wiener_dim,))
-        for b, row in enumerate(group.rows.tolist()):
-            wiener.at(start + row).standard_normal(out=z[b])
-            if positions is not None:
-                positions[row] = wiener.generator.bit_generator.state
-        dw = z * np.sqrt(dt)[:, :, None]
+        dw = z[at:at + dt.size * model.wiener_dim].reshape(dt.shape + (model.wiener_dim,))
+        at += dw.size
+        dw *= np.sqrt(dt)[:, :, None]
         out.append((group, PathBatch(group.times, dw, group.jump_index >= 0, group.marks, dt)))
     return out
 
@@ -507,8 +520,8 @@ def _mesh_chunk(model, det, seeds, start, count, tol, want_density):
 
 
 def _interval_chunk(model, det, seeds, start, count):
-    """Signed interval-density totals, sum of rho_I * width^2 over the
-    deterministic intervals, of one contiguous index chunk (the
+    """Payoffs and signed interval-density totals, sum of rho_I * width^2
+    over the deterministic intervals, of one contiguous index chunk (the
     ``--density rhodef`` diagnostic).
 
     Same set-up and forward layer as ``_mesh_chunk``; the interval
@@ -518,6 +531,7 @@ def _interval_chunk(model, det, seeds, start, count):
     model = as_vectorized(model)
     integral = intensity_integral_for(model)
     widths = np.diff(det)
+    payoffs = np.empty(count)
     totals = np.empty(count)
     for group, paths in _setup_groups(model, det, keyed_streams(seeds), start, count, integral):
         model.require(*_required_callbacks(2, with_jumps=paths.jump_flag.any()))
@@ -528,15 +542,21 @@ def _interval_chunk(model, det, seeds, start, count):
         stores, _, _ = dual_batch(model, cb, paths, values, left, 2)
         hi = _stack_calls(model, INTERVAL_DENSITY_CALLBACKS, times[:, 1:], left[:, 1:])
         rho = rho_interval_batch(cb, hi, *stores, times, det)
+        payoffs[group.rows] = np.asarray(model.payoff(values[:, -1]), float)
         totals[group.rows] = np.sum(rho * widths ** 2, axis=1)
-    return {"total": totals}
+    return {"payoff": payoffs, "total": totals}
+
+
+def run_interval_batch(model, det, seeds, count, workers=1) -> dict:
+    """Payoffs and signed interval-density totals of realizations
+    [0, count), in MESH_CHUNK chunks run on ``workers`` processes."""
+    args = [(det, seeds, s, c) for s, c in _chunk_ranges(0, count, MESH_CHUNK)]
+    return _concat_rows(_run_chunked(_interval_chunk, model, args, workers))
 
 
 def interval_signed_totals(model, det, seeds, count, workers=1) -> Array:
-    """Per-realization signed interval-density totals of realizations
-    [0, count), in MESH_CHUNK chunks run on ``workers`` processes."""
-    args = [(det, seeds, s, c) for s, c in _chunk_ranges(0, count, MESH_CHUNK)]
-    return _concat_rows(_run_chunked(_interval_chunk, model, args, workers))["total"]
+    """The signed interval-density totals of ``run_interval_batch``."""
+    return run_interval_batch(model, det, seeds, count, workers)["total"]
 
 
 _worker_model = None  # set in each pool worker by _adopt_model
@@ -549,11 +569,41 @@ def _adopt_model(model):
 
 def _in_worker(job):
     chunk_fn, args = job
-    return chunk_fn(_worker_model, *args)
+    return _run_chunk(chunk_fn, _worker_model, args)
+
+
+def _run_chunk(chunk_fn, model, args):
+    """``chunk_fn(model, *args)``; an error names the chunk's smallest
+    failing realization.
+
+    ``args`` start with (det, seeds, start, count).  A chunk raises for
+    the first failing row it meets (set-up before the kernel, then
+    step-count groups and refinement levels in order), which depends on
+    how its rows are grouped.  So on an error naming realization ``r``
+    the rows before ``r`` run again, until no earlier row fails.  Rows
+    are independent, so the error raised does not depend on the chunk
+    size.
+    """
+    det, seeds, start, count, *rest = args
+    end = start + count
+    error = None
+    while True:
+        try:
+            out = chunk_fn(model, det, seeds, start, end - start, *rest)
+        except JumpMCError as exc:
+            which = exc.realization
+            if which is None or not start < which < end:
+                raise
+            error, end = exc, which
+            continue
+        if error is None:
+            return out
+        raise error
 
 
 def _run_chunked(chunk_fn, model, arg_list, workers):
-    """``chunk_fn(model, *args)`` for every args tuple, in order.
+    """``chunk_fn(model, *args)`` for every args tuple, in order, through
+    ``_run_chunk``; the first chunk's error wins.
 
     Pool workers are forked and receive the model object itself through
     the pool initializer, so closures and edited copies of builtin models
@@ -567,7 +617,7 @@ def _run_chunked(chunk_fn, model, arg_list, workers):
             initargs=(model,),
         ) as pool:
             return list(pool.map(_in_worker, [(chunk_fn, a) for a in arg_list]))
-    return [chunk_fn(model, *a) for a in arg_list]
+    return [_run_chunk(chunk_fn, model, a) for a in arg_list]
 
 
 def _concat_rows(parts):
@@ -659,17 +709,8 @@ def control_time_error(
     grid = build_augmented_grid(det, jumps, horizon=model.horizon)
     dw = sample_wiener_increments(grid, wiener_rng, model.wiener_dim)
     out = _refine_levels(
-        model,
-        [grid],
-        [dw],
-        [None],
-        wiener_rng,
-        [wiener_rng.bit_generator.state],
-        tol,
-        tol_t,
-        n_a_bar,
-        adapt,
-        min_step,
+        model, [grid], [dw], [None], _OwnGenerator(wiener_rng), [None],
+        tol, tol_t, n_a_bar, adapt, min_step,
     )
     return TimeControlledRealization(
         payoff=float(out["payoff"][0]),
@@ -683,6 +724,19 @@ def control_time_error(
     )
 
 
+class _OwnGenerator:
+    """A ``KeyedStream`` stand-in for one row that draws from its own
+    generator, which keeps the row's stream position itself."""
+
+    word = None
+
+    def __init__(self, generator):
+        self.generator = generator
+
+    def at(self, realization, word):
+        return self.generator
+
+
 def _refine_levels(
     model, grids, dws, realizations, wiener, positions, tol, tol_t, n_a_bar, adapt,
     min_step=None,
@@ -690,12 +744,13 @@ def _refine_levels(
     """Per-realization adaptive refinement, one level at a time.
 
     Row ``i`` starts from ``grids[i]`` and ``dws[i]``; ``realizations[i]``
-    is its absolute index (or None) and ``positions[i]`` the state of
-    ``wiener`` at its Wiener stream's current position.  At every level
-    the still-active rows are grouped by step count and each group runs
-    through ``_path_batch``; rows that fail the acceptance test are
-    bisected with bridge draws from ``wiener`` set to the row's own
-    position, in the order a lone run of that row would draw them.
+    is its absolute index (or None) and ``positions[i]`` the word offset
+    of its Wiener stream's current position in ``wiener``, a
+    ``KeyedStream``.  At every level the still-active rows are grouped by
+    step count and each group runs through ``_path_batch``; rows that
+    fail the acceptance test are bisected with bridge draws from
+    ``wiener.at(realizations[i], positions[i])``, in the order a lone run
+    of that row would draw them.
     Nothing is refined after the last simulated level, so every output of
     a row comes from the same mesh.  ``grids``, ``dws`` and ``positions``
     are updated in place; returns per-row arrays.
@@ -740,11 +795,11 @@ def _refine_levels(
             splittable = (r >= refine_at) & (0.5 * dt >= min_step)
             for b in np.nonzero(~accepted & splittable.any(axis=1))[0]:
                 i = rows[b]
-                wiener.bit_generator.state = positions[i]
                 grids[i], dws[i] = brownian_bridge_refine(
-                    grids[i], dws[i], splittable[b], wiener, min_step=min_step
+                    grids[i], dws[i], splittable[b], wiener.at(realizations[i], positions[i]),
+                    min_step=min_step,
                 )
-                positions[i] = wiener.bit_generator.state
+                positions[i] = wiener.word
                 active.append(i)
         if not active:
             break
@@ -759,11 +814,11 @@ def _stoch_chunk(model, det, seeds, start, count, tol, tol_t, n_a_bar, adapt):
     parts = []
     for lo in range(start, start + count, STOCH_BLOCK):
         size = min(STOCH_BLOCK, start + count - lo)
-        positions = [None] * size
+        positions = np.empty(size, dtype=np.int64)
         grids, dws = _setup_rows(model, det, streams, lo, size, integral, positions)
         parts.append(
             _refine_levels(
-                model, grids, dws, range(lo, lo + size), streams[0].generator, positions,
+                model, grids, dws, range(lo, lo + size), streams[0], positions,
                 tol, tol_t, n_a_bar, adapt,
             )
         )

@@ -13,6 +13,7 @@ merged into that node.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -20,8 +21,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import roots_legendre
 
-from .errors import EvaluationError, ParameterError
-from .model import JumpDiffusionModel
+from .errors import EvaluationError, JumpMCError, ParameterError
+from .model import JumpDiffusionModel, UniformMarks
 
 Array = np.ndarray
 
@@ -181,31 +182,55 @@ def jump_times_from_exponentials(
 
 
 def sample_jump_times(
-    integral: IntensityIntegral, rng: np.random.Generator
+    integral: IntensityIntegral, rng: np.random.Generator, s: float = 0.0
 ) -> Array:
-    """Draw one realization of the jump times on [0, horizon)."""
+    """Draw one realization of the jump times on [0, horizon).
+
+    With ``s``, the partial sum of the exponentials drawn before ``rng``'s
+    first one, it returns the jump times that follow.
+    """
     total = integral.total
     times = []
-    s = rng.exponential()
+    s += rng.exponential()
     while s < total:
         times.append(integral.inverse(s))
         s += rng.exponential()
     return np.array(times)
 
 
+def _mark_rows(model: JumpDiffusionModel, marks) -> Array:
+    """(K, mark_dim) array of the mark sampler outputs ``marks``.
+
+    A wrongly shaped mark raises EvaluationError with ``exc.jump`` set to
+    its position.
+    """
+    shape = (len(marks), model.mark_dim)
+    try:
+        rows = np.asarray(marks, dtype=float)
+    except (TypeError, ValueError):  # ragged or not numbers: checked one by one
+        rows = None
+    if rows is not None and (
+        rows.shape == shape or (rows.shape == shape[:1] and shape[1] == 1)
+    ):
+        return rows.reshape(shape)
+    rows = np.empty(shape)
+    for k, z in enumerate(marks):
+        z = np.atleast_1d(np.asarray(z, float))
+        if z.shape != (model.mark_dim,):
+            exc = EvaluationError(
+                f"mark sampler returned shape {z.shape}, expected ({model.mark_dim},)"
+            )
+            exc.jump = k
+            raise exc
+        rows[k] = z
+    return rows
+
+
 def sample_marks(
     model: JumpDiffusionModel, times: Array, rng: np.random.Generator
 ) -> Array:
     """Draw a mark for each jump time from the model's mark sampler."""
-    rows = np.empty((len(times), model.mark_dim))
-    for k, t in enumerate(times):
-        z = np.atleast_1d(np.asarray(model.mark_sampler(float(t), rng), float))
-        if z.shape != (model.mark_dim,):
-            raise EvaluationError(
-                f"mark sampler returned shape {z.shape}, expected ({model.mark_dim},)"
-            )
-        rows[k] = z
-    return rows
+    return _mark_rows(model, [model.mark_sampler(float(t), rng) for t in times])
 
 
 def sample_jumps(
@@ -218,6 +243,95 @@ def sample_jumps(
     times = sample_jump_times(integral, time_rng)
     marks = sample_marks(model, times, mark_rng)
     return JumpRealization(times=times, marks=marks)
+
+
+def _exponential_block(total: float) -> int:
+    """Exponentials drawn per row up front: L(T) + 4 sqrt(L(T)) + 2,
+    rounded up to whole Philox blocks, covers all but a sliver of rows."""
+    return 4 * math.ceil((total + 4.0 * math.sqrt(total) + 2.0) / 4.0)
+
+
+def _name_realization(exc, realization):
+    exc.realization = realization
+    exc.args = (f"{exc} (realization {realization})",)
+
+
+def sample_jump_chunk(
+    model: JumpDiffusionModel, integral: IntensityIntegral, time_stream, mark_stream,
+    realizations,
+):
+    """Jump counts, times and marks of ``realizations``, drawn from their
+    keyed streams (``rng.KeyedStream``) as ``sample_jumps`` draws them.
+
+    Returns ``(n_jumps, times, marks)``: times and marks flat, row after
+    row.  Every row's exponentials come as one counter-based block:
+    ``np.cumsum`` adds them in the order of the one-row loop, and
+    ``integral.inverse`` maps every sum below L(T).  A row whose block
+    rejects a draw before its last used one, or does not reach L(T),
+    goes on with ``sample_jump_times`` at that word of its stream.
+    Marks of a ``UniformMarks`` sampler are its quantile mapped over the
+    times and one counter-based uniform per jump; any other sampler is
+    called per jump with the row's generator.  Errors name the
+    realization.
+    """
+    count = len(realizations)
+    total = integral.total
+    block = _exponential_block(total)
+    exps, rejected = time_stream.fast_draws(
+        "standard_exponential", realizations, np.full(count, block)
+    )
+    sums = np.cumsum(exps.reshape(count, block), axis=1)
+    reached = sums >= total
+    ends = np.where(reached.any(axis=1), reached.argmax(axis=1), block)
+    handed = np.nonzero(rejected <= ends)[0].tolist()  # rows numpy finishes
+    used = np.where(rejected <= ends, rejected, ends)  # sums taken from the block
+    times = []
+    try:
+        for s in sums[np.arange(block) < used[:, None]].tolist():
+            times.append(integral.inverse(s))
+    except JumpMCError as exc:
+        _name_realization(exc, realizations[np.repeat(np.arange(count), used)[len(times)]])
+        raise
+    times = np.array(times, dtype=float)
+    rest = []
+    for row in handed:
+        k = int(used[row])
+        try:
+            rest.append(
+                sample_jump_times(
+                    integral, time_stream.at(realizations[row], k),
+                    float(sums[row, k - 1]) if k else 0.0,
+                )
+            )
+        except JumpMCError as exc:
+            _name_realization(exc, realizations[row])
+            raise
+    n_jumps = used.copy()
+    if rest:
+        lengths = [len(r) for r in rest]
+        n_jumps[handed] += lengths
+        at = np.repeat(np.cumsum(used)[handed], lengths)
+        times = np.insert(times, at, np.concatenate(rest))
+
+    if isinstance(model.mark_sampler, UniformMarks):
+        uniforms, _ = mark_stream.fast_draws("random", realizations, n_jumps)
+        quantile = model.mark_sampler.quantile
+        marks = [quantile(t, u) for t, u in zip(times.tolist(), uniforms.tolist())]
+        try:
+            return n_jumps, times, _mark_rows(model, marks)
+        except EvaluationError as exc:
+            _name_realization(exc, realizations[np.repeat(np.arange(count), n_jumps)[exc.jump]])
+            raise
+    marks = np.empty((len(times), model.mark_dim))
+    first = np.cumsum(n_jumps) - n_jumps
+    for row in np.nonzero(n_jumps)[0].tolist():
+        lo, hi = first[row], first[row] + n_jumps[row]
+        try:
+            marks[lo:hi] = sample_marks(model, times[lo:hi], mark_stream.at(realizations[row]))
+        except JumpMCError as exc:
+            _name_realization(exc, realizations[row])
+            raise
+    return n_jumps, times, marks
 
 
 def no_jumps(mark_dim: int = 1) -> JumpRealization:
@@ -314,7 +428,9 @@ class GridGroup:
 
 def build_grid_groups(
     det_times: Array,
-    jumps: Sequence[JumpRealization],
+    n_jumps: Array,
+    times: Array,
+    marks: Array,
     *,
     horizon: float,
     collision_rtol: float = COLLISION_RTOL,
@@ -323,11 +439,13 @@ def build_grid_groups(
     """Merge each row's jump times into the deterministic mesh, all rows
     at once, and group the grids by step count (ascending).
 
-    A jump within ``collision_rtol * horizon`` of a deterministic node is
-    merged into the node (the node keeps its time and becomes a jump
-    node), so N_A = N + K - collisions.  ``realizations`` are the rows'
-    absolute indices, named by the errors raised for a row (None when the
-    rows have none).
+    Row ``r`` has ``n_jumps[r]`` jumps; ``times`` (K,) and ``marks``
+    (K, mark_dim) hold every row's jumps, row after row.  A jump within
+    ``collision_rtol * horizon`` of a deterministic node is merged into
+    the node (the node keeps its time and becomes a jump node), so
+    N_A = N + K - collisions.  ``realizations`` are the rows' absolute
+    indices, named by the errors raised for a row (None when the rows
+    have none).
     """
     det = np.asarray(det_times, float)
     if det.ndim != 1 or len(det) < 2:
@@ -342,15 +460,16 @@ def build_grid_groups(
         named = "" if which is None else f" (realization {which})"
         raise error(message + named, realization=which)
 
-    count = len(jumps)
-    n_jumps = np.array([len(j.times) for j in jumps], dtype=np.intp)
+    n_jumps = np.asarray(n_jumps, dtype=np.intp)
+    count = len(n_jumps)
     owner = np.repeat(np.arange(count), n_jumps)
-    tau = np.concatenate([np.asarray(j.times, float) for j in jumps])
-    for row, j in enumerate(jumps):
-        shape = np.shape(j.marks)
-        if len(shape) != 2 or shape[0] != n_jumps[row]:
-            fail(ParameterError, f"marks must have shape (n_jumps, mark_dim), got {shape}", row)
-    marks = np.concatenate([np.asarray(j.marks, float) for j in jumps])
+    tau = np.asarray(times, float)
+    marks = np.asarray(marks, float)
+    if tau.shape != (len(owner),) or marks.ndim != 2 or len(marks) != len(owner):
+        raise ParameterError(
+            f"{len(owner)} jumps need times of shape ({len(owner)},) and marks of "
+            f"shape ({len(owner)}, mark_dim), got {tau.shape} and {marks.shape}"
+        )
 
     # a jump out of (0, horizon) or not after the row's previous jump
     bad = ~((tau > 0.0) & (tau < horizon))
@@ -426,7 +545,8 @@ def build_augmented_grid(
     """Merge jump times into the deterministic mesh (``build_grid_groups``
     with one row)."""
     (group,) = build_grid_groups(
-        det_times, [jumps], horizon=horizon, collision_rtol=collision_rtol
+        det_times, [len(jumps.times)], jumps.times, jumps.marks,
+        horizon=horizon, collision_rtol=collision_rtol,
     )
     return group.grid(0)
 

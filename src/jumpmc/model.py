@@ -350,17 +350,36 @@ def _oscillator_callbacks():
     )
 
 
-def _oscillator_mark_sampler(t: float, rng: np.random.Generator) -> Array:
+class UniformMarks:
+    """Mark sampler that maps one uniform per jump through ``quantile(t, u)``.
+
+    Called as a sampler, ``(t, rng)``, it draws ``u = rng.random()``.  The
+    engines recognise the class and map ``quantile`` over the jump times
+    and counter-based uniforms of a whole chunk instead (see
+    ``jumps.sample_jump_chunk``); any other sampler, including a function
+    wrapping this one, is called once per jump.
+    """
+
+    def __init__(self, quantile: Callable[[float, float], Array]):
+        self.quantile = quantile
+
+    def __call__(self, t: float, rng: np.random.Generator) -> Array:
+        return self.quantile(t, rng.random())
+
+
+def _oscillator_mark_quantile(t: float, u: float) -> Array:
     """Mark with mean cos(2 pi t) and a centered uniform spread.
 
     The uniform part is scaled by 2 sqrt(3) so its variance is 1 before the
     sin(2 pi t) envelope.
     """
-    u = rng.random()
     z = math.cos(2.0 * math.pi * t) + math.sin(2.0 * math.pi * t) * (
         2.0 * math.sqrt(3.0)
     ) * (u - 0.5)
     return np.array([z])
+
+
+_oscillator_mark_sampler = UniformMarks(_oscillator_mark_quantile)
 
 
 def oscillator_problem() -> JumpDiffusionModel:

@@ -10,6 +10,7 @@ from jumpmc import (
     AdaptParams,
     ConvergenceError,
     EvaluationError,
+    JumpMCError,
     ParameterError,
     PathDivergenceError,
     SeedConfig,
@@ -506,8 +507,10 @@ def _stochastic(m, start, count, workers=1):
             _mesh_density, overflowing_density_model, EvaluationError,
             id="mesh-density-overflow",
         ),
+        # the first realizations of this model diverge at a refinement
+        # level; its first density overflow (at level 0) is realization 1005
         pytest.param(
-            _stochastic, overflowing_density_model, EvaluationError,
+            _stochastic, overflowing_density_model, PathDivergenceError,
             id="stochastic-density-overflow",
         ),
         # errors raised while a realization is set up
@@ -548,5 +551,49 @@ def test_divergence_in_a_pool_worker_reaches_the_caller(monkeypatch, run, chunk_
         with pytest.raises(PathDivergenceError) as exc:
             run(m, 1037, 50, workers=workers)
         assert type(exc.value) is PathDivergenceError
-        assert (exc.value.realization, exc.value.step) == (1064, 4)
-        assert "realization 1064" in str(exc.value)
+        # 1062 (step 5) and 1064 (step 4) diverge; the smaller one is named
+        assert (exc.value.realization, exc.value.step) == (1062, 5)
+        assert "realization 1062" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "run, chunk_name, make_model, start, count",
+    [
+        (_mesh, "MESH_CHUNK", diverging_model, 1062, 25),
+        (_stochastic, "STOCH_CHUNK", diverging_model, 1062, 25),
+        (_mesh, "MESH_CHUNK", bad_mark_model, 1000, 30),
+        (_stochastic, "STOCH_CHUNK", bad_mark_model, 1000, 30),
+        (_stochastic, "STOCH_CHUNK", overflowing_density_model, 1003, 5),
+    ],
+    ids=["mesh", "stochastic", "mesh-mark-shape", "stochastic-mark-shape", "stochastic-overflow"],
+)
+def test_failing_realization_does_not_depend_on_chunking(
+    monkeypatch, run, chunk_name, make_model, start, count
+):
+    # The error names the smallest failing realization whatever the chunk
+    # size: the one a run with one-row chunks reaches first.
+    m = make_model()
+    seen = set()
+    for chunk in (1, 7, 25, getattr(ctl, chunk_name)):
+        monkeypatch.setattr(ctl, chunk_name, chunk)
+        for workers in (1, 2):
+            with pytest.raises(JumpMCError) as exc:
+                run(m, start, count, workers=workers)
+            error = exc.value
+            seen.add((type(error), error.realization, getattr(error, "step", None), str(error)))
+    assert len(seen) == 1, seen
+    ((kind, which, _, _),) = seen
+    with pytest.raises(kind) as alone:
+        run(m, which, 1)
+    assert alone.value.realization == which
+    if make_model is diverging_model:
+        assert (which, error.step) == (1062, 5)
+
+
+@pytest.mark.parametrize("run", [_mesh_density, _stochastic], ids=["mesh", "stochastic"])
+def test_density_overflow_raises_without_a_numpy_warning(run):
+    # realization 1033's density overflows inside a sum: numpy's
+    # invalid-value warning must not escape before the named error
+    with pytest.raises(EvaluationError) as exc:
+        run(overflowing_density_model(), 1033, 1)
+    assert exc.value.realization == 1033

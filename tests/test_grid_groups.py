@@ -82,7 +82,12 @@ def chunks(draw):
 @given(chunk=chunks())
 def test_grid_groups_place_every_jump_once_and_match_one_row_builds(chunk):
     det, rows = chunk
-    groups = build_grid_groups(det, rows, horizon=HORIZON)
+    flat = (
+        [len(r.times) for r in rows],
+        np.concatenate([r.times for r in rows]),
+        np.concatenate([r.marks for r in rows]),
+    )
+    groups = build_grid_groups(det, *flat, horizon=HORIZON)
     assert [g.times.shape[1] for g in groups] == sorted({g.times.shape[1] for g in groups})
     placed = {}
     for g in groups:

@@ -224,6 +224,15 @@ def test_grid_validation():
         build_augmented_grid(np.array([0.0, 1.0]), bad, horizon=1.0)
 
 
+def flat_jumps(rows):
+    """``build_grid_groups``'s (n_jumps, times, marks) of JumpRealization rows."""
+    return (
+        [len(r.times) for r in rows],
+        np.concatenate([r.times for r in rows]),
+        np.concatenate([r.marks for r in rows]),
+    )
+
+
 def test_grid_groups_errors_name_the_realization():
     det = np.array([0.0, 0.5, 1.0])
     fine = JumpRealization(times=np.array([0.25]), marks=np.array([[1.0]]))
@@ -231,16 +240,24 @@ def test_grid_groups_errors_name_the_realization():
         # both jumps merge into the node at 0.5
         (JumpRealization(np.array([0.5, 0.5 + 1e-16]), np.zeros((2, 1))), EvaluationError),
         (JumpRealization(np.array([0.6, 0.3]), np.zeros((2, 1))), ParameterError),
-        (JumpRealization(np.array([0.3]), np.zeros((2, 1))), ParameterError),
     ]
     for bad, error in cases:
         with pytest.raises(error) as exc:
-            build_grid_groups(det, [fine, bad, fine], horizon=1.0, realizations=[7, 8, 9])
+            build_grid_groups(
+                det, *flat_jumps([fine, bad, fine]), horizon=1.0, realizations=[7, 8, 9]
+            )
         assert type(exc.value) is error
         assert exc.value.realization == 8 and "(realization 8)" in str(exc.value)
         with pytest.raises(error) as alone:
             build_augmented_grid(det, bad, horizon=1.0)
         assert alone.value.realization is None
+    # flat arrays carry no per-row mark count: a mark too many is caught
+    # for the whole chunk
+    bad = JumpRealization(np.array([0.3]), np.zeros((2, 1)))
+    with pytest.raises(ParameterError):
+        build_grid_groups(det, *flat_jumps([fine, bad, fine]), horizon=1.0)
+    with pytest.raises(ParameterError):
+        build_augmented_grid(det, bad, horizon=1.0)
 
 
 def test_uniform_mesh():
