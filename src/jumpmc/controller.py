@@ -27,21 +27,23 @@ the per-step density (``density.rho_batch``), with every callback
 evaluated once per node and shared by the dual and density layers; the
 dual and density layers hold their arrays rows last, (t..., n, B).  The
 mesh engine groups a chunk's realizations by step count and reduces
-them per interval with ``density.interval_sums``; the per-realization
-driver refines blocks of STOCH_BLOCK realizations level-synchronously,
-regrouping the rows still refining at every level and drawing each
-row's bridge noise from its own Wiener stream (``control_time_error`` is
-the one-row case).  ``_setup_groups`` sets up a whole index range at
-once from counter-based draws (``rng.KeyedStream``): every realization's
-jump times, marks (``jumps.sample_jump_chunk``) and Wiener normals come
-from its own Philox streams, computed for the whole range in numpy, and
-a realization whose draws need numpy's generator (a ziggurat rejection,
-a jump count past the drawn block, a mark sampler without a quantile)
+them per interval with ``density.interval_sums``.  The per-realization
+driver refines a whole chunk level-synchronously: its rows stay stacked
+arrays (``PathBatch``) by step count from set-up to result, every level
+runs the kernel on blocks of at most STOCH_BLOCK rows, and the rows
+still refining are bisected together by ``euler.bridge_refine_batch``,
+which draws each row's bridge noise from its own Wiener stream at the
+row's word offset (``control_time_error`` is the one-row case).
+``_setup_groups`` sets up a whole index range at once from
+counter-based draws (``rng.KeyedStream``): every realization's jump
+times, marks (``jumps.sample_jump_chunk``) and Wiener normals come from
+its own Philox streams, computed for the whole range in numpy, and a
+realization whose draws need numpy's generator (a ziggurat rejection, a
+jump count past the drawn block, a mark sampler without a quantile)
 continues on it at its word offset.  All grids are merged in one pass by
 ``jumps.build_grid_groups``, which hands the kernel stacked arrays per
-step count; the per-realization driver unstacks them into one-row grids
-for bridge refinement and keeps each row's Wiener stream position as a
-word offset.  Layer arithmetic is row-wise, so no realization's numbers
+step count, and the set-up returns each row's Wiener stream position as
+a word offset.  Layer arithmetic is row-wise, so no realization's numbers
 depend on the rows it shares a batch with.
 
 Batches are chunked into fixed-size index ranges; a chunk is always
@@ -62,11 +64,11 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-# The one-row euler_path, backward_duals, rho_per_step, sample_jumps and
-# realization_streams are unused here, and build_augmented_grid and
-# sample_wiener_increments serve only control_time_error, but all stay
-# importable from this module: perfbench/run.py patches them by these
-# names to time them.
+# perfbench/run.py times layers by patching names on this module.  The
+# one-row euler_path, brownian_bridge_refine, backward_duals,
+# rho_per_step, sample_jumps and realization_streams are unused here, and
+# build_augmented_grid and sample_wiener_increments serve only
+# control_time_error; they are imported so that they stay patchable.
 from .density import (  # noqa: F401
     INTERVAL_DENSITY_CALLBACKS,
     STEP_DENSITY_CALLBACKS,
@@ -87,7 +89,9 @@ from .errors import ConvergenceError, EvaluationError, JumpMCError, ParameterErr
 from .euler import (  # noqa: F401
     MIN_STEP_FRACTION,
     PathBatch,
+    bridge_refine_batch,
     brownian_bridge_refine,
+    concat_paths,
     euler_batch,
     euler_path,
     sample_wiener_increments,
@@ -109,7 +113,7 @@ Array = np.ndarray
 
 MESH_CHUNK = 16384  # fixed chunk sizes keep grouping independent of workers
 STOCH_CHUNK = 2048
-STOCH_BLOCK = 256  # realizations refined together; bounds the level loop's memory
+STOCH_BLOCK = 512  # rows per kernel call in the level loop; bounds its memory
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +451,7 @@ def _mesh_group_batched(model, det, group, paths, tol, want_density, outputs, st
     outputs["signed_total"][slots] = contrib.sum(axis=1)
 
 
-def _setup_groups(model, det, streams, start, count, integral, positions=None):
+def _setup_groups(model, det, streams, start, count, integral, words=None):
     """Augmented grids and Wiener increments of realizations
     [start, start+count), as (GridGroup, PathBatch) pairs by ascending
     step count.
@@ -457,9 +461,8 @@ def _setup_groups(model, det, streams, start, count, integral, positions=None):
     all grids are merged in one ``build_grid_groups`` pass; the standard
     normals of every row come from one ``KeyedStream.draws`` call on the
     Wiener family, in group order, and are scaled by sqrt(dt) in place
-    once per group.  Set-up errors name the realization.  With
-    ``positions``, each row's Wiener word offset after its draws is
-    stored at the row.
+    once per group.  Set-up errors name the realization.  With ``words``,
+    each row's Wiener word offset after its draws is stored at the row.
     """
     wiener, jump_times, marks = streams
     realizations = range(start, start + count)
@@ -471,10 +474,10 @@ def _setup_groups(model, det, streams, start, count, integral, positions=None):
     draws = np.concatenate(
         [np.full(len(group.rows), group.times.shape[1] - 1) for group in groups]
     ) * model.wiener_dim
-    ends = None if positions is None else np.empty(len(rows), dtype=np.int64)
+    ends = None if words is None else np.empty(len(rows), dtype=np.int64)
     z = wiener.draws("standard_normal", start + rows, draws, ends)
-    if positions is not None:
-        positions[rows] = ends
+    if words is not None:
+        words[rows] = ends
     out = []
     at = 0
     for group in groups:
@@ -484,17 +487,6 @@ def _setup_groups(model, det, streams, start, count, integral, positions=None):
         dw *= np.sqrt(dt)[:, :, None]
         out.append((group, PathBatch(group.times, dw, group.jump_index >= 0, group.marks, dt)))
     return out
-
-
-def _setup_rows(model, det, streams, start, count, integral, positions=None):
-    """``_setup_groups`` unstacked: each row's AugmentedGrid and increments."""
-    grids = [None] * count
-    dws = [None] * count
-    for group, paths in _setup_groups(model, det, streams, start, count, integral, positions):
-        for b, row in enumerate(group.rows.tolist()):
-            grids[row] = group.grid(b)
-            dws[row] = paths.dw[b]
-    return grids, dws
 
 
 def _mesh_chunk(model, det, seeds, start, count, tol, want_density):
@@ -550,6 +542,7 @@ def _interval_chunk(model, det, seeds, start, count):
 def run_interval_batch(model, det, seeds, count, workers=1) -> dict:
     """Payoffs and signed interval-density totals of realizations
     [0, count), in MESH_CHUNK chunks run on ``workers`` processes."""
+    _check_workers(workers)
     args = [(det, seeds, s, c) for s, c in _chunk_ranges(0, count, MESH_CHUNK)]
     return _concat_rows(_run_chunked(_interval_chunk, model, args, workers))
 
@@ -620,6 +613,11 @@ def _run_chunked(chunk_fn, model, arg_list, workers):
     return [_run_chunk(chunk_fn, model, a) for a in arg_list]
 
 
+def _check_workers(workers):
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
+
+
 def _concat_rows(parts):
     """Per-realization arrays of consecutive index ranges, joined."""
     return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
@@ -655,6 +653,7 @@ def run_mesh_batch(
     """
     if count < 1:
         raise ParameterError(f"batch size must be >= 1, got {count}")
+    _check_workers(workers)
     if want_density and tol is None:
         raise ParameterError("want_density needs tol for the density clamp")
     det = np.asarray(det, float)
@@ -705,11 +704,13 @@ def control_time_error(
     out of refinement levels, is returned with ``accepted=False``.  This
     is the one-row case of the level loop ``algorithm_s`` runs.
     """
+    _check_stochastic(tol_t, n_a_bar)
     model = as_vectorized(model)
     grid = build_augmented_grid(det, jumps, horizon=model.horizon)
     dw = sample_wiener_increments(grid, wiener_rng, model.wiener_dim)
     out = _refine_levels(
-        model, [grid], [dw], [None], _OwnGenerator(wiener_rng), [None],
+        model, [(np.zeros(1, dtype=np.intp), stack_paths(model, [grid], [dw]))],
+        np.array([None]), _OwnGenerator(wiener_rng), np.zeros(1, dtype=np.int64),
         tol, tol_t, n_a_bar, adapt, min_step,
     )
     return TimeControlledRealization(
@@ -724,67 +725,78 @@ def control_time_error(
     )
 
 
+def _check_stochastic(tol_t, n_a_bar):
+    """The acceptance thresholds' inputs: a positive TOL_T and a finite
+    positive N_A bar (otherwise every step would bisect to the floor)."""
+    if not tol_t > 0.0:
+        raise ParameterError(f"TOL_T must be positive, got {tol_t}")
+    if not (math.isfinite(n_a_bar) and n_a_bar > 0.0):
+        raise ParameterError(f"n_a_bar must be finite and positive, got {n_a_bar}")
+
+
 class _OwnGenerator:
     """A ``KeyedStream`` stand-in for one row that draws from its own
-    generator, which keeps the row's stream position itself."""
-
-    word = None
+    generator: its word ``k`` is the generator's ``k``-th draw from where
+    the stand-in was made, so ``draws`` replays from there, and the
+    generator is left after the last ``draws``."""
 
     def __init__(self, generator):
         self.generator = generator
+        self.origin = generator.bit_generator.state
 
-    def at(self, realization, word):
-        return self.generator
+    def draws(self, kind, realizations, counts, ends, starts):
+        start = int(starts[0])
+        self.generator.bit_generator.state = self.origin
+        draw = getattr(self.generator, kind)
+        draw(start)
+        if ends is not None:
+            ends[:] = start + np.asarray(counts)
+        return draw(int(np.sum(counts)))
 
 
 def _refine_levels(
-    model, grids, dws, realizations, wiener, positions, tol, tol_t, n_a_bar, adapt,
-    min_step=None,
+    model, groups, realizations, wiener, words, tol, tol_t, n_a_bar, adapt, min_step=None,
 ):
     """Per-realization adaptive refinement, one level at a time.
 
-    Row ``i`` starts from ``grids[i]`` and ``dws[i]``; ``realizations[i]``
-    is its absolute index (or None) and ``positions[i]`` the word offset
-    of its Wiener stream's current position in ``wiener``, a
-    ``KeyedStream``.  At every level the still-active rows are grouped by
-    step count and each group runs through ``_path_batch``; rows that
-    fail the acceptance test are bisected with bridge draws from
-    ``wiener.at(realizations[i], positions[i])``, in the order a lone run
-    of that row would draw them.
-    Nothing is refined after the last simulated level, so every output of
-    a row comes from the same mesh.  ``grids``, ``dws`` and ``positions``
-    are updated in place; returns per-row arrays.
+    ``groups`` are (rows, PathBatch) pairs by ascending step count that
+    together hold every row once; ``realizations[row]`` is the row's
+    absolute index (None for a row without one) and ``words[row]`` the
+    word offset of its Wiener stream in ``wiener``, a ``KeyedStream`` or
+    a stand-in with its ``draws``.  Each level runs every group through
+    ``_path_batch`` in blocks of at most STOCH_BLOCK rows; the rows that
+    fail the acceptance test are bisected by ``bridge_refine_batch``, in
+    the order a lone run of the row would draw its bridges, and regrouped
+    by their new step count.  Nothing is refined after the last simulated
+    level, so every output of a row comes from the same mesh.  ``words``
+    is updated in place; returns per-row arrays.
     """
     if min_step is None:
         min_step = float(model.horizon) * MIN_STEP_FRACTION
     refine_at = adapt.s1 * tol_t / n_a_bar
     accept_below = adapt.S1 * tol_t / n_a_bar
-    count = len(grids)
+    count = len(realizations)
     out = {
         "payoff": np.empty(count),
         "n_a": np.empty(count, dtype=np.intp),
-        "n_jumps": np.array([g.n_jumps for g in grids], dtype=np.intp),
+        "n_jumps": np.empty(count, dtype=np.intp),
         "levels": np.empty(count, dtype=np.intp),
         "accepted": np.empty(count, dtype=bool),
         "signed_total": np.empty(count),
         "r_total": np.empty(count),
         "work": np.zeros(count, dtype=np.intp),
     }
-    active = range(count)
     for level in range(adapt.max_refinements + 1):
-        groups = {}
-        for i in active:
-            groups.setdefault(grids[i].n_steps, []).append(i)
-        active = []
-        for n_steps in sorted(groups):
-            rows = groups[n_steps]
-            paths = stack_paths(model, [grids[i] for i in rows], [dws[i] for i in rows])
-            payoff, rho = _path_batch(model, paths, [realizations[i] for i in rows], True)
+        refined = {}
+        for rows, paths in _blocks(groups):
+            payoff, rho = _path_batch(model, paths, realizations[rows].tolist(), True)
             dt = paths.dt
+            n_steps = dt.shape[1]
             r = cutoff_density_S(rho, tol) * dt ** 2
             accepted = r.max(axis=1) < accept_below
             out["payoff"][rows] = payoff
             out["n_a"][rows] = n_steps
+            out["n_jumps"][rows] = np.count_nonzero(paths.jump_flag, axis=1)
             out["levels"][rows] = level
             out["accepted"][rows] = accepted
             out["signed_total"][rows] = (rho * dt ** 2).sum(axis=1)
@@ -792,37 +804,41 @@ def _refine_levels(
             out["work"][rows] += n_steps
             if level == adapt.max_refinements:
                 continue
-            splittable = (r >= refine_at) & (0.5 * dt >= min_step)
-            for b in np.nonzero(~accepted & splittable.any(axis=1))[0]:
-                i = rows[b]
-                grids[i], dws[i] = brownian_bridge_refine(
-                    grids[i], dws[i], splittable[b], wiener.at(realizations[i], positions[i]),
-                    min_step=min_step,
-                )
-                positions[i] = wiener.word
-                active.append(i)
-        if not active:
+            splittable = (r >= refine_at) & (0.5 * dt >= min_step) & ~accepted[:, None]
+            pieces, words[rows] = bridge_refine_batch(
+                paths, splittable, wiener, realizations[rows], words[rows]
+            )
+            for sub, batch in pieces:
+                refined.setdefault(batch.dt.shape[1], []).append((rows[sub], batch))
+        groups = [
+            (np.concatenate([sub for sub, _ in refined[n]]),
+             concat_paths([batch for _, batch in refined[n]]))
+            for n in sorted(refined)
+        ]
+        if not groups:
             break
     return out
 
 
+def _blocks(groups):
+    """The (rows, PathBatch) groups cut into blocks of at most
+    STOCH_BLOCK rows, which bounds the kernel's memory."""
+    for rows, paths in groups:
+        for lo in range(0, len(rows), STOCH_BLOCK):
+            part = slice(lo, lo + STOCH_BLOCK)
+            yield rows[part], paths if len(rows) <= STOCH_BLOCK else paths.take(part)
+
+
 def _stoch_chunk(model, det, seeds, start, count, tol, tol_t, n_a_bar, adapt):
-    """``_refine_levels`` over one index chunk, STOCH_BLOCK rows at a time."""
+    """``_refine_levels`` over one index chunk."""
     model = as_vectorized(model)
-    integral = intensity_integral_for(model)
     streams = keyed_streams(seeds)
-    parts = []
-    for lo in range(start, start + count, STOCH_BLOCK):
-        size = min(STOCH_BLOCK, start + count - lo)
-        positions = np.empty(size, dtype=np.int64)
-        grids, dws = _setup_rows(model, det, streams, lo, size, integral, positions)
-        parts.append(
-            _refine_levels(
-                model, grids, dws, range(lo, lo + size), streams[0], positions,
-                tol, tol_t, n_a_bar, adapt,
-            )
-        )
-    return _concat_rows(parts)
+    words = np.empty(count, dtype=np.int64)
+    groups = _setup_groups(model, det, streams, start, count, intensity_integral_for(model), words)
+    return _refine_levels(
+        model, [(group.rows, paths) for group, paths in groups],
+        np.arange(start, start + count), streams[0], words, tol, tol_t, n_a_bar, adapt,
+    )
 
 
 def run_stochastic_batch(
@@ -841,6 +857,8 @@ def run_stochastic_batch(
     """One batch of per-realization adaptive runs; fixed chunking."""
     if count < 1:
         raise ParameterError(f"batch size must be >= 1, got {count}")
+    _check_workers(workers)
+    _check_stochastic(tol_t, n_a_bar)
     det = np.asarray(det, float)
     args = [
         (det, seeds, s, c, tol, tol_t, n_a_bar, adapt)
@@ -943,6 +961,7 @@ def algorithm_d(
     budget = split_tolerance(tol)
     if not budget.total < 1.0:
         raise ParameterError(f"TOL must lie in (0, 1), got {tol}")
+    _check_workers(workers)
     det = uniform_mesh(model.horizon, adapt.n_initial)
     m_t = stats.m0
     next_index = 0
@@ -1074,6 +1093,7 @@ def algorithm_s(
     budget = split_tolerance(tol)
     if not budget.total < 1.0:
         raise ParameterError(f"TOL must lie in (0, 1), got {tol}")
+    _check_workers(workers)
     det = uniform_mesh(model.horizon, adapt.n_initial)
     m = stats.m0
     n_a_bar = float(adapt.n_initial)

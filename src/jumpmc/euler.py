@@ -14,12 +14,14 @@ the Brownian bridge so coarse and fine paths stay consistent in law.
 ``euler_batch`` steps B same-length paths at once, stacked into a
 ``PathBatch`` (from one-row grids by ``stack_paths``, or from the arrays
 of a ``jumps.GridGroup``); it is the forward layer of both drivers, and
-``euler_path`` is its one-row case.
+``euler_path`` is its one-row case.  ``bridge_refine_batch`` bisects the
+steps of a ``PathBatch`` with bridge draws from per-row word offsets of
+keyed streams, as ``brownian_bridge_refine`` does for one grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -73,6 +75,10 @@ class PathBatch:
     marks: Array  # (B, n + 1, mark_dim)
     dt: Array  # (B, n)
 
+    def take(self, rows) -> "PathBatch":
+        """The paths of ``rows``, an index array or a slice."""
+        return PathBatch(*(getattr(self, f.name)[rows] for f in fields(PathBatch)))
+
 
 def stack_paths(model: JumpDiffusionModel, grids, dws) -> PathBatch:
     """Stack the grids and increments of same-length paths."""
@@ -83,6 +89,15 @@ def stack_paths(model: JumpDiffusionModel, grids, dws) -> PathBatch:
         nodes = np.nonzero(g.jump_index >= 0)[0]
         marks[b, nodes] = g.marks[g.jump_index[nodes]]
     return PathBatch(times, np.stack(dws), jump_flag, marks, np.diff(times, axis=1))
+
+
+def concat_paths(batches) -> PathBatch:
+    """Batches of one path length joined row after row."""
+    if len(batches) == 1:
+        return batches[0]
+    return PathBatch(
+        *(np.concatenate([getattr(b, f.name) for b in batches]) for f in fields(PathBatch))
+    )
 
 
 def euler_batch(
@@ -177,8 +192,7 @@ def bridge_split(dt: float, dw: Array, rng: np.random.Generator):
     first = half + rng.standard_normal(dw.shape) * scale
     second = dw - first
     for round_ in range(40):
-        err = dw - (first + second)
-        bad = err != 0.0
+        bad = dw - (first + second) != 0.0
         if not bad.any():
             return first, second
         if round_ % 4 == 3:
@@ -186,15 +200,26 @@ def bridge_split(dt: float, dw: Array, rng: np.random.Generator):
             first = np.where(bad, redrawn, first)
             second = np.where(bad, dw - first, second)
         else:
-            into_first = bad & (np.abs(first) <= np.abs(second))
-            into_second = bad & ~into_first
-            first = np.where(into_first, first + err, first)
-            second = np.where(into_second, second + err, second)
-    # Unreachable in practice: fall back to the exact midpoint split.
+            first, second = _absorb(dw, first, second)
+    # After ten redraws: fall back to the exact midpoint split.
     bad = dw - (first + second) != 0.0
     first = np.where(bad, half, first)
     second = np.where(bad, dw - half, second)
     return first, second
+
+
+def _absorb(dw, first, second):
+    """One rounding-correction round of ``bridge_split``: the residual
+    dw - (first + second) of each channel that has one goes into the half
+    with the finer ulp."""
+    err = dw - (first + second)
+    bad = err != 0.0
+    into_first = bad & (np.abs(first) <= np.abs(second))
+    into_second = bad & ~into_first
+    return (
+        np.where(into_first, first + err, first),
+        np.where(into_second, second + err, second),
+    )
 
 
 def _as_mask(refined_steps, n_steps: int) -> Array:
@@ -238,6 +263,10 @@ def brownian_bridge_refine(
     minimum step floor (horizon * 2^-30 by default) raises
     RefinementDepthError.  Returns the refined grid and increments.
     """
+    if np.ndim(dw) != 2 or np.shape(dw)[0] != grid.n_steps:
+        raise ParameterError(
+            f"increments must have shape ({grid.n_steps}, wiener_dim), got {np.shape(dw)}"
+        )
     mask = _as_mask(refined_steps, grid.n_steps)
     times = grid.times
     dt = grid.dt
@@ -283,3 +312,155 @@ def brownian_bridge_refine(
         collisions=grid.collisions,
     )
     return refined, np.array(rows)
+
+
+def _insert_nodes(a, where, values):
+    """The rows of ``a`` (R, m, ...) with ``values`` inserted along axis 1
+    before the positions ``where`` of the rows laid end to end."""
+    rows, m = a.shape[:2]
+    flat = np.insert(a.reshape((rows * m,) + a.shape[2:]), where, values, axis=0)
+    return flat.reshape((rows, len(flat) // rows) + a.shape[2:])
+
+
+class _BridgeNormals:
+    """The bridge normals of H rows, each row's read in order from word
+    ``starts[h]`` of its Wiener stream.  ``w * (2 * counts[h] + 10)`` of
+    them, room for the first draws of ``counts[h]`` splits and a few
+    redraws, are drawn at once; a row that runs out is drawn again from
+    its start, twice as far."""
+
+    def __init__(self, wiener, realizations, starts, counts, w):
+        self.wiener, self.realizations, self.starts, self.w = wiener, realizations, starts, w
+        self._draw(w * (2 * counts + 10))
+
+    def _draw(self, counts):
+        self.counts = counts
+        self.offset = np.cumsum(counts) - counts
+        self.values = self.wiener.draws(
+            "standard_normal", self.realizations, counts, None, self.starts
+        )
+
+    def take(self, h, slot):
+        """Normals ``slot`` to ``slot + w - 1`` of rows ``h``, as (len(h), w)."""
+        end = slot + self.w
+        if (end > self.counts[h]).any():
+            reach = np.zeros(len(self.counts), dtype=np.int64)
+            np.maximum.at(reach, h, end)
+            self._draw(np.where(reach > self.counts, 2 * reach, self.counts))
+        return self.values[(self.offset[h] + slot)[:, None] + np.arange(self.w)]
+
+    def ends(self, used):
+        """Each row's word offset after its first ``used[h]`` normals; the
+        last draws of the stream, so a generator stand-in ends there."""
+        ends = np.empty(len(used), dtype=np.int64)
+        self.wiener.draws("standard_normal", self.realizations, used, ends, self.starts)
+        return ends
+
+
+def _bridge_splits(dt, whole, rank, srow, normals):
+    """``bridge_split`` of S steps at once, from ``normals`` (a
+    ``_BridgeNormals``): step ``s`` is the split number ``rank[s]`` of row
+    ``srow[s]``, with the steps of a row consecutive and in order.
+
+    Every row's steps are split as one sequential ``bridge_split`` run
+    would split them: each step reads ``w`` normals plus ``w`` per redraw
+    round it reaches, right after the earlier steps' normals.  Waves of
+    the three correction rounds run on all unsplit steps; each row's
+    first step still unsettled then goes on through the redraw rounds,
+    and the row's later steps are redone at their shifted normals in the
+    next wave.
+    """
+    w = whole.shape[1]
+    half = 0.5 * whole
+    scale = (0.5 * np.sqrt(dt))[:, None]
+    first = np.empty_like(whole)
+    second = np.empty_like(whole)
+    cursor = np.zeros(len(normals.counts), dtype=np.int64)  # next normal of each row
+    done = np.zeros(len(normals.counts), dtype=np.int64)  # next unsplit rank
+    todo = np.arange(len(whole))
+    while len(todo):
+        h = srow[todo]
+        slot = cursor[h] + w * (rank[todo] - done[h])
+        f = half[todo] + normals.take(h, slot) * scale[todo]
+        g = whole[todo] - f
+        for _ in range(3):
+            f, g = _absorb(whole[todo], f, g)
+        stuck = (whole[todo] - (f + g) != 0.0).any(axis=1)
+        limit = np.full(len(cursor), np.iinfo(np.int64).max)
+        np.minimum.at(limit, h[stuck], rank[todo][stuck])
+        ok = rank[todo] < limit[h]
+        first[todo[ok]], second[todo[ok]] = f[ok], g[ok]
+        j = stuck & (rank[todo] == limit[h])  # each stuck row's first unsettled step
+        s, hj, sj = todo[j], h[j], slot[j]
+        f, g, whole_s, half_s, scale_s = f[j], g[j], whole[s], half[s], scale[s]
+        redraws = np.zeros(len(s), dtype=np.int64)
+        for round_ in range(3, 40):
+            bad = whole_s - (f + g) != 0.0
+            live = bad.any(axis=1)
+            if not live.any():
+                break
+            if round_ % 4 == 3:
+                redraws += live
+                z = normals.take(hj[live], sj[live] + w * redraws[live])
+                f[live] = np.where(bad[live], half_s[live] + z * scale_s[live], f[live])
+                g = np.where(bad, whole_s - f, g)
+            else:
+                f, g = _absorb(whole_s, f, g)
+        # bridge_split's exact midpoint split after the last round
+        bad = whole_s - (f + g) != 0.0
+        first[s] = np.where(bad, half_s, f)
+        second[s] = np.where(bad, whole_s - half_s, g)
+        cursor[hj] = sj + w * (1 + redraws)
+        done[hj] = rank[s] + 1
+        todo = todo[rank[todo] > limit[h]]
+    return first, second, cursor + w * (np.bincount(srow) - done)
+
+
+def bridge_refine_batch(paths: PathBatch, mask: Array, wiener, realizations, words):
+    """Bisect the ``mask``ed steps of B same-length paths: row ``b`` comes
+    out as ``brownian_bridge_refine`` refines it with the generator
+    ``wiener.at(realizations[b], words[b])``, bit for bit.
+
+    ``wiener`` is an ``rng.KeyedStream``, or a stand-in with its
+    ``draws``.  The bridge normals of every refined row are drawn from
+    its word offset in stream order, and ``bridge_split`` runs on every
+    split step at once (``_bridge_splits``).  Returns ``(pieces, ends)``:
+    the rows with a masked step as (row indices, PathBatch) pairs by
+    ascending step count, and every row's word offset after its draws
+    (``words[b]`` when it draws none).
+    """
+    dw = paths.dw
+    n, w = dw.shape[1:]
+    counts = np.count_nonzero(mask, axis=1)
+    ends = np.array(words, dtype=np.int64)
+    hit = np.flatnonzero(counts)
+    if not len(hit):
+        return [], ends
+    step_row, step = np.nonzero(mask)  # every split step, row after row
+    k = counts[hit]
+    srow = np.repeat(np.arange(len(hit)), k)
+    rank = np.arange(len(step)) - (np.cumsum(k) - k)[srow]
+    normals = _BridgeNormals(wiener, realizations[hit], ends[hit], k, w)
+    first, second, used = _bridge_splits(
+        paths.dt[step_row, step], dw[step_row, step], rank, srow, normals
+    )
+    ends[hit] = normals.ends(used)
+
+    pieces = []
+    for c in np.unique(k).tolist():
+        rows = np.flatnonzero(counts == c)
+        on = (counts == c)[step_row]
+        r, at = np.repeat(np.arange(len(rows)), c), step[on]
+        node = r * (n + 1) + at + 1  # the midpoint goes before this node
+        t = paths.times[rows]
+        times = _insert_nodes(t, node, 0.5 * (t[r, at] + t[r, at + 1]))
+        halves = dw[rows]
+        halves[r, at] = first[on]
+        pieces.append((rows, PathBatch(
+            times,
+            _insert_nodes(halves, r * n + at + 1, second[on]),
+            _insert_nodes(paths.jump_flag[rows], node, False),
+            _insert_nodes(paths.marks[rows], node, 0.0),
+            np.diff(times, axis=1),
+        )))
+    return pieces, ends

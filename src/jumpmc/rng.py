@@ -217,18 +217,21 @@ class KeyedStream:
         state = self.generator.bit_generator.state
         return 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
 
-    def fast_draws(self, kind: str, realizations, counts):
+    def fast_draws(self, kind: str, realizations, counts, starts=None):
         """``counts[k]`` fast-path draws of ``kind`` (a ``Generator``
         method: "standard_normal", "standard_exponential" or "random")
-        from word 0 of stream ``realizations[k]``, row after row in one
-        flat array, and each row's first rejected draw (``counts[k]`` when
-        none).  A row's values from its first rejection on are not
-        numpy's.  Philox runs over at most SLAB_BLOCKS blocks at a time.
+        from word ``starts[k]`` (default 0) of stream ``realizations[k]``,
+        row after row in one flat array, and each row's first rejected
+        draw (``counts[k]`` when none).  A row's values from its first
+        rejection on are not numpy's.  Philox runs over at most
+        SLAB_BLOCKS blocks at a time.
         """
         fast = _FAST_PATHS[kind]
         realizations = np.asarray(realizations, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.intp)
-        blocks = (counts + 3) // 4
+        counts = np.asarray(counts, dtype=np.int64)
+        starts = np.zeros_like(counts) if starts is None else np.asarray(starts, dtype=np.int64)
+        skip = starts % 4  # words of a row's first block before its first draw
+        blocks = (skip + counts + 3) // 4
         block_end = np.cumsum(blocks)
         value_end = np.cumsum(counts)
         values = np.empty(int(value_end[-1]) if len(counts) else 0)
@@ -239,27 +242,30 @@ class KeyedStream:
             hi = max(lo + 1, int(np.searchsorted(block_end, base + SLAB_BLOCKS, side="right")))
             nb, nc = blocks[lo:hi], counts[lo:hi]
             row, block = _ragged(nb)
-            words = philox_words(self.seed, self.stream_id, realizations[lo:hi][row], block)
+            words = philox_words(
+                self.seed, self.stream_id, realizations[lo:hi][row], starts[lo:hi][row] // 4 + block
+            )
             row, pos = _ragged(nc)
-            x, ok = fast(words.ravel()[4 * (np.cumsum(nb) - nb)[row] + pos])
+            x, ok = fast(words.ravel()[4 * (np.cumsum(nb) - nb)[row] + skip[lo:hi][row] + pos])
             values[value_end[lo] - nc[0]:value_end[hi - 1]] = x
             np.minimum.at(first, lo + row[~ok], pos[~ok])
             lo = hi
         return values, first
 
-    def draws(self, kind: str, realizations, counts, ends=None):
+    def draws(self, kind: str, realizations, counts, ends=None, starts=None):
         """``fast_draws`` with every rejecting row finished by numpy's
         generator from its first rejected draw, so every value is
         numpy's.  With ``ends``, an integer array like ``counts``, each
         row's word offset after its draws is stored there."""
-        values, first = self.fast_draws(kind, realizations, counts)
+        values, first = self.fast_draws(kind, realizations, counts, starts)
         counts = np.asarray(counts, dtype=np.int64)
+        starts = np.zeros_like(counts) if starts is None else np.asarray(starts, dtype=np.int64)
         if ends is not None:
-            ends[:] = counts
-        starts = np.cumsum(counts) - counts
+            ends[:] = starts + counts
+        offsets = np.cumsum(counts) - counts
         for k in np.nonzero(first < counts)[0].tolist():
-            lo, hi = int(starts[k] + first[k]), int(starts[k] + counts[k])
-            generator = self.at(int(realizations[k]), int(first[k]))
+            lo, hi = int(offsets[k] + first[k]), int(offsets[k] + counts[k])
+            generator = self.at(int(realizations[k]), int(starts[k] + first[k]))
             values[lo:hi] = getattr(generator, kind)(hi - lo)
             if ends is not None:
                 ends[k] = self.word

@@ -1,0 +1,123 @@
+"""The batched bridge refinement against the one-row refinement.
+
+``euler.bridge_refine_batch`` refines many rows of a ``PathBatch`` at
+once, drawing every row's bridge normals from its Wiener stream at a word
+offset; each row must come out bit for bit as ``brownian_bridge_refine``
+refines it with the generator at that offset, and end at the same word.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from jumpmc import SeedConfig, brownian_bridge_refine, build_model, uniform_mesh  # noqa: E402
+from jumpmc import controller as ctl  # noqa: E402
+from jumpmc.euler import bridge_refine_batch, stack_paths  # noqa: E402
+from jumpmc.jumps import intensity_integral_for  # noqa: E402
+from jumpmc.model import as_vectorized  # noqa: E402
+from jumpmc.rng import keyed_streams  # noqa: E402
+
+REJECTING, REDRAWING = 0, 1  # the block's crafted rows
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["w1", "w2"])
+def block(request):
+    """test5's largest step-count group among realizations below 200, as
+    (model, group, paths, realizations, words, wiener), with its Wiener
+    increments widened to ``request.param`` channels (test5 has one).
+
+    Row REJECTING starts at a word whose normal numpy's ziggurat rejects,
+    so its first bridge draw goes to numpy's generator.  Row REDRAWING
+    has a 1e-20 increment on step 2, which no bridge perturbation of a
+    0.2 step can split exactly, so splitting that step runs through every
+    redraw round of ``bridge_split``.
+    """
+    m = as_vectorized(build_model("test5"))
+    streams = keyed_streams(SeedConfig())
+    words = np.empty(200, dtype=np.int64)
+    groups = ctl._setup_groups(
+        m, uniform_mesh(1.0, 5), streams, 0, 200, intensity_integral_for(m), words
+    )
+    group, paths = max(groups, key=lambda gp: len(gp[0].rows))
+    realizations, words = group.rows.astype(np.int64), words[group.rows]
+    wiener = streams[0]
+    r = int(realizations[REJECTING])
+    _, first = wiener.fast_draws("standard_normal", [r], [400], [words[REJECTING]])
+    assert first[0] < 400
+    words[REJECTING] += first[0]
+    if request.param > 1:
+        extra = np.random.default_rng(5).standard_normal(paths.dt.shape + (request.param - 1,))
+        dw = np.concatenate([paths.dw, extra * np.sqrt(paths.dt)[..., None]], axis=2)
+        paths = replace(paths, dw=dw)
+    paths.dw[REDRAWING, 2] = 1e-20
+    return m, group, paths, realizations, words, wiener
+
+
+def check_rows(block, rows, mask):
+    """Refine ``rows`` of the block by ``mask`` in one batch and each row
+    alone; return each row's word offset after its draws."""
+    m, group, paths, realizations, words, wiener = block
+    rows = np.asarray(rows)
+    pieces, ends = bridge_refine_batch(
+        paths.take(rows), mask, wiener, realizations[rows], words[rows]
+    )
+    lengths = [batch.dt.shape[1] for _, batch in pieces]
+    assert lengths == sorted(set(lengths))
+    got = {}
+    for sub, batch in pieces:
+        assert list(sub) == sorted(sub)
+        for j, b in enumerate(sub.tolist()):
+            got[b] = batch.take([j])
+    assert sorted(got) == np.flatnonzero(mask.any(axis=1)).tolist()
+    for b, row in enumerate(rows.tolist()):
+        grid, dw = brownian_bridge_refine(
+            group.grid(row), paths.dw[row], mask[b],
+            wiener.at(realizations[row], int(words[row])),
+        )
+        assert ends[b] == wiener.word, b
+        if b not in got:
+            continue
+        want = stack_paths(m, [grid], [dw])
+        for name in ("times", "dw", "jump_flag", "marks", "dt"):
+            np.testing.assert_array_equal(getattr(got[b], name), getattr(want, name), name)
+    return ends
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_batched_refine_matches_one_row_refine(block, data):
+    paths = block[2]
+    n_rows, n_steps = paths.dt.shape
+    rows = data.draw(
+        st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=16, unique=True),
+        label="rows",
+    )
+    mask = np.array(
+        data.draw(
+            st.lists(
+                st.lists(st.booleans(), min_size=n_steps, max_size=n_steps),
+                min_size=len(rows), max_size=len(rows),
+            ),
+            label="mask",
+        )
+    )
+    check_rows(block, rows, mask)
+
+
+def test_crafted_rows_take_both_fallbacks(block):
+    _, _, paths, realizations, words, wiener = block
+    n_steps = paths.dt.shape[1]
+    rows = [REJECTING, REDRAWING, 2, 3]
+    mask = np.ones((len(rows), n_steps), dtype=bool)
+    ends = check_rows(block, rows, mask)
+    _, first = wiener.fast_draws(
+        "standard_normal", realizations[[REJECTING]], [1], words[[REJECTING]]
+    )
+    assert first[0] == 0  # the row's first bridge normal is a ziggurat rejection
+    # the crafted step draws ten redraws on top of one draw per step
+    assert ends[1] - words[REDRAWING] >= paths.dw.shape[2] * (n_steps + 10)

@@ -597,3 +597,40 @@ def test_density_overflow_raises_without_a_numpy_warning(run):
     with pytest.raises(EvaluationError) as exc:
         run(overflowing_density_model(), 1033, 1)
     assert exc.value.realization == 1033
+
+
+@pytest.mark.parametrize(
+    "tol_t, n_a_bar",
+    [(0.01, 0.0), (0.01, -5.0), (0.01, math.nan), (0.01, math.inf), (0.0, 5.0),
+     (-0.01, 5.0), (math.nan, 5.0)],
+)
+def test_stochastic_control_rejects_bad_thresholds(tol_t, n_a_bar):
+    # n_a_bar = 0 divided by zero, nan accepted nothing and refined
+    # nothing, and inf or tol_t = 0 bisected every step to the floor
+    m = build_model("test5")
+    det = uniform_mesh(1.0, 5)
+    kw = dict(tol=0.04, tol_t=tol_t, n_a_bar=n_a_bar)
+    with pytest.raises(ParameterError):
+        run_stochastic_batch(m, det, SeedConfig(), 0, 10, **kw)
+    wiener, jump_rng, mark_rng = realization_streams(SeedConfig(), 0)
+    jumps = sample_jumps(m, intensity_integral_for(m), jump_rng, mark_rng)
+    with pytest.raises(ParameterError):
+        control_time_error(m, jumps, det, wiener, **kw)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_library_entry_points_reject_fewer_than_one_worker(workers):
+    m = build_model("test5")
+    det = uniform_mesh(1.0, 5)
+    calls = [
+        lambda: run_mesh_batch(m, det, SeedConfig(), 0, 10, workers=workers),
+        lambda: run_stochastic_batch(
+            m, det, SeedConfig(), 0, 10, tol=0.04, tol_t=0.01, n_a_bar=5.0, workers=workers
+        ),
+        lambda: ctl.run_interval_batch(m, det, SeedConfig(), 10, workers=workers),
+        lambda: algorithm_d(m, 0.1, workers=workers),
+        lambda: algorithm_s(m, 0.1, workers=workers),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match="workers"):
+            call()

@@ -264,11 +264,15 @@ def test_batched_interval_totals_match_the_one_row_pipeline(monkeypatch, workers
     m = build_model("test5")
     det = uniform_mesh(1.0, 5)
     totals = ctl.interval_signed_totals(m, det, SeedConfig(), 100, workers=workers)
-    grids, dws = ctl._setup_rows(
+    rows = {}
+    for group, paths in ctl._setup_groups(
         m, det, keyed_streams(SeedConfig()), 0, 100, intensity_integral_for(m)
-    )
+    ):
+        for b, row in enumerate(group.rows.tolist()):
+            rows[row] = group.grid(b), paths.dw[b]
     widths = np.diff(det)
-    for i, (grid, dw) in enumerate(zip(grids, dws)):
+    for i in range(100):
+        grid, dw = rows[i]
         path = euler_path(m, grid, dw)
         duals = backward_duals(m, path, order=3)
         rho = rho_per_interval(m, path, duals)

@@ -213,6 +213,14 @@ def test_refine_rejects_bad_selectors():
         brownian_bridge_refine(grid, dw, np.zeros(2, bool), rng)
 
 
+def test_refine_rejects_increments_of_the_wrong_shape():
+    grid = plain_grid(6)
+    rng = np.random.Generator(np.random.Philox(key=2))
+    for dw in (np.zeros((9, 1)), np.zeros((3, 1)), np.zeros(6), np.zeros((6, 1, 1))):
+        with pytest.raises(ParameterError):
+            brownian_bridge_refine(grid, dw, [0], rng)
+
+
 def test_refine_below_floor_raises():
     det = np.array([0.0, 2.0 ** -31, 1.0])
     grid = build_augmented_grid(det, no_jumps(), horizon=1.0)

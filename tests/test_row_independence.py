@@ -20,8 +20,9 @@ def group():
     m = build_model("test5")
     det = uniform_mesh(1.0, 5)
     integral = intensity_integral_for(m)
-    grids, dws = ctl._setup_rows(m, det, keyed_streams(SeedConfig()), 0, 120, integral)
-    rows = [(g, w, i) for i, (g, w) in enumerate(zip(grids, dws)) if g.n_steps == 6]
+    groups = ctl._setup_groups(m, det, keyed_streams(SeedConfig()), 0, 120, integral)
+    group, paths = next((g, p) for g, p in groups if p.dt.shape[1] == 6)
+    rows = [(group.grid(b), paths.dw[b], i) for b, i in enumerate(group.rows.tolist())]
     alone = [
         ctl._path_batch(m, ctl.stack_paths(m, [g], [w]), [i], True) for g, w, i in rows
     ]
