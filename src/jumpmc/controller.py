@@ -22,8 +22,10 @@ statistical uncertainty.  Two drivers meet the budget:
 
 Both drivers evaluate paths with one batched kernel, ``_path_batch``,
 which chains the batched layers for B same-length paths: forward Euler
-(``euler.euler_batch``), order-3 dual weights (``duals.dual_batch``) and
-the per-step density (``density.rho_batch``), with every callback
+(``euler.euler_batch``; ``euler.euler_terminal`` when only X(T) is
+needed, as in ``monte_carlo``), order-3 dual weights
+(``duals.dual_batch``) and the per-step density
+(``density.rho_batch``), with every callback
 evaluated once per node and shared by the dual and density layers; the
 dual and density layers hold their arrays rows last, (t..., n, B).  The
 mesh engine groups a chunk's realizations by step count and reduces
@@ -37,14 +39,15 @@ row's word offset (``control_time_error`` is the one-row case).
 ``_setup_groups`` sets up a whole index range at once from
 counter-based draws (``rng.KeyedStream``): every realization's jump
 times, marks (``jumps.sample_jump_chunk``) and Wiener normals come from
-its own Philox streams, computed for the whole range in numpy, and a
-realization whose draws need numpy's generator (a ziggurat rejection, a
-jump count past the drawn block, a mark sampler without a quantile)
-continues on it at its word offset.  All grids are merged in one pass by
-``jumps.build_grid_groups``, which hands the kernel stacked arrays per
-step count, and the set-up returns each row's Wiener stream position as
-a word offset.  Layer arithmetic is row-wise, so no realization's numbers
-depend on the rows it shares a batch with.
+its own Philox streams, computed for the whole range in numpy (wedge
+rejections of the Wiener normals included), and a realization whose
+draws need numpy's generator (a ziggurat tail draw or a rejected jump
+exponential, a jump count past the drawn block, a mark sampler without
+a quantile) continues on it at its word offset.  All grids are merged in
+one pass by ``jumps.build_grid_groups``, which hands the kernel stacked
+arrays per step count, and the set-up returns each row's Wiener stream
+position as a word offset.  Layer arithmetic is row-wise, so no
+realization's numbers depend on the rows it shares a batch with.
 
 Batches are chunked into fixed-size index ranges; a chunk is always
 computed the same way no matter how chunks are spread over workers, and
@@ -94,6 +97,7 @@ from .euler import (  # noqa: F401
     concat_paths,
     euler_batch,
     euler_path,
+    euler_terminal,
     sample_wiener_increments,
     stack_paths,
 )
@@ -101,6 +105,7 @@ from .jumps import (  # noqa: F401
     JumpRealization,
     build_augmented_grid,
     build_grid_groups,
+    check_mesh,
     intensity_integral_for,
     sample_jump_chunk,
     sample_jumps,
@@ -134,8 +139,8 @@ class ToleranceBudget:
 def split_tolerance(tol: float) -> ToleranceBudget:
     """Split TOL into (2/3, 1/3) statistical/time parts, the time part
     again into (2/3, 1/3) for indicator size vs indicator uncertainty."""
-    if not tol > 0.0:
-        raise ParameterError(f"TOL must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ParameterError(f"TOL must be positive and finite, got {tol}")
     tol = float(tol)
     tol_s, tol_t = _partition_exact(tol)
     tol_tt, tol_ts = _partition_exact(tol_t)
@@ -400,7 +405,8 @@ _KERNEL_CALLBACKS = STEP_DENSITY_CALLBACKS + ["drift_xxx", "diffusion_xxx"]
 
 def _path_batch(model, paths, realizations, want_rho):
     """Forward Euler and, if ``want_rho``, order-3 duals and per-step rho
-    for the B same-length rows of ``paths``.
+    for the B same-length rows of ``paths``; without ``want_rho`` no path
+    is stored, only X(T).
 
     ``realizations`` are the rows' absolute indices, named by the
     EvaluationError raised for a diverging path or a non-finite density.
@@ -409,10 +415,11 @@ def _path_batch(model, paths, realizations, want_rho):
     evaluated once per node, and the dual and density layers share the
     values.
     """
+    if not want_rho:
+        terminal = euler_terminal(model, paths, realizations=realizations)
+        return np.asarray(model.payoff(terminal), float), None
     values, left = euler_batch(model, paths, realizations=realizations)
     payoff = np.asarray(model.payoff(values[:, -1]), float)
-    if not want_rho:
-        return payoff, None
     model.require(
         *_required_callbacks(3, with_jumps=paths.jump_flag.any()), "drift_t", "diffusion_t"
     )
@@ -543,6 +550,7 @@ def run_interval_batch(model, det, seeds, count, workers=1) -> dict:
     """Payoffs and signed interval-density totals of realizations
     [0, count), in MESH_CHUNK chunks run on ``workers`` processes."""
     _check_workers(workers)
+    det = check_mesh(det, model.horizon)
     args = [(det, seeds, s, c) for s, c in _chunk_ranges(0, count, MESH_CHUNK)]
     return _concat_rows(_run_chunked(_interval_chunk, model, args, workers))
 
@@ -656,7 +664,7 @@ def run_mesh_batch(
     _check_workers(workers)
     if want_density and tol is None:
         raise ParameterError("want_density needs tol for the density clamp")
-    det = np.asarray(det, float)
+    det = check_mesh(det, model.horizon)
     args = [
         (det, seeds, s, c, tol, want_density)
         for s, c in _chunk_ranges(start, count, MESH_CHUNK)
@@ -859,7 +867,7 @@ def run_stochastic_batch(
         raise ParameterError(f"batch size must be >= 1, got {count}")
     _check_workers(workers)
     _check_stochastic(tol_t, n_a_bar)
-    det = np.asarray(det, float)
+    det = check_mesh(det, model.horizon)
     args = [
         (det, seeds, s, c, tol, tol_t, n_a_bar, adapt)
         for s, c in _chunk_ranges(start, count, STOCH_CHUNK)

@@ -426,6 +426,19 @@ class GridGroup:
         )
 
 
+def check_mesh(det_times: Array, horizon: float) -> Array:
+    """The deterministic mesh as a float array; ParameterError unless it
+    runs from 0 to the horizon through finite, strictly increasing nodes."""
+    det = np.asarray(det_times, float)
+    if det.ndim != 1 or len(det) < 2:
+        raise ParameterError("deterministic mesh needs at least two nodes")
+    if det[0] != 0.0 or abs(det[-1] - horizon) > 1e-12 * max(1.0, horizon):
+        raise ParameterError("deterministic mesh must run from 0 to the horizon")
+    if not (np.diff(det) > 0.0).all():  # NaN fails > too
+        raise ParameterError("deterministic mesh must be finite and strictly increasing")
+    return det
+
+
 def build_grid_groups(
     det_times: Array,
     n_jumps: Array,
@@ -447,13 +460,7 @@ def build_grid_groups(
     indices, named by the errors raised for a row (None when the rows
     have none).
     """
-    det = np.asarray(det_times, float)
-    if det.ndim != 1 or len(det) < 2:
-        raise ParameterError("deterministic mesh needs at least two nodes")
-    if det[0] != 0.0 or abs(det[-1] - horizon) > 1e-12 * max(1.0, horizon):
-        raise ParameterError("deterministic mesh must run from 0 to the horizon")
-    if np.any(np.diff(det) <= 0.0):
-        raise ParameterError("deterministic mesh must be strictly increasing")
+    det = check_mesh(det_times, horizon)
 
     def fail(error, message, row):
         which = None if realizations is None else realizations[int(row)]

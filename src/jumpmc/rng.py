@@ -15,20 +15,24 @@ counter ``w // 4 + 1``.  So the engines draw a whole chunk at once:
 on uint64 arrays, and ``standard_normal``, ``standard_exponential`` and
 ``random`` turn words into numpy's draws.  The first two are the fast
 path of numpy's ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000)
-with numpy's own tables; a draw they reject needs numpy's slow path,
-whose libm ``exp``/``log1p`` numpy's array functions do not match bit for
-bit, so that row goes on with numpy's generator from the rejected draw's
-word offset.  ``KeyedStream`` serves a stream family: ``draws`` for a
-chunk, ``at(i, word)`` as the one-row generator at any word offset.
+with numpy's own tables.  A normal draw they reject is mostly a wedge
+draw, resolved in arrays from one more word and libm's ``exp`` for the
+close calls (``_wedges``), which shifts the row's later draws by one or
+two words.  A tail draw (numpy's loop of libm ``log1p`` calls), any
+rejected exponential and a row that runs past its drawn words go on with
+numpy's generator from the rejected draw's word offset.  ``KeyedStream``
+serves a stream family: ``draws`` for a chunk, ``at(i, word)`` as the
+one-row generator at any word offset.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._ziggurat import KE_DOUBLE, KI_DOUBLE, WE_DOUBLE, WI_DOUBLE
+from ._ziggurat import FI_DOUBLE, KE_DOUBLE, KI_DOUBLE, WE_DOUBLE, WI_DOUBLE
 from .errors import ParameterError
 
 STREAM_WIENER = 0
@@ -175,6 +179,85 @@ def _ragged(counts):
     return row, np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
 
 
+def _rows(counts, starts):
+    """``counts`` and ``starts`` (default 0) as int64 arrays."""
+    counts = np.asarray(counts, dtype=np.int64)
+    starts = np.zeros_like(counts) if starts is None else np.asarray(starts, dtype=np.int64)
+    return counts, starts
+
+
+def _normal_slack(counts, starts):
+    """Words drawn per row for ``counts`` normals: at least
+    ``2 + counts // 16`` words past the last one the fast path needs, up
+    to the end of the row's last Philox block (no row draws for none)."""
+    skip = starts % 4
+    drawn = 4 * ((skip + counts + 2 + counts // 16 + 3) // 4) - skip
+    return np.where(counts > 0, drawn, 0)
+
+
+def _segment_base(lead, values):
+    """Each entry's value of ``values`` (non-decreasing) at the last
+    ``lead`` entry up to it."""
+    return np.maximum.accumulate(np.where(lead, values, values[:1]))
+
+
+def _wedges(er, eq, word, after, x, counts, drawn):
+    """Read rows of normals from their drawn words as numpy's ziggurat
+    does, resolving every rejected draw that is not a tail draw.
+
+    Row ``k`` has ``drawn[k]`` words for ``counts[k]`` draws.  Its words
+    that the fast path rejects are the events ``(er, eq)`` (row, place;
+    in row and place order), with the word itself, the word after it
+    (meaningless past the row's drawn words) and the fast path's ``x``.  A
+    rejected draw at ``idx != 0`` reads the next word as a uniform ``u``
+    (``Generator.random``) and keeps ``x`` if the wedge test
+    ``(fi[idx-1] - fi[idx]) * u + fi[idx] < exp(-x*x/2)`` holds, with
+    libm's ``exp`` as numpy's C code calls it; else it draws again from
+    the word after ``u``.  So each rejection shifts the row's later draws
+    by one or two words.  Returns ``((row, value), delta, total, hand)``:
+    the shift ``delta`` from value ``value`` of row ``row`` on, each row's
+    total shift, and the rows handed to numpy's generator as ``(rows,
+    value, word)``: at a tail draw (``idx == 0``), at a draw whose ``u``
+    was not drawn, or at the first word not drawn.
+    """
+    # a run of adjacent rejected words alternates draw, u, draw, ...
+    k = np.arange(len(er))
+    run = np.ones(len(er), dtype=bool)
+    run[1:] = (eq[1:] != eq[:-1] + 1) | (er[1:] != er[:-1])
+    draw = (k - _segment_base(run, k)) % 2 == 0
+    er, eq, word, after, x = er[draw], eq[draw], word[draw], after[draw], x[draw]
+    idx = (word & np.uint64(0xFF)).astype(np.intp)
+    has_u = eq + 1 < drawn[er]
+    u, _ = random(after)
+    wedge = (FI_DOUBLE[idx - 1] - FI_DOUBLE[idx]) * u + FI_DOUBLE[idx]
+    # np.exp is within a few ulps of libm's exp; libm decides the close calls
+    bound = np.exp(-0.5 * x * x)
+    close = np.flatnonzero(np.abs(wedge - bound) <= 1e-9 * bound)
+    bound[close] = [math.exp(v) for v in (-0.5 * x[close] * x[close]).tolist()]
+    accept = wedge < bound
+    step = np.where(accept, 1, 2)
+    lead = np.ones(len(er), dtype=bool)
+    lead[1:] = er[1:] != er[:-1]
+    before = np.cumsum(step) - step
+    value = eq - (before - _segment_base(lead, before))  # the draw's value
+    live = value < counts[er]  # a prefix of each row's draws
+    stop = live & ((idx == 0) | ~has_u)
+    hand_rows, first = np.unique(er[stop], return_index=True)
+    hand_value, hand_word = value[stop][first], eq[stop][first]
+    cut = np.full(len(counts), np.iinfo(np.int64).max)
+    cut[hand_rows] = hand_word
+    live &= eq < cut[er]
+    er, value, accept, step = er[live], value[live], accept[live], step[live]
+    total = np.bincount(er, weights=step, minlength=len(counts)).astype(np.int64)
+    over = np.flatnonzero((counts + total > drawn) & (cut > drawn))  # not handed yet
+    hand = (
+        np.concatenate([hand_rows, over]),
+        np.concatenate([hand_value, drawn[over] - total[over]]),
+        np.concatenate([hand_word, drawn[over]]),
+    )
+    return (er, value + accept), step, total, hand
+
+
 class KeyedStream:
     """One stream family (seed and stream id), realization by realization.
 
@@ -217,59 +300,116 @@ class KeyedStream:
         state = self.generator.bit_generator.state
         return 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
 
+    def _slabs(self, realizations, counts, starts):
+        """The Philox words of every row, ``counts[k]`` from word
+        ``starts[k]`` of stream ``realizations[k]``, over at most
+        SLAB_BLOCKS blocks at a time: yields ``(lo, hi, wv)``, the words
+        of rows ``lo`` to ``hi - 1`` row after row."""
+        skip = starts % 4  # words of a row's first block before its first draw
+        blocks = (skip + counts + 3) // 4
+        block_end = np.cumsum(blocks)
+        lo = 0
+        while lo < len(counts):
+            base = block_end[lo] - blocks[lo]
+            hi = max(lo + 1, int(np.searchsorted(block_end, base + SLAB_BLOCKS, side="right")))
+            nb = blocks[lo:hi]
+            row, block = _ragged(nb)
+            words = philox_words(
+                self.seed, self.stream_id, realizations[lo:hi][row], starts[lo:hi][row] // 4 + block
+            )
+            row, pos = _ragged(counts[lo:hi])
+            yield lo, hi, words.ravel()[4 * (np.cumsum(nb) - nb)[row] + skip[lo:hi][row] + pos]
+            lo = hi
+
     def fast_draws(self, kind: str, realizations, counts, starts=None):
         """``counts[k]`` fast-path draws of ``kind`` (a ``Generator``
         method: "standard_normal", "standard_exponential" or "random")
         from word ``starts[k]`` (default 0) of stream ``realizations[k]``,
         row after row in one flat array, and each row's first rejected
         draw (``counts[k]`` when none).  A row's values from its first
-        rejection on are not numpy's.  Philox runs over at most
-        SLAB_BLOCKS blocks at a time.
+        rejection on are not numpy's.
         """
         fast = _FAST_PATHS[kind]
         realizations = np.asarray(realizations, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
-        starts = np.zeros_like(counts) if starts is None else np.asarray(starts, dtype=np.int64)
-        skip = starts % 4  # words of a row's first block before its first draw
-        blocks = (skip + counts + 3) // 4
-        block_end = np.cumsum(blocks)
+        counts, starts = _rows(counts, starts)
         value_end = np.cumsum(counts)
         values = np.empty(int(value_end[-1]) if len(counts) else 0)
         first = counts.copy()
-        lo = 0
-        while lo < len(counts):
-            base = block_end[lo] - blocks[lo]
-            hi = max(lo + 1, int(np.searchsorted(block_end, base + SLAB_BLOCKS, side="right")))
-            nb, nc = blocks[lo:hi], counts[lo:hi]
-            row, block = _ragged(nb)
-            words = philox_words(
-                self.seed, self.stream_id, realizations[lo:hi][row], starts[lo:hi][row] // 4 + block
-            )
-            row, pos = _ragged(nc)
-            x, ok = fast(words.ravel()[4 * (np.cumsum(nb) - nb)[row] + skip[lo:hi][row] + pos])
-            values[value_end[lo] - nc[0]:value_end[hi - 1]] = x
-            np.minimum.at(first, lo + row[~ok], pos[~ok])
-            lo = hi
+        for lo, hi, wv in self._slabs(realizations, counts, starts):
+            x, ok = fast(wv)
+            at = value_end[lo] - counts[lo]
+            values[at:at + len(x)] = x
+            bad = at + np.flatnonzero(~ok)
+            row = np.searchsorted(value_end, bad, side="right")
+            np.minimum.at(first, row, bad - (value_end - counts)[row])
         return values, first
 
     def draws(self, kind: str, realizations, counts, ends=None, starts=None):
-        """``fast_draws`` with every rejecting row finished by numpy's
-        generator from its first rejected draw, so every value is
+        """``counts[k]`` draws of ``kind`` from word ``starts[k]`` (default
+        0) of stream ``realizations[k]``, row after row, every value
         numpy's.  With ``ends``, an integer array like ``counts``, each
-        row's word offset after its draws is stored there."""
-        values, first = self.fast_draws(kind, realizations, counts, starts)
-        counts = np.asarray(counts, dtype=np.int64)
-        starts = np.zeros_like(counts) if starts is None else np.asarray(starts, dtype=np.int64)
-        if ends is not None:
+        row's word offset after its draws is stored there.
+
+        Normals resolve ziggurat rejections in arrays (``_wedges``) from a
+        few slack words per row; other kinds, and a normal row with a tail
+        draw or past its slack, go on with numpy's generator from the
+        first draw the arrays cannot make.
+        """
+        realizations = np.asarray(realizations, dtype=np.int64)
+        counts, starts = _rows(counts, starts)
+        if ends is None:
+            ends = np.empty(len(counts), dtype=np.int64)
+        if kind == "standard_normal":
+            values, hand = self._normals(realizations, counts, ends, starts)
+        else:
+            values, first = self.fast_draws(kind, realizations, counts, starts)
             ends[:] = starts + counts
+            rows = np.flatnonzero(first < counts)
+            hand = rows, first[rows], first[rows]
         offsets = np.cumsum(counts) - counts
-        for k in np.nonzero(first < counts)[0].tolist():
-            lo, hi = int(offsets[k] + first[k]), int(offsets[k] + counts[k])
-            generator = self.at(int(realizations[k]), int(starts[k] + first[k]))
-            values[lo:hi] = getattr(generator, kind)(hi - lo)
-            if ends is not None:
-                ends[k] = self.word
+        for k, v, w in zip(*(np.asarray(a).tolist() for a in hand)):
+            generator = self.at(int(realizations[k]), int(starts[k] + w))
+            values[offsets[k] + v:offsets[k] + counts[k]] = getattr(generator, kind)(
+                int(counts[k] - v)
+            )
+            ends[k] = self.word
         return values
+
+    def _normals(self, realizations, counts, ends, starts):
+        """The normals of ``draws`` from ``_wedges``, with each row's word
+        offset after its draws in ``ends``, and the rows left to numpy's
+        generator as ``(rows, value, word)``."""
+        drawn = _normal_slack(counts, starts)
+        woff = np.cumsum(drawn) - drawn
+        x = np.empty(int(drawn.sum()))
+        none = np.empty(0, dtype=np.uint64)
+        events = [(np.empty(0, dtype=np.int64), none, none)]
+        for lo, hi, wv in self._slabs(realizations, drawn, starts):
+            at = woff[lo]
+            x[at:at + len(wv)], ok = standard_normal(wv)
+            ev = np.flatnonzero(~ok)
+            events.append((at + ev, wv[ev], wv[np.minimum(ev + 1, len(wv) - 1)]))
+        ev, word, after = (np.concatenate(parts) for parts in zip(*events))
+        er = np.searchsorted(woff, ev, side="right") - 1
+        (er, at), delta, total, hand = _wedges(
+            er, ev - woff[er], word, after, x[ev], counts, drawn
+        )
+        ends[:] = starts + counts + total
+        # value v of row k is x[woff[k] + v + shift], the shift stepping up
+        # at each resolved rejection and back to 0 at the row's end or
+        # where the row is handed over: one cumsum over steps
+        voff = np.cumsum(counts) - counts
+        end = counts.copy()
+        end[hand[0]] = hand[1]
+        shifted = np.flatnonzero(total)
+        place = np.ones(int(counts.sum()) + 1, dtype=np.int64)
+        place[0] = 0
+        np.add.at(
+            place,
+            np.concatenate([voff[1:], voff[er] + at, voff[shifted] + end[shifted]]),
+            np.concatenate([np.diff(woff - voff), delta, -total[shifted]]),
+        )
+        return x[np.cumsum(place[:-1], out=place[:-1])], hand
 
 
 def keyed_streams(seeds: SeedConfig):

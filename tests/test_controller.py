@@ -278,6 +278,33 @@ def test_algorithm_d_rejects_tol_at_least_one():
         algorithm_s(m, 1.0)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+def test_a_non_finite_tolerance_is_a_parameter_error(tol):
+    m = build_model("test5")
+    for call in (split_tolerance, lambda t: algorithm_d(m, t), lambda t: algorithm_s(m, t)):
+        with pytest.raises(ParameterError) as exc:
+            call(tol)
+        assert type(exc.value) is ParameterError
+
+
+@pytest.mark.parametrize("engine", ["mesh", "stochastic", "interval"])
+def test_a_nan_mesh_is_rejected_before_any_work(monkeypatch, engine):
+    m = build_model("test5")
+    det = np.array([0.0, math.nan, 1.0])
+
+    def no_setup(*args, **kwargs):
+        raise AssertionError("set-up ran on an invalid mesh")
+
+    monkeypatch.setattr(ctl, "_setup_groups", no_setup)
+    with pytest.raises(ParameterError, match="finite and strictly increasing"):
+        if engine == "mesh":
+            run_mesh_batch(m, det, SeedConfig(), 0, 10)
+        elif engine == "stochastic":
+            run_stochastic_batch(m, det, SeedConfig(), 0, 10, tol=0.1, tol_t=0.03, n_a_bar=5.0)
+        else:
+            ctl.run_interval_batch(m, det, SeedConfig(), 10)
+
+
 def test_algorithm_s_report_invariants():
     m = build_model("test5")
     rep = algorithm_s(m, 0.1)

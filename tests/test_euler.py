@@ -1,5 +1,7 @@
 """Euler stepping, left limits, and Brownian-bridge refinement."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,16 +9,22 @@ from jumpmc import (
     ParameterError,
     PathDivergenceError,
     RefinementDepthError,
+    SeedConfig,
     bridge_split,
     brownian_bridge_refine,
     build_augmented_grid,
+    build_model,
     euler_path,
+    intensity_integral_for,
     no_jumps,
     sample_wiener_increments,
     uniform_mesh,
 )
+from jumpmc import controller as ctl
+from jumpmc.euler import PathBatch, euler_batch, euler_terminal
 from jumpmc.jumps import JumpRealization
-from jumpmc.model import JumpDiffusionModel
+from jumpmc.model import JumpDiffusionModel, as_vectorized
+from jumpmc.rng import keyed_streams
 
 
 def toy_model(drift=None, diffusion=None, jump=None, x0=(0.0,)):
@@ -248,3 +256,74 @@ def test_jump_survives_refinement():
     # Total Wiener displacement is preserved bitwise.
     total = new_dw.sum(axis=0)
     assert np.all(np.abs(total - dw.sum(axis=0)) < 1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the forward-only path (euler_terminal) against the full path
+
+
+def _test5_groups(model, start, count):
+    """(realizations, PathBatch) of each step-count group of test5's
+    realizations [start, start+count) on 40 uniform steps."""
+    model = as_vectorized(model)
+    groups = ctl._setup_groups(
+        model, uniform_mesh(1.0, 40), keyed_streams(SeedConfig()), start, count,
+        intensity_integral_for(model),
+    )
+    return model, [(start + group.rows, paths) for group, paths in groups]
+
+
+def _divergent(name):
+    """test5 whose drift leaves the bound (1e300, as ``diverging_model``)
+    or turns NaN, below the bound, once x1 passes an edge."""
+    base = build_model("test5")
+    bad, edge = (1e300, 0.3) if name == "overflow" else (np.nan, 0.25)
+    return replace(
+        base, drift=lambda t, x: np.where(x[..., :1] > edge, bad, base.drift(t, x))
+    )
+
+
+# (step, realization) of each step-count group's PathDivergenceError for
+# realizations 300-499, as the full-path kernel raised them before the
+# forward-only path existed
+DIVERGENCE_AT = {
+    "overflow": {40: None, 41: (18, 451), 42: (29, 417), 43: (26, 369), 44: (28, 454)},
+    "nan": {40: None, 41: (17, 451), 42: (28, 354), 43: (25, 369), 44: (26, 454)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIVERGENCE_AT))
+def test_forward_only_and_full_path_raise_the_same_divergence(name):
+    model, groups = _test5_groups(_divergent(name), 300, 200)
+    assert sorted(paths.dt.shape[1] for _, paths in groups) == sorted(DIVERGENCE_AT[name])
+    for rows, paths in groups:
+        expected = DIVERGENCE_AT[name][paths.dt.shape[1]]
+        for forward in (euler_batch, euler_terminal):
+            if expected is None:
+                forward(model, paths, realizations=rows.tolist())
+                continue
+            step, which = expected
+            t = paths.times[list(rows).index(which), step + 1]
+            with pytest.raises(PathDivergenceError) as exc:
+                forward(model, paths, realizations=rows.tolist())
+            assert type(exc.value) is PathDivergenceError
+            assert (exc.value.step, exc.value.realization, str(exc.value)) == (
+                step, which, f"path diverged at step {step} (t={t:g}, realization {which})"
+            )
+
+
+def test_forward_only_terminal_matches_the_full_path_with_edge_jumps():
+    model, groups = _test5_groups(build_model("test5"), 0, 400)
+    rows, paths = max(groups, key=lambda g: len(g[0]))
+    # jumps at node 0 on every third row and at the last node on others
+    flag = paths.jump_flag.copy()
+    flag[::3, 0] = True
+    flag[1::3, -1] = True
+    marks = np.where(flag & ~paths.jump_flag, 0.7, paths.marks[..., 0])[..., None]
+    edged = PathBatch(paths.times, paths.dw, flag, marks, paths.dt)
+    values, left = euler_batch(model, edged, realizations=rows.tolist())
+    terminal = euler_terminal(model, edged, realizations=rows.tolist())
+    assert terminal.shape == values[:, -1].shape
+    assert terminal.tobytes() == values[:, -1].tobytes()
+    assert (values[::3, 0] != left[::3, 0]).any(axis=1).all()
+    assert (values[1::3, -1] != left[1::3, -1]).any(axis=1).all()

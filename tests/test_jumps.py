@@ -224,6 +224,12 @@ def test_grid_validation():
         build_augmented_grid(np.array([0.0, 1.0]), bad, horizon=1.0)
 
 
+@pytest.mark.parametrize("node", [math.nan, math.inf, -math.inf])
+def test_grid_rejects_a_non_finite_mesh(node):
+    with pytest.raises(ParameterError, match="finite and strictly increasing"):
+        build_augmented_grid(np.array([0.0, node, 1.0]), no_jumps(1), horizon=1.0)
+
+
 def flat_jumps(rows):
     """``build_grid_groups``'s (n_jumps, times, marks) of JumpRealization rows."""
     return (

@@ -1,6 +1,7 @@
 """Counter-based stream layout: disjoint, reproducible, seed-validated,
 and the chunk-wide draws against numpy's own generator."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,10 @@ from jumpmc import (
     stream,
     uniform_mesh,
 )
+from jumpmc import controller as ctl
 from jumpmc import jumps
+from jumpmc import rng as rng_module
+from jumpmc._ziggurat import FI_DOUBLE, KI_DOUBLE, WI_DOUBLE
 from jumpmc.model import MODELS, UniformMarks
 from jumpmc.rng import (
     STREAM_JUMP_TIMES,
@@ -272,3 +276,125 @@ def test_samplers_without_a_quantile_raise_per_realization(monkeypatch, engine):
     with pytest.raises(EvaluationError) as exc:
         run_mesh_batch(shaped, det, SeedConfig(), 1000, 50)
     assert exc.value.realization == 1008
+
+
+# ---------------------------------------------------------------------------
+# normals with ziggurat rejections resolved in arrays, against the generator
+
+
+def _generator_draws(keyed, rows, counts, starts):
+    """Values and end words of ``KeyedStream.draws`` as numpy's generator
+    makes them, one row at a time."""
+    values, ends = [], []
+    for i, n, s in zip(rows.tolist(), counts.tolist(), starts.tolist()):
+        values.append(keyed.at(i, s).standard_normal(n))
+        ends.append(keyed.word)
+    return np.concatenate(values), np.array(ends)
+
+
+def _assert_draws_match(keyed, rows, counts, starts):
+    """Check ``draws`` against the generator; the realizations it handed
+    to the generator, in order."""
+    handed = []
+    at = keyed.at
+    keyed.at = lambda i, w=0: handed.append(i) or at(i, w)
+    ends = np.empty(len(rows), dtype=np.int64)
+    values = keyed.draws("standard_normal", rows, counts, ends, starts)
+    del keyed.at
+    expected, expected_ends = _generator_draws(keyed, rows, counts, starts)
+    np.testing.assert_array_equal(values, expected)
+    np.testing.assert_array_equal(ends, expected_ends)
+    return handed
+
+
+def test_normal_draws_match_the_generator_from_any_start():
+    rng = np.random.default_rng(8)
+    keyed = KeyedStream(2**64 - 11, STREAM_WIENER)
+    rows = np.concatenate([np.arange(31000), [(1 << 60) - 1]])
+    counts = rng.choice([0, 1, 6, 41], p=[0.05, 0.05, 0.1, 0.8], size=len(rows))
+    starts = rng.integers(0, 8, size=len(rows))
+    assert counts.sum() >= 10**6 and set(starts.tolist()) == set(range(8))
+    _assert_draws_match(keyed, rows, counts, starts)
+
+
+def _ziggurat_walk(words, count):
+    """numpy's ziggurat reading ``count`` normals from ``words``, a scalar
+    oracle of its control flow: the rejected draws it meets in order
+    ("tail", "accept" or "reject" by the wedge test), whether two words in
+    a row fail the fast path, and whether the last value needed the
+    wedge test.  Stops at a tail draw or at the end of the words."""
+    met, adjacent, last, q, made = [], False, False, 0, 0
+    fast = [(int(w) >> 9) & 0xFFFFFFFFFFFFF < KI_DOUBLE[int(w) & 0xFF] for w in words]
+    while made < count and q < len(words) - 1:
+        w = int(words[q])
+        idx = w & 0xFF
+        adjacent |= not fast[q] and not fast[q + 1]
+        if fast[q]:
+            made, q, last = made + 1, q + 1, False
+            continue
+        if idx == 0:
+            met.append("tail")
+            break
+        x = ((w >> 9) & 0xFFFFFFFFFFFFF) * WI_DOUBLE[idx]
+        u = (int(words[q + 1]) >> 11) * (1.0 / 9007199254740992.0)
+        ok = (FI_DOUBLE[idx - 1] - FI_DOUBLE[idx]) * u + FI_DOUBLE[idx] < math.exp(-0.5 * x * x)
+        met.append("accept" if ok else "reject")
+        made, q, last = made + ok, q + 2, bool(ok)
+    return met, adjacent, last
+
+
+def _crafted_rows(keyed, count):
+    """Realizations whose ``count`` normals from word 0 meet: a wedge test
+    at the last draw, two adjacent fast-path failures, a wedge accept, a
+    wedge reject, a tail draw, and exactly two rejections."""
+    probe = np.arange(4000)
+    blocks = (count + 16) // 4
+    words = philox_words(
+        keyed.seed, keyed.stream_id, np.repeat(probe, blocks), np.tile(np.arange(blocks), len(probe))
+    ).reshape(len(probe), -1)
+    wanted = {}
+    for i, row in zip(probe.tolist(), words):
+        met, adjacent, last = _ziggurat_walk(row, count)
+        for name, has in (
+            ("last", last), ("adjacent", adjacent), ("accept", "accept" in met),
+            ("reject", "reject" in met), ("tail", "tail" in met),
+            ("several", len(met) == 2 and "tail" not in met),
+        ):
+            if has:
+                wanted.setdefault(name, i)
+    assert len(wanted) == 6, wanted
+    return wanted
+
+
+@pytest.mark.parametrize("slack", [None, 0, 1])
+def test_crafted_rejections_match_the_generator(monkeypatch, slack):
+    keyed = KeyedStream(7, STREAM_WIENER)
+    crafted = _crafted_rows(keyed, 41)
+    if slack is not None:  # every rejection runs past the drawn words
+        monkeypatch.setattr(
+            rng_module, "_normal_slack", lambda counts, starts: np.where(counts > 0, counts + slack, 0)
+        )
+    rows = np.array(sorted(set(crafted.values())) + list(range(20)))
+    counts = np.full(len(rows), 41)
+    counts[-3:] = [0, 1, 6]
+    handed = _assert_draws_match(keyed, rows, counts, np.zeros_like(counts))
+    assert crafted["tail"] in handed
+    assert (crafted["several"] in handed) == (slack is not None)
+
+
+def test_an_n40_chunk_hands_few_rows_to_the_generator(monkeypatch):
+    model = build_model("test5")
+    wiener_calls = []
+    at = KeyedStream.at
+
+    def counted(self, i, w=0):
+        if self.stream_id == STREAM_WIENER:
+            wiener_calls.append(i)
+        return at(self, i, w)
+
+    monkeypatch.setattr(KeyedStream, "at", counted)
+    ctl._setup_groups(
+        model, uniform_mesh(model.horizon, 40), keyed_streams(SeedConfig()), 0, 16384,
+        intensity_integral_for(model),
+    )
+    assert 0 < len(wiener_calls) <= 0.02 * 16384
