@@ -35,7 +35,8 @@ arrays (``PathBatch``) by step count from set-up to result, every level
 runs the kernel on blocks of at most STOCH_BLOCK rows, and the rows
 still refining are bisected together by ``euler.bridge_refine_batch``,
 which draws each row's bridge noise from its own Wiener stream at the
-row's word offset (``control_time_error`` is the one-row case).
+row's position, the number of normals the stream has given
+(``control_time_error`` is the one-row case).
 ``_setup_groups`` sets up a whole index range at once from
 counter-based draws (``rng.KeyedStream``): every realization's jump
 times, marks (``jumps.sample_jump_chunk``) and Wiener normals come from
@@ -45,8 +46,9 @@ draws need numpy's generator (a ziggurat tail draw or a rejected jump
 exponential, a jump count past the drawn block, a mark sampler without
 a quantile) continues on it at its word offset.  All grids are merged in
 one pass by ``jumps.build_grid_groups``, which hands the kernel stacked
-arrays per step count, and the set-up returns each row's Wiener stream
-position as a word offset.  Layer arithmetic is row-wise, so no
+arrays per step count; a row's Wiener increments are the first
+``n_steps * wiener_dim`` normals of its stream, so that is its position
+after set-up.  Layer arithmetic is row-wise, so no
 realization's numbers depend on the rows it shares a batch with.
 
 Batches are chunked into fixed-size index ranges; a chunk is always
@@ -75,6 +77,7 @@ import numpy as np
 from .density import (  # noqa: F401
     INTERVAL_DENSITY_CALLBACKS,
     STEP_DENSITY_CALLBACKS,
+    _check_tol,
     cutoff_density_S,
     interval_sums,
     rho_batch,
@@ -458,7 +461,7 @@ def _mesh_group_batched(model, det, group, paths, tol, want_density, outputs, st
     outputs["signed_total"][slots] = contrib.sum(axis=1)
 
 
-def _setup_groups(model, det, streams, start, count, integral, words=None):
+def _setup_groups(model, det, streams, start, count, integral):
     """Augmented grids and Wiener increments of realizations
     [start, start+count), as (GridGroup, PathBatch) pairs by ascending
     step count.
@@ -466,10 +469,11 @@ def _setup_groups(model, det, streams, start, count, integral, words=None):
     ``jumps.sample_jump_chunk`` draws every realization's jumps (with the
     model's intensity ``integral``) and marks from its keyed ``streams``;
     all grids are merged in one ``build_grid_groups`` pass; the standard
-    normals of every row come from one ``KeyedStream.draws`` call on the
-    Wiener family, in group order, and are scaled by sqrt(dt) in place
-    once per group.  Set-up errors name the realization.  With ``words``,
-    each row's Wiener word offset after its draws is stored at the row.
+    normals of every row come from one ``KeyedStream.normals`` call on
+    the Wiener family, in group order, and are scaled by sqrt(dt) in place
+    once per group.  A row's increments are the first ``n_steps *
+    wiener_dim`` normals of its Wiener stream.  Set-up errors name the
+    realization.
     """
     wiener, jump_times, marks = streams
     realizations = range(start, start + count)
@@ -481,10 +485,7 @@ def _setup_groups(model, det, streams, start, count, integral, words=None):
     draws = np.concatenate(
         [np.full(len(group.rows), group.times.shape[1] - 1) for group in groups]
     ) * model.wiener_dim
-    ends = None if words is None else np.empty(len(rows), dtype=np.int64)
-    z = wiener.draws("standard_normal", start + rows, draws, ends)
-    if words is not None:
-        words[rows] = ends
+    z = wiener.normals(start + rows, draws)
     out = []
     at = 0
     for group in groups:
@@ -549,15 +550,11 @@ def _interval_chunk(model, det, seeds, start, count):
 def run_interval_batch(model, det, seeds, count, workers=1) -> dict:
     """Payoffs and signed interval-density totals of realizations
     [0, count), in MESH_CHUNK chunks run on ``workers`` processes."""
+    _check_count(count)
     _check_workers(workers)
     det = check_mesh(det, model.horizon)
     args = [(det, seeds, s, c) for s, c in _chunk_ranges(0, count, MESH_CHUNK)]
     return _concat_rows(_run_chunked(_interval_chunk, model, args, workers))
-
-
-def interval_signed_totals(model, det, seeds, count, workers=1) -> Array:
-    """The signed interval-density totals of ``run_interval_batch``."""
-    return run_interval_batch(model, det, seeds, count, workers)["total"]
 
 
 _worker_model = None  # set in each pool worker by _adopt_model
@@ -621,6 +618,11 @@ def _run_chunked(chunk_fn, model, arg_list, workers):
     return [_run_chunk(chunk_fn, model, a) for a in arg_list]
 
 
+def _check_count(count):
+    if count < 1:
+        raise ParameterError(f"batch size must be >= 1, got {count}")
+
+
 def _check_workers(workers):
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
@@ -659,11 +661,12 @@ def run_mesh_batch(
     per-interval sums, the clamped indicators r and the signed totals.
     Chunking is fixed, so results do not depend on the worker count.
     """
-    if count < 1:
-        raise ParameterError(f"batch size must be >= 1, got {count}")
+    _check_count(count)
     _check_workers(workers)
-    if want_density and tol is None:
-        raise ParameterError("want_density needs tol for the density clamp")
+    if want_density:
+        if tol is None:
+            raise ParameterError("want_density needs tol for the density clamp")
+        _check_tol(tol)
     det = check_mesh(det, model.horizon)
     args = [
         (det, seeds, s, c, tol, want_density)
@@ -712,15 +715,17 @@ def control_time_error(
     out of refinement levels, is returned with ``accepted=False``.  This
     is the one-row case of the level loop ``algorithm_s`` runs.
     """
-    _check_stochastic(tol_t, n_a_bar)
+    _check_stochastic(tol, tol_t, n_a_bar)
     model = as_vectorized(model)
     grid = build_augmented_grid(det, jumps, horizon=model.horizon)
+    wiener = _OwnGenerator(wiener_rng)
     dw = sample_wiener_increments(grid, wiener_rng, model.wiener_dim)
+    positions = np.array([dw.size])
     out = _refine_levels(
         model, [(np.zeros(1, dtype=np.intp), stack_paths(model, [grid], [dw]))],
-        np.array([None]), _OwnGenerator(wiener_rng), np.zeros(1, dtype=np.int64),
-        tol, tol_t, n_a_bar, adapt, min_step,
+        np.array([None]), wiener, positions, tol, tol_t, n_a_bar, adapt, min_step,
     )
+    wiener.normals(None, positions)  # the caller's generator goes on from there
     return TimeControlledRealization(
         payoff=float(out["payoff"][0]),
         n_a=int(out["n_a"][0]),
@@ -733,9 +738,11 @@ def control_time_error(
     )
 
 
-def _check_stochastic(tol_t, n_a_bar):
-    """The acceptance thresholds' inputs: a positive TOL_T and a finite
-    positive N_A bar (otherwise every step would bisect to the floor)."""
+def _check_stochastic(tol, tol_t, n_a_bar):
+    """The density clamp's TOL in (0, 1), and the acceptance thresholds'
+    inputs: a positive TOL_T and a finite positive N_A bar (otherwise
+    every step would bisect to the floor)."""
+    _check_tol(tol)
     if not tol_t > 0.0:
         raise ParameterError(f"TOL_T must be positive, got {tol_t}")
     if not (math.isfinite(n_a_bar) and n_a_bar > 0.0):
@@ -744,40 +751,36 @@ def _check_stochastic(tol_t, n_a_bar):
 
 class _OwnGenerator:
     """A ``KeyedStream`` stand-in for one row that draws from its own
-    generator: its word ``k`` is the generator's ``k``-th draw from where
-    the stand-in was made, so ``draws`` replays from there, and the
-    generator is left after the last ``draws``."""
+    generator: its stream is the generator's normals from where the
+    stand-in was made, so ``normals`` replays from there, and the
+    generator is left after the last ``normals``."""
 
     def __init__(self, generator):
         self.generator = generator
         self.origin = generator.bit_generator.state
 
-    def draws(self, kind, realizations, counts, ends, starts):
-        start = int(starts[0])
+    def normals(self, realizations, counts):
         self.generator.bit_generator.state = self.origin
-        draw = getattr(self.generator, kind)
-        draw(start)
-        if ends is not None:
-            ends[:] = start + np.asarray(counts)
-        return draw(int(np.sum(counts)))
+        return self.generator.standard_normal(int(np.sum(counts)))
 
 
 def _refine_levels(
-    model, groups, realizations, wiener, words, tol, tol_t, n_a_bar, adapt, min_step=None,
+    model, groups, realizations, wiener, positions, tol, tol_t, n_a_bar, adapt, min_step=None,
 ):
     """Per-realization adaptive refinement, one level at a time.
 
     ``groups`` are (rows, PathBatch) pairs by ascending step count that
     together hold every row once; ``realizations[row]`` is the row's
-    absolute index (None for a row without one) and ``words[row]`` the
-    word offset of its Wiener stream in ``wiener``, a ``KeyedStream`` or
-    a stand-in with its ``draws``.  Each level runs every group through
-    ``_path_batch`` in blocks of at most STOCH_BLOCK rows; the rows that
-    fail the acceptance test are bisected by ``bridge_refine_batch``, in
-    the order a lone run of the row would draw its bridges, and regrouped
-    by their new step count.  Nothing is refined after the last simulated
-    level, so every output of a row comes from the same mesh.  ``words``
-    is updated in place; returns per-row arrays.
+    absolute index (None for a row without one) and ``positions[row]``
+    the number of normals its Wiener stream in ``wiener`` (a
+    ``KeyedStream`` or a stand-in with its ``normals``) has given.  Each
+    level runs every group through ``_path_batch`` in blocks of at most
+    STOCH_BLOCK rows; the rows that fail the acceptance test are bisected
+    by ``bridge_refine_batch``, in the order a lone run of the row would
+    draw its bridges, and regrouped by their new step count.  Nothing is
+    refined after the last simulated level, so every output of a row
+    comes from the same mesh.  ``positions`` is updated in place; returns
+    per-row arrays.
     """
     if min_step is None:
         min_step = float(model.horizon) * MIN_STEP_FRACTION
@@ -813,8 +816,8 @@ def _refine_levels(
             if level == adapt.max_refinements:
                 continue
             splittable = (r >= refine_at) & (0.5 * dt >= min_step) & ~accepted[:, None]
-            pieces, words[rows] = bridge_refine_batch(
-                paths, splittable, wiener, realizations[rows], words[rows]
+            pieces, positions[rows] = bridge_refine_batch(
+                paths, splittable, wiener, realizations[rows], positions[rows]
             )
             for sub, batch in pieces:
                 refined.setdefault(batch.dt.shape[1], []).append((rows[sub], batch))
@@ -841,11 +844,13 @@ def _stoch_chunk(model, det, seeds, start, count, tol, tol_t, n_a_bar, adapt):
     """``_refine_levels`` over one index chunk."""
     model = as_vectorized(model)
     streams = keyed_streams(seeds)
-    words = np.empty(count, dtype=np.int64)
-    groups = _setup_groups(model, det, streams, start, count, intensity_integral_for(model), words)
+    groups = _setup_groups(model, det, streams, start, count, intensity_integral_for(model))
+    positions = np.empty(count, dtype=np.int64)
+    for group, paths in groups:
+        positions[group.rows] = paths.dw[0].size  # the set-up's normals
     return _refine_levels(
         model, [(group.rows, paths) for group, paths in groups],
-        np.arange(start, start + count), streams[0], words, tol, tol_t, n_a_bar, adapt,
+        np.arange(start, start + count), streams[0], positions, tol, tol_t, n_a_bar, adapt,
     )
 
 
@@ -863,10 +868,9 @@ def run_stochastic_batch(
     workers: int = 1,
 ) -> dict:
     """One batch of per-realization adaptive runs; fixed chunking."""
-    if count < 1:
-        raise ParameterError(f"batch size must be >= 1, got {count}")
+    _check_count(count)
     _check_workers(workers)
-    _check_stochastic(tol_t, n_a_bar)
+    _check_stochastic(tol, tol_t, n_a_bar)
     det = check_mesh(det, model.horizon)
     args = [
         (det, seeds, s, c, tol, tol_t, n_a_bar, adapt)

@@ -17,8 +17,9 @@ the Brownian bridge so coarse and fine paths stay consistent in law.
 of a ``jumps.GridGroup``); it is the forward layer of both drivers, and
 ``euler_path`` is its one-row case.  ``euler_terminal`` runs the same
 steps (``_euler_steps``) without storing the path.  ``bridge_refine_batch``
-bisects the steps of a ``PathBatch`` with bridge draws from per-row word
-offsets of keyed streams, as ``brownian_bridge_refine`` does for one grid.
+bisects the steps of a ``PathBatch`` with bridge draws from keyed
+streams, each row's from its position (a count of the normals its stream
+has given), as ``brownian_bridge_refine`` does for one grid.
 """
 
 from __future__ import annotations
@@ -348,22 +349,21 @@ def _insert_nodes(a, where, values):
 
 
 class _BridgeNormals:
-    """The bridge normals of H rows, each row's read in order from word
-    ``starts[h]`` of its Wiener stream.  ``w * (2 * counts[h] + 10)`` of
-    them, room for the first draws of ``counts[h]`` splits and a few
-    redraws, are drawn at once; a row that runs out is drawn again from
-    its start, twice as far."""
+    """The bridge normals of H rows, each row's read in order from normal
+    ``positions[h]`` of its Wiener stream.  Each stream is drawn from
+    normal 0 to ``w * (2 * counts[h] + 10)`` normals past its position,
+    room for the first draws of ``counts[h]`` splits and a few redraws; a
+    row that runs out is drawn again, twice as far."""
 
-    def __init__(self, wiener, realizations, starts, counts, w):
-        self.wiener, self.realizations, self.starts, self.w = wiener, realizations, starts, w
+    def __init__(self, wiener, realizations, positions, counts, w):
+        self.wiener, self.realizations, self.positions, self.w = wiener, realizations, positions, w
         self._draw(w * (2 * counts + 10))
 
     def _draw(self, counts):
         self.counts = counts
-        self.offset = np.cumsum(counts) - counts
-        self.values = self.wiener.draws(
-            "standard_normal", self.realizations, counts, None, self.starts
-        )
+        drawn = self.positions + counts
+        self.offset = np.cumsum(drawn) - counts
+        self.values = self.wiener.normals(self.realizations, drawn)
 
     def take(self, h, slot):
         """Normals ``slot`` to ``slot + w - 1`` of rows ``h``, as (len(h), w)."""
@@ -373,13 +373,6 @@ class _BridgeNormals:
             np.maximum.at(reach, h, end)
             self._draw(np.where(reach > self.counts, 2 * reach, self.counts))
         return self.values[(self.offset[h] + slot)[:, None] + np.arange(self.w)]
-
-    def ends(self, used):
-        """Each row's word offset after its first ``used[h]`` normals; the
-        last draws of the stream, so a generator stand-in ends there."""
-        ends = np.empty(len(used), dtype=np.int64)
-        self.wiener.draws("standard_normal", self.realizations, used, ends, self.starts)
-        return ends
 
 
 def _bridge_splits(dt, whole, rank, srow, normals):
@@ -441,23 +434,24 @@ def _bridge_splits(dt, whole, rank, srow, normals):
     return first, second, cursor + w * (np.bincount(srow) - done)
 
 
-def bridge_refine_batch(paths: PathBatch, mask: Array, wiener, realizations, words):
+def bridge_refine_batch(paths: PathBatch, mask: Array, wiener, realizations, positions):
     """Bisect the ``mask``ed steps of B same-length paths: row ``b`` comes
-    out as ``brownian_bridge_refine`` refines it with the generator
-    ``wiener.at(realizations[b], words[b])``, bit for bit.
+    out as ``brownian_bridge_refine`` refines it with the generator of
+    ``realizations[b]``'s Wiener stream after its first ``positions[b]``
+    normals, bit for bit.
 
     ``wiener`` is an ``rng.KeyedStream``, or a stand-in with its
-    ``draws``.  The bridge normals of every refined row are drawn from
-    its word offset in stream order, and ``bridge_split`` runs on every
+    ``normals``.  The bridge normals of every refined row are read from
+    its position on in stream order, and ``bridge_split`` runs on every
     split step at once (``_bridge_splits``).  Returns ``(pieces, ends)``:
     the rows with a masked step as (row indices, PathBatch) pairs by
-    ascending step count, and every row's word offset after its draws
-    (``words[b]`` when it draws none).
+    ascending step count, and every row's position after its draws
+    (``positions[b]`` when it draws none).
     """
     dw = paths.dw
     n, w = dw.shape[1:]
     counts = np.count_nonzero(mask, axis=1)
-    ends = np.array(words, dtype=np.int64)
+    ends = np.array(positions, dtype=np.int64)
     hit = np.flatnonzero(counts)
     if not len(hit):
         return [], ends
@@ -469,7 +463,7 @@ def bridge_refine_batch(paths: PathBatch, mask: Array, wiener, realizations, wor
     first, second, used = _bridge_splits(
         paths.dt[step_row, step], dw[step_row, step], rank, srow, normals
     )
-    ends[hit] = normals.ends(used)
+    ends[hit] += used
 
     pieces = []
     for c in np.unique(k).tolist():

@@ -18,11 +18,14 @@ path of numpy's ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000)
 with numpy's own tables.  A normal draw they reject is mostly a wedge
 draw, resolved in arrays from one more word and libm's ``exp`` for the
 close calls (``_wedges``), which shifts the row's later draws by one or
-two words.  A tail draw (numpy's loop of libm ``log1p`` calls), any
-rejected exponential and a row that runs past its drawn words go on with
-numpy's generator from the rejected draw's word offset.  ``KeyedStream``
-serves a stream family: ``draws`` for a chunk, ``at(i, word)`` as the
-one-row generator at any word offset.
+two words.  A tail draw (numpy's loop of libm ``log1p`` calls) and a
+row that runs past its drawn words go on with numpy's generator from the
+rejected draw's word.  So a row's word offset depends on its rejections,
+and it stays inside this module: a caller counts its place in a Wiener
+stream in normals, and ``KeyedStream.normals`` draws from normal 0.
+``KeyedStream`` serves a stream family: ``normals`` and ``fast_draws``
+for a chunk, ``at(i, word)`` as the one-row generator at any word offset
+(``jumps`` continues a row whose exponentials reject on it).
 """
 
 from __future__ import annotations
@@ -179,19 +182,11 @@ def _ragged(counts):
     return row, np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
 
 
-def _rows(counts, starts):
-    """``counts`` and ``starts`` (default 0) as int64 arrays."""
-    counts = np.asarray(counts, dtype=np.int64)
-    starts = np.zeros_like(counts) if starts is None else np.asarray(starts, dtype=np.int64)
-    return counts, starts
-
-
-def _normal_slack(counts, starts):
+def _normal_slack(counts):
     """Words drawn per row for ``counts`` normals: at least
     ``2 + counts // 16`` words past the last one the fast path needs, up
     to the end of the row's last Philox block (no row draws for none)."""
-    skip = starts % 4
-    drawn = 4 * ((skip + counts + 2 + counts // 16 + 3) // 4) - skip
+    drawn = 4 * ((counts + 2 + counts // 16 + 3) // 4)
     return np.where(counts > 0, drawn, 0)
 
 
@@ -263,7 +258,7 @@ class KeyedStream:
 
     ``at(i, word)`` is a generator drawing exactly what
     ``stream(seed, i, stream_id)`` draws from its word ``word`` on;
-    ``fast_draws`` and ``draws`` draw for many realizations at once.
+    ``fast_draws`` and ``normals`` draw for many realizations at once.
     """
 
     def __init__(self, seed: int, stream_id: int):
@@ -294,19 +289,12 @@ class KeyedStream:
             bits.random_raw(word % 4)
         return self.generator
 
-    @property
-    def word(self) -> int:
-        """Word offset of the generator's next draw."""
-        state = self.generator.bit_generator.state
-        return 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
-
-    def _slabs(self, realizations, counts, starts):
-        """The Philox words of every row, ``counts[k]`` from word
-        ``starts[k]`` of stream ``realizations[k]``, over at most
-        SLAB_BLOCKS blocks at a time: yields ``(lo, hi, wv)``, the words
-        of rows ``lo`` to ``hi - 1`` row after row."""
-        skip = starts % 4  # words of a row's first block before its first draw
-        blocks = (skip + counts + 3) // 4
+    def _slabs(self, realizations, counts):
+        """The first ``counts[k]`` Philox words of stream
+        ``realizations[k]``, over at most SLAB_BLOCKS blocks at a time:
+        yields ``(lo, hi, wv)``, the words of rows ``lo`` to ``hi - 1`` row
+        after row."""
+        blocks = (counts + 3) // 4
         block_end = np.cumsum(blocks)
         lo = 0
         while lo < len(counts):
@@ -314,28 +302,25 @@ class KeyedStream:
             hi = max(lo + 1, int(np.searchsorted(block_end, base + SLAB_BLOCKS, side="right")))
             nb = blocks[lo:hi]
             row, block = _ragged(nb)
-            words = philox_words(
-                self.seed, self.stream_id, realizations[lo:hi][row], starts[lo:hi][row] // 4 + block
-            )
+            words = philox_words(self.seed, self.stream_id, realizations[lo:hi][row], block)
             row, pos = _ragged(counts[lo:hi])
-            yield lo, hi, words.ravel()[4 * (np.cumsum(nb) - nb)[row] + skip[lo:hi][row] + pos]
+            yield lo, hi, words.ravel()[4 * (np.cumsum(nb) - nb)[row] + pos]
             lo = hi
 
-    def fast_draws(self, kind: str, realizations, counts, starts=None):
-        """``counts[k]`` fast-path draws of ``kind`` (a ``Generator``
-        method: "standard_normal", "standard_exponential" or "random")
-        from word ``starts[k]`` (default 0) of stream ``realizations[k]``,
-        row after row in one flat array, and each row's first rejected
-        draw (``counts[k]`` when none).  A row's values from its first
-        rejection on are not numpy's.
+    def fast_draws(self, kind: str, realizations, counts):
+        """The first ``counts[k]`` fast-path draws of ``kind`` (a
+        ``Generator`` method: "standard_normal", "standard_exponential" or
+        "random") of stream ``realizations[k]``, row after row in one flat
+        array, and each row's first rejected draw (``counts[k]`` when
+        none).  A row's values from its first rejection on are not numpy's.
         """
         fast = _FAST_PATHS[kind]
         realizations = np.asarray(realizations, dtype=np.int64)
-        counts, starts = _rows(counts, starts)
+        counts = np.asarray(counts, dtype=np.int64)
         value_end = np.cumsum(counts)
         values = np.empty(int(value_end[-1]) if len(counts) else 0)
         first = counts.copy()
-        for lo, hi, wv in self._slabs(realizations, counts, starts):
+        for lo, hi, wv in self._slabs(realizations, counts):
             x, ok = fast(wv)
             at = value_end[lo] - counts[lo]
             values[at:at + len(x)] = x
@@ -344,47 +329,23 @@ class KeyedStream:
             np.minimum.at(first, row, bad - (value_end - counts)[row])
         return values, first
 
-    def draws(self, kind: str, realizations, counts, ends=None, starts=None):
-        """``counts[k]`` draws of ``kind`` from word ``starts[k]`` (default
-        0) of stream ``realizations[k]``, row after row, every value
-        numpy's.  With ``ends``, an integer array like ``counts``, each
-        row's word offset after its draws is stored there.
+    def normals(self, realizations, counts):
+        """The first ``counts[k]`` standard normals of stream
+        ``realizations[k]``, row after row, every value numpy's.
 
-        Normals resolve ziggurat rejections in arrays (``_wedges``) from a
-        few slack words per row; other kinds, and a normal row with a tail
-        draw or past its slack, go on with numpy's generator from the
-        first draw the arrays cannot make.
+        Ziggurat rejections are resolved in arrays (``_wedges``) from a few
+        slack words per row; a row with a tail draw or past its slack goes
+        on with numpy's generator at the word of the first draw the arrays
+        cannot make.
         """
         realizations = np.asarray(realizations, dtype=np.int64)
-        counts, starts = _rows(counts, starts)
-        if ends is None:
-            ends = np.empty(len(counts), dtype=np.int64)
-        if kind == "standard_normal":
-            values, hand = self._normals(realizations, counts, ends, starts)
-        else:
-            values, first = self.fast_draws(kind, realizations, counts, starts)
-            ends[:] = starts + counts
-            rows = np.flatnonzero(first < counts)
-            hand = rows, first[rows], first[rows]
-        offsets = np.cumsum(counts) - counts
-        for k, v, w in zip(*(np.asarray(a).tolist() for a in hand)):
-            generator = self.at(int(realizations[k]), int(starts[k] + w))
-            values[offsets[k] + v:offsets[k] + counts[k]] = getattr(generator, kind)(
-                int(counts[k] - v)
-            )
-            ends[k] = self.word
-        return values
-
-    def _normals(self, realizations, counts, ends, starts):
-        """The normals of ``draws`` from ``_wedges``, with each row's word
-        offset after its draws in ``ends``, and the rows left to numpy's
-        generator as ``(rows, value, word)``."""
-        drawn = _normal_slack(counts, starts)
+        counts = np.asarray(counts, dtype=np.int64)
+        drawn = _normal_slack(counts)
         woff = np.cumsum(drawn) - drawn
         x = np.empty(int(drawn.sum()))
         none = np.empty(0, dtype=np.uint64)
         events = [(np.empty(0, dtype=np.int64), none, none)]
-        for lo, hi, wv in self._slabs(realizations, drawn, starts):
+        for lo, hi, wv in self._slabs(realizations, drawn):
             at = woff[lo]
             x[at:at + len(wv)], ok = standard_normal(wv)
             ev = np.flatnonzero(~ok)
@@ -394,7 +355,6 @@ class KeyedStream:
         (er, at), delta, total, hand = _wedges(
             er, ev - woff[er], word, after, x[ev], counts, drawn
         )
-        ends[:] = starts + counts + total
         # value v of row k is x[woff[k] + v + shift], the shift stepping up
         # at each resolved rejection and back to 0 at the row's end or
         # where the row is handed over: one cumsum over steps
@@ -409,7 +369,12 @@ class KeyedStream:
             np.concatenate([voff[1:], voff[er] + at, voff[shifted] + end[shifted]]),
             np.concatenate([np.diff(woff - voff), delta, -total[shifted]]),
         )
-        return x[np.cumsum(place[:-1], out=place[:-1])], hand
+        values = x[np.cumsum(place[:-1], out=place[:-1])]
+        for k, v, w in zip(*(np.asarray(a).tolist() for a in hand)):
+            values[voff[k] + v:voff[k] + counts[k]] = self.at(
+                int(realizations[k]), w
+            ).standard_normal(int(counts[k] - v))
+        return values
 
 
 def keyed_streams(seeds: SeedConfig):

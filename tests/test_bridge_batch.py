@@ -1,9 +1,10 @@
 """The batched bridge refinement against the one-row refinement.
 
 ``euler.bridge_refine_batch`` refines many rows of a ``PathBatch`` at
-once, drawing every row's bridge normals from its Wiener stream at a word
-offset; each row must come out bit for bit as ``brownian_bridge_refine``
-refines it with the generator at that offset, and end at the same word.
+once, drawing every row's bridge normals from its Wiener stream at a
+position counted in normals; each row must come out bit for bit as
+``brownian_bridge_refine`` refines it with the generator after that many
+normals, and end at the position after the normals it drew.
 """
 
 from dataclasses import replace
@@ -28,43 +29,55 @@ REJECTING, REDRAWING = 0, 1  # the block's crafted rows
 @pytest.fixture(scope="module", params=[1, 2], ids=["w1", "w2"])
 def block(request):
     """test5's largest step-count group among realizations below 200, as
-    (model, group, paths, realizations, words, wiener), with its Wiener
-    increments widened to ``request.param`` channels (test5 has one).
+    (model, group, paths, realizations, positions, wiener), with its
+    Wiener increments widened to ``request.param`` channels (test5 has
+    one).  A row's position is the set-up's normals, its step count.
 
-    Row REJECTING starts at a word whose normal numpy's ziggurat rejects,
-    so its first bridge draw goes to numpy's generator.  Row REDRAWING
-    has a 1e-20 increment on step 2, which no bridge perturbation of a
-    0.2 step can split exactly, so splitting that step runs through every
-    redraw round of ``bridge_split``.
+    Row REJECTING starts at its first normal that the ziggurat's fast
+    path rejects, so its first bridge draw is resolved past the fast
+    path.  Row REDRAWING has a 1e-20 increment on step 2, which no bridge
+    perturbation of a 0.2 step can split exactly, so splitting that step
+    runs through every redraw round of ``bridge_split``.
     """
     m = as_vectorized(build_model("test5"))
     streams = keyed_streams(SeedConfig())
-    words = np.empty(200, dtype=np.int64)
     groups = ctl._setup_groups(
-        m, uniform_mesh(1.0, 5), streams, 0, 200, intensity_integral_for(m), words
+        m, uniform_mesh(1.0, 5), streams, 0, 200, intensity_integral_for(m)
     )
     group, paths = max(groups, key=lambda gp: len(gp[0].rows))
-    realizations, words = group.rows.astype(np.int64), words[group.rows]
+    realizations = group.rows.astype(np.int64)
+    positions = np.full(len(realizations), paths.dw[0].size)
     wiener = streams[0]
-    r = int(realizations[REJECTING])
-    _, first = wiener.fast_draws("standard_normal", [r], [400], [words[REJECTING]])
+    _, first = wiener.fast_draws("standard_normal", realizations[[REJECTING]], [400])
     assert first[0] < 400
-    words[REJECTING] += first[0]
+    positions[REJECTING] = first[0]
     if request.param > 1:
         extra = np.random.default_rng(5).standard_normal(paths.dt.shape + (request.param - 1,))
         dw = np.concatenate([paths.dw, extra * np.sqrt(paths.dt)[..., None]], axis=2)
         paths = replace(paths, dw=dw)
     paths.dw[REDRAWING, 2] = 1e-20
-    return m, group, paths, realizations, words, wiener
+    return m, group, paths, realizations, positions, wiener
+
+
+class CountedNormals:
+    """A generator that counts the normals drawn from it."""
+
+    def __init__(self, generator, drawn):
+        self.generator, self.drawn = generator, drawn
+
+    def standard_normal(self, shape):
+        values = self.generator.standard_normal(shape)
+        self.drawn += values.size
+        return values
 
 
 def check_rows(block, rows, mask):
     """Refine ``rows`` of the block by ``mask`` in one batch and each row
-    alone; return each row's word offset after its draws."""
-    m, group, paths, realizations, words, wiener = block
+    alone; return each row's position after its draws."""
+    m, group, paths, realizations, positions, wiener = block
     rows = np.asarray(rows)
     pieces, ends = bridge_refine_batch(
-        paths.take(rows), mask, wiener, realizations[rows], words[rows]
+        paths.take(rows), mask, wiener, realizations[rows], positions[rows]
     )
     lengths = [batch.dt.shape[1] for _, batch in pieces]
     assert lengths == sorted(set(lengths))
@@ -75,11 +88,11 @@ def check_rows(block, rows, mask):
             got[b] = batch.take([j])
     assert sorted(got) == np.flatnonzero(mask.any(axis=1)).tolist()
     for b, row in enumerate(rows.tolist()):
-        grid, dw = brownian_bridge_refine(
-            group.grid(row), paths.dw[row], mask[b],
-            wiener.at(realizations[row], int(words[row])),
-        )
-        assert ends[b] == wiener.word, b
+        generator = wiener.at(realizations[row])
+        generator.standard_normal(positions[row])
+        counted = CountedNormals(generator, positions[row])
+        grid, dw = brownian_bridge_refine(group.grid(row), paths.dw[row], mask[b], counted)
+        assert ends[b] == counted.drawn, b
         if b not in got:
             continue
         want = stack_paths(m, [grid], [dw])
@@ -110,14 +123,15 @@ def test_batched_refine_matches_one_row_refine(block, data):
 
 
 def test_crafted_rows_take_both_fallbacks(block):
-    _, _, paths, realizations, words, wiener = block
+    _, _, paths, realizations, positions, wiener = block
     n_steps = paths.dt.shape[1]
     rows = [REJECTING, REDRAWING, 2, 3]
     mask = np.ones((len(rows), n_steps), dtype=bool)
     ends = check_rows(block, rows, mask)
     _, first = wiener.fast_draws(
-        "standard_normal", realizations[[REJECTING]], [1], words[[REJECTING]]
+        "standard_normal", realizations[[REJECTING]], positions[[REJECTING]] + 1
     )
-    assert first[0] == 0  # the row's first bridge normal is a ziggurat rejection
+    # the row's first bridge normal is a ziggurat rejection
+    assert first[0] == positions[REJECTING]
     # the crafted step draws ten redraws on top of one draw per step
-    assert ends[1] - words[REDRAWING] >= paths.dw.shape[2] * (n_steps + 10)
+    assert ends[1] - positions[REDRAWING] >= paths.dw.shape[2] * (n_steps + 10)

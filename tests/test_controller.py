@@ -338,7 +338,8 @@ def test_algorithm_s_batch_cap():
 
 def reference_realization(model, seeds, index, det, tol, tol_t, n_a_bar, adapt):
     """Per-realization refinement loop built from the public scalar
-    pipeline; stops refining at the last simulated level."""
+    pipeline; stops refining at the last simulated level.  Also reports
+    the next normals of its Wiener generator after the refinement."""
     integral = intensity_integral_for(model)
     w_rng, t_rng, z_rng = realization_streams(seeds, index)
     jumps = sample_jumps(model, integral, t_rng, z_rng)
@@ -365,6 +366,7 @@ def reference_realization(model, seeds, index, det, tol, tol_t, n_a_bar, adapt):
         "signed_total": float(np.sum(rho * grid.dt ** 2)),
         "r_total": float(np.sum(r)),
         "work": work,
+        "next_normals": w_rng.standard_normal(4),
     }
 
 
@@ -398,6 +400,22 @@ def test_level_loop_matches_scalar_reference_at_an_offset():
         ref = reference_realization(m, seeds, 1000 + i, det, **kw)
         for key in EXACT_KEYS + ("signed_total", "r_total"):
             assert res[key][i] == ref[key], (i, key)
+
+
+def test_control_time_error_leaves_the_generator_after_its_normals():
+    # realizations 0-99 at TOL 0.04 include rows whose bridge splits
+    # reach a redraw round
+    m = build_model("test5")
+    det = uniform_mesh(1.0, 5)
+    seeds = SeedConfig()
+    kw = dict(tol=0.04, tol_t=split_tolerance(0.04).time, n_a_bar=5.0, adapt=AdaptParams())
+    integral = intensity_integral_for(m)
+    for i in range(100):
+        ref = reference_realization(m, seeds, i, det, **kw)
+        wiener, jump_rng, mark_rng = realization_streams(seeds, i)
+        jumps = sample_jumps(m, integral, jump_rng, mark_rng)
+        control_time_error(m, jumps, det, wiener, **kw)
+        np.testing.assert_array_equal(wiener.standard_normal(4), ref["next_normals"], str(i))
 
 
 def test_control_time_error_level_cap_reports_last_mesh():
@@ -643,6 +661,45 @@ def test_stochastic_control_rejects_bad_thresholds(tol_t, n_a_bar):
     jumps = sample_jumps(m, intensity_integral_for(m), jump_rng, mark_rng)
     with pytest.raises(ParameterError):
         control_time_error(m, jumps, det, wiener, **kw)
+
+
+@pytest.mark.parametrize("engine", ["mesh", "stochastic", "control"])
+@pytest.mark.parametrize("tol", [1.5, 0.0])
+def test_a_bad_density_tol_is_rejected_before_any_work(monkeypatch, engine, tol):
+    m = build_model("test5")
+    det = uniform_mesh(1.0, 5)
+    wiener, jump_rng, mark_rng = realization_streams(SeedConfig(), 0)
+    jumps = sample_jumps(m, intensity_integral_for(m), jump_rng, mark_rng)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran with an invalid TOL")
+
+    monkeypatch.setattr(ctl, "_setup_groups", no_work)
+    monkeypatch.setattr(ctl, "build_augmented_grid", no_work)
+    kw = dict(tol=tol, tol_t=0.01, n_a_bar=5.0)
+    with pytest.raises(ParameterError, match="TOL must lie in"):
+        if engine == "mesh":
+            run_mesh_batch(m, det, SeedConfig(), 0, 40000, tol=tol, want_density=True)
+        elif engine == "stochastic":
+            run_stochastic_batch(m, det, SeedConfig(), 0, 10, **kw)
+        else:
+            control_time_error(m, jumps, det, wiener, **kw)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_library_entry_points_reject_fewer_than_one_realization(count):
+    m = build_model("test5")
+    det = uniform_mesh(1.0, 5)
+    calls = [
+        lambda: run_mesh_batch(m, det, SeedConfig(), 0, count),
+        lambda: run_stochastic_batch(
+            m, det, SeedConfig(), 0, count, tol=0.04, tol_t=0.01, n_a_bar=5.0
+        ),
+        lambda: ctl.run_interval_batch(m, det, SeedConfig(), count),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match="batch size"):
+            call()
 
 
 @pytest.mark.parametrize("workers", [0, -1])

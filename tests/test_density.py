@@ -263,7 +263,7 @@ def test_batched_interval_totals_match_the_one_row_pipeline(monkeypatch, workers
     monkeypatch.setattr(ctl, "MESH_CHUNK", 40)
     m = build_model("test5")
     det = uniform_mesh(1.0, 5)
-    totals = ctl.interval_signed_totals(m, det, SeedConfig(), 100, workers=workers)
+    totals = ctl.run_interval_batch(m, det, SeedConfig(), 100, workers=workers)["total"]
     rows = {}
     for group, paths in ctl._setup_groups(
         m, det, keyed_streams(SeedConfig()), 0, 100, intensity_integral_for(m)

@@ -18,9 +18,8 @@ import sys
 import numpy as np
 import pytest
 
-from jumpmc import SeedConfig, build_model, intensity_integral_for, uniform_mesh
+from jumpmc import SeedConfig, build_model, uniform_mesh
 from jumpmc import controller as ctl
-from jumpmc.rng import keyed_streams
 
 NUMPY_SERIES = "2.4"
 
@@ -59,7 +58,6 @@ PINNED = {
         "n_a": "a50881e940909595d509fb5fef91f273f06e4c3888be1ba9f8279b766c551591",
         "n_jumps": "3d3ecc1d803fefc903d2e680f546a971f2e5a119f96ad5b95e64bf698dc9e579",
         "payoff": "fc7c3014013122b9ebf345553c4484f3b5c0934ed217268d5c0dd77863a41f49",
-        "words": "976293278a810f76e468163bd3ac99efec1f028ace952eb5b77bc05a9ed6f653",
     },
 }
 
@@ -73,16 +71,9 @@ def _digest(array) -> str:
 def _outputs(case):
     model = build_model("test5")
     if case == "mesh-forward-40":
-        # the forward-only engine of algorithm_d's Monte Carlo phase, and
-        # the Wiener word offset of every row after its set-up draws
+        # the forward-only engine of algorithm_d's Monte Carlo phase
         det = uniform_mesh(model.horizon, 40)
-        out = ctl.run_mesh_batch(model, det, SeedConfig(), 0, 4096, want_density=False)
-        out["words"] = np.empty(4096, dtype=np.int64)
-        ctl._setup_groups(
-            model, det, keyed_streams(SeedConfig()), 0, 4096,
-            intensity_integral_for(model), words=out["words"],
-        )
-        return out
+        return ctl.run_mesh_batch(model, det, SeedConfig(), 0, 4096, want_density=False)
     det = uniform_mesh(model.horizon, 5)
     if case == "mesh-density":
         return ctl.run_mesh_batch(

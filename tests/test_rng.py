@@ -129,7 +129,7 @@ def test_philox_words_match_random_raw(seed, stream_id):
         for word in range(10):  # offsets across 4-word blocks
             got = keyed.at(index, word).bit_generator.random_raw(6)
             np.testing.assert_array_equal(got, raw[word:word + 6])
-            assert keyed.word == word + 6
+            assert keyed.generator.bit_generator.random_raw() == raw[word + 6]
     with pytest.raises(ParameterError):
         philox_words(seed, stream_id, [1 << 60], [0])
 
@@ -150,15 +150,15 @@ def test_draws_match_the_generator_on_a_million_values(kind):
     rows = np.concatenate([np.arange(20010), built, [(1 << 60) - 1]])
     counts = np.full(len(rows), count)
     counts[:7] = [0, 1, 2, 3, 4, 5, 9]
-    ends = np.empty(len(rows), dtype=np.int64)
-    values = keyed.draws(kind, rows, counts, ends)
+    if kind == "standard_normal":  # every value numpy's
+        values, first = keyed.normals(rows, counts), counts
+    else:  # the values before each row's first rejection
+        values, first = keyed.fast_draws(kind, rows, counts)
     assert values.size >= 10**6
     at = 0
-    for index, n, end in zip(rows.tolist(), counts.tolist(), ends.tolist()):
+    for index, n, f in zip(rows.tolist(), counts.tolist(), first.tolist()):
         generator = stream(2**64 - 3, index, STREAM_WIENER)
-        np.testing.assert_array_equal(values[at:at + n], getattr(generator, kind)(n))
-        state = generator.bit_generator.state
-        assert end == 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
+        np.testing.assert_array_equal(values[at:at + f], getattr(generator, kind)(f))
         at += n
     assert at == values.size
 
@@ -166,9 +166,8 @@ def test_draws_match_the_generator_on_a_million_values(kind):
 def test_uniforms_match_generator_random():
     keyed = KeyedStream(101, STREAM_MARKS)
     rows = np.arange(300, 600)
-    ends = np.empty(len(rows), dtype=np.int64)
-    values = keyed.draws("random", rows, rows % 11, ends)
-    np.testing.assert_array_equal(ends, rows % 11)
+    values, first = keyed.fast_draws("random", rows, rows % 11)
+    np.testing.assert_array_equal(first, rows % 11)  # never rejects
     expected = [stream(101, i, STREAM_MARKS).random(i % 11) for i in rows.tolist()]
     np.testing.assert_array_equal(values, np.concatenate(expected))
 
@@ -282,39 +281,29 @@ def test_samplers_without_a_quantile_raise_per_realization(monkeypatch, engine):
 # normals with ziggurat rejections resolved in arrays, against the generator
 
 
-def _generator_draws(keyed, rows, counts, starts):
-    """Values and end words of ``KeyedStream.draws`` as numpy's generator
-    makes them, one row at a time."""
-    values, ends = [], []
-    for i, n, s in zip(rows.tolist(), counts.tolist(), starts.tolist()):
-        values.append(keyed.at(i, s).standard_normal(n))
-        ends.append(keyed.word)
-    return np.concatenate(values), np.array(ends)
-
-
-def _assert_draws_match(keyed, rows, counts, starts):
-    """Check ``draws`` against the generator; the realizations it handed
-    to the generator, in order."""
+def _assert_draws_match(keyed, rows, counts):
+    """Check ``normals`` against the generator, one row at a time; the
+    realizations it handed to the generator, in order."""
     handed = []
     at = keyed.at
     keyed.at = lambda i, w=0: handed.append(i) or at(i, w)
-    ends = np.empty(len(rows), dtype=np.int64)
-    values = keyed.draws("standard_normal", rows, counts, ends, starts)
+    values = keyed.normals(rows, counts)
     del keyed.at
-    expected, expected_ends = _generator_draws(keyed, rows, counts, starts)
-    np.testing.assert_array_equal(values, expected)
-    np.testing.assert_array_equal(ends, expected_ends)
+    expected = [keyed.at(i).standard_normal(n) for i, n in zip(rows.tolist(), counts.tolist())]
+    np.testing.assert_array_equal(values, np.concatenate(expected))
     return handed
 
 
 def test_normal_draws_match_the_generator_from_any_start():
+    # a row read from normal ``start`` on (as the bridge refinement reads
+    # from a row's position) is the tail of its first start + count normals
     rng = np.random.default_rng(8)
     keyed = KeyedStream(2**64 - 11, STREAM_WIENER)
     rows = np.concatenate([np.arange(31000), [(1 << 60) - 1]])
     counts = rng.choice([0, 1, 6, 41], p=[0.05, 0.05, 0.1, 0.8], size=len(rows))
     starts = rng.integers(0, 8, size=len(rows))
     assert counts.sum() >= 10**6 and set(starts.tolist()) == set(range(8))
-    _assert_draws_match(keyed, rows, counts, starts)
+    _assert_draws_match(keyed, rows, starts + counts)
 
 
 def _ziggurat_walk(words, count):
@@ -372,12 +361,12 @@ def test_crafted_rejections_match_the_generator(monkeypatch, slack):
     crafted = _crafted_rows(keyed, 41)
     if slack is not None:  # every rejection runs past the drawn words
         monkeypatch.setattr(
-            rng_module, "_normal_slack", lambda counts, starts: np.where(counts > 0, counts + slack, 0)
+            rng_module, "_normal_slack", lambda counts: np.where(counts > 0, counts + slack, 0)
         )
     rows = np.array(sorted(set(crafted.values())) + list(range(20)))
     counts = np.full(len(rows), 41)
     counts[-3:] = [0, 1, 6]
-    handed = _assert_draws_match(keyed, rows, counts, np.zeros_like(counts))
+    handed = _assert_draws_match(keyed, rows, counts)
     assert crafted["tail"] in handed
     assert (crafted["several"] in handed) == (slack is not None)
 
