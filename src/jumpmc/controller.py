@@ -38,18 +38,16 @@ which draws each row's bridge noise from its own Wiener stream at the
 row's position, the number of normals the stream has given
 (``control_time_error`` is the one-row case).
 ``_setup_groups`` sets up a whole index range at once from
-counter-based draws (``rng.KeyedStream``): every realization's jump
-times, marks (``jumps.sample_jump_chunk``) and Wiener normals come from
-its own Philox streams, computed for the whole range in numpy (wedge
-rejections of the Wiener normals included), and a realization whose
-draws need numpy's generator (a ziggurat tail draw or a rejected jump
-exponential, a jump count past the drawn block, a mark sampler without
-a quantile) continues on it at its word offset.  All grids are merged in
-one pass by ``jumps.build_grid_groups``, which hands the kernel stacked
-arrays per step count; a row's Wiener increments are the first
-``n_steps * wiener_dim`` normals of its stream, so that is its position
-after set-up.  Layer arithmetic is row-wise, so no
-realization's numbers depend on the rows it shares a batch with.
+counter-based draws (``rng.KeyedStream.draws``): every realization's
+jump times, marks (``jumps.sample_jump_chunk``) and Wiener normals come
+from its own Philox streams, computed for the whole range in numpy,
+ziggurat rejections included; only a mark sampler without a quantile
+draws from a one-row generator.  All grids are merged in one pass by
+``jumps.build_grid_groups``, which hands the kernel stacked arrays per
+step count; a row's Wiener increments are the first ``n_steps *
+wiener_dim`` normals of its stream, so that is its position after
+set-up.  Layer arithmetic is row-wise, so no realization's numbers
+depend on the rows it shares a batch with.
 
 Batches are chunked into fixed-size index ranges; a chunk is always
 computed the same way no matter how chunks are spread over workers, and
@@ -256,7 +254,7 @@ def statistical_error_bound(std: float, m: int, c0: float = 1.65) -> float:
     """Confidence bound c0 * std / sqrt(M) on a sample mean."""
     if m < 1:
         raise ParameterError(f"M must be >= 1, got {m}")
-    if std < 0.0:
+    if not std >= 0.0:  # NaN fails >= too
         raise ParameterError(f"std must be >= 0, got {std}")
     return c0 * std / math.sqrt(m)
 
@@ -272,7 +270,7 @@ def change_M(m_in: int, s_in: float, tol_s: float, c0: float = 1.65, mch: int = 
         raise ParameterError(f"M_in must be >= 1, got {m_in}")
     if not tol_s > 0.0:
         raise ParameterError(f"TOL_S must be positive, got {tol_s}")
-    if s_in < 0.0:
+    if not s_in >= 0.0:  # NaN fails >= too
         raise ParameterError(f"S_in must be >= 0, got {s_in}")
     cap = mch * m_in
     ratio = c0 * s_in / tol_s
@@ -302,8 +300,7 @@ class MonteCarloBatch:
 class MonteCarloResult:
     """Outcome of the batched Monte Carlo loop.
 
-    ``estimate`` is the last batch's sample mean unless pooling across
-    batches was requested.
+    ``estimate`` is the last batch's sample mean.
     """
 
     estimate: float
@@ -320,7 +317,6 @@ def monte_carlo(
     tol_s: float,
     stats: StatParams = StatParams(),
     start_index: int = 0,
-    pooled: bool = False,
 ) -> MonteCarloResult:
     """Draw fresh batches until the statistical bound meets tol_s.
 
@@ -334,8 +330,6 @@ def monte_carlo(
     m = stats.m0
     index = start_index
     batches = []
-    pooled_sum = 0.0
-    pooled_sq = 0.0
     total = 0
     for _ in range(stats.max_batches):
         values = np.asarray(draw(index, m), float)
@@ -352,20 +346,12 @@ def monte_carlo(
         )
         index += m
         total += m
-        pooled_sum += math.fsum(values)
-        pooled_sq += math.fsum(values * values)
         if bound <= tol_s:
-            estimate, est_std, est_bound, est_m = mean, std, bound, m
-            if pooled:
-                estimate = pooled_sum / total
-                est_std = math.sqrt(max(pooled_sq / total - estimate * estimate, 0.0))
-                est_bound = statistical_error_bound(est_std, total, stats.c0)
-                est_m = total
             return MonteCarloResult(
-                estimate=estimate,
-                error_bound=est_bound,
-                std=est_std,
-                m_final=est_m,
+                estimate=mean,
+                error_bound=bound,
+                std=std,
+                m_final=m,
                 batches=tuple(batches),
                 next_index=index,
                 total_samples=total,
@@ -381,7 +367,7 @@ def monte_carlo(
 # deterministic-mesh refinement primitives
 
 
-def refine_deterministic(mesh: Array, rbar: Array, tol_tt: float, d1: float, n: int = None) -> Array:
+def refine_deterministic(mesh: Array, rbar: Array, tol_tt: float, d1: float) -> Array:
     """Bisect every interval whose averaged indicator is >= d1 * TOL_TT / N."""
     mesh = np.asarray(mesh, float)
     rbar = np.asarray(rbar, float)
@@ -389,9 +375,7 @@ def refine_deterministic(mesh: Array, rbar: Array, tol_tt: float, d1: float, n: 
         raise ParameterError(
             f"indicators must have one entry per interval, got {rbar.shape}"
         )
-    if n is None:
-        n = len(mesh) - 1
-    split = np.nonzero(rbar >= d1 * tol_tt / n)[0]
+    split = np.nonzero(rbar >= d1 * tol_tt / (len(mesh) - 1))[0]
     return np.insert(mesh, split + 1, 0.5 * (mesh[split] + mesh[split + 1]))
 
 
@@ -412,17 +396,17 @@ def _path_batch(model, paths, realizations, want_rho):
     is stored, only X(T).
 
     ``realizations`` are the rows' absolute indices, named by the
-    EvaluationError raised for a diverging path or a non-finite density.
-    Returns (payoff, rho) with rho None without ``want_rho``.  The model's
-    callbacks must broadcast over rows (see ``as_vectorized``); each is
-    evaluated once per node, and the dual and density layers share the
-    values.
+    EvaluationError raised for a diverging path, a non-finite payoff or a
+    non-finite density.  Returns (payoff, rho) with rho None without
+    ``want_rho``.  The model's callbacks must broadcast over rows (see
+    ``as_vectorized``); each is evaluated once per node, and the dual and
+    density layers share the values.
     """
     if not want_rho:
         terminal = euler_terminal(model, paths, realizations=realizations)
-        return np.asarray(model.payoff(terminal), float), None
+        return _payoff(model, terminal, realizations), None
     values, left = euler_batch(model, paths, realizations=realizations)
-    payoff = np.asarray(model.payoff(values[:, -1]), float)
+    payoff = _payoff(model, values[:, -1], realizations)
     model.require(
         *_required_callbacks(3, with_jumps=paths.jump_flag.any()), "drift_t", "diffusion_t"
     )
@@ -430,11 +414,25 @@ def _path_batch(model, paths, realizations, want_rho):
     stores, _, _ = dual_batch(model, cb, paths, values, left, 3)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite rho raises below
         rho = rho_batch(cb, *stores)
-    if not np.isfinite(rho).all():
-        which = realizations[int(np.nonzero(~np.isfinite(rho).all(axis=1))[0][0])]
-        named = "" if which is None else f" (realization {which})"
-        raise EvaluationError(f"error density is not finite{named}", realization=which)
+    _check_finite(rho, realizations, "error density")
     return payoff, rho
+
+
+def _payoff(model, terminal, realizations):
+    """The payoffs of the rows' terminal states, checked finite."""
+    payoff = np.asarray(model.payoff(terminal), float)
+    _check_finite(payoff, realizations, "payoff")
+    return payoff
+
+
+def _check_finite(values, realizations, what):
+    """EvaluationError naming the first row of ``values`` with an entry
+    that is not finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        which = realizations[int(np.argmin(finite.reshape(len(finite), -1).all(axis=1)))]
+        named = "" if which is None else f" (realization {which})"
+        raise EvaluationError(f"{what} is not finite{named}", realization=which)
 
 
 def _mesh_group_batched(model, det, group, paths, tol, want_density, outputs, start):
@@ -469,7 +467,7 @@ def _setup_groups(model, det, streams, start, count, integral):
     ``jumps.sample_jump_chunk`` draws every realization's jumps (with the
     model's intensity ``integral``) and marks from its keyed ``streams``;
     all grids are merged in one ``build_grid_groups`` pass; the standard
-    normals of every row come from one ``KeyedStream.normals`` call on
+    normals of every row come from one ``KeyedStream.draws`` call on
     the Wiener family, in group order, and are scaled by sqrt(dt) in place
     once per group.  A row's increments are the first ``n_steps *
     wiener_dim`` normals of its Wiener stream.  Set-up errors name the
@@ -485,7 +483,7 @@ def _setup_groups(model, det, streams, start, count, integral):
     draws = np.concatenate(
         [np.full(len(group.rows), group.times.shape[1] - 1) for group in groups]
     ) * model.wiener_dim
-    z = wiener.normals(start + rows, draws)
+    z = wiener.draws("standard_normal", start + rows, draws)
     out = []
     at = 0
     for group in groups:
@@ -542,7 +540,7 @@ def _interval_chunk(model, det, seeds, start, count):
         stores, _, _ = dual_batch(model, cb, paths, values, left, 2)
         hi = _stack_calls(model, INTERVAL_DENSITY_CALLBACKS, times[:, 1:], left[:, 1:])
         rho = rho_interval_batch(cb, hi, *stores, times, det)
-        payoffs[group.rows] = np.asarray(model.payoff(values[:, -1]), float)
+        payoffs[group.rows] = _payoff(model, values[:, -1], (start + group.rows).tolist())
         totals[group.rows] = np.sum(rho * widths ** 2, axis=1)
     return {"payoff": payoffs, "total": totals}
 
@@ -703,7 +701,6 @@ def control_time_error(
     tol_t: float,
     n_a_bar: float,
     adapt: AdaptParams = AdaptParams(),
-    min_step: float = None,
 ) -> TimeControlledRealization:
     """Refine one realization's mesh until its indicators pass acceptance.
 
@@ -723,9 +720,9 @@ def control_time_error(
     positions = np.array([dw.size])
     out = _refine_levels(
         model, [(np.zeros(1, dtype=np.intp), stack_paths(model, [grid], [dw]))],
-        np.array([None]), wiener, positions, tol, tol_t, n_a_bar, adapt, min_step,
+        np.array([None]), wiener, positions, tol, tol_t, n_a_bar, adapt,
     )
-    wiener.normals(None, positions)  # the caller's generator goes on from there
+    wiener.draws("standard_normal", None, positions)  # the caller's generator goes on from there
     return TimeControlledRealization(
         payoff=float(out["payoff"][0]),
         n_a=int(out["n_a"][0]),
@@ -751,29 +748,27 @@ def _check_stochastic(tol, tol_t, n_a_bar):
 
 class _OwnGenerator:
     """A ``KeyedStream`` stand-in for one row that draws from its own
-    generator: its stream is the generator's normals from where the
-    stand-in was made, so ``normals`` replays from there, and the
-    generator is left after the last ``normals``."""
+    generator: its stream is the generator's draws from where the
+    stand-in was made, so ``draws`` replays from there, and the
+    generator is left after the last ``draws``."""
 
     def __init__(self, generator):
         self.generator = generator
         self.origin = generator.bit_generator.state
 
-    def normals(self, realizations, counts):
+    def draws(self, kind, realizations, counts):
         self.generator.bit_generator.state = self.origin
-        return self.generator.standard_normal(int(np.sum(counts)))
+        return getattr(self.generator, kind)(int(np.sum(counts)))
 
 
-def _refine_levels(
-    model, groups, realizations, wiener, positions, tol, tol_t, n_a_bar, adapt, min_step=None,
-):
+def _refine_levels(model, groups, realizations, wiener, positions, tol, tol_t, n_a_bar, adapt):
     """Per-realization adaptive refinement, one level at a time.
 
     ``groups`` are (rows, PathBatch) pairs by ascending step count that
     together hold every row once; ``realizations[row]`` is the row's
     absolute index (None for a row without one) and ``positions[row]``
     the number of normals its Wiener stream in ``wiener`` (a
-    ``KeyedStream`` or a stand-in with its ``normals``) has given.  Each
+    ``KeyedStream`` or a stand-in with its ``draws``) has given.  Each
     level runs every group through ``_path_batch`` in blocks of at most
     STOCH_BLOCK rows; the rows that fail the acceptance test are bisected
     by ``bridge_refine_batch``, in the order a lone run of the row would
@@ -782,8 +777,7 @@ def _refine_levels(
     comes from the same mesh.  ``positions`` is updated in place; returns
     per-row arrays.
     """
-    if min_step is None:
-        min_step = float(model.horizon) * MIN_STEP_FRACTION
+    min_step = float(model.horizon) * MIN_STEP_FRACTION
     refine_at = adapt.s1 * tol_t / n_a_bar
     accept_below = adapt.S1 * tol_t / n_a_bar
     count = len(realizations)

@@ -363,7 +363,7 @@ class _BridgeNormals:
         self.counts = counts
         drawn = self.positions + counts
         self.offset = np.cumsum(drawn) - counts
-        self.values = self.wiener.normals(self.realizations, drawn)
+        self.values = self.wiener.draws("standard_normal", self.realizations, drawn)
 
     def take(self, h, slot):
         """Normals ``slot`` to ``slot + w - 1`` of rows ``h``, as (len(h), w)."""
@@ -441,7 +441,7 @@ def bridge_refine_batch(paths: PathBatch, mask: Array, wiener, realizations, pos
     normals, bit for bit.
 
     ``wiener`` is an ``rng.KeyedStream``, or a stand-in with its
-    ``normals``.  The bridge normals of every refined row are read from
+    ``draws``.  The bridge normals of every refined row are read from
     its position on in stream order, and ``bridge_split`` runs on every
     split step at once (``_bridge_splits``).  Returns ``(pieces, ends)``:
     the rows with a masked step as (row indices, PathBatch) pairs by

@@ -27,6 +27,8 @@ from .model import JumpDiffusionModel, UniformMarks
 Array = np.ndarray
 
 COLLISION_RTOL = 1e-14  # jump/deterministic node merge tolerance, times horizon
+PANELS = 64  # Gauss-Legendre panels of a numeric integrated intensity
+NODES = 8  # Gauss-Legendre nodes per panel
 
 
 class IntensityIntegral:
@@ -46,8 +48,6 @@ class IntensityIntegral:
         bound: Optional[float] = None,
         closed_form: Optional[Callable[[float], float]] = None,
         inverse: Optional[Callable[[float], float]] = None,
-        panels: int = 64,
-        nodes: int = 8,
     ):
         if not horizon > 0.0:
             raise ParameterError(f"horizon must be > 0, got {horizon}")
@@ -57,16 +57,14 @@ class IntensityIntegral:
         self._closed_form = closed_form
         self._closed_inverse = inverse
 
-        self._edges = np.linspace(0.0, self.horizon, panels + 1)
-        xs, ws = roots_legendre(nodes)
-        self._gl_x = xs
-        self._gl_w = ws
+        self._edges = np.linspace(0.0, self.horizon, PANELS + 1)
+        self._gl_x, self._gl_w = roots_legendre(NODES)
 
         if closed_form is None:
             panel_vals = np.array(
                 [
                     self._gauss(self._edges[i], self._edges[i + 1])
-                    for i in range(panels)
+                    for i in range(PANELS)
                 ]
             )
             self._cum = np.concatenate([[0.0], np.cumsum(panel_vals)])
@@ -82,8 +80,8 @@ class IntensityIntegral:
 
     def _check_rate(self, t: float) -> float:
         lam = float(self.intensity(t))
-        if lam < 0.0:
-            raise EvaluationError(f"intensity is negative at t={t}: {lam}")
+        if not lam >= 0.0:  # NaN fails >= too
+            raise EvaluationError(f"intensity is negative or NaN at t={t}: {lam}")
         if self.bound is not None and lam > self.bound * (1.0 + 1e-9):
             raise EvaluationError(
                 f"intensity at t={t} is {lam}, above its declared bound {self.bound}"
@@ -133,7 +131,7 @@ class IntensityIntegral:
         return float(t)
 
 
-def intensity_integral_for(model: JumpDiffusionModel, **kw) -> IntensityIntegral:
+def intensity_integral_for(model: JumpDiffusionModel) -> IntensityIntegral:
     """IntensityIntegral for a model, using its closed forms when given."""
     return IntensityIntegral(
         model.intensity,
@@ -141,7 +139,6 @@ def intensity_integral_for(model: JumpDiffusionModel, **kw) -> IntensityIntegral
         bound=model.intensity_bound,
         closed_form=model.intensity_integral,
         inverse=model.intensity_integral_inverse,
-        **kw,
     )
 
 
@@ -181,17 +178,11 @@ def jump_times_from_exponentials(
     )
 
 
-def sample_jump_times(
-    integral: IntensityIntegral, rng: np.random.Generator, s: float = 0.0
-) -> Array:
-    """Draw one realization of the jump times on [0, horizon).
-
-    With ``s``, the partial sum of the exponentials drawn before ``rng``'s
-    first one, it returns the jump times that follow.
-    """
+def sample_jump_times(integral: IntensityIntegral, rng: np.random.Generator) -> Array:
+    """Draw one realization of the jump times on [0, horizon)."""
     total = integral.total
     times = []
-    s += rng.exponential()
+    s = rng.exponential()
     while s < total:
         times.append(integral.inverse(s))
         s += rng.exponential()
@@ -245,10 +236,12 @@ def sample_jumps(
     return JumpRealization(times=times, marks=marks)
 
 
-def _exponential_block(total: float) -> int:
-    """Exponentials drawn per row up front: L(T) + 4 sqrt(L(T)) + 2,
-    rounded up to whole Philox blocks, covers all but a sliver of rows."""
-    return 4 * math.ceil((total + 4.0 * math.sqrt(total) + 2.0) / 4.0)
+def _exponential_count(total: float) -> int:
+    """Exponentials drawn per row up front: with ``rng``'s slack of
+    ``2 + count // 16`` words they fill the Philox blocks of
+    L(T) + 4 sqrt(L(T)) + 2 words, which cover all but a sliver of rows."""
+    words = 4 * math.ceil((total + 4.0 * math.sqrt(total) + 2.0) / 4.0)
+    return words - 2 - words // 16
 
 
 def _name_realization(exc, realization):
@@ -264,57 +257,45 @@ def sample_jump_chunk(
     keyed streams (``rng.KeyedStream``) as ``sample_jumps`` draws them.
 
     Returns ``(n_jumps, times, marks)``: times and marks flat, row after
-    row.  Every row's exponentials come as one counter-based block:
+    row.  Every row's exponentials come from one ``draws`` call:
     ``np.cumsum`` adds them in the order of the one-row loop, and
-    ``integral.inverse`` maps every sum below L(T).  A row whose block
-    rejects a draw before its last used one, or does not reach L(T),
-    goes on with ``sample_jump_times`` at that word of its stream.
-    Marks of a ``UniformMarks`` sampler are its quantile mapped over the
-    times and one counter-based uniform per jump; any other sampler is
-    called per jump with the row's generator.  Errors name the
-    realization.
+    ``integral.inverse`` maps every sum below L(T).  A row whose
+    exponentials do not reach L(T) is drawn again from its first one,
+    twice as many.  Marks of a ``UniformMarks`` sampler are its quantile
+    mapped over the times and one counter-based uniform per jump; any
+    other sampler is called per jump with the row's generator.  Errors
+    name the realization.
     """
     count = len(realizations)
     total = integral.total
-    block = _exponential_block(total)
-    exps, rejected = time_stream.fast_draws(
-        "standard_exponential", realizations, np.full(count, block)
-    )
-    sums = np.cumsum(exps.reshape(count, block), axis=1)
-    reached = sums >= total
-    ends = np.where(reached.any(axis=1), reached.argmax(axis=1), block)
-    handed = np.nonzero(rejected <= ends)[0].tolist()  # rows numpy finishes
-    used = np.where(rejected <= ends, rejected, ends)  # sums taken from the block
+    if not math.isfinite(total):  # no row's exponentials would reach it
+        raise EvaluationError(f"integrated intensity L(T) is not finite: {total}")
+    ids = np.asarray(realizations, dtype=np.int64)
+    owners, below = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    rows = np.arange(count)
+    per_row = _exponential_count(total)
+    while len(rows):
+        exps = time_stream.draws("standard_exponential", ids[rows], np.full(len(rows), per_row))
+        sums = np.cumsum(exps.reshape(len(rows), per_row), axis=1)
+        done = sums[:, -1] >= total
+        under = sums[done] < total  # a prefix of each row
+        owners.append(np.repeat(rows[done], under.sum(axis=1)))
+        below.append(sums[done][under])
+        rows, per_row = rows[~done], 2 * per_row
+    owner = np.concatenate(owners)
+    order = np.argsort(owner, kind="stable")
+    n_jumps = np.bincount(owner, minlength=count)
     times = []
     try:
-        for s in sums[np.arange(block) < used[:, None]].tolist():
+        for s in np.concatenate(below)[order].tolist():
             times.append(integral.inverse(s))
     except JumpMCError as exc:
-        _name_realization(exc, realizations[np.repeat(np.arange(count), used)[len(times)]])
+        _name_realization(exc, realizations[owner[order[len(times)]]])
         raise
     times = np.array(times, dtype=float)
-    rest = []
-    for row in handed:
-        k = int(used[row])
-        try:
-            rest.append(
-                sample_jump_times(
-                    integral, time_stream.at(realizations[row], k),
-                    float(sums[row, k - 1]) if k else 0.0,
-                )
-            )
-        except JumpMCError as exc:
-            _name_realization(exc, realizations[row])
-            raise
-    n_jumps = used.copy()
-    if rest:
-        lengths = [len(r) for r in rest]
-        n_jumps[handed] += lengths
-        at = np.repeat(np.cumsum(used)[handed], lengths)
-        times = np.insert(times, at, np.concatenate(rest))
 
     if isinstance(model.mark_sampler, UniformMarks):
-        uniforms, _ = mark_stream.fast_draws("random", realizations, n_jumps)
+        uniforms = mark_stream.draws("random", ids, n_jumps)
         quantile = model.mark_sampler.quantile
         marks = [quantile(t, u) for t, u in zip(times.tolist(), uniforms.tolist())]
         try:
@@ -446,7 +427,6 @@ def build_grid_groups(
     marks: Array,
     *,
     horizon: float,
-    collision_rtol: float = COLLISION_RTOL,
     realizations=None,
 ):
     """Merge each row's jump times into the deterministic mesh, all rows
@@ -454,7 +434,7 @@ def build_grid_groups(
 
     Row ``r`` has ``n_jumps[r]`` jumps; ``times`` (K,) and ``marks``
     (K, mark_dim) hold every row's jumps, row after row.  A jump within
-    ``collision_rtol * horizon`` of a deterministic node is merged into
+    ``COLLISION_RTOL * horizon`` of a deterministic node is merged into
     the node (the node keeps its time and becomes a jump node), so
     N_A = N + K - collisions.  ``realizations`` are the rows' absolute
     indices, named by the errors raised for a row (None when the rows
@@ -489,7 +469,7 @@ def build_grid_groups(
         )
 
     n = len(det) - 1
-    tol = collision_rtol * horizon
+    tol = COLLISION_RTOL * horizon
     pos = np.searchsorted(det, tau)  # deterministic nodes before each jump
     lo = np.clip(pos - 1, 0, n)
     hi = np.clip(pos, 0, n)
@@ -547,13 +527,12 @@ def build_augmented_grid(
     jumps: JumpRealization,
     *,
     horizon: float,
-    collision_rtol: float = COLLISION_RTOL,
 ) -> AugmentedGrid:
     """Merge jump times into the deterministic mesh (``build_grid_groups``
     with one row)."""
     (group,) = build_grid_groups(
         det_times, [len(jumps.times)], jumps.times, jumps.marks,
-        horizon=horizon, collision_rtol=collision_rtol,
+        horizon=horizon,
     )
     return group.grid(0)
 

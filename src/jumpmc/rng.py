@@ -15,17 +15,17 @@ counter ``w // 4 + 1``.  So the engines draw a whole chunk at once:
 on uint64 arrays, and ``standard_normal``, ``standard_exponential`` and
 ``random`` turn words into numpy's draws.  The first two are the fast
 path of numpy's ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000)
-with numpy's own tables.  A normal draw they reject is mostly a wedge
-draw, resolved in arrays from one more word and libm's ``exp`` for the
-close calls (``_wedges``), which shifts the row's later draws by one or
-two words.  A tail draw (numpy's loop of libm ``log1p`` calls) and a
-row that runs past its drawn words go on with numpy's generator from the
-rejected draw's word.  So a row's word offset depends on its rejections,
-and it stays inside this module: a caller counts its place in a Wiener
-stream in normals, and ``KeyedStream.normals`` draws from normal 0.
-``KeyedStream`` serves a stream family: ``normals`` and ``fast_draws``
-for a chunk, ``at(i, word)`` as the one-row generator at any word offset
-(``jumps`` continues a row whose exponentials reject on it).
+with numpy's own tables.  A draw they reject is mostly a wedge draw,
+resolved in arrays from one more word and libm's ``exp`` for the close
+calls (``_wedges``), which shifts the row's later draws by one or two
+words.  A tail draw (numpy's libm ``log1p`` calls) and a row that runs
+past its drawn words go on with numpy's generator from the rejected
+draw's word.  So a row's word offset depends on its rejections, and it
+stays inside this module: ``KeyedStream.draws`` is the one way to draw
+for a chunk, and a caller counts its place in a stream in draws, always
+drawn from draw 0.  ``KeyedStream.at(i)`` is the one-row generator of
+realization ``i`` (for a mark sampler that needs one); only ``draws``
+sets it to a word offset.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ziggurat import FI_DOUBLE, KE_DOUBLE, KI_DOUBLE, WE_DOUBLE, WI_DOUBLE
+from ._ziggurat import FE_DOUBLE, FI_DOUBLE, KE_DOUBLE, KI_DOUBLE, WE_DOUBLE, WI_DOUBLE
 from .errors import ParameterError
 
 STREAM_WIENER = 0
@@ -168,10 +168,13 @@ def random(words):
     return x, np.ones(x.shape, dtype=bool)
 
 
-_FAST_PATHS = {
-    "standard_normal": standard_normal,
-    "standard_exponential": standard_exponential,
-    "random": random,
+# kind: (fast path, wedge) with the wedge's (index shift, table, exponent
+# of its bound) as numpy's slow path reads a rejected word; "random"
+# never rejects
+_KINDS = {
+    "standard_normal": (standard_normal, (0, FI_DOUBLE, lambda x: -0.5 * x * x)),
+    "standard_exponential": (standard_exponential, (3, FE_DOUBLE, np.negative)),
+    "random": (random, None),
 }
 
 
@@ -182,8 +185,8 @@ def _ragged(counts):
     return row, np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
 
 
-def _normal_slack(counts):
-    """Words drawn per row for ``counts`` normals: at least
+def _slack(counts):
+    """Words drawn per row for ``counts`` ziggurat draws: at least
     ``2 + counts // 16`` words past the last one the fast path needs, up
     to the end of the row's last Philox block (no row draws for none)."""
     drawn = 4 * ((counts + 2 + counts // 16 + 3) // 4)
@@ -196,40 +199,43 @@ def _segment_base(lead, values):
     return np.maximum.accumulate(np.where(lead, values, values[:1]))
 
 
-def _wedges(er, eq, word, after, x, counts, drawn):
-    """Read rows of normals from their drawn words as numpy's ziggurat
-    does, resolving every rejected draw that is not a tail draw.
+def _wedges(er, eq, word, after, x, counts, drawn, wedge):
+    """Read rows of ziggurat draws from their drawn words as numpy does,
+    resolving every rejected draw that is not a tail draw.
 
     Row ``k`` has ``drawn[k]`` words for ``counts[k]`` draws.  Its words
     that the fast path rejects are the events ``(er, eq)`` (row, place;
     in row and place order), with the word itself, the word after it
-    (meaningless past the row's drawn words) and the fast path's ``x``.  A
-    rejected draw at ``idx != 0`` reads the next word as a uniform ``u``
-    (``Generator.random``) and keeps ``x`` if the wedge test
-    ``(fi[idx-1] - fi[idx]) * u + fi[idx] < exp(-x*x/2)`` holds, with
-    libm's ``exp`` as numpy's C code calls it; else it draws again from
-    the word after ``u``.  So each rejection shifts the row's later draws
-    by one or two words.  Returns ``((row, value), delta, total, hand)``:
-    the shift ``delta`` from value ``value`` of row ``row`` on, each row's
-    total shift, and the rows handed to numpy's generator as ``(rows,
-    value, word)``: at a tail draw (``idx == 0``), at a draw whose ``u``
-    was not drawn, or at the first word not drawn.
+    (meaningless past the row's drawn words) and the fast path's ``x``.
+    ``wedge`` is the kind's ``(shift, table, exponent)``: a rejected draw
+    at ``idx = (word >> shift) & 0xFF`` other than 0 reads the next word
+    as a uniform ``u`` (``Generator.random``) and keeps ``x`` if the wedge
+    test ``(table[idx-1] - table[idx]) * u + table[idx] < exp(exponent(x))``
+    holds, with libm's ``exp`` as numpy's C code calls it; else it draws
+    again from the word after ``u``.  So each rejection shifts the row's
+    later draws by one or two words.  Returns ``((row, value), delta,
+    total, hand)``: the shift ``delta`` from value ``value`` of row
+    ``row`` on, each row's total shift, and the rows handed to numpy's
+    generator as ``(rows, value, word)``: at a tail draw (``idx == 0``),
+    at a draw whose ``u`` was not drawn, or at the first word not drawn.
     """
+    shift, table, exponent = wedge
     # a run of adjacent rejected words alternates draw, u, draw, ...
     k = np.arange(len(er))
     run = np.ones(len(er), dtype=bool)
     run[1:] = (eq[1:] != eq[:-1] + 1) | (er[1:] != er[:-1])
     draw = (k - _segment_base(run, k)) % 2 == 0
     er, eq, word, after, x = er[draw], eq[draw], word[draw], after[draw], x[draw]
-    idx = (word & np.uint64(0xFF)).astype(np.intp)
+    idx = ((word >> np.uint64(shift)) & np.uint64(0xFF)).astype(np.intp)
     has_u = eq + 1 < drawn[er]
     u, _ = random(after)
-    wedge = (FI_DOUBLE[idx - 1] - FI_DOUBLE[idx]) * u + FI_DOUBLE[idx]
+    test = (table[idx - 1] - table[idx]) * u + table[idx]
     # np.exp is within a few ulps of libm's exp; libm decides the close calls
-    bound = np.exp(-0.5 * x * x)
-    close = np.flatnonzero(np.abs(wedge - bound) <= 1e-9 * bound)
-    bound[close] = [math.exp(v) for v in (-0.5 * x[close] * x[close]).tolist()]
-    accept = wedge < bound
+    power = exponent(x)
+    bound = np.exp(power)
+    close = np.flatnonzero(np.abs(test - bound) <= 1e-9 * bound)
+    bound[close] = [math.exp(v) for v in power[close].tolist()]
+    accept = test < bound
     step = np.where(accept, 1, 2)
     lead = np.ones(len(er), dtype=bool)
     lead[1:] = er[1:] != er[:-1]
@@ -258,7 +264,7 @@ class KeyedStream:
 
     ``at(i, word)`` is a generator drawing exactly what
     ``stream(seed, i, stream_id)`` draws from its word ``word`` on;
-    ``fast_draws`` and ``normals`` draw for many realizations at once.
+    ``draws`` draws for many realizations at once.
     """
 
     def __init__(self, seed: int, stream_id: int):
@@ -307,53 +313,35 @@ class KeyedStream:
             yield lo, hi, words.ravel()[4 * (np.cumsum(nb) - nb)[row] + pos]
             lo = hi
 
-    def fast_draws(self, kind: str, realizations, counts):
-        """The first ``counts[k]`` fast-path draws of ``kind`` (a
-        ``Generator`` method: "standard_normal", "standard_exponential" or
-        "random") of stream ``realizations[k]``, row after row in one flat
-        array, and each row's first rejected draw (``counts[k]`` when
-        none).  A row's values from its first rejection on are not numpy's.
-        """
-        fast = _FAST_PATHS[kind]
-        realizations = np.asarray(realizations, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
-        value_end = np.cumsum(counts)
-        values = np.empty(int(value_end[-1]) if len(counts) else 0)
-        first = counts.copy()
-        for lo, hi, wv in self._slabs(realizations, counts):
-            x, ok = fast(wv)
-            at = value_end[lo] - counts[lo]
-            values[at:at + len(x)] = x
-            bad = at + np.flatnonzero(~ok)
-            row = np.searchsorted(value_end, bad, side="right")
-            np.minimum.at(first, row, bad - (value_end - counts)[row])
-        return values, first
-
-    def normals(self, realizations, counts):
-        """The first ``counts[k]`` standard normals of stream
-        ``realizations[k]``, row after row, every value numpy's.
+    def draws(self, kind: str, realizations, counts):
+        """The first ``counts[k]`` draws of ``kind`` (a ``Generator``
+        method: "standard_normal", "standard_exponential" or "random") of
+        stream ``realizations[k]``, row after row, every value numpy's.
 
         Ziggurat rejections are resolved in arrays (``_wedges``) from a few
         slack words per row; a row with a tail draw or past its slack goes
         on with numpy's generator at the word of the first draw the arrays
-        cannot make.
+        cannot make.  Uniforms never reject and draw no slack.
         """
+        fast, wedge = _KINDS[kind]
         realizations = np.asarray(realizations, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)
-        drawn = _normal_slack(counts)
+        drawn = counts if wedge is None else _slack(counts)
         woff = np.cumsum(drawn) - drawn
         x = np.empty(int(drawn.sum()))
         none = np.empty(0, dtype=np.uint64)
         events = [(np.empty(0, dtype=np.int64), none, none)]
         for lo, hi, wv in self._slabs(realizations, drawn):
             at = woff[lo]
-            x[at:at + len(wv)], ok = standard_normal(wv)
+            x[at:at + len(wv)], ok = fast(wv)
             ev = np.flatnonzero(~ok)
             events.append((at + ev, wv[ev], wv[np.minimum(ev + 1, len(wv) - 1)]))
+        if wedge is None:
+            return x
         ev, word, after = (np.concatenate(parts) for parts in zip(*events))
         er = np.searchsorted(woff, ev, side="right") - 1
         (er, at), delta, total, hand = _wedges(
-            er, ev - woff[er], word, after, x[ev], counts, drawn
+            er, ev - woff[er], word, after, x[ev], counts, drawn, wedge
         )
         # value v of row k is x[woff[k] + v + shift], the shift stepping up
         # at each resolved rejection and back to 0 at the row's end or
@@ -371,9 +359,8 @@ class KeyedStream:
         )
         values = x[np.cumsum(place[:-1], out=place[:-1])]
         for k, v, w in zip(*(np.asarray(a).tolist() for a in hand)):
-            values[voff[k] + v:voff[k] + counts[k]] = self.at(
-                int(realizations[k]), w
-            ).standard_normal(int(counts[k] - v))
+            generator = self.at(int(realizations[k]), w)
+            values[voff[k] + v:voff[k] + counts[k]] = getattr(generator, kind)(int(counts[k] - v))
         return values
 
 

@@ -21,9 +21,18 @@ from jumpmc import controller as ctl  # noqa: E402
 from jumpmc.euler import bridge_refine_batch, stack_paths  # noqa: E402
 from jumpmc.jumps import intensity_integral_for  # noqa: E402
 from jumpmc.model import as_vectorized  # noqa: E402
-from jumpmc.rng import keyed_streams  # noqa: E402
+from jumpmc.rng import keyed_streams, philox_words, standard_normal  # noqa: E402
 
 REJECTING, REDRAWING = 0, 1  # the block's crafted rows
+
+
+def fast_path(wiener, realization, words):
+    """Whether the ziggurat's fast path accepts each of the first
+    ``words`` words (a multiple of 4) of ``realization``'s Wiener stream:
+    up to the first rejection, word ``k`` is normal ``k``."""
+    blocks = np.arange(words // 4)
+    w = philox_words(wiener.seed, wiener.stream_id, np.full(len(blocks), realization), blocks)
+    return standard_normal(w.ravel())[1]
 
 
 @pytest.fixture(scope="module", params=[1, 2], ids=["w1", "w2"])
@@ -48,9 +57,9 @@ def block(request):
     realizations = group.rows.astype(np.int64)
     positions = np.full(len(realizations), paths.dw[0].size)
     wiener = streams[0]
-    _, first = wiener.fast_draws("standard_normal", realizations[[REJECTING]], [400])
-    assert first[0] < 400
-    positions[REJECTING] = first[0]
+    ok = fast_path(wiener, realizations[REJECTING], 400)
+    assert not ok.all()
+    positions[REJECTING] = np.argmin(ok)
     if request.param > 1:
         extra = np.random.default_rng(5).standard_normal(paths.dt.shape + (request.param - 1,))
         dw = np.concatenate([paths.dw, extra * np.sqrt(paths.dt)[..., None]], axis=2)
@@ -128,10 +137,8 @@ def test_crafted_rows_take_both_fallbacks(block):
     rows = [REJECTING, REDRAWING, 2, 3]
     mask = np.ones((len(rows), n_steps), dtype=bool)
     ends = check_rows(block, rows, mask)
-    _, first = wiener.fast_draws(
-        "standard_normal", realizations[[REJECTING]], positions[[REJECTING]] + 1
-    )
-    # the row's first bridge normal is a ziggurat rejection
-    assert first[0] == positions[REJECTING]
+    ok = fast_path(wiener, realizations[REJECTING], 400)
+    # the row's first bridge normal is its stream's first ziggurat rejection
+    assert np.argmin(ok) == positions[REJECTING] and not ok[positions[REJECTING]]
     # the crafted step draws ten redraws on top of one draw per step
     assert ends[1] - positions[REDRAWING] >= paths.dw.shape[2] * (n_steps + 10)

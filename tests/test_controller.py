@@ -87,6 +87,8 @@ def test_statistical_error_bound_examples():
         statistical_error_bound(1.0, 0)
     with pytest.raises(ParameterError):
         statistical_error_bound(-1.0, 10)
+    with pytest.raises(ParameterError):
+        statistical_error_bound(math.nan, 10)
 
 
 def test_change_m_frozen_examples():
@@ -95,6 +97,8 @@ def test_change_m_frozen_examples():
     assert change_M(100, 0.0, 0.01333) == 2
     with pytest.raises(ParameterError):
         change_M(100, 0.5, 0.0)
+    with pytest.raises(ParameterError):  # not a raw ValueError from int(nan)
+        change_M(100, math.nan, 0.01333)
 
 
 def test_change_m_power_of_two_and_cap():
@@ -633,6 +637,43 @@ def test_failing_realization_does_not_depend_on_chunking(
     assert alone.value.realization == which
     if make_model is diverging_model:
         assert (which, error.step) == (1062, 5)
+
+
+def nan_payoff_model():
+    """test5 whose payoff is NaN once x1 ends above 0.8."""
+    base = build_model("test5")
+    return replace(base, payoff=lambda x: np.where(x[..., 0] > 0.8, np.nan, base.payoff(x)))
+
+
+@pytest.mark.parametrize(
+    "algorithm, chunk_name", [(algorithm_d, "MESH_CHUNK"), (algorithm_s, "STOCH_CHUNK")],
+    ids=["algorithm_d", "algorithm_s"],
+)
+def test_a_non_finite_payoff_names_the_smallest_realization(monkeypatch, algorithm, chunk_name):
+    # a NaN payoff stops the batch at its smallest realization, before a
+    # NaN standard deviation reaches change_M
+    m = nan_payoff_model()
+    seen = set()
+    for chunk in (7, 25, getattr(ctl, chunk_name)):
+        monkeypatch.setattr(ctl, chunk_name, chunk)
+        for workers in (1, 2):
+            with pytest.raises(EvaluationError) as exc:
+                algorithm(m, 0.1, workers=workers)
+            assert type(exc.value) is EvaluationError
+            seen.add((exc.value.realization, str(exc.value)))
+    assert len(seen) == 1, seen
+    ((which, message),) = seen
+    assert message == f"payoff is not finite (realization {which})"
+    # every realization before it has a finite payoff, on either engine
+    assert np.isfinite(_mesh(m, 0, which)["payoff"]).all()
+    assert np.isfinite(_stochastic(m, 0, which)["payoff"]).all()
+    for run in (_mesh, _mesh_density, _stochastic):
+        with pytest.raises(EvaluationError) as alone:
+            run(m, which, 1)
+        assert alone.value.realization == which
+    with pytest.raises(EvaluationError) as rhodef:
+        ctl.run_interval_batch(m, uniform_mesh(1.0, 5), SeedConfig(), which + 1)
+    assert rhodef.value.realization == which
 
 
 @pytest.mark.parametrize("run", [_mesh_density, _stochastic], ids=["mesh", "stochastic"])

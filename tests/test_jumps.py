@@ -1,6 +1,7 @@
 """Jump-time sampling, intensity integrals, and the augmented grid."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from jumpmc import (
     intensity_integral_for,
     jump_times_from_exponentials,
     no_jumps,
+    run_mesh_batch,
     sample_jump_times,
     sample_jumps,
     sample_marks,
@@ -99,6 +101,20 @@ def test_zero_intensity_never_jumps():
     rng = stream(20, 0, STREAM_JUMP_TIMES)
     times = sample_jump_times(integral, rng)
     assert len(times) == 0
+
+
+def test_a_nan_intensity_is_an_error():
+    with pytest.raises(EvaluationError, match="NaN"):
+        IntensityIntegral(lambda t: math.nan if t > 0.5 else 1.0, 1.0, bound=2.0)
+
+
+def test_a_non_finite_integrated_intensity_is_an_error():
+    # rows whose exponentials do not reach L(T) are drawn again with twice
+    # as many, so a NaN L(T) must stop the set-up, not grow it forever
+    base = build_model("test5")
+    model = replace(base, intensity_integral=lambda t: math.nan if t > 0.0 else 0.0)
+    with pytest.raises(EvaluationError, match="not finite"):
+        run_mesh_batch(model, uniform_mesh(1.0, 5), SeedConfig(), 0, 10)
 
 
 def test_mean_jump_count_matches_total_intensity():

@@ -1,8 +1,10 @@
 """Counter-based stream layout: disjoint, reproducible, seed-validated,
 and the chunk-wide draws against numpy's own generator."""
 
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from jumpmc import (
 from jumpmc import controller as ctl
 from jumpmc import jumps
 from jumpmc import rng as rng_module
-from jumpmc._ziggurat import FI_DOUBLE, KI_DOUBLE, WI_DOUBLE
+from jumpmc._ziggurat import FE_DOUBLE, FI_DOUBLE, KE_DOUBLE, KI_DOUBLE, WE_DOUBLE, WI_DOUBLE
 from jumpmc.model import MODELS, UniformMarks
 from jumpmc.rng import (
     STREAM_JUMP_TIMES,
@@ -134,8 +136,21 @@ def test_philox_words_match_random_raw(seed, stream_id):
         philox_words(seed, stream_id, [1 << 60], [0])
 
 
+def _words(keyed, indices, count):
+    """The first ``count`` Philox words of each of the streams ``indices``,
+    as a (len(indices), count) array."""
+    blocks = (count + 3) // 4
+    return philox_words(
+        keyed.seed, keyed.stream_id, np.repeat(indices, blocks),
+        np.tile(np.arange(blocks), len(indices)),
+    ).reshape(len(indices), -1)[:, :count]
+
+
 def first_rejections(kind, keyed, indices, count):
-    return keyed.fast_draws(kind, indices, np.full(len(indices), count))[1]
+    """Each row's first word that the fast path of ``kind`` rejects
+    (``count`` when none): its first draw that is not a fast-path draw."""
+    _, ok = getattr(rng_module, kind)(_words(keyed, indices, count))
+    return np.where(ok.all(axis=1), count, np.argmin(ok, axis=1))
 
 
 @pytest.mark.parametrize("kind", ["standard_normal", "standard_exponential"])
@@ -150,24 +165,26 @@ def test_draws_match_the_generator_on_a_million_values(kind):
     rows = np.concatenate([np.arange(20010), built, [(1 << 60) - 1]])
     counts = np.full(len(rows), count)
     counts[:7] = [0, 1, 2, 3, 4, 5, 9]
-    if kind == "standard_normal":  # every value numpy's
-        values, first = keyed.normals(rows, counts), counts
-    else:  # the values before each row's first rejection
-        values, first = keyed.fast_draws(kind, rows, counts)
+    values = keyed.draws(kind, rows, counts)  # every value numpy's
     assert values.size >= 10**6
     at = 0
-    for index, n, f in zip(rows.tolist(), counts.tolist(), first.tolist()):
+    for index, n in zip(rows.tolist(), counts.tolist()):
         generator = stream(2**64 - 3, index, STREAM_WIENER)
-        np.testing.assert_array_equal(values[at:at + f], getattr(generator, kind)(f))
+        np.testing.assert_array_equal(values[at:at + n], getattr(generator, kind)(n))
         at += n
     assert at == values.size
 
 
-def test_uniforms_match_generator_random():
+def test_uniforms_match_generator_random(monkeypatch):
     keyed = KeyedStream(101, STREAM_MARKS)
     rows = np.arange(300, 600)
-    values, first = keyed.fast_draws("random", rows, rows % 11)
-    np.testing.assert_array_equal(first, rows % 11)  # never rejects
+    words = []
+    slabs = KeyedStream._slabs
+    monkeypatch.setattr(
+        KeyedStream, "_slabs", lambda self, r, c: words.append(c.sum()) or slabs(self, r, c)
+    )
+    values = keyed.draws("random", rows, rows % 11)
+    assert words == [(rows % 11).sum()]  # never rejects, so no slack words
     expected = [stream(101, i, STREAM_MARKS).random(i % 11) for i in rows.tolist()]
     np.testing.assert_array_equal(values, np.concatenate(expected))
 
@@ -215,21 +232,21 @@ def test_jump_chunk_matches_one_row_sampling(monkeypatch, name, wrapped):
     assert at == len(times) and n_jumps.max() >= 4
 
 
-def test_jump_chunk_hands_rejected_and_uncovered_rows_to_the_generator(monkeypatch):
-    # blocks of four exponentials under a rate-3 intensity: many rows run
-    # past their block, and many reject a draw inside it
+def test_jump_chunk_redraws_rows_that_do_not_reach_the_integral(monkeypatch):
+    # two exponentials per row under a rate-3 intensity: most rows are
+    # drawn again with four, many with eight and more
     model = replace(
         build_model("test5"), intensity=lambda t: 3.0, intensity_bound=3.0,
         intensity_integral=lambda t: 3.0 * t, intensity_integral_inverse=lambda s: s / 3.0,
     )
-    monkeypatch.setattr(jumps, "_exponential_block", lambda total: 4)
+    monkeypatch.setattr(jumps, "_exponential_count", lambda total: 2)
     integral = intensity_integral_for(model)
     seeds = SeedConfig()
     _, times_stream, marks_stream = keyed_streams(seeds)
     n_jumps, times, marks = jumps.sample_jump_chunk(
         model, integral, times_stream, marks_stream, range(500)
     )
-    assert (n_jumps > 4).sum() > 50
+    assert (n_jumps >= 4).sum() > 50
     at = 0
     for i, n in enumerate(n_jumps.tolist()):
         one = sample_jumps(model, integral, *realization_streams(seeds, i)[1:])
@@ -278,18 +295,18 @@ def test_samplers_without_a_quantile_raise_per_realization(monkeypatch, engine):
 
 
 # ---------------------------------------------------------------------------
-# normals with ziggurat rejections resolved in arrays, against the generator
+# ziggurat rejections resolved in arrays, against the generator
 
 
-def _assert_draws_match(keyed, rows, counts):
-    """Check ``normals`` against the generator, one row at a time; the
+def _assert_draws_match(keyed, rows, counts, kind="standard_normal"):
+    """Check ``draws`` against the generator, one row at a time; the
     realizations it handed to the generator, in order."""
     handed = []
     at = keyed.at
     keyed.at = lambda i, w=0: handed.append(i) or at(i, w)
-    values = keyed.normals(rows, counts)
+    values = keyed.draws(kind, rows, counts)
     del keyed.at
-    expected = [keyed.at(i).standard_normal(n) for i, n in zip(rows.tolist(), counts.tolist())]
+    expected = [getattr(keyed.at(i), kind)(n) for i, n in zip(rows.tolist(), counts.tolist())]
     np.testing.assert_array_equal(values, np.concatenate(expected))
     return handed
 
@@ -306,17 +323,32 @@ def test_normal_draws_match_the_generator_from_any_start():
     _assert_draws_match(keyed, rows, starts + counts)
 
 
-def _ziggurat_walk(words, count):
-    """numpy's ziggurat reading ``count`` normals from ``words``, a scalar
-    oracle of its control flow: the rejected draws it meets in order
-    ("tail", "accept" or "reject" by the wedge test), whether two words in
-    a row fail the fast path, and whether the last value needed the
-    wedge test.  Stops at a tail draw or at the end of the words."""
+# kind: (wedge index and fast-path integer of a word, then the fast-path
+# bound, width and wedge tables, and the exponent of the wedge bound)
+_ZIGGURATS = {
+    "standard_normal": (
+        lambda w: (w & 0xFF, (w >> 9) & 0xFFFFFFFFFFFFF),
+        KI_DOUBLE, WI_DOUBLE, FI_DOUBLE, lambda x: -0.5 * x * x,
+    ),
+    "standard_exponential": (
+        lambda w: ((w >> 3) & 0xFF, w >> 11), KE_DOUBLE, WE_DOUBLE, FE_DOUBLE, lambda x: -x,
+    ),
+}
+
+
+def _ziggurat_walk(kind, words, count):
+    """numpy's ziggurat reading ``count`` draws of ``kind`` from
+    ``words``, a scalar oracle of its control flow: the rejected draws it
+    meets in order ("tail", "accept" or "reject" by the wedge test),
+    whether two words in a row fail the fast path, and whether the last
+    value needed the wedge test.  Stops at a tail draw or at the end of
+    the words."""
+    split, k, width, f, exponent = _ZIGGURATS[kind]
+    parts = [split(int(w)) for w in words]
+    fast = [r < k[idx] for idx, r in parts]
     met, adjacent, last, q, made = [], False, False, 0, 0
-    fast = [(int(w) >> 9) & 0xFFFFFFFFFFFFF < KI_DOUBLE[int(w) & 0xFF] for w in words]
     while made < count and q < len(words) - 1:
-        w = int(words[q])
-        idx = w & 0xFF
+        idx, r = parts[q]
         adjacent |= not fast[q] and not fast[q + 1]
         if fast[q]:
             made, q, last = made + 1, q + 1, False
@@ -324,26 +356,22 @@ def _ziggurat_walk(words, count):
         if idx == 0:
             met.append("tail")
             break
-        x = ((w >> 9) & 0xFFFFFFFFFFFFF) * WI_DOUBLE[idx]
+        x = r * width[idx]
         u = (int(words[q + 1]) >> 11) * (1.0 / 9007199254740992.0)
-        ok = (FI_DOUBLE[idx - 1] - FI_DOUBLE[idx]) * u + FI_DOUBLE[idx] < math.exp(-0.5 * x * x)
+        ok = (f[idx - 1] - f[idx]) * u + f[idx] < math.exp(exponent(x))
         met.append("accept" if ok else "reject")
         made, q, last = made + ok, q + 2, bool(ok)
     return met, adjacent, last
 
 
-def _crafted_rows(keyed, count):
-    """Realizations whose ``count`` normals from word 0 meet: a wedge test
-    at the last draw, two adjacent fast-path failures, a wedge accept, a
-    wedge reject, a tail draw, and exactly two rejections."""
+def _crafted_rows(kind, keyed, count):
+    """Realizations whose ``count`` draws of ``kind`` from word 0 meet: a
+    wedge test at the last draw, two adjacent fast-path failures, a wedge
+    accept, a wedge reject, a tail draw, and exactly two rejections."""
     probe = np.arange(4000)
-    blocks = (count + 16) // 4
-    words = philox_words(
-        keyed.seed, keyed.stream_id, np.repeat(probe, blocks), np.tile(np.arange(blocks), len(probe))
-    ).reshape(len(probe), -1)
     wanted = {}
-    for i, row in zip(probe.tolist(), words):
-        met, adjacent, last = _ziggurat_walk(row, count)
+    for i, row in zip(probe.tolist(), _words(keyed, probe, count + 13)):
+        met, adjacent, last = _ziggurat_walk(kind, row, count)
         for name, has in (
             ("last", last), ("adjacent", adjacent), ("accept", "accept" in met),
             ("reject", "reject" in met), ("tail", "tail" in met),
@@ -355,20 +383,29 @@ def _crafted_rows(keyed, count):
     return wanted
 
 
-@pytest.mark.parametrize("slack", [None, 0, 1])
-def test_crafted_rejections_match_the_generator(monkeypatch, slack):
-    keyed = KeyedStream(7, STREAM_WIENER)
-    crafted = _crafted_rows(keyed, 41)
+def _check_crafted_rows(monkeypatch, kind, keyed, slack):
+    crafted = _crafted_rows(kind, keyed, 41)
     if slack is not None:  # every rejection runs past the drawn words
         monkeypatch.setattr(
-            rng_module, "_normal_slack", lambda counts: np.where(counts > 0, counts + slack, 0)
+            rng_module, "_slack", lambda counts: np.where(counts > 0, counts + slack, 0)
         )
     rows = np.array(sorted(set(crafted.values())) + list(range(20)))
     counts = np.full(len(rows), 41)
     counts[-3:] = [0, 1, 6]
-    handed = _assert_draws_match(keyed, rows, counts)
+    handed = _assert_draws_match(keyed, rows, counts, kind)
     assert crafted["tail"] in handed
     assert (crafted["several"] in handed) == (slack is not None)
+
+
+@pytest.mark.parametrize("slack", [None, 0, 1])
+def test_crafted_rejections_match_the_generator(monkeypatch, slack):
+    _check_crafted_rows(monkeypatch, "standard_normal", KeyedStream(7, STREAM_WIENER), slack)
+
+
+@pytest.mark.parametrize("slack", [None, 0, 1])
+def test_crafted_exponential_rejections_match_the_generator(monkeypatch, slack):
+    keyed = KeyedStream(20, STREAM_JUMP_TIMES)
+    _check_crafted_rows(monkeypatch, "standard_exponential", keyed, slack)
 
 
 def test_an_n40_chunk_hands_few_rows_to_the_generator(monkeypatch):
@@ -387,3 +424,58 @@ def test_an_n40_chunk_hands_few_rows_to_the_generator(monkeypatch):
         intensity_integral_for(model),
     )
     assert 0 < len(wiener_calls) <= 0.02 * 16384
+
+
+def test_jump_time_draws_of_two_chunks_hand_few_rows_to_the_generator(monkeypatch):
+    model = build_model("test5")
+    integral = intensity_integral_for(model)
+    # six exponentials and their slack fill two Philox blocks at L(T) = ln 2
+    count = jumps._exponential_count(integral.total)
+    assert (count, rng_module._slack(np.array([count]))[0]) == (6, 8)
+    handed = []
+    at = KeyedStream.at
+
+    def counted(self, i, w=0):
+        if self.stream_id == STREAM_JUMP_TIMES:
+            handed.append(i)
+        return at(self, i, w)
+
+    monkeypatch.setattr(KeyedStream, "at", counted)
+    for start in (0, 16384):
+        ctl._setup_groups(
+            model, uniform_mesh(model.horizon, 5), keyed_streams(SeedConfig()), start, 16384,
+            integral,
+        )
+    assert 0 < len(handed) < 0.01 * 2 * 16384
+
+
+def _calls_with_a_word_offset(tree):
+    """Lines of the ``.at(...)`` calls in ``tree`` that pass more than a
+    realization (numpy's ``np.<ufunc>.at`` aside)."""
+    lines = []
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "at"
+        ):
+            continue
+        owner = node.func.value
+        if isinstance(owner, ast.Attribute) and isinstance(owner.value, ast.Name) \
+                and owner.value.id == "np":
+            continue
+        if len(node.args) + len(node.keywords) > 1:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_rng_draws_at_a_word_offset():
+    # a Philox word offset depends on the row's ziggurat rejections, so
+    # only rng may set a generator to one
+    package = Path(rng_module.__file__).parent
+    found = {
+        path.name: _calls_with_a_word_offset(ast.parse(path.read_text()))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert found.pop("rng.py")  # the check sees rng's own hand-over
+    assert not any(found.values()), found
