@@ -26,7 +26,8 @@ which chains the batched layers for B same-length paths: forward Euler
 needed, as in ``monte_carlo``), order-3 dual weights
 (``duals.dual_batch``) and the per-step density
 (``density.rho_batch``), with every callback
-evaluated once per node and shared by the dual and density layers; the
+evaluated once per node and shared by the dual and density layers (those
+the model declares in ``zero_derivatives`` not at all); the
 dual and density layers hold their arrays rows last, (t..., n, B).  The
 mesh engine groups a chunk's realizations by step count and reduces
 them per interval with ``density.interval_sums``.  The per-realization

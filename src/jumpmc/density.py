@@ -80,19 +80,19 @@ def rho_batch(cb: dict, phi: Array, phi1: Array, phi2: Array) -> Array:
     ``cb`` holds the ``STEP_DENSITY_CALLBACKS`` evaluated at the (B, n)
     left nodes (t_n, X(t_n)), rows last as ``duals._stack_calls`` returns
     them, and ``phi``, ``phi1``, ``phi2`` are the (t..., n, B) left-limit
-    dual weights at the right nodes.  Row-wise arithmetic only, so a
-    row's value never depends on which other rows share the stack.
+    dual weights at the right nodes.  A ``drift_xx`` or ``diffusion_xx``
+    absent from ``cb`` (declared zero) drops its term.  Row-wise
+    arithmetic only, so a row's value never depends on which other rows
+    share the stack.
     """
     a = cb["drift"]
     a_x = cb["drift_x"]
     dd, d_t, d_x, d_xx = second_moment_arrays(
-        cb["diffusion"], cb["diffusion_t"], cb["diffusion_x"], cb["diffusion_xx"]
+        cb["diffusion"], cb["diffusion_t"], cb["diffusion_x"], cb.get("diffusion_xx")
     )
-    drift_part = (
-        cb["drift_t"]
-        + np.einsum("kj...,j...->k...", a_x, a)
-        + np.einsum("kij...,ij...->k...", cb["drift_xx"], dd)
-    )
+    drift_part = cb["drift_t"] + np.einsum("kj...,j...->k...", a_x, a)
+    if "drift_xx" in cb:
+        drift_part = drift_part + np.einsum("kij...,ij...->k...", cb["drift_xx"], dd)
     diff_part = (
         d_t
         + np.einsum("kmj...,j...->km...", d_x, a)

@@ -20,6 +20,9 @@ already evaluated; it is the dual layer of both drivers, and
 ``backward_duals`` is its one-row case.  ``euler_map_derivatives`` and
 ``jump_map_derivatives`` are the one implementation of each local map's
 derivatives, shared with the pointwise ``*_operator_derivatives``.
+Callbacks a model declares in ``zero_derivatives`` are never evaluated:
+they are absent from the evaluated dict, and the term each enters is
+dropped (an A2 or A3 with both terms absent is zeros).
 
 The batched arrays are rows last: tensor axes first, then the trailing
 lead axes, (d, d, n, B) for a Jacobian at the (B, n) nodes of B paths.
@@ -101,8 +104,9 @@ def _stack_calls(model, names, t, x, z=None):
     array with its tensor axes first and those axes, reversed, as
     trailing lead axes: (t..., n, B), or (t..., K) for K points.  Each value is
     converted as soon as it is evaluated, so at most one rows-first copy
-    is alive.  The model's callbacks must broadcast over rows (see
-    ``as_vectorized``).
+    is alive.  Names the model declares in ``zero_derivatives`` are
+    skipped: they are absent from the result.  The model's callbacks must
+    broadcast over rows (see ``as_vectorized``).
     """
     t = np.asarray(t)
     lead = t.shape
@@ -111,6 +115,8 @@ def _stack_calls(model, names, t, x, z=None):
         args += (z.reshape(t.size, -1),)
     out = {}
     for name in names:
+        if name in model.zero_derivatives:
+            continue
         value = np.asarray(getattr(model, name)(*args), float)
         out[name] = _rows_last(value.reshape(lead + value.shape[1:]), len(lead))
     return out
@@ -130,20 +136,27 @@ def euler_map_derivatives(cb: dict, dt, dw, order: int = 3):
     trailing lead axes, which ``dt`` and ``dw`` (shaped (l, lead...))
     share.  Returns (A1, A2, A3): Jacobian I + dt drift_x +
     dW^l diffusion_x[:,l,:], then the same contraction of the higher
-    derivative stacks; entries above ``order`` are None.
+    derivative stacks; entries above ``order`` are None.  A higher
+    derivative absent from ``cb`` (declared zero) drops its term.
     """
     dt = np.asarray(dt, float)
     a_x = cb["drift_x"]
     A1 = _eye(len(a_x), dt.ndim) + dt * a_x + np.einsum(
         "l...,ilj...->ij...", dw, cb["diffusion_x"]
     )
-    A2 = A3 = None
-    if order >= 2:
-        A2 = dt * cb["drift_xx"] + np.einsum("l...,iljk...->ijk...", dw, cb["diffusion_xx"])
-    if order >= 3:
-        A3 = dt * cb["drift_xxx"] + np.einsum(
-            "l...,iljkm...->ijkm...", dw, cb["diffusion_xxx"]
-        )
+
+    def higher(k, spec):
+        # dt a^(k) + dW^l b^(k)[:, l], without the terms declared zero
+        a_k, b_k = cb.get("drift_" + "x" * k), cb.get("diffusion_" + "x" * k)
+        terms = [] if a_k is None else [dt * a_k]
+        if b_k is not None:
+            terms.append(np.einsum(spec, dw, b_k))
+        if not terms:
+            return np.zeros((len(a_x),) * (k + 1) + dt.shape)
+        return terms[0] if len(terms) == 1 else terms[0] + terms[1]
+
+    A2 = higher(2, "l...,iljk...->ijk...") if order >= 2 else None
+    A3 = higher(3, "l...,iljkm...->ijkm...") if order >= 3 else None
     return A1, A2, A3
 
 
@@ -169,7 +182,11 @@ def euler_operator_derivatives(
     _check_order(order)
     names = _euler_map_callbacks(order)
     model.require(*names)
-    cb = {name: np.asarray(getattr(model, name)(t, x), float) for name in names}
+    cb = {
+        name: np.asarray(getattr(model, name)(t, x), float)
+        for name in names
+        if name not in model.zero_derivatives
+    }
     return euler_map_derivatives(cb, dt, np.asarray(dw, float), order)
 
 

@@ -9,6 +9,10 @@ unit-rate Poisson process: with iid unit exponentials e_k,
 The simulation grid is the union of the deterministic mesh and the jump
 times; a jump falling within rounding distance of a deterministic node is
 merged into that node.
+
+``sample_jump_chunk`` works on a chunk's flat arrays: the inverse
+integrated intensity and a ``UniformMarks`` quantile are each mapped over
+all of the chunk's jumps at once, not called per jump.
 """
 
 from __future__ import annotations
@@ -130,6 +134,28 @@ class IntensityIntegral:
             t = float(np.clip(t - (self.value(t) - s) / lam, lo, hi))
         return float(t)
 
+    def inverses(self, sums: Array) -> Array:
+        """``inverse`` of every entry of the 1-D array ``sums``.
+
+        A closed inverse is mapped with ``np.frompyfunc``, so each value
+        is the closed form's own (a ``math`` call stays on libm).  A
+        JumpMCError from the inverse of ``sums[k]`` carries ``exc.jump =
+        k``.
+        """
+        if self._closed_inverse is not None:
+            try:
+                return np.frompyfunc(self._closed_inverse, 1, 1)(sums).astype(float)
+            except JumpMCError:
+                pass  # the loop finds the failing entry
+        out = np.empty(len(sums))
+        for k, s in enumerate(sums.tolist()):
+            try:
+                out[k] = self.inverse(s)
+            except JumpMCError as exc:
+                exc.jump = k
+                raise
+        return out
+
 
 def intensity_integral_for(model: JumpDiffusionModel) -> IntensityIntegral:
     """IntensityIntegral for a model, using its closed forms when given."""
@@ -190,11 +216,8 @@ def sample_jump_times(integral: IntensityIntegral, rng: np.random.Generator) -> 
 
 
 def _mark_rows(model: JumpDiffusionModel, marks) -> Array:
-    """(K, mark_dim) array of the mark sampler outputs ``marks``.
-
-    A wrongly shaped mark raises EvaluationError with ``exc.jump`` set to
-    its position.
-    """
+    """(K, mark_dim) array of the mark sampler outputs ``marks``; a
+    wrongly shaped mark raises EvaluationError."""
     shape = (len(marks), model.mark_dim)
     try:
         rows = np.asarray(marks, dtype=float)
@@ -208,11 +231,9 @@ def _mark_rows(model: JumpDiffusionModel, marks) -> Array:
     for k, z in enumerate(marks):
         z = np.atleast_1d(np.asarray(z, float))
         if z.shape != (model.mark_dim,):
-            exc = EvaluationError(
+            raise EvaluationError(
                 f"mark sampler returned shape {z.shape}, expected ({model.mark_dim},)"
             )
-            exc.jump = k
-            raise exc
         rows[k] = z
     return rows
 
@@ -259,10 +280,12 @@ def sample_jump_chunk(
     Returns ``(n_jumps, times, marks)``: times and marks flat, row after
     row.  Every row's exponentials come from one ``draws`` call:
     ``np.cumsum`` adds them in the order of the one-row loop, and
-    ``integral.inverse`` maps every sum below L(T).  A row whose
+    ``integral.inverses`` maps every sum below L(T).  A row whose
     exponentials do not reach L(T) is drawn again from its first one,
-    twice as many.  Marks of a ``UniformMarks`` sampler are its quantile
-    mapped over the times and one counter-based uniform per jump; any
+    twice as many.  Marks of a ``UniformMarks`` sampler come from one
+    call of its quantile on the chunk's K jump times and K counter-based
+    uniforms (none when K = 0); a quantile that does not return (K,
+    mark_dim) names the chunk's first realization with a jump.  Any
     other sampler is called per jump with the row's generator.  Errors
     name the realization.
     """
@@ -285,24 +308,25 @@ def sample_jump_chunk(
     owner = np.concatenate(owners)
     order = np.argsort(owner, kind="stable")
     n_jumps = np.bincount(owner, minlength=count)
-    times = []
     try:
-        for s in np.concatenate(below)[order].tolist():
-            times.append(integral.inverse(s))
+        times = integral.inverses(np.concatenate(below)[order])
     except JumpMCError as exc:
-        _name_realization(exc, realizations[owner[order[len(times)]]])
+        _name_realization(exc, realizations[owner[order[exc.jump]]])
         raise
-    times = np.array(times, dtype=float)
 
     if isinstance(model.mark_sampler, UniformMarks):
+        shape = (len(times), model.mark_dim)
+        if not len(times):
+            return n_jumps, times, np.empty(shape)
         uniforms = mark_stream.draws("random", ids, n_jumps)
-        quantile = model.mark_sampler.quantile
-        marks = [quantile(t, u) for t, u in zip(times.tolist(), uniforms.tolist())]
-        try:
-            return n_jumps, times, _mark_rows(model, marks)
-        except EvaluationError as exc:
-            _name_realization(exc, realizations[np.repeat(np.arange(count), n_jumps)[exc.jump]])
-            raise
+        marks = np.asarray(model.mark_sampler.quantile(times, uniforms), dtype=float)
+        if marks.shape != shape:
+            exc = EvaluationError(
+                f"mark quantile returned shape {marks.shape}, expected {shape}"
+            )
+            _name_realization(exc, realizations[int(np.argmax(n_jumps > 0))])
+            raise exc
+        return n_jumps, times, marks
     marks = np.empty((len(times), model.mark_dim))
     first = np.cumsum(n_jumps) - n_jumps
     for row in np.nonzero(n_jumps)[0].tolist():

@@ -17,6 +17,12 @@ and so on for higher orders, with the extra derivative axes appended on
 the right.  Scalar calls take ``t`` as a float and ``x`` of shape ``(dim,)``;
 models built by this module additionally broadcast over leading axes and
 advertise that with ``vectorized=True``.
+
+A model may name in ``zero_derivatives`` the second and third state
+derivatives of drift and diffusion that vanish identically (a drift
+linear in x, say).  The batched kernel then neither evaluates nor
+stores them, and drops the one additive term each enters.  Dropping an
+exact zero is exact, up to the sign of a zero result.
 """
 
 from __future__ import annotations
@@ -43,6 +49,10 @@ class JumpDiffusionModel:
     up to order ``p``; the per-step error density needs first time
     derivatives as well.  Missing derivatives can be filled with
     :func:`finite_difference_adapter`.
+
+    ``zero_derivatives`` names callbacks among ``ZERO_DERIVATIVE_NAMES``
+    that are identically zero; the kernel skips them (module docstring).
+    Each named callback that is given is checked to vanish at (0, x0).
     """
 
     dim: int
@@ -84,6 +94,7 @@ class JumpDiffusionModel:
     vectorized: bool = False
     exact_value: Optional[float] = None
     name: str = "model"
+    zero_derivatives: frozenset = frozenset()
 
     def __post_init__(self):
         if self.dim < 1:
@@ -102,6 +113,22 @@ class JumpDiffusionModel:
         if x0.shape != (self.dim,):
             raise ParameterError(f"x0 must have shape ({self.dim},), got {x0.shape}")
         object.__setattr__(self, "x0", x0)
+        zero = frozenset(self.zero_derivatives)
+        unknown = sorted(zero - ZERO_DERIVATIVE_NAMES)
+        if unknown:
+            raise ParameterError(
+                f"zero_derivatives may name only {sorted(ZERO_DERIVATIVE_NAMES)}, "
+                f"got {unknown}"
+            )
+        # a vectorized model's callbacks take rows: probe one
+        t, x = (np.zeros(1), x0[None]) if self.vectorized else (0.0, x0)
+        for name in sorted(zero):
+            fn = getattr(self, name)
+            if fn is not None and np.any(np.asarray(fn(t, x), float) != 0.0):
+                raise ParameterError(
+                    f"{name} is declared zero but is not zero at (0, x0)"
+                )
+        object.__setattr__(self, "zero_derivatives", zero)
 
     def require(self, *names: str) -> None:
         """Raise CapabilityError unless every named callback is present."""
@@ -112,6 +139,13 @@ class JumpDiffusionModel:
                 + ", ".join(missing)
             )
 
+
+# Each enters the kernel as one additive term: dt drift_xx and dW
+# diffusion_xx in the Euler map's A2 (A3 likewise), drift_xx : dd in the
+# per-step density, and b_xx b in the second derivative of d = b b^T / 2.
+ZERO_DERIVATIVE_NAMES = frozenset(
+    {"drift_xx", "drift_xxx", "diffusion_xx", "diffusion_xxx"}
+)
 
 _PAYOFF_CALLBACKS = ("payoff", "payoff_x", "payoff_xx", "payoff_xxx")
 _TIMED_CALLBACKS = (
@@ -176,14 +210,16 @@ def eval_coefficients(model: JumpDiffusionModel, t, x) -> Coefficients:
     return Coefficients(a, b, d)
 
 
-def second_moment_arrays(b, b_t, b_x, b_xx):
+def second_moment_arrays(b, b_t, b_x, b_xx=None):
     """d = b b^T / 2 and its derivatives from evaluated diffusion arrays.
 
     Rows last, like the dual layer: the tensor axes come first and any
     trailing lead axes follow them, so ``b`` is (d, l, lead...).  Returns
     (d, d_t, d_x, d_xx) with layouts (d, d, lead...), (d, d, lead...),
     (d, d, j, lead...) and (d, d, i, j, lead...); the j/i axes
-    differentiate in x.  A pointwise call has no lead axes.
+    differentiate in x.  A pointwise call has no lead axes.  ``b_xx``
+    None is a diffusion declared with zero second derivative, and drops
+    the b_xx b term of d_xx.
     """
     dd = 0.5 * np.einsum("kl...,ml...->km...", b, b)
     d_t = 0.5 * (
@@ -193,9 +229,12 @@ def second_moment_arrays(b, b_t, b_x, b_xx):
     cross = np.einsum("klj...,ml...->kmj...", b_x, b)
     d_x = 0.5 * (cross + np.swapaxes(cross, 0, 1))
     # d_xx[k, m, i, j]
-    t1 = np.einsum("klij...,ml...->kmij...", b_xx, b)
     t2 = np.einsum("kli...,mlj...->kmij...", b_x, b_x)
-    d_xx = 0.5 * (t1 + np.swapaxes(t1, 0, 1) + t2 + np.swapaxes(t2, 0, 1))
+    if b_xx is None:
+        d_xx = 0.5 * (t2 + np.swapaxes(t2, 0, 1))
+    else:
+        t1 = np.einsum("klij...,ml...->kmij...", b_xx, b)
+        d_xx = 0.5 * (t1 + np.swapaxes(t1, 0, 1) + t2 + np.swapaxes(t2, 0, 1))
     return dd, d_t, d_x, d_xx
 
 
@@ -208,10 +247,12 @@ def second_moment_derivatives(model: JumpDiffusionModel, t, x):
     model.require("diffusion_t", "diffusion_x", "diffusion_xx")
     lead = list(range(np.ndim(x) - 1))
     trail = [-1 - k for k in reversed(lead)]
+    names = ("diffusion", "diffusion_t", "diffusion_x", "diffusion_xx")
     _, d_t, d_x, d_xx = second_moment_arrays(
         *(
             np.moveaxis(np.asarray(getattr(model, name)(t, x), float), lead, trail)
-            for name in ("diffusion", "diffusion_t", "diffusion_x", "diffusion_xx")
+            for name in names
+            if name not in model.zero_derivatives
         )
     )
     return tuple(np.moveaxis(v, trail, lead) for v in (d_t, d_x, d_xx))
@@ -351,32 +392,35 @@ def _oscillator_callbacks():
 
 
 class UniformMarks:
-    """Mark sampler that maps one uniform per jump through ``quantile(t, u)``.
+    """Mark sampler that maps one uniform per jump through ``quantile``.
 
-    Called as a sampler, ``(t, rng)``, it draws ``u = rng.random()``.  The
-    engines recognise the class and map ``quantile`` over the jump times
-    and counter-based uniforms of a whole chunk instead (see
-    ``jumps.sample_jump_chunk``); any other sampler, including a function
-    wrapping this one, is called once per jump.
+    ``quantile(t, u)`` maps the (K,) times and (K,) uniforms of K jumps to
+    their (K, mark_dim) marks.  Called as a sampler, ``(t, rng)``, it is
+    the K=1 case with ``u = rng.random()``.  The engines recognise the
+    class and call ``quantile`` once on the jump times and counter-based
+    uniforms of a whole chunk instead (see ``jumps.sample_jump_chunk``);
+    any other sampler, including a function wrapping this one, is called
+    once per jump.
     """
 
-    def __init__(self, quantile: Callable[[float, float], Array]):
+    def __init__(self, quantile: Callable[[Array, Array], Array]):
         self.quantile = quantile
 
     def __call__(self, t: float, rng: np.random.Generator) -> Array:
-        return self.quantile(t, rng.random())
+        return self.quantile(np.array([t], float), np.array([rng.random()], float))[0]
 
 
-def _oscillator_mark_quantile(t: float, u: float) -> Array:
-    """Mark with mean cos(2 pi t) and a centered uniform spread.
+def _oscillator_mark_quantile(t: Array, u: Array) -> Array:
+    """Marks with mean cos(2 pi t) and a centered uniform spread, (K, 1).
 
     The uniform part is scaled by 2 sqrt(3) so its variance is 1 before the
-    sin(2 pi t) envelope.
+    sin(2 pi t) envelope.  The operations and their order are those of the
+    scalar ``math`` formula, so each mark has its bits.
     """
-    z = math.cos(2.0 * math.pi * t) + math.sin(2.0 * math.pi * t) * (
+    z = np.cos(2.0 * math.pi * t) + np.sin(2.0 * math.pi * t) * (
         2.0 * math.sqrt(3.0)
     ) * (u - 0.5)
-    return np.array([z])
+    return z[:, None]
 
 
 _oscillator_mark_sampler = UniformMarks(_oscillator_mark_quantile)
@@ -403,6 +447,7 @@ def oscillator_problem() -> JumpDiffusionModel:
         vectorized=True,
         exact_value=0.5,
         name="test5",
+        zero_derivatives=frozenset({"drift_xx", "drift_xxx"}),
         **cb,
     )
 
@@ -448,6 +493,7 @@ def pure_jump_problem() -> JumpDiffusionModel:
         vectorized=True,
         exact_value=None,
         name="purejump",
+        zero_derivatives=ZERO_DERIVATIVE_NAMES,
         **cb,
     )
 

@@ -103,7 +103,8 @@ _32 = np.uint64(32)
 
 def _mulhilo(m: int, x):
     """(low, high) words of the 128-bit product of the constant ``m`` and
-    the uint64 array ``x``, from 32-bit halves (array products wrap)."""
+    the uint64 array ``x``.  Array products wrap, so the low word is the
+    uint64 product itself; the high word is summed from 32-bit halves."""
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
     x_lo, x_hi = x & _LOW32, x >> _32
     ll = m_lo * x_lo
@@ -111,8 +112,7 @@ def _mulhilo(m: int, x):
     hl = m_hi * x_lo
     mid = (ll >> _32) + (lh & _LOW32) + (hl & _LOW32)
     high = m_hi * x_hi + (lh >> _32) + (hl >> _32) + (mid >> _32)
-    low = (mid << _32) | (ll & _LOW32)
-    return low, high
+    return np.uint64(m) * x, high
 
 
 def philox_words(seed: int, stream_id: int, realizations, blocks) -> np.ndarray:

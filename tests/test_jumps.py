@@ -22,8 +22,8 @@ from jumpmc import (
     sample_marks,
     uniform_mesh,
 )
-from jumpmc.jumps import JumpRealization, build_grid_groups
-from jumpmc.rng import STREAM_JUMP_TIMES, STREAM_MARKS, stream
+from jumpmc.jumps import JumpRealization, build_grid_groups, sample_jump_chunk
+from jumpmc.rng import STREAM_JUMP_TIMES, STREAM_MARKS, keyed_streams, stream
 
 
 def constant_rate_integral(rate=2.0, horizon=1.0):
@@ -117,6 +117,29 @@ def test_a_non_finite_integrated_intensity_is_an_error():
         run_mesh_batch(model, uniform_mesh(1.0, 5), SeedConfig(), 0, 10)
 
 
+def test_an_inverse_error_names_its_realization():
+    # the chunk maps the inverse over all of its sums at once; an error
+    # still names the realization whose sum failed
+    base = build_model("test5")
+
+    def inverse(s):
+        if s > 0.6:
+            raise EvaluationError("inverse failed")
+        return math.expm1(s)
+
+    model = replace(base, intensity_integral_inverse=inverse)
+    _, times_stream, marks_stream = keyed_streams(SeedConfig())
+    n_jumps, times, _ = sample_jump_chunk(
+        base, intensity_integral_for(base), times_stream, marks_stream, range(100)
+    )
+    owner = np.repeat(np.arange(100), n_jumps)
+    first = int(owner[np.argmax(times > math.expm1(0.6))])
+    assert first > 0
+    with pytest.raises(EvaluationError, match="inverse failed") as exc:
+        run_mesh_batch(model, uniform_mesh(1.0, 5), SeedConfig(), 0, 100)
+    assert exc.value.realization == first
+
+
 def test_mean_jump_count_matches_total_intensity():
     # N-hat ~ Poisson(log 2); check the mean within 5 standard errors
     m = build_model("test5")
@@ -152,6 +175,31 @@ def test_mark_second_moment():
     for tau in taus:
         zs = np.array([float(m.mark_sampler(tau, rng)[0]) for _ in range(4000)])
         assert abs((zs**2).mean() - 1.0) < 0.08
+
+
+# Host guards: set-up maps the builtin mark quantile with np.cos and np.sin,
+# and a closed inverse with np.frompyfunc.  Where numpy's SIMD loops round
+# differently from libm, these fail instead of moving marks silently.
+
+
+def test_array_mark_quantile_has_the_bits_of_the_scalar_math_formula():
+    quantile = build_model("test5").mark_sampler.quantile
+    rng = np.random.default_rng(23)
+    for _ in range(4):
+        t, u = rng.random(500_000), rng.random(500_000)
+        scalar = [
+            math.cos(2.0 * math.pi * s)
+            + math.sin(2.0 * math.pi * s) * (2.0 * math.sqrt(3.0)) * (v - 0.5)
+            for s, v in zip(t.tolist(), u.tolist())
+        ]
+        np.testing.assert_array_equal(quantile(t, u), np.array(scalar)[:, None])
+
+
+def test_mapped_closed_inverse_has_the_bits_of_the_scalar_loop():
+    integral = intensity_integral_for(build_model("test5"))
+    sums = np.random.default_rng(29).random(1_000_000) * integral.total
+    loop = [integral.inverse(s) for s in sums.tolist()]
+    np.testing.assert_array_equal(integral.inverses(sums), loop)
 
 
 def test_sample_marks_shape_validation():

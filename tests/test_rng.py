@@ -196,10 +196,8 @@ def test_mark_quantile_matches_the_scalar_sampler(name):
     times = np.random.default_rng(5).random(200)
     scalar = stream(101, 3, STREAM_MARKS)
     uniforms = stream(101, 3, STREAM_MARKS).random(200)
-    for t, u in zip(times.tolist(), uniforms.tolist()):
-        np.testing.assert_array_equal(
-            model.mark_sampler.quantile(t, u), model.mark_sampler(t, scalar)
-        )
+    one_by_one = [model.mark_sampler(t, scalar) for t in times.tolist()]
+    np.testing.assert_array_equal(model.mark_sampler.quantile(times, uniforms), one_by_one)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -283,15 +281,35 @@ def test_samplers_without_a_quantile_raise_per_realization(monkeypatch, engine):
     assert type(exc.value) is EvaluationError
     assert exc.value.realization == 1008
     assert str(exc.value) == "mark sampler returned shape (3,), expected (1,) (realization 1008)"
-    # a UniformMarks quantile with the wrong shape names its realization too
-    quantile = build_model("test5").mark_sampler.quantile
-    shaped = replace(
-        build_model("test5"),
-        mark_sampler=UniformMarks(lambda t, u: np.zeros(3) if t > 0.5 else quantile(t, u)),
+
+
+@pytest.mark.parametrize("engine", ["mesh", "stochastic"])
+@pytest.mark.parametrize("chunk, workers", [(1, 1), (7, 2), (16384, 1)])
+def test_a_wrongly_shaped_quantile_names_the_first_realization_with_a_jump(
+    monkeypatch, engine, chunk, workers
+):
+    # the quantile maps a whole chunk, so no single jump is to blame: the
+    # error names the smallest realization that jumps, however rows are chunked
+    model = build_model("test5")
+    _, times_stream, marks_stream = keyed_streams(SeedConfig())
+    n_jumps, _, _ = jumps.sample_jump_chunk(
+        model, intensity_integral_for(model), times_stream, marks_stream, range(1000, 1050)
     )
+    first = 1000 + int(np.argmax(n_jumps > 0))
+    assert first > 1000  # realization 1000 does not jump, so the chunk start is not named
+    shaped = replace(model, mark_sampler=UniformMarks(lambda t, u: np.zeros((len(t), 3))))
+    det = uniform_mesh(1.0, 5)
     with pytest.raises(EvaluationError) as exc:
-        run_mesh_batch(shaped, det, SeedConfig(), 1000, 50)
-    assert exc.value.realization == 1008
+        if engine == "mesh":
+            monkeypatch.setattr(ctl, "MESH_CHUNK", chunk)
+            run_mesh_batch(shaped, det, SeedConfig(), 1000, 50, workers=workers)
+        else:
+            monkeypatch.setattr(ctl, "STOCH_CHUNK", chunk)
+            kw = dict(tol=0.1, tol_t=0.1 / 3.0, n_a_bar=5.0, workers=workers)
+            run_stochastic_batch(shaped, det, SeedConfig(), 1000, 50, **kw)
+    assert type(exc.value) is EvaluationError
+    assert exc.value.realization == first
+    assert str(exc.value).endswith(f"(realization {first})")
 
 
 # ---------------------------------------------------------------------------
