@@ -26,8 +26,12 @@ which chains the batched layers for B same-length paths: forward Euler
 needed, as in ``monte_carlo``), order-3 dual weights
 (``duals.dual_batch``) and the per-step density
 (``density.rho_batch``), with every callback
-evaluated once per node and shared by the dual and density layers (those
-the model declares in ``zero_derivatives`` not at all); the
+evaluated once per node and shared by the dual and density layers.  A
+derivative with a declared support (``derivative_support``) is copied
+and contracted only on the bounding box of that support, and one with
+an empty support is not evaluated; the support is static, so this
+cannot depend on chunk size or worker count, and the results are those
+of the full tensors up to the sign of a zero and 0 * inf.  The
 dual and density layers hold their arrays rows last, (t..., n, B).  The
 mesh engine groups a chunk's realizations by step count and reduces
 them per interval with ``density.interval_sums``.  The per-realization

@@ -29,6 +29,18 @@ weights runs on a contiguous rows-first (B*n, ...) copy: numpy adds a
 contiguous run of products in another order than a loop over rows-last
 planes, and this keeps those 4- and 8-term sums in the order of the
 earlier rows-first kernel.
+
+Declared derivative supports reach this layer as ``duals.Box`` values:
+``second_moment_arrays`` and ``rho_batch`` form every inner term with
+``duals.box_einsum`` and ``duals.box_sum``, so only the boxes are
+contracted and a term with an empty box is dropped.  The final
+contractions stay dense (a box is padded with zeros first): numpy's SIMD
+sum over a contiguous run groups the products by their place in the
+run, so a shorter run would add them in another order.  The
+results are those of the full tensors up to the sign of a zero and
+0 * inf, and cannot depend on chunk size or worker count, because the
+supports are static.  ``second_moment_derivatives`` is the pointwise
+form of ``second_moment_arrays``.
 """
 
 from __future__ import annotations
@@ -37,11 +49,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import DualWeights, _rows_first, _rows_last, _stack_calls
+from .duals import (
+    DualWeights,
+    _dense,
+    _rows_first,
+    _rows_last,
+    _scale,
+    _stack_calls,
+    _swap,
+    box_einsum,
+    box_sum,
+)
 from .errors import ParameterError
 from .euler import EulerPath
 from .jumps import interval_of_steps
-from .model import JumpDiffusionModel, as_vectorized, second_moment_arrays
+from .model import JumpDiffusionModel, as_vectorized
 
 Array = np.ndarray
 
@@ -79,33 +101,76 @@ def rho_batch(cb: dict, phi: Array, phi1: Array, phi2: Array) -> Array:
 
     ``cb`` holds the ``STEP_DENSITY_CALLBACKS`` evaluated at the (B, n)
     left nodes (t_n, X(t_n)), rows last as ``duals._stack_calls`` returns
-    them, and ``phi``, ``phi1``, ``phi2`` are the (t..., n, B) left-limit
-    dual weights at the right nodes.  A ``drift_xx`` or ``diffusion_xx``
-    absent from ``cb`` (declared zero) drops its term.  Row-wise
+    them (the declared ones as Boxes), and ``phi``, ``phi1``, ``phi2`` are
+    the (t..., n, B) left-limit dual weights at the right nodes.  Row-wise
     arithmetic only, so a row's value never depends on which other rows
     share the stack.
     """
     a = cb["drift"]
     a_x = cb["drift_x"]
     dd, d_t, d_x, d_xx = second_moment_arrays(
-        cb["diffusion"], cb["diffusion_t"], cb["diffusion_x"], cb.get("diffusion_xx")
+        cb["diffusion"], cb["diffusion_t"], cb["diffusion_x"], cb["diffusion_xx"]
     )
-    drift_part = cb["drift_t"] + np.einsum("kj...,j...->k...", a_x, a)
-    if "drift_xx" in cb:
-        drift_part = drift_part + np.einsum("kij...,ij...->k...", cb["drift_xx"], dd)
-    diff_part = (
-        d_t
-        + np.einsum("kmj...,j...->km...", d_x, a)
-        + np.einsum("kmij...,ij...->km...", d_xx, dd)
-        + 2.0 * np.einsum("kj...,jm...->km...", a_x, dd)
+    drift_part = box_sum(
+        cb["drift_t"] + np.einsum("kj...,j...->k...", a_x, a),
+        box_einsum("kij...,ij...->k...", cb["drift_xx"], dd),
+        owned=True,
     )
-    third_part = 2.0 * np.einsum("kmj...,jr...->kmr...", d_x, dd)
+    diff_part = box_sum(
+        d_t,
+        box_einsum("kmj...,j...->km...", d_x, a),
+        box_einsum("kmij...,ij...->km...", d_xx, dd),
+        2.0 * np.einsum("kj...,jm...->km...", a_x, dd),
+        owned=True,
+    )
+    third_part = _scale(2.0, box_einsum("kmj...,jr...->kmr...", d_x, dd))
+    d = len(a)
     rho = 0.5 * (
-        np.einsum("nk,nk->n", _flat_rows(drift_part), _flat_rows(phi))
-        + np.einsum("nkm,nkm->n", _flat_rows(diff_part), _flat_rows(phi1))
-        + np.einsum("nkmr,nkmr->n", _flat_rows(third_part), _flat_rows(phi2))
+        np.einsum("nk,nk->n", _flat_rows(_dense(drift_part, d)), _flat_rows(phi))
+        + np.einsum("nkm,nkm->n", _flat_rows(_dense(diff_part, d)), _flat_rows(phi1))
+        + np.einsum("nkmr,nkmr->n", _flat_rows(_dense(third_part, d)), _flat_rows(phi2))
     )
     return rho.reshape(phi.shape[:0:-1])
+
+
+def second_moment_arrays(b, b_t, b_x, b_xx):
+    """d = b b^T / 2 and its derivatives from evaluated diffusion arrays.
+
+    Rows last, like the dual layer: the tensor axes come first and any
+    trailing lead axes follow them, so ``b`` is (d, l, lead...).  Returns
+    (d, d_t, d_x, d_xx) with layouts (d, d, lead...), (d, d, lead...),
+    (d, d, j, lead...) and (d, d, i, j, lead...); the j/i axes
+    differentiate in x.  A pointwise call has no lead axes.  ``b_x`` and
+    ``b_xx`` may be Boxes, and so may then be ``d_x`` and ``d_xx``.
+    """
+    dd = 0.5 * np.einsum("kl...,ml...->km...", b, b)
+    d_t = 0.5 * (
+        np.einsum("kl...,ml...->km...", b_t, b) + np.einsum("kl...,ml...->km...", b, b_t)
+    )
+    # d_x[k, m, j] = (b_x[k, l, j] b[m, l] + b[k, l] b_x[m, l, j]) / 2
+    cross = box_einsum("klj...,ml...->kmj...", b_x, b)
+    d_x = _scale(0.5, box_sum(cross, _swap(cross, 0, 1)))
+    # d_xx[k, m, i, j]
+    t1 = box_einsum("klij...,ml...->kmij...", b_xx, b)
+    t2 = box_einsum("kli...,mlj...->kmij...", b_x, b_x)
+    d_xx = _scale(0.5, box_sum(t1, _swap(t1, 0, 1), t2, _swap(t2, 0, 1)))
+    return dd, d_t, d_x, d_xx
+
+
+def second_moment_derivatives(model: JumpDiffusionModel, t, x):
+    """Time and state derivatives of d = b b^T / 2 from those of b.
+
+    Returns dense (d_t, d_x, d_xx) with any leading axes of ``x`` first,
+    as the callbacks return them; see :func:`second_moment_arrays`.
+    """
+    names = ("diffusion", "diffusion_t", "diffusion_x", "diffusion_xx")
+    model.require(*names)
+    x = np.asarray(x, float)
+    nlead = x.ndim - 1
+    t = np.broadcast_to(np.asarray(t, float), x.shape[:-1])
+    cb = _stack_calls(as_vectorized(model), names, t, x)
+    _, d_t, d_x, d_xx = second_moment_arrays(*(cb[name] for name in names))
+    return tuple(_rows_first(_dense(v, model.dim), nlead) for v in (d_t, d_x, d_xx))
 
 
 def _one_row(w: Array) -> Array:
@@ -128,9 +193,7 @@ def rho_per_step(model: JumpDiffusionModel, path: EulerPath, duals: DualWeights)
     grid = path.grid
     if duals.phi_left.shape[0] != grid.n_steps + 1:
         raise ParameterError("dual weights do not match the path's grid")
-    model.require(
-        "drift_t", "drift_x", "drift_xx", "diffusion_t", "diffusion_x", "diffusion_xx"
-    )
+    model.require(*STEP_DENSITY_CALLBACKS)
     cb = _stack_calls(
         as_vectorized(model),
         STEP_DENSITY_CALLBACKS,

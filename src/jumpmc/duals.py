@@ -20,9 +20,18 @@ already evaluated; it is the dual layer of both drivers, and
 ``backward_duals`` is its one-row case.  ``euler_map_derivatives`` and
 ``jump_map_derivatives`` are the one implementation of each local map's
 derivatives, shared with the pointwise ``*_operator_derivatives``.
-Callbacks a model declares in ``zero_derivatives`` are never evaluated:
-they are absent from the evaluated dict, and the term each enters is
-dropped (an A2 or A3 with both terms absent is zeros).
+
+A callback with a declared support (``JumpDiffusionModel.
+derivative_support``) is held as a ``Box``: only the bounding box of its
+support is copied, and ``box_einsum`` and ``box_sum`` carry the boxes
+through every layer.  Each summed letter runs over the intersection of
+its operands' index ranges, so a product with an entry outside a box,
+exactly zero, is never formed; a callback with an empty support is never
+evaluated, and the terms it enters are dropped.  Up to the sign of a
+zero and 0 * inf (NaN in full, absent in the box), the results are bit
+for bit those of the full tensors: dropping an exact zero from a sum
+leaves the order of the other terms.  The support is static, so the
+boxes cannot depend on the chunk size or the worker count.
 
 The batched arrays are rows last: tensor axes first, then the trailing
 lead axes, (d, d, n, B) for a Jacobian at the (B, n) nodes of B paths.
@@ -33,6 +42,7 @@ array is the case with no lead axes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,6 +53,13 @@ from .euler import EulerPath, stack_paths
 from .model import JumpDiffusionModel, as_vectorized
 
 Array = np.ndarray
+
+try:
+    # np.einsum(optimize=False) is this C routine behind a dispatch
+    # wrapper that costs about as much as a contraction over a few rows
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # pragma: no cover - other numpy layouts
+    _einsum = np.einsum
 
 
 @dataclass(frozen=True)
@@ -81,9 +98,12 @@ def _check_order(order: int) -> None:
         raise ParameterError(f"order must be 1, 2 or 3, got {order}")
 
 
-def _rows_last(value: Array, nlead: int) -> Array:
+def _rows_last(value: Array, nlead: int, box=None) -> Array:
     """Contiguous copy of ``value`` with its ``nlead`` leading axes moved,
-    reversed, to the end: (B, n, t...) -> (t..., n, B)."""
+    reversed, to the end: (B, n, t...) -> (t..., n, B); only the slices
+    ``box`` of the tensor axes t..., if given."""
+    if box is not None:
+        value = value[(slice(None),) * nlead + tuple(box)]
     axes = tuple(range(nlead, value.ndim)) + tuple(range(nlead - 1, -1, -1))
     return np.ascontiguousarray(value.transpose(axes))
 
@@ -95,6 +115,218 @@ def _rows_first(value: Array, nlead: int) -> Array:
     return np.ascontiguousarray(value.transpose(axes))
 
 
+class Box:
+    """The entries of a tensor that may be non-zero, rows last.
+
+    ``value`` holds the entries ``lo[k] <= i_k < lo[k] + value.shape[k]``
+    of the ``len(lo)`` tensor axes, followed by any lead axes; every entry
+    outside the box is zero.  A box with an empty tensor axis is a
+    dropped term.  A dense array is the full box of its tensor axes.
+    """
+
+    __slots__ = ("value", "lo")
+
+    def __init__(self, value: Array, lo: tuple):
+        self.value, self.lo = value, lo
+
+    def __getitem__(self, lead):
+        """The box at an index of the lead axes, ``[..., p, :]`` say."""
+        return Box(self.value[lead], self.lo)
+
+
+def _key(op, rank: int):
+    """What plans depend on: (lo, tensor shape) of a Box, (None, tensor
+    shape) of a dense array with ``rank`` tensor axes."""
+    if type(op) is Box:
+        return op.lo, op.value.shape[:rank]
+    return None, op.shape[:rank]
+
+
+@functools.lru_cache(maxsize=None)
+def _letters(spec: str):
+    inputs, output = spec.replace("...", "").split("->")
+    inputs = inputs.split(",")
+    return inputs, output, tuple(map(len, inputs))
+
+
+@functools.lru_cache(maxsize=None)
+def _einsum_plan(spec: str, keys):
+    """(cuts, lo): the slices of each operand's tensor axes (None for
+    all of it) and the output Box's lo, None when the output is dense."""
+    inputs, output, _ = _letters(spec)
+    ranges, full = {}, {}
+    for letters, (lo, shape) in zip(inputs, keys):
+        for c, a, n in zip(letters, lo or (0,) * len(shape), shape):
+            lo_c, hi_c = ranges.get(c, (a, a + n))
+            ranges[c] = (max(lo_c, a), min(hi_c, a + n))
+            if lo is None:
+                full[c] = (0, n)
+    if any(hi <= lo for lo, hi in ranges.values()):
+        ranges = dict.fromkeys(ranges, (0, 0))
+    cuts = []
+    for letters, (lo, shape) in zip(inputs, keys):
+        cut = tuple(
+            slice(max(ranges[c][0] - a, 0), max(ranges[c][1] - a, 0))
+            for c, a in zip(letters, lo or (0,) * len(shape))
+        )
+        whole = all(s.start == 0 and s.stop == n for s, n in zip(cut, shape))
+        cuts.append(None if whole else cut)
+    if all(full.get(c) == ranges[c] for c in output):
+        return cuts, None
+    return cuts, tuple(ranges[c][0] for c in output)
+
+
+def _plan_einsum(spec: str, a, b):
+    if type(a) is not Box and type(b) is not Box:
+        return None
+    ranks = _letters(spec)[2]
+    return _einsum_plan(spec, (_key(a, ranks[0]), _key(b, ranks[1])))
+
+
+def _run_einsum(plan, spec: str, a, b):
+    if plan is None:
+        return _einsum(spec, a, b)
+    (cut_a, cut_b), lo = plan
+    a = a.value if type(a) is Box else a
+    b = b.value if type(b) is Box else b
+    value = _einsum(spec, a if cut_a is None else a[cut_a], b if cut_b is None else b[cut_b])
+    return value if lo is None else Box(value, lo)
+
+
+def box_einsum(spec: str, a, b):
+    """``np.einsum(spec, a, b)`` for Boxes and dense arrays, whose
+    subscripts end in ``...`` for the lead axes.
+
+    Each letter runs over the intersection of its operands' index
+    ranges, so a term with an entry outside a box is not formed; one
+    empty intersection drops the whole term, an empty Box.  The result is
+    a dense array when every output letter covers the full range of a
+    dense operand, else the Box of the output letters.
+    """
+    return _run_einsum(_plan_einsum(spec, a, b), spec, a, b)
+
+
+@functools.lru_cache(maxsize=None)
+def _sum_plan(keys):
+    """(lo, extent, parts): the output Box's lo (None when dense), its
+    tensor extent, and (index, part of the output) of each non-empty
+    term in order, the part None for all of it."""
+    rank = next(len(lo) for lo, _ in keys if lo is not None)
+    terms = [
+        (k, lo or (0,) * rank, shape)
+        for k, (lo, shape) in enumerate(keys)
+        if 0 not in shape
+    ] or [(0, keys[0][0], keys[0][1])]
+    lo = tuple(min(a[i] for _, a, _ in terms) for i in range(rank))
+    extent = tuple(max(a[i] + s[i] for _, a, s in terms) - lo[i] for i in range(rank))
+    parts = [
+        (k, None if s == extent else tuple(
+            slice(i - j, i - j + n) for i, j, n in zip(a, lo, s)
+        ))
+        for k, a, s in terms
+    ]
+    dense = any(a is None and s == extent for a, s in keys)
+    return None if dense else lo, extent, parts
+
+
+def _plan_sum(terms):
+    rank = next((len(t.lo) for t in terms if type(t) is Box), None)
+    if rank is None:
+        return None
+    return _sum_plan(tuple(_key(t, rank) for t in terms))
+
+
+def _run_sum(plan, terms, owned: bool):
+    if plan is None:
+        out = terms[0] if owned else terms[0] + terms[1]
+        for term in terms[1 + (not owned):]:
+            out += term
+        return out
+    lo, extent, parts = plan
+    (k, where), *rest = parts
+    if owned and k == 0 and where is None:
+        out = terms[0]
+    else:
+        values = [t.value if type(t) is Box else t for t in terms]
+        lead = np.broadcast_shapes(*(values[k].shape[len(extent):] for k, _ in parts))
+        out = (np.empty if where is None else np.zeros)(extent + lead)
+        out[where or ...] = values[k]
+    for k, where in rest:
+        term = terms[k]
+        view = out if where is None else out[where]
+        view += term.value if type(term) is Box else term
+    return out if lo is None else Box(out, lo)
+
+
+def box_sum(*terms, owned: bool = False):
+    """The sum of Boxes and dense arrays of one tensor rank, on the
+    bounding box of the non-empty terms: the first is copied into its
+    part of that box and the others are added into theirs, in order,
+    which is the full sum up to the sign of a zero.  Dense when that box
+    is a dense term's.  ``owned`` says the first term is a dense array of
+    the sum's shape that the caller gives up to hold the sum."""
+    return _run_sum(_plan_sum(terms), terms, owned)
+
+
+class _Replay:
+    """``box_einsum`` and ``box_sum`` for a sequence of calls that runs
+    again and again on operands with the same boxes.  Working out a plan
+    costs more than a contraction of a few rows, so the sequence's plans
+    are recorded on its first run, under ``key``, and replayed in order
+    on the next ones."""
+
+    _plans = {}
+
+    def __init__(self, key):
+        self.key = key
+        plans = self._plans.get(key)
+        self.recorded = [] if plans is None else None
+        self.next = iter(plans or ()).__next__
+
+    def _plan(self, make, *args):
+        if self.recorded is None:
+            return self.next()
+        plan = make(*args)
+        self.recorded.append(plan)
+        return plan
+
+    def einsum(self, spec: str, a, b):
+        return _run_einsum(self._plan(_plan_einsum, spec, a, b), spec, a, b)
+
+    def sum(self, *terms, owned: bool = False):
+        return _run_sum(self._plan(_plan_sum, terms), terms, owned)
+
+    def done(self):
+        if self.recorded is not None:
+            self._plans[self.key] = self.recorded
+
+
+def _scale(s, x):
+    """``s * x`` for a Box or a dense array, ``s`` over the lead axes."""
+    return Box(s * x.value, x.lo) if isinstance(x, Box) else s * x
+
+
+def _swap(x, i: int, j: int):
+    """Tensor axes ``i`` and ``j`` of a Box or a dense array swapped."""
+    if not isinstance(x, Box):
+        return np.swapaxes(x, i, j)
+    lo = list(x.lo)
+    lo[i], lo[j] = lo[j], lo[i]
+    return Box(np.swapaxes(x.value, i, j), tuple(lo))
+
+
+def _dense(x, d: int):
+    """A Box as the full (d, ..., d, lead...) array; a dense array as is."""
+    if not isinstance(x, Box):
+        return x
+    rank = len(x.lo)
+    if x.value.shape[:rank] == (d,) * rank:
+        return x.value
+    out = np.zeros((d,) * rank + x.value.shape[rank:])
+    out[tuple(slice(a, a + n) for a, n in zip(x.lo, x.value.shape))] = x.value
+    return out
+
+
 def _stack_calls(model, names, t, x, z=None):
     """Evaluate callbacks at every (t, x[, z]) point in one call each,
     returned rows last.
@@ -102,11 +334,12 @@ def _stack_calls(model, names, t, x, z=None):
     ``t`` may carry several leading axes, (B, n) say; the points are
     flattened for the call, and each result is stored as a contiguous
     array with its tensor axes first and those axes, reversed, as
-    trailing lead axes: (t..., n, B), or (t..., K) for K points.  Each value is
-    converted as soon as it is evaluated, so at most one rows-first copy
-    is alive.  Names the model declares in ``zero_derivatives`` are
-    skipped: they are absent from the result.  The model's callbacks must
-    broadcast over rows (see ``as_vectorized``).
+    trailing lead axes: (t..., n, B), or (t..., K) for K points, and t...
+    alone for a scalar ``t``.  A callback with a declared support is
+    stored as the ``Box`` of its bounding box, and one with an empty
+    support is not called.  Each value is converted as soon as it is
+    evaluated, so at most one rows-first copy is alive.  The model's
+    callbacks must broadcast over rows (see ``as_vectorized``).
     """
     t = np.asarray(t)
     lead = t.shape
@@ -115,10 +348,13 @@ def _stack_calls(model, names, t, x, z=None):
         args += (z.reshape(t.size, -1),)
     out = {}
     for name in names:
-        if name in model.zero_derivatives:
+        box = model.derivative_box(name)
+        if model.derivative_support.get(name) == ():
+            out[name] = Box(np.zeros((0,) * len(box) + lead[::-1]), (0,) * len(box))
             continue
         value = np.asarray(getattr(model, name)(*args), float)
-        out[name] = _rows_last(value.reshape(lead + value.shape[1:]), len(lead))
+        value = _rows_last(value.reshape(lead + value.shape[1:]), len(lead), box)
+        out[name] = value if box is None else Box(value, tuple(s.start for s in box))
     return out
 
 
@@ -132,32 +368,31 @@ def euler_map_derivatives(cb: dict, dt, dw, order: int = 3):
     evaluated callbacks, rows last.
 
     ``cb`` holds drift_x and diffusion_x (and the second and third
-    derivatives up to ``order``) with their tensor axes first and any
-    trailing lead axes, which ``dt`` and ``dw`` (shaped (l, lead...))
-    share.  Returns (A1, A2, A3): Jacobian I + dt drift_x +
-    dW^l diffusion_x[:,l,:], then the same contraction of the higher
-    derivative stacks; entries above ``order`` are None.  A higher
-    derivative absent from ``cb`` (declared zero) drops its term.
+    derivatives up to ``order``), dense or as Boxes, with their tensor
+    axes first and any trailing lead axes, which ``dt`` and ``dw``
+    (shaped (l, lead...)) share.  Returns (A1, A2, A3): Jacobian I + dt
+    drift_x + dW^l diffusion_x[:,l,:], then the same contraction of the
+    higher derivative stacks, dense or as Boxes; entries above ``order``
+    are None.
     """
     dt = np.asarray(dt, float)
-    a_x = cb["drift_x"]
-    A1 = _eye(len(a_x), dt.ndim) + dt * a_x + np.einsum(
-        "l...,ilj...->ij...", dw, cb["diffusion_x"]
-    )
-
-    def higher(k, spec):
-        # dt a^(k) + dW^l b^(k)[:, l], without the terms declared zero
-        a_k, b_k = cb.get("drift_" + "x" * k), cb.get("diffusion_" + "x" * k)
-        terms = [] if a_k is None else [dt * a_k]
-        if b_k is not None:
-            terms.append(np.einsum(spec, dw, b_k))
-        if not terms:
-            return np.zeros((len(a_x),) * (k + 1) + dt.shape)
-        return terms[0] if len(terms) == 1 else terms[0] + terms[1]
-
-    A2 = higher(2, "l...,iljk...->ijk...") if order >= 2 else None
-    A3 = higher(3, "l...,iljkm...->ijkm...") if order >= 3 else None
-    return A1, A2, A3
+    d = len(cb["drift_x"])
+    A = [
+        box_sum(
+            _eye(d, dt.ndim) + dt * cb["drift_x"],
+            box_einsum("l...,ilj...->ij...", dw, cb["diffusion_x"]),
+            owned=True,
+        )
+    ]
+    for k, axes in ((2, "jk"), (3, "jkm"))[: order - 1]:
+        x = "x" * k
+        A.append(
+            box_sum(
+                _scale(dt, cb["drift_" + x]),
+                box_einsum(f"l...,il{axes}...->i{axes}...", dw, cb["diffusion_" + x]),
+            )
+        )
+    return tuple(A + [None] * (3 - order))
 
 
 def jump_map_derivatives(cb: dict, order: int = 3):
@@ -176,18 +411,16 @@ def euler_operator_derivatives(
 ):
     """Derivatives of the local Euler map A(x) = x + a dt + b dW at (t, x).
 
-    See :func:`euler_map_derivatives`.  Missing model callbacks raise a
+    See :func:`euler_map_derivatives`; the three are dense, and A2 and
+    A3 are zeros where no term is left.  Missing model callbacks raise a
     capability error.
     """
     _check_order(order)
     names = _euler_map_callbacks(order)
     model.require(*names)
-    cb = {
-        name: np.asarray(getattr(model, name)(t, x), float)
-        for name in names
-        if name not in model.zero_derivatives
-    }
-    return euler_map_derivatives(cb, dt, np.asarray(dw, float), order)
+    cb = _stack_calls(as_vectorized(model), names, t, np.asarray(x, float))
+    A = euler_map_derivatives(cb, dt, np.asarray(dw, float), order)
+    return tuple(None if a is None else _dense(a, model.dim) for a in A)
 
 
 def jump_operator_derivatives(
@@ -208,28 +441,35 @@ def propagate(G, phi):
     """One backward block for B rows: pull the weights ``phi`` = (phi[,
     phi'[, phi'']]) through local maps with derivatives ``G`` = (G1[,
     G2[, G3]]), all rows last: tensor axes first, the row axis at the
-    end.  The length of ``phi`` is the order."""
+    end.  The length of ``phi`` is the order.  G2 and G3 may be Boxes;
+    G1 and the weights are dense, and so are the results."""
+    ops = _Replay((len(phi),) + tuple(_key(g, k + 2) for k, g in enumerate(G)))
     G1 = G[0]
-    out = [np.einsum("ji...,j...->i...", G1, phi[0])]
+    out = [ops.einsum("ji...,j...->i...", G1, phi[0])]
     if len(phi) >= 2:
-        v = np.einsum("ji...,jp...->ip...", G1, phi[1])
+        v = ops.einsum("ji...,jp...->ip...", G1, phi[1])
         out.append(
-            np.einsum("ip...,pk...->ik...", v, G1) + np.einsum("jik...,j...->ik...", G[1], phi[0])
+            ops.sum(
+                ops.einsum("ip...,pk...->ik...", v, G1),
+                ops.einsum("jik...,j...->ik...", G[1], phi[0]),
+                owned=True,
+            )
         )
     if len(phi) >= 3:
-        t0 = np.einsum("ji...,jpr...->ipr...", G1, phi[2])
-        t0 = np.einsum("ipr...,pk...->ikr...", t0, G1)
-        t0 = np.einsum("ikr...,rm...->ikm...", t0, G1)
-        term2 = np.einsum("ip...,pkm...->ikm...", v, G[1])
-        u = np.einsum("jik...,jp...->ikp...", G[1], phi[1])
-        w = np.einsum("ikp...,pm...->ikm...", u, G1)
+        t0 = ops.einsum("ji...,jpr...->ipr...", G1, phi[2])
+        t0 = ops.einsum("ipr...,pk...->ikr...", t0, G1)
+        t0 = ops.einsum("ikr...,rm...->ikm...", t0, G1)
+        term2 = ops.einsum("ip...,pkm...->ikm...", v, G[1])
+        u = ops.einsum("jik...,jp...->ikp...", G[1], phi[1])
+        w = ops.einsum("ikp...,pm...->ikm...", u, G1)
         out.append(
-            t0
-            + term2
-            + w
-            + np.swapaxes(w, 1, 2)
-            + np.einsum("jikm...,j...->ikm...", G[2], phi[0])
+            ops.sum(
+                t0, term2, w, _swap(w, 1, 2),
+                ops.einsum("jikm...,j...->ikm...", G[2], phi[0]),
+                owned=True,
+            )
         )
+    ops.done()
     return out
 
 

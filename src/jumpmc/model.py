@@ -18,17 +18,22 @@ the right.  Scalar calls take ``t`` as a float and ``x`` of shape ``(dim,)``;
 models built by this module additionally broadcast over leading axes and
 advertise that with ``vectorized=True``.
 
-A model may name in ``zero_derivatives`` the second and third state
-derivatives of drift and diffusion that vanish identically (a drift
-linear in x, say).  The batched kernel then neither evaluates nor
-stores them, and drops the one additive term each enters.  Dropping an
-exact zero is exact, up to the sign of a zero result.
+A model may declare in ``derivative_support`` which entries of the
+second and third state derivatives of the drift, and of the first to
+third of the diffusion, may be non-zero (``SUPPORT_AXES`` names them).
+The batched kernel then copies and contracts only the bounding box of
+each declared support, and never evaluates a callback whose support is
+empty.  Dropping a term that is exactly zero leaves every other bit in
+place, except for the sign of a zero and for 0 * inf, which is NaN in
+full and absent in the box.  The support is static, so what is dropped
+cannot depend on chunk size or worker count.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -50,9 +55,12 @@ class JumpDiffusionModel:
     derivatives as well.  Missing derivatives can be filled with
     :func:`finite_difference_adapter`.
 
-    ``zero_derivatives`` names callbacks among ``ZERO_DERIVATIVE_NAMES``
-    that are identically zero; the kernel skips them (module docstring).
-    Each named callback that is given is checked to vanish at (0, x0).
+    ``derivative_support`` maps names among ``SUPPORT_AXES`` to the index
+    tuples of the entries that may be non-zero; every other entry of that
+    tensor is zero everywhere, and an empty support declares the whole
+    callback zero, which may then be omitted (module docstring).  Each
+    declared callback that is given is checked to vanish outside its
+    support at (0, x0).
     """
 
     dim: int
@@ -94,7 +102,7 @@ class JumpDiffusionModel:
     vectorized: bool = False
     exact_value: Optional[float] = None
     name: str = "model"
-    zero_derivatives: frozenset = frozenset()
+    derivative_support: dict = dataclasses.field(default_factory=dict)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -113,26 +121,67 @@ class JumpDiffusionModel:
         if x0.shape != (self.dim,):
             raise ParameterError(f"x0 must have shape ({self.dim},), got {x0.shape}")
         object.__setattr__(self, "x0", x0)
-        zero = frozenset(self.zero_derivatives)
-        unknown = sorted(zero - ZERO_DERIVATIVE_NAMES)
-        if unknown:
-            raise ParameterError(
-                f"zero_derivatives may name only {sorted(ZERO_DERIVATIVE_NAMES)}, "
-                f"got {unknown}"
+        support, shapes = {}, {}
+        for name, entries in dict(self.derivative_support).items():
+            if name not in SUPPORT_AXES:
+                raise ParameterError(
+                    f"derivative_support may name only {sorted(SUPPORT_AXES)}, "
+                    f"got {name!r}"
+                )
+            shape = shapes[name] = tuple(
+                self.dim if axis == "x" else self.wiener_dim for axis in SUPPORT_AXES[name]
             )
+            try:
+                support[name] = tuple(tuple(map(operator.index, e)) for e in entries)
+            except TypeError:
+                raise ParameterError(
+                    f"derivative_support of {name} must list index tuples"
+                ) from None
+            for entry in support[name]:
+                if len(entry) != len(shape) or not all(
+                    0 <= i < n for i, n in zip(entry, shape)
+                ):
+                    raise ParameterError(
+                        f"derivative_support of {name}: {entry} is not an "
+                        f"index of its shape {shape}"
+                    )
+        object.__setattr__(self, "derivative_support", support)
         # a vectorized model's callbacks take rows: probe one
         t, x = (np.zeros(1), x0[None]) if self.vectorized else (0.0, x0)
-        for name in sorted(zero):
+        for name in sorted(support):
             fn = getattr(self, name)
-            if fn is not None and np.any(np.asarray(fn(t, x), float) != 0.0):
+            if fn is None:
+                continue
+            value = np.asarray(fn(t, x), float)
+            shape = np.shape(t) + shapes[name]
+            if value.shape != shape:
+                raise ParameterError(f"{name} returned shape {value.shape}, not {shape}")
+            outside = np.ones(shape, bool)
+            for entry in support[name]:
+                outside[(...,) + entry] = False
+            if np.any(value[outside] != 0.0):
                 raise ParameterError(
-                    f"{name} is declared zero but is not zero at (0, x0)"
+                    f"{name} is not zero outside its declared support at (0, x0)"
                 )
-        object.__setattr__(self, "zero_derivatives", zero)
+
+    def derivative_box(self, name: str):
+        """Slices of the bounding box of ``name``'s declared support, one
+        per tensor axis (empty for an empty support); None when ``name``
+        declares none, so that every entry may be non-zero."""
+        entries = self.derivative_support.get(name)
+        if entries is None:
+            return None
+        if not entries:
+            return (slice(0, 0),) * len(SUPPORT_AXES[name])
+        return tuple(slice(min(axis), max(axis) + 1) for axis in zip(*entries))
 
     def require(self, *names: str) -> None:
-        """Raise CapabilityError unless every named callback is present."""
-        missing = [n for n in names if getattr(self, n) is None]
+        """Raise CapabilityError unless every named callback is present or
+        declared zero by an empty support."""
+        missing = [
+            n for n in names
+            if getattr(self, n) is None and self.derivative_support.get(n) != ()
+        ]
         if missing:
             raise CapabilityError(
                 f"model '{self.name}' lacks callbacks required here: "
@@ -140,12 +189,15 @@ class JumpDiffusionModel:
             )
 
 
-# Each enters the kernel as one additive term: dt drift_xx and dW
-# diffusion_xx in the Euler map's A2 (A3 likewise), drift_xx : dd in the
-# per-step density, and b_xx b in the second derivative of d = b b^T / 2.
-ZERO_DERIVATIVE_NAMES = frozenset(
-    {"drift_xx", "drift_xxx", "diffusion_xx", "diffusion_xxx"}
-)
+# The derivative callbacks a model may declare a support for, by their
+# tensor axes: x a state component, w a Wiener channel.
+SUPPORT_AXES = {
+    "drift_xx": "xxx",
+    "drift_xxx": "xxxx",
+    "diffusion_x": "xwx",
+    "diffusion_xx": "xwxx",
+    "diffusion_xxx": "xwxxx",
+}
 
 _PAYOFF_CALLBACKS = ("payoff", "payoff_x", "payoff_xx", "payoff_xxx")
 _TIMED_CALLBACKS = (
@@ -208,54 +260,6 @@ def eval_coefficients(model: JumpDiffusionModel, t, x) -> Coefficients:
         raise EvaluationError(f"diffusion returned non-finite values at t={t}")
     d = 0.5 * b @ np.swapaxes(b, -1, -2)
     return Coefficients(a, b, d)
-
-
-def second_moment_arrays(b, b_t, b_x, b_xx=None):
-    """d = b b^T / 2 and its derivatives from evaluated diffusion arrays.
-
-    Rows last, like the dual layer: the tensor axes come first and any
-    trailing lead axes follow them, so ``b`` is (d, l, lead...).  Returns
-    (d, d_t, d_x, d_xx) with layouts (d, d, lead...), (d, d, lead...),
-    (d, d, j, lead...) and (d, d, i, j, lead...); the j/i axes
-    differentiate in x.  A pointwise call has no lead axes.  ``b_xx``
-    None is a diffusion declared with zero second derivative, and drops
-    the b_xx b term of d_xx.
-    """
-    dd = 0.5 * np.einsum("kl...,ml...->km...", b, b)
-    d_t = 0.5 * (
-        np.einsum("kl...,ml...->km...", b_t, b) + np.einsum("kl...,ml...->km...", b, b_t)
-    )
-    # d_x[k, m, j] = (b_x[k, l, j] b[m, l] + b[k, l] b_x[m, l, j]) / 2
-    cross = np.einsum("klj...,ml...->kmj...", b_x, b)
-    d_x = 0.5 * (cross + np.swapaxes(cross, 0, 1))
-    # d_xx[k, m, i, j]
-    t2 = np.einsum("kli...,mlj...->kmij...", b_x, b_x)
-    if b_xx is None:
-        d_xx = 0.5 * (t2 + np.swapaxes(t2, 0, 1))
-    else:
-        t1 = np.einsum("klij...,ml...->kmij...", b_xx, b)
-        d_xx = 0.5 * (t1 + np.swapaxes(t1, 0, 1) + t2 + np.swapaxes(t2, 0, 1))
-    return dd, d_t, d_x, d_xx
-
-
-def second_moment_derivatives(model: JumpDiffusionModel, t, x):
-    """Time and state derivatives of d = b b^T / 2 from those of b.
-
-    Returns (d_t, d_x, d_xx) with any leading axes of ``x`` first, as
-    the callbacks return them; see :func:`second_moment_arrays`.
-    """
-    model.require("diffusion_t", "diffusion_x", "diffusion_xx")
-    lead = list(range(np.ndim(x) - 1))
-    trail = [-1 - k for k in reversed(lead)]
-    names = ("diffusion", "diffusion_t", "diffusion_x", "diffusion_xx")
-    _, d_t, d_x, d_xx = second_moment_arrays(
-        *(
-            np.moveaxis(np.asarray(getattr(model, name)(t, x), float), lead, trail)
-            for name in names
-            if name not in model.zero_derivatives
-        )
-    )
-    return tuple(np.moveaxis(v, trail, lead) for v in (d_t, d_x, d_xx))
 
 
 def _oscillator_callbacks():
@@ -447,7 +451,13 @@ def oscillator_problem() -> JumpDiffusionModel:
         vectorized=True,
         exact_value=0.5,
         name="test5",
-        zero_derivatives=frozenset({"drift_xx", "drift_xxx"}),
+        derivative_support={
+            "drift_xx": (),
+            "drift_xxx": (),
+            "diffusion_x": ((0, 0, 0),),
+            "diffusion_xx": ((0, 0, 0, 0),),
+            "diffusion_xxx": ((0, 0, 0, 0, 0),),
+        },
         **cb,
     )
 
@@ -493,7 +503,7 @@ def pure_jump_problem() -> JumpDiffusionModel:
         vectorized=True,
         exact_value=None,
         name="purejump",
-        zero_derivatives=ZERO_DERIVATIVE_NAMES,
+        derivative_support=dict.fromkeys(SUPPORT_AXES, ()),
         **cb,
     )
 
@@ -528,6 +538,8 @@ def finite_difference_adapter(
     the model provides it, itself an FD fill otherwise).  Steps grow with
     the order so higher derivatives are not drowned by rounding: ``h`` for
     first derivatives, ``h**(3/4)`` for second, ``h**(1/2)`` for third.
+    A missing callback with an empty declared support is not filled, and
+    neither are the missing orders above it.  The declarations are kept.
     """
     if not h > 0.0:
         raise ParameterError(f"finite difference step must be > 0, got {h}")
@@ -581,6 +593,8 @@ def finite_difference_adapter(
         for name, step in zip(names, steps):
             cur = getattr(model, name)
             if cur is None:
+                if model.derivative_support.get(name) == ():
+                    return  # declared zero: no fill, and no source above it
                 cur = differ(src, step)
                 fills[name] = cur
             src = cur

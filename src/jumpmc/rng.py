@@ -101,25 +101,37 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _32 = np.uint64(32)
 
 
-def _mulhilo(m: int, x):
-    """(low, high) words of the 128-bit product of the constant ``m`` and
-    the uint64 array ``x``.  Array products wrap, so the low word is the
-    uint64 product itself; the high word is summed from 32-bit halves."""
+def _mulhilo(m: int, x, lo, hi, a, b):
+    """Write the low and high words of the 128-bit products of the
+    constant ``m`` and the uint64 array ``x`` into ``lo`` and ``hi``, with
+    ``a`` and ``b`` as scratch; none of the four may be ``x``.  The high
+    word is summed from the four 32-bit products: with t = lh + (ll >>
+    32) and u = hl + (t & M32), it is hh + (t >> 32) + (u >> 32).  Array
+    products wrap, so the low word is the uint64 product itself."""
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _LOW32, x >> _32
-    ll = m_lo * x_lo
-    lh = m_lo * x_hi
-    hl = m_hi * x_lo
-    mid = (ll >> _32) + (lh & _LOW32) + (hl & _LOW32)
-    high = m_hi * x_hi + (lh >> _32) + (hl >> _32) + (mid >> _32)
-    return np.uint64(m) * x, high
+    np.bitwise_and(x, _LOW32, out=a)  # x_lo
+    np.right_shift(x, _32, out=b)  # x_hi
+    np.multiply(a, m_hi, out=hi)  # hl
+    np.multiply(a, m_lo, out=a)  # ll
+    np.right_shift(a, _32, out=a)
+    np.multiply(b, m_lo, out=lo)  # lh
+    np.add(lo, a, out=a)  # t
+    np.multiply(b, m_hi, out=b)  # hh
+    np.right_shift(a, _32, out=lo)
+    np.add(b, lo, out=b)  # hh + (t >> 32)
+    np.bitwise_and(a, _LOW32, out=a)
+    np.add(hi, a, out=a)  # u
+    np.right_shift(a, _32, out=a)
+    np.add(b, a, out=hi)
+    np.multiply(x, np.uint64(m), out=lo)
 
 
 def philox_words(seed: int, stream_id: int, realizations, blocks) -> np.ndarray:
     """The four words of block ``blocks[k]`` of realization
     ``realizations[k]``'s stream, as a (len, 4) uint64 array: the words
     ``4 * blocks[k]`` to ``4 * blocks[k] + 3`` that ``stream(seed,
-    realizations[k], stream_id)`` draws."""
+    realizations[k], stream_id)`` draws.  The ten rounds run in place on
+    preallocated buffers."""
     realizations = np.asarray(realizations, dtype=np.int64)
     if realizations.size and (
         realizations.min() < 0 or realizations.max() >= 1 << _STREAM_SHIFT
@@ -128,15 +140,23 @@ def philox_words(seed: int, stream_id: int, realizations, blocks) -> np.ndarray:
         raise ParameterError(f"realization index out of range: {bad}")
     k1 = realizations.astype(np.uint64) + np.uint64((stream_id + 1) << _STREAM_SHIFT)
     c0 = np.asarray(blocks, dtype=np.uint64) + np.uint64(1)
-    c1 = c2 = c3 = np.zeros_like(c0)
+    c1, c2, c3 = (np.zeros_like(c0) for _ in range(3))
+    lo0, hi0, lo1, hi1, a, b = (np.empty_like(c0) for _ in range(6))
     k0 = int(seed)
     for round_ in range(10):
         if round_:
             k0 = (k0 + _PHILOX_W[0]) & _MASK64
-            k1 = k1 + np.uint64(_PHILOX_W[1])
-        lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
-        lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
+            k1 += np.uint64(_PHILOX_W[1])
+        _mulhilo(_PHILOX_M[0], c0, lo0, hi0, a, b)
+        _mulhilo(_PHILOX_M[1], c2, lo1, hi1, a, b)
+        np.bitwise_xor(hi1, c1, out=hi1)
+        np.bitwise_xor(hi1, np.uint64(k0), out=hi1)
+        np.bitwise_xor(hi0, c3, out=hi0)
+        np.bitwise_xor(hi0, k1, out=hi0)
+        # the new state (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0); the old
+        # state's arrays are the next round's buffers
+        c0, c1, c2, c3, lo0, hi0, lo1, hi1 = hi1, lo1, hi0, lo0, c0, c1, c2, c3
+    del lo0, hi0, lo1, hi1, a, b  # free the buffers before the stacked copy
     return np.stack([c0, c1, c2, c3], axis=-1)
 
 

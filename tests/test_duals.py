@@ -215,8 +215,9 @@ def test_order_validation_and_capability():
         backward_duals(m, path, order=4)
     import dataclasses
 
-    crippled = dataclasses.replace(build_model("test5"), drift_xx=None)
-    with pytest.raises(CapabilityError, match="drift_xx"):
+    # test5 declares drift_xx zero, so it may be omitted; diffusion_xx may not
+    crippled = dataclasses.replace(build_model("test5"), diffusion_xx=None)
+    with pytest.raises(CapabilityError, match="diffusion_xx"):
         backward_duals(crippled, path, order=2)
     # Order 1 does not need the missing callback.
     backward_duals(crippled, path, order=1)

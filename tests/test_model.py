@@ -15,7 +15,8 @@ from jumpmc import (
     oscillator_problem,
     pure_jump_problem,
 )
-from jumpmc.model import JumpDiffusionModel, second_moment_derivatives
+from jumpmc.density import second_moment_derivatives
+from jumpmc.model import JumpDiffusionModel
 
 
 def test_oscillator_coefficients_frozen_point():

@@ -136,6 +136,22 @@ def test_philox_words_match_random_raw(seed, stream_id):
         philox_words(seed, stream_id, [1 << 60], [0])
 
 
+@pytest.mark.parametrize("stream_id", [STREAM_WIENER, STREAM_JUMP_TIMES, STREAM_MARKS])
+def test_philox_words_match_numpy_philox_on_random_keys_and_counters(stream_id):
+    rng = np.random.default_rng(11 + stream_id)
+    for seed in [0, 2**64 - 1, *rng.integers(0, 2**64, 3, dtype=np.uint64).tolist()]:
+        realizations = rng.integers(0, 1 << 60, 64, dtype=np.int64)
+        blocks = rng.integers(0, 1 << 63, 64, dtype=np.uint64)
+        blocks[:3] = [0, 1, (1 << 63) - 1]
+        words = philox_words(seed, stream_id, realizations, blocks)
+        for r, block, got in zip(realizations.tolist(), blocks.tolist(), words):
+            key = np.array([seed, r + ((stream_id + 1) << 60)], dtype=np.uint64)
+            # numpy's Philox steps its counter before each block
+            counter = np.array([block, 0, 0, 0], dtype=np.uint64)
+            bits = np.random.Philox(key=key, counter=counter)
+            np.testing.assert_array_equal(got, bits.random_raw(4))
+
+
 def _words(keyed, indices, count):
     """The first ``count`` Philox words of each of the streams ``indices``,
     as a (len(indices), count) array."""

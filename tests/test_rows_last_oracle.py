@@ -6,7 +6,9 @@ subscripts: every array carries its row axes first, (B, n, d, ...).  The
 rows-last kernel (``duals``, ``density``, ``model.second_moment_arrays``)
 must give the same bits: ``propagate`` on random tensors, and the payoff
 and per-step ``rho`` of ``controller._path_batch`` on groups of test5 and
-of two variants (row-loop callbacks; a denser d_t, see below).
+of three variants (row-loop callbacks; a denser d_t; wider declared
+supports, see below).  The reference evaluates and contracts every
+callback in full, whatever the model declares.
 
 Bitwise agreement is a property of these models, not of every model:
 the rows-first einsum adds a contiguous run of 3 or more products in a
@@ -215,8 +217,28 @@ def dense_d_t_model():
     return replace(base, diffusion_t=diffusion_t)
 
 
+def wide_support_model():
+    """test5 with declared supports wider than its non-zero entries.
+
+    Each diffusion derivative's box then holds two entries along one
+    axis, not test5's single one, and drift_xx is undeclared, so its
+    full stack of zeros is contracted next to boxes.
+    """
+    base = build_model("test5")
+    return replace(
+        base,
+        derivative_support={
+            "drift_xxx": (),
+            "diffusion_x": ((0, 0, 0), (0, 0, 1)),
+            "diffusion_xx": ((0, 0, 0, 0), (0, 0, 1, 1)),
+            "diffusion_xxx": ((0, 0, 0, 0, 0), (0, 0, 0, 1, 0)),
+        },
+    )
+
+
 MODELS = {
     "test5": lambda: build_model("test5"),
+    "wide-support": wide_support_model,
     "row-loop": lambda: replace(build_model("test5"), vectorized=False),
     "dense-d_t": dense_d_t_model,
 }
@@ -224,7 +246,10 @@ MODELS = {
 
 @pytest.mark.parametrize(
     "model, n",
-    [("test5", 5), ("test5", 40), ("row-loop", 5), ("dense-d_t", 5), ("dense-d_t", 40)],
+    [
+        ("test5", 5), ("test5", 40), ("row-loop", 5), ("dense-d_t", 5), ("dense-d_t", 40),
+        ("wide-support", 5), ("wide-support", 40),
+    ],
 )
 def test_path_batch_matches_rows_first_oracle(model, n):
     m = MODELS[model]()
