@@ -21,7 +21,7 @@ statistical uncertainty.  Two drivers meet the budget:
   payoff's statistical bound meets TOL_S.
 
 Both drivers evaluate paths with one batched kernel, ``_path_batch``,
-which chains the batched layers for B same-length paths: forward Euler
+which chains the batched layers for a block of B paths: forward Euler
 (``euler.euler_batch``; ``euler.euler_terminal`` when only X(T) is
 needed, as in ``monte_carlo``), order-3 dual weights
 (``duals.dual_batch``) and the per-step density
@@ -32,16 +32,22 @@ and contracted only on the bounding box of that support, and one with
 an empty support is not evaluated; the support is static, so this
 cannot depend on chunk size or worker count, and the results are those
 of the full tensors up to the sign of a zero and 0 * inf.  The
-dual and density layers hold their arrays rows last, (t..., n, B).  The
-mesh engine groups a chunk's realizations by step count and reduces
+dual and density layers hold their arrays rows last, (t..., n, B).  A
+block's rows may have different step counts: ordered by descending step
+count, the rows that take step p are the first k_p, so forward Euler and
+the backward sweep step the slice ``[..., p, :k_p]``, each row's sweep
+starts from the payoff derivatives at its own X(T), and callbacks are
+evaluated at real nodes only; equal step counts are the case k_p = B.
+The mesh engine groups a chunk's realizations by step count and reduces
 them per interval with ``density.interval_sums``.  The per-realization
 driver refines a whole chunk level-synchronously: its rows stay stacked
-arrays (``PathBatch``) by step count from set-up to result, every level
-runs the kernel on blocks of at most STOCH_BLOCK rows, and the rows
-still refining are bisected together by ``euler.bridge_refine_batch``,
-which draws each row's bridge noise from its own Wiener stream at the
-row's position, the number of normals the stream has given
-(``control_time_error`` is the one-row case).
+arrays (``PathBatch``) from set-up to result, every level runs the
+kernel on blocks of its rows gathered longest first, each of at most
+STOCH_BLOCK_STEPS row-steps (or one row), reduces each row over its own
+steps, and the rows still refining are bisected together by
+``euler.bridge_refine_batch``, which draws each row's bridge noise from
+its own Wiener stream at the row's position, the number of normals the
+stream has given (``control_time_error`` is the one-row case).
 ``_setup_groups`` sets up a whole index range at once from
 counter-based draws (``rng.KeyedStream.draws``): every realization's
 jump times, marks (``jumps.sample_jump_chunk``) and Wiener normals come
@@ -106,6 +112,7 @@ from .euler import (  # noqa: F401
     euler_terminal,
     sample_wiener_increments,
     stack_paths,
+    terminal_values,
 )
 from .jumps import (  # noqa: F401
     JumpRealization,
@@ -124,7 +131,11 @@ Array = np.ndarray
 
 MESH_CHUNK = 16384  # fixed chunk sizes keep grouping independent of workers
 STOCH_CHUNK = 2048
-STOCH_BLOCK = 512  # rows per kernel call in the level loop; bounds its memory
+# row-steps (rows times the longest row's steps) per kernel call in the
+# level loop, unless one row alone has more; it bounds the kernel's memory.
+# On test5 at TOL 0.04, 3072 keeps the peak RSS of the earlier 512-row
+# blocks of one step count but takes 27 calls; 3584 takes 23
+STOCH_BLOCK_STEPS = 3584
 
 
 # ---------------------------------------------------------------------------
@@ -397,26 +408,31 @@ _KERNEL_CALLBACKS = STEP_DENSITY_CALLBACKS + ["drift_xxx", "diffusion_xxx"]
 
 def _path_batch(model, paths, realizations, want_rho):
     """Forward Euler and, if ``want_rho``, order-3 duals and per-step rho
-    for the B same-length rows of ``paths``; without ``want_rho`` no path
-    is stored, only X(T).
+    for the B rows of ``paths``, ordered by descending step count;
+    without ``want_rho`` no path is stored, only X(T).
 
     ``realizations`` are the rows' absolute indices, named by the
     EvaluationError raised for a diverging path, a non-finite payoff or a
     non-finite density.  Returns (payoff, rho) with rho None without
-    ``want_rho``.  The model's callbacks must broadcast over rows (see
-    ``as_vectorized``); each is evaluated once per node, and the dual and
-    density layers share the values.
+    ``want_rho``; rho is (B, n), 0 past a row's last step.  The model's
+    callbacks must broadcast over rows (see ``as_vectorized``); each is
+    evaluated once per real node, and the dual and density layers share
+    the values.
     """
     if not want_rho:
         terminal = euler_terminal(model, paths, realizations=realizations)
         return _payoff(model, terminal, realizations), None
     values, left = euler_batch(model, paths, realizations=realizations)
-    payoff = _payoff(model, values[:, -1], realizations)
+    payoff = _payoff(model, terminal_values(paths, values), realizations)
     model.require(
         *_required_callbacks(3, with_jumps=paths.jump_flag.any()), "drift_t", "diffusion_t"
     )
-    cb = _stack_calls(model, _KERNEL_CALLBACKS, paths.times[:, :-1], values[:, :-1])
+    real = np.arange(paths.dt.shape[1]) < paths.n_steps[:, None]
+    cb = _stack_calls(
+        model, _KERNEL_CALLBACKS, paths.times[:, :-1], values[:, :-1], real=real
+    )
     stores, _, _ = dual_batch(model, cb, paths, values, left, 3)
+    del values, left  # the density layer is the kernel's peak of memory
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite rho raises below
         rho = rho_batch(cb, *stores)
     _check_finite(rho, realizations, "error density")
@@ -579,11 +595,11 @@ def _run_chunk(chunk_fn, model, args):
 
     ``args`` start with (det, seeds, start, count).  A chunk raises for
     the first failing row it meets (set-up before the kernel, then
-    step-count groups and refinement levels in order), which depends on
-    how its rows are grouped.  So on an error naming realization ``r``
-    the rows before ``r`` run again, until no earlier row fails.  Rows
-    are independent, so the error raised does not depend on the chunk
-    size.
+    refinement levels, kernel blocks and step-count groups in order),
+    which depends on how its rows are grouped into blocks.  So on an
+    error naming realization ``r`` the rows before ``r`` run again, until
+    no earlier row fails.  Rows are independent, so the error raised does
+    not depend on the chunk size.
     """
     det, seeds, start, count, *rest = args
     end = start + count
@@ -766,21 +782,22 @@ class _OwnGenerator:
         return getattr(self.generator, kind)(int(np.sum(counts)))
 
 
-def _refine_levels(model, groups, realizations, wiener, positions, tol, tol_t, n_a_bar, adapt):
+def _refine_levels(model, pieces, realizations, wiener, positions, tol, tol_t, n_a_bar, adapt):
     """Per-realization adaptive refinement, one level at a time.
 
-    ``groups`` are (rows, PathBatch) pairs by ascending step count that
-    together hold every row once; ``realizations[row]`` is the row's
-    absolute index (None for a row without one) and ``positions[row]``
-    the number of normals its Wiener stream in ``wiener`` (a
-    ``KeyedStream`` or a stand-in with its ``draws``) has given.  Each
-    level runs every group through ``_path_batch`` in blocks of at most
-    STOCH_BLOCK rows; the rows that fail the acceptance test are bisected
-    by ``bridge_refine_batch``, in the order a lone run of the row would
-    draw its bridges, and regrouped by their new step count.  Nothing is
-    refined after the last simulated level, so every output of a row
-    comes from the same mesh.  ``positions`` is updated in place; returns
-    per-row arrays.
+    ``pieces`` are (rows, PathBatch) pairs that together hold every row
+    once; ``realizations[row]`` is the row's absolute index (None for a
+    row without one) and ``positions[row]`` the number of normals its
+    Wiener stream in ``wiener`` (a ``KeyedStream`` or a stand-in with its
+    ``draws``) has given.  Each level runs its rows through
+    ``_path_batch`` in the blocks of ``_ragged_blocks``; the rows that
+    fail the acceptance test are bisected by ``bridge_refine_batch``, in
+    the order a lone run of the row would draw its bridges, and each
+    block's refined rows are a piece of the next level.  Every reduction
+    over a row's steps runs on its own steps only, a step count at a
+    time.  Nothing is refined after the last simulated level, so every
+    output of a row comes from the same mesh.  ``positions`` is updated
+    in place; returns per-row arrays.
     """
     min_step = float(model.horizon) * MIN_STEP_FRACTION
     refine_at = adapt.s1 * tol_t / n_a_bar
@@ -797,46 +814,67 @@ def _refine_levels(model, groups, realizations, wiener, positions, tol, tol_t, n
         "work": np.zeros(count, dtype=np.intp),
     }
     for level in range(adapt.max_refinements + 1):
-        refined = {}
-        for rows, paths in _blocks(groups):
+        refined = []
+        for rows, paths in _ragged_blocks(pieces):
             payoff, rho = _path_batch(model, paths, realizations[rows].tolist(), True)
-            dt = paths.dt
-            n_steps = dt.shape[1]
+            dt, n_steps = paths.dt, paths.n_steps
             r = cutoff_density_S(rho, tol) * dt ** 2
-            accepted = r.max(axis=1) < accept_below
+            accepted = np.empty(len(rows), dtype=bool)
+            for n in np.unique(n_steps).tolist():
+                run = np.flatnonzero(n_steps == n)
+                accepted[run] = r[run, :n].max(axis=1) < accept_below
+                out["signed_total"][rows[run]] = (rho[run, :n] * dt[run, :n] ** 2).sum(axis=1)
+                out["r_total"][rows[run]] = r[run, :n].sum(axis=1)
             out["payoff"][rows] = payoff
             out["n_a"][rows] = n_steps
             out["n_jumps"][rows] = np.count_nonzero(paths.jump_flag, axis=1)
             out["levels"][rows] = level
             out["accepted"][rows] = accepted
-            out["signed_total"][rows] = (rho * dt ** 2).sum(axis=1)
-            out["r_total"][rows] = r.sum(axis=1)
             out["work"][rows] += n_steps
             if level == adapt.max_refinements:
                 continue
+            # dt is 0 past a row's last step, so no padding is splittable
             splittable = (r >= refine_at) & (0.5 * dt >= min_step) & ~accepted[:, None]
-            pieces, positions[rows] = bridge_refine_batch(
+            hit, split, positions[rows] = bridge_refine_batch(
                 paths, splittable, wiener, realizations[rows], positions[rows]
             )
-            for sub, batch in pieces:
-                refined.setdefault(batch.dt.shape[1], []).append((rows[sub], batch))
-        groups = [
-            (np.concatenate([sub for sub, _ in refined[n]]),
-             concat_paths([batch for _, batch in refined[n]]))
-            for n in sorted(refined)
-        ]
-        if not groups:
+            if len(hit):
+                refined.append((rows[hit], split))
+        if not refined:
             break
+        pieces = refined
     return out
 
 
-def _blocks(groups):
-    """The (rows, PathBatch) groups cut into blocks of at most
-    STOCH_BLOCK rows, which bounds the kernel's memory."""
-    for rows, paths in groups:
-        for lo in range(0, len(rows), STOCH_BLOCK):
-            part = slice(lo, lo + STOCH_BLOCK)
-            yield rows[part], paths if len(rows) <= STOCH_BLOCK else paths.take(part)
+def _ragged_blocks(pieces):
+    """The rows of ``pieces`` ordered longest first, cut into blocks of
+    consecutive rows of at most STOCH_BLOCK_STEPS row-steps (rows times
+    the first row's steps) or of one row: (rows, PathBatch) pairs ordered
+    by descending step count.  A block is padded only to its own longest
+    row, so no level is held padded to its longest."""
+    n_steps = np.concatenate([paths.n_steps for _, paths in pieces])
+    order = np.argsort(-n_steps, kind="stable")
+    starts = np.cumsum([0] + [len(rows) for rows, _ in pieces])
+    lo = 0
+    while lo < len(order):
+        hi = lo + max(1, STOCH_BLOCK_STEPS // int(n_steps[order[lo]]))
+        yield _gather(pieces, starts, np.sort(order[lo:hi]))
+        lo = hi
+
+
+def _gather(pieces, starts, picked):
+    """The rows at ``picked`` of ``pieces`` laid end to end (``starts``
+    are the pieces' first places) as one (rows, PathBatch) pair, ordered
+    by descending step count.  Its own function, so that the copies made
+    on the way are freed before the kernel runs on the block."""
+    parts = []
+    for (rows, paths), a, b in zip(pieces, starts, starts[1:]):
+        mine = picked[(picked >= a) & (picked < b)] - a
+        if len(mine):
+            parts.append((rows[mine], paths.take(mine)))
+    paths = concat_paths([p for _, p in parts])
+    ranked = np.argsort(-paths.n_steps, kind="stable")
+    return np.concatenate([r for r, _ in parts])[ranked], paths.take(ranked)
 
 
 def _stoch_chunk(model, det, seeds, start, count, tol, tol_t, n_a_bar, adapt):
@@ -844,12 +882,14 @@ def _stoch_chunk(model, det, seeds, start, count, tol, tol_t, n_a_bar, adapt):
     model = as_vectorized(model)
     streams = keyed_streams(seeds)
     groups = _setup_groups(model, det, streams, start, count, intensity_integral_for(model))
+    pieces = [(group.rows, paths) for group, paths in groups]
+    del groups  # frees the grids: only the paths are refined
     positions = np.empty(count, dtype=np.int64)
-    for group, paths in groups:
-        positions[group.rows] = paths.dw[0].size  # the set-up's normals
+    for rows, paths in pieces:
+        positions[rows] = paths.dw[0].size  # the set-up's normals
     return _refine_levels(
-        model, [(group.rows, paths) for group, paths in groups],
-        np.arange(start, start + count), streams[0], positions, tol, tol_t, n_a_bar, adapt,
+        model, pieces, np.arange(start, start + count), streams[0], positions,
+        tol, tol_t, n_a_bar, adapt,
     )
 
 

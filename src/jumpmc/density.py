@@ -15,7 +15,7 @@ are clamped into [TOL^(1/9), TOL^(-1)] before they steer refinement, so
 rare large samples cannot stall or distort the mesh; estimation always
 uses the raw signed values.
 
-``rho_batch`` evaluates the per-step density of B same-length paths from
+``rho_batch`` evaluates the per-step density of a block of paths from
 callback values already evaluated, and ``interval_sums`` reduces per-step
 contributions over the deterministic intervals; both drivers use them,
 and ``rho_per_step`` and ``interval_step_sums`` are their one-row cases.
@@ -97,15 +97,30 @@ def _flat_rows(w: Array) -> Array:
 
 
 def rho_batch(cb: dict, phi: Array, phi1: Array, phi2: Array) -> Array:
-    """Per-step density for B same-length paths, shape (B, n).
+    """Per-step density for a block of B paths, shape (B, n).
 
     ``cb`` holds the ``STEP_DENSITY_CALLBACKS`` evaluated at the (B, n)
     left nodes (t_n, X(t_n)), rows last as ``duals._stack_calls`` returns
     them (the declared ones as Boxes), and ``phi``, ``phi1``, ``phi2`` are
-    the (t..., n, B) left-limit dual weights at the right nodes.  Row-wise
-    arithmetic only, so a row's value never depends on which other rows
-    share the stack.
+    the (t..., n, B) left-limit dual weights at the right nodes.  Rows
+    with fewer than n steps are padded with zeros in every input, and
+    their density is 0 there.  Row-wise arithmetic only, so a row's
+    value never depends on which other rows share the stack.
     """
+    d = len(cb["drift"])
+    drift_part, diff_part, third_part = _density_parts(cb)
+    rho = 0.5 * (
+        np.einsum("nk,nk->n", _flat_rows(_dense(drift_part, d)), _flat_rows(phi))
+        + np.einsum("nkm,nkm->n", _flat_rows(_dense(diff_part, d)), _flat_rows(phi1))
+        + np.einsum("nkmr,nkmr->n", _flat_rows(_dense(third_part, d)), _flat_rows(phi2))
+    )
+    return rho.reshape(phi.shape[:0:-1])
+
+
+def _density_parts(cb: dict):
+    """The three factors of ``rho_batch``'s contractions with phi, phi'
+    and phi'', rows last; the second-moment arrays they are made of are
+    freed on return."""
     a = cb["drift"]
     a_x = cb["drift_x"]
     dd, d_t, d_x, d_xx = second_moment_arrays(
@@ -124,13 +139,7 @@ def rho_batch(cb: dict, phi: Array, phi1: Array, phi2: Array) -> Array:
         owned=True,
     )
     third_part = _scale(2.0, box_einsum("kmj...,jr...->kmr...", d_x, dd))
-    d = len(a)
-    rho = 0.5 * (
-        np.einsum("nk,nk->n", _flat_rows(_dense(drift_part, d)), _flat_rows(phi))
-        + np.einsum("nkm,nkm->n", _flat_rows(_dense(diff_part, d)), _flat_rows(phi1))
-        + np.einsum("nkmr,nkmr->n", _flat_rows(_dense(third_part, d)), _flat_rows(phi2))
-    )
-    return rho.reshape(phi.shape[:0:-1])
+    return drift_part, diff_part, third_part
 
 
 def second_moment_arrays(b, b_t, b_x, b_xx):

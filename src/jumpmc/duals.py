@@ -15,11 +15,15 @@ The first order rule is phi(t_n) = (dA/dx)^T phi(t_{n+1}-); the higher
 order rules add curvature terms with the second and third derivatives of
 the local maps.  Left limits carry the identity at non-jump nodes.
 
-``dual_batch`` sweeps B same-length paths at once from callback values
+``dual_batch`` sweeps a block of B paths at once from callback values
 already evaluated; it is the dual layer of both drivers, and
-``backward_duals`` is its one-row case.  ``euler_map_derivatives`` and
-``jump_map_derivatives`` are the one implementation of each local map's
-derivatives, shared with the pointwise ``*_operator_derivatives``.
+``backward_duals`` is its one-row case.  The rows may have different
+step counts, ordered by descending step count (``euler.PathBatch``):
+the rows that take step p are the first k_p, a step slice
+``[..., p, :k_p]``, and each row's sweep starts at its own last node.
+``euler_map_derivatives`` and ``jump_map_derivatives`` are the one
+implementation of each local map's derivatives, shared with the
+pointwise ``*_operator_derivatives``.
 
 A callback with a declared support (``JumpDiffusionModel.
 derivative_support``) is held as a ``Box``: only the bounding box of its
@@ -49,7 +53,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError
-from .euler import EulerPath, stack_paths
+from .euler import EulerPath, stack_paths, terminal_values
 from .model import JumpDiffusionModel, as_vectorized
 
 Array = np.ndarray
@@ -327,7 +331,7 @@ def _dense(x, d: int):
     return out
 
 
-def _stack_calls(model, names, t, x, z=None):
+def _stack_calls(model, names, t, x, z=None, real=None):
     """Evaluate callbacks at every (t, x[, z]) point in one call each,
     returned rows last.
 
@@ -335,7 +339,9 @@ def _stack_calls(model, names, t, x, z=None):
     flattened for the call, and each result is stored as a contiguous
     array with its tensor axes first and those axes, reversed, as
     trailing lead axes: (t..., n, B), or (t..., K) for K points, and t...
-    alone for a scalar ``t``.  A callback with a declared support is
+    alone for a scalar ``t``.  ``real``, a bool array shaped like ``t``,
+    marks the points to evaluate; the others are not passed to the
+    callbacks and are zero.  A callback with a declared support is
     stored as the ``Box`` of its bounding box, and one with an empty
     support is not called.  Each value is converted as soon as it is
     evaluated, so at most one rows-first copy is alive.  The model's
@@ -343,9 +349,13 @@ def _stack_calls(model, names, t, x, z=None):
     """
     t = np.asarray(t)
     lead = t.shape
-    args = (t.reshape(-1), x.reshape(t.size, -1))
-    if z is not None:
-        args += (z.reshape(t.size, -1),)
+    if real is not None and real.all():
+        real = None  # every point
+    args = [t, x] if z is None else [t, x, z]
+    if real is None:
+        args = [t.reshape(-1)] + [a.reshape(t.size, -1) for a in args[1:]]
+    else:
+        args = [a[real] for a in args]
     out = {}
     for name in names:
         box = model.derivative_box(name)
@@ -353,7 +363,13 @@ def _stack_calls(model, names, t, x, z=None):
             out[name] = Box(np.zeros((0,) * len(box) + lead[::-1]), (0,) * len(box))
             continue
         value = np.asarray(getattr(model, name)(*args), float)
-        value = _rows_last(value.reshape(lead + value.shape[1:]), len(lead), box)
+        if real is None:
+            value = _rows_last(value.reshape(lead + value.shape[1:]), len(lead), box)
+        else:
+            points = value if box is None else value[(slice(None),) + tuple(box)]
+            value = np.zeros(lead + points.shape[1:])
+            value[real] = points
+            value = _rows_last(value, len(lead))
         out[name] = value if box is None else Box(value, tuple(s.start for s in box))
     return out
 
@@ -474,23 +490,27 @@ def propagate(G, phi):
 
 
 def dual_batch(model, cb: dict, paths, values: Array, left: Array, order: int = 3):
-    """Backward dual sweep for B same-length paths at once, rows last.
+    """Backward dual sweep for a block of B paths at once, rows last.
 
-    ``cb`` holds the Euler-map callbacks of ``order`` evaluated at the
-    (B, n) nodes (t_n, X(t_n)), n < N, as ``_stack_calls`` returns them
+    The rows of ``paths`` are ordered by descending step count, so step
+    p is the slice ``[..., p, :k_p]`` of every (t..., n, B) array.  ``cb``
+    holds the Euler-map callbacks of ``order`` evaluated at the (B, n)
+    nodes (t_n, X(t_n)), n < N, as ``_stack_calls`` returns them
     (t..., n, B); the third-derivative entries are dropped from it once
     A3 is formed, since nothing else reads them.  ``values`` and ``left``
     are the forward layer's (B, n+1, d) node values and left limits.
     Jump-map and payoff derivatives are evaluated here, at the jump left
-    limits and at X(T).  Only left-limit weights are stored.
+    limits and at each row's X(T), from which the row's sweep starts.
+    Only left-limit weights are stored.
 
     Returns (stores, first, at_jumps).  ``stores`` and ``first`` are
     lists (phi[, phi'[, phi'']]) up to ``order``: the (t..., n, B)
-    left-limit weights at nodes 1..N and the (t..., B) left-limit weights
-    at node 0.  ``at_jumps`` lists (node, weights) for every jump node:
-    the (t..., k) node weights, before the jump block, of the k rows that
-    jump there (in row order); only there do node and left-limit weights
-    differ.  Arithmetic is row-wise.
+    left-limit weights at nodes 1..N, zero past each row's last node,
+    and the (t..., B) left-limit weights at node 0.  ``at_jumps`` lists
+    (node, weights) for every jump node: the (t..., k) node weights,
+    before the jump block, of the k rows that jump there (in row order);
+    only there do node and left-limit weights differ.  Arithmetic is
+    row-wise.
     """
     B, n = paths.dt.shape
     d = model.dim
@@ -511,8 +531,8 @@ def dual_batch(model, cb: dict, paths, values: Array, left: Array, order: int = 
             ),
             order,
         )[:order]
-    x_T = values[:, -1]
-    phi = [
+    x_T = terminal_values(paths, values)
+    start = [
         _rows_last(np.asarray(getattr(model, name)(x_T), float), 1)
         for name in ("payoff_x", "payoff_xx", "payoff_xxx")[:order]
     ]
@@ -529,12 +549,21 @@ def dual_batch(model, cb: dict, paths, values: Array, left: Array, order: int = 
             w[..., rows] = post
         return phi
 
-    for p in range(n - 1, -1, -1):
+    phi = [w[..., :0] for w in start]  # the weights of the rows swept so far
+    for p, k in reversed(list(enumerate(paths.running().tolist()))):
+        j = phi[0].shape[-1]
+        if k > j:  # the rows whose last node is p + 1 join
+            phi = [
+                s[..., :k] if j == 0 else np.concatenate([w, s[..., j:k]], -1)
+                for w, s in zip(phi, start)
+            ]
         if p + 1 in jump_at:
             phi = jump_block(p + 1, phi)
         for store, w in zip(stores, phi):
-            store[..., p, :] = w
-        phi = propagate([a[..., p, :] for a in A], phi)
+            store[..., p, :k] = w
+            if k < B:
+                store[..., p, k:] = 0.0
+        phi = propagate([a[..., p, :k] for a in A], phi)
     if 0 in jump_at:
         phi = jump_block(0, phi)
     return stores, phi, at_jumps

@@ -12,14 +12,18 @@ forward-only run (``euler_terminal``) keeps X(T) alone.
 Meshes refine by bisection only, with midpoint Wiener values drawn from
 the Brownian bridge so coarse and fine paths stay consistent in law.
 
-``euler_batch`` steps B same-length paths at once, stacked into a
+``euler_batch`` steps a block of B paths at once, stacked into a
 ``PathBatch`` (from one-row grids by ``stack_paths``, or from the arrays
 of a ``jumps.GridGroup``); it is the forward layer of both drivers, and
-``euler_path`` is its one-row case.  ``euler_terminal`` runs the same
-steps (``_euler_steps``) without storing the path.  ``bridge_refine_batch``
-bisects the steps of a ``PathBatch`` with bridge draws from keyed
-streams, each row's from its position (a count of the normals its stream
-has given), as ``brownian_bridge_refine`` does for one grid.
+``euler_path`` is its one-row case.  The rows of a block may have
+different step counts: they are ordered by descending step count, so
+the rows that take step p are the first k_p, and each array is padded
+past a row's last node.  Equal step counts are the case k_p = B.
+``euler_terminal`` runs the same steps (``_euler_steps``) without
+storing the path.  ``bridge_refine_batch`` bisects the steps of a
+``PathBatch`` with bridge draws from keyed streams, each row's from its
+position (a count of the normals its stream has given), as
+``brownian_bridge_refine`` does for one grid.
 """
 
 from __future__ import annotations
@@ -67,9 +71,14 @@ def sample_wiener_increments(
 
 @dataclass(frozen=True)
 class PathBatch:
-    """B same-length paths of n steps as stacked node arrays.
+    """B paths of up to n steps as stacked node arrays.
 
-    ``marks`` holds each jump node's mark and zeros elsewhere.
+    Row b has ``n_steps[b]`` steps; the arrays are padded past its last
+    node, with its last time repeated in ``times`` and zeros elsewhere,
+    so ``dt`` is ``np.diff(times)`` and 0 on padding.  ``n_steps`` None
+    means every row has n steps.  ``marks`` holds each jump node's mark
+    and zeros elsewhere.  The kernel takes the rows ordered by descending
+    step count (see ``running``).
     """
 
     times: Array  # (B, n + 1)
@@ -77,10 +86,31 @@ class PathBatch:
     jump_flag: Array  # (B, n + 1) bool
     marks: Array  # (B, n + 1, mark_dim)
     dt: Array  # (B, n)
+    n_steps: Array = None  # (B,)
+
+    def __post_init__(self):
+        if self.n_steps is None:
+            object.__setattr__(self, "n_steps", np.full(len(self.dt), self.dt.shape[1]))
 
     def take(self, rows) -> "PathBatch":
-        """The paths of ``rows``, an index array or a slice."""
-        return PathBatch(*(getattr(self, f.name)[rows] for f in fields(PathBatch)))
+        """The paths of ``rows``, an index array or a slice, with the
+        padding past the longest of them cut off."""
+        n_steps = self.n_steps[rows]
+        n = int(n_steps.max())
+        return PathBatch(
+            self.times[rows, : n + 1], self.dw[rows, :n], self.jump_flag[rows, : n + 1],
+            self.marks[rows, : n + 1], self.dt[rows, :n], n_steps,
+        )
+
+    def running(self) -> Array:
+        """k_p for every step p: the rows that take step p are the first
+        k_p.  Raises ParameterError unless the rows are ordered by
+        descending step count."""
+        n_steps = self.n_steps
+        if (n_steps[1:] > n_steps[:-1]).any():
+            raise ParameterError("paths must be ordered by descending step count")
+        steps = np.arange(self.dt.shape[1])
+        return len(n_steps) - np.searchsorted(n_steps[::-1], steps, side="right")
 
 
 def stack_paths(model: JumpDiffusionModel, grids, dws) -> PathBatch:
@@ -95,23 +125,34 @@ def stack_paths(model: JumpDiffusionModel, grids, dws) -> PathBatch:
 
 
 def concat_paths(batches) -> PathBatch:
-    """Batches of one path length joined row after row."""
+    """Batches joined row after row, each padded to the longest."""
     if len(batches) == 1:
         return batches[0]
+    n = max(b.dt.shape[1] for b in batches)
+
+    def padded(b, name):
+        a = getattr(b, name)
+        if name == "n_steps":
+            return a
+        widths = ((0, 0), (0, n - b.dt.shape[1])) + ((0, 0),) * (a.ndim - 2)
+        return np.pad(a, widths, mode="edge" if name == "times" else "constant")
+
     return PathBatch(
-        *(np.concatenate([getattr(b, f.name) for b in batches]) for f in fields(PathBatch))
+        *(np.concatenate([padded(b, f.name) for b in batches]) for f in fields(PathBatch))
     )
 
 
 def _euler_steps(model, paths, x0, realizations):
-    """The Euler scheme along B same-length paths, node by node: yields
-    the left limits and values ``(xl, x)`` of every node, the start value
-    as node 0's left limit.  Raises PathDivergenceError for the first row
-    that leaves the finite ball of radius DIVERGENCE_BOUND."""
+    """The Euler scheme along a block of B paths ordered by descending
+    step count, node by node: yields the left limits and values ``(xl,
+    x)`` of the rows that reach each node, the start value as node 0's
+    left limit, so after step p only the first k_p rows.  Raises
+    PathDivergenceError for the first row that leaves the finite ball of
+    radius DIVERGENCE_BOUND."""
     times, dw, jump_flag, marks, dt = (
         paths.times, paths.dw, paths.jump_flag, paths.marks, paths.dt
     )
-    B, n = dw.shape[:2]
+    B = len(dw)
     x = np.broadcast_to(model.x0 if x0 is None else x0, (B, model.dim)).astype(float)
     xl = x.copy()
     if jump_flag[:, 0].any():
@@ -119,11 +160,12 @@ def _euler_steps(model, paths, x0, realizations):
         x[idx] += np.asarray(model.jump(times[idx, 0], x[idx], marks[idx, 0]), float)
     yield xl, x
 
-    for p in range(n):
-        tcol = times[:, p]
+    for p, k in enumerate(paths.running().tolist()):
+        x = x[:k]
+        tcol = times[:k, p]
         a = np.asarray(model.drift(tcol, x), float)
         bmat = np.asarray(model.diffusion(tcol, x), float)
-        xl = x + a * dt[:, p, None] + np.einsum("bil,bl->bi", bmat, dw[:, p])
+        xl = x + a * dt[:k, p, None] + np.einsum("bil,bl->bi", bmat, dw[:k, p])
         # one reduction per step; NaN fails <=, so it is caught too
         if not (np.abs(xl) <= DIVERGENCE_BOUND).all():
             bad = ~np.isfinite(xl).all(axis=1) | (np.abs(xl).max(axis=1) > DIVERGENCE_BOUND)
@@ -135,7 +177,7 @@ def _euler_steps(model, paths, x0, realizations):
             raise PathDivergenceError(
                 f"path diverged at step {p} ({where})", step=p, realization=which
             )
-        mask = jump_flag[:, p + 1]
+        mask = jump_flag[:k, p + 1]
         if mask.any():
             idx = np.nonzero(mask)[0]
             x = xl.copy()
@@ -150,22 +192,33 @@ def _euler_steps(model, paths, x0, realizations):
 def euler_batch(
     model: JumpDiffusionModel, paths: PathBatch, x0: Array = None, realizations=None
 ):
-    """Run the Euler scheme along B same-length paths at once.
+    """Run the Euler scheme along a block of B paths at once.
 
-    Returns (values, left), the (B, n+1, d) node values and left limits.
-    The model's callbacks must broadcast over rows (see ``as_vectorized``).
-    ``realizations`` are the rows' absolute indices, named by
-    PathDivergenceError (None when the rows have none).  Arithmetic is
-    row-wise, so each row's numbers do not depend on the rows it shares
-    the batch with.
+    Returns (values, left), the (B, n+1, d) node values and left limits,
+    zero past each row's last node.  The rows must be ordered by
+    descending step count.  The model's callbacks must broadcast over
+    rows (see ``as_vectorized``).  ``realizations`` are the rows' absolute
+    indices, named by PathDivergenceError (None when the rows have none).
+    Arithmetic is row-wise, so each row's numbers do not depend on the
+    rows it shares the batch with.
     """
     B, n = paths.dw.shape[:2]
     values = np.empty((B, n + 1, model.dim))
     left = np.empty((B, n + 1, model.dim))
     for p, (xl, x) in enumerate(_euler_steps(model, paths, x0, realizations)):
-        left[:, p] = xl
-        values[:, p] = x
+        left[: len(xl), p] = xl
+        values[: len(x), p] = x
+        if len(x) < B:
+            left[len(xl):, p] = values[len(x):, p] = 0.0
     return values, left
+
+
+def terminal_values(paths: PathBatch, values: Array) -> Array:
+    """Each row's entry of the (B, n+1, ...) node array ``values`` at its
+    last node, X(T) for the node values of ``euler_batch``."""
+    B, m = values.shape[:2]
+    flat = values.reshape((B * m,) + values.shape[2:])
+    return np.take(flat, np.arange(B) * m + paths.n_steps, axis=0)  # faster than [rows, steps]
 
 
 def euler_terminal(
@@ -173,9 +226,12 @@ def euler_terminal(
 ) -> Array:
     """The (B, d) terminal values X(T) of ``euler_batch``, bit for bit,
     without storing the paths: the forward-only Monte Carlo case."""
-    for _, x in _euler_steps(model, paths, x0, realizations):
-        pass
-    return x
+    terminal = np.empty((len(paths.dw), model.dim))
+    done = paths.running().tolist() + [0]  # rows from done[p] on end at node p
+    for p, (_, x) in enumerate(_euler_steps(model, paths, x0, realizations)):
+        if done[p] < len(x):
+            terminal[done[p]:len(x)] = x[done[p]:]
+    return terminal
 
 
 def euler_path(
@@ -340,14 +396,6 @@ def brownian_bridge_refine(
     return refined, np.array(rows)
 
 
-def _insert_nodes(a, where, values):
-    """The rows of ``a`` (R, m, ...) with ``values`` inserted along axis 1
-    before the positions ``where`` of the rows laid end to end."""
-    rows, m = a.shape[:2]
-    flat = np.insert(a.reshape((rows * m,) + a.shape[2:]), where, values, axis=0)
-    return flat.reshape((rows, len(flat) // rows) + a.shape[2:])
-
-
 class _BridgeNormals:
     """The bridge normals of H rows, each row's read in order from normal
     ``positions[h]`` of its Wiener stream.  Each stream is drawn from
@@ -435,18 +483,20 @@ def _bridge_splits(dt, whole, rank, srow, normals):
 
 
 def bridge_refine_batch(paths: PathBatch, mask: Array, wiener, realizations, positions):
-    """Bisect the ``mask``ed steps of B same-length paths: row ``b`` comes
+    """Bisect the ``mask``ed steps of a block of B paths: row ``b`` comes
     out as ``brownian_bridge_refine`` refines it with the generator of
     ``realizations[b]``'s Wiener stream after its first ``positions[b]``
     normals, bit for bit.
 
-    ``wiener`` is an ``rng.KeyedStream``, or a stand-in with its
-    ``draws``.  The bridge normals of every refined row are read from
-    its position on in stream order, and ``bridge_split`` runs on every
-    split step at once (``_bridge_splits``).  Returns ``(pieces, ends)``:
-    the rows with a masked step as (row indices, PathBatch) pairs by
-    ascending step count, and every row's position after its draws
-    (``positions[b]`` when it draws none).
+    The rows may have different step counts, in any order, and ``mask``
+    is False past each row's last step.  ``wiener`` is an
+    ``rng.KeyedStream``, or a stand-in with its ``draws``.  The bridge
+    normals of every refined row are read from its position on in stream
+    order, and ``bridge_split`` runs on every split step at once
+    (``_bridge_splits``).  Returns ``(rows, refined, ends)``: the indices
+    of the rows with a masked step, in order, their refined paths as one
+    ``PathBatch`` (None without such a row), and every row's position
+    after its draws (``positions[b]`` when it draws none).
     """
     dw = paths.dw
     n, w = dw.shape[1:]
@@ -454,7 +504,7 @@ def bridge_refine_batch(paths: PathBatch, mask: Array, wiener, realizations, pos
     ends = np.array(positions, dtype=np.int64)
     hit = np.flatnonzero(counts)
     if not len(hit):
-        return [], ends
+        return hit, None, ends
     step_row, step = np.nonzero(mask)  # every split step, row after row
     k = counts[hit]
     srow = np.repeat(np.arange(len(hit)), k)
@@ -465,21 +515,27 @@ def bridge_refine_batch(paths: PathBatch, mask: Array, wiener, realizations, pos
     )
     ends[hit] += used
 
-    pieces = []
-    for c in np.unique(k).tolist():
-        rows = np.flatnonzero(counts == c)
-        on = (counts == c)[step_row]
-        r, at = np.repeat(np.arange(len(rows)), c), step[on]
-        node = r * (n + 1) + at + 1  # the midpoint goes before this node
-        t = paths.times[rows]
-        times = _insert_nodes(t, node, 0.5 * (t[r, at] + t[r, at + 1]))
-        halves = dw[rows]
-        halves[r, at] = first[on]
-        pieces.append((rows, PathBatch(
-            times,
-            _insert_nodes(halves, r * n + at + 1, second[on]),
-            _insert_nodes(paths.jump_flag[rows], node, False),
-            _insert_nodes(paths.marks[rows], node, 0.0),
-            np.diff(times, axis=1),
-        )))
-    return pieces, ends
+    # node p of a row moves to p + (its splits before p), and the
+    # midpoint of a split step p goes right after it
+    n_old = paths.n_steps[hit]
+    n_new = n_old + k
+    shift = np.zeros((len(hit), n + 1), dtype=np.intp)
+    np.cumsum(mask[hit], axis=1, out=shift[:, 1:])
+    h, node = np.nonzero(np.arange(n + 1) <= n_old[:, None])  # every real node
+    src, dest = (hit[h], node), (h, node + shift[h, node])
+    width = int(n_new.max())
+    times = np.repeat(paths.times[hit, n_old][:, None], width + 1, axis=1)
+    times[dest] = paths.times[src]
+    jump_flag = np.zeros((len(hit), width + 1), dtype=bool)
+    jump_flag[dest] = paths.jump_flag[src]
+    marks = np.zeros((len(hit), width + 1, paths.marks.shape[2]))
+    marks[dest] = paths.marks[src]
+    halves = np.zeros((len(hit), width, w))
+    real = node < n_old[h]  # the nodes that start a step
+    halves[dest[0][real], dest[1][real]] = dw[src[0][real], src[1][real]]
+    at = (srow, step + shift[srow, step])
+    times[at[0], at[1] + 1] = 0.5 * (paths.times[step_row, step] + paths.times[step_row, step + 1])
+    halves[at] = first
+    halves[at[0], at[1] + 1] = second
+    refined = PathBatch(times, halves, jump_flag, marks, np.diff(times, axis=1), n_new)
+    return hit, refined, ends

@@ -4,7 +4,8 @@
 once, drawing every row's bridge normals from its Wiener stream at a
 position counted in normals; each row must come out bit for bit as
 ``brownian_bridge_refine`` refines it with the generator after that many
-normals, and end at the position after the normals it drew.
+normals, and end at the position after the normals it drew.  The rows
+of one batch may have different step counts.
 """
 
 from dataclasses import replace
@@ -18,7 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from jumpmc import SeedConfig, brownian_bridge_refine, build_model, uniform_mesh  # noqa: E402
 from jumpmc import controller as ctl  # noqa: E402
-from jumpmc.euler import bridge_refine_batch, stack_paths  # noqa: E402
+from jumpmc.euler import bridge_refine_batch, concat_paths, stack_paths  # noqa: E402
 from jumpmc.jumps import intensity_integral_for  # noqa: E402
 from jumpmc.model import as_vectorized  # noqa: E402
 from jumpmc.rng import keyed_streams, philox_words, standard_normal  # noqa: E402
@@ -35,12 +36,13 @@ def fast_path(wiener, realization, words):
     return standard_normal(w.ravel())[1]
 
 
-@pytest.fixture(scope="module", params=[1, 2], ids=["w1", "w2"])
+@pytest.fixture(scope="module", params=["w1", "w2", "ragged"])
 def block(request):
-    """test5's largest step-count group among realizations below 200, as
-    (model, group, paths, realizations, positions, wiener), with its
-    Wiener increments widened to ``request.param`` channels (test5 has
-    one).  A row's position is the set-up's normals, its step count.
+    """test5's rows below 200 as (model, grids, paths, realizations,
+    positions, wiener): for "w1" and "w2" its largest step-count group,
+    with its Wiener increments widened to two channels for "w2" (test5
+    has one); for "ragged" every group in one batch, longest rows first.
+    A row's position is the set-up's normals, its step count.
 
     Row REJECTING starts at its first normal that the ziggurat's fast
     path rejects, so its first bridge draw is resolved past the fast
@@ -53,19 +55,25 @@ def block(request):
     groups = ctl._setup_groups(
         m, uniform_mesh(1.0, 5), streams, 0, 200, intensity_integral_for(m)
     )
-    group, paths = max(groups, key=lambda gp: len(gp[0].rows))
-    realizations = group.rows.astype(np.int64)
-    positions = np.full(len(realizations), paths.dw[0].size)
+    if request.param == "ragged":
+        groups = groups[::-1]
+        assert len(groups) > 2
+    else:
+        groups = [max(groups, key=lambda gp: len(gp[0].rows))]
+    grids = [group.grid(b) for group, _ in groups for b in range(len(group.rows))]
+    realizations = np.concatenate([group.rows for group, _ in groups]).astype(np.int64)
+    paths = concat_paths([paths for _, paths in groups])
+    positions = paths.n_steps * m.wiener_dim
     wiener = streams[0]
     ok = fast_path(wiener, realizations[REJECTING], 400)
     assert not ok.all()
     positions[REJECTING] = np.argmin(ok)
-    if request.param > 1:
-        extra = np.random.default_rng(5).standard_normal(paths.dt.shape + (request.param - 1,))
+    if request.param == "w2":
+        extra = np.random.default_rng(5).standard_normal(paths.dt.shape + (1,))
         dw = np.concatenate([paths.dw, extra * np.sqrt(paths.dt)[..., None]], axis=2)
         paths = replace(paths, dw=dw)
     paths.dw[REDRAWING, 2] = 1e-20
-    return m, group, paths, realizations, positions, wiener
+    return m, grids, paths, realizations, positions, wiener
 
 
 class CountedNormals:
@@ -83,31 +91,36 @@ class CountedNormals:
 def check_rows(block, rows, mask):
     """Refine ``rows`` of the block by ``mask`` in one batch and each row
     alone; return each row's position after its draws."""
-    m, group, paths, realizations, positions, wiener = block
+    m, grids, paths, realizations, positions, wiener = block
     rows = np.asarray(rows)
-    pieces, ends = bridge_refine_batch(
+    hit, refined, ends = bridge_refine_batch(
         paths.take(rows), mask, wiener, realizations[rows], positions[rows]
     )
-    lengths = [batch.dt.shape[1] for _, batch in pieces]
-    assert lengths == sorted(set(lengths))
+    assert hit.tolist() == np.flatnonzero(mask.any(axis=1)).tolist()
     got = {}
-    for sub, batch in pieces:
-        assert list(sub) == sorted(sub)
-        for j, b in enumerate(sub.tolist()):
-            got[b] = batch.take([j])
-    assert sorted(got) == np.flatnonzero(mask.any(axis=1)).tolist()
+    if len(hit):
+        assert refined.dt.shape[1] == refined.n_steps.max()
+        got = {b: refined.take([j]) for j, b in enumerate(hit.tolist())}
     for b, row in enumerate(rows.tolist()):
+        n = paths.n_steps[row]
+        assert not mask[b, n:].any()
         generator = wiener.at(realizations[row])
         generator.standard_normal(positions[row])
         counted = CountedNormals(generator, positions[row])
-        grid, dw = brownian_bridge_refine(group.grid(row), paths.dw[row], mask[b], counted)
+        grid, dw = brownian_bridge_refine(grids[row], paths.dw[row, :n], mask[b, :n], counted)
         assert ends[b] == counted.drawn, b
         if b not in got:
             continue
         want = stack_paths(m, [grid], [dw])
-        for name in ("times", "dw", "jump_flag", "marks", "dt"):
+        for name in ("times", "dw", "jump_flag", "marks", "dt", "n_steps"):
             np.testing.assert_array_equal(getattr(got[b], name), getattr(want, name), name)
     return ends
+
+
+def own_steps(paths, rows):
+    """The mask of each row's own steps, as wide as the longest row."""
+    n_steps = paths.n_steps[np.asarray(rows)]
+    return np.arange(n_steps.max()) < n_steps[:, None]
 
 
 @settings(max_examples=40, deadline=None)
@@ -128,17 +141,17 @@ def test_batched_refine_matches_one_row_refine(block, data):
             label="mask",
         )
     )
-    check_rows(block, rows, mask)
+    own = own_steps(paths, rows)
+    check_rows(block, rows, mask[:, : own.shape[1]] & own)
 
 
 def test_crafted_rows_take_both_fallbacks(block):
     _, _, paths, realizations, positions, wiener = block
-    n_steps = paths.dt.shape[1]
-    rows = [REJECTING, REDRAWING, 2, 3]
-    mask = np.ones((len(rows), n_steps), dtype=bool)
-    ends = check_rows(block, rows, mask)
+    rows = [REJECTING, REDRAWING, 2, 3, len(paths.dt) - 1]
+    ends = check_rows(block, rows, own_steps(paths, rows))
     ok = fast_path(wiener, realizations[REJECTING], 400)
     # the row's first bridge normal is its stream's first ziggurat rejection
     assert np.argmin(ok) == positions[REJECTING] and not ok[positions[REJECTING]]
     # the crafted step draws ten redraws on top of one draw per step
+    n_steps = paths.n_steps[REDRAWING]
     assert ends[1] - positions[REDRAWING] >= paths.dw.shape[2] * (n_steps + 10)

@@ -1,8 +1,9 @@
 """Chunk-size invariance of both engines (property test).
 
 Realizations are set up a chunk at a time from counter-based words, and
-the per-realization engine refines them in blocks; neither the chunk
-sizes nor the first index may change any output bit.
+the per-realization engine refines them in blocks bounded in
+row-steps; neither the chunk sizes, the block budget nor the first index
+may change any output bit.
 """
 
 import numpy as np
@@ -55,12 +56,13 @@ def test_mesh_batch_does_not_depend_on_chunking(chunk, start, n, want_density):
 
 
 @settings(max_examples=8, deadline=None)
-@given(chunk=st.integers(1, 70), block=st.integers(1, 70), start=st.integers(0, 10**6))
+@given(chunk=st.integers(1, 70), block=st.integers(1, 400), start=st.integers(0, 10**6))
 def test_stochastic_batch_does_not_depend_on_chunking(chunk, block, start):
+    # a budget below a row's step count makes one-row blocks
     det = uniform_mesh(1.0, 5)
     want = run_stochastic_batch(MODEL, det, SEEDS, start, 60, **STOCH)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ctl, "STOCH_CHUNK", chunk)
-        patch.setattr(ctl, "STOCH_BLOCK", block)
+        patch.setattr(ctl, "STOCH_BLOCK_STEPS", block)
         got = run_stochastic_batch(MODEL, det, SEEDS, start, 60, **STOCH)
     assert_same(got, want)

@@ -451,12 +451,33 @@ def test_level_loop_block_chunk_and_adapter_invariance(monkeypatch):
     base = run_stochastic_batch(m, det, seeds, 3, 60, **kw)
     # the row-loop adapter feeds the kernel the same per-row callback values
     looped = run_stochastic_batch(replace(m, vectorized=False), det, seeds, 3, 60, **kw)
-    monkeypatch.setattr(ctl, "STOCH_BLOCK", 7)
     monkeypatch.setattr(ctl, "STOCH_CHUNK", 7)
-    small = run_stochastic_batch(m, det, seeds, 3, 60, **kw)
-    for key in base:
-        np.testing.assert_array_equal(base[key], looped[key])
-        np.testing.assert_array_equal(base[key], small[key])
+    # 3 row-steps is below every row's step count: one-row blocks
+    for budget in (3, 7, 40):
+        monkeypatch.setattr(ctl, "STOCH_BLOCK_STEPS", budget)
+        small = run_stochastic_batch(m, det, seeds, 3, 60, **kw)
+        for key in base:
+            np.testing.assert_array_equal(base[key], looped[key])
+            np.testing.assert_array_equal(base[key], small[key])
+
+
+def test_level_loop_blocks_hold_any_step_counts_within_the_budget(monkeypatch):
+    # each level goes through the kernel in few blocks of rows with any
+    # step counts; only a one-row block may exceed the row-step budget
+    calls = []
+    kernel = ctl._path_batch
+
+    def counted(model, paths, realizations, want_rho):
+        calls.append(paths.n_steps.copy())
+        return kernel(model, paths, realizations, want_rho)
+
+    monkeypatch.setattr(ctl, "_path_batch", counted)
+    algorithm_s(build_model("test5"), 0.04)
+    assert len(calls) <= 25
+    assert any(len(set(n.tolist())) > 1 for n in calls)
+    for n in calls:
+        assert (n[1:] <= n[:-1]).all()
+        assert len(n) == 1 or len(n) * n[0] <= ctl.STOCH_BLOCK_STEPS
 
 
 def test_mesh_batch_row_loop_adapter_matches_vectorized():
@@ -620,12 +641,15 @@ def test_failing_realization_does_not_depend_on_chunking(
     monkeypatch, run, chunk_name, make_model, start, count
 ):
     # The error names the smallest failing realization whatever the chunk
-    # size: the one a run with one-row chunks reaches first.
+    # size and the level loop's block budget: the one a run with one-row
+    # chunks reaches first.
     m = make_model()
     seen = set()
+    default = ctl.STOCH_BLOCK_STEPS  # the mesh engine does not read it
     for chunk in (1, 7, 25, getattr(ctl, chunk_name)):
         monkeypatch.setattr(ctl, chunk_name, chunk)
-        for workers in (1, 2):
+        for workers, budget in ((1, 3), (1, 40), (1, default), (2, default)):
+            monkeypatch.setattr(ctl, "STOCH_BLOCK_STEPS", budget)
             with pytest.raises(JumpMCError) as exc:
                 run(m, start, count, workers=workers)
             error = exc.value
