@@ -32,19 +32,21 @@ and contracted only on the bounding box of that support, and one with
 an empty support is not evaluated; the support is static, so this
 cannot depend on chunk size or worker count, and the results are those
 of the full tensors up to the sign of a zero and 0 * inf.  The
-dual and density layers hold their arrays rows last, (t..., n, B).  A
-block's rows may have different step counts: ordered by descending step
-count, the rows that take step p are the first k_p, so forward Euler and
-the backward sweep step the slice ``[..., p, :k_p]``, each row's sweep
-starts from the payoff derivatives at its own X(T), and callbacks are
-evaluated at real nodes only; equal step counts are the case k_p = B.
+dual and density layers hold their arrays rows last.  A block's rows
+may have different step counts: ordered by descending step count, the
+rows that take step p are the first k_p, so forward Euler and the
+backward sweep step only those rows, each row's sweep starts from the
+payoff derivatives at its own X(T), callbacks are evaluated at real
+nodes only, and the dual and density arrays hold only those nodes,
+packed step by step as (t..., K) for the K steps the rows take; equal
+step counts are the case k_p = B, where that is (t..., n, B) flattened.
 The mesh engine groups a chunk's realizations by step count and reduces
 them per interval with ``density.interval_sums``.  The per-realization
 driver refines a whole chunk level-synchronously: its rows stay stacked
 arrays (``PathBatch``) from set-up to result, every level runs the
-kernel on blocks of its rows gathered longest first, each of at most
-STOCH_BLOCK_STEPS row-steps (or one row), reduces each row over its own
-steps, and the rows still refining are bisected together by
+kernel on blocks of its rows gathered longest first, each taking at
+most STOCH_BLOCK_STEPS steps in all (or one row), reduces each row over
+its own steps, and the rows still refining are bisected together by
 ``euler.bridge_refine_batch``, which draws each row's bridge noise from
 its own Wiener stream at the row's position, the number of normals the
 stream has given (``control_time_error`` is the one-row case).
@@ -131,11 +133,11 @@ Array = np.ndarray
 
 MESH_CHUNK = 16384  # fixed chunk sizes keep grouping independent of workers
 STOCH_CHUNK = 2048
-# row-steps (rows times the longest row's steps) per kernel call in the
-# level loop, unless one row alone has more; it bounds the kernel's memory.
-# On test5 at TOL 0.04, 3072 keeps the peak RSS of the earlier 512-row
-# blocks of one step count but takes 27 calls; 3584 takes 23
-STOCH_BLOCK_STEPS = 3584
+# row-steps (the steps its rows take) per kernel call in the level loop,
+# unless one row alone has more.  The kernel holds only those steps, so
+# this bounds its memory: 3072 is the largest of the earlier blocks, 512
+# rows of 6 steps, on test5 at TOL 0.04
+STOCH_BLOCK_STEPS = 3072
 
 
 # ---------------------------------------------------------------------------
@@ -427,14 +429,15 @@ def _path_batch(model, paths, realizations, want_rho):
     model.require(
         *_required_callbacks(3, with_jumps=paths.jump_flag.any()), "drift_t", "diffusion_t"
     )
-    real = np.arange(paths.dt.shape[1]) < paths.n_steps[:, None]
+    real = paths.real()
     cb = _stack_calls(
         model, _KERNEL_CALLBACKS, paths.times[:, :-1], values[:, :-1], real=real
     )
     stores, _, _ = dual_batch(model, cb, paths, values, left, 3)
-    del values, left  # the density layer is the kernel's peak of memory
+    del values, left  # freed before the density layer
+    rho = np.zeros(real.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite rho raises below
-        rho = rho_batch(cb, *stores)
+        rho.T[real.T] = rho_batch(cb, *stores)
     _check_finite(rho, realizations, "error density")
     return payoff, rho
 
@@ -557,9 +560,12 @@ def _interval_chunk(model, det, seeds, start, count):
         values, left = euler_batch(model, paths, realizations=(start + group.rows).tolist())
         times = paths.times
         names = _euler_map_callbacks(2) + INTERVAL_DENSITY_CALLBACKS
-        cb = _stack_calls(model, names, times[:, :-1], values[:, :-1])
+        real = paths.real()
+        cb = _stack_calls(model, names, times[:, :-1], values[:, :-1], real=real)
         stores, _, _ = dual_batch(model, cb, paths, values, left, 2)
-        hi = _stack_calls(model, INTERVAL_DENSITY_CALLBACKS, times[:, 1:], left[:, 1:])
+        hi = _stack_calls(
+            model, INTERVAL_DENSITY_CALLBACKS, times[:, 1:], left[:, 1:], real=real
+        )
         rho = rho_interval_batch(cb, hi, *stores, times, det)
         payoffs[group.rows] = _payoff(model, values[:, -1], (start + group.rows).tolist())
         totals[group.rows] = np.sum(rho * widths ** 2, axis=1)
@@ -848,16 +854,18 @@ def _refine_levels(model, pieces, realizations, wiener, positions, tol, tol_t, n
 
 def _ragged_blocks(pieces):
     """The rows of ``pieces`` ordered longest first, cut into blocks of
-    consecutive rows of at most STOCH_BLOCK_STEPS row-steps (rows times
-    the first row's steps) or of one row: (rows, PathBatch) pairs ordered
-    by descending step count.  A block is padded only to its own longest
-    row, so no level is held padded to its longest."""
+    consecutive rows that take at most STOCH_BLOCK_STEPS steps in all, or
+    of one row: (rows, PathBatch) pairs ordered by descending step count.
+    A block is padded only to its own longest row, so no level is held
+    padded to its longest."""
     n_steps = np.concatenate([paths.n_steps for _, paths in pieces])
     order = np.argsort(-n_steps, kind="stable")
+    ends = np.cumsum(n_steps[order])
     starts = np.cumsum([0] + [len(rows) for rows, _ in pieces])
     lo = 0
     while lo < len(order):
-        hi = lo + max(1, STOCH_BLOCK_STEPS // int(n_steps[order[lo]]))
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + STOCH_BLOCK_STEPS, side="right")))
         yield _gather(pieces, starts, np.sort(order[lo:hi]))
         lo = hi
 

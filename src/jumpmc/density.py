@@ -90,31 +90,49 @@ STEP_DENSITY_CALLBACKS = [
 ]
 
 
+# steps per pass of rho_batch, which bounds its second-moment arrays,
+# factors and their copies.  In one pass per kernel block they set the
+# process's peak RSS: on test5 at TOL 0.04, with blocks of 3072 steps,
+# passes of 1536 lower the adapt-s benchmark's peak by about 0.5 MB
+DENSITY_SLICE = 1536
+
+
 def _flat_rows(w: Array) -> Array:
-    """A rows-last (t..., n, B) array as the contiguous (B*n, t...) stack
-    the final full contractions run on."""
-    return _rows_first(w, 2).reshape((-1,) + w.shape[:-2])
+    """A packed (t..., K) array as the contiguous (K, t...) stack the
+    final full contractions run on."""
+    return _rows_first(w, 1)
 
 
 def rho_batch(cb: dict, phi: Array, phi1: Array, phi2: Array) -> Array:
-    """Per-step density for a block of B paths, shape (B, n).
+    """Per-step density for a block of B paths, packed (K,).
 
-    ``cb`` holds the ``STEP_DENSITY_CALLBACKS`` evaluated at the (B, n)
-    left nodes (t_n, X(t_n)), rows last as ``duals._stack_calls`` returns
-    them (the declared ones as Boxes), and ``phi``, ``phi1``, ``phi2`` are
-    the (t..., n, B) left-limit dual weights at the right nodes.  Rows
-    with fewer than n steps are padded with zeros in every input, and
-    their density is 0 there.  Row-wise arithmetic only, so a row's
-    value never depends on which other rows share the stack.
+    Every input is packed over the K steps the rows take, as
+    ``duals.dual_batch`` lays them out: ``cb`` holds the
+    ``STEP_DENSITY_CALLBACKS`` evaluated at the steps' left nodes (t_n,
+    X(t_n)), as ``duals._stack_calls`` packs them (the declared ones as
+    Boxes), and ``phi``, ``phi1``, ``phi2`` are the (t..., K) left-limit
+    dual weights at the right nodes.  The steps are taken DENSITY_SLICE
+    at a time, which bounds the memory of the second-moment arrays, the
+    factors and their copies.  Pointwise arithmetic only, so a row's
+    value never depends on which other rows share the stack or a slice.
     """
     d = len(cb["drift"])
-    drift_part, diff_part, third_part = _density_parts(cb)
-    rho = 0.5 * (
-        np.einsum("nk,nk->n", _flat_rows(_dense(drift_part, d)), _flat_rows(phi))
-        + np.einsum("nkm,nkm->n", _flat_rows(_dense(diff_part, d)), _flat_rows(phi1))
-        + np.einsum("nkmr,nkmr->n", _flat_rows(_dense(third_part, d)), _flat_rows(phi2))
-    )
-    return rho.reshape(phi.shape[:0:-1])
+    rho = np.empty(phi.shape[-1])
+    for lo in range(0, len(rho), DENSITY_SLICE):
+        part = slice(lo, lo + DENSITY_SLICE)
+        drift_part, diff_part, third_part = _density_parts(
+            {name: value[..., part] for name, value in cb.items()}
+        )
+        rho[part] = 0.5 * (
+            np.einsum("nk,nk->n", _flat_rows(_dense(drift_part, d)), _flat_rows(phi[..., part]))
+            + np.einsum(
+                "nkm,nkm->n", _flat_rows(_dense(diff_part, d)), _flat_rows(phi1[..., part])
+            )
+            + np.einsum(
+                "nkmr,nkmr->n", _flat_rows(_dense(third_part, d)), _flat_rows(phi2[..., part])
+            )
+        )
+    return rho
 
 
 def _density_parts(cb: dict):
@@ -184,8 +202,8 @@ def second_moment_derivatives(model: JumpDiffusionModel, t, x):
 
 def _one_row(w: Array) -> Array:
     """Left-limit weights at nodes 1..N of a ``DualWeights`` array,
-    rows last as (t..., n, 1)."""
-    return _rows_last(w[None, 1:], 2)
+    rows last as (t..., n), one row's steps packed."""
+    return _rows_last(w[1:], 1)
 
 
 def rho_per_step(model: JumpDiffusionModel, path: EulerPath, duals: DualWeights) -> Array:
@@ -204,13 +222,10 @@ def rho_per_step(model: JumpDiffusionModel, path: EulerPath, duals: DualWeights)
         raise ParameterError("dual weights do not match the path's grid")
     model.require(*STEP_DENSITY_CALLBACKS)
     cb = _stack_calls(
-        as_vectorized(model),
-        STEP_DENSITY_CALLBACKS,
-        grid.times[None, :-1],
-        path.values[None, :-1],
+        as_vectorized(model), STEP_DENSITY_CALLBACKS, grid.times[:-1], path.values[:-1]
     )
     weights = (duals.phi_left, duals.phi1_left, duals.phi2_left)
-    return rho_batch(cb, *map(_one_row, weights))[0]
+    return rho_batch(cb, *map(_one_row, weights))
 
 
 INTERVAL_DENSITY_CALLBACKS = ["drift", "diffusion"]
@@ -220,12 +235,12 @@ def rho_interval_batch(
     lo: dict, hi: dict, phi: Array, phi1: Array, times: Array, det: Array
 ) -> Array:
     """Signed coefficient-difference density per deterministic interval
-    for B same-length paths, shape (B, N).
+    for B paths of n steps each, shape (B, N).
 
-    ``lo`` and ``hi`` hold ``INTERVAL_DENSITY_CALLBACKS`` at the (B, n)
-    left nodes (t_n, X(t_n)) and at the right nodes' left limits
-    (t_{n+1}, X(t_{n+1}-)), rows last as ``duals._stack_calls`` returns
-    them; ``phi`` and ``phi1`` are the (t..., n, B) left-limit dual
+    ``lo`` and ``hi`` hold ``INTERVAL_DENSITY_CALLBACKS`` at the left
+    nodes (t_n, X(t_n)) and at the right nodes' left limits (t_{n+1},
+    X(t_{n+1}-)), packed as ``duals._stack_calls`` packs a block's steps,
+    (t..., n*B) here; ``phi`` and ``phi1`` are the packed left-limit dual
     weights at the right nodes and ``times`` the (B, n+1) node times on
     the mesh ``det``.  Differences drift and d = b b^T / 2 across each
     step, weights them with the duals, and scales the interval sum by
@@ -240,7 +255,8 @@ def rho_interval_batch(
     step_sum = np.einsum("nk,nk->n", _flat_rows(da), _flat_rows(phi)) + np.einsum(
         "nkm,nkm->n", _flat_rows(ddd), _flat_rows(phi1)
     )
-    contrib = step_sum.reshape(phi.shape[:0:-1]) * np.diff(times, axis=1)
+    dt = np.diff(times, axis=1)
+    contrib = step_sum.reshape(dt.shape[::-1]).T * dt
     return 0.5 * interval_sums(contrib, times, det) / np.diff(det) ** 2
 
 
@@ -261,8 +277,8 @@ def rho_per_interval(
         raise ParameterError("dual weights do not match the path's grid")
     model = as_vectorized(model)
     names = INTERVAL_DENSITY_CALLBACKS
-    lo = _stack_calls(model, names, grid.times[None, :-1], path.values[None, :-1])
-    hi = _stack_calls(model, names, grid.times[None, 1:], path.left_values[None, 1:])
+    lo = _stack_calls(model, names, grid.times[:-1], path.values[:-1])
+    hi = _stack_calls(model, names, grid.times[1:], path.left_values[1:])
     return rho_interval_batch(
         lo, hi, _one_row(duals.phi_left), _one_row(duals.phi1_left),
         grid.times[None], grid.det_times,

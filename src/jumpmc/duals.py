@@ -19,8 +19,9 @@ the local maps.  Left limits carry the identity at non-jump nodes.
 already evaluated; it is the dual layer of both drivers, and
 ``backward_duals`` is its one-row case.  The rows may have different
 step counts, ordered by descending step count (``euler.PathBatch``):
-the rows that take step p are the first k_p, a step slice
-``[..., p, :k_p]``, and each row's sweep starts at its own last node.
+the rows that take step p are the first k_p, each per-step array holds
+only the steps the rows take, packed step by step, and each row's sweep
+starts at its own last node.
 ``euler_map_derivatives`` and ``jump_map_derivatives`` are the one
 implementation of each local map's derivatives, shared with the
 pointwise ``*_operator_derivatives``.
@@ -38,10 +39,11 @@ leaves the order of the other terms.  The support is static, so the
 boxes cannot depend on the chunk size or the worker count.
 
 The batched arrays are rows last: tensor axes first, then the trailing
-lead axes, (d, d, n, B) for a Jacobian at the (B, n) nodes of B paths.
+lead axes, (d, d, n, B) for a Jacobian at the (B, n) nodes of B paths,
+or (d, d, K) packed over the K steps a block's rows take (``dual_batch``).
 Every contraction then runs its inner loop over the contiguous rows,
-and a step slice ``[..., p, :]`` is one contiguous block.  A pointwise
-array is the case with no lead axes.
+and a step's slice is one contiguous block.  A pointwise array is the
+case with no lead axes.
 """
 
 from __future__ import annotations
@@ -339,9 +341,11 @@ def _stack_calls(model, names, t, x, z=None, real=None):
     flattened for the call, and each result is stored as a contiguous
     array with its tensor axes first and those axes, reversed, as
     trailing lead axes: (t..., n, B), or (t..., K) for K points, and t...
-    alone for a scalar ``t``.  ``real``, a bool array shaped like ``t``,
-    marks the points to evaluate; the others are not passed to the
-    callbacks and are zero.  A callback with a declared support is
+    alone for a scalar ``t``.  With ``real``, a bool array shaped like
+    ``t``, only the marked points are evaluated, and each result is
+    packed: (t..., K) for the K marked points in rows-last order, which
+    for a block of rows ordered longest first is the kernel's packed
+    layout (see ``dual_batch``).  A callback with a declared support is
     stored as the ``Box`` of its bounding box, and one with an empty
     support is not called.  Each value is converted as soon as it is
     evaluated, so at most one rows-first copy is alive.  The model's
@@ -349,27 +353,24 @@ def _stack_calls(model, names, t, x, z=None, real=None):
     """
     t = np.asarray(t)
     lead = t.shape
-    if real is not None and real.all():
-        real = None  # every point
-    args = [t, x] if z is None else [t, x, z]
-    if real is None:
-        args = [t.reshape(-1)] + [a.reshape(t.size, -1) for a in args[1:]]
-    else:
-        args = [a[real] for a in args]
+    rev = tuple(range(len(lead) - 1, -1, -1))
+    mask = (np.ones(lead, bool) if real is None else real).transpose(rev).reshape(-1)
+    # the marked points in rows-last order, gathered a run at a time
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False)).tolist()
+    args = []
+    for a in [t, x] if z is None else [t, x, z]:
+        a = np.asarray(a)
+        a = a.transpose(rev + tuple(range(len(lead), a.ndim))).reshape((-1,) + a.shape[len(lead):])
+        args.append(np.concatenate([a[lo:hi] for lo, hi in zip(edges[::2], edges[1::2])]))
+    shape = lead[::-1] if real is None else (len(args[0]),)
     out = {}
     for name in names:
         box = model.derivative_box(name)
         if model.derivative_support.get(name) == ():
-            out[name] = Box(np.zeros((0,) * len(box) + lead[::-1]), (0,) * len(box))
+            out[name] = Box(np.zeros((0,) * len(box) + shape), (0,) * len(box))
             continue
-        value = np.asarray(getattr(model, name)(*args), float)
-        if real is None:
-            value = _rows_last(value.reshape(lead + value.shape[1:]), len(lead), box)
-        else:
-            points = value if box is None else value[(slice(None),) + tuple(box)]
-            value = np.zeros(lead + points.shape[1:])
-            value[real] = points
-            value = _rows_last(value, len(lead))
+        value = _rows_last(np.asarray(getattr(model, name)(*args), float), 1, box)
+        value = value.reshape(value.shape[:-1] + shape)
         out[name] = value if box is None else Box(value, tuple(s.start for s in box))
     return out
 
@@ -492,11 +493,15 @@ def propagate(G, phi):
 def dual_batch(model, cb: dict, paths, values: Array, left: Array, order: int = 3):
     """Backward dual sweep for a block of B paths at once, rows last.
 
-    The rows of ``paths`` are ordered by descending step count, so step
-    p is the slice ``[..., p, :k_p]`` of every (t..., n, B) array.  ``cb``
-    holds the Euler-map callbacks of ``order`` evaluated at the (B, n)
-    nodes (t_n, X(t_n)), n < N, as ``_stack_calls`` returns them
-    (t..., n, B); the third-derivative entries are dropped from it once
+    The rows of ``paths`` are ordered by descending step count, so the
+    rows that take step p are the first k_p.  Every per-step array is
+    packed rows last, (t..., K) over the K = k_0 + ... + k_{n-1} steps
+    the rows take, step p the slice ``[..., o_p:o_p + k_p]`` at offset
+    o_p = k_0 + ... + k_{p-1}; no padding is held, and equal step counts
+    are the case k_p = B, the (t..., n, B) array flattened.  ``cb`` holds
+    the Euler-map callbacks of ``order`` evaluated at the nodes (t_n,
+    X(t_n)) of those steps, as ``_stack_calls(..., real=paths.real())``
+    packs them; the third-derivative entries are dropped from it once
     A3 is formed, since nothing else reads them.  ``values`` and ``left``
     are the forward layer's (B, n+1, d) node values and left limits.
     Jump-map and payoff derivatives are evaluated here, at the jump left
@@ -504,17 +509,19 @@ def dual_batch(model, cb: dict, paths, values: Array, left: Array, order: int = 
     Only left-limit weights are stored.
 
     Returns (stores, first, at_jumps).  ``stores`` and ``first`` are
-    lists (phi[, phi'[, phi'']]) up to ``order``: the (t..., n, B)
-    left-limit weights at nodes 1..N, zero past each row's last node,
-    and the (t..., B) left-limit weights at node 0.  ``at_jumps`` lists
+    lists (phi[, phi'[, phi'']]) up to ``order``: the packed (t..., K)
+    left-limit weights at the right node of each step, and the (t..., B)
+    left-limit weights at node 0.  ``at_jumps`` lists
     (node, weights) for every jump node: the (t..., k) node weights,
     before the jump block, of the k rows that jump there (in row order);
     only there do node and left-limit weights differ.  Arithmetic is
     row-wise.
     """
-    B, n = paths.dt.shape
     d = model.dim
-    dt, dw = _rows_last(paths.dt, 2), _rows_last(paths.dw, 2)
+    running = paths.running().tolist()
+    offsets = np.cumsum([0] + running).tolist()
+    real = paths.real().T
+    dt, dw = _rows_last(paths.dt, 2)[real], _rows_last(paths.dw, 2)[:, real]
     A = euler_map_derivatives(cb, dt, dw, order)[:order]
     cb.pop("drift_xxx", None)
     cb.pop("diffusion_xxx", None)
@@ -536,7 +543,7 @@ def dual_batch(model, cb: dict, paths, values: Array, left: Array, order: int = 
         _rows_last(np.asarray(getattr(model, name)(x_T), float), 1)
         for name in ("payoff_x", "payoff_xx", "payoff_xxx")[:order]
     ]
-    stores = [np.empty((d,) * (k + 1) + (n, B)) for k in range(order)]
+    stores = [np.empty((d,) * (k + 1) + (offsets[-1],)) for k in range(order)]
     at_jumps = []
 
     def jump_block(node, phi):
@@ -550,7 +557,8 @@ def dual_batch(model, cb: dict, paths, values: Array, left: Array, order: int = 
         return phi
 
     phi = [w[..., :0] for w in start]  # the weights of the rows swept so far
-    for p, k in reversed(list(enumerate(paths.running().tolist()))):
+    for p, k in reversed(list(enumerate(running))):
+        at = offsets[p]
         j = phi[0].shape[-1]
         if k > j:  # the rows whose last node is p + 1 join
             phi = [
@@ -560,10 +568,8 @@ def dual_batch(model, cb: dict, paths, values: Array, left: Array, order: int = 
         if p + 1 in jump_at:
             phi = jump_block(p + 1, phi)
         for store, w in zip(stores, phi):
-            store[..., p, :k] = w
-            if k < B:
-                store[..., p, k:] = 0.0
-        phi = propagate([a[..., p, :k] for a in A], phi)
+            store[..., at : at + k] = w
+        phi = propagate([a[..., at : at + k] for a in A], phi)
     if 0 in jump_at:
         phi = jump_block(0, phi)
     return stores, phi, at_jumps
@@ -589,14 +595,15 @@ def backward_duals(
     model = as_vectorized(model)
     paths = stack_paths(model, [grid], [path.increments])
     values = path.values[None]
-    cb = _stack_calls(model, _euler_map_callbacks(order), paths.times[:, :-1], values[:, :-1])
+    # one row's steps, packed, are its (t..., n) rows-last arrays
+    cb = _stack_calls(model, _euler_map_callbacks(order), grid.times[:-1], path.values[:-1])
     stores, first, at_jumps = dual_batch(
         model, cb, paths, values, path.left_values[None], order
     )
     weights = {}
     for k, name in enumerate(("phi", "phi1", "phi2")[:order]):
-        # rows last (t..., [n,] 1) -> the (N_A + 1, t...) node layout
-        left = np.concatenate([first[k][None, ..., 0], _rows_first(stores[k][..., 0], 1)])
+        # rows last (t..., n) and (t..., 1) -> the (N_A + 1, t...) node layout
+        left = np.concatenate([first[k][None, ..., 0], _rows_first(stores[k], 1)])
         node = left.copy()
         for n, pre in at_jumps:
             node[n] = pre[k][..., 0]

@@ -102,6 +102,10 @@ class PathBatch:
             self.marks[rows, : n + 1], self.dt[rows, :n], n_steps,
         )
 
+    def real(self) -> Array:
+        """The (B, n) mask of the steps each row takes."""
+        return np.arange(self.dt.shape[1]) < self.n_steps[:, None]
+
     def running(self) -> Array:
         """k_p for every step p: the rows that take step p are the first
         k_p.  Raises ParameterError unless the rows are ordered by

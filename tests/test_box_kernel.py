@@ -127,14 +127,16 @@ def kernel_outputs(model, paths, det):
     B = len(paths.dt)
     out = {"path_batch": ctl._path_batch(model, paths, list(range(B)), True)}
     values, left = euler_batch(model, paths)
-    times = paths.times
+    times, real = paths.times, paths.real()
     for order in (1, 2, 3):
         names = _euler_map_callbacks(order) + INTERVAL_DENSITY_CALLBACKS
-        cb = _stack_calls(model, names, times[:, :-1], values[:, :-1])
+        cb = _stack_calls(model, names, times[:, :-1], values[:, :-1], real=real)
         stores, first, at_jumps = dual_batch(model, cb, paths, values, left, order)
         out[f"duals{order}"] = (stores, first, at_jumps)
         if order == 2:
-            hi = _stack_calls(model, INTERVAL_DENSITY_CALLBACKS, times[:, 1:], left[:, 1:])
+            hi = _stack_calls(
+                model, INTERVAL_DENSITY_CALLBACKS, times[:, 1:], left[:, 1:], real=real
+            )
             out["rho_interval"] = rho_interval_batch(cb, hi, *stores, times, det)
     return as_bytes(list(out.values()))
 

@@ -1,9 +1,10 @@
 """Chunk-size invariance of both engines (property test).
 
-Realizations are set up a chunk at a time from counter-based words, and
-the per-realization engine refines them in blocks bounded in
-row-steps; neither the chunk sizes, the block budget nor the first index
-may change any output bit.
+Realizations are set up a chunk at a time from counter-based words, the
+per-realization engine refines them in blocks bounded in row-steps, and
+the density layer takes a block's steps a slice at a time; neither the
+chunk sizes, the block budget, the slice nor the first index may change
+any output bit.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from jumpmc import (  # noqa: E402
     uniform_mesh,
 )
 from jumpmc import controller as ctl  # noqa: E402
+from jumpmc import density  # noqa: E402
 
 MODEL = build_model("test5")
 SEEDS = SeedConfig(wiener=11, jump_times=12, marks=13)
@@ -41,13 +43,15 @@ def assert_same(got, want):
     start=st.integers(0, 10**6),
     n=st.sampled_from([5, 40]),
     want_density=st.booleans(),
+    steps=st.integers(1, 2000),
 )
-def test_mesh_batch_does_not_depend_on_chunking(chunk, start, n, want_density):
+def test_mesh_batch_does_not_depend_on_chunking(chunk, start, n, want_density, steps):
     det = uniform_mesh(1.0, n)
     kw = dict(tol=0.05, want_density=want_density)
     want = run_mesh_batch(MODEL, det, SEEDS, start, 300, **kw)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ctl, "MESH_CHUNK", chunk)
+        patch.setattr(density, "DENSITY_SLICE", steps)
         got = run_mesh_batch(MODEL, det, SEEDS, start, 300, **kw)
     assert_same(got, want)
     # each realization's rows are the same when the range starts later
@@ -56,13 +60,19 @@ def test_mesh_batch_does_not_depend_on_chunking(chunk, start, n, want_density):
 
 
 @settings(max_examples=8, deadline=None)
-@given(chunk=st.integers(1, 70), block=st.integers(1, 400), start=st.integers(0, 10**6))
-def test_stochastic_batch_does_not_depend_on_chunking(chunk, block, start):
+@given(
+    chunk=st.integers(1, 70),
+    block=st.integers(1, 400),
+    start=st.integers(0, 10**6),
+    steps=st.integers(1, 400),
+)
+def test_stochastic_batch_does_not_depend_on_chunking(chunk, block, start, steps):
     # a budget below a row's step count makes one-row blocks
     det = uniform_mesh(1.0, 5)
     want = run_stochastic_batch(MODEL, det, SEEDS, start, 60, **STOCH)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ctl, "STOCH_CHUNK", chunk)
         patch.setattr(ctl, "STOCH_BLOCK_STEPS", block)
+        patch.setattr(density, "DENSITY_SLICE", steps)
         got = run_stochastic_batch(MODEL, det, SEEDS, start, 60, **STOCH)
     assert_same(got, want)
