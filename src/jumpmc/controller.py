@@ -40,13 +40,19 @@ payoff derivatives at its own X(T), callbacks are evaluated at real
 nodes only, and the dual and density arrays hold only those nodes,
 packed step by step as (t..., K) for the K steps the rows take; equal
 step counts are the case k_p = B, where that is (t..., n, B) flattened.
-The mesh engine groups a chunk's realizations by step count and reduces
-them per interval with ``density.interval_sums``.  The per-realization
-driver refines a whole chunk level-synchronously: its rows stay stacked
-arrays (``PathBatch``) from set-up to result, every level runs the
-kernel on blocks of its rows gathered longest first, each taking at
-most STOCH_BLOCK_STEPS steps in all (or one row), reduces each row over
-its own steps, and the rows still refining are bisected together by
+Both engines send their rows through the kernel in the blocks of
+``_ragged_blocks``: rows with any step counts, longest first, each block
+taking at most a budget of steps in all (or one row), and reduce each
+row over its own steps, a step count at a time
+(``PathBatch.by_step_count``), so no reduction reads padding.  The mesh
+engine's density runs (``algorithm_d``'s time-control batches and the
+``--density rhodef`` diagnostic) cut a chunk's step-count groups into
+blocks of MESH_BLOCK_STEPS, and reduce them per interval with
+``density.interval_sums``; its forward-only runs take each step-count
+group as one call.  The per-realization driver refines a whole chunk
+level-synchronously: its rows stay stacked arrays (``PathBatch``) from
+set-up to result, every level runs the kernel on blocks of
+STOCH_BLOCK_STEPS, and the rows still refining are bisected together by
 ``euler.bridge_refine_batch``, which draws each row's bridge noise from
 its own Wiener stream at the row's position, the number of normals the
 stream has given (``control_time_error`` is the one-row case).
@@ -138,6 +144,11 @@ STOCH_CHUNK = 2048
 # this bounds its memory: 3072 is the largest of the earlier blocks, 512
 # rows of 6 steps, on test5 at TOL 0.04
 STOCH_BLOCK_STEPS = 3072
+# steps per density kernel call in the mesh engine, unless one row alone
+# has more.  On test5 this keeps every time-control batch of algorithm_d
+# at TOL 0.02 (at most 10,423 steps) in one call, and the peak RSS of the
+# mesh-density benchmark 8 MB below one call per step-count group
+MESH_BLOCK_STEPS = 16384
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +421,10 @@ _KERNEL_CALLBACKS = STEP_DENSITY_CALLBACKS + ["drift_xxx", "diffusion_xxx"]
 
 def _path_batch(model, paths, realizations, want_rho):
     """Forward Euler and, if ``want_rho``, order-3 duals and per-step rho
-    for the B rows of ``paths``, ordered by descending step count;
-    without ``want_rho`` no path is stored, only X(T).
+    for the B rows of ``paths``, ordered by descending step count: a block
+    of ``_ragged_blocks`` in both engines' density runs, one step-count
+    group in the mesh engine's forward-only runs.  Without ``want_rho``
+    no path is stored, only X(T).
 
     ``realizations`` are the rows' absolute indices, named by the
     EvaluationError raised for a diverging path, a non-finite payoff or a
@@ -429,12 +442,13 @@ def _path_batch(model, paths, realizations, want_rho):
     model.require(
         *_required_callbacks(3, with_jumps=paths.jump_flag.any()), "drift_t", "diffusion_t"
     )
-    real = paths.real()
     cb = _stack_calls(
-        model, _KERNEL_CALLBACKS, paths.times[:, :-1], values[:, :-1], real=real
+        model, _KERNEL_CALLBACKS, paths.times[:, :-1], values[:, :-1],
+        running=paths.running(),
     )
     stores, _, _ = dual_batch(model, cb, paths, values, left, 3)
     del values, left  # freed before the density layer
+    real = paths.real()
     rho = np.zeros(real.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite rho raises below
         rho.T[real.T] = rho_batch(cb, *stores)
@@ -457,30 +471,6 @@ def _check_finite(values, realizations, what):
         which = realizations[int(np.argmin(finite.reshape(len(finite), -1).all(axis=1)))]
         named = "" if which is None else f" (realization {which})"
         raise EvaluationError(f"{what} is not finite{named}", realization=which)
-
-
-def _mesh_group_batched(model, det, group, paths, tol, want_density, outputs, start):
-    """Simulate a group of same-step-count realizations as one array batch.
-
-    Results land in ``outputs`` at the group's rows, and ``start + row``
-    is the realization index.
-    """
-    slots = group.rows
-    payoff, rho = _path_batch(model, paths, (start + slots).tolist(), want_density)
-    outputs["payoff"][slots] = payoff
-    outputs["n_a"][slots] = paths.dt.shape[1]
-    outputs["n_jumps"][slots] = group.n_jumps
-    outputs["collisions"][slots] = group.collisions
-    if not want_density:
-        return
-
-    contrib = rho * paths.dt ** 2
-    signed = interval_sums(contrib, paths.times, det)
-    widths = np.diff(det)
-    clamped = cutoff_density_S(signed / widths ** 2, tol) * widths ** 2
-    outputs["signed_interval"][slots] = signed
-    outputs["r"][slots] = clamped
-    outputs["signed_total"][slots] = contrib.sum(axis=1)
 
 
 def _setup_groups(model, det, streams, start, count, integral):
@@ -520,24 +510,47 @@ def _setup_groups(model, det, streams, start, count, integral):
 
 
 def _mesh_chunk(model, det, seeds, start, count, tol, want_density):
-    """All per-realization results for one contiguous index chunk."""
+    """All per-realization results for one contiguous index chunk.
+
+    Forward-only, every set-up group is one kernel call.  With the
+    density the rows run in the blocks of ``_ragged_blocks``, at most
+    MESH_BLOCK_STEPS steps in all or one row, and each row is reduced
+    over its own steps, a step count at a time.
+    """
     model = as_vectorized(model)
     integral = intensity_integral_for(model)
-    n_det = len(det) - 1
     outputs = {
         "payoff": np.empty(count),
         "n_a": np.empty(count, dtype=np.intp),
         "n_jumps": np.empty(count, dtype=np.intp),
         "collisions": np.empty(count, dtype=np.intp),
     }
-    if want_density:
-        outputs["signed_interval"] = np.empty((count, n_det))
-        outputs["r"] = np.empty((count, n_det))
-        outputs["signed_total"] = np.empty(count)
+    pieces = []
+    for group, paths in _setup_groups(model, det, keyed_streams(seeds), start, count, integral):
+        outputs["n_a"][group.rows] = paths.dt.shape[1]
+        outputs["n_jumps"][group.rows] = group.n_jumps
+        outputs["collisions"][group.rows] = group.collisions
+        pieces.append((group.rows, paths))
+    if not want_density:
+        for rows, paths in pieces:
+            payoff, _ = _path_batch(model, paths, (start + rows).tolist(), False)
+            outputs["payoff"][rows] = payoff
+        return outputs
 
-    streams = keyed_streams(seeds)
-    for group, paths in _setup_groups(model, det, streams, start, count, integral):
-        _mesh_group_batched(model, det, group, paths, tol, want_density, outputs, start)
+    n_det = len(det) - 1
+    outputs["signed_interval"] = np.empty((count, n_det))
+    outputs["r"] = np.empty((count, n_det))
+    outputs["signed_total"] = np.empty(count)
+    widths = np.diff(det)
+    for rows, paths in _ragged_blocks(pieces[::-1], MESH_BLOCK_STEPS):
+        payoff, rho = _path_batch(model, paths, (start + rows).tolist(), True)
+        outputs["payoff"][rows] = payoff
+        for run, n in paths.by_step_count():
+            contrib = rho[run, :n] * paths.dt[run, :n] ** 2
+            signed = interval_sums(contrib, paths.times[run, : n + 1], det)
+            outputs["signed_interval"][rows[run]] = signed
+            outputs["r"][rows[run]] = cutoff_density_S(signed / widths ** 2, tol) * widths ** 2
+            outputs["signed_total"][rows[run]] = contrib.sum(axis=1)
     return outputs
 
 
@@ -546,29 +559,33 @@ def _interval_chunk(model, det, seeds, start, count):
     over the deterministic intervals, of one contiguous index chunk (the
     ``--density rhodef`` diagnostic).
 
-    Same set-up and forward layer as ``_mesh_chunk``; the interval
-    density needs order-2 duals only, and its left-node drift and
-    diffusion come from the same callback call as the dual layer's.
+    Same set-up, blocks and forward layer as ``_mesh_chunk`` with the
+    density; the interval density needs order-2 duals only, and its
+    left-node drift and diffusion come from the same callback call as
+    the dual layer's.
     """
     model = as_vectorized(model)
     integral = intensity_integral_for(model)
+    groups = _setup_groups(model, det, keyed_streams(seeds), start, count, integral)
+    pieces = [(group.rows, paths) for group, paths in groups[::-1]]
+    del groups  # frees the grids
     widths = np.diff(det)
+    names = _euler_map_callbacks(2) + INTERVAL_DENSITY_CALLBACKS
     payoffs = np.empty(count)
     totals = np.empty(count)
-    for group, paths in _setup_groups(model, det, keyed_streams(seeds), start, count, integral):
+    for rows, paths in _ragged_blocks(pieces, MESH_BLOCK_STEPS):
+        realizations = (start + rows).tolist()
         model.require(*_required_callbacks(2, with_jumps=paths.jump_flag.any()))
-        values, left = euler_batch(model, paths, realizations=(start + group.rows).tolist())
-        times = paths.times
-        names = _euler_map_callbacks(2) + INTERVAL_DENSITY_CALLBACKS
-        real = paths.real()
-        cb = _stack_calls(model, names, times[:, :-1], values[:, :-1], real=real)
+        values, left = euler_batch(model, paths, realizations=realizations)
+        times, running = paths.times, paths.running()
+        cb = _stack_calls(model, names, times[:, :-1], values[:, :-1], running=running)
         stores, _, _ = dual_batch(model, cb, paths, values, left, 2)
         hi = _stack_calls(
-            model, INTERVAL_DENSITY_CALLBACKS, times[:, 1:], left[:, 1:], real=real
+            model, INTERVAL_DENSITY_CALLBACKS, times[:, 1:], left[:, 1:], running=running
         )
-        rho = rho_interval_batch(cb, hi, *stores, times, det)
-        payoffs[group.rows] = _payoff(model, values[:, -1], (start + group.rows).tolist())
-        totals[group.rows] = np.sum(rho * widths ** 2, axis=1)
+        rho = rho_interval_batch(cb, hi, *stores, paths, det)
+        payoffs[rows] = _payoff(model, terminal_values(paths, values), realizations)
+        totals[rows] = np.sum(rho * widths ** 2, axis=1)
     return {"payoff": payoffs, "total": totals}
 
 
@@ -601,11 +618,11 @@ def _run_chunk(chunk_fn, model, args):
 
     ``args`` start with (det, seeds, start, count).  A chunk raises for
     the first failing row it meets (set-up before the kernel, then
-    refinement levels, kernel blocks and step-count groups in order),
-    which depends on how its rows are grouped into blocks.  So on an
-    error naming realization ``r`` the rows before ``r`` run again, until
-    no earlier row fails.  Rows are independent, so the error raised does
-    not depend on the chunk size.
+    refinement levels and kernel blocks in order, or the forward-only
+    step-count groups), which depends on how its rows are grouped into
+    blocks.  So on an error naming realization ``r`` the rows before
+    ``r`` run again, until no earlier row fails.  Rows are independent,
+    so the error raised does not depend on the chunk size.
     """
     det, seeds, start, count, *rest = args
     end = start + count
@@ -821,26 +838,28 @@ def _refine_levels(model, pieces, realizations, wiener, positions, tol, tol_t, n
     }
     for level in range(adapt.max_refinements + 1):
         refined = []
-        for rows, paths in _ragged_blocks(pieces):
+        for rows, paths in _ragged_blocks(pieces, STOCH_BLOCK_STEPS):
             payoff, rho = _path_batch(model, paths, realizations[rows].tolist(), True)
             dt, n_steps = paths.dt, paths.n_steps
-            r = cutoff_density_S(rho, tol) * dt ** 2
             accepted = np.empty(len(rows), dtype=bool)
-            for n in np.unique(n_steps).tolist():
-                run = np.flatnonzero(n_steps == n)
-                accepted[run] = r[run, :n].max(axis=1) < accept_below
-                out["signed_total"][rows[run]] = (rho[run, :n] * dt[run, :n] ** 2).sum(axis=1)
-                out["r_total"][rows[run]] = r[run, :n].sum(axis=1)
+            splittable = np.zeros(dt.shape, dtype=bool)
+            for run, n in paths.by_step_count():
+                at = rows[run]
+                r = cutoff_density_S(rho[run, :n], tol) * dt[run, :n] ** 2
+                accepted[run] = r.max(axis=1) < accept_below
+                out["signed_total"][at] = (rho[run, :n] * dt[run, :n] ** 2).sum(axis=1)
+                out["r_total"][at] = r.sum(axis=1)
+                out["n_jumps"][at] = np.count_nonzero(paths.jump_flag[run, : n + 1], axis=1)
+                splittable[run, :n] = (
+                    (r >= refine_at) & (0.5 * dt[run, :n] >= min_step) & ~accepted[run, None]
+                )
             out["payoff"][rows] = payoff
             out["n_a"][rows] = n_steps
-            out["n_jumps"][rows] = np.count_nonzero(paths.jump_flag, axis=1)
             out["levels"][rows] = level
             out["accepted"][rows] = accepted
             out["work"][rows] += n_steps
             if level == adapt.max_refinements:
                 continue
-            # dt is 0 past a row's last step, so no padding is splittable
-            splittable = (r >= refine_at) & (0.5 * dt >= min_step) & ~accepted[:, None]
             hit, split, positions[rows] = bridge_refine_batch(
                 paths, splittable, wiener, realizations[rows], positions[rows]
             )
@@ -852,12 +871,12 @@ def _refine_levels(model, pieces, realizations, wiener, positions, tol, tol_t, n
     return out
 
 
-def _ragged_blocks(pieces):
+def _ragged_blocks(pieces, budget):
     """The rows of ``pieces`` ordered longest first, cut into blocks of
-    consecutive rows that take at most STOCH_BLOCK_STEPS steps in all, or
-    of one row: (rows, PathBatch) pairs ordered by descending step count.
-    A block is padded only to its own longest row, so no level is held
-    padded to its longest."""
+    consecutive rows that take at most ``budget`` steps in all, or of one
+    row: (rows, PathBatch) pairs ordered by descending step count.  A
+    block is padded only to its own longest row, so no level or chunk is
+    held padded to its longest."""
     n_steps = np.concatenate([paths.n_steps for _, paths in pieces])
     order = np.argsort(-n_steps, kind="stable")
     ends = np.cumsum(n_steps[order])
@@ -865,7 +884,7 @@ def _ragged_blocks(pieces):
     lo = 0
     while lo < len(order):
         done = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, done + STOCH_BLOCK_STEPS, side="right")))
+        hi = max(lo + 1, int(np.searchsorted(ends, done + budget, side="right")))
         yield _gather(pieces, starts, np.sort(order[lo:hi]))
         lo = hi
 
@@ -873,16 +892,24 @@ def _ragged_blocks(pieces):
 def _gather(pieces, starts, picked):
     """The rows at ``picked`` of ``pieces`` laid end to end (``starts``
     are the pieces' first places) as one (rows, PathBatch) pair, ordered
-    by descending step count.  Its own function, so that the copies made
-    on the way are freed before the kernel runs on the block."""
+    by descending step count.  A run of consecutive rows of a piece is
+    taken as a view, so a block inside one piece is not copied, and
+    pieces given longest first, as the mesh engine's set-up groups, are
+    joined in one copy.  Its own function, so that the copies made on
+    the way are freed before the kernel runs on the block."""
     parts = []
     for (rows, paths), a, b in zip(pieces, starts, starts[1:]):
         mine = picked[(picked >= a) & (picked < b)] - a
         if len(mine):
+            if mine[-1] - mine[0] == len(mine) - 1:
+                mine = slice(int(mine[0]), int(mine[-1]) + 1)
             parts.append((rows[mine], paths.take(mine)))
     paths = concat_paths([p for _, p in parts])
-    ranked = np.argsort(-paths.n_steps, kind="stable")
-    return np.concatenate([r for r, _ in parts])[ranked], paths.take(ranked)
+    rows = np.concatenate([r for r, _ in parts])
+    if (paths.n_steps[1:] > paths.n_steps[:-1]).any():
+        ranked = np.argsort(-paths.n_steps, kind="stable")
+        rows, paths = rows[ranked], paths.take(ranked)
+    return rows, paths
 
 
 def _stoch_chunk(model, det, seeds, start, count, tol, tol_t, n_a_bar, adapt):
@@ -890,7 +917,7 @@ def _stoch_chunk(model, det, seeds, start, count, tol, tol_t, n_a_bar, adapt):
     model = as_vectorized(model)
     streams = keyed_streams(seeds)
     groups = _setup_groups(model, det, streams, start, count, intensity_integral_for(model))
-    pieces = [(group.rows, paths) for group, paths in groups]
+    pieces = [(group.rows, paths) for group, paths in groups[::-1]]  # longest first
     del groups  # frees the grids: only the paths are refined
     positions = np.empty(count, dtype=np.int64)
     for rows, paths in pieces:

@@ -61,7 +61,7 @@ from .duals import (
     box_sum,
 )
 from .errors import ParameterError
-from .euler import EulerPath
+from .euler import EulerPath, PathBatch, stack_paths
 from .jumps import interval_of_steps
 from .model import JumpDiffusionModel, as_vectorized
 
@@ -232,19 +232,20 @@ INTERVAL_DENSITY_CALLBACKS = ["drift", "diffusion"]
 
 
 def rho_interval_batch(
-    lo: dict, hi: dict, phi: Array, phi1: Array, times: Array, det: Array
+    lo: dict, hi: dict, phi: Array, phi1: Array, paths: PathBatch, det: Array
 ) -> Array:
     """Signed coefficient-difference density per deterministic interval
-    for B paths of n steps each, shape (B, N).
+    for the B rows of ``paths`` on the mesh ``det``, shape (B, N).
 
-    ``lo`` and ``hi`` hold ``INTERVAL_DENSITY_CALLBACKS`` at the left
-    nodes (t_n, X(t_n)) and at the right nodes' left limits (t_{n+1},
-    X(t_{n+1}-)), packed as ``duals._stack_calls`` packs a block's steps,
-    (t..., n*B) here; ``phi`` and ``phi1`` are the packed left-limit dual
-    weights at the right nodes and ``times`` the (B, n+1) node times on
-    the mesh ``det``.  Differences drift and d = b b^T / 2 across each
-    step, weights them with the duals, and scales the interval sum by
-    dt_n / (interval width)^2.  Row-wise arithmetic only.
+    The rows are ordered by descending step count.  ``lo`` and ``hi``
+    hold ``INTERVAL_DENSITY_CALLBACKS`` at the left nodes (t_n, X(t_n))
+    and at the right nodes' left limits (t_{n+1}, X(t_{n+1}-)) of the K
+    steps the rows take, packed as ``duals._stack_calls(...,
+    running=paths.running())`` packs them; ``phi`` and ``phi1`` are the
+    packed left-limit dual weights at the right nodes.  Differences
+    drift and d = b b^T / 2 across each step, weights them with the
+    duals, and scales the interval sum by dt_n / (interval width)^2,
+    each row over its own steps.  Row-wise arithmetic only.
     """
 
     def dd_of(b):
@@ -252,12 +253,16 @@ def rho_interval_batch(
 
     da = hi["drift"] - lo["drift"]
     ddd = dd_of(hi["diffusion"]) - dd_of(lo["diffusion"])
-    step_sum = np.einsum("nk,nk->n", _flat_rows(da), _flat_rows(phi)) + np.einsum(
+    real = paths.real()
+    step_sum = np.zeros(real.shape)
+    step_sum.T[real.T] = np.einsum("nk,nk->n", _flat_rows(da), _flat_rows(phi)) + np.einsum(
         "nkm,nkm->n", _flat_rows(ddd), _flat_rows(phi1)
     )
-    dt = np.diff(times, axis=1)
-    contrib = step_sum.reshape(dt.shape[::-1]).T * dt
-    return 0.5 * interval_sums(contrib, times, det) / np.diff(det) ** 2
+    sums = np.empty((len(real), len(det) - 1))
+    for rows, n in paths.by_step_count():
+        contrib = step_sum[rows, :n] * paths.dt[rows, :n]
+        sums[rows] = interval_sums(contrib, paths.times[rows, : n + 1], det)
+    return 0.5 * sums / np.diff(det) ** 2
 
 
 def rho_per_interval(
@@ -281,7 +286,7 @@ def rho_per_interval(
     hi = _stack_calls(model, names, grid.times[1:], path.left_values[1:])
     return rho_interval_batch(
         lo, hi, _one_row(duals.phi_left), _one_row(duals.phi1_left),
-        grid.times[None], grid.det_times,
+        stack_paths(model, [grid], [path.increments]), grid.det_times,
     )[0]
 
 

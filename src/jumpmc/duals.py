@@ -333,7 +333,7 @@ def _dense(x, d: int):
     return out
 
 
-def _stack_calls(model, names, t, x, z=None, real=None):
+def _stack_calls(model, names, t, x, z=None, running=None):
     """Evaluate callbacks at every (t, x[, z]) point in one call each,
     returned rows last.
 
@@ -341,28 +341,37 @@ def _stack_calls(model, names, t, x, z=None, real=None):
     flattened for the call, and each result is stored as a contiguous
     array with its tensor axes first and those axes, reversed, as
     trailing lead axes: (t..., n, B), or (t..., K) for K points, and t...
-    alone for a scalar ``t``.  With ``real``, a bool array shaped like
-    ``t``, only the marked points are evaluated, and each result is
-    packed: (t..., K) for the K marked points in rows-last order, which
-    for a block of rows ordered longest first is the kernel's packed
-    layout (see ``dual_batch``).  A callback with a declared support is
-    stored as the ``Box`` of its bounding box, and one with an empty
-    support is not called.  Each value is converted as soon as it is
-    evaluated, so at most one rows-first copy is alive.  The model's
-    callbacks must broadcast over rows (see ``as_vectorized``).
+    alone for a scalar ``t``.  With ``running``, the k_p of a block of
+    rows ordered longest first (``PathBatch.running()``) for a (B, n)
+    ``t``, only the first k_p points of each column p are evaluated, and
+    each result is packed: (t..., K) for the K = k_0 + ... + k_{n-1}
+    points, step by step, the kernel's packed layout (see
+    ``dual_batch``).  Each input is copied once, rows last (with
+    ``running``, a column's first k_p points at a time).  A callback
+    with a declared support is stored as the ``Box`` of its bounding
+    box, and one with an empty support is not called.  Each value is
+    converted as soon as it is evaluated, so at most one rows-first copy
+    is alive.  The model's callbacks must broadcast over rows (see
+    ``as_vectorized``).
     """
     t = np.asarray(t)
     lead = t.shape
-    rev = tuple(range(len(lead) - 1, -1, -1))
-    mask = (np.ones(lead, bool) if real is None else real).transpose(rev).reshape(-1)
-    # the marked points in rows-last order, gathered a run at a time
-    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False)).tolist()
-    args = []
-    for a in [t, x] if z is None else [t, x, z]:
-        a = np.asarray(a)
-        a = a.transpose(rev + tuple(range(len(lead), a.ndim))).reshape((-1,) + a.shape[len(lead):])
-        args.append(np.concatenate([a[lo:hi] for lo, hi in zip(edges[::2], edges[1::2])]))
-    shape = lead[::-1] if real is None else (len(args[0]),)
+    if running is None:
+        rev = tuple(range(len(lead) - 1, -1, -1))
+
+        def points(a):
+            axes = rev + tuple(range(len(lead), a.ndim))
+            return a.transpose(axes).copy().reshape((-1,) + a.shape[len(lead):])
+
+        shape = lead[::-1]
+    else:
+        running = list(running)
+
+        def points(a):
+            return np.concatenate([a[:k, p] for p, k in enumerate(running)])
+
+        shape = (sum(running),)
+    args = [points(np.asarray(a)) for a in ([t, x] if z is None else [t, x, z])]
     out = {}
     for name in names:
         box = model.derivative_box(name)
@@ -500,7 +509,7 @@ def dual_batch(model, cb: dict, paths, values: Array, left: Array, order: int = 
     o_p = k_0 + ... + k_{p-1}; no padding is held, and equal step counts
     are the case k_p = B, the (t..., n, B) array flattened.  ``cb`` holds
     the Euler-map callbacks of ``order`` evaluated at the nodes (t_n,
-    X(t_n)) of those steps, as ``_stack_calls(..., real=paths.real())``
+    X(t_n)) of those steps, as ``_stack_calls(..., running=paths.running())``
     packs them; the third-derivative entries are dropped from it once
     A3 is formed, since nothing else reads them.  ``values`` and ``left``
     are the forward layer's (B, n+1, d) node values and left limits.

@@ -28,7 +28,7 @@ position (a count of the normals its stream has given), as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,11 +110,28 @@ class PathBatch:
         """k_p for every step p: the rows that take step p are the first
         k_p.  Raises ParameterError unless the rows are ordered by
         descending step count."""
+        n_steps = self._descending()
+        steps = np.arange(self.dt.shape[1])
+        return len(n_steps) - np.searchsorted(n_steps[::-1], steps, side="right")
+
+    def by_step_count(self):
+        """(rows, n) for every step count n, longest first: ``rows`` is
+        the slice of the rows that take n steps, so ``[rows, :n]`` holds
+        their steps and no padding.  A reduction over a row's steps runs
+        on these, so numpy sees the same operands whatever the padding.
+        Raises ParameterError unless the rows are ordered by descending
+        step count."""
+        counts, first = np.unique(-self._descending(), return_index=True)
+        bounds = first.tolist() + [len(self.n_steps)]
+        return [
+            (slice(lo, hi), -n) for n, lo, hi in zip(counts.tolist(), bounds, bounds[1:])
+        ]
+
+    def _descending(self) -> Array:
         n_steps = self.n_steps
         if (n_steps[1:] > n_steps[:-1]).any():
             raise ParameterError("paths must be ordered by descending step count")
-        steps = np.arange(self.dt.shape[1])
-        return len(n_steps) - np.searchsorted(n_steps[::-1], steps, side="right")
+        return n_steps
 
 
 def stack_paths(model: JumpDiffusionModel, grids, dws) -> PathBatch:
@@ -129,21 +146,24 @@ def stack_paths(model: JumpDiffusionModel, grids, dws) -> PathBatch:
 
 
 def concat_paths(batches) -> PathBatch:
-    """Batches joined row after row, each padded to the longest."""
+    """Batches joined row after row, each padded to the longest, in one
+    copy (a single batch is returned as it is)."""
     if len(batches) == 1:
         return batches[0]
     n = max(b.dt.shape[1] for b in batches)
-
-    def padded(b, name):
-        a = getattr(b, name)
-        if name == "n_steps":
-            return a
-        widths = ((0, 0), (0, n - b.dt.shape[1])) + ((0, 0),) * (a.ndim - 2)
-        return np.pad(a, widths, mode="edge" if name == "times" else "constant")
-
-    return PathBatch(
-        *(np.concatenate([padded(b, f.name) for b in batches]) for f in fields(PathBatch))
-    )
+    joined = {"n_steps": np.concatenate([b.n_steps for b in batches])}
+    for name in ("times", "dw", "jump_flag", "marks", "dt"):
+        parts = [getattr(b, name) for b in batches]
+        width = n + parts[0].shape[1] - batches[0].dt.shape[1]  # nodes or steps
+        out = np.zeros((len(joined["n_steps"]), width) + parts[0].shape[2:], parts[0].dtype)
+        at = 0
+        for a in parts:
+            out[at:at + len(a), : a.shape[1]] = a
+            if name == "times":  # the last time repeats
+                out[at:at + len(a), a.shape[1]:] = a[:, -1:]
+            at += len(a)
+        joined[name] = out
+    return PathBatch(**joined)
 
 
 def _euler_steps(model, paths, x0, realizations):

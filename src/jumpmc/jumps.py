@@ -524,7 +524,10 @@ def build_grid_groups(
             [np.broadcast_to(det, (len(rows), n + 1)), tau[mine & inserted].reshape(len(rows), k)],
             axis=1,
         )
-        times = np.sort(grown, axis=1)
+        # rows first in memory whatever concatenate chose (it lays out
+        # one inserted node column first), so a row's steps are contiguous
+        times = np.ascontiguousarray(grown)
+        times.sort(axis=1)
         b = np.searchsorted(rows, owner[mine])
         at = node[mine]
         lost = times[b, at] != node_time[mine]

@@ -127,17 +127,17 @@ def kernel_outputs(model, paths, det):
     B = len(paths.dt)
     out = {"path_batch": ctl._path_batch(model, paths, list(range(B)), True)}
     values, left = euler_batch(model, paths)
-    times, real = paths.times, paths.real()
+    times, running = paths.times, paths.running()
     for order in (1, 2, 3):
         names = _euler_map_callbacks(order) + INTERVAL_DENSITY_CALLBACKS
-        cb = _stack_calls(model, names, times[:, :-1], values[:, :-1], real=real)
+        cb = _stack_calls(model, names, times[:, :-1], values[:, :-1], running=running)
         stores, first, at_jumps = dual_batch(model, cb, paths, values, left, order)
         out[f"duals{order}"] = (stores, first, at_jumps)
         if order == 2:
             hi = _stack_calls(
-                model, INTERVAL_DENSITY_CALLBACKS, times[:, 1:], left[:, 1:], real=real
+                model, INTERVAL_DENSITY_CALLBACKS, times[:, 1:], left[:, 1:], running=running
             )
-            out["rho_interval"] = rho_interval_batch(cb, hi, *stores, times, det)
+            out["rho_interval"] = rho_interval_batch(cb, hi, *stores, paths, det)
     return as_bytes(list(out.values()))
 
 

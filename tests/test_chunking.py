@@ -1,17 +1,17 @@
 """Chunk-size invariance of both engines (property test).
 
-Realizations are set up a chunk at a time from counter-based words, the
-per-realization engine refines them in blocks bounded in row-steps, and
-the density layer takes a block's steps a slice at a time; neither the
-chunk sizes, the block budget, the slice nor the first index may change
-any output bit.
+Realizations are set up a chunk at a time from counter-based words,
+both engines run the density kernel on blocks bounded in steps, and the
+density layer takes a block's steps a slice at a time; neither the chunk
+sizes, the block budgets, the slice nor the first index may change any
+output bit.
 """
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from jumpmc import (  # noqa: E402
@@ -40,23 +40,39 @@ def assert_same(got, want):
 @settings(max_examples=15, deadline=None)
 @given(
     chunk=st.integers(1, 400),
+    block=st.integers(1, 4000),
     start=st.integers(0, 10**6),
     n=st.sampled_from([5, 40]),
     want_density=st.booleans(),
     steps=st.integers(1, 2000),
 )
-def test_mesh_batch_does_not_depend_on_chunking(chunk, start, n, want_density, steps):
+@example(chunk=300, block=4, start=0, n=5, want_density=True, steps=2000)
+def test_mesh_batch_does_not_depend_on_chunking(chunk, block, start, n, want_density, steps):
+    # a block budget below every row's step count (each row has at least
+    # n) makes one-row blocks
     det = uniform_mesh(1.0, n)
     kw = dict(tol=0.05, want_density=want_density)
     want = run_mesh_batch(MODEL, det, SEEDS, start, 300, **kw)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ctl, "MESH_CHUNK", chunk)
+        patch.setattr(ctl, "MESH_BLOCK_STEPS", block)
         patch.setattr(density, "DENSITY_SLICE", steps)
         got = run_mesh_batch(MODEL, det, SEEDS, start, 300, **kw)
     assert_same(got, want)
     # each realization's rows are the same when the range starts later
     later = run_mesh_batch(MODEL, det, SEEDS, start + 100, 200, **kw)
     assert_same(later, {key: value[100:] for key, value in want.items()})
+
+
+def test_mesh_batch_rows_do_not_depend_on_the_batch_size():
+    # rows with one inserted jump node once had columns-first grids, and
+    # numpy chose the order of their signed totals' sums by the size of
+    # their step-count group: 28 of these 200 rows changed at 4000 rows
+    det = uniform_mesh(1.0, 40)
+    kw = dict(tol=0.05, want_density=True)
+    few = run_mesh_batch(MODEL, det, SEEDS, 0, 200, **kw)
+    many = run_mesh_batch(MODEL, det, SEEDS, 0, 4000, **kw)
+    assert_same(few, {key: value[:200] for key, value in many.items()})
 
 
 @settings(max_examples=8, deadline=None)

@@ -481,6 +481,28 @@ def test_level_loop_blocks_hold_any_step_counts_within_the_budget(monkeypatch):
         assert len(n) == 1 or n.sum() <= ctl.STOCH_BLOCK_STEPS
 
 
+def test_time_control_batches_are_one_density_kernel_call_each(monkeypatch):
+    # each of algorithm_d's time-control batches goes through the density
+    # kernel as one block of rows with any step counts, longest first;
+    # only a one-row block may take more steps than the budget.  The
+    # forward-only Monte Carlo phase runs one step-count group per call
+    density, forward = [], []
+    kernel = ctl._path_batch
+
+    def counted(model, paths, realizations, want_rho):
+        (density if want_rho else forward).append(paths.n_steps.copy())
+        return kernel(model, paths, realizations, want_rho)
+
+    monkeypatch.setattr(ctl, "_path_batch", counted)
+    report = algorithm_d(build_model("test5"), 0.02, stats=StatParams(m0=256))
+    assert len(density) == len(report.iterations)
+    assert all(len(set(n.tolist())) > 1 for n in density)
+    for n in density:
+        assert (n[1:] <= n[:-1]).all()
+        assert len(n) == 1 or n.sum() <= ctl.MESH_BLOCK_STEPS
+    assert all(len(set(n.tolist())) == 1 for n in forward)
+
+
 def test_mesh_batch_row_loop_adapter_matches_vectorized():
     m = build_model("test5")
     det = uniform_mesh(1.0, 5)
@@ -556,9 +578,10 @@ def _mesh(m, start, count, workers=1):
     return run_mesh_batch(m, uniform_mesh(1.0, 5), SeedConfig(), start, count, workers=workers)
 
 
-def _mesh_density(m, start, count):
+def _mesh_density(m, start, count, workers=1):
     return run_mesh_batch(
-        m, uniform_mesh(1.0, 5), SeedConfig(), start, count, tol=0.05, want_density=True
+        m, uniform_mesh(1.0, 5), SeedConfig(), start, count,
+        tol=0.05, want_density=True, workers=workers,
     )
 
 
@@ -631,26 +654,32 @@ def test_divergence_in_a_pool_worker_reaches_the_caller(monkeypatch, run, chunk_
     "run, chunk_name, make_model, start, count",
     [
         (_mesh, "MESH_CHUNK", diverging_model, 1062, 25),
+        (_mesh_density, "MESH_CHUNK", diverging_model, 1062, 25),
         (_stochastic, "STOCH_CHUNK", diverging_model, 1062, 25),
         (_mesh, "MESH_CHUNK", bad_mark_model, 1000, 30),
         (_stochastic, "STOCH_CHUNK", bad_mark_model, 1000, 30),
         (_stochastic, "STOCH_CHUNK", overflowing_density_model, 1003, 5),
     ],
-    ids=["mesh", "stochastic", "mesh-mark-shape", "stochastic-mark-shape", "stochastic-overflow"],
+    ids=[
+        "mesh", "mesh-density", "stochastic", "mesh-mark-shape", "stochastic-mark-shape",
+        "stochastic-overflow",
+    ],
 )
 def test_failing_realization_does_not_depend_on_chunking(
     monkeypatch, run, chunk_name, make_model, start, count
 ):
     # The error names the smallest failing realization whatever the chunk
-    # size and the level loop's block budget: the one a run with one-row
-    # chunks reaches first.
+    # size and the engine's block budget: the one a run with one-row
+    # chunks reaches first.  The forward-only mesh engine runs its
+    # step-count groups as they are, so its budget changes nothing there.
     m = make_model()
     seen = set()
-    default = ctl.STOCH_BLOCK_STEPS  # the mesh engine does not read it
+    budget_name = "MESH_BLOCK_STEPS" if chunk_name == "MESH_CHUNK" else "STOCH_BLOCK_STEPS"
+    default = getattr(ctl, budget_name)
     for chunk in (1, 7, 25, getattr(ctl, chunk_name)):
         monkeypatch.setattr(ctl, chunk_name, chunk)
         for workers, budget in ((1, 3), (1, 40), (1, default), (2, default)):
-            monkeypatch.setattr(ctl, "STOCH_BLOCK_STEPS", budget)
+            monkeypatch.setattr(ctl, budget_name, budget)
             with pytest.raises(JumpMCError) as exc:
                 run(m, start, count, workers=workers)
             error = exc.value

@@ -89,6 +89,9 @@ def test_grid_groups_place_every_jump_once_and_match_one_row_builds(chunk):
     )
     groups = build_grid_groups(det, *flat, horizon=HORIZON)
     assert [g.times.shape[1] for g in groups] == sorted({g.times.shape[1] for g in groups})
+    # rows first in memory, so a reduction over a row's steps runs on a
+    # contiguous run whatever the group's size
+    assert all(g.times.flags.c_contiguous for g in groups)
     placed = {}
     for g in groups:
         for b, row in enumerate(g.rows.tolist()):
