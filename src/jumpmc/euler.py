@@ -110,28 +110,22 @@ class PathBatch:
         """k_p for every step p: the rows that take step p are the first
         k_p.  Raises ParameterError unless the rows are ordered by
         descending step count."""
-        n_steps = self._descending()
+        n_steps = self.n_steps
+        if (n_steps[1:] > n_steps[:-1]).any():
+            raise ParameterError("paths must be ordered by descending step count")
         steps = np.arange(self.dt.shape[1])
         return len(n_steps) - np.searchsorted(n_steps[::-1], steps, side="right")
 
     def by_step_count(self):
         """(rows, n) for every step count n, longest first: ``rows`` is
-        the slice of the rows that take n steps, so ``[rows, :n]`` holds
-        their steps and no padding.  A reduction over a row's steps runs
-        on these, so numpy sees the same operands whatever the padding.
-        Raises ParameterError unless the rows are ordered by descending
-        step count."""
-        counts, first = np.unique(-self._descending(), return_index=True)
-        bounds = first.tolist() + [len(self.n_steps)]
-        return [
-            (slice(lo, hi), -n) for n, lo, hi in zip(counts.tolist(), bounds, bounds[1:])
-        ]
-
-    def _descending(self) -> Array:
-        n_steps = self.n_steps
-        if (n_steps[1:] > n_steps[:-1]).any():
-            raise ParameterError("paths must be ordered by descending step count")
-        return n_steps
+        the slice of the rows that take n steps (those that take step
+        n - 1 but not step n), so ``[rows, :n]`` holds their steps and no
+        padding.  A reduction over a row's steps runs on these, so numpy
+        sees the same operands whatever the padding.  Raises
+        ParameterError unless the rows are ordered by descending step
+        count."""
+        k = self.running().tolist() + [0]
+        return [(slice(k[n], k[n - 1]), n) for n in range(len(k) - 1, 0, -1) if k[n] < k[n - 1]]
 
 
 def stack_paths(model: JumpDiffusionModel, grids, dws) -> PathBatch:
