@@ -27,11 +27,7 @@ from .controller import (
     stopping_deterministic,
 )
 from .density import (
-    ErrorIndicators,
-    cutoff_density_D,
     cutoff_density_S,
-    error_indicators,
-    interval_step_sums,
     rho_per_interval,
     rho_per_step,
 )
@@ -71,10 +67,8 @@ from .jumps import (
     uniform_mesh,
 )
 from .model import (
-    Coefficients,
     JumpDiffusionModel,
     build_model,
-    eval_coefficients,
     finite_difference_adapter,
     oscillator_problem,
     pure_jump_problem,
@@ -88,10 +82,8 @@ __all__ = [
     "AdaptiveRunReport",
     "AugmentedGrid",
     "CapabilityError",
-    "Coefficients",
     "ConvergenceError",
     "DualWeights",
-    "ErrorIndicators",
     "EulerPath",
     "EvaluationError",
     "IntensityIntegral",
@@ -115,14 +107,10 @@ __all__ = [
     "build_model",
     "change_M",
     "control_time_error",
-    "cutoff_density_D",
     "cutoff_density_S",
-    "error_indicators",
     "euler_operator_derivatives",
     "euler_path",
-    "eval_coefficients",
     "finite_difference_adapter",
-    "interval_step_sums",
     "intensity_integral_for",
     "jump_operator_derivatives",
     "jump_times_from_exponentials",

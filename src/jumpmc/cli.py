@@ -31,8 +31,6 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .controller import (
     AdaptParams,
     StatParams,

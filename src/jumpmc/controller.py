@@ -55,7 +55,7 @@ set-up to result, every level runs the kernel on blocks of
 STOCH_BLOCK_STEPS, and the rows still refining are bisected together by
 ``euler.bridge_refine_batch``, which draws each row's bridge noise from
 its own Wiener stream at the row's position, the number of normals the
-stream has given (``control_time_error`` is the one-row case).
+stream has given (``control_time_error`` runs one realization).
 ``_setup_groups`` sets up a whole index range at once from
 counter-based draws (``rng.KeyedStream.draws``): every realization's
 jump times, marks (``jumps.sample_jump_chunk``) and Wiener normals come
@@ -88,9 +88,9 @@ import numpy as np
 
 # perfbench/run.py times layers by patching names on this module.  The
 # one-row euler_path, brownian_bridge_refine, backward_duals,
-# rho_per_step, sample_jumps and realization_streams are unused here, and
-# build_augmented_grid and sample_wiener_increments serve only
-# control_time_error; they are imported so that they stay patchable.
+# rho_per_step, sample_jumps, realization_streams, build_augmented_grid
+# and sample_wiener_increments are unused here: they serve only
+# perfbench's spans, and are imported so that they stay patchable.
 from .density import (  # noqa: F401
     INTERVAL_DENSITY_CALLBACKS,
     STEP_DENSITY_CALLBACKS,
@@ -119,11 +119,9 @@ from .euler import (  # noqa: F401
     euler_path,
     euler_terminal,
     sample_wiener_increments,
-    stack_paths,
     terminal_values,
 )
 from .jumps import (  # noqa: F401
-    JumpRealization,
     build_augmented_grid,
     build_grid_groups,
     check_mesh,
@@ -469,8 +467,7 @@ def _check_finite(values, realizations, what):
     finite = np.isfinite(values)
     if not finite.all():
         which = realizations[int(np.argmin(finite.reshape(len(finite), -1).all(axis=1)))]
-        named = "" if which is None else f" (realization {which})"
-        raise EvaluationError(f"{what} is not finite{named}", realization=which)
+        raise EvaluationError(f"{what} is not finite (realization {which})", realization=which)
 
 
 def _setup_groups(model, det, streams, start, count, integral):
@@ -737,9 +734,9 @@ class TimeControlledRealization:
 
 def control_time_error(
     model: JumpDiffusionModel,
-    jumps: JumpRealization,
     det: Array,
-    wiener_rng: np.random.Generator,
+    seeds: SeedConfig,
+    realization: int,
     *,
     tol: float,
     tol_t: float,
@@ -754,19 +751,11 @@ def control_time_error(
     Brownian-bridge noise refinement.  Steps never shrink below the floor
     (horizon * 2^-30); a realization that cannot refine further, or runs
     out of refinement levels, is returned with ``accepted=False``.  This
-    is the one-row case of the level loop ``algorithm_s`` runs.
+    is ``run_stochastic_batch`` of the one realization.
     """
-    _check_stochastic(tol, tol_t, n_a_bar)
-    model = as_vectorized(model)
-    grid = build_augmented_grid(det, jumps, horizon=model.horizon)
-    wiener = _OwnGenerator(wiener_rng)
-    dw = sample_wiener_increments(grid, wiener_rng, model.wiener_dim)
-    positions = np.array([dw.size])
-    out = _refine_levels(
-        model, [(np.zeros(1, dtype=np.intp), stack_paths(model, [grid], [dw]))],
-        np.array([None]), wiener, positions, tol, tol_t, n_a_bar, adapt,
+    out = run_stochastic_batch(
+        model, det, seeds, realization, 1, tol=tol, tol_t=tol_t, n_a_bar=n_a_bar, adapt=adapt
     )
-    wiener.draws("standard_normal", None, positions)  # the caller's generator goes on from there
     return TimeControlledRealization(
         payoff=float(out["payoff"][0]),
         n_a=int(out["n_a"][0]),
@@ -790,29 +779,13 @@ def _check_stochastic(tol, tol_t, n_a_bar):
         raise ParameterError(f"n_a_bar must be finite and positive, got {n_a_bar}")
 
 
-class _OwnGenerator:
-    """A ``KeyedStream`` stand-in for one row that draws from its own
-    generator: its stream is the generator's draws from where the
-    stand-in was made, so ``draws`` replays from there, and the
-    generator is left after the last ``draws``."""
-
-    def __init__(self, generator):
-        self.generator = generator
-        self.origin = generator.bit_generator.state
-
-    def draws(self, kind, realizations, counts):
-        self.generator.bit_generator.state = self.origin
-        return getattr(self.generator, kind)(int(np.sum(counts)))
-
-
 def _refine_levels(model, pieces, realizations, wiener, positions, tol, tol_t, n_a_bar, adapt):
     """Per-realization adaptive refinement, one level at a time.
 
     ``pieces`` are (rows, PathBatch) pairs that together hold every row
-    once; ``realizations[row]`` is the row's absolute index (None for a
-    row without one) and ``positions[row]`` the number of normals its
-    Wiener stream in ``wiener`` (a ``KeyedStream`` or a stand-in with its
-    ``draws``) has given.  Each level runs its rows through
+    once; ``realizations[row]`` is the row's absolute index and
+    ``positions[row]`` the number of normals its Wiener stream in the
+    ``KeyedStream`` ``wiener`` has given.  Each level runs its rows through
     ``_path_batch`` in the blocks of ``_ragged_blocks``; the rows that
     fail the acceptance test are bisected by ``bridge_refine_batch``, in
     the order a lone run of the row would draw its bridges, and each
@@ -1169,9 +1142,10 @@ def algorithm_s(
 ) -> AdaptiveRunReport:
     """Per-realization adaptive time stepping with batched sample control.
 
-    Every realization adapts its own mesh as in ``control_time_error``; the
-    acceptance thresholds scale with the mean final step count of the
-    previous batch (the initial mesh size for the first batch).  Batches
+    Every realization adapts its own mesh (``run_stochastic_batch``;
+    ``control_time_error`` runs one realization); the acceptance
+    thresholds scale with the mean final step count of the previous
+    batch (the initial mesh size for the first batch).  Batches
     grow by change_M until the payoff's statistical bound meets the
     budget.  Raises ConvergenceError at the batch cap, with partial rows
     on the exception as ``exc.batches``.

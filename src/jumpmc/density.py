@@ -18,7 +18,7 @@ uses the raw signed values.
 ``rho_batch`` evaluates the per-step density of a block of paths from
 callback values already evaluated, and ``interval_sums`` reduces per-step
 contributions over the deterministic intervals; both drivers use them,
-and ``rho_per_step`` and ``interval_step_sums`` are their one-row cases.
+and ``rho_per_step`` is the one-row case of ``rho_batch``.
 ``rho_interval_batch`` is the batched interval density, and
 ``rho_per_interval`` its one-row case.
 
@@ -45,8 +45,6 @@ form of ``second_moment_arrays``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .duals import (
@@ -66,16 +64,6 @@ from .jumps import interval_of_steps
 from .model import JumpDiffusionModel, as_vectorized
 
 Array = np.ndarray
-
-
-@dataclass(frozen=True)
-class ErrorIndicators:
-    """Densities, their widths, and indicators r = density * width^2."""
-
-    density: Array
-    widths: Array
-    r: Array
-    total: float
 
 
 STEP_DENSITY_CALLBACKS = [
@@ -317,33 +305,3 @@ def interval_sums(contrib: Array, times: Array, det: Array) -> Array:
     acc = np.zeros((B, n_det))
     np.add.at(acc.reshape(-1), (np.arange(B)[:, None] * n_det + iv).ravel(), contrib.ravel())
     return acc
-
-
-def interval_step_sums(rho_steps: Array, grid) -> Array:
-    """Signed sums of dt^2-weighted per-step density over each interval
-    (``interval_sums`` with one row)."""
-    contrib = np.asarray(rho_steps, float) * grid.dt ** 2
-    return interval_sums(contrib[None], grid.times[None], grid.det_times)[0]
-
-
-def cutoff_density_D(rho_steps: Array, grid, tol: float) -> Array:
-    """Per-interval refinement density from the per-step one.
-
-    The per-step contributions dt^2 rho are summed over each deterministic
-    interval, normalized by the squared interval width, and clamped like
-    the per-step density.
-    """
-    widths = np.diff(grid.det_times)
-    return cutoff_density_S(interval_step_sums(rho_steps, grid) / widths ** 2, tol)
-
-
-def error_indicators(density: Array, widths: Array) -> ErrorIndicators:
-    """Per-piece indicators r = density * width^2 and their total."""
-    density = np.asarray(density, float)
-    widths = np.asarray(widths, float)
-    if density.shape != widths.shape:
-        raise ParameterError(
-            f"density and widths must align, got {density.shape} vs {widths.shape}"
-        )
-    r = density * widths ** 2
-    return ErrorIndicators(density=density, widths=widths, r=r, total=float(np.sum(r)))

@@ -182,23 +182,6 @@ def _einsum_plan(spec: str, keys):
     return cuts, tuple(ranges[c][0] for c in output)
 
 
-def _plan_einsum(spec: str, a, b):
-    if type(a) is not Box and type(b) is not Box:
-        return None
-    ranks = _letters(spec)[2]
-    return _einsum_plan(spec, (_key(a, ranks[0]), _key(b, ranks[1])))
-
-
-def _run_einsum(plan, spec: str, a, b):
-    if plan is None:
-        return _einsum(spec, a, b)
-    (cut_a, cut_b), lo = plan
-    a = a.value if type(a) is Box else a
-    b = b.value if type(b) is Box else b
-    value = _einsum(spec, a if cut_a is None else a[cut_a], b if cut_b is None else b[cut_b])
-    return value if lo is None else Box(value, lo)
-
-
 def box_einsum(spec: str, a, b):
     """``np.einsum(spec, a, b)`` for Boxes and dense arrays, whose
     subscripts end in ``...`` for the lead axes.
@@ -209,7 +192,14 @@ def box_einsum(spec: str, a, b):
     a dense array when every output letter covers the full range of a
     dense operand, else the Box of the output letters.
     """
-    return _run_einsum(_plan_einsum(spec, a, b), spec, a, b)
+    if type(a) is not Box and type(b) is not Box:
+        return _einsum(spec, a, b)
+    ranks = _letters(spec)[2]
+    (cut_a, cut_b), lo = _einsum_plan(spec, (_key(a, ranks[0]), _key(b, ranks[1])))
+    a = a.value if type(a) is Box else a
+    b = b.value if type(b) is Box else b
+    value = _einsum(spec, a if cut_a is None else a[cut_a], b if cut_b is None else b[cut_b])
+    return value if lo is None else Box(value, lo)
 
 
 @functools.lru_cache(maxsize=None)
@@ -235,20 +225,20 @@ def _sum_plan(keys):
     return None if dense else lo, extent, parts
 
 
-def _plan_sum(terms):
+def box_sum(*terms, owned: bool = False):
+    """The sum of Boxes and dense arrays of one tensor rank, on the
+    bounding box of the non-empty terms: the first is copied into its
+    part of that box and the others are added into theirs, in order,
+    which is the full sum up to the sign of a zero.  Dense when that box
+    is a dense term's.  ``owned`` says the first term is a dense array of
+    the sum's shape that the caller gives up to hold the sum."""
     rank = next((len(t.lo) for t in terms if type(t) is Box), None)
     if rank is None:
-        return None
-    return _sum_plan(tuple(_key(t, rank) for t in terms))
-
-
-def _run_sum(plan, terms, owned: bool):
-    if plan is None:
         out = terms[0] if owned else terms[0] + terms[1]
         for term in terms[1 + (not owned):]:
             out += term
         return out
-    lo, extent, parts = plan
+    lo, extent, parts = _sum_plan(tuple(_key(t, rank) for t in terms))
     (k, where), *rest = parts
     if owned and k == 0 and where is None:
         out = terms[0]
@@ -262,49 +252,6 @@ def _run_sum(plan, terms, owned: bool):
         view = out if where is None else out[where]
         view += term.value if type(term) is Box else term
     return out if lo is None else Box(out, lo)
-
-
-def box_sum(*terms, owned: bool = False):
-    """The sum of Boxes and dense arrays of one tensor rank, on the
-    bounding box of the non-empty terms: the first is copied into its
-    part of that box and the others are added into theirs, in order,
-    which is the full sum up to the sign of a zero.  Dense when that box
-    is a dense term's.  ``owned`` says the first term is a dense array of
-    the sum's shape that the caller gives up to hold the sum."""
-    return _run_sum(_plan_sum(terms), terms, owned)
-
-
-class _Replay:
-    """``box_einsum`` and ``box_sum`` for a sequence of calls that runs
-    again and again on operands with the same boxes.  Working out a plan
-    costs more than a contraction of a few rows, so the sequence's plans
-    are recorded on its first run, under ``key``, and replayed in order
-    on the next ones."""
-
-    _plans = {}
-
-    def __init__(self, key):
-        self.key = key
-        plans = self._plans.get(key)
-        self.recorded = [] if plans is None else None
-        self.next = iter(plans or ()).__next__
-
-    def _plan(self, make, *args):
-        if self.recorded is None:
-            return self.next()
-        plan = make(*args)
-        self.recorded.append(plan)
-        return plan
-
-    def einsum(self, spec: str, a, b):
-        return _run_einsum(self._plan(_plan_einsum, spec, a, b), spec, a, b)
-
-    def sum(self, *terms, owned: bool = False):
-        return _run_sum(self._plan(_plan_sum, terms), terms, owned)
-
-    def done(self):
-        if self.recorded is not None:
-            self._plans[self.key] = self.recorded
 
 
 def _scale(s, x):
@@ -469,33 +416,31 @@ def propagate(G, phi):
     G2[, G3]]), all rows last: tensor axes first, the row axis at the
     end.  The length of ``phi`` is the order.  G2 and G3 may be Boxes;
     G1 and the weights are dense, and so are the results."""
-    ops = _Replay((len(phi),) + tuple(_key(g, k + 2) for k, g in enumerate(G)))
     G1 = G[0]
-    out = [ops.einsum("ji...,j...->i...", G1, phi[0])]
+    out = [box_einsum("ji...,j...->i...", G1, phi[0])]
     if len(phi) >= 2:
-        v = ops.einsum("ji...,jp...->ip...", G1, phi[1])
+        v = box_einsum("ji...,jp...->ip...", G1, phi[1])
         out.append(
-            ops.sum(
-                ops.einsum("ip...,pk...->ik...", v, G1),
-                ops.einsum("jik...,j...->ik...", G[1], phi[0]),
+            box_sum(
+                box_einsum("ip...,pk...->ik...", v, G1),
+                box_einsum("jik...,j...->ik...", G[1], phi[0]),
                 owned=True,
             )
         )
     if len(phi) >= 3:
-        t0 = ops.einsum("ji...,jpr...->ipr...", G1, phi[2])
-        t0 = ops.einsum("ipr...,pk...->ikr...", t0, G1)
-        t0 = ops.einsum("ikr...,rm...->ikm...", t0, G1)
-        term2 = ops.einsum("ip...,pkm...->ikm...", v, G[1])
-        u = ops.einsum("jik...,jp...->ikp...", G[1], phi[1])
-        w = ops.einsum("ikp...,pm...->ikm...", u, G1)
+        t0 = box_einsum("ji...,jpr...->ipr...", G1, phi[2])
+        t0 = box_einsum("ipr...,pk...->ikr...", t0, G1)
+        t0 = box_einsum("ikr...,rm...->ikm...", t0, G1)
+        term2 = box_einsum("ip...,pkm...->ikm...", v, G[1])
+        u = box_einsum("jik...,jp...->ikp...", G[1], phi[1])
+        w = box_einsum("ikp...,pm...->ikm...", u, G1)
         out.append(
-            ops.sum(
+            box_sum(
                 t0, term2, w, _swap(w, 1, 2),
-                ops.einsum("jikm...,j...->ikm...", G[2], phi[0]),
+                box_einsum("jikm...,j...->ikm...", G[2], phi[0]),
                 owned=True,
             )
         )
-    ops.done()
     return out
 
 

@@ -322,30 +322,6 @@ def _absorb(dw, first, second):
     )
 
 
-def _as_mask(refined_steps, n_steps: int) -> Array:
-    if isinstance(refined_steps, (set, frozenset)):
-        refined_steps = sorted(refined_steps)
-    arr = np.asarray(refined_steps)
-    if arr.dtype == bool:
-        if arr.shape != (n_steps,):
-            raise ParameterError(
-                f"mask must have shape ({n_steps},), got {arr.shape}"
-            )
-        return arr
-    try:
-        idx = np.asarray(refined_steps, dtype=np.intp).ravel()
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(
-            "refined_steps must be a boolean mask or integer step indices"
-        ) from exc
-    out = np.zeros(n_steps, dtype=bool)
-    for i in idx:
-        if not 0 <= i < n_steps:
-            raise ParameterError(f"step index {i} out of range [0, {n_steps})")
-        out[i] = True
-    return out
-
-
 def brownian_bridge_refine(
     grid: AugmentedGrid,
     dw: Array,
@@ -356,10 +332,9 @@ def brownian_bridge_refine(
 ):
     """Bisect the selected steps, extending the increments by bridges.
 
-    ``refined_steps`` is a boolean mask over steps or an iterable of step
-    indices.  Midpoint nodes are neither jump nodes nor deterministic
-    nodes.  Bridge noise is drawn left to right so the stream stays
-    reproducible.  Refining a step whose halves would fall below the
+    ``refined_steps`` is a boolean mask over steps.  Midpoint nodes are
+    neither jump nodes nor deterministic nodes.  Bridge noise is drawn
+    left to right so the stream stays reproducible.  Refining a step whose halves would fall below the
     minimum step floor (horizon * 2^-30 by default) raises
     RefinementDepthError.  Returns the refined grid and increments.
     """
@@ -367,7 +342,12 @@ def brownian_bridge_refine(
         raise ParameterError(
             f"increments must have shape ({grid.n_steps}, wiener_dim), got {np.shape(dw)}"
         )
-    mask = _as_mask(refined_steps, grid.n_steps)
+    mask = np.asarray(refined_steps)
+    if mask.dtype != bool or mask.shape != (grid.n_steps,):
+        raise ParameterError(
+            f"refined_steps must be a boolean mask of shape ({grid.n_steps},), "
+            f"got {mask.dtype} {mask.shape}"
+        )
     times = grid.times
     dt = grid.dt
     if min_step is None:
@@ -508,7 +488,7 @@ def bridge_refine_batch(paths: PathBatch, mask: Array, wiener, realizations, pos
 
     The rows may have different step counts, in any order, and ``mask``
     is False past each row's last step.  ``wiener`` is an
-    ``rng.KeyedStream``, or a stand-in with its ``draws``.  The bridge
+    ``rng.KeyedStream``.  The bridge
     normals of every refined row are read from its position on in stream
     order, and ``bridge_split`` runs on every split step at once
     (``_bridge_splits``).  Returns ``(rows, refined, ends)``: the indices

@@ -206,13 +206,7 @@ def jump_times_from_exponentials(
 
 def sample_jump_times(integral: IntensityIntegral, rng: np.random.Generator) -> Array:
     """Draw one realization of the jump times on [0, horizon)."""
-    total = integral.total
-    times = []
-    s = rng.exponential()
-    while s < total:
-        times.append(integral.inverse(s))
-        s += rng.exponential()
-    return np.array(times)
+    return jump_times_from_exponentials(integral, iter(rng.exponential, None))
 
 
 def _mark_rows(model: JumpDiffusionModel, marks) -> Array:

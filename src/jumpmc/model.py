@@ -35,11 +35,11 @@ import dataclasses
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CapabilityError, EvaluationError, ParameterError
+from .errors import CapabilityError, ParameterError
 
 Array = np.ndarray
 
@@ -236,30 +236,6 @@ def as_vectorized(model: JumpDiffusionModel) -> JumpDiffusionModel:
         if getattr(model, name) is not None
     }
     return dataclasses.replace(model, vectorized=True, **loops)
-
-
-class Coefficients(NamedTuple):
-    """Drift, diffusion and second-moment matrix at one (t, x)."""
-
-    a: Array  # (..., d)
-    b: Array  # (..., d, l0)
-    d: Array  # (..., d, d), equal to b b^T / 2
-
-
-def eval_coefficients(model: JumpDiffusionModel, t, x) -> Coefficients:
-    """Evaluate drift, diffusion and d = b b^T / 2 at (t, x).
-
-    Raises EvaluationError naming the offending coefficient when a value
-    comes back non-finite.
-    """
-    a = np.asarray(model.drift(t, x), float)
-    if not np.all(np.isfinite(a)):
-        raise EvaluationError(f"drift returned non-finite values at t={t}")
-    b = np.asarray(model.diffusion(t, x), float)
-    if not np.all(np.isfinite(b)):
-        raise EvaluationError(f"diffusion returned non-finite values at t={t}")
-    d = 0.5 * b @ np.swapaxes(b, -1, -2)
-    return Coefficients(a, b, d)
 
 
 def _oscillator_callbacks():

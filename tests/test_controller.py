@@ -225,14 +225,13 @@ def test_stochastic_batch_worker_invariance(monkeypatch):
 def test_control_time_error_pure_jump_accepts_immediately():
     m = build_model("purejump")
     seeds = SeedConfig()
-    integral = intensity_integral_for(m)
-    wiener, jump_rng, mark_rng = realization_streams(seeds, 3)
-    jumps = sample_jumps(m, integral, jump_rng, mark_rng)
+    _, jump_rng, mark_rng = realization_streams(seeds, 3)
+    jumps = sample_jumps(m, intensity_integral_for(m), jump_rng, mark_rng)
     out = control_time_error(
         m,
-        jumps,
         uniform_mesh(1.0, 5),
-        wiener,
+        seeds,
+        3,
         tol=0.04,
         tol_t=0.04 / 3.0,
         n_a_bar=5.0,
@@ -406,20 +405,21 @@ def test_level_loop_matches_scalar_reference_at_an_offset():
             assert res[key][i] == ref[key], (i, key)
 
 
-def test_control_time_error_leaves_the_generator_after_its_normals():
+def test_control_time_error_matches_the_reference_and_the_batch():
     # realizations 0-99 at TOL 0.04 include rows whose bridge splits
     # reach a redraw round
     m = build_model("test5")
     det = uniform_mesh(1.0, 5)
     seeds = SeedConfig()
     kw = dict(tol=0.04, tol_t=split_tolerance(0.04).time, n_a_bar=5.0, adapt=AdaptParams())
-    integral = intensity_integral_for(m)
+    batch = run_stochastic_batch(m, det, seeds, 0, 100, **kw)
+    fields = {key: key for key in EXACT_KEYS}
+    fields.update(signed_time_error="signed_total", r_total="r_total")
     for i in range(100):
+        out = control_time_error(m, det, seeds, i, **kw)
         ref = reference_realization(m, seeds, i, det, **kw)
-        wiener, jump_rng, mark_rng = realization_streams(seeds, i)
-        jumps = sample_jumps(m, integral, jump_rng, mark_rng)
-        control_time_error(m, jumps, det, wiener, **kw)
-        np.testing.assert_array_equal(wiener.standard_normal(4), ref["next_normals"], str(i))
+        for field, key in fields.items():
+            assert getattr(out, field) == ref[key] == batch[key][i], (i, field)
 
 
 def test_control_time_error_level_cap_reports_last_mesh():
@@ -433,9 +433,7 @@ def test_control_time_error_level_cap_reports_last_mesh():
         adapt=AdaptParams(max_refinements=1),
     )
     ref = reference_realization(m, seeds, 2, det, **kw)
-    wiener, jump_rng, mark_rng = realization_streams(seeds, 2)
-    jumps = sample_jumps(m, intensity_integral_for(m), jump_rng, mark_rng)
-    out = control_time_error(m, jumps, det, wiener, **kw)
+    out = control_time_error(m, det, seeds, 2, **kw)
     assert not out.accepted and out.levels == 1
     assert out.n_a == ref["n_a"] and out.work == ref["work"]
     assert out.payoff == ref["payoff"]
@@ -752,10 +750,8 @@ def test_stochastic_control_rejects_bad_thresholds(tol_t, n_a_bar):
     kw = dict(tol=0.04, tol_t=tol_t, n_a_bar=n_a_bar)
     with pytest.raises(ParameterError):
         run_stochastic_batch(m, det, SeedConfig(), 0, 10, **kw)
-    wiener, jump_rng, mark_rng = realization_streams(SeedConfig(), 0)
-    jumps = sample_jumps(m, intensity_integral_for(m), jump_rng, mark_rng)
     with pytest.raises(ParameterError):
-        control_time_error(m, jumps, det, wiener, **kw)
+        control_time_error(m, det, SeedConfig(), 0, **kw)
 
 
 @pytest.mark.parametrize("engine", ["mesh", "stochastic", "control"])
@@ -763,14 +759,11 @@ def test_stochastic_control_rejects_bad_thresholds(tol_t, n_a_bar):
 def test_a_bad_density_tol_is_rejected_before_any_work(monkeypatch, engine, tol):
     m = build_model("test5")
     det = uniform_mesh(1.0, 5)
-    wiener, jump_rng, mark_rng = realization_streams(SeedConfig(), 0)
-    jumps = sample_jumps(m, intensity_integral_for(m), jump_rng, mark_rng)
 
     def no_work(*args, **kwargs):
         raise AssertionError("work ran with an invalid TOL")
 
     monkeypatch.setattr(ctl, "_setup_groups", no_work)
-    monkeypatch.setattr(ctl, "build_augmented_grid", no_work)
     kw = dict(tol=tol, tol_t=0.01, n_a_bar=5.0)
     with pytest.raises(ParameterError, match="TOL must lie in"):
         if engine == "mesh":
@@ -778,7 +771,7 @@ def test_a_bad_density_tol_is_rejected_before_any_work(monkeypatch, engine, tol)
         elif engine == "stochastic":
             run_stochastic_batch(m, det, SeedConfig(), 0, 10, **kw)
         else:
-            control_time_error(m, jumps, det, wiener, **kw)
+            control_time_error(m, det, SeedConfig(), 0, **kw)
 
 
 @pytest.mark.parametrize("count", [0, -3])

@@ -9,11 +9,8 @@ from jumpmc import (
     backward_duals,
     build_augmented_grid,
     build_model,
-    cutoff_density_D,
     cutoff_density_S,
-    error_indicators,
     euler_path,
-    interval_step_sums,
     no_jumps,
     rho_per_interval,
     rho_per_step,
@@ -185,6 +182,14 @@ def test_cutoff_band_invariant_randomized():
         assert np.all(out >= tol ** (1.0 / 9.0)) and np.all(out <= 1.0 / tol)
 
 
+def _interval_cutoff(rho, grid, tol):
+    """The per-interval refinement density of one path's per-step rho:
+    interval sums of rho dt^2 over the squared widths, clamped."""
+    widths = np.diff(grid.det_times)
+    sums = interval_sums((rho * grid.dt ** 2)[None], grid.times[None], grid.det_times)[0]
+    return sums, cutoff_density_S(sums / widths ** 2, tol)
+
+
 def test_interval_aggregation_example():
     # Coarse step 0.2 holding substeps 0.1/0.1 with rho 3 and 5:
     # |0.01*3 + 0.01*5| / 0.04 = 2, inside the clamp band.
@@ -192,17 +197,13 @@ def test_interval_aggregation_example():
     jumps = JumpRealization(times=np.array([0.1]), marks=np.array([[0.0]]))
     grid = build_augmented_grid(det, jumps, horizon=0.2)
     np.testing.assert_allclose(grid.dt, [0.1, 0.1])
-    sums = interval_step_sums(np.array([3.0, 5.0]), grid)
+    sums, out = _interval_cutoff(np.array([3.0, 5.0]), grid, 0.01)
     assert sums[0] == pytest.approx(0.08, rel=1e-14)
-    out = cutoff_density_D(np.array([3.0, 5.0]), grid, 0.01)
     assert out[0] == pytest.approx(2.0, rel=1e-14)
     # Signed aggregation keeps the sign; the clamp takes the magnitude.
-    assert interval_step_sums(np.array([-3.0, -5.0]), grid)[0] == pytest.approx(
-        -0.08, rel=1e-14
-    )
-    assert cutoff_density_D(np.array([-3.0, -5.0]), grid, 0.01)[0] == pytest.approx(
-        2.0, rel=1e-14
-    )
+    sums, out = _interval_cutoff(np.array([-3.0, -5.0]), grid, 0.01)
+    assert sums[0] == pytest.approx(-0.08, rel=1e-14)
+    assert out[0] == pytest.approx(2.0, rel=1e-14)
 
 
 def test_interval_cutoff_matches_step_cutoff_without_jumps():
@@ -211,26 +212,10 @@ def test_interval_cutoff_matches_step_cutoff_without_jumps():
     for _ in range(10):
         rho = rng.standard_normal(4) * 3.0
         np.testing.assert_allclose(
-            cutoff_density_D(rho, grid, 0.02),
+            _interval_cutoff(rho, grid, 0.02)[1],
             cutoff_density_S(rho, 0.02),
             rtol=1e-13,
         )
-
-
-def test_error_indicators_arithmetic():
-    single = error_indicators(np.array([1.0]), np.array([0.1]))
-    assert single.r[0] == pytest.approx(0.01, rel=1e-15)
-    pair = error_indicators(np.array([2.0, 8.0]), np.array([0.5, 0.25]))
-    assert pair.total == pytest.approx(1.0, rel=1e-15)
-    # Halving a step with the same density quarters its indicator.
-    r_full = error_indicators(np.array([3.0]), np.array([0.4])).r[0]
-    r_half = error_indicators(np.array([3.0]), np.array([0.2])).r[0]
-    assert r_half == pytest.approx(r_full / 4.0, rel=1e-14)
-
-
-def test_error_indicators_shape_mismatch():
-    with pytest.raises(ParameterError):
-        error_indicators(np.zeros(3), np.zeros(2))
 
 
 def reference_rho_per_interval(m, path, duals):

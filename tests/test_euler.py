@@ -184,7 +184,7 @@ def test_refine_bisects_selected_steps():
     grid = plain_grid(2)
     rng = np.random.Generator(np.random.Philox(key=7))
     dw = sample_wiener_increments(grid, rng, 1)
-    refined, new_dw = brownian_bridge_refine(grid, dw, [0], rng)
+    refined, new_dw = brownian_bridge_refine(grid, dw, np.array([True, False]), rng)
     np.testing.assert_allclose(refined.times, [0.0, 0.25, 0.5, 1.0])
     assert refined.n_steps == 3
     # New midpoint is neither deterministic nor a jump node.
@@ -196,29 +196,14 @@ def test_refine_bisects_selected_steps():
     np.testing.assert_array_equal(refined.det_times, grid.det_times)
 
 
-def test_refine_accepts_index_and_mask_forms():
-    grid = plain_grid(4)
-    rng = np.random.Generator(np.random.Philox(key=9))
-    dw = sample_wiener_increments(grid, rng, 1)
-    mask = np.array([True, False, True, False])
-    g1, d1 = brownian_bridge_refine(
-        grid, dw, mask, np.random.Generator(np.random.Philox(key=10))
-    )
-    g2, d2 = brownian_bridge_refine(
-        grid, dw, [0, 2], np.random.Generator(np.random.Philox(key=10))
-    )
-    np.testing.assert_array_equal(g1.times, g2.times)
-    np.testing.assert_array_equal(d1, d2)
-
-
 def test_refine_rejects_bad_selectors():
     grid = plain_grid(3)
     dw = np.zeros((3, 1))
     rng = np.random.Generator(np.random.Philox(key=2))
     with pytest.raises(ParameterError):
-        brownian_bridge_refine(grid, dw, [3], rng)
-    with pytest.raises(ParameterError):
         brownian_bridge_refine(grid, dw, np.zeros(2, bool), rng)
+    with pytest.raises(ParameterError):  # step indices, not a mask
+        brownian_bridge_refine(grid, dw, [0, 1, 2], rng)
 
 
 def test_refine_rejects_increments_of_the_wrong_shape():
@@ -226,7 +211,7 @@ def test_refine_rejects_increments_of_the_wrong_shape():
     rng = np.random.Generator(np.random.Philox(key=2))
     for dw in (np.zeros((9, 1)), np.zeros((3, 1)), np.zeros(6), np.zeros((6, 1, 1))):
         with pytest.raises(ParameterError):
-            brownian_bridge_refine(grid, dw, [0], rng)
+            brownian_bridge_refine(grid, dw, np.ones(6, bool), rng)
 
 
 def test_refine_below_floor_raises():
@@ -235,9 +220,9 @@ def test_refine_below_floor_raises():
     dw = np.zeros((2, 1))
     rng = np.random.Generator(np.random.Philox(key=3))
     with pytest.raises(RefinementDepthError):
-        brownian_bridge_refine(grid, dw, [0], rng)
+        brownian_bridge_refine(grid, dw, np.array([True, False]), rng)
     # The wide step is still splittable.
-    refined, _ = brownian_bridge_refine(grid, dw, [1], rng)
+    refined, _ = brownian_bridge_refine(grid, dw, np.array([False, True]), rng)
     assert refined.n_steps == 3
 
 

@@ -7,10 +7,8 @@ import pytest
 
 from jumpmc import (
     CapabilityError,
-    EvaluationError,
     ParameterError,
     build_model,
-    eval_coefficients,
     finite_difference_adapter,
     oscillator_problem,
     pure_jump_problem,
@@ -24,18 +22,18 @@ def test_oscillator_coefficients_frozen_point():
     m = oscillator_problem()
     t = 0.0
     x = np.array([math.pi / 2.0, 1.0])
-    out = eval_coefficients(m, t, x)
-    np.testing.assert_allclose(out.a, [-1.0, math.pi / 2.0 + 0.5], rtol=1e-15)
-    np.testing.assert_allclose(out.b, [[1.0], [0.0]], atol=1e-15)
-    np.testing.assert_allclose(out.d, [[0.5, 0.0], [0.0, 0.0]], atol=1e-15)
+    b = m.diffusion(t, x)
+    np.testing.assert_allclose(m.drift(t, x), [-1.0, math.pi / 2.0 + 0.5], rtol=1e-15)
+    np.testing.assert_allclose(b, [[1.0], [0.0]], atol=1e-15)
+    np.testing.assert_allclose(0.5 * b @ b.T, [[0.5, 0.0], [0.0, 0.0]], atol=1e-15)
 
 
 def test_oscillator_coefficients_at_origin():
     m = oscillator_problem()
-    out = eval_coefficients(m, 0.0, np.zeros(2))
-    np.testing.assert_allclose(out.a, [0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(out.b, [[0.0], [0.0]], atol=1e-15)
-    np.testing.assert_allclose(out.d, np.zeros((2, 2)), atol=1e-15)
+    b = m.diffusion(0.0, np.zeros(2))
+    np.testing.assert_allclose(m.drift(0.0, np.zeros(2)), [0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(b, [[0.0], [0.0]], atol=1e-15)
+    np.testing.assert_allclose(0.5 * b @ b.T, np.zeros((2, 2)), atol=1e-15)
 
 
 def test_second_moment_symmetry():
@@ -44,8 +42,9 @@ def test_second_moment_symmetry():
     for _ in range(20):
         t = rng.uniform(0.0, 1.0)
         x = rng.normal(size=2)
-        out = eval_coefficients(m, t, x)
-        np.testing.assert_allclose(out.d, out.d.T, atol=1e-15)
+        b = m.diffusion(t, x)
+        d = 0.5 * b @ b.T
+        np.testing.assert_allclose(d, d.T, atol=1e-15)
         d_t, d_x, d_xx = second_moment_derivatives(m, t, x)
         np.testing.assert_allclose(d_t, np.swapaxes(d_t, 0, 1), atol=1e-15)
         np.testing.assert_allclose(d_x, np.swapaxes(d_x, 0, 1), atol=1e-15)
@@ -172,24 +171,6 @@ def test_require_reports_missing_callbacks():
     )
     with pytest.raises(CapabilityError, match="drift_x"):
         base.require("drift", "drift_x", "payoff_x")
-
-
-def test_eval_coefficients_flags_nonfinite():
-    bad = JumpDiffusionModel(
-        dim=1,
-        wiener_dim=1,
-        mark_dim=1,
-        drift=lambda t, x: np.full_like(x, np.nan),
-        diffusion=lambda t, x: np.zeros(x.shape + (1,)),
-        jump=lambda t, x, z: np.zeros_like(x),
-        intensity=lambda t: 0.0,
-        intensity_bound=0.0,
-        mark_sampler=lambda t, rng: np.array([0.0]),
-        payoff=lambda x: x[..., 0],
-        horizon=1.0,
-    )
-    with pytest.raises(EvaluationError, match="drift"):
-        eval_coefficients(bad, 0.0, np.zeros(1))
 
 
 def test_model_validation():

@@ -18,7 +18,7 @@ from dataclasses import replace  # noqa: E402
 from jumpmc import SeedConfig, build_model, uniform_mesh  # noqa: E402
 from jumpmc import controller as ctl  # noqa: E402
 from jumpmc.errors import PathDivergenceError  # noqa: E402
-from jumpmc.euler import concat_paths, euler_terminal  # noqa: E402
+from jumpmc.euler import concat_paths, euler_terminal, stack_paths  # noqa: E402
 from jumpmc.jumps import intensity_integral_for  # noqa: E402
 from jumpmc.model import as_vectorized  # noqa: E402
 from jumpmc.rng import keyed_streams  # noqa: E402
@@ -35,7 +35,7 @@ def group():
     group, paths = next((g, p) for g, p in groups if p.dt.shape[1] == 6)
     rows = [(group.grid(b), paths.dw[b], i) for b, i in enumerate(group.rows.tolist())]
     alone = [
-        ctl._path_batch(m, ctl.stack_paths(m, [g], [w]), [i], True) for g, w, i in rows
+        ctl._path_batch(m, stack_paths(m, [g], [w]), [i], True) for g, w, i in rows
     ]
     return m, rows, alone
 
@@ -47,7 +47,7 @@ def test_batched_rows_match_their_one_row_result(group, data):
     picked = data.draw(
         st.lists(st.integers(0, len(rows) - 1), min_size=1, unique=True), label="rows"
     )
-    paths = ctl.stack_paths(m, [rows[r][0] for r in picked], [rows[r][1] for r in picked])
+    paths = stack_paths(m, [rows[r][0] for r in picked], [rows[r][1] for r in picked])
     payoff, rho = ctl._path_batch(m, paths, [rows[r][2] for r in picked], True)
     for b, r in enumerate(picked):
         alone_payoff, alone_rho = alone[r]
