@@ -162,29 +162,34 @@ def philox_words(seed: int, stream_id: int, realizations, blocks) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # words to draws, as numpy's Generator makes them (one word each on the
-# fast path); each returns (values, accepted)
+# fast path); each returns (values, accepted), its values written to
+# ``out`` if given.  A table index is read from the words seen as int64,
+# which index without a cast.
+
+# numpy's normal fast path reads the sign from bit 8 of a word, so the
+# low 9 bits index a width table that carries the sign: negating a
+# product is exact, and 0 times a negative width is numpy's -0.0
+_WI_SIGNED = np.concatenate([WI_DOUBLE, -WI_DOUBLE])
+_KI_TWICE = np.concatenate([KI_DOUBLE, KI_DOUBLE])
 
 
-def standard_normal(words):
+def standard_normal(words, out=None):
     """Ziggurat fast path of ``Generator.standard_normal``."""
-    idx = (words & np.uint64(0xFF)).astype(np.intp)
-    r = words >> np.uint64(8)
-    rabs = (r >> np.uint64(1)) & np.uint64(0x000FFFFFFFFFFFFF)
-    x = rabs.astype(np.float64) * WI_DOUBLE[idx]
-    return np.where((r & np.uint64(1)).astype(bool), -x, x), rabs < KI_DOUBLE[idx]
+    idx = words.view(np.int64) & 0x1FF
+    rabs = (words >> np.uint64(9)) & np.uint64(0x000FFFFFFFFFFFFF)
+    return np.multiply(rabs, _WI_SIGNED[idx], out=out), rabs < _KI_TWICE[idx]
 
 
-def standard_exponential(words):
+def standard_exponential(words, out=None):
     """Ziggurat fast path of ``Generator.standard_exponential``."""
-    r = words >> np.uint64(3)
-    idx = (r & np.uint64(0xFF)).astype(np.intp)
-    r = r >> np.uint64(8)
-    return r.astype(np.float64) * WE_DOUBLE[idx], r < KE_DOUBLE[idx]
+    idx = (words.view(np.int64) >> 3) & 0xFF
+    r = words >> np.uint64(11)
+    return np.multiply(r, WE_DOUBLE[idx], out=out), r < KE_DOUBLE[idx]
 
 
-def random(words):
+def random(words, out=None):
     """``Generator.random``: the top 53 bits over 2**53; never rejects."""
-    x = (words >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+    x = np.multiply(words >> np.uint64(11), 1.0 / 9007199254740992.0, out=out)
     return x, np.ones(x.shape, dtype=bool)
 
 
@@ -196,13 +201,6 @@ _KINDS = {
     "standard_exponential": (standard_exponential, (3, FE_DOUBLE, np.negative)),
     "random": (random, None),
 }
-
-
-def _ragged(counts):
-    """Row and place in the row of every entry of rows of ``counts``
-    entries laid out row after row."""
-    row = np.repeat(np.arange(len(counts)), counts)
-    return row, np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
 
 
 def _slack(counts):
@@ -319,7 +317,9 @@ class KeyedStream:
         """The first ``counts[k]`` Philox words of stream
         ``realizations[k]``, over at most SLAB_BLOCKS blocks at a time:
         yields ``(lo, hi, wv)``, the words of rows ``lo`` to ``hi - 1`` row
-        after row."""
+        after row.  Rows of whole blocks (every ziggurat row: see
+        ``_slack``) are their blocks' words as Philox makes them; only a
+        pass with a row that ends inside a block gathers."""
         blocks = (counts + 3) // 4
         block_end = np.cumsum(blocks)
         lo = 0
@@ -327,10 +327,15 @@ class KeyedStream:
             base = block_end[lo] - blocks[lo]
             hi = max(lo + 1, int(np.searchsorted(block_end, base + SLAB_BLOCKS, side="right")))
             nb = blocks[lo:hi]
-            row, block = _ragged(nb)
-            words = philox_words(self.seed, self.stream_id, realizations[lo:hi][row], block)
-            row, pos = _ragged(counts[lo:hi])
-            yield lo, hi, words.ravel()[4 * (np.cumsum(nb) - nb)[row] + pos]
+            first = block_end[lo:hi] - nb - base  # each row's first block in the pass
+            block = np.arange(block_end[hi - 1] - base) - np.repeat(first, nb)
+            words = philox_words(
+                self.seed, self.stream_id, np.repeat(realizations[lo:hi], nb), block
+            ).ravel()
+            n = counts[lo:hi]
+            if (n % 4).any():
+                words = words[np.arange(n.sum()) + np.repeat(4 * first - (np.cumsum(n) - n), n)]
+            yield lo, hi, words
             lo = hi
 
     def draws(self, kind: str, realizations, counts):
@@ -343,9 +348,21 @@ class KeyedStream:
         on with numpy's generator at the word of the first draw the arrays
         cannot make.  Uniforms never reject and draw no slack.
         """
+        if kind not in _KINDS:
+            raise ParameterError(f"unknown draw kind {kind!r}, expected one of {sorted(_KINDS)}")
         fast, wedge = _KINDS[kind]
         realizations = np.asarray(realizations, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)
+        if realizations.ndim != 1 or realizations.shape != counts.shape:
+            raise ParameterError(
+                f"realizations and counts must be 1-d and of one length, "
+                f"got shapes {realizations.shape} and {counts.shape}"
+            )
+        if counts.size and counts.min() < 0:
+            k = int(np.argmin(counts))
+            raise ParameterError(
+                f"draw count must be >= 0, got {counts[k]} (realization {realizations[k]})"
+            )
         drawn = counts if wedge is None else _slack(counts)
         woff = np.cumsum(drawn) - drawn
         x = np.empty(int(drawn.sum()))
@@ -353,7 +370,7 @@ class KeyedStream:
         events = [(np.empty(0, dtype=np.int64), none, none)]
         for lo, hi, wv in self._slabs(realizations, drawn):
             at = woff[lo]
-            x[at:at + len(wv)], ok = fast(wv)
+            _, ok = fast(wv, out=x[at:at + len(wv)])
             ev = np.flatnonzero(~ok)
             events.append((at + ev, wv[ev], wv[np.minimum(ev + 1, len(wv) - 1)]))
         if wedge is None:
@@ -377,7 +394,7 @@ class KeyedStream:
             np.concatenate([voff[1:], voff[er] + at, voff[shifted] + end[shifted]]),
             np.concatenate([np.diff(woff - voff), delta, -total[shifted]]),
         )
-        values = x[np.cumsum(place[:-1], out=place[:-1])]
+        values = np.take(x, np.cumsum(place[:-1], out=place[:-1]))
         for k, v, w in zip(*(np.asarray(a).tolist() for a in hand)):
             generator = self.at(int(realizations[k]), w)
             values[voff[k] + v:voff[k] + counts[k]] = getattr(generator, kind)(int(counts[k] - v))

@@ -513,3 +513,87 @@ def test_only_rng_draws_at_a_word_offset():
     }
     assert found.pop("rng.py")  # the check sees rng's own hand-over
     assert not any(found.values()), found
+
+
+# ---------------------------------------------------------------------------
+# slab passes, the signed-table fast path and input checks
+
+
+@pytest.mark.parametrize("kind", ["standard_normal", "standard_exponential", "random"])
+def test_slab_passes_of_whole_and_partial_blocks_match_the_generator(monkeypatch, kind):
+    # passes of four blocks; with one slack word, a ziggurat row of 3 mod 4
+    # draws fills whole blocks and any other row ends inside one (uniforms
+    # draw no slack: whole blocks at 0 mod 4)
+    monkeypatch.setattr(rng_module, "SLAB_BLOCKS", 4)
+    if kind != "random":
+        monkeypatch.setattr(
+            rng_module, "_slack", lambda counts: np.where(counts > 0, counts + 1, 0)
+        )
+    made = []
+    philox = rng_module.philox_words
+    monkeypatch.setattr(
+        rng_module, "philox_words", lambda *a: made.append(philox(*a)) or made[-1]
+    )
+    passes = []  # (yields the pass's Philox words, every row is whole blocks)
+    slabs = KeyedStream._slabs
+
+    def spy(self, realizations, drawn):
+        for lo, hi, wv in slabs(self, realizations, drawn):
+            whole = bool((drawn[lo:hi] % 4 == 0).all())
+            passes.append((wv.base is made[-1], whole))
+            yield lo, hi, wv
+
+    monkeypatch.setattr(KeyedStream, "_slabs", spy)
+    seed = 2**64 - 7
+    keyed = KeyedStream(seed, STREAM_MARKS)
+    rng = np.random.default_rng(3)
+    rows = np.concatenate([rng.integers(0, 1 << 60, 400), [0, (1 << 60) - 1]])
+    counts = rng.choice([0, 1, 2, 3, 4, 5, 7, 8, 11, 15, 16, 23, 41], size=len(rows))
+    values = keyed.draws(kind, rows, counts)
+    assert [shared for shared, _ in passes] == [whole for _, whole in passes]
+    assert any(whole for _, whole in passes) and not all(whole for _, whole in passes)
+    expected = [
+        getattr(stream(seed, i, STREAM_MARKS), kind)(n)
+        for i, n in zip(rows.tolist(), counts.tolist())
+    ]
+    np.testing.assert_array_equal(values, np.concatenate(expected))
+
+
+def _sign_bit_normal(words):
+    """The normal fast path with numpy's sign bit read apart: bit 8 of the
+    word picks ``-x`` or ``x``."""
+    idx = (words & np.uint64(0xFF)).astype(np.intp)
+    r = words >> np.uint64(8)
+    rabs = (r >> np.uint64(1)) & np.uint64(0x000FFFFFFFFFFFFF)
+    x = rabs.astype(np.float64) * WI_DOUBLE[idx]
+    return np.where((r & np.uint64(1)).astype(bool), -x, x), rabs < KI_DOUBLE[idx]
+
+
+def test_signed_table_normal_fast_path_matches_the_sign_bit_formula():
+    low = np.arange(512, dtype=np.uint64)  # every table index and sign
+    rabs = np.array([0, 1, 2**52 - 1], dtype=np.uint64)
+    crossed = (low[:, None] | (rabs[None, :] << np.uint64(9))).ravel()
+    top = crossed | np.uint64(7 << 61)  # bits the fast path ignores
+    random_words = np.random.default_rng(9).integers(0, 2**64, 10**5, dtype=np.uint64)
+    words = np.concatenate([crossed, top, random_words])
+    want, want_ok = _sign_bit_normal(words)
+    out = np.empty(len(words))
+    for got, ok in (rng_module.standard_normal(words), rng_module.standard_normal(words, out)):
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(ok, want_ok)
+    assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+    negative_zero = (crossed >> np.uint64(9) == 0) & (crossed & np.uint64(0x100) != 0)
+    assert negative_zero.sum() == 256 and np.signbit(out[:len(crossed)][negative_zero]).all()
+
+
+@pytest.mark.parametrize(
+    "kind, realizations, counts, message",
+    [
+        ("standard_normal", [1, 2], [3], r"of one length, got shapes \(2,\) and \(1,\)"),
+        ("random", [4, 5, 6], [3, -2, 1], r"must be >= 0, got -2 \(realization 5\)"),
+        ("normal", [1], [3], "unknown draw kind 'normal'"),
+    ],
+)
+def test_draws_reject_bad_input(kind, realizations, counts, message):
+    with pytest.raises(ParameterError, match=message):
+        KeyedStream(7, STREAM_WIENER).draws(kind, realizations, counts)
