@@ -15,17 +15,21 @@ counter ``w // 4 + 1``.  So the engines draw a whole chunk at once:
 on uint64 arrays, and ``standard_normal``, ``standard_exponential`` and
 ``random`` turn words into numpy's draws.  The first two are the fast
 path of numpy's ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000)
-with numpy's own tables.  A draw they reject is mostly a wedge draw,
-resolved in arrays from one more word and libm's ``exp`` for the close
-calls (``_wedges``), which shifts the row's later draws by one or two
-words.  A tail draw (numpy's libm ``log1p`` calls) and a row that runs
-past its drawn words go on with numpy's generator from the rejected
-draw's word.  So a row's word offset depends on its rejections, and it
-stays inside this module: ``KeyedStream.draws`` is the one way to draw
-for a chunk, and a caller counts its place in a stream in draws, always
-drawn from draw 0.  ``KeyedStream.at(i)`` is the one-row generator of
-realization ``i`` (for a mark sampler that needs one); only ``draws``
-sets it to a word offset.
+with numpy's own tables; the normal's width table is doubled with its
+negation, so numpy's sign bit is part of the table index.  A draw they
+reject is mostly a wedge draw, resolved in arrays from one more word and
+libm's ``exp`` for the close calls (``_wedges``), which shifts the row's
+later draws by one or two words; each row draws a few slack words for
+that, up to the end of its last Philox block, so a row of ziggurat draws
+is whole blocks and a pass over many rows takes Philox's words as they
+come, with no gather.  A tail draw (numpy's libm ``log1p`` calls) and a
+row that runs past its drawn words go on with numpy's generator from the
+rejected draw's word.  So a row's word offset depends on its
+rejections, and it stays inside this module: ``KeyedStream.draws`` is
+the one way to draw for a chunk, and a caller counts its place in a
+stream in draws, always drawn from draw 0.  ``KeyedStream.at(i)`` is
+the one-row generator of realization ``i`` (for a mark sampler that
+needs one); only ``draws`` sets it to a word offset.
 """
 
 from __future__ import annotations
