@@ -80,6 +80,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing as mp
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Tuple
@@ -200,6 +201,18 @@ def _partition_exact(total: float) -> tuple:
     raise EvaluationError(f"tolerance split failed to close for {total!r}")
 
 
+def _integer(name, value, least):
+    """``value`` as an int (numpy integers too); ParameterError unless it
+    is an integer of at least ``least``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ParameterError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class StatParams:
     """Confidence constant, batch growth cap, and initial batch size."""
@@ -212,12 +225,9 @@ class StatParams:
     def __post_init__(self):
         if not self.c0 >= 1.65:
             raise ParameterError(f"c0 must be >= 1.65, got {self.c0}")
-        if self.mch < 2:
-            raise ParameterError(f"MCH must be >= 2, got {self.mch}")
-        if self.m0 < 2:
-            raise ParameterError(f"M0 must be >= 2, got {self.m0}")
-        if self.max_batches < 1:
-            raise ParameterError(f"max_batches must be >= 1, got {self.max_batches}")
+        checks = (("mch", "MCH", 2), ("m0", "M0", 2), ("max_batches", "max_batches", 1))
+        for name, label, least in checks:
+            object.__setattr__(self, name, _integer(label, getattr(self, name), least))
 
 
 @dataclass(frozen=True)
@@ -254,12 +264,8 @@ class AdaptParams:
             raise ParameterError(
                 f"S1 must exceed (2/c) s1 = {(2.0 / self.c) * self.s1:g}, got {self.S1}"
             )
-        if self.n_initial < 1:
-            raise ParameterError(f"n_initial must be >= 1, got {self.n_initial}")
-        if self.max_refinements < 1:
-            raise ParameterError(
-                f"max_refinements must be >= 1, got {self.max_refinements}"
-            )
+        for name in ("n_initial", "max_refinements"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
 
 
 def sample_stats(values) -> Tuple[float, float]:
@@ -293,8 +299,7 @@ def change_M(m_in: int, s_in: float, tol_s: float, c0: float = 1.65, mch: int = 
     the result is 2^(floor(log2 M*) + 1), always a power of two and at
     most 2 * MCH * m_in.
     """
-    if m_in < 1:
-        raise ParameterError(f"M_in must be >= 1, got {m_in}")
+    m_in, mch = _integer("M_in", m_in, 1), _integer("MCH", mch, 1)
     if not tol_s > 0.0:
         raise ParameterError(f"TOL_S must be positive, got {tol_s}")
     if not s_in >= 0.0:  # NaN fails >= too
@@ -657,14 +662,13 @@ def _run_chunked(chunk_fn, model, arg_list, workers):
     return [_run_chunk(chunk_fn, model, a) for a in arg_list]
 
 
-def _check_count(count):
-    if count < 1:
-        raise ParameterError(f"batch size must be >= 1, got {count}")
+def _check_count(count, start=0):
+    _integer("batch size", count, 1)
+    _integer("start", start, 0)
 
 
 def _check_workers(workers):
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
+    _integer("workers", workers, 1)
 
 
 def _concat_rows(parts):
@@ -700,7 +704,7 @@ def run_mesh_batch(
     per-interval sums, the clamped indicators r and the signed totals.
     Chunking is fixed, so results do not depend on the worker count.
     """
-    _check_count(count)
+    _check_count(count, start)
     _check_workers(workers)
     if want_density:
         if tol is None:
@@ -915,7 +919,7 @@ def run_stochastic_batch(
     workers: int = 1,
 ) -> dict:
     """One batch of per-realization adaptive runs; fixed chunking."""
-    _check_count(count)
+    _check_count(count, start)
     _check_workers(workers)
     _check_stochastic(tol, tol_t, n_a_bar)
     det = check_mesh(det, model.horizon)

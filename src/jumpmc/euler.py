@@ -40,6 +40,7 @@ Array = np.ndarray
 
 DIVERGENCE_BOUND = 1e154  # keeps |x|^2-like payoffs representable
 MIN_STEP_FRACTION = 2.0 ** -30  # step floor, relative to the horizon
+REDRAWS = 10  # bridge_split's redraws of an unsettled channel
 
 
 @dataclass(frozen=True)
@@ -397,28 +398,45 @@ def brownian_bridge_refine(
 class _BridgeNormals:
     """The bridge normals of H rows, each row's read in order from normal
     ``positions[h]`` of its Wiener stream.  Each stream is drawn from
-    normal 0 to ``w * (2 * counts[h] + 10)`` normals past its position,
-    room for the first draws of ``counts[h]`` splits and a few redraws; a
-    row that runs out is drawn again, twice as far."""
+    normal 0 to ``w * allot(counts[h])`` normals past its position, room
+    for the first draws of ``counts[h]`` splits and a few redraws.  A
+    read past a row's normals draws that row alone again, to twice the
+    reach, onto the end of the buffer: ``KeyedStream.draws`` is
+    row-independent, so every other row keeps its normals and offset."""
 
     def __init__(self, wiener, realizations, positions, counts, w):
-        self.wiener, self.realizations, self.positions, self.w = wiener, realizations, positions, w
-        self._draw(w * (2 * counts + 10))
+        self.wiener, self.realizations, self.positions = wiener, realizations, positions
+        self.counts = w * self.allot(counts)
+        self.offset = np.cumsum(positions + self.counts) - self.counts
+        self.values = wiener.draws("standard_normal", realizations, positions + self.counts)
 
-    def _draw(self, counts):
-        self.counts = counts
-        drawn = self.positions + counts
-        self.offset = np.cumsum(drawn) - counts
-        self.values = self.wiener.draws("standard_normal", self.realizations, drawn)
+    @staticmethod
+    def allot(counts):
+        """Normals per channel first drawn for ``counts`` splits: a draw
+        and a spare per split, and ten more."""
+        return 2 * counts + 10
 
-    def take(self, h, slot):
-        """Normals ``slot`` to ``slot + w - 1`` of rows ``h``, as (len(h), w)."""
-        end = slot + self.w
-        if (end > self.counts[h]).any():
+    def take(self, h, slot, k, more=True):
+        """Normals ``slot`` to ``slot + k - 1`` of rows ``h``, as (len(h),
+        k).  The rows short of them are drawn again first; with ``more``
+        False they are not, and the normals they lack read as NaN."""
+        at = slot[:, None] + np.arange(k)
+        short = at[:, -1] >= self.counts[h]
+        if short.any() and more:
             reach = np.zeros(len(self.counts), dtype=np.int64)
-            np.maximum.at(reach, h, end)
-            self._draw(np.where(reach > self.counts, 2 * reach, self.counts))
-        return self.values[(self.offset[h] + slot)[:, None] + np.arange(self.w)]
+            np.maximum.at(reach, h[short], at[short, -1] + 1)
+            rows = np.flatnonzero(reach)
+            drawn = self.positions[rows] + 2 * reach[rows]
+            self.counts[rows] = 2 * reach[rows]
+            self.offset[rows] = len(self.values) + np.cumsum(drawn) - self.counts[rows]
+            again = self.wiener.draws("standard_normal", self.realizations[rows], drawn)
+            self.values = np.concatenate([self.values, again])
+        elif short.any():
+            lack = at >= self.counts[h, None]
+            z = self.values[np.where(lack, 0, self.offset[h, None] + at)]
+            z[lack] = np.nan
+            return z
+        return self.values[self.offset[h, None] + at]
 
 
 def _bridge_splits(dt, whole, rank, srow, normals):
@@ -430,9 +448,20 @@ def _bridge_splits(dt, whole, rank, srow, normals):
     would split them: each step reads ``w`` normals plus ``w`` per redraw
     round it reaches, right after the earlier steps' normals.  Waves of
     the three correction rounds run on all unsplit steps; each row's
-    first step still unsettled then goes on through the redraw rounds,
-    and the row's later steps are redone at their shifted normals in the
-    next wave.
+    first step still unsettled then takes its redraws, and the row's
+    later steps are redone at their shifted normals in the next wave.
+
+    A channel evolves on its own through ``bridge_split``'s rounds (a
+    redraw replaces only unsettled channels, and a correction round
+    leaves a settled one as it is), so all ten redraws of a stuck step
+    are made at once: redraw r reads the normals ``r * w`` past the
+    step's first draw, and all but the last get three correction rounds.
+    Each channel keeps its first candidate that settles, or the exact
+    midpoint if none does; the step draws as many redraws as its latest
+    channel needs.  A first pass reads only the normals already drawn;
+    the steps it cannot settle for want of normals are made again after
+    their rows are drawn further.  Normals read for redraws a step does
+    not reach are not counted as drawn.
     """
     w = whole.shape[1]
     half = 0.5 * whole
@@ -445,7 +474,7 @@ def _bridge_splits(dt, whole, rank, srow, normals):
     while len(todo):
         h = srow[todo]
         slot = cursor[h] + w * (rank[todo] - done[h])
-        f = half[todo] + normals.take(h, slot) * scale[todo]
+        f = half[todo] + normals.take(h, slot, w) * scale[todo]
         g = whole[todo] - f
         for _ in range(3):
             f, g = _absorb(whole[todo], f, g)
@@ -455,27 +484,30 @@ def _bridge_splits(dt, whole, rank, srow, normals):
         ok = rank[todo] < limit[h]
         first[todo[ok]], second[todo[ok]] = f[ok], g[ok]
         j = stuck & (rank[todo] == limit[h])  # each stuck row's first unsettled step
-        s, hj, sj = todo[j], h[j], slot[j]
-        f, g, whole_s, half_s, scale_s = f[j], g[j], whole[s], half[s], scale[s]
-        redraws = np.zeros(len(s), dtype=np.int64)
-        for round_ in range(3, 40):
-            bad = whole_s - (f + g) != 0.0
-            live = bad.any(axis=1)
-            if not live.any():
-                break
-            if round_ % 4 == 3:
-                redraws += live
-                z = normals.take(hj[live], sj[live] + w * redraws[live])
-                f[live] = np.where(bad[live], half_s[live] + z * scale_s[live], f[live])
-                g = np.where(bad, whole_s - f, g)
-            else:
-                f, g = _absorb(whole_s, f, g)
-        # bridge_split's exact midpoint split after the last round
-        bad = whole_s - (f + g) != 0.0
-        first[s] = np.where(bad, half_s, f)
-        second[s] = np.where(bad, whole_s - half_s, g)
-        cursor[hj] = sj + w * (1 + redraws)
+        s, hj, sj, f, g = todo[j], h[j], slot[j], f[j], g[j]
         done[hj] = rank[s] + 1
+        # candidate 0 is the wave's split, candidate r the r-th redraw; a
+        # first pass reads the normals drawn (NaN never settles), a second
+        # draws on for the steps that ran past them
+        for more in (False, True):
+            whole_s = whole[s, None]
+            z = normals.take(hj, sj + w, REDRAWS * w, more).reshape(len(s), REDRAWS, w)
+            fr = np.concatenate([f[:, None], half[s, None] + z * scale[s, None]], axis=1)
+            gr = np.concatenate([g[:, None], whole_s - fr[:, 1:]], axis=1)
+            for _ in range(3):
+                fr[:, 1:-1], gr[:, 1:-1] = _absorb(whole_s, fr[:, 1:-1], gr[:, 1:-1])
+            settled = whole_s - (fr + gr) == 0.0
+            pick = settled.argmax(axis=1)  # each channel's first settled candidate
+            never = ~settled.any(axis=1)
+            at = (np.arange(len(s))[:, None], pick, np.arange(w))
+            # bridge_split's exact midpoint split after the last redraw
+            first[s] = np.where(never, half[s], fr[at])
+            second[s] = np.where(never, whole[s] - half[s], gr[at])
+            cursor[hj] = sj + w * (1 + np.where(never, REDRAWS, pick).max(axis=1))
+            short = cursor[hj] > normals.counts[hj]
+            if not short.any():
+                break
+            s, hj, sj, f, g = s[short], hj[short], sj[short], f[short], g[short]
         todo = todo[rank[todo] > limit[h]]
     return first, second, cursor + w * (np.bincount(srow) - done)
 
@@ -488,13 +520,16 @@ def bridge_refine_batch(paths: PathBatch, mask: Array, wiener, realizations, pos
 
     The rows may have different step counts, in any order, and ``mask``
     is False past each row's last step.  ``wiener`` is an
-    ``rng.KeyedStream``.  The bridge
-    normals of every refined row are read from its position on in stream
-    order, and ``bridge_split`` runs on every split step at once
+    ``rng.KeyedStream``.  The bridge normals of every refined row are
+    read from its position on in stream order; a row that reads past
+    the normals first drawn for it is drawn again alone
+    (``_BridgeNormals``).  ``bridge_split`` runs on every split step at
+    once, with all the redraws of a stuck step in one pass
     (``_bridge_splits``).  Returns ``(rows, refined, ends)``: the indices
     of the rows with a masked step, in order, their refined paths as one
     ``PathBatch`` (None without such a row), and every row's position
-    after its draws (``positions[b]`` when it draws none).
+    after the normals its sequential run draws (``positions[b]`` when it
+    draws none), whatever was read ahead.
     """
     dw = paths.dw
     n, w = dw.shape[1:]

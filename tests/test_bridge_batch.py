@@ -19,7 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from jumpmc import SeedConfig, brownian_bridge_refine, build_model, uniform_mesh  # noqa: E402
 from jumpmc import controller as ctl  # noqa: E402
-from jumpmc.euler import bridge_refine_batch, concat_paths, stack_paths  # noqa: E402
+from jumpmc.euler import _BridgeNormals, bridge_refine_batch, concat_paths, stack_paths  # noqa: E402
 from jumpmc.jumps import intensity_integral_for  # noqa: E402
 from jumpmc.model import as_vectorized  # noqa: E402
 from jumpmc.rng import keyed_streams, philox_words, standard_normal  # noqa: E402
@@ -155,3 +155,35 @@ def test_crafted_rows_take_both_fallbacks(block):
     # the crafted step draws ten redraws on top of one draw per step
     n_steps = paths.n_steps[REDRAWING]
     assert ends[1] - positions[REDRAWING] >= paths.dw.shape[2] * (n_steps + 10)
+
+
+def test_top_ups_draw_again_only_the_rows_that_ran_short(block, monkeypatch):
+    """With one normal per split and channel drawn at first, a row runs
+    short at its first redraw; each top-up draws those rows alone, and
+    every row still comes out as the one-row refinement does."""
+    m, grids, paths, realizations, positions, wiener = block
+    dw = paths.dw.copy()
+    dw[3, [0, 1, 3]] = 1e-20  # three more steps that draw every redraw
+    block = (m, grids, replace(paths, dw=dw), realizations, positions, wiener)
+    monkeypatch.setattr(_BridgeNormals, "allot", staticmethod(lambda counts: counts))
+    calls = []
+    draws = wiener.draws
+
+    def spy(kind, rows, counts):
+        calls.append(np.array(rows).tolist())
+        return draws(kind, rows, counts)
+
+    monkeypatch.setattr(wiener, "draws", spy)
+    rows = np.arange(12)
+    mask = own_steps(paths, rows)
+    mask[6:, 1:] = False  # one split each: some of these draw no redraw
+    used = check_rows(block, rows, mask) - positions[rows]
+    (everyone, *top_ups) = calls
+    assert everyone == realizations[rows].tolist()
+    short = realizations[rows][used > dw.shape[2] * mask.sum(axis=1)].tolist()
+    times = {r: sum(r in call for call in top_ups) for r in realizations[rows].tolist()}
+    for call in top_ups:
+        assert set(call) <= set(short) and len(set(call)) == len(call)
+    assert all(times[r] > 0 for r in short)
+    assert {0, 1, 2} <= set(times.values())
+    assert times[realizations[3]] == 2

@@ -806,3 +806,51 @@ def test_library_entry_points_reject_fewer_than_one_worker(workers):
     for call in calls:
         with pytest.raises(ParameterError, match="workers"):
             call()
+
+
+def _mesh_rows(start, count, workers=1):
+    return run_mesh_batch(
+        build_model("test5"), uniform_mesh(1.0, 5), SeedConfig(), start, count, workers=workers
+    )
+
+
+NOT_INTEGERS = {
+    "algorithm_s_m0": lambda: algorithm_s(build_model("test5"), 0.04, stats=StatParams(m0=2.5)),
+    "n_initial": lambda: AdaptParams(n_initial=5.0),
+    "max_refinements": lambda: AdaptParams(max_refinements=2.5),
+    "max_batches": lambda: StatParams(max_batches=1.5),
+    "mch": lambda: StatParams(mch=2.5),
+    "change_M_mch": lambda: change_M(100, 1e9, 1e-3, 1.65, 2.5),
+    "change_M_m_in": lambda: change_M(100.5, 0.5, 0.01),
+    "mesh_count": lambda: _mesh_rows(0, 2.5),
+    "mesh_start": lambda: _mesh_rows(0.5, 3),
+    "stochastic_start": lambda: control_time_error(
+        build_model("test5"), uniform_mesh(1.0, 5), SeedConfig(), 1.5,
+        tol=0.04, tol_t=0.01, n_a_bar=5.0,
+    ),
+    "workers_one_chunk": lambda: _mesh_rows(0, 3, workers=1.5),
+    "workers_many_chunks": lambda: _mesh_rows(0, ctl.MESH_CHUNK + 1, workers=1.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_INTEGERS))
+def test_integer_parameters_reject_other_numbers_before_any_work(monkeypatch, case):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran with a non-integer parameter")
+
+    monkeypatch.setattr(ctl, "_setup_groups", no_work)
+    with pytest.raises(ParameterError, match="must be an integer"):
+        NOT_INTEGERS[case]()
+
+
+def test_integer_parameters_accept_numpy_integers():
+    stats = StatParams(mch=np.int32(3), m0=np.int64(32), max_batches=np.int64(40))
+    adapt = AdaptParams(n_initial=np.int64(5), max_refinements=np.int16(30))
+    assert (stats, adapt) == (StatParams(mch=3, m0=32), AdaptParams())
+    assert type(stats.m0) is int and type(adapt.n_initial) is int
+    assert change_M(np.int64(100), 0.5, 0.01333, 1.65, np.int64(10)) == 1024
+    rows = _mesh_rows(np.int64(3), np.int64(4), workers=np.int64(1))
+    np.testing.assert_array_equal(rows["payoff"], _mesh_rows(3, 4)["payoff"])
+    m = build_model("test5")
+    got, want = (algorithm_s(m, 0.2, stats=s) for s in (stats, StatParams(mch=3, m0=32)))
+    assert (got.estimate, got.total_work, got.batches) == (want.estimate, want.total_work, want.batches)
