@@ -138,10 +138,22 @@ def _write_rows(path: str, header, rows) -> None:
             writer.writerow([_fmt(cell) for cell in row])
 
 
+def _nan_to_null(value):
+    """``value`` with every NaN float, at any depth, replaced by None."""
+    if isinstance(value, dict):
+        return {key: _nan_to_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_nan_to_null(item) for item in value]
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    return value
+
+
 def _write_json(path: str, payload: dict) -> None:
+    """Write ``payload`` as strict JSON: NaN (unknown) becomes null."""
     if path:
         with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+            json.dump(_nan_to_null(payload), handle, indent=2, sort_keys=True, allow_nan=False)
             handle.write("\n")
 
 
@@ -203,7 +215,7 @@ def _cmd_simulate(config: RunConfig) -> int:
             "estimate": mean,
             "std": std,
             "e_s": e_s,
-            "e_c": None if math.isnan(e_c) else e_c,
+            "e_c": e_c,
             "n_a": {"mean": na_mean, "min": int(res["n_a"].min()), "max": int(res["n_a"].max())},
         },
     )
@@ -254,8 +266,8 @@ def _cmd_estimate(config: RunConfig) -> int:
             "estimate": mean,
             "e_t": e_t,
             "e_s": e_s,
-            "e_c": None if math.isnan(e_c) else e_c,
-            "efficiency": None if math.isnan(efficiency) else efficiency,
+            "e_c": e_c,
+            "efficiency": efficiency,
         },
     )
     print(
@@ -367,7 +379,7 @@ def _report_json(config: RunConfig, tag: str, report) -> dict:
         "config_hash": tag,
         "algorithm": report.algorithm,
         "estimate": report.estimate,
-        "e_c": None if math.isnan(report.e_c) else report.e_c,
+        "e_c": report.e_c,
         "e_t": report.e_t,
         "e_tt": report.e_tt,
         "e_ts": report.e_ts,

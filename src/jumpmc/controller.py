@@ -355,12 +355,14 @@ def monte_carlo(
     ``draw(start, count)`` must return ``count`` i.i.d. samples for the
     realization indices [start, start+count).  Each batch uses new
     samples; the batch size is updated by change_M.  Raises
-    ConvergenceError after ``stats.max_batches`` batches.
+    ConvergenceError after ``stats.max_batches`` batches, and
+    ParameterError before any draw unless ``tol_s`` is positive and
+    ``start_index`` an integer of at least 0.
     """
     if not tol_s > 0.0:
         raise ParameterError(f"TOL_S must be positive, got {tol_s}")
     m = stats.m0
-    index = start_index
+    index = _integer("start_index", start_index, 0)
     batches = []
     total = 0
     for _ in range(stats.max_batches):

@@ -19,8 +19,7 @@ uses the raw signed values.
 callback values already evaluated, and ``interval_sums`` reduces per-step
 contributions over the deterministic intervals; both drivers use them,
 and ``rho_per_step`` is the one-row case of ``rho_batch``.
-``rho_interval_batch`` is the batched interval density, and
-``rho_per_interval`` its one-row case.
+``rho_interval_batch`` is the batched interval density.
 
 The batched density layers take the dual layer's rows-last arrays:
 tensor axes first and the trailing lead axes (n, B) at the end (see
@@ -39,8 +38,7 @@ sum over a contiguous run groups the products by their place in the
 run, so a shorter run would add them in another order.  The
 results are those of the full tensors up to the sign of a zero and
 0 * inf, and cannot depend on chunk size or worker count, because the
-supports are static.  ``second_moment_derivatives`` is the pointwise
-form of ``second_moment_arrays``.
+supports are static.
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ from .duals import (
     box_sum,
 )
 from .errors import ParameterError
-from .euler import EulerPath, PathBatch, stack_paths
+from .euler import EulerPath, PathBatch
 from .jumps import interval_of_steps
 from .model import JumpDiffusionModel, as_vectorized
 
@@ -155,8 +153,8 @@ def second_moment_arrays(b, b_t, b_x, b_xx):
     trailing lead axes follow them, so ``b`` is (d, l, lead...).  Returns
     (d, d_t, d_x, d_xx) with layouts (d, d, lead...), (d, d, lead...),
     (d, d, j, lead...) and (d, d, i, j, lead...); the j/i axes
-    differentiate in x.  A pointwise call has no lead axes.  ``b_x`` and
-    ``b_xx`` may be Boxes, and so may then be ``d_x`` and ``d_xx``.
+    differentiate in x.  ``b_x`` and ``b_xx`` may be Boxes, and so may
+    then be ``d_x`` and ``d_xx``.
     """
     dd = 0.5 * np.einsum("kl...,ml...->km...", b, b)
     d_t = 0.5 * (
@@ -170,22 +168,6 @@ def second_moment_arrays(b, b_t, b_x, b_xx):
     t2 = box_einsum("kli...,mlj...->kmij...", b_x, b_x)
     d_xx = _scale(0.5, box_sum(t1, _swap(t1, 0, 1), t2, _swap(t2, 0, 1)))
     return dd, d_t, d_x, d_xx
-
-
-def second_moment_derivatives(model: JumpDiffusionModel, t, x):
-    """Time and state derivatives of d = b b^T / 2 from those of b.
-
-    Returns dense (d_t, d_x, d_xx) with any leading axes of ``x`` first,
-    as the callbacks return them; see :func:`second_moment_arrays`.
-    """
-    names = ("diffusion", "diffusion_t", "diffusion_x", "diffusion_xx")
-    model.require(*names)
-    x = np.asarray(x, float)
-    nlead = x.ndim - 1
-    t = np.broadcast_to(np.asarray(t, float), x.shape[:-1])
-    cb = _stack_calls(as_vectorized(model), names, t, x)
-    _, d_t, d_x, d_xx = second_moment_arrays(*(cb[name] for name in names))
-    return tuple(_rows_first(_dense(v, model.dim), nlead) for v in (d_t, d_x, d_xx))
 
 
 def _one_row(w: Array) -> Array:
@@ -251,31 +233,6 @@ def rho_interval_batch(
         contrib = step_sum[rows, :n] * paths.dt[rows, :n]
         sums[rows] = interval_sums(contrib, paths.times[rows, : n + 1], det)
     return 0.5 * sums / np.diff(det) ** 2
-
-
-def rho_per_interval(
-    model: JumpDiffusionModel, path: EulerPath, duals: DualWeights
-) -> Array:
-    """Signed coefficient-difference density per deterministic interval
-    (``rho_interval_batch`` with one row).
-
-    Requires dual weights of order 2 or more.
-    """
-    if duals.order < 2:
-        raise ParameterError(
-            f"interval density needs order 2 dual weights, got order {duals.order}"
-        )
-    grid = path.grid
-    if duals.phi_left.shape[0] != grid.n_steps + 1:
-        raise ParameterError("dual weights do not match the path's grid")
-    model = as_vectorized(model)
-    names = INTERVAL_DENSITY_CALLBACKS
-    lo = _stack_calls(model, names, grid.times[:-1], path.values[:-1])
-    hi = _stack_calls(model, names, grid.times[1:], path.left_values[1:])
-    return rho_interval_batch(
-        lo, hi, _one_row(duals.phi_left), _one_row(duals.phi1_left),
-        stack_paths(model, [grid], [path.increments]), grid.det_times,
-    )[0]
 
 
 def _check_tol(tol: float) -> None:

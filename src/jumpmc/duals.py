@@ -23,8 +23,7 @@ the rows that take step p are the first k_p, each per-step array holds
 only the steps the rows take, packed step by step, and each row's sweep
 starts at its own last node.
 ``euler_map_derivatives`` and ``jump_map_derivatives`` are the one
-implementation of each local map's derivatives, shared with the
-pointwise ``*_operator_derivatives``.
+implementation of each local map's derivatives.
 
 A callback with a declared support (``JumpDiffusionModel.
 derivative_support``) is held as a ``Box``: only the bounding box of its
@@ -42,8 +41,7 @@ The batched arrays are rows last: tensor axes first, then the trailing
 lead axes, (d, d, n, B) for a Jacobian at the (B, n) nodes of B paths,
 or (d, d, K) packed over the K steps a block's rows take (``dual_batch``).
 Every contraction then runs its inner loop over the contiguous rows,
-and a step's slice is one contiguous block.  A pointwise array is the
-case with no lead axes.
+and a step's slice is one contiguous block.
 """
 
 from __future__ import annotations
@@ -284,49 +282,33 @@ def _stack_calls(model, names, t, x, z=None, running=None):
     """Evaluate callbacks at every (t, x[, z]) point in one call each,
     returned rows last.
 
-    ``t`` may carry several leading axes, (B, n) say; the points are
-    flattened for the call, and each result is stored as a contiguous
-    array with its tensor axes first and those axes, reversed, as
-    trailing lead axes: (t..., n, B), or (t..., K) for K points, and t...
-    alone for a scalar ``t``.  With ``running``, the k_p of a block of
-    rows ordered longest first (``PathBatch.running()``) for a (B, n)
-    ``t``, only the first k_p points of each column p are evaluated, and
-    each result is packed: (t..., K) for the K = k_0 + ... + k_{n-1}
-    points, step by step, the kernel's packed layout (see
-    ``dual_batch``).  Each input is copied once, rows last (with
-    ``running``, a column's first k_p points at a time).  A callback
-    with a declared support is stored as the ``Box`` of its bounding
-    box, and one with an empty support is not called.  Each value is
-    converted as soon as it is evaluated, so at most one rows-first copy
-    is alive.  The model's callbacks must broadcast over rows (see
-    ``as_vectorized``).
+    Without ``running``, ``t`` holds K points, and each result is stored
+    as a contiguous (t..., K) array: its tensor axes first, the points
+    last.  With ``running``, the k_p of a block of rows ordered longest
+    first (``PathBatch.running()``) for a (B, n) ``t``, only the first
+    k_p points of each column p are evaluated, and each result is
+    packed: (t..., K) for the K = k_0 + ... + k_{n-1} points, step by
+    step, the kernel's packed layout (see ``dual_batch``).  Each input
+    is copied once (with ``running``, a column's first k_p points at a
+    time).  A callback with a declared support is stored as the ``Box``
+    of its bounding box, and one with an empty support is not called.
+    Each value is converted as soon as it is evaluated, so at most one
+    rows-first copy is alive.  The model's callbacks must broadcast over
+    rows (see ``as_vectorized``).
     """
-    t = np.asarray(t)
-    lead = t.shape
+    arrays = [np.asarray(a) for a in ([t, x] if z is None else [t, x, z])]
     if running is None:
-        rev = tuple(range(len(lead) - 1, -1, -1))
-
-        def points(a):
-            axes = rev + tuple(range(len(lead), a.ndim))
-            return a.transpose(axes).copy().reshape((-1,) + a.shape[len(lead):])
-
-        shape = lead[::-1]
+        args = [a.copy() for a in arrays]
     else:
         running = list(running)
-
-        def points(a):
-            return np.concatenate([a[:k, p] for p, k in enumerate(running)])
-
-        shape = (sum(running),)
-    args = [points(np.asarray(a)) for a in ([t, x] if z is None else [t, x, z])]
+        args = [np.concatenate([a[:k, p] for p, k in enumerate(running)]) for a in arrays]
     out = {}
     for name in names:
         box = model.derivative_box(name)
         if model.derivative_support.get(name) == ():
-            out[name] = Box(np.zeros((0,) * len(box) + shape), (0,) * len(box))
+            out[name] = Box(np.zeros((0,) * len(box) + (len(args[0]),)), (0,) * len(box))
             continue
         value = _rows_last(np.asarray(getattr(model, name)(*args), float), 1, box)
-        value = value.reshape(value.shape[:-1] + shape)
         out[name] = value if box is None else Box(value, tuple(s.start for s in box))
     return out
 
@@ -377,37 +359,6 @@ def jump_map_derivatives(cb: dict, order: int = 3):
     C2 = cb["jump_xx"] if order >= 2 else None
     C3 = cb["jump_xxx"] if order >= 3 else None
     return C1, C2, C3
-
-
-def euler_operator_derivatives(
-    model: JumpDiffusionModel, t: float, x: Array, dt: float, dw: Array, order: int = 3
-):
-    """Derivatives of the local Euler map A(x) = x + a dt + b dW at (t, x).
-
-    See :func:`euler_map_derivatives`; the three are dense, and A2 and
-    A3 are zeros where no term is left.  Missing model callbacks raise a
-    capability error.
-    """
-    _check_order(order)
-    names = _euler_map_callbacks(order)
-    model.require(*names)
-    cb = _stack_calls(as_vectorized(model), names, t, np.asarray(x, float))
-    A = euler_map_derivatives(cb, dt, np.asarray(dw, float), order)
-    return tuple(None if a is None else _dense(a, model.dim) for a in A)
-
-
-def jump_operator_derivatives(
-    model: JumpDiffusionModel, t: float, x: Array, z: Array, order: int = 3
-):
-    """Derivatives of the local jump map C(x) = x + c(t, x, z).
-
-    Returns (C1, C2, C3) with entries above ``order`` None.
-    """
-    _check_order(order)
-    names = _jump_map_callbacks(order)
-    model.require(*names)
-    cb = {name: np.asarray(getattr(model, name)(t, x, z), float) for name in names}
-    return jump_map_derivatives(cb, order)
 
 
 def propagate(G, phi):

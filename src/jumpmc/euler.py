@@ -53,10 +53,6 @@ class EulerPath:
     left_values: Array  # (N_A + 1, d); index 0 repeats the start value
 
     @property
-    def initial_state(self) -> Array:
-        return self.left_values[0]
-
-    @property
     def terminal(self) -> Array:
         return self.values[-1]
 

@@ -333,11 +333,6 @@ def sample_jump_chunk(
     return n_jumps, times, marks
 
 
-def no_jumps(mark_dim: int = 1) -> JumpRealization:
-    """Empty jump realization, mostly for tests and pure-diffusion runs."""
-    return JumpRealization(times=np.array([]), marks=np.empty((0, mark_dim)))
-
-
 @dataclass(frozen=True)
 class AugmentedGrid:
     """Union of the deterministic mesh and one realization's jump times.
@@ -362,10 +357,6 @@ class AugmentedGrid:
     @property
     def n_steps(self) -> int:
         return len(self.times) - 1
-
-    @property
-    def n_det(self) -> int:
-        return len(self.det_times) - 1
 
     @property
     def n_jumps(self) -> int:

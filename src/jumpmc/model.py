@@ -548,19 +548,8 @@ def finite_difference_adapter(
         return g
 
     def d_dx_payoff(f, step):
-        def g(x):
-            x = np.asarray(x, float)
-            cols = []
-            for j in range(d):
-                e = np.zeros_like(x)
-                e[..., j] = step
-                cols.append(
-                    (np.asarray(f(x + e), float) - np.asarray(f(x - e), float))
-                    / (2.0 * step)
-                )
-            return np.stack(cols, axis=-1)
-
-        return g
+        g = d_dx(lambda t, x: f(x), step)
+        return lambda x: g(None, x)
 
     fills = {}
 

@@ -16,24 +16,20 @@ from jumpmc import (
     SeedConfig,
     algorithm_d,
     algorithm_s,
-    backward_duals,
-    bridge_split,
-    build_augmented_grid,
     build_model,
     change_M,
-    euler_path,
-    intensity_integral_for,
     monte_carlo,
-    rho_per_step,
     run_mesh_batch,
-    sample_jumps,
     sample_stats,
-    sample_wiener_increments,
     split_tolerance,
     statistical_error_bound,
     uniform_mesh,
 )
 from jumpmc.cli import main
+from jumpmc.density import rho_per_step
+from jumpmc.duals import backward_duals
+from jumpmc.euler import bridge_split, euler_path, sample_wiener_increments
+from jumpmc.jumps import build_augmented_grid, intensity_integral_for, sample_jumps
 from jumpmc.rng import realization_streams
 
 

@@ -17,9 +17,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from jumpmc import SeedConfig, brownian_bridge_refine, build_model, uniform_mesh  # noqa: E402
+from jumpmc import SeedConfig, build_model, uniform_mesh  # noqa: E402
 from jumpmc import controller as ctl  # noqa: E402
-from jumpmc.euler import _BridgeNormals, bridge_refine_batch, concat_paths, stack_paths  # noqa: E402
+from jumpmc.euler import (  # noqa: E402
+    _BridgeNormals,
+    bridge_refine_batch,
+    brownian_bridge_refine,
+    concat_paths,
+    stack_paths,
+)
 from jumpmc.jumps import intensity_integral_for  # noqa: E402
 from jumpmc.model import as_vectorized  # noqa: E402
 from jumpmc.rng import keyed_streams, philox_words, standard_normal  # noqa: E402

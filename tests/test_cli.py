@@ -129,6 +129,22 @@ def test_simulate_purejump_has_no_exact_error(tmp_path):
     assert json.loads(jout.read_text())["e_c"] is None
 
 
+@pytest.mark.parametrize("command, rows", [("adapt-d", "iterations"), ("adapt-s", "batches")])
+def test_reports_without_an_exact_value_are_strict_json(tmp_path, command, rows):
+    # purejump has no reference value, so every e_c, nested rows included,
+    # is unknown: null, never a bare NaN
+    jout = tmp_path / "pj.json"
+    argv = [command, "--model", "purejump", "--tol", "0.1", "--json-out", str(jout)]
+    assert main(argv) == 0
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    payload = json.loads(jout.read_text(), parse_constant=reject)
+    assert payload["e_c"] is None
+    assert payload[rows] and all(row["e_c"] is None for row in payload[rows])
+
+
 def test_estimate_densities_agree_on_sign(tmp_path):
     values = {}
     for density in ("rhotilde", "rhodef"):

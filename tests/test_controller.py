@@ -17,29 +17,24 @@ from jumpmc import (
     StatParams,
     algorithm_d,
     algorithm_s,
-    backward_duals,
-    brownian_bridge_refine,
-    build_augmented_grid,
     build_model,
     change_M,
     control_time_error,
-    cutoff_density_S,
-    euler_path,
     monte_carlo,
     refine_deterministic,
     run_mesh_batch,
-    rho_per_step,
     run_stochastic_batch,
-    sample_jumps,
     sample_stats,
-    sample_wiener_increments,
     split_tolerance,
     statistical_error_bound,
     stopping_deterministic,
     uniform_mesh,
 )
 from jumpmc import controller as ctl
-from jumpmc.jumps import intensity_integral_for
+from jumpmc.density import cutoff_density_S, rho_per_step
+from jumpmc.duals import backward_duals
+from jumpmc.euler import brownian_bridge_refine, euler_path, sample_wiener_increments
+from jumpmc.jumps import build_augmented_grid, intensity_integral_for, sample_jumps
 from jumpmc.rng import realization_streams
 
 
@@ -120,6 +115,15 @@ def test_monte_carlo_constant_sampler():
     assert result.m_final == StatParams().m0
     assert len(result.batches) == 1
     assert result.next_index == StatParams().m0
+
+
+@pytest.mark.parametrize("start_index", [2.5, -1, None, "3"])
+def test_monte_carlo_rejects_a_bad_start_index(start_index):
+    def draw(start, count):
+        raise AssertionError(f"draw called at realization {start!r}")
+
+    with pytest.raises(ParameterError, match="start_index"):
+        monte_carlo(draw, 0.01, start_index=start_index)
 
 
 def bernoulli_draw(start, count):

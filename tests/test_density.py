@@ -6,21 +6,18 @@ import pytest
 from jumpmc import (
     ParameterError,
     SeedConfig,
-    backward_duals,
-    build_augmented_grid,
     build_model,
-    cutoff_density_S,
-    euler_path,
-    no_jumps,
-    rho_per_interval,
-    rho_per_step,
     uniform_mesh,
 )
 from jumpmc import controller as ctl
-from jumpmc.density import interval_sums
-from jumpmc.jumps import JumpRealization, intensity_integral_for
+from jumpmc.density import cutoff_density_S, interval_sums, rho_per_step
+from jumpmc.duals import backward_duals
+from jumpmc.euler import euler_path
+from jumpmc.jumps import JumpRealization, build_augmented_grid, intensity_integral_for
 from jumpmc.model import JumpDiffusionModel
 from jumpmc.rng import keyed_streams
+
+NO_JUMPS = JumpRealization(times=np.empty(0), marks=np.empty((0, 1)))
 
 
 def scalar_drift_model():
@@ -64,7 +61,7 @@ def scalar_drift_model():
 
 
 def single_step_path(model):
-    grid = build_augmented_grid(uniform_mesh(1.0, 1), no_jumps(), horizon=1.0)
+    grid = build_augmented_grid(uniform_mesh(1.0, 1), NO_JUMPS, horizon=1.0)
     return euler_path(model, grid, np.zeros((1, 1)))
 
 
@@ -81,13 +78,13 @@ def test_per_step_density_hand_trace():
 
 
 def test_per_interval_density_hand_trace():
-    # rho(0) = 0.5 (a(1, 2) - a(0, 1)) . phi(1-) * dt / width^2 = 0.5.
-    m = scalar_drift_model()
-    path = single_step_path(m)
-    duals = backward_duals(m, path, order=2)
-    rho = rho_per_interval(m, path, duals)
-    assert rho.shape == (1,)
-    assert rho[0] == pytest.approx(0.5, rel=1e-15)
+    # rho(0) = 0.5 (a(1, 2) - a(0, 1)) . phi(1-) * dt / width^2 = 0.5; one
+    # realization of the interval engine on the one-interval mesh, whose
+    # total is rho(0) * width^2.  No noise and no jumps, so the seeds do
+    # not matter.
+    out = ctl.run_interval_batch(scalar_drift_model(), uniform_mesh(1.0, 1), SeedConfig(), 1)
+    assert out["payoff"][0] == 2.0
+    assert out["total"][0] == pytest.approx(0.5, rel=1e-15)
 
 
 def constant_coefficient_model():
@@ -122,7 +119,14 @@ def test_constant_coefficients_zero_density():
     path = euler_path(m, grid, dw)
     duals = backward_duals(m, path, order=3)
     np.testing.assert_array_equal(rho_per_step(m, path, duals), 0.0)
-    np.testing.assert_array_equal(rho_per_interval(m, path, duals), 0.0)
+    assert_zero_interval_density(m)
+
+
+def assert_zero_interval_density(m):
+    """The interval engine's totals are 0 on realizations with jumps."""
+    det = uniform_mesh(1.0, 4)
+    assert ctl.run_mesh_batch(m, det, SeedConfig(), 0, 20)["n_jumps"].any()
+    np.testing.assert_array_equal(ctl.run_interval_batch(m, det, SeedConfig(), 20)["total"], 0.0)
 
 
 def test_pure_jump_zero_density():
@@ -134,7 +138,7 @@ def test_pure_jump_zero_density():
     path = euler_path(m, grid, np.zeros((grid.n_steps, 1)))
     duals = backward_duals(m, path, order=3)
     np.testing.assert_array_equal(rho_per_step(m, path, duals), 0.0)
-    np.testing.assert_array_equal(rho_per_interval(m, path, duals), 0.0)
+    assert_zero_interval_density(m)
 
 
 def test_density_order_requirements():
@@ -142,20 +146,16 @@ def test_density_order_requirements():
     path = single_step_path(m)
     with pytest.raises(ParameterError):
         rho_per_step(m, path, backward_duals(m, path, order=2))
-    with pytest.raises(ParameterError):
-        rho_per_interval(m, path, backward_duals(m, path, order=1))
 
 
 def test_density_grid_mismatch():
     m = scalar_drift_model()
     path = single_step_path(m)
-    grid2 = build_augmented_grid(uniform_mesh(1.0, 2), no_jumps(), horizon=1.0)
+    grid2 = build_augmented_grid(uniform_mesh(1.0, 2), NO_JUMPS, horizon=1.0)
     path2 = euler_path(m, grid2, np.zeros((2, 1)))
     duals2 = backward_duals(m, path2, order=3)
     with pytest.raises(ParameterError):
         rho_per_step(m, path, duals2)
-    with pytest.raises(ParameterError):
-        rho_per_interval(m, path, duals2)
 
 
 def test_cutoff_frozen_values():
@@ -207,7 +207,7 @@ def test_interval_aggregation_example():
 
 
 def test_interval_cutoff_matches_step_cutoff_without_jumps():
-    grid = build_augmented_grid(uniform_mesh(1.0, 4), no_jumps(), horizon=1.0)
+    grid = build_augmented_grid(uniform_mesh(1.0, 4), NO_JUMPS, horizon=1.0)
     rng = np.random.Generator(np.random.Philox(key=67))
     for _ in range(10):
         rho = rng.standard_normal(4) * 3.0
@@ -220,7 +220,8 @@ def test_interval_cutoff_matches_step_cutoff_without_jumps():
 
 def reference_rho_per_interval(m, path, duals):
     """The one-row interval density as computed before it was batched:
-    rows-first stacks, d = b b^T / 2 by matmul."""
+    rows-first stacks, d = b b^T / 2 by matmul.  Independent of
+    ``density.rho_interval_batch``."""
     grid = path.grid
 
     def coefficients(times, values):
@@ -259,7 +260,5 @@ def test_batched_interval_totals_match_the_one_row_pipeline(monkeypatch, workers
     for i in range(100):
         grid, dw = rows[i]
         path = euler_path(m, grid, dw)
-        duals = backward_duals(m, path, order=3)
-        rho = rho_per_interval(m, path, duals)
-        np.testing.assert_array_equal(rho, reference_rho_per_interval(m, path, duals))
+        rho = reference_rho_per_interval(m, path, backward_duals(m, path, order=3))
         assert totals[i] == float(np.sum(rho * widths ** 2))

@@ -7,21 +7,28 @@ from jumpmc import (
     CapabilityError,
     ParameterError,
     SeedConfig,
-    backward_duals,
-    build_augmented_grid,
     build_model,
-    euler_operator_derivatives,
-    euler_path,
-    jump_operator_derivatives,
-    no_jumps,
-    realization_streams,
-    rho_per_step,
-    sample_jumps,
-    sample_wiener_increments,
     uniform_mesh,
 )
-from jumpmc.jumps import JumpRealization, intensity_integral_for
-from jumpmc.model import JumpDiffusionModel
+from jumpmc.density import rho_per_step
+from jumpmc.duals import (
+    _euler_map_callbacks,
+    _stack_calls,
+    backward_duals,
+    euler_map_derivatives,
+    jump_map_derivatives,
+)
+from jumpmc.euler import euler_path, sample_wiener_increments
+from jumpmc.jumps import (
+    JumpRealization,
+    build_augmented_grid,
+    intensity_integral_for,
+    sample_jumps,
+)
+from jumpmc.model import JumpDiffusionModel, as_vectorized
+from jumpmc.rng import realization_streams
+
+NO_JUMPS = JumpRealization(times=np.empty(0), marks=np.empty((0, 1)))
 
 
 def linear_model(rate=2.0, payoff_quadratic=True):
@@ -71,7 +78,7 @@ def frozen_test5_path(n=4, key=314, with_jumps=True):
             times=np.array([0.3, 0.7]), marks=np.array([[0.8], [-0.6]])
         )
     else:
-        jumps = no_jumps()
+        jumps = NO_JUMPS
     grid = build_augmented_grid(uniform_mesh(1.0, n), jumps, horizon=1.0)
     rng = np.random.Generator(np.random.Philox(key=key))
     dw = sample_wiener_increments(grid, rng, m.wiener_dim)
@@ -80,47 +87,45 @@ def frozen_test5_path(n=4, key=314, with_jumps=True):
 
 def test_euler_operator_jacobian_frozen():
     # a = 2x, b = 0 noise: A = x + 2x dt, so dA/dx = 1 + 2 * 0.05 = 1.1.
-    m = linear_model(rate=2.0)
-    A1, A2, A3 = euler_operator_derivatives(
-        m, 0.0, np.array([3.0]), 0.05, np.zeros(1), order=3
+    # One point, stacked as the kernel stacks a one-step row.
+    m = as_vectorized(linear_model(rate=2.0))
+    cb = _stack_calls(
+        m, _euler_map_callbacks(3), np.zeros((1, 1)), np.array([[[3.0]]]), running=[1]
     )
-    assert A1[0, 0] == pytest.approx(1.1, rel=1e-15)
+    A1, A2, A3 = euler_map_derivatives(cb, np.array([0.05]), np.zeros((1, 1)), order=3)
+    assert A1[0, 0, 0] == pytest.approx(1.1, rel=1e-15)
     assert np.all(A2 == 0.0) and np.all(A3 == 0.0)
 
 
 def test_euler_operator_includes_noise_term():
     m = build_model("test5")
     x = np.array([0.4, -0.2])
-    A1, _, _ = euler_operator_derivatives(m, 0.0, x, 0.1, np.array([0.25]), order=1)
+    cb = _stack_calls(m, _euler_map_callbacks(1), np.zeros((1, 1)), x[None, None], running=[1])
+    A1, A2, A3 = euler_map_derivatives(cb, np.array([0.1]), np.array([[0.25]]), order=1)
+    assert A2 is None and A3 is None
     expect = np.eye(2) + 0.1 * m.drift_x(0.0, x) + 0.25 * m.diffusion_x(0.0, x)[:, 0, :]
-    np.testing.assert_allclose(A1, expect, rtol=1e-14)
+    np.testing.assert_allclose(A1[..., 0], expect, rtol=1e-14)
 
 
 def test_jump_operator_frozen_second_derivative():
     # c2 = z cos(x1)/sqrt(1+t) - x2 at t=0.5, x=(0,3), z=1:
     # d2 c2 / dx1 dx1 = -cos(0)/sqrt(1.5).
     m = build_model("test5")
-    C1, C2, C3 = jump_operator_derivatives(
-        m, 0.5, np.array([0.0, 3.0]), np.array([1.0]), order=3
+    cb = _stack_calls(
+        m, ["jump_x", "jump_xx", "jump_xxx"], np.array([[0.5]]),
+        np.array([[[0.0, 3.0]]]), np.array([[[1.0]]]), running=[1],
     )
+    C1, C2, C3 = (c[..., 0] for c in jump_map_derivatives(cb, order=3))
     np.testing.assert_allclose(C1, [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
     assert C2[1, 0, 0] == pytest.approx(-1.0 / np.sqrt(1.5), rel=1e-14)
     assert C3[1, 0, 0, 0] == pytest.approx(0.0, abs=1e-15)
-
-
-def test_operator_order_validation():
-    m = build_model("test5")
-    with pytest.raises(ParameterError):
-        euler_operator_derivatives(m, 0.0, m.x0, 0.1, np.zeros(1), order=4)
-    with pytest.raises(ParameterError):
-        jump_operator_derivatives(m, 0.0, m.x0, np.zeros(1), order=0)
 
 
 def test_linear_model_closed_form_duals():
     # One step of size dt multiplies phi by (1 + rate dt); phi' picks up
     # the square of the same factor.
     m = linear_model(rate=2.0)
-    grid = build_augmented_grid(uniform_mesh(1.0, 5), no_jumps(), horizon=1.0)
+    grid = build_augmented_grid(uniform_mesh(1.0, 5), NO_JUMPS, horizon=1.0)
     dw = np.zeros((5, 1))
     path = euler_path(m, grid, dw)
     duals = backward_duals(m, path, order=2)

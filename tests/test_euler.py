@@ -10,21 +10,24 @@ from jumpmc import (
     PathDivergenceError,
     RefinementDepthError,
     SeedConfig,
-    bridge_split,
-    brownian_bridge_refine,
-    build_augmented_grid,
     build_model,
-    euler_path,
-    intensity_integral_for,
-    no_jumps,
-    sample_wiener_increments,
     uniform_mesh,
 )
 from jumpmc import controller as ctl
-from jumpmc.euler import PathBatch, euler_batch, euler_terminal
-from jumpmc.jumps import JumpRealization
+from jumpmc.euler import (
+    PathBatch,
+    bridge_split,
+    brownian_bridge_refine,
+    euler_batch,
+    euler_path,
+    euler_terminal,
+    sample_wiener_increments,
+)
+from jumpmc.jumps import JumpRealization, build_augmented_grid, intensity_integral_for
 from jumpmc.model import JumpDiffusionModel, as_vectorized
 from jumpmc.rng import keyed_streams
+
+NO_JUMPS = JumpRealization(times=np.empty(0), marks=np.empty((0, 1)))
 
 
 def toy_model(drift=None, diffusion=None, jump=None, x0=(0.0,)):
@@ -58,7 +61,7 @@ def toy_model(drift=None, diffusion=None, jump=None, x0=(0.0,)):
 
 
 def plain_grid(n):
-    return build_augmented_grid(uniform_mesh(1.0, n), no_jumps(), horizon=1.0)
+    return build_augmented_grid(uniform_mesh(1.0, n), NO_JUMPS, horizon=1.0)
 
 
 def test_constant_drift_is_exact():
@@ -216,7 +219,7 @@ def test_refine_rejects_increments_of_the_wrong_shape():
 
 def test_refine_below_floor_raises():
     det = np.array([0.0, 2.0 ** -31, 1.0])
-    grid = build_augmented_grid(det, no_jumps(), horizon=1.0)
+    grid = build_augmented_grid(det, NO_JUMPS, horizon=1.0)
     dw = np.zeros((2, 1))
     rng = np.random.Generator(np.random.Philox(key=3))
     with pytest.raises(RefinementDepthError):

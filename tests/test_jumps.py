@@ -8,22 +8,27 @@ import pytest
 
 from jumpmc import (
     EvaluationError,
-    IntensityIntegral,
     ParameterError,
     SeedConfig,
-    build_augmented_grid,
     build_model,
+    run_mesh_batch,
+    uniform_mesh,
+)
+from jumpmc.jumps import (
+    IntensityIntegral,
+    JumpRealization,
+    build_augmented_grid,
+    build_grid_groups,
     intensity_integral_for,
     jump_times_from_exponentials,
-    no_jumps,
-    run_mesh_batch,
+    sample_jump_chunk,
     sample_jump_times,
     sample_jumps,
     sample_marks,
-    uniform_mesh,
 )
-from jumpmc.jumps import JumpRealization, build_grid_groups, sample_jump_chunk
 from jumpmc.rng import STREAM_JUMP_TIMES, STREAM_MARKS, keyed_streams, stream
+
+NO_JUMPS = JumpRealization(times=np.empty(0), marks=np.empty((0, 1)))
 
 
 def constant_rate_integral(rate=2.0, horizon=1.0):
@@ -276,7 +281,7 @@ def test_grid_interval_of_step():
 
 
 def test_grid_validation():
-    jumps = no_jumps(1)
+    jumps = NO_JUMPS
     with pytest.raises(ParameterError):
         build_augmented_grid(np.array([0.0, 0.5, 0.5, 1.0]), jumps, horizon=1.0)
     with pytest.raises(ParameterError):
@@ -291,7 +296,7 @@ def test_grid_validation():
 @pytest.mark.parametrize("node", [math.nan, math.inf, -math.inf])
 def test_grid_rejects_a_non_finite_mesh(node):
     with pytest.raises(ParameterError, match="finite and strictly increasing"):
-        build_augmented_grid(np.array([0.0, node, 1.0]), no_jumps(1), horizon=1.0)
+        build_augmented_grid(np.array([0.0, node, 1.0]), NO_JUMPS, horizon=1.0)
 
 
 def flat_jumps(rows):

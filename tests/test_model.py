@@ -13,8 +13,9 @@ from jumpmc import (
     oscillator_problem,
     pure_jump_problem,
 )
-from jumpmc.density import second_moment_derivatives
-from jumpmc.model import JumpDiffusionModel
+from jumpmc.density import second_moment_arrays
+from jumpmc.duals import _dense, _stack_calls
+from jumpmc.model import JumpDiffusionModel, as_vectorized
 
 
 def test_oscillator_coefficients_frozen_point():
@@ -37,17 +38,16 @@ def test_oscillator_coefficients_at_origin():
 
 
 def test_second_moment_symmetry():
-    m = oscillator_problem()
+    # d = b b^T / 2 and its derivatives at 20 points of one row, stacked
+    # as the kernel stacks a row
+    m = as_vectorized(oscillator_problem())
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        t = rng.uniform(0.0, 1.0)
-        x = rng.normal(size=2)
-        b = m.diffusion(t, x)
-        d = 0.5 * b @ b.T
-        np.testing.assert_allclose(d, d.T, atol=1e-15)
-        d_t, d_x, d_xx = second_moment_derivatives(m, t, x)
-        np.testing.assert_allclose(d_t, np.swapaxes(d_t, 0, 1), atol=1e-15)
-        np.testing.assert_allclose(d_x, np.swapaxes(d_x, 0, 1), atol=1e-15)
+    t, x = rng.uniform(0.0, 1.0, size=20), rng.normal(size=(20, 2))
+    names = ["diffusion", "diffusion_t", "diffusion_x", "diffusion_xx"]
+    cb = _stack_calls(m, names, t[None], x[None], running=[1] * 20)
+    for d in second_moment_arrays(*(cb[name] for name in names)):
+        d = _dense(d, m.dim)
+        np.testing.assert_allclose(d, np.swapaxes(d, 0, 1), atol=1e-15)
 
 
 def test_oscillator_intensity_inverse_roundtrip():

@@ -14,19 +14,15 @@ from jumpmc import (
     ParameterError,
     SeedConfig,
     build_model,
-    intensity_integral_for,
-    realization_streams,
     run_mesh_batch,
     run_stochastic_batch,
-    sample_jumps,
-    sample_marks,
-    stream,
     uniform_mesh,
 )
 from jumpmc import controller as ctl
 from jumpmc import jumps
 from jumpmc import rng as rng_module
 from jumpmc._ziggurat import FE_DOUBLE, FI_DOUBLE, KE_DOUBLE, KI_DOUBLE, WE_DOUBLE, WI_DOUBLE
+from jumpmc.jumps import intensity_integral_for, sample_jumps, sample_marks
 from jumpmc.model import MODELS, UniformMarks
 from jumpmc.rng import (
     STREAM_JUMP_TIMES,
@@ -35,6 +31,8 @@ from jumpmc.rng import (
     KeyedStream,
     keyed_streams,
     philox_words,
+    realization_streams,
+    stream,
 )
 
 

@@ -16,18 +16,14 @@ import pytest
 
 from jumpmc import (
     SeedConfig,
-    build_augmented_grid,
     build_model,
-    cutoff_density_S,
     run_mesh_batch,
-    sample_jumps,
-    sample_wiener_increments,
     uniform_mesh,
 )
 from jumpmc import controller as ctl
-from jumpmc.density import interval_sums
-from jumpmc.euler import stack_paths
-from jumpmc.jumps import intensity_integral_for
+from jumpmc.density import cutoff_density_S, interval_sums
+from jumpmc.euler import sample_wiener_increments, stack_paths
+from jumpmc.jumps import build_augmented_grid, intensity_integral_for, sample_jumps
 from jumpmc.model import as_vectorized
 from jumpmc.rng import realization_streams
 

@@ -14,8 +14,8 @@ import pytest
 
 from jumpmc import ParameterError, SeedConfig, build_model, uniform_mesh
 from jumpmc import controller as ctl
-from jumpmc.density import second_moment_derivatives
-from jumpmc.duals import euler_operator_derivatives
+from jumpmc.density import second_moment_arrays
+from jumpmc.duals import _dense, _euler_map_callbacks, _stack_calls, euler_map_derivatives
 from jumpmc.model import (
     MODELS,
     SUPPORT_AXES,
@@ -73,18 +73,25 @@ def test_a_callback_declared_zero_may_be_omitted(name, engine):
     assert _bytes(run(omitted)) == _bytes(run(model))
 
 
+def _row_derivatives(model, t, x, dw):
+    """The Euler-map derivatives (dt = 0.1) and those of d = b b^T / 2 at
+    the points (t, x) of one row, stacked as the kernel stacks a row, as
+    dense (tensor..., points) arrays."""
+    names = _euler_map_callbacks(3) + ["diffusion", "diffusion_t"]
+    cb = _stack_calls(model, names, t[None], x[None], running=[1] * len(t))
+    A = euler_map_derivatives(cb, np.full(len(t), 0.1), dw.T)
+    D = second_moment_arrays(
+        cb["diffusion"], cb["diffusion_t"], cb["diffusion_x"], cb["diffusion_xx"]
+    )
+    return [_dense(v, model.dim) for v in A + D]
+
+
 @pytest.mark.parametrize("name", ["test5", "purejump"])
 def test_pointwise_derivatives_take_an_omitted_zero_callback(name):
     model = build_model(name)
-    omitted = _omitted(model)
-    t, x, dw = 0.3, np.array([0.4, -1.2]), np.array([0.7])
+    t, x, dw = np.array([0.3]), np.array([[0.4, -1.2]]), np.array([[0.7]])
     for a, b in zip(
-        euler_operator_derivatives(omitted, t, x, 0.1, dw),
-        euler_operator_derivatives(model, t, x, 0.1, dw),
-    ):
-        np.testing.assert_array_equal(a, b)
-    for a, b in zip(
-        second_moment_derivatives(omitted, t, x), second_moment_derivatives(model, t, x)
+        _row_derivatives(_omitted(model), t, x, dw), _row_derivatives(model, t, x, dw)
     ):
         np.testing.assert_array_equal(a, b)
 
@@ -110,26 +117,13 @@ def test_the_kernel_never_calls_a_declared_callback(name):
 @pytest.mark.parametrize("name", ["test5", "purejump"])
 def test_pointwise_derivatives_match_the_undeclared_model(name):
     declared = build_model(name)
-    undeclared = _undeclared(declared)
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        t, x, dw = rng.random(), rng.normal(size=2), rng.normal(size=1)
-        for a, b in zip(
-            euler_operator_derivatives(declared, t, x, 0.1, dw),
-            euler_operator_derivatives(undeclared, t, x, 0.1, dw),
-        ):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(
-            second_moment_derivatives(declared, t, x),
-            second_moment_derivatives(undeclared, t, x),
-        ):
-            np.testing.assert_array_equal(a, b)
-    xs = rng.normal(size=(4, 3, 2))  # leading axes, as the callbacks take them
+    t, x, dw = rng.random(20), rng.normal(size=(20, 2)), rng.normal(size=(20, 1))
     for a, b in zip(
-        second_moment_derivatives(declared, 0.5, xs),
-        second_moment_derivatives(undeclared, 0.5, xs),
+        _row_derivatives(declared, t, x, dw),
+        _row_derivatives(_undeclared(declared), t, x, dw),
     ):
-        assert a.shape[:2] == (4, 3)
+        assert a.shape[-1] == 20
         np.testing.assert_array_equal(a, b)
 
 
