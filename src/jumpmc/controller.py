@@ -80,7 +80,6 @@ from __future__ import annotations
 
 import math
 import multiprocessing as mp
-import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Tuple
@@ -109,7 +108,7 @@ from .duals import (  # noqa: F401
     backward_duals,
     dual_batch,
 )
-from .errors import ConvergenceError, EvaluationError, JumpMCError, ParameterError
+from .errors import ConvergenceError, EvaluationError, JumpMCError, ParameterError, check_integer
 from .euler import (  # noqa: F401
     MIN_STEP_FRACTION,
     PathBatch,
@@ -201,18 +200,6 @@ def _partition_exact(total: float) -> tuple:
     raise EvaluationError(f"tolerance split failed to close for {total!r}")
 
 
-def _integer(name, value, least):
-    """``value`` as an int (numpy integers too); ParameterError unless it
-    is an integer of at least ``least``."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise ParameterError(f"{name} must be >= {least}, got {value}")
-    return value
-
-
 @dataclass(frozen=True)
 class StatParams:
     """Confidence constant, batch growth cap, and initial batch size."""
@@ -227,7 +214,7 @@ class StatParams:
             raise ParameterError(f"c0 must be >= 1.65, got {self.c0}")
         checks = (("mch", "MCH", 2), ("m0", "M0", 2), ("max_batches", "max_batches", 1))
         for name, label, least in checks:
-            object.__setattr__(self, name, _integer(label, getattr(self, name), least))
+            object.__setattr__(self, name, check_integer(label, getattr(self, name), least))
 
 
 @dataclass(frozen=True)
@@ -265,7 +252,7 @@ class AdaptParams:
                 f"S1 must exceed (2/c) s1 = {(2.0 / self.c) * self.s1:g}, got {self.S1}"
             )
         for name in ("n_initial", "max_refinements"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), 1))
 
 
 def sample_stats(values) -> Tuple[float, float]:
@@ -299,7 +286,7 @@ def change_M(m_in: int, s_in: float, tol_s: float, c0: float = 1.65, mch: int = 
     the result is 2^(floor(log2 M*) + 1), always a power of two and at
     most 2 * MCH * m_in.
     """
-    m_in, mch = _integer("M_in", m_in, 1), _integer("MCH", mch, 1)
+    m_in, mch = check_integer("M_in", m_in, 1), check_integer("MCH", mch, 1)
     if not tol_s > 0.0:
         raise ParameterError(f"TOL_S must be positive, got {tol_s}")
     if not s_in >= 0.0:  # NaN fails >= too
@@ -362,7 +349,7 @@ def monte_carlo(
     if not tol_s > 0.0:
         raise ParameterError(f"TOL_S must be positive, got {tol_s}")
     m = stats.m0
-    index = _integer("start_index", start_index, 0)
+    index = check_integer("start_index", start_index, 0)
     batches = []
     total = 0
     for _ in range(stats.max_batches):
@@ -665,12 +652,12 @@ def _run_chunked(chunk_fn, model, arg_list, workers):
 
 
 def _check_count(count, start=0):
-    _integer("batch size", count, 1)
-    _integer("start", start, 0)
+    check_integer("batch size", count, 1)
+    check_integer("start", start, 0)
 
 
 def _check_workers(workers):
-    _integer("workers", workers, 1)
+    check_integer("workers", workers, 1)
 
 
 def _concat_rows(parts):

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its integer check."""
+
+import operator
 
 
 class JumpMCError(Exception):
@@ -28,6 +30,20 @@ def _rebuild(cls, args, state):
 
 class ParameterError(JumpMCError, ValueError):
     """An argument is outside its documented domain."""
+
+
+def check_integer(name, value, least):
+    """``value`` as an int (numpy integers too); ParameterError unless it
+    is an integer, not a bool, of at least ``least``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ParameterError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 class CapabilityError(JumpMCError):

@@ -361,30 +361,25 @@ def brownian_bridge_refine(
 
     new_times = []
     new_jump = []
-    new_det = []
     rows = []
     for n in range(grid.n_steps):
         new_times.append(times[n])
         new_jump.append(grid.jump_index[n])
-        new_det.append(grid.is_det[n])
         if mask[n]:
             first, second = bridge_split(dt[n], dw[n], rng)
             rows.append(first)
             rows.append(second)
             new_times.append(0.5 * (times[n] + times[n + 1]))
             new_jump.append(-1)
-            new_det.append(False)
         else:
             rows.append(dw[n])
     new_times.append(times[-1])
     new_jump.append(grid.jump_index[-1])
-    new_det.append(grid.is_det[-1])
 
     refined = AugmentedGrid(
         times=np.array(new_times),
         det_times=grid.det_times,
         jump_index=np.array(new_jump, dtype=np.intp),
-        is_det=np.array(new_det, dtype=bool),
         marks=grid.marks,
         collisions=grid.collisions,
     )

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import roots_legendre
 
-from .errors import EvaluationError, JumpMCError, ParameterError
+from .errors import EvaluationError, JumpMCError, ParameterError, check_integer
 from .model import JumpDiffusionModel, UniformMarks
 
 Array = np.ndarray
@@ -338,15 +338,12 @@ class AugmentedGrid:
     """Union of the deterministic mesh and one realization's jump times.
 
     ``jump_index[n]`` is the mark row applied at node ``n`` (post-jump
-    state) or -1; ``is_det[n]`` marks nodes of the deterministic mesh.
-    ``interval_of_step[n]`` is the deterministic interval containing step
-    ``n`` (by its left endpoint).
+    state) or -1.
     """
 
     times: Array  # (N_A + 1,)
     det_times: Array  # (N + 1,)
     jump_index: Array  # (N_A + 1,) int
-    is_det: Array  # (N_A + 1,) bool
     marks: Array  # (K, mark_dim)
     collisions: int
 
@@ -361,10 +358,6 @@ class AugmentedGrid:
     @property
     def n_jumps(self) -> int:
         return len(self.marks)
-
-    @property
-    def interval_of_step(self) -> Array:
-        return interval_of_steps(self.det_times, self.times)
 
 
 def interval_of_steps(det_times: Array, times: Array) -> Array:
@@ -391,7 +384,6 @@ class GridGroup:
     times: Array  # (B, n + 1)
     det_times: Array  # (N + 1,)
     jump_index: Array  # (B, n + 1) int
-    is_det: Array  # (B, n + 1) bool
     marks: Array  # (B, n + 1, mark_dim)
     collisions: Array  # (B,)
 
@@ -410,7 +402,6 @@ class GridGroup:
             times=self.times[b],
             det_times=self.det_times,
             jump_index=jump_index,
-            is_det=self.is_det[b],
             marks=self.marks[b, jump_index >= 0],
             collisions=int(self.collisions[b]),
         )
@@ -524,12 +515,10 @@ def build_grid_groups(
         merged = np.count_nonzero(jump_index >= 0, axis=1) != n_jumps[rows]
         if merged.any():
             fail(EvaluationError, "two jumps merged into one grid node", rows[np.argmax(merged)])
-        is_det = np.ones(times.shape, dtype=bool)
-        is_det[b[inserted[mine]], at[inserted[mine]]] = False
         node_marks = np.zeros(times.shape + (marks.shape[1],))
         node_marks[b, at] = marks[mine]
         groups.append(
-            GridGroup(rows, times, det, jump_index, is_det, node_marks, collisions[rows])
+            GridGroup(rows, times, det, jump_index, node_marks, collisions[rows])
         )
     return groups
 
@@ -551,6 +540,4 @@ def build_augmented_grid(
 
 def uniform_mesh(horizon: float, n: int) -> Array:
     """Deterministic mesh with n equal steps on [0, horizon]."""
-    if n < 1:
-        raise ParameterError(f"mesh needs at least one step, got {n}")
-    return np.linspace(0.0, horizon, n + 1)
+    return np.linspace(0.0, horizon, check_integer("mesh steps", n, 1) + 1)

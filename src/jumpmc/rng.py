@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._ziggurat import FE_DOUBLE, FI_DOUBLE, KE_DOUBLE, KI_DOUBLE, WE_DOUBLE, WI_DOUBLE
-from .errors import ParameterError
+from .errors import ParameterError, check_integer
 
 STREAM_WIENER = 0
 STREAM_JUMP_TIMES = 1
@@ -61,11 +61,10 @@ class SeedConfig:
 
     def __post_init__(self):
         for field in ("wiener", "jump_times", "marks"):
-            value = getattr(self, field)
-            if not 0 <= value < 2 ** 64:
-                raise ParameterError(
-                    f"seed '{field}' must be in [0, 2**64), got {value}"
-                )
+            value = check_integer(f"seed '{field}'", getattr(self, field), 0)
+            if value >= 2 ** 64:
+                raise ParameterError(f"seed '{field}' must be < 2**64, got {value}")
+            object.__setattr__(self, field, value)
 
 
 def _key_word(realization: int, stream_id: int) -> int:

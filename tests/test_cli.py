@@ -82,6 +82,44 @@ def test_bad_tolerance_exits_2():
     assert main(["adapt-d", "--tol", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--m", "100", "--c0", "-5"],
+        ["estimate", "--m", "100", "--c0", "nan"],
+        ["simulate", "--m", "100", "--mch", "1"],
+        ["estimate", "--m", "1"],
+        ["simulate", "--m", "100", "--n", "0"],
+    ],
+)
+def test_statistical_and_mesh_constants_are_checked_for_every_command(argv, capsys):
+    # simulate and estimate used to run with any c0 and mch
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--out", "--json-out"])
+def test_output_in_a_missing_directory_exits_2_before_the_run(monkeypatch, tmp_path, capsys, flag):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(climod, "algorithm_d", no_run)
+    missing = tmp_path / "missing" / "x.out"
+    argv = ["adapt-d", "--tol", "0.1", "--out", str(tmp_path / "run.csv"), flag, str(missing)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: cannot write {missing}: no such directory\n"
+    assert list(tmp_path.iterdir()) == []  # neither file written
+
+
+def test_unwritable_output_exits_2_without_a_traceback(tmp_path, capsys):
+    # a directory passes the directory check and then cannot be opened
+    assert main(["simulate", "--m", "50", "--json-out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path}: ") and err.count("\n") == 1
+
+
 def test_convergence_failure_exits_3(monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise ConvergenceError("batch cap reached")

@@ -190,8 +190,8 @@ def test_refine_bisects_selected_steps():
     refined, new_dw = brownian_bridge_refine(grid, dw, np.array([True, False]), rng)
     np.testing.assert_allclose(refined.times, [0.0, 0.25, 0.5, 1.0])
     assert refined.n_steps == 3
-    # New midpoint is neither deterministic nor a jump node.
-    assert not refined.is_det[1] and refined.jump_index[1] == -1
+    # The midpoint is a new time, not a jump node.
+    assert refined.times[1] not in grid.times and refined.jump_index[1] == -1
     # The split halves sum back to the original increment bitwise.
     assert np.all(new_dw[0] + new_dw[1] == dw[0])
     assert np.all(new_dw[2] == dw[1])

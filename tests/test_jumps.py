@@ -20,6 +20,7 @@ from jumpmc.jumps import (
     build_augmented_grid,
     build_grid_groups,
     intensity_integral_for,
+    interval_of_steps,
     jump_times_from_exponentials,
     sample_jump_chunk,
     sample_jump_times,
@@ -250,7 +251,9 @@ def test_grid_insertion_and_counts():
     assert grid.n_jumps == 2
     assert grid.collisions == 0
     np.testing.assert_array_equal(grid.jump_index, [-1, 0, -1, 1, -1])
-    np.testing.assert_array_equal(grid.is_det, [True, False, True, False, True])
+    # the deterministic nodes keep their times; the jumps sit between them
+    np.testing.assert_array_equal(grid.times[[0, 2, 4]], det)
+    np.testing.assert_array_equal(grid.times[grid.jump_index >= 0], jumps.times)
 
 
 def test_grid_collision_merges_node():
@@ -261,7 +264,8 @@ def test_grid_collision_merges_node():
     assert grid.n_steps == 2
     assert grid.collisions == 1
     assert grid.jump_index[1] == 0
-    assert grid.is_det[1]
+    # the merged jump sits at the deterministic node's time; no node is new
+    np.testing.assert_array_equal(grid.times, det)
 
 
 def test_grid_near_collision_merges_within_tolerance():
@@ -277,7 +281,7 @@ def test_grid_interval_of_step():
     det = np.array([0.0, 0.5, 1.0])
     jumps = JumpRealization(times=np.array([0.25]), marks=np.array([[1.0]]))
     grid = build_augmented_grid(det, jumps, horizon=1.0)
-    np.testing.assert_array_equal(grid.interval_of_step, [0, 0, 1])
+    np.testing.assert_array_equal(interval_of_steps(grid.det_times, grid.times), [0, 0, 1])
 
 
 def test_grid_validation():
@@ -340,6 +344,13 @@ def test_uniform_mesh():
     np.testing.assert_allclose(mesh, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0], atol=1e-15)
     with pytest.raises(ParameterError):
         uniform_mesh(1.0, 0)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, "3", True])
+def test_uniform_mesh_rejects_a_step_count_that_is_not_an_integer(n):
+    with pytest.raises(ParameterError, match="must be an integer"):
+        uniform_mesh(1.0, n)
+    np.testing.assert_array_equal(uniform_mesh(1.0, np.int64(2)), [0.0, 0.5, 1.0])
 
 
 def test_constant_rate_gaps_are_exponential():

@@ -75,6 +75,19 @@ def test_seed_config_defaults_and_validation():
         SeedConfig(marks=2**64)
 
 
+@pytest.mark.parametrize("seed", [1.5, 1.0, "1", True])
+def test_seed_config_rejects_seeds_that_are_not_integers(seed):
+    # 1.5 used to run seed 1's streams without a word
+    with pytest.raises(ParameterError, match="must be an integer"):
+        SeedConfig(wiener=seed)
+
+
+def test_seed_config_stores_numpy_integer_seeds_as_int():
+    seeds = SeedConfig(wiener=np.int64(3), jump_times=np.uint64(2**64 - 1))
+    assert type(seeds.wiener) is int and type(seeds.jump_times) is int
+    assert seeds == SeedConfig(wiener=3, jump_times=2**64 - 1)
+
+
 def test_no_consumption_order_coupling():
     # drawing from one stream must not advance another
     seeds = SeedConfig()
