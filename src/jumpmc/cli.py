@@ -488,10 +488,15 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if "m" not in merged and args.command in _COMMAND_M_DEFAULTS:
         merged["m"] = _COMMAND_M_DEFAULTS[args.command]
     config = RunConfig(command=args.command, **merged)
-    # a missing directory fails before the run, not after it
-    for path in (config.out, config.json_out):
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
+    # these paths fail before the run, not after it with half a pair written
+    paths = [path for path in (config.out, config.json_out) if path]
+    for path in paths:
+        if os.path.isdir(path):
+            raise ParameterError(f"cannot write {path}: is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise ParameterError(f"cannot write {path}: no such directory")
+    if len(paths) == 2 and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
+        raise ParameterError(f"--out and --json-out name the same file: {config.json_out}")
     return config
 
 

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import roots_legendre
 
 from .errors import EvaluationError, JumpMCError, ParameterError, check_integer
 from .model import JumpDiffusionModel, UniformMarks
@@ -40,8 +38,11 @@ class IntensityIntegral:
 
     Uses model-provided closed forms when available, otherwise composite
     Gauss-Legendre panels with a bracketed root solve for the inverse.
-    The intensity must be nonnegative (and within its declared bound)
-    wherever it is evaluated.
+    Only those numeric fallbacks load scipy (``roots_legendre`` without
+    a closed L, ``brentq`` without a closed inverse), so closed forms,
+    as both builtin models give, need numpy alone.  The intensity must
+    be nonnegative (and within its declared bound) wherever it is
+    evaluated.
     """
 
     def __init__(
@@ -62,9 +63,11 @@ class IntensityIntegral:
         self._closed_inverse = inverse
 
         self._edges = np.linspace(0.0, self.horizon, PANELS + 1)
-        self._gl_x, self._gl_w = roots_legendre(NODES)
 
         if closed_form is None:
+            from scipy.special import roots_legendre
+
+            self._gl_x, self._gl_w = roots_legendre(NODES)
             panel_vals = np.array(
                 [
                     self._gauss(self._edges[i], self._edges[i + 1])
@@ -126,6 +129,8 @@ class IntensityIntegral:
         k = int(np.searchsorted(self._cum, s, side="right")) - 1
         k = min(max(k, 0), len(self._edges) - 2)
         lo, hi = self._edges[k], self._edges[k + 1]
+        from scipy.optimize import brentq
+
         t = brentq(lambda u: self.value(u) - s, lo, hi, xtol=1e-15)
         # Newton polish; the bracketed solve leaves |L(t) - s| near rounding
         # already, one step tightens it when lam(t) is not tiny.

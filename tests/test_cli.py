@@ -113,11 +113,43 @@ def test_output_in_a_missing_directory_exits_2_before_the_run(monkeypatch, tmp_p
     assert list(tmp_path.iterdir()) == []  # neither file written
 
 
+@pytest.mark.parametrize("flag", ["--out", "--json-out"])
+def test_output_that_is_a_directory_exits_2_before_the_run(monkeypatch, tmp_path, capsys, flag):
+    # the other file of the pair used to be written before this one failed
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(climod, "algorithm_d", no_run)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = ["adapt-d", "--tol", "0.1", "--out", str(tmp_path / "run.csv"),
+            "--json-out", str(tmp_path / "run.json"), flag, str(folder)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: cannot write {folder}: is a directory\n"
+    assert list(tmp_path.iterdir()) == [folder] and list(folder.iterdir()) == []
+
+
+@pytest.mark.parametrize("link", [False, True])
+def test_out_and_json_out_naming_one_file_exit_2_before_the_run(tmp_path, capsys, link):
+    # the JSON report used to overwrite the CSV, with exit 0
+    target = tmp_path / "x"
+    other = tmp_path / "link" if link else target
+    if link:
+        other.symlink_to(target)
+    assert main(["simulate", "--m", "20", "--out", str(target), "--json-out", str(other)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out and --json-out name the same file: {other}\n"
+    assert not target.exists()
+
+
 def test_unwritable_output_exits_2_without_a_traceback(tmp_path, capsys):
-    # a directory passes the directory check and then cannot be opened
-    assert main(["simulate", "--m", "50", "--json-out", str(tmp_path)]) == 2
+    # a name too long for the file system passes the checks made before the
+    # run and then cannot be opened
+    path = tmp_path / ("x" * 300)
+    assert main(["simulate", "--m", "50", "--json-out", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write {tmp_path}: ") and err.count("\n") == 1
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
 
 
 def test_convergence_failure_exits_3(monkeypatch, capsys):

@@ -5,7 +5,9 @@ gets composite Gauss-Legendre panels and a bracketed root solve in
 ``jumps.IntensityIntegral``.  The builtins both give closed forms, so no
 engine digest covers this path; these pins do.  ``float.hex`` values of
 the total and of the inverse at a few levels, plus digests of a small
-``run_mesh_batch`` on ``test5`` with its closed forms removed.
+``run_mesh_batch`` on ``test5`` with its closed forms removed.  A
+subprocess check keeps scipy off the import path of the package, the
+command line and the builtin models: only this path loads it.
 
 The values depend on the quadrature nodes and the root solver of scipy
 as well as on numpy's draws, so they are checked only under the series
@@ -15,9 +17,12 @@ meant to alter results, and say so.
 """
 
 import hashlib
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from importlib.metadata import version
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +76,40 @@ def _mesh_batch_digests():
     model = numeric_test5()
     out = ctl.run_mesh_batch(model, uniform_mesh(model.horizon, 5), SeedConfig(), 0, 256)
     return {key: _digest(out[key]) for key in MESH_BATCH}
+
+
+COLD_START = """
+import sys
+from dataclasses import replace
+
+import jumpmc
+import jumpmc.cli
+from jumpmc import SeedConfig, build_model, controller, uniform_mesh
+
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+model = build_model("test5")
+det = uniform_mesh(model.horizon, 5)
+controller.run_mesh_batch(model, det, SeedConfig(), 0, 64)
+assert not scipy_loaded(), scipy_loaded()
+numeric = replace(model, intensity_integral=None, intensity_integral_inverse=None)
+out = controller.run_mesh_batch(numeric, det, SeedConfig(), 0, 64)
+assert out["n_jumps"].sum() > 0
+assert {"scipy.optimize", "scipy.special"} <= set(scipy_loaded()), scipy_loaded()
+"""
+
+
+def test_scipy_is_loaded_only_for_a_numeric_intensity():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pinned
