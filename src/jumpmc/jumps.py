@@ -38,11 +38,11 @@ class IntensityIntegral:
 
     Uses model-provided closed forms when available, otherwise composite
     Gauss-Legendre panels with a bracketed root solve for the inverse.
-    Only those numeric fallbacks load scipy (``roots_legendre`` without
-    a closed L, ``brentq`` without a closed inverse), so closed forms,
-    as both builtin models give, need numpy alone.  The intensity must
-    be nonnegative (and within its declared bound) wherever it is
-    evaluated.
+    Scipy is loaded only for these numeric fallbacks (``roots_legendre``
+    when L has no closed form, ``brentq`` when its inverse has none), so
+    a model with both closed forms, like the builtins, needs numpy alone.
+    The intensity must be nonnegative (and within its declared bound)
+    wherever it is evaluated.
     """
 
     def __init__(
