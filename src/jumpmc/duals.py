@@ -35,7 +35,9 @@ evaluated, and the terms it enters are dropped.  Up to the sign of a
 zero and 0 * inf (NaN in full, absent in the box), the results are bit
 for bit those of the full tensors: dropping an exact zero from a sum
 leaves the order of the other terms.  The support is static, so the
-boxes cannot depend on the chunk size or the worker count.
+boxes cannot depend on the chunk size or the worker count, and they are
+fixed within one sweep: ``dual_batch`` plans its steps' contractions
+once (``Plans``) and reuses the plans at every step.
 
 The batched arrays are rows last: tensor axes first, then the trailing
 lead axes, (d, d, n, B) for a Jacobian at the (B, n) nodes of B paths,
@@ -180,6 +182,24 @@ def _einsum_plan(spec: str, keys):
     return cuts, tuple(ranges[c][0] for c in output)
 
 
+def _plan_einsum(spec: str, a, b):
+    """``_einsum_plan`` of the operands; None for two dense arrays."""
+    if type(a) is not Box and type(b) is not Box:
+        return None
+    ranks = _letters(spec)[2]
+    return _einsum_plan(spec, (_key(a, ranks[0]), _key(b, ranks[1])))
+
+
+def _run_einsum(plan, spec: str, a, b):
+    if plan is None:
+        return _einsum(spec, a, b)
+    (cut_a, cut_b), lo = plan
+    a = a.value if type(a) is Box else a
+    b = b.value if type(b) is Box else b
+    value = _einsum(spec, a if cut_a is None else a[cut_a], b if cut_b is None else b[cut_b])
+    return value if lo is None else Box(value, lo)
+
+
 def box_einsum(spec: str, a, b):
     """``np.einsum(spec, a, b)`` for Boxes and dense arrays, whose
     subscripts end in ``...`` for the lead axes.
@@ -190,14 +210,7 @@ def box_einsum(spec: str, a, b):
     a dense array when every output letter covers the full range of a
     dense operand, else the Box of the output letters.
     """
-    if type(a) is not Box and type(b) is not Box:
-        return _einsum(spec, a, b)
-    ranks = _letters(spec)[2]
-    (cut_a, cut_b), lo = _einsum_plan(spec, (_key(a, ranks[0]), _key(b, ranks[1])))
-    a = a.value if type(a) is Box else a
-    b = b.value if type(b) is Box else b
-    value = _einsum(spec, a if cut_a is None else a[cut_a], b if cut_b is None else b[cut_b])
-    return value if lo is None else Box(value, lo)
+    return _run_einsum(_plan_einsum(spec, a, b), spec, a, b)
 
 
 @functools.lru_cache(maxsize=None)
@@ -223,20 +236,21 @@ def _sum_plan(keys):
     return None if dense else lo, extent, parts
 
 
-def box_sum(*terms, owned: bool = False):
-    """The sum of Boxes and dense arrays of one tensor rank, on the
-    bounding box of the non-empty terms: the first is copied into its
-    part of that box and the others are added into theirs, in order,
-    which is the full sum up to the sign of a zero.  Dense when that box
-    is a dense term's.  ``owned`` says the first term is a dense array of
-    the sum's shape that the caller gives up to hold the sum."""
+def _plan_sum(terms):
+    """``_sum_plan`` of the terms; None when all are dense."""
     rank = next((len(t.lo) for t in terms if type(t) is Box), None)
     if rank is None:
+        return None
+    return _sum_plan(tuple(_key(t, rank) for t in terms))
+
+
+def _run_sum(plan, terms, owned: bool):
+    if plan is None:
         out = terms[0] if owned else terms[0] + terms[1]
         for term in terms[1 + (not owned):]:
             out += term
         return out
-    lo, extent, parts = _sum_plan(tuple(_key(t, rank) for t in terms))
+    lo, extent, parts = plan
     (k, where), *rest = parts
     if owned and k == 0 and where is None:
         out = terms[0]
@@ -250,6 +264,43 @@ def box_sum(*terms, owned: bool = False):
         view = out if where is None else out[where]
         view += term.value if type(term) is Box else term
     return out if lo is None else Box(out, lo)
+
+
+def box_sum(*terms, owned: bool = False):
+    """The sum of Boxes and dense arrays of one tensor rank, on the
+    bounding box of the non-empty terms: the first is copied into its
+    part of that box and the others are added into theirs, in order,
+    which is the full sum up to the sign of a zero.  Dense when that box
+    is a dense term's.  ``owned`` says the first term is a dense array of
+    the sum's shape that the caller gives up to hold the sum."""
+    return _run_sum(_plan_sum(terms), terms, owned)
+
+
+class Plans:
+    """``box_einsum`` and ``box_sum`` for one sequence of calls that runs
+    again and again on operands with the same boxes, as ``propagate``
+    runs on the local maps of one ``dual_batch``.  Making a plan costs
+    about as much as a contraction over a few rows, so the plans are made
+    on the first run and read in order on the next; ``at = 0`` starts a
+    run.  One lives as long as its operands' boxes, never longer."""
+
+    __slots__ = ("plans", "at")
+
+    def __init__(self):
+        self.plans, self.at = [], 0
+
+    def _next(self, make, *args):
+        at = self.at
+        self.at = at + 1
+        if at == len(self.plans):
+            self.plans.append(make(*args))
+        return self.plans[at]
+
+    def einsum(self, spec: str, a, b):
+        return _run_einsum(self._next(_plan_einsum, spec, a, b), spec, a, b)
+
+    def sum(self, *terms, owned: bool = False):
+        return _run_sum(self._next(_plan_sum, terms), terms, owned)
 
 
 def _scale(s, x):
@@ -361,34 +412,39 @@ def jump_map_derivatives(cb: dict, order: int = 3):
     return C1, C2, C3
 
 
-def propagate(G, phi):
+def propagate(G, phi, plans=None):
     """One backward block for B rows: pull the weights ``phi`` = (phi[,
     phi'[, phi'']]) through local maps with derivatives ``G`` = (G1[,
     G2[, G3]]), all rows last: tensor axes first, the row axis at the
     end.  The length of ``phi`` is the order.  G2 and G3 may be Boxes;
-    G1 and the weights are dense, and so are the results."""
+    G1 and the weights are dense, and so are the results.  ``plans``
+    (``Plans``) carries the box plans from call to call while ``G``
+    keeps its boxes and ``phi`` its order; without it, each call plans
+    afresh."""
+    ops = Plans() if plans is None else plans
+    ops.at = 0
     G1 = G[0]
-    out = [box_einsum("ji...,j...->i...", G1, phi[0])]
+    out = [ops.einsum("ji...,j...->i...", G1, phi[0])]
     if len(phi) >= 2:
-        v = box_einsum("ji...,jp...->ip...", G1, phi[1])
+        v = ops.einsum("ji...,jp...->ip...", G1, phi[1])
         out.append(
-            box_sum(
-                box_einsum("ip...,pk...->ik...", v, G1),
-                box_einsum("jik...,j...->ik...", G[1], phi[0]),
+            ops.sum(
+                ops.einsum("ip...,pk...->ik...", v, G1),
+                ops.einsum("jik...,j...->ik...", G[1], phi[0]),
                 owned=True,
             )
         )
     if len(phi) >= 3:
-        t0 = box_einsum("ji...,jpr...->ipr...", G1, phi[2])
-        t0 = box_einsum("ipr...,pk...->ikr...", t0, G1)
-        t0 = box_einsum("ikr...,rm...->ikm...", t0, G1)
-        term2 = box_einsum("ip...,pkm...->ikm...", v, G[1])
-        u = box_einsum("jik...,jp...->ikp...", G[1], phi[1])
-        w = box_einsum("ikp...,pm...->ikm...", u, G1)
+        t0 = ops.einsum("ji...,jpr...->ipr...", G1, phi[2])
+        t0 = ops.einsum("ipr...,pk...->ikr...", t0, G1)
+        t0 = ops.einsum("ikr...,rm...->ikm...", t0, G1)
+        term2 = ops.einsum("ip...,pkm...->ikm...", v, G[1])
+        u = ops.einsum("jik...,jp...->ikp...", G[1], phi[1])
+        w = ops.einsum("ikp...,pm...->ikm...", u, G1)
         out.append(
-            box_sum(
+            ops.sum(
                 t0, term2, w, _swap(w, 1, 2),
-                box_einsum("jikm...,j...->ikm...", G[2], phi[0]),
+                ops.einsum("jikm...,j...->ikm...", G[2], phi[0]),
                 owned=True,
             )
         )
@@ -431,7 +487,10 @@ def dual_batch(model, cb: dict, paths, values: Array, left: Array, order: int = 
     cb.pop("drift_xxx", None)
     cb.pop("diffusion_xxx", None)
     jrows, jnodes = np.nonzero(paths.jump_flag)
-    jump_at = set(jnodes.tolist())
+    # each jump node's entries of (jrows, jnodes), in row order
+    by_node = np.argsort(jnodes, kind="stable")
+    nodes, first = np.unique(jnodes[by_node], return_index=True)
+    jump_at = dict(zip(nodes.tolist(), np.split(by_node, first[1:])))
     if jump_at:
         C = jump_map_derivatives(
             _stack_calls(
@@ -450,14 +509,16 @@ def dual_batch(model, cb: dict, paths, values: Array, left: Array, order: int = 
     ]
     stores = [np.empty((d,) * (k + 1) + (offsets[-1],)) for k in range(order)]
     at_jumps = []
+    # the boxes of A and of C are fixed for the sweep: plan each once
+    euler_plans, jump_plans = Plans(), Plans()
 
     def jump_block(node, phi):
-        sel = np.nonzero(jnodes == node)[0]
+        sel = jump_at[node]
         rows = jrows[sel]
         pre = [w[..., rows] for w in phi]
         at_jumps.append((node, pre))
         phi = [w.copy() for w in phi]
-        for w, post in zip(phi, propagate([c[..., sel] for c in C], pre)):
+        for w, post in zip(phi, propagate([c[..., sel] for c in C], pre, jump_plans)):
             w[..., rows] = post
         return phi
 
@@ -474,7 +535,7 @@ def dual_batch(model, cb: dict, paths, values: Array, left: Array, order: int = 
             phi = jump_block(p + 1, phi)
         for store, w in zip(stores, phi):
             store[..., at : at + k] = w
-        phi = propagate([a[..., at : at + k] for a in A], phi)
+        phi = propagate([a[..., at : at + k] for a in A], phi, euler_plans)
     if 0 in jump_at:
         phi = jump_block(0, phi)
     return stores, phi, at_jumps

@@ -393,7 +393,9 @@ class _BridgeNormals:
     for the first draws of ``counts[h]`` splits and a few redraws.  A
     read past a row's normals draws that row alone again, to twice the
     reach, onto the end of the buffer: ``KeyedStream.draws`` is
-    row-independent, so every other row keeps its normals and offset."""
+    row-independent, so every other row keeps its normals and offset.
+    Such a top-up is a call of one or a few rows, which ``draws`` serves
+    from numpy's generator (``rng.FEW_ROWS``), without a Philox pass."""
 
     def __init__(self, wiener, realizations, positions, counts, w):
         self.wiener, self.realizations, self.positions = wiener, realizations, positions

@@ -30,6 +30,13 @@ the one way to draw for a chunk, and a caller counts its place in a
 stream in draws, always drawn from draw 0.  ``KeyedStream.at(i)`` is
 the one-row generator of realization ``i`` (for a mark sampler that
 needs one); only ``draws`` sets it to a word offset.
+
+A pass over arrays has a fixed cost of about half a millisecond, while
+numpy's generator draws a short row in a few microseconds.  So a
+``draws`` call for at most ``FEW_ROWS`` rows (a bridge top-up of one
+or two rows, say) draws each row with its own generator from draw 0,
+the reference every array value matches; only calls over more rows
+take the array path.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ STREAM_MARKS = 2
 _STREAM_SHIFT = 60  # realization indices stay below 2**60
 
 SLAB_BLOCKS = 1 << 14  # Philox blocks per pass; bounds the temporaries
+FEW_ROWS = 128  # draws for at most this many rows come from numpy's generator
 
 
 @dataclass(frozen=True)
@@ -72,6 +80,16 @@ def _key_word(realization: int, stream_id: int) -> int:
     if realization < 0 or realization >= 1 << _STREAM_SHIFT:
         raise ParameterError(f"realization index out of range: {realization}")
     return int(realization) + ((stream_id + 1) << _STREAM_SHIFT)
+
+
+def _check_realizations(realizations: np.ndarray) -> np.ndarray:
+    """``realizations`` (int64), after raising for the first one out of range."""
+    if realizations.size and (
+        realizations.min() < 0 or realizations.max() >= 1 << _STREAM_SHIFT
+    ):
+        bad = realizations[(realizations < 0) | (realizations >= 1 << _STREAM_SHIFT)][0]
+        raise ParameterError(f"realization index out of range: {bad}")
+    return realizations
 
 
 def stream(seed: int, realization: int, stream_id: int) -> np.random.Generator:
@@ -135,12 +153,7 @@ def philox_words(seed: int, stream_id: int, realizations, blocks) -> np.ndarray:
     ``4 * blocks[k]`` to ``4 * blocks[k] + 3`` that ``stream(seed,
     realizations[k], stream_id)`` draws.  The ten rounds run in place on
     preallocated buffers."""
-    realizations = np.asarray(realizations, dtype=np.int64)
-    if realizations.size and (
-        realizations.min() < 0 or realizations.max() >= 1 << _STREAM_SHIFT
-    ):
-        bad = realizations[(realizations < 0) | (realizations >= 1 << _STREAM_SHIFT)][0]
-        raise ParameterError(f"realization index out of range: {bad}")
+    realizations = _check_realizations(np.asarray(realizations, dtype=np.int64))
     k1 = realizations.astype(np.uint64) + np.uint64((stream_id + 1) << _STREAM_SHIFT)
     c0 = np.asarray(blocks, dtype=np.uint64) + np.uint64(1)
     c1, c2, c3 = (np.zeros_like(c0) for _ in range(3))
@@ -346,10 +359,13 @@ class KeyedStream:
         method: "standard_normal", "standard_exponential" or "random") of
         stream ``realizations[k]``, row after row, every value numpy's.
 
-        Ziggurat rejections are resolved in arrays (``_wedges``) from a few
-        slack words per row; a row with a tail draw or past its slack goes
-        on with numpy's generator at the word of the first draw the arrays
-        cannot make.  Uniforms never reject and draw no slack.
+        A call for at most ``FEW_ROWS`` rows draws each row with numpy's
+        generator (``at``), which costs less than one pass over arrays.
+        Over more rows, ziggurat rejections are resolved in arrays
+        (``_wedges``) from a few slack words per row; a row with a tail
+        draw or past its slack goes on with numpy's generator at the word
+        of the first draw the arrays cannot make.  Uniforms never reject
+        and draw no slack.  Both routes check the input alike.
         """
         if kind not in _KINDS:
             raise ParameterError(f"unknown draw kind {kind!r}, expected one of {sorted(_KINDS)}")
@@ -366,6 +382,12 @@ class KeyedStream:
             raise ParameterError(
                 f"draw count must be >= 0, got {counts[k]} (realization {realizations[k]})"
             )
+        _check_realizations(realizations)
+        if len(counts) <= FEW_ROWS:
+            return np.concatenate([np.empty(0)] + [
+                getattr(self.at(r), kind)(n)
+                for r, n in zip(realizations.tolist(), counts.tolist())
+            ])
         drawn = counts if wedge is None else _slack(counts)
         woff = np.cumsum(drawn) - drawn
         x = np.empty(int(drawn.sum()))

@@ -7,6 +7,8 @@ outside a declared support is an exact zero, so the declared and the
 undeclared model must give the same bytes: the forward-and-density
 kernel ``controller._path_batch``, the dual sweep ``dual_batch`` at
 orders 1 to 3, and ``rho_interval_batch`` on its order-2 weights.
+``dual_batch`` plans its box contractions once per sweep
+(``duals.Plans``), which must give the bytes of planning every call.
 
 The models draw d in {1, 2, 3} and l in {1, 2}, a support for each of
 the five declarable callbacks (undeclared, empty, or random entries),
@@ -22,7 +24,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from jumpmc import build_model  # noqa: E402
 from jumpmc import controller as ctl  # noqa: E402
+from jumpmc import duals  # noqa: E402
 from jumpmc.density import INTERVAL_DENSITY_CALLBACKS, rho_interval_batch  # noqa: E402
 from jumpmc.duals import _euler_map_callbacks, _stack_calls, dual_batch  # noqa: E402
 from jumpmc.euler import PathBatch, euler_batch  # noqa: E402
@@ -155,3 +159,58 @@ def test_declared_supports_leave_the_kernel_bit_identical(d, l, seed, B, N, extr
     det = uniform_mesh(1.0, N)
     paths = random_paths(np.random.default_rng(seed + 1), B, det, extra, l)
     assert kernel_outputs(declared, paths, det) == kernel_outputs(undeclared, paths, det)
+
+
+
+def dual_sweep(model, paths, order):
+    values, left = euler_batch(model, paths)
+    cb = _stack_calls(
+        model, _euler_map_callbacks(order), paths.times[:, :-1], values[:, :-1],
+        running=paths.running(),
+    )
+    return dual_batch(model, cb, paths, values, left, order)
+
+
+_propagate = duals.propagate
+
+
+def planned_every_call(G, phi, plans=None):
+    """``propagate`` keeping no plans: every contraction and sum is
+    planned at its call, as ``box_einsum`` and ``box_sum`` plan it."""
+    return _propagate(G, phi)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    l=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+    B=st.integers(1, 40),
+    N=st.integers(1, 4),
+    extra=st.integers(0, 2),
+)
+def test_plans_made_once_per_sweep_leave_dual_batch_bit_identical(d, l, seed, B, N, extra):
+    paths = random_paths(np.random.default_rng(seed + 1), B, uniform_mesh(1.0, N), extra, l)
+    for model in random_model(d, l, seed):  # boxed, then dense
+        once = as_bytes([dual_sweep(model, paths, order) for order in (1, 2, 3)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(duals, "propagate", planned_every_call)
+            every = as_bytes([dual_sweep(model, paths, order) for order in (1, 2, 3)])
+        assert every == once
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_plans_per_dual_batch_do_not_grow_with_its_steps(order):
+    model = build_model("test5")  # boxed second and third derivatives
+    builds, counts = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_plan_einsum", "_plan_sum"):
+            make = getattr(duals, name)
+            mp.setattr(duals, name, lambda *a, make=make: builds.append(a) or make(*a))
+        for N in (2, 40):
+            paths = random_paths(np.random.default_rng(N), 8, uniform_mesh(1.0, N), 1, 1)
+            assert len(set(np.nonzero(paths.jump_flag)[1].tolist())) >= 2
+            builds.clear()
+            dual_sweep(model, paths, order)
+            counts.append(len(builds))
+    assert counts[0] == counts[1] > 0

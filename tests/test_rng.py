@@ -429,6 +429,7 @@ def _crafted_rows(kind, keyed, count):
 
 
 def _check_crafted_rows(monkeypatch, kind, keyed, slack):
+    monkeypatch.setattr(rng_module, "FEW_ROWS", 0)  # the array path, for 26 rows
     crafted = _crafted_rows(kind, keyed, 41)
     if slack is not None:  # every rejection runs past the drawn words
         monkeypatch.setattr(
@@ -454,6 +455,7 @@ def test_crafted_exponential_rejections_match_the_generator(monkeypatch, slack):
 
 
 def test_an_n40_chunk_hands_few_rows_to_the_generator(monkeypatch):
+    monkeypatch.setattr(rng_module, "FEW_ROWS", 0)  # count the array path's hand-overs
     model = build_model("test5")
     wiener_calls = []
     at = KeyedStream.at
@@ -472,6 +474,7 @@ def test_an_n40_chunk_hands_few_rows_to_the_generator(monkeypatch):
 
 
 def test_jump_time_draws_of_two_chunks_hand_few_rows_to_the_generator(monkeypatch):
+    monkeypatch.setattr(rng_module, "FEW_ROWS", 0)  # count the array path's hand-overs
     model = build_model("test5")
     integral = intensity_integral_for(model)
     # six exponentials and their slack fill two Philox blocks at L(T) = ln 2
@@ -492,6 +495,80 @@ def test_jump_time_draws_of_two_chunks_hand_few_rows_to_the_generator(monkeypatc
             integral,
         )
     assert 0 < len(handed) < 0.01 * 2 * 16384
+
+
+# ---------------------------------------------------------------------------
+# few-row calls on numpy's generator, many-row calls on the array path
+
+
+def _count_passes(monkeypatch):
+    """(rows, Philox passes) of every ``draws`` call from now on."""
+    calls, passes = [], [0]
+    philox, draws = rng_module.philox_words, KeyedStream.draws
+    monkeypatch.setattr(
+        rng_module, "philox_words", lambda *a: passes.__setitem__(0, passes[0] + 1) or philox(*a)
+    )
+
+    def counted(self, kind, realizations, counts):
+        before = passes[0]
+        values = draws(self, kind, realizations, counts)
+        calls.append((len(counts), passes[0] - before))
+        return values
+
+    monkeypatch.setattr(KeyedStream, "draws", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["standard_normal", "standard_exponential", "random"])
+def test_few_row_and_array_routes_match_the_generator(monkeypatch, kind):
+    seed = 2**64 - 5
+    keyed = KeyedStream(seed, STREAM_JUMP_TIMES)
+    # ziggurat rows with a tail draw, wedge accepts and rejects, ...
+    crafted = [] if kind == "random" else sorted(set(_crafted_rows(kind, keyed, 41).values()))
+    calls = _count_passes(monkeypatch)
+    for n in (rng_module.FEW_ROWS, rng_module.FEW_ROWS + 1):
+        rows = np.array(crafted + list(range(5000, 5000 + n - len(crafted))))
+        counts = np.resize([41] * len(crafted) + [0, 1, 6, 41], n)
+        values = keyed.draws(kind, rows, counts)
+        expected = [
+            getattr(stream(seed, i, STREAM_JUMP_TIMES), kind)(c)
+            for i, c in zip(rows.tolist(), counts.tolist())
+        ]
+        np.testing.assert_array_equal(values, np.concatenate(expected))
+    (few, few_passes), (many, many_passes) = calls
+    assert few == rng_module.FEW_ROWS and few_passes == 0
+    assert many == rng_module.FEW_ROWS + 1 and many_passes == 1
+
+
+@pytest.mark.parametrize("bad, count", [(-1, 3), (1 << 60, 0)])
+def test_both_draws_routes_reject_a_realization_out_of_range(bad, count):
+    keyed = KeyedStream(7, STREAM_WIENER)
+    messages = []
+    for n in (rng_module.FEW_ROWS, rng_module.FEW_ROWS + 1):
+        rows, counts = np.arange(n), np.full(n, 2)
+        rows[n // 2], counts[n // 2] = bad, count
+        with pytest.raises(ParameterError, match="realization index out of range") as exc:
+            keyed.draws("standard_normal", rows, counts)
+        messages.append(str(exc.value))
+    assert messages == [f"realization index out of range: {bad}"] * 2
+
+
+def test_few_row_draws_make_no_philox_pass(monkeypatch):
+    # the per-call cost of a Philox pass is what the few-row route saves:
+    # guard that the small calls of algorithm_s (bridge top-ups, refined
+    # pieces) stay off the array path, and that large set-up calls stay on it
+    calls = _count_passes(monkeypatch)
+    ctl.algorithm_s(build_model("test5"), 0.3)
+    few = [passes for rows, passes in calls if rows <= rng_module.FEW_ROWS]
+    assert few and not any(few), calls
+    calls.clear()
+    model = build_model("test5")
+    ctl._setup_groups(
+        model, uniform_mesh(model.horizon, 40), keyed_streams(SeedConfig()), 0, 16384,
+        intensity_integral_for(model),
+    )
+    many = [passes for rows, passes in calls if rows > rng_module.FEW_ROWS]
+    assert many and all(many), calls
 
 
 def _calls_with_a_word_offset(tree):
