@@ -161,7 +161,6 @@ def test_declared_supports_leave_the_kernel_bit_identical(d, l, seed, B, N, extr
     assert kernel_outputs(declared, paths, det) == kernel_outputs(undeclared, paths, det)
 
 
-
 def dual_sweep(model, paths, order):
     values, left = euler_batch(model, paths)
     cb = _stack_calls(

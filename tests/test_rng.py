@@ -503,16 +503,14 @@ def test_jump_time_draws_of_two_chunks_hand_few_rows_to_the_generator(monkeypatc
 
 def _count_passes(monkeypatch):
     """(rows, Philox passes) of every ``draws`` call from now on."""
-    calls, passes = [], [0]
+    calls, passes = [], []
     philox, draws = rng_module.philox_words, KeyedStream.draws
-    monkeypatch.setattr(
-        rng_module, "philox_words", lambda *a: passes.__setitem__(0, passes[0] + 1) or philox(*a)
-    )
+    monkeypatch.setattr(rng_module, "philox_words", lambda *a: passes.append(a) or philox(*a))
 
     def counted(self, kind, realizations, counts):
-        before = passes[0]
+        before = len(passes)
         values = draws(self, kind, realizations, counts)
-        calls.append((len(counts), passes[0] - before))
+        calls.append((len(counts), len(passes) - before))
         return values
 
     monkeypatch.setattr(KeyedStream, "draws", counted)
