@@ -486,11 +486,12 @@ def dual_batch(model, cb: dict, paths, values: Array, left: Array, order: int = 
     A = euler_map_derivatives(cb, dt, dw, order)[:order]
     cb.pop("drift_xxx", None)
     cb.pop("diffusion_xxx", None)
-    jrows, jnodes = np.nonzero(paths.jump_flag)
-    # each jump node's entries of (jrows, jnodes), in row order
-    by_node = np.argsort(jnodes, kind="stable")
-    nodes, first = np.unique(jnodes[by_node], return_index=True)
-    jump_at = dict(zip(nodes.tolist(), np.split(by_node, first[1:])))
+    # the jumps node by node, each node's rows in order: a node's jump
+    # block takes one contiguous slice of them
+    jnodes, jrows = np.nonzero(paths.jump_flag.T)
+    per_node = np.bincount(jnodes).tolist()
+    ends = np.cumsum(per_node, dtype=np.int64).tolist()
+    jump_at = {n: slice(e - k, e) for n, (k, e) in enumerate(zip(per_node, ends)) if k}
     if jump_at:
         C = jump_map_derivatives(
             _stack_calls(
