@@ -490,7 +490,7 @@ def dual_batch(model, cb: dict, paths, values: Array, left: Array, order: int = 
     # block takes one contiguous slice of them
     jnodes, jrows = np.nonzero(paths.jump_flag.T)
     per_node = np.bincount(jnodes).tolist()
-    ends = np.cumsum(per_node, dtype=np.int64).tolist()
+    ends = np.cumsum(per_node).tolist()
     jump_at = {n: slice(e - k, e) for n, (k, e) in enumerate(zip(per_node, ends)) if k}
     if jump_at:
         C = jump_map_derivatives(
