@@ -10,6 +10,13 @@ orders 1 to 3, and ``rho_interval_batch`` on its order-2 weights.
 ``dual_batch`` plans its box contractions once per sweep
 (``duals.Plans``), which must give the bytes of planning every call.
 
+``dual_batch`` gathers the rows of a jump block with ``np.take``, so its
+weights stay rows last and contiguous, and scatters the weights after
+the jump into the sweep's arrays in place.  On ragged blocks, with jumps
+at node 0 and at the last node of the first rows to join the sweep, it
+must give the bytes of the copy-then-gather sweep it replaced (kept
+below), leave its inputs as they were, and repeat bit for bit.
+
 The models draw d in {1, 2, 3} and l in {1, 2}, a support for each of
 the five declarable callbacks (undeclared, empty, or random entries),
 and callbacks that are random polynomials in (t, x) vanishing outside
@@ -29,7 +36,7 @@ from jumpmc import controller as ctl  # noqa: E402
 from jumpmc import duals  # noqa: E402
 from jumpmc.density import INTERVAL_DENSITY_CALLBACKS, rho_interval_batch  # noqa: E402
 from jumpmc.duals import _euler_map_callbacks, _stack_calls, dual_batch  # noqa: E402
-from jumpmc.euler import PathBatch, euler_batch  # noqa: E402
+from jumpmc.euler import PathBatch, concat_paths, euler_batch, terminal_values  # noqa: E402
 from jumpmc.jumps import uniform_mesh  # noqa: E402
 from jumpmc.model import SUPPORT_AXES, JumpDiffusionModel, UniformMarks  # noqa: E402
 
@@ -213,3 +220,133 @@ def test_plans_per_dual_batch_do_not_grow_with_its_steps(order):
             dual_sweep(model, paths, order)
             counts.append(len(builds))
     assert counts[0] == counts[1] > 0
+
+
+def ragged_paths(rng, det, counts, l):
+    """Rows of three step counts, longest first: ``counts[k]`` rows with
+    2 - k extra nodes.  Besides the random jumps, every row jumps at its
+    last node and the rows of the second count at node 0."""
+    parts = [random_paths(rng, B, det, 2 - k, l) for k, B in enumerate(counts) if B]
+    paths = concat_paths(parts)
+    flag = paths.jump_flag.copy()
+    flag[np.arange(len(flag)), paths.n_steps] = True
+    flag[counts[0] : counts[0] + counts[1], 0] = True
+    marks = np.where(flag[..., None], rng.uniform(-1.0, 1.0, paths.marks.shape), 0.0)
+    return PathBatch(paths.times, paths.dw, flag, marks, paths.dt, paths.n_steps)
+
+
+def copy_then_gather(model, cb, paths, values, left, order):
+    """``dual_batch`` as it was before its jump blocks gathered with
+    ``np.take``: the packed increments and a block's rows are gathered
+    by index (``[:, mask]``, ``w[..., rows]``), which lays them out rows
+    first, and every block scatters into a copy of the weights."""
+    d = model.dim
+    running = paths.running().tolist()
+    offsets = np.cumsum([0] + running).tolist()
+    real = paths.real().T
+    dt, dw = duals._rows_last(paths.dt, 2)[real], duals._rows_last(paths.dw, 2)[:, real]
+    A = duals.euler_map_derivatives(cb, dt, dw, order)[:order]
+    jnodes, jrows = np.nonzero(paths.jump_flag.T)
+    ends = np.cumsum(np.bincount(jnodes)).tolist()
+    jump_at = {n: slice(b, e) for n, (b, e) in enumerate(zip([0] + ends, ends)) if e > b}
+    C = duals.jump_map_derivatives(
+        _stack_calls(
+            model, duals._jump_map_callbacks(order), paths.times[jrows, jnodes],
+            left[jrows, jnodes], paths.marks[jrows, jnodes],
+        ),
+        order,
+    )[:order]
+    x_T = terminal_values(paths, values)
+    start = [
+        duals._rows_last(np.asarray(getattr(model, name)(x_T), float), 1)
+        for name in ("payoff_x", "payoff_xx", "payoff_xxx")[:order]
+    ]
+    stores = [np.empty((d,) * (k + 1) + (offsets[-1],)) for k in range(order)]
+    at_jumps = []
+
+    def jump_block(node, phi):
+        sel = jump_at[node]
+        rows = jrows[sel]
+        pre = [w[..., rows] for w in phi]
+        at_jumps.append((node, pre))
+        phi = [w.copy() for w in phi]
+        for w, post in zip(phi, duals.propagate([c[..., sel] for c in C], pre)):
+            w[..., rows] = post
+        return phi
+
+    phi = [w[..., :0] for w in start]
+    for p, k in reversed(list(enumerate(running))):
+        at = offsets[p]
+        j = phi[0].shape[-1]
+        if k > j:
+            phi = [
+                s[..., :k] if j == 0 else np.concatenate([w, s[..., j:k]], -1)
+                for w, s in zip(phi, start)
+            ]
+        if p + 1 in jump_at:
+            phi = jump_block(p + 1, phi)
+        for store, w in zip(stores, phi):
+            store[..., at : at + k] = w
+        phi = duals.propagate([a[..., at : at + k] for a in A], phi)
+    if 0 in jump_at:
+        phi = jump_block(0, phi)
+    return stores, phi, at_jumps
+
+
+def input_bytes(cb, values, left, paths):
+    arrays = {name: v.value if isinstance(v, duals.Box) else v for name, v in cb.items()}
+    arrays.update(values=values, left=left)
+    arrays.update((name, getattr(paths, name)) for name in ("times", "dw", "jump_flag", "marks", "dt"))
+    return {name: as_bytes(a) for name, a in arrays.items()}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    l=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+    counts=st.tuples(st.integers(1, 12), st.integers(0, 12), st.integers(0, 12)),
+    N=st.integers(1, 4),
+)
+def test_jump_blocks_in_place_give_the_copy_then_gather_bytes(d, l, seed, counts, N):
+    paths = ragged_paths(np.random.default_rng(seed + 1), uniform_mesh(1.0, N), counts, l)
+    assert len(set(paths.n_steps.tolist())) == sum(map(bool, counts))
+    assert paths.jump_flag[:, 0].any() or not counts[1]
+    for model in random_model(d, l, seed):  # boxed, then dense
+        values, left = euler_batch(model, paths)
+        for order in (1, 2, 3):
+            cb = _stack_calls(
+                model, _euler_map_callbacks(order), paths.times[:, :-1], values[:, :-1],
+                running=paths.running(),
+            )
+            before = input_bytes(cb, values, left, paths)
+            once = as_bytes(dual_batch(model, dict(cb), paths, values, left, order))
+            assert input_bytes(cb, values, left, paths) == before
+            assert as_bytes(dual_batch(model, dict(cb), paths, values, left, order)) == once
+            reference = copy_then_gather(model, dict(cb), paths, values, left, order)
+            assert as_bytes(reference) == once
+
+
+@pytest.mark.parametrize("case", ["test5", "d2_l2", "d3_l2"])
+def test_jump_weights_and_packed_increments_are_contiguous(case, monkeypatch):
+    if case == "test5":
+        model, l = build_model("test5"), 1
+    else:
+        d, l = int(case[1]), 2
+        model = random_model(d, l, 7)[1]
+    paths = ragged_paths(np.random.default_rng(3), uniform_mesh(1.0, 4), (12, 9, 6), l)
+    increments = []
+    euler_maps = duals.euler_map_derivatives
+
+    def spy(cb, dt, dw, order=3):
+        increments.append(dw)
+        return euler_maps(cb, dt, dw, order)
+
+    monkeypatch.setattr(duals, "euler_map_derivatives", spy)
+    for order in (1, 2, 3):
+        _, _, at_jumps = dual_sweep(model, paths, order)
+        assert max(pre[0].shape[-1] for _, pre in at_jumps) > 1
+        for _, pre in at_jumps:
+            assert all(w.flags.c_contiguous for w in pre)
+    assert [dw.shape for dw in increments] == [(l, paths.real().sum())] * 3
+    assert all(dw.flags.c_contiguous for dw in increments)
