@@ -44,11 +44,11 @@ lead axes, (d, d, n, B) for a Jacobian at the (B, n) nodes of B paths,
 or (d, d, K) packed over the K steps a block's rows take (``dual_batch``).
 Every contraction then runs its inner loop over the contiguous rows,
 and a step's slice is one contiguous block.  A gather along the rows
-axis uses ``np.take(..., axis=-1)``, which keeps that layout: an index
-array or a mask over the trailing axes (``w[..., rows]``, ``x[:, mask]``)
-returns rows-first memory, and ``propagate`` ran about 8x slower on such
-weights (950 against 118 us on a 771-row jump block of test5's
-mesh-density call).
+axis uses ``np.take(..., axis=-1)`` (``np.compress`` for a mask), which
+keeps that layout: an index array or a mask over the trailing axes
+(``w[..., rows]``, ``x[:, mask]``) returns rows-first memory, and
+``propagate`` ran about 8x slower on such weights (950 against 118 us
+on a 771-row jump block of test5's mesh-density call).
 """
 
 from __future__ import annotations
@@ -486,13 +486,13 @@ def dual_batch(model, cb: dict, paths, values: Array, left: Array, order: int = 
     d = model.dim
     running = paths.running().tolist()
     offsets = np.cumsum([0] + running).tolist()
-    # the steps the rows take, packed step by step, as flat (n, B) indices:
-    # np.take keeps the packed (l, K) increments rows last, where a mask
-    # over the trailing axes would lay them out rows first
-    real = np.flatnonzero(paths.real().T)
-    dt = np.take(_rows_last(paths.dt, 2), real)
+    # the steps the rows take, packed step by step: np.compress along the
+    # flat (n, B) axis keeps the (l, K) increments rows last, where
+    # [:, mask] would lay them out rows first
+    real = paths.real().T.ravel()
+    dt = np.compress(real, _rows_last(paths.dt, 2))
     dw = _rows_last(paths.dw, 2)
-    dw = np.take(dw.reshape(len(dw), -1), real, axis=-1)
+    dw = np.compress(real, dw.reshape(len(dw), -1), axis=-1)
     A = euler_map_derivatives(cb, dt, dw, order)[:order]
     cb.pop("drift_xxx", None)
     cb.pop("diffusion_xxx", None)
