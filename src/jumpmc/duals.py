@@ -47,8 +47,8 @@ and a step's slice is one contiguous block.  A gather along the rows
 axis uses ``np.take(..., axis=-1)`` (``np.compress`` for a mask), which
 keeps that layout: an index array or a mask over the trailing axes
 (``w[..., rows]``, ``x[:, mask]``) returns rows-first memory, and
-``propagate`` ran about 8x slower on such weights (950 against 118 us
-on a 771-row jump block of test5's mesh-density call).
+``propagate`` ran about 8x slower on such weights (950-1,050 against
+118-135 us on a 771-row jump block of test5's mesh-density call).
 """
 
 from __future__ import annotations
@@ -524,13 +524,12 @@ def dual_batch(model, cb: dict, paths, values: Array, left: Array, order: int = 
     euler_plans, jump_plans = Plans(), Plans()
 
     def jump_block(node, phi):
-        # np.take gathers the jumping rows rows last and contiguous;
-        # w[..., rows] would lay them out rows first, and the block's
-        # einsums ran about 8x slower on that (950 against 118 us on a
-        # 771-row block of test5).  ``pre`` is a copy, so the weights after
-        # the jump are scattered into ``phi`` in place: when ``phi`` is a
-        # view of ``start`` (the first rows to join), later joins read only
-        # the columns of ``start`` past the current width.
+        # np.take keeps the gathered rows last and contiguous; w[..., rows]
+        # is rows first, on which this block ran about 8x slower (950-1,050
+        # against 118-135 us at 771 rows).  ``pre`` is a copy, so the weights
+        # after the jump go into ``phi`` in place: where ``phi`` is a view
+        # of ``start`` (the first rows to join), later joins read only the
+        # columns of ``start`` past the current width.
         sel = jump_at[node]
         rows = jrows[sel]
         pre = [np.take(w, rows, axis=-1) for w in phi]
