@@ -26,7 +26,12 @@ which chains the batched layers for a block of B paths: forward Euler
 needed, as in ``monte_carlo``), order-3 dual weights
 (``duals.dual_batch``) and the per-step density
 (``density.rho_batch``), with every callback
-evaluated once per node and shared by the dual and density layers.  A
+evaluated once per node and shared by the dual and density layers.  The
+backward sweep reads only X(T) and the left limits at the jumps of the
+forward paths: the left limits are freed before it, once their values
+at the jumps are taken, and the callbacks only the density reads are
+evaluated after it; the memory this saves goes to larger level-loop
+blocks.  A
 derivative with a declared support (``derivative_support``) is copied
 and contracted only on the bounding box of that support, and one with
 an empty support is not evaluated; the support is static, so this
@@ -107,6 +112,7 @@ from .duals import (  # noqa: F401
     _stack_calls,
     backward_duals,
     dual_batch,
+    jump_left_limits,
 )
 from .errors import ConvergenceError, EvaluationError, JumpMCError, ParameterError, check_integer
 from .euler import (  # noqa: F401
@@ -138,10 +144,14 @@ Array = np.ndarray
 MESH_CHUNK = 16384  # fixed chunk sizes keep grouping independent of workers
 STOCH_CHUNK = 2048
 # row-steps (the steps its rows take) per kernel call in the level loop,
-# unless one row alone has more.  The kernel holds only those steps, so
-# this bounds its memory: 3072 is the largest of the earlier blocks, 512
-# rows of 6 steps, on test5 at TOL 0.04
-STOCH_BLOCK_STEPS = 3072
+# unless one row alone has more.  It trades per-step overhead against
+# kernel memory: a kernel step costs about 100-150 us of numpy calls
+# whatever its row count, and the kernel holds only its block's steps.  On
+# test5 at TOL 0.04, 6144 makes 14 kernel calls per algorithm_s call where
+# 3072 made 21, and cut the adapt-s benchmark's wall time by 17% for 1.0 MB
+# more peak RSS; the traced peak inside dual_batch is then 3.6 MB
+# (BENCH_stochblocks.json, on a 2-CPU host)
+STOCH_BLOCK_STEPS = 6144
 # steps per density kernel call in the mesh engine, unless one row alone
 # has more.  On test5 this keeps every time-control batch of algorithm_d
 # at TOL 0.02 (at most 10,423 steps) in one call, and the peak RSS of the
@@ -210,8 +220,7 @@ class StatParams:
     max_batches: int = 40
 
     def __post_init__(self):
-        if not self.c0 >= 1.65:
-            raise ParameterError(f"c0 must be >= 1.65, got {self.c0}")
+        _check_c0(self.c0, 1.65)
         checks = (("mch", "MCH", 2), ("m0", "M0", 2), ("max_batches", "max_batches", 1))
         for name, label, least in checks:
             object.__setattr__(self, name, check_integer(label, getattr(self, name), least))
@@ -255,6 +264,14 @@ class AdaptParams:
             object.__setattr__(self, name, check_integer(name, getattr(self, name), 1))
 
 
+def _check_c0(c0: float, floor: float | None = None) -> None:
+    """ParameterError unless the confidence constant ``c0`` is finite and
+    positive, and at least ``floor`` if one is given."""
+    if not (math.isfinite(c0) and c0 > 0.0 and (floor is None or c0 >= floor)):
+        least = "> 0" if floor is None else f">= {floor:g}"
+        raise ParameterError(f"c0 must be finite and {least}, got {c0}")
+
+
 def sample_stats(values) -> Tuple[float, float]:
     """Sample mean and the biased standard deviation sqrt(A(Y^2) - A(Y)^2).
 
@@ -271,7 +288,9 @@ def sample_stats(values) -> Tuple[float, float]:
 
 
 def statistical_error_bound(std: float, m: int, c0: float = 1.65) -> float:
-    """Confidence bound c0 * std / sqrt(M) on a sample mean."""
+    """Confidence bound c0 * std / sqrt(M) on a sample mean; ``c0`` must be
+    finite and positive."""
+    _check_c0(c0)
     if m < 1:
         raise ParameterError(f"M must be >= 1, got {m}")
     if not std >= 0.0:  # NaN fails >= too
@@ -284,9 +303,10 @@ def change_M(m_in: int, s_in: float, tol_s: float, c0: float = 1.65, mch: int = 
 
     M* = min(floor((c0 s_in / tol_s)^2), MCH * m_in), clamped to >= 1;
     the result is 2^(floor(log2 M*) + 1), always a power of two and at
-    most 2 * MCH * m_in.
+    most 2 * MCH * m_in.  ``c0`` must be finite and positive.
     """
     m_in, mch = check_integer("M_in", m_in, 1), check_integer("MCH", mch, 1)
+    _check_c0(c0)
     if not tol_s > 0.0:
         raise ParameterError(f"TOL_S must be positive, got {tol_s}")
     if not s_in >= 0.0:  # NaN fails >= too
@@ -342,7 +362,8 @@ def monte_carlo(
     ``draw(start, count)`` must return ``count`` i.i.d. samples for the
     realization indices [start, start+count).  Each batch uses new
     samples; the batch size is updated by change_M.  Raises
-    ConvergenceError after ``stats.max_batches`` batches, and
+    ConvergenceError after ``stats.max_batches`` batches, EvaluationError
+    naming the first realization whose sample is not finite, and
     ParameterError before any draw unless ``tol_s`` is positive and
     ``start_index`` an integer of at least 0.
     """
@@ -358,6 +379,7 @@ def monte_carlo(
             raise ParameterError(
                 f"draw returned shape {values.shape}, expected ({m},)"
             )
+        _check_finite(values, range(index, index + m), "sample")
         mean, std = sample_stats(values)
         bound = statistical_error_bound(std, m, stats.c0)
         batches.append(
@@ -408,7 +430,10 @@ def stopping_deterministic(rbar: Array, n: int, tol_tt: float, D1: float) -> boo
 # ---------------------------------------------------------------------------
 # fixed-mesh batch engine
 
-_KERNEL_CALLBACKS = STEP_DENSITY_CALLBACKS + ["drift_xxx", "diffusion_xxx"]
+# the Euler-map callbacks the sweep reads, evaluated before it, and those
+# only the density reads, evaluated after it
+_SWEEP_CALLBACKS = _euler_map_callbacks(3)
+_DENSITY_ONLY_CALLBACKS = [n for n in STEP_DENSITY_CALLBACKS if n not in _SWEEP_CALLBACKS]
 
 
 def _path_batch(model, paths, realizations, want_rho):
@@ -424,22 +449,29 @@ def _path_batch(model, paths, realizations, want_rho):
     ``want_rho``; rho is (B, n), 0 past a row's last step.  The model's
     callbacks must broadcast over rows (see ``as_vectorized``); each is
     evaluated once per real node, and the dual and density layers share
-    the values.
+    the values.  The backward sweep holds only what it reads of the
+    forward paths: the forward left limits are freed before it, once
+    their values at the jumps are taken, and the density-only callbacks
+    (``_DENSITY_ONLY_CALLBACKS``) are evaluated after it, at the same
+    nodes, after which the node values are freed too.
     """
     if not want_rho:
         terminal = euler_terminal(model, paths, realizations=realizations)
         return _payoff(model, terminal, realizations), None
     values, left = euler_batch(model, paths, realizations=realizations)
-    payoff = _payoff(model, terminal_values(paths, values), realizations)
+    x_T = terminal_values(paths, values)
+    payoff = _payoff(model, x_T, realizations)
     model.require(
         *_required_callbacks(3, with_jumps=paths.jump_flag.any()), "drift_t", "diffusion_t"
     )
-    cb = _stack_calls(
-        model, _KERNEL_CALLBACKS, paths.times[:, :-1], values[:, :-1],
-        running=paths.running(),
-    )
-    stores, _, _ = dual_batch(model, cb, paths, values, left, 3)
-    del values, left  # freed before the density layer
+    jump_left = jump_left_limits(paths, left)
+    del left
+    nodes = (paths.times[:, :-1], values[:, :-1])
+    running = paths.running()
+    cb = _stack_calls(model, _SWEEP_CALLBACKS, *nodes, running=running)
+    stores, _, _ = dual_batch(model, cb, paths, x_T, jump_left, 3)
+    cb.update(_stack_calls(model, _DENSITY_ONLY_CALLBACKS, *nodes, running=running))
+    del values, nodes, x_T, jump_left  # freed before the density layer
     real = paths.real()
     rho = np.zeros(real.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite rho raises below
@@ -570,12 +602,13 @@ def _interval_chunk(model, det, seeds, start, count):
         values, left = euler_batch(model, paths, realizations=realizations)
         times, running = paths.times, paths.running()
         cb = _stack_calls(model, names, times[:, :-1], values[:, :-1], running=running)
-        stores, _, _ = dual_batch(model, cb, paths, values, left, 2)
+        x_T = terminal_values(paths, values)
+        stores, _, _ = dual_batch(model, cb, paths, x_T, jump_left_limits(paths, left), 2)
         hi = _stack_calls(
             model, INTERVAL_DENSITY_CALLBACKS, times[:, 1:], left[:, 1:], running=running
         )
         rho = rho_interval_batch(cb, hi, *stores, paths, det)
-        payoffs[rows] = _payoff(model, terminal_values(paths, values), realizations)
+        payoffs[rows] = _payoff(model, x_T, realizations)
         totals[rows] = np.sum(rho * widths ** 2, axis=1)
     return {"payoff": payoffs, "total": totals}
 

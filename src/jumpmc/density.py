@@ -78,8 +78,9 @@ STEP_DENSITY_CALLBACKS = [
 
 # steps per pass of rho_batch, which bounds its second-moment arrays,
 # factors and their copies.  In one pass per kernel block they set the
-# process's peak RSS: on test5 at TOL 0.04, with blocks of 3072 steps,
-# passes of 1536 lower the adapt-s benchmark's peak by about 0.5 MB
+# process's peak RSS: on test5 at TOL 0.04, with blocks of 3072 steps
+# (the level loop's budget then), passes of 1536 lowered the adapt-s
+# benchmark's peak by about 0.5 MB
 DENSITY_SLICE = 1536
 
 

@@ -60,7 +60,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError
-from .euler import EulerPath, stack_paths, terminal_values
+from .euler import EulerPath, stack_paths
 from .model import JumpDiffusionModel, as_vectorized
 
 Array = np.ndarray
@@ -456,7 +456,14 @@ def propagate(G, phi, plans=None):
     return out
 
 
-def dual_batch(model, cb: dict, paths, values: Array, left: Array, order: int = 3):
+def jump_left_limits(paths, left: Array) -> Array:
+    """The (J, d) left limits X(t-) at the J jumps of ``paths``, from the
+    forward layer's (B, n+1, d) ``left``, in ``dual_batch``'s order: node
+    by node, each node's rows in order."""
+    return left.swapaxes(0, 1)[paths.jump_flag.T]
+
+
+def dual_batch(model, cb: dict, paths, x_T: Array, jump_left: Array, order: int = 3):
     """Backward dual sweep for a block of B paths at once, rows last.
 
     The rows of ``paths`` are ordered by descending step count, so the
@@ -468,11 +475,16 @@ def dual_batch(model, cb: dict, paths, values: Array, left: Array, order: int = 
     the Euler-map callbacks of ``order`` evaluated at the nodes (t_n,
     X(t_n)) of those steps, as ``_stack_calls(..., running=paths.running())``
     packs them; the third-derivative entries are dropped from it once
-    A3 is formed, since nothing else reads them.  ``values`` and ``left``
-    are the forward layer's (B, n+1, d) node values and left limits.
-    Jump-map and payoff derivatives are evaluated here, at the jump left
-    limits and at each row's X(T), from which the row's sweep starts.
-    Only left-limit weights are stored.
+    A3 is formed, since nothing else reads them.  ``x_T`` holds the rows'
+    (B, d) terminal values and ``jump_left`` the (J, d) left limits at
+    their jumps (``jump_left_limits``): the sweep reads nothing else of
+    the forward paths.  Jump-map and payoff derivatives are evaluated
+    here, at the jump left limits and at each row's X(T), from which the
+    row's sweep starts.  The packed increments and the step mask are
+    freed once the Euler-map derivatives A are formed, so besides ``cb``
+    the sweep holds A, the jump-map and payoff derivatives, the stores
+    and the weights of the rows swept so far.  Only left-limit weights
+    are stored.
 
     Returns (stores, first, at_jumps).  ``stores`` and ``first`` are
     lists (phi[, phi'[, phi'']]) up to ``order``: the packed (t..., K)
@@ -494,6 +506,7 @@ def dual_batch(model, cb: dict, paths, values: Array, left: Array, order: int = 
     dw = _rows_last(paths.dw, 2)
     dw = np.compress(real, dw.reshape(len(dw), -1), axis=-1)
     A = euler_map_derivatives(cb, dt, dw, order)[:order]
+    del real, dt, dw
     cb.pop("drift_xxx", None)
     cb.pop("diffusion_xxx", None)
     # the jumps node by node, each node's rows in order: a node's jump
@@ -508,12 +521,11 @@ def dual_batch(model, cb: dict, paths, values: Array, left: Array, order: int = 
                 model,
                 _jump_map_callbacks(order),
                 paths.times[jrows, jnodes],
-                left[jrows, jnodes],
+                jump_left,
                 paths.marks[jrows, jnodes],
             ),
             order,
         )[:order]
-    x_T = terminal_values(paths, values)
     start = [
         _rows_last(np.asarray(getattr(model, name)(x_T), float), 1)
         for name in ("payoff_x", "payoff_xx", "payoff_xxx")[:order]
@@ -575,12 +587,10 @@ def backward_duals(
     model.require(*_required_callbacks(order, with_jumps=grid.n_jumps > 0))
     model = as_vectorized(model)
     paths = stack_paths(model, [grid], [path.increments])
-    values = path.values[None]
     # one row's steps, packed, are its (t..., n) rows-last arrays
     cb = _stack_calls(model, _euler_map_callbacks(order), grid.times[:-1], path.values[:-1])
-    stores, first, at_jumps = dual_batch(
-        model, cb, paths, values, path.left_values[None], order
-    )
+    jump_left = jump_left_limits(paths, path.left_values[None])
+    stores, first, at_jumps = dual_batch(model, cb, paths, path.values[-1:], jump_left, order)
     weights = {}
     for k, name in enumerate(("phi", "phi1", "phi2")[:order]):
         # rows last (t..., n) and (t..., 1) -> the (N_A + 1, t...) node layout

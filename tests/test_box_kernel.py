@@ -134,6 +134,12 @@ def as_bytes(value):
     return a.dtype.str, a.shape, a.tobytes()
 
 
+def sweep_inputs(paths, values, left):
+    """What ``dual_batch`` reads of the forward paths: X(T) and the left
+    limits at the jumps."""
+    return terminal_values(paths, values), duals.jump_left_limits(paths, left)
+
+
 def kernel_outputs(model, paths, det):
     B = len(paths.dt)
     out = {"path_batch": ctl._path_batch(model, paths, list(range(B)), True)}
@@ -142,7 +148,8 @@ def kernel_outputs(model, paths, det):
     for order in (1, 2, 3):
         names = _euler_map_callbacks(order) + INTERVAL_DENSITY_CALLBACKS
         cb = _stack_calls(model, names, times[:, :-1], values[:, :-1], running=running)
-        stores, first, at_jumps = dual_batch(model, cb, paths, values, left, order)
+        inputs = sweep_inputs(paths, values, left)
+        stores, first, at_jumps = dual_batch(model, cb, paths, *inputs, order)
         out[f"duals{order}"] = (stores, first, at_jumps)
         if order == 2:
             hi = _stack_calls(
@@ -174,7 +181,7 @@ def dual_sweep(model, paths, order):
         model, _euler_map_callbacks(order), paths.times[:, :-1], values[:, :-1],
         running=paths.running(),
     )
-    return dual_batch(model, cb, paths, values, left, order)
+    return dual_batch(model, cb, paths, *sweep_inputs(paths, values, left), order)
 
 
 _propagate = duals.propagate
@@ -321,9 +328,10 @@ def test_jump_blocks_in_place_give_the_copy_then_gather_bytes(d, l, seed, counts
                 running=paths.running(),
             )
             before = input_bytes(cb, values, left, paths)
-            once = as_bytes(dual_batch(model, dict(cb), paths, values, left, order))
+            inputs = sweep_inputs(paths, values, left)
+            once = as_bytes(dual_batch(model, dict(cb), paths, *inputs, order))
             assert input_bytes(cb, values, left, paths) == before
-            assert as_bytes(dual_batch(model, dict(cb), paths, values, left, order)) == once
+            assert as_bytes(dual_batch(model, dict(cb), paths, *inputs, order)) == once
             reference = copy_then_gather(model, dict(cb), paths, values, left, order)
             assert as_bytes(reference) == once
 

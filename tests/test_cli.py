@@ -90,6 +90,7 @@ def test_bad_tolerance_exits_2():
         ["simulate", "--m", "100", "--mch", "1"],
         ["estimate", "--m", "1"],
         ["simulate", "--m", "100", "--n", "0"],
+        ["simulate", "--m", "50", "--c0", "inf"],
     ],
 )
 def test_statistical_and_mesh_constants_are_checked_for_every_command(argv, capsys):

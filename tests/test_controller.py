@@ -1,6 +1,7 @@
 """Statistical control, refinement drivers, and batch reproducibility."""
 
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -31,11 +32,13 @@ from jumpmc import (
     uniform_mesh,
 )
 from jumpmc import controller as ctl
+from jumpmc import duals
 from jumpmc.density import cutoff_density_S, rho_per_step
 from jumpmc.duals import backward_duals
 from jumpmc.euler import brownian_bridge_refine, euler_path, sample_wiener_increments
 from jumpmc.jumps import build_augmented_grid, intensity_integral_for, sample_jumps
-from jumpmc.rng import realization_streams
+from jumpmc.model import as_vectorized
+from jumpmc.rng import keyed_streams, realization_streams
 
 
 def test_split_tolerance_components():
@@ -134,6 +137,42 @@ def bernoulli_draw(start, count):
         )
         out[i] = 1.0 if g.random() < 0.5 else 0.0
     return out
+
+
+def test_monte_carlo_names_the_first_non_finite_sample():
+    def draw(start, count):
+        values = np.ones(count)
+        values[2:] = np.nan
+        return values
+
+    with pytest.raises(EvaluationError, match="realization 12") as info:
+        monte_carlo(draw, 0.01, StatParams(m0=4), start_index=10)
+    assert info.value.realization == 12
+    with pytest.raises(EvaluationError) as info:
+        monte_carlo(lambda s, c: np.full(c, np.inf), 0.01, StatParams(m0=4))
+    assert info.value.realization == 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: StatParams(c0=math.inf),
+        lambda: StatParams(c0=math.nan),
+        lambda: change_M(100, 0.0, 0.01, math.inf),
+        lambda: change_M(100, 0.5, 0.01, math.nan),
+        lambda: change_M(100, 0.5, 0.01, 0.0),
+        lambda: statistical_error_bound(0.0, 100, math.inf),
+        lambda: statistical_error_bound(1.0, 100, -1.0),
+        lambda: statistical_error_bound(1.0, 100, 0.0),
+    ],
+    ids=[
+        "stat_params_inf", "stat_params_nan", "change_m_inf", "change_m_nan", "change_m_zero",
+        "bound_inf", "bound_negative", "bound_zero",
+    ],
+)
+def test_c0_must_be_finite_and_positive(call):
+    with pytest.raises(ParameterError, match="c0 must be finite"):
+        call()
 
 
 def test_monte_carlo_bernoulli():
@@ -454,8 +493,9 @@ def test_level_loop_block_chunk_and_adapter_invariance(monkeypatch):
     # the row-loop adapter feeds the kernel the same per-row callback values
     looped = run_stochastic_batch(replace(m, vectorized=False), det, seeds, 3, 60, **kw)
     monkeypatch.setattr(ctl, "STOCH_CHUNK", 7)
-    # 3 row-steps is below every row's step count: one-row blocks
-    for budget in (3, 7, 40):
+    # 3 row-steps is below every row's step count: one-row blocks; 10**6
+    # is one block per level
+    for budget in (3, 7, 40, 3072, 10**6):
         monkeypatch.setattr(ctl, "STOCH_BLOCK_STEPS", budget)
         small = run_stochastic_batch(m, det, seeds, 3, 60, **kw)
         for key in base:
@@ -476,11 +516,49 @@ def test_level_loop_blocks_hold_any_step_counts_within_the_budget(monkeypatch):
 
     monkeypatch.setattr(ctl, "_path_batch", counted)
     algorithm_s(build_model("test5"), 0.04)
-    assert len(calls) <= 25
+    assert len(calls) <= 14
     assert any(len(set(n.tolist())) > 1 for n in calls)
     for n in calls:
         assert (n[1:] <= n[:-1]).all()
         assert len(n) == 1 or n.sum() <= ctl.STOCH_BLOCK_STEPS
+
+
+def test_the_sweep_holds_no_left_limits_and_no_density_only_callbacks(monkeypatch):
+    # _path_batch frees the forward left limits before the backward sweep
+    # and evaluates the callbacks only the density reads after it
+    m = as_vectorized(build_model("test5"))
+    det = uniform_mesh(1.0, 5)
+    groups = ctl._setup_groups(
+        m, det, keyed_streams(SeedConfig()), 0, 64, intensity_integral_for(m)
+    )
+    (rows, paths), = ctl._ragged_blocks([(g.rows, p) for g, p in groups[::-1]], 10**6)
+    assert paths.jump_flag.any() and len(set(paths.n_steps.tolist())) > 1
+    density_only = {"drift", "drift_t", "diffusion", "diffusion_t"}
+    left_refs, density_refs, alive = [], [], []
+    forward, stack_calls, propagate = ctl.euler_batch, ctl._stack_calls, duals.propagate
+
+    def spied_forward(*args, **kwargs):
+        values, left = forward(*args, **kwargs)
+        left_refs.append(weakref.ref(left))
+        return values, left
+
+    def spied_stack_calls(model, names, *args, **kwargs):
+        out = stack_calls(model, names, *args, **kwargs)
+        for name in density_only.intersection(names):
+            value = out[name]
+            density_refs.append(weakref.ref(getattr(value, "value", value)))
+        return out
+
+    def spied_propagate(G, phi, plans=None):
+        alive.extend(ref() is not None for ref in left_refs + density_refs)
+        return propagate(G, phi, plans)
+
+    monkeypatch.setattr(ctl, "euler_batch", spied_forward)
+    monkeypatch.setattr(ctl, "_stack_calls", spied_stack_calls)
+    monkeypatch.setattr(duals, "propagate", spied_propagate)
+    ctl._path_batch(m, paths, rows.tolist(), True)
+    assert len(left_refs) == 1 and len(density_refs) == len(density_only)
+    assert alive and not any(alive)
 
 
 def test_time_control_batches_are_one_density_kernel_call_each(monkeypatch):

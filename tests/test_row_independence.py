@@ -197,7 +197,7 @@ def test_a_ragged_call_evaluates_callbacks_at_real_nodes_only():
     assert len(set(paths.n_steps.tolist())) > 2
     counts = {}
     names = [
-        "jump", "payoff", *ctl._KERNEL_CALLBACKS,
+        "jump", "payoff", *ctl._SWEEP_CALLBACKS, *ctl._DENSITY_ONLY_CALLBACKS,
         "jump_x", "jump_xx", "jump_xxx", "payoff_x", "payoff_xx", "payoff_xxx",
     ]
     names = sorted({n for n in names if getattr(base, n) is not None})

@@ -158,7 +158,7 @@ def ref_rho_batch(cb, phi, phi1, phi2):
 def ref_path_batch(model, paths):
     values, left = euler_batch(model, paths)
     payoff = np.asarray(model.payoff(values[:, -1]), float)
-    cb = ref_stack_calls(model, ctl._KERNEL_CALLBACKS, paths.times[:, :-1], values[:, :-1])
+    cb = ref_stack_calls(model, ctl._SWEEP_CALLBACKS + ctl._DENSITY_ONLY_CALLBACKS, paths.times[:, :-1], values[:, :-1])
     return payoff, ref_rho_batch(cb, *ref_dual_stores(model, cb, paths, values, left))
 
 
