@@ -36,42 +36,47 @@ derivative with a declared support (``derivative_support``) is copied
 and contracted only on the bounding box of that support, and one with
 an empty support is not evaluated; the support is static, so this
 cannot depend on chunk size or worker count, and the results are those
-of the full tensors up to the sign of a zero and 0 * inf.  The
-dual and density layers hold their arrays rows last.  A block's rows
-may have different step counts: ordered by descending step count, the
-rows that take step p are the first k_p, so forward Euler and the
-backward sweep step only those rows, each row's sweep starts from the
-payoff derivatives at its own X(T), callbacks are evaluated at real
-nodes only, and the dual and density arrays hold only those nodes,
-packed step by step as (t..., K) for the K steps the rows take; equal
-step counts are the case k_p = B, where that is (t..., n, B) flattened.
-Both engines send their rows through the kernel in the blocks of
-``_ragged_blocks``: rows with any step counts, longest first, each block
-taking at most a budget of steps in all (or one row), and reduce each
-row over its own steps, a step count at a time
-(``PathBatch.by_step_count``), so no reduction reads padding.  The mesh
-engine's density runs (``algorithm_d``'s time-control batches and the
-``--density rhodef`` diagnostic) cut a chunk's step-count groups into
-blocks of MESH_BLOCK_STEPS, and reduce them per interval with
-``density.interval_sums``; its forward-only runs take each step-count
-group as one call.  The per-realization driver refines a whole chunk
-level-synchronously: its rows stay stacked arrays (``PathBatch``) from
-set-up to result, every level runs the kernel on blocks of
-STOCH_BLOCK_STEPS, and the rows still refining are bisected together by
+of the full tensors up to the sign of a zero and 0 * inf.
+
+Paths are node-major from set-up to the dual sweep: every per-node
+array of a ``PathBatch`` is shaped (nodes, rows), with the rows ordered
+by descending step count, so the rows that take step p are the
+contiguous column prefix ``[p, :k_p]``.  Forward Euler reads and writes
+those prefixes, callbacks are evaluated at real nodes only, and nothing
+past a row's last node is written or read.  The dual and density layers
+hold their arrays rows last, packed step by step as (t..., K) for the K
+steps the rows take (equal step counts are the case k_p = B, where that
+is (t..., n, B) flattened); each row's sweep starts from the payoff
+derivatives at its own X(T).  ``_setup_paths`` sets up a whole index
+range at once from counter-based draws (``rng.KeyedStream.draws``):
+every realization's jump times, marks (``jumps.sample_jump_chunk``) and
+Wiener normals come from its own Philox streams, computed for the whole
+range in numpy, ziggurat rejections included; only a mark sampler
+without a quantile draws from a one-row generator.  All grids are merged
+in one pass by ``jumps.build_grid_batch``, which writes them node-major,
+longest first, and the scaled normals go straight into the node-major
+increments; a row's Wiener increments are the first ``n_steps *
+wiener_dim`` normals of its stream, so that is its position after
+set-up.  Both engines send their rows through the kernel in the blocks
+of ``_ragged_blocks``, column slices of consecutive rows that take at
+most a budget of steps in all (or one row), and reduce each row over its
+own steps, a step count at a time (``PathBatch.by_step_count``), so no
+reduction reads past a row's last step.  The mesh engine
+(``_mesh_chunk``) sets up a chunk once and runs it either forward-only,
+the whole chunk in one pass (``monte_carlo``'s draws), or in blocks of
+MESH_BLOCK_STEPS with a per-kind reduction: per interval with
+``density.interval_sums`` for ``algorithm_d``'s time-control batches,
+or to the interval-density totals of the ``--density rhodef``
+diagnostic.  The per-realization driver refines a whole chunk
+level-synchronously: its rows stay one ``PathBatch`` from set-up to
+result, every level runs the kernel on blocks of STOCH_BLOCK_STEPS, the
+rows still refining are bisected together by
 ``euler.bridge_refine_batch``, which draws each row's bridge noise from
 its own Wiener stream at the row's position, the number of normals the
-stream has given (``control_time_error`` runs one realization).
-``_setup_groups`` sets up a whole index range at once from
-counter-based draws (``rng.KeyedStream.draws``): every realization's
-jump times, marks (``jumps.sample_jump_chunk``) and Wiener normals come
-from its own Philox streams, computed for the whole range in numpy,
-ziggurat rejections included; only a mark sampler without a quantile
-draws from a one-row generator.  All grids are merged in one pass by
-``jumps.build_grid_groups``, which hands the kernel stacked arrays per
-step count; a row's Wiener increments are the first ``n_steps *
-wiener_dim`` normals of its stream, so that is its position after
-set-up.  Layer arithmetic is row-wise, so no realization's numbers
-depend on the rows it shares a batch with.
+stream has given, and the refined rows are joined, longest first, into
+the next level's batch (``control_time_error`` runs one realization).
+Layer arithmetic is row-wise, so no realization's numbers depend on the
+rows it shares a batch with.
 
 Batches are chunked into fixed-size index ranges; a chunk is always
 computed the same way no matter how chunks are spread over workers, and
@@ -129,7 +134,7 @@ from .euler import (  # noqa: F401
 )
 from .jumps import (  # noqa: F401
     build_augmented_grid,
-    build_grid_groups,
+    build_grid_batch,
     check_mesh,
     intensity_integral_for,
     sample_jump_chunk,
@@ -438,10 +443,10 @@ _DENSITY_ONLY_CALLBACKS = [n for n in STEP_DENSITY_CALLBACKS if n not in _SWEEP_
 
 def _path_batch(model, paths, realizations, want_rho):
     """Forward Euler and, if ``want_rho``, order-3 duals and per-step rho
-    for the B rows of ``paths``, ordered by descending step count: a block
-    of ``_ragged_blocks`` in both engines' density runs, one step-count
-    group in the mesh engine's forward-only runs.  Without ``want_rho``
-    no path is stored, only X(T).
+    for the B rows of the node-major ``paths``, ordered by descending step
+    count: a block of ``_ragged_blocks`` in both engines' density runs, a
+    whole chunk in the mesh engine's forward-only runs.  Without
+    ``want_rho`` no path is stored, only X(T).
 
     ``realizations`` are the rows' absolute indices, named by the
     EvaluationError raised for a diverging path, a non-finite payoff or a
@@ -466,16 +471,16 @@ def _path_batch(model, paths, realizations, want_rho):
     )
     jump_left = jump_left_limits(paths, left)
     del left
-    nodes = (paths.times[:, :-1], values[:, :-1])
+    nodes = (paths.times[:-1], values[:-1])
     running = paths.running()
     cb = _stack_calls(model, _SWEEP_CALLBACKS, *nodes, running=running)
     stores, _, _ = dual_batch(model, cb, paths, x_T, jump_left, 3)
     cb.update(_stack_calls(model, _DENSITY_ONLY_CALLBACKS, *nodes, running=running))
     del values, nodes, x_T, jump_left  # freed before the density layer
     real = paths.real()
-    rho = np.zeros(real.shape)
+    rho = np.zeros(real.shape[::-1])  # (B, n), rows first
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite rho raises below
-        rho.T[real.T] = rho_batch(cb, *stores)
+        rho.T[real] = rho_batch(cb, *stores)
     _check_finite(rho, realizations, "error density")
     return payoff, rho
 
@@ -496,131 +501,122 @@ def _check_finite(values, realizations, what):
         raise EvaluationError(f"{what} is not finite (realization {which})", realization=which)
 
 
-def _setup_groups(model, det, streams, start, count, integral):
+def _setup_paths(model, det, streams, start, count, integral):
     """Augmented grids and Wiener increments of realizations
-    [start, start+count), as (GridGroup, PathBatch) pairs by ascending
-    step count.
+    [start, start+count) as one node-major ``PathBatch`` ordered by
+    descending step count: returns (rows, paths, n_jumps, collisions),
+    with ``rows`` the chunk row of each column and the counts per row.
 
     ``jumps.sample_jump_chunk`` draws every realization's jumps (with the
     model's intensity ``integral``) and marks from its keyed ``streams``;
-    all grids are merged in one ``build_grid_groups`` pass; the standard
-    normals of every row come from one ``KeyedStream.draws`` call on
-    the Wiener family, in group order, and are scaled by sqrt(dt) in place
-    once per group.  A row's increments are the first ``n_steps *
-    wiener_dim`` normals of its Wiener stream.  Set-up errors name the
-    realization.
+    ``jumps.build_grid_batch`` merges all grids in one pass, written
+    node-major group by group; the standard normals of every row come from
+    one ``KeyedStream.draws`` call on the Wiener family, in column order,
+    and are scaled by sqrt(dt) into the node-major increments, a
+    step-count group at a time.  A row's increments are the first
+    ``n_steps * wiener_dim`` normals of its Wiener stream.  Set-up errors
+    name the realization.
     """
     wiener, jump_times, marks = streams
     realizations = range(start, start + count)
     jumps = sample_jump_chunk(model, integral, jump_times, marks, realizations)
-    groups = build_grid_groups(
-        det, *jumps, horizon=model.horizon, realizations=realizations
-    )
-    rows = np.concatenate([group.rows for group in groups])
-    draws = np.concatenate(
-        [np.full(len(group.rows), group.times.shape[1] - 1) for group in groups]
-    ) * model.wiener_dim
-    z = wiener.draws("standard_normal", start + rows, draws)
-    out = []
+    grids = build_grid_batch(det, *jumps, horizon=model.horizon, realizations=realizations)
+    l = model.wiener_dim
+    z = wiener.draws("standard_normal", start + grids.rows, grids.n_steps * l)
+    dw = np.empty((len(grids.times) - 1, count, l))
+    paths = PathBatch(grids.times, dw, grids.jump_flag, grids.marks, grids.n_steps)
     at = 0
-    for group in groups:
-        dt = group.dt
-        dw = z[at:at + dt.size * model.wiener_dim].reshape(dt.shape + (model.wiener_dim,))
-        at += dw.size
-        dw *= np.sqrt(dt)[:, :, None]
-        out.append((group, PathBatch(group.times, dw, group.jump_index >= 0, group.marks, dt)))
-    return out
+    for cols, n in paths.by_step_count():
+        t = grids.times[: n + 1, cols]
+        size = (cols.stop - cols.start) * n * l
+        normals = z[at : at + size].reshape(-1, n, l).swapaxes(0, 1)
+        np.multiply(normals, np.sqrt(t[1:] - t[:-1])[:, :, None], out=dw[:n, cols])
+        at += size
+    return grids.rows, paths, jumps[0], grids.collisions
 
 
-def _mesh_chunk(model, det, seeds, start, count, tol, want_density):
+def _mesh_chunk(model, det, seeds, start, count, tol, density):
     """All per-realization results for one contiguous index chunk.
 
-    Forward-only, every set-up group is one kernel call.  With the
-    density the rows run in the blocks of ``_ragged_blocks``, at most
-    MESH_BLOCK_STEPS steps in all or one row, and each row is reduced
-    over its own steps, a step count at a time.
+    One set-up writes the chunk's paths node-major, longest first.
+    Forward-only (``density`` None) the whole chunk is one kernel call.
+    Otherwise the rows run in the blocks of ``_ragged_blocks``, at most
+    MESH_BLOCK_STEPS steps in all or one row, and are reduced by kind:
+    with the per-step density (``density`` "step") each row over its own
+    steps, a step count at a time, into per-interval sums, clamped
+    indicators and signed totals; with the interval density ("interval",
+    the ``--density rhodef`` diagnostic) into the signed interval-density
+    total, sum of rho_I * width^2 over the deterministic intervals.
     """
     model = as_vectorized(model)
-    integral = intensity_integral_for(model)
+    rows, paths, n_jumps, collisions = _setup_paths(
+        model, det, keyed_streams(seeds), start, count, intensity_integral_for(model)
+    )
     outputs = {
         "payoff": np.empty(count),
         "n_a": np.empty(count, dtype=np.intp),
-        "n_jumps": np.empty(count, dtype=np.intp),
+        "n_jumps": np.asarray(n_jumps, dtype=np.intp),
         "collisions": np.empty(count, dtype=np.intp),
     }
-    pieces = []
-    for group, paths in _setup_groups(model, det, keyed_streams(seeds), start, count, integral):
-        outputs["n_a"][group.rows] = paths.dt.shape[1]
-        outputs["n_jumps"][group.rows] = group.n_jumps
-        outputs["collisions"][group.rows] = group.collisions
-        pieces.append((group.rows, paths))
-    if not want_density:
-        for rows, paths in pieces:
-            payoff, _ = _path_batch(model, paths, (start + rows).tolist(), False)
-            outputs["payoff"][rows] = payoff
+    outputs["n_a"][rows] = paths.n_steps
+    outputs["collisions"][rows] = collisions
+    if density is None:
+        outputs["payoff"][rows], _ = _path_batch(model, paths, (start + rows).tolist(), False)
         return outputs
 
     n_det = len(det) - 1
-    outputs["signed_interval"] = np.empty((count, n_det))
-    outputs["r"] = np.empty((count, n_det))
-    outputs["signed_total"] = np.empty(count)
     widths = np.diff(det)
-    for rows, paths in _ragged_blocks(pieces[::-1], MESH_BLOCK_STEPS):
-        payoff, rho = _path_batch(model, paths, (start + rows).tolist(), True)
-        outputs["payoff"][rows] = payoff
-        for run, n in paths.by_step_count():
-            contrib = rho[run, :n] * paths.dt[run, :n] ** 2
-            signed = interval_sums(contrib, paths.times[run, : n + 1], det)
-            outputs["signed_interval"][rows[run]] = signed
-            outputs["r"][rows[run]] = cutoff_density_S(signed / widths ** 2, tol) * widths ** 2
-            outputs["signed_total"][rows[run]] = contrib.sum(axis=1)
+    if density == "interval":
+        outputs["total"] = np.empty(count)
+    else:
+        outputs["signed_interval"] = np.empty((count, n_det))
+        outputs["r"] = np.empty((count, n_det))
+        outputs["signed_total"] = np.empty(count)
+    for cols, block in _ragged_blocks(paths, MESH_BLOCK_STEPS):
+        at = rows[cols]
+        realizations = (start + at).tolist()
+        if density == "interval":
+            payoff, rho = _interval_batch(model, block, realizations, det)
+            outputs["total"][at] = np.sum(rho * widths ** 2, axis=1)
+        else:
+            payoff, rho = _path_batch(model, block, realizations, True)
+            for run, n in block.by_step_count():
+                contrib = rho[run, :n] * block.dt(run, n) ** 2
+                signed = interval_sums(contrib, block.times[: n + 1, run].T, det)
+                outputs["signed_interval"][at[run]] = signed
+                outputs["r"][at[run]] = cutoff_density_S(signed / widths ** 2, tol) * widths ** 2
+                outputs["signed_total"][at[run]] = contrib.sum(axis=1)
+        outputs["payoff"][at] = payoff
     return outputs
 
 
-def _interval_chunk(model, det, seeds, start, count):
-    """Payoffs and signed interval-density totals, sum of rho_I * width^2
-    over the deterministic intervals, of one contiguous index chunk (the
-    ``--density rhodef`` diagnostic).
-
-    Same set-up, blocks and forward layer as ``_mesh_chunk`` with the
-    density; the interval density needs order-2 duals only, and its
+def _interval_batch(model, paths, realizations, det):
+    """Payoffs and the (B, N) signed interval densities on the mesh
+    ``det`` of a block of rows, as ``_path_batch`` runs the per-step
+    density: the interval density needs order-2 duals only, and its
     left-node drift and diffusion come from the same callback call as
-    the dual layer's.
-    """
-    model = as_vectorized(model)
-    integral = intensity_integral_for(model)
-    groups = _setup_groups(model, det, keyed_streams(seeds), start, count, integral)
-    pieces = [(group.rows, paths) for group, paths in groups[::-1]]
-    del groups  # frees the grids
-    widths = np.diff(det)
+    the dual layer's."""
+    model.require(*_required_callbacks(2, with_jumps=paths.jump_flag.any()))
+    values, left = euler_batch(model, paths, realizations=realizations)
+    times, running = paths.times, paths.running()
     names = _euler_map_callbacks(2) + INTERVAL_DENSITY_CALLBACKS
-    payoffs = np.empty(count)
-    totals = np.empty(count)
-    for rows, paths in _ragged_blocks(pieces, MESH_BLOCK_STEPS):
-        realizations = (start + rows).tolist()
-        model.require(*_required_callbacks(2, with_jumps=paths.jump_flag.any()))
-        values, left = euler_batch(model, paths, realizations=realizations)
-        times, running = paths.times, paths.running()
-        cb = _stack_calls(model, names, times[:, :-1], values[:, :-1], running=running)
-        x_T = terminal_values(paths, values)
-        stores, _, _ = dual_batch(model, cb, paths, x_T, jump_left_limits(paths, left), 2)
-        hi = _stack_calls(
-            model, INTERVAL_DENSITY_CALLBACKS, times[:, 1:], left[:, 1:], running=running
-        )
-        rho = rho_interval_batch(cb, hi, *stores, paths, det)
-        payoffs[rows] = _payoff(model, x_T, realizations)
-        totals[rows] = np.sum(rho * widths ** 2, axis=1)
-    return {"payoff": payoffs, "total": totals}
+    cb = _stack_calls(model, names, times[:-1], values[:-1], running=running)
+    x_T = terminal_values(paths, values)
+    stores, _, _ = dual_batch(model, cb, paths, x_T, jump_left_limits(paths, left), 2)
+    hi = _stack_calls(model, INTERVAL_DENSITY_CALLBACKS, times[1:], left[1:], running=running)
+    rho = rho_interval_batch(cb, hi, *stores, paths, det)
+    return _payoff(model, x_T, realizations), rho
 
 
 def run_interval_batch(model, det, seeds, count, workers=1) -> dict:
-    """Payoffs and signed interval-density totals of realizations
-    [0, count), in MESH_CHUNK chunks run on ``workers`` processes."""
+    """Payoffs and signed interval-density totals ("total") of
+    realizations [0, count), with ``run_mesh_batch``'s n_a, n_jumps and
+    collisions, in MESH_CHUNK chunks run on ``workers`` processes."""
     _check_count(count)
     _check_workers(workers)
     det = check_mesh(det, model.horizon)
-    args = [(det, seeds, s, c) for s, c in _chunk_ranges(0, count, MESH_CHUNK)]
-    return _concat_rows(_run_chunked(_interval_chunk, model, args, workers))
+    args = [(det, seeds, s, c, None, "interval") for s, c in _chunk_ranges(0, count, MESH_CHUNK)]
+    return _concat_rows(_run_chunked(_mesh_chunk, model, args, workers))
 
 
 _worker_model = None  # set in each pool worker by _adopt_model
@@ -642,10 +638,11 @@ def _run_chunk(chunk_fn, model, args):
 
     ``args`` start with (det, seeds, start, count).  A chunk raises for
     the first failing row it meets (set-up before the kernel, then
-    refinement levels and kernel blocks in order, or the forward-only
-    step-count groups), which depends on how its rows are grouped into
-    blocks.  So on an error naming realization ``r`` the rows before
-    ``r`` run again, until no earlier row fails.  Rows are independent,
+    refinement levels and kernel blocks in order, or the earliest
+    failing step of the forward-only pass, whose longest rows come
+    first), which depends on how its rows are grouped.  So on an error
+    naming realization ``r`` the rows before ``r`` run again, until no
+    earlier row fails.  Rows are independent,
     so the error raised does not depend on the chunk size.
     """
     det, seeds, start, count, *rest = args
@@ -734,7 +731,7 @@ def run_mesh_batch(
         _check_tol(tol)
     det = check_mesh(det, model.horizon)
     args = [
-        (det, seeds, s, c, tol, want_density)
+        (det, seeds, s, c, tol, "step" if want_density else None)
         for s, c in _chunk_ranges(start, count, MESH_CHUNK)
     ]
     return _concat_rows(_run_chunked(_mesh_chunk, model, args, workers))
@@ -805,21 +802,22 @@ def _check_stochastic(tol, tol_t, n_a_bar):
         raise ParameterError(f"n_a_bar must be finite and positive, got {n_a_bar}")
 
 
-def _refine_levels(model, pieces, realizations, wiener, positions, tol, tol_t, n_a_bar, adapt):
+def _refine_levels(model, rows, paths, realizations, wiener, positions, tol, tol_t, n_a_bar, adapt):
     """Per-realization adaptive refinement, one level at a time.
 
-    ``pieces`` are (rows, PathBatch) pairs that together hold every row
-    once; ``realizations[row]`` is the row's absolute index and
-    ``positions[row]`` the number of normals its Wiener stream in the
-    ``KeyedStream`` ``wiener`` has given.  Each level runs its rows through
-    ``_path_batch`` in the blocks of ``_ragged_blocks``; the rows that
-    fail the acceptance test are bisected by ``bridge_refine_batch``, in
-    the order a lone run of the row would draw its bridges, and each
-    block's refined rows are a piece of the next level.  Every reduction
-    over a row's steps runs on its own steps only, a step count at a
-    time.  Nothing is refined after the last simulated level, so every
-    output of a row comes from the same mesh.  ``positions`` is updated
-    in place; returns per-row arrays.
+    ``paths`` holds every row once, node-major and ordered by descending
+    step count, column b holding row ``rows[b]``; ``realizations[row]``
+    is a row's absolute index and ``positions[row]`` the number of
+    normals its Wiener stream in the ``KeyedStream`` ``wiener`` has
+    given.  Each level runs its rows through ``_path_batch`` in the
+    blocks of ``_ragged_blocks``; the rows that fail the acceptance test
+    are bisected by ``bridge_refine_batch``, in the order a lone run of
+    the row would draw its bridges, and the refined rows of all blocks,
+    joined longest first, are the next level.  Every reduction over a
+    row's steps runs on its own steps only, a step count at a time.
+    Nothing is refined after the last simulated level, so every output
+    of a row comes from the same mesh.  ``positions`` is updated in
+    place; returns per-row arrays.
     """
     min_step = float(model.horizon) * MIN_STEP_FRACTION
     refine_at = adapt.s1 * tol_t / n_a_bar
@@ -837,92 +835,67 @@ def _refine_levels(model, pieces, realizations, wiener, positions, tol, tol_t, n
     }
     for level in range(adapt.max_refinements + 1):
         refined = []
-        for rows, paths in _ragged_blocks(pieces, STOCH_BLOCK_STEPS):
-            payoff, rho = _path_batch(model, paths, realizations[rows].tolist(), True)
-            dt, n_steps = paths.dt, paths.n_steps
-            accepted = np.empty(len(rows), dtype=bool)
-            splittable = np.zeros(dt.shape, dtype=bool)
-            for run, n in paths.by_step_count():
-                at = rows[run]
-                r = cutoff_density_S(rho[run, :n], tol) * dt[run, :n] ** 2
+        for cols, block in _ragged_blocks(paths, STOCH_BLOCK_STEPS):
+            at = rows[cols]
+            payoff, rho = _path_batch(model, block, realizations[at].tolist(), True)
+            n_steps = block.n_steps
+            accepted = np.empty(len(at), dtype=bool)
+            splittable = np.zeros(rho.shape, dtype=bool)
+            for run, n in block.by_step_count():
+                dt = block.dt(run, n)
+                r = cutoff_density_S(rho[run, :n], tol) * dt ** 2
                 accepted[run] = r.max(axis=1) < accept_below
-                out["signed_total"][at] = (rho[run, :n] * dt[run, :n] ** 2).sum(axis=1)
-                out["r_total"][at] = r.sum(axis=1)
-                out["n_jumps"][at] = np.count_nonzero(paths.jump_flag[run, : n + 1], axis=1)
-                splittable[run, :n] = (
-                    (r >= refine_at) & (0.5 * dt[run, :n] >= min_step) & ~accepted[run, None]
-                )
-            out["payoff"][rows] = payoff
-            out["n_a"][rows] = n_steps
-            out["levels"][rows] = level
-            out["accepted"][rows] = accepted
-            out["work"][rows] += n_steps
+                out["signed_total"][at[run]] = (rho[run, :n] * dt ** 2).sum(axis=1)
+                out["r_total"][at[run]] = r.sum(axis=1)
+                out["n_jumps"][at[run]] = np.count_nonzero(block.jump_flag[: n + 1, run], axis=0)
+                splittable[run, :n] = (r >= refine_at) & (0.5 * dt >= min_step) & ~accepted[run, None]
+            out["payoff"][at] = payoff
+            out["n_a"][at] = n_steps
+            out["levels"][at] = level
+            out["accepted"][at] = accepted
+            out["work"][at] += n_steps
             if level == adapt.max_refinements:
                 continue
-            hit, split, positions[rows] = bridge_refine_batch(
-                paths, splittable, wiener, realizations[rows], positions[rows]
+            hit, split, positions[at] = bridge_refine_batch(
+                block, splittable, wiener, realizations[at], positions[at]
             )
             if len(hit):
-                refined.append((rows[hit], split))
+                refined.append((at[hit], split))
         if not refined:
             break
-        pieces = refined
+        rows = np.concatenate([r for r, _ in refined])
+        paths = concat_paths([p for _, p in refined])
+        ranked = np.argsort(-paths.n_steps, kind="stable")
+        rows, paths = rows[ranked], paths.take(ranked)
     return out
 
 
-def _ragged_blocks(pieces, budget):
-    """The rows of ``pieces`` ordered longest first, cut into blocks of
-    consecutive rows that take at most ``budget`` steps in all, or of one
-    row: (rows, PathBatch) pairs ordered by descending step count.  A
-    block is padded only to its own longest row, so no level or chunk is
-    held padded to its longest."""
-    n_steps = np.concatenate([paths.n_steps for _, paths in pieces])
-    order = np.argsort(-n_steps, kind="stable")
-    ends = np.cumsum(n_steps[order])
-    starts = np.cumsum([0] + [len(rows) for rows, _ in pieces])
-    lo = 0
-    while lo < len(order):
+def _ragged_blocks(paths, budget):
+    """Blocks of consecutive rows of ``paths``, ordered by descending step
+    count, that take at most ``budget`` steps in all, or of one row:
+    (slice, PathBatch) pairs, each batch a view of its columns cut to its
+    own longest row, so no level or chunk is held padded to its
+    longest."""
+    ends = np.cumsum(paths.n_steps)
+    cuts = [0]
+    while cuts[-1] < len(ends):
+        lo = cuts[-1]
         done = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, done + budget, side="right")))
-        yield _gather(pieces, starts, np.sort(order[lo:hi]))
-        lo = hi
-
-
-def _gather(pieces, starts, picked):
-    """The rows at ``picked`` of ``pieces`` laid end to end (``starts``
-    are the pieces' first places) as one (rows, PathBatch) pair, ordered
-    by descending step count.  A run of consecutive rows of a piece is
-    taken as a view, so a block inside one piece is not copied, and
-    pieces given longest first, as the mesh engine's set-up groups, are
-    joined in one copy.  Its own function, so that the copies made on
-    the way are freed before the kernel runs on the block."""
-    parts = []
-    for (rows, paths), a, b in zip(pieces, starts, starts[1:]):
-        mine = picked[(picked >= a) & (picked < b)] - a
-        if len(mine):
-            if mine[-1] - mine[0] == len(mine) - 1:
-                mine = slice(int(mine[0]), int(mine[-1]) + 1)
-            parts.append((rows[mine], paths.take(mine)))
-    paths = concat_paths([p for _, p in parts])
-    rows = np.concatenate([r for r, _ in parts])
-    if (paths.n_steps[1:] > paths.n_steps[:-1]).any():
-        ranked = np.argsort(-paths.n_steps, kind="stable")
-        rows, paths = rows[ranked], paths.take(ranked)
-    return rows, paths
+        cuts.append(max(lo + 1, int(np.searchsorted(ends, done + budget, side="right"))))
+    return zip(map(slice, cuts, cuts[1:]), paths.split(cuts[1:]))
 
 
 def _stoch_chunk(model, det, seeds, start, count, tol, tol_t, n_a_bar, adapt):
     """``_refine_levels`` over one index chunk."""
     model = as_vectorized(model)
     streams = keyed_streams(seeds)
-    groups = _setup_groups(model, det, streams, start, count, intensity_integral_for(model))
-    pieces = [(group.rows, paths) for group, paths in groups[::-1]]  # longest first
-    del groups  # frees the grids: only the paths are refined
+    rows, paths, _, _ = _setup_paths(
+        model, det, streams, start, count, intensity_integral_for(model)
+    )
     positions = np.empty(count, dtype=np.int64)
-    for rows, paths in pieces:
-        positions[rows] = paths.dw[0].size  # the set-up's normals
+    positions[rows] = paths.n_steps * model.wiener_dim  # the set-up's normals
     return _refine_levels(
-        model, pieces, np.arange(start, start + count), streams[0], positions,
+        model, rows, paths, np.arange(start, start + count), streams[0], positions,
         tol, tol_t, n_a_bar, adapt,
     )
 

@@ -206,7 +206,8 @@ def rho_interval_batch(
     lo: dict, hi: dict, phi: Array, phi1: Array, paths: PathBatch, det: Array
 ) -> Array:
     """Signed coefficient-difference density per deterministic interval
-    for the B rows of ``paths`` on the mesh ``det``, shape (B, N).
+    for the B rows of the node-major ``paths`` on the mesh ``det``, shape
+    (B, N).
 
     The rows are ordered by descending step count.  ``lo`` and ``hi``
     hold ``INTERVAL_DENSITY_CALLBACKS`` at the left nodes (t_n, X(t_n))
@@ -225,14 +226,14 @@ def rho_interval_batch(
     da = hi["drift"] - lo["drift"]
     ddd = dd_of(hi["diffusion"]) - dd_of(lo["diffusion"])
     real = paths.real()
-    step_sum = np.zeros(real.shape)
-    step_sum.T[real.T] = np.einsum("nk,nk->n", _flat_rows(da), _flat_rows(phi)) + np.einsum(
+    step_sum = np.zeros(real.shape[::-1])  # (B, n), rows first
+    step_sum.T[real] = np.einsum("nk,nk->n", _flat_rows(da), _flat_rows(phi)) + np.einsum(
         "nkm,nkm->n", _flat_rows(ddd), _flat_rows(phi1)
     )
-    sums = np.empty((len(real), len(det) - 1))
+    sums = np.empty((len(step_sum), len(det) - 1))
     for rows, n in paths.by_step_count():
-        contrib = step_sum[rows, :n] * paths.dt[rows, :n]
-        sums[rows] = interval_sums(contrib, paths.times[rows, : n + 1], det)
+        contrib = step_sum[rows, :n] * paths.dt(rows, n)
+        sums[rows] = interval_sums(contrib, paths.times[: n + 1, rows].T, det)
     return 0.5 * sums / np.diff(det) ** 2
 
 

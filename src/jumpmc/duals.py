@@ -40,13 +40,14 @@ fixed within one sweep: ``dual_batch`` plans its steps' contractions
 once (``Plans``) and reuses the plans at every step.
 
 The batched arrays are rows last: tensor axes first, then the trailing
-lead axes, (d, d, n, B) for a Jacobian at the (B, n) nodes of B paths,
-or (d, d, K) packed over the K steps a block's rows take (``dual_batch``).
+lead axes, (d, d, n, B) for a Jacobian at the n nodes of B paths, or
+(d, d, K) packed over the K steps a block's rows take (``dual_batch``),
+read from the node-major paths' column prefixes (``euler.pack_steps``).
 Every contraction then runs its inner loop over the contiguous rows,
 and a step's slice is one contiguous block.  A gather along the rows
-axis uses ``np.take(..., axis=-1)`` (``np.compress`` for a mask), which
-keeps that layout: an index array or a mask over the trailing axes
-(``w[..., rows]``, ``x[:, mask]``) returns rows-first memory, and
+axis uses ``np.take(..., axis=-1)``, which keeps that layout: an index
+array or a mask over the trailing axes (``w[..., rows]``, ``x[:,
+mask]``) returns rows-first memory, and
 ``propagate`` ran about 8x slower on such weights (950-1,050 against
 118-135 us on a 771-row jump block of test5's mesh-density call).
 """
@@ -60,7 +61,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError
-from .euler import EulerPath, stack_paths
+from .euler import EulerPath, pack_steps, stack_paths
 from .model import JumpDiffusionModel, as_vectorized
 
 Array = np.ndarray
@@ -341,12 +342,12 @@ def _stack_calls(model, names, t, x, z=None, running=None):
     Without ``running``, ``t`` holds K points, and each result is stored
     as a contiguous (t..., K) array: its tensor axes first, the points
     last.  With ``running``, the k_p of a block of rows ordered longest
-    first (``PathBatch.running()``) for a (B, n) ``t``, only the first
-    k_p points of each column p are evaluated, and each result is
+    first (``PathBatch.running()``) for a node-major (n, B) ``t``, only
+    the first k_p points of each node p are evaluated, and each result is
     packed: (t..., K) for the K = k_0 + ... + k_{n-1} points, step by
     step, the kernel's packed layout (see ``dual_batch``).  Each input
-    is copied once (with ``running``, a column's first k_p points at a
-    time).  A callback with a declared support is stored as the ``Box``
+    is copied once (with ``running``, a node's contiguous prefix of k_p
+    points at a time, ``euler.pack_steps``).  A callback with a declared support is stored as the ``Box``
     of its bounding box, and one with an empty support is not called.
     Each value is converted as soon as it is evaluated, so at most one
     rows-first copy is alive.  The model's callbacks must broadcast over
@@ -357,7 +358,7 @@ def _stack_calls(model, names, t, x, z=None, running=None):
         args = [a.copy() for a in arrays]
     else:
         running = list(running)
-        args = [np.concatenate([a[:k, p] for p, k in enumerate(running)]) for a in arrays]
+        args = [pack_steps(a, running) for a in arrays]
     out = {}
     for name in names:
         box = model.derivative_box(name)
@@ -458,16 +459,17 @@ def propagate(G, phi, plans=None):
 
 def jump_left_limits(paths, left: Array) -> Array:
     """The (J, d) left limits X(t-) at the J jumps of ``paths``, from the
-    forward layer's (B, n+1, d) ``left``, in ``dual_batch``'s order: node
-    by node, each node's rows in order."""
-    return left.swapaxes(0, 1)[paths.jump_flag.T]
+    forward layer's node-major (n+1, B, d) ``left``, in ``dual_batch``'s
+    order: node by node, each node's rows in order."""
+    return left[paths.jump_flag]
 
 
 def dual_batch(model, cb: dict, paths, x_T: Array, jump_left: Array, order: int = 3):
     """Backward dual sweep for a block of B paths at once, rows last.
 
-    The rows of ``paths`` are ordered by descending step count, so the
-    rows that take step p are the first k_p.  Every per-step array is
+    The rows of the node-major ``paths`` (``euler.PathBatch``) are ordered
+    by descending step count, so the rows that take step p are the first
+    k_p.  Every per-step array is
     packed rows last, (t..., K) over the K = k_0 + ... + k_{n-1} steps
     the rows take, step p the slice ``[..., o_p:o_p + k_p]`` at offset
     o_p = k_0 + ... + k_{p-1}; no padding is held, and equal step counts
@@ -498,31 +500,25 @@ def dual_batch(model, cb: dict, paths, x_T: Array, jump_left: Array, order: int 
     d = model.dim
     running = paths.running().tolist()
     offsets = np.cumsum([0] + running).tolist()
-    # the steps the rows take, packed step by step: np.compress along the
-    # flat (n, B) axis keeps the (l, K) increments rows last, where
-    # [:, mask] would lay them out rows first
-    real = paths.real().T.ravel()
-    dt = np.compress(real, _rows_last(paths.dt, 2))
-    dw = _rows_last(paths.dw, 2)
-    dw = np.compress(real, dw.reshape(len(dw), -1), axis=-1)
+    # the steps the rows take, packed step by step from their contiguous
+    # column prefixes; the increments rows last, (l, K)
+    times = paths.times
+    dt = pack_steps(times[1:], running) - pack_steps(times[:-1], running)
+    dw = np.ascontiguousarray(pack_steps(paths.dw, running).T)
     A = euler_map_derivatives(cb, dt, dw, order)[:order]
-    del real, dt, dw
+    del dt, dw
     cb.pop("drift_xxx", None)
     cb.pop("diffusion_xxx", None)
-    # the jumps node by node, each node's rows in order: a node's jump
-    # block takes one contiguous slice of them
-    jnodes, jrows = np.nonzero(paths.jump_flag.T)
+    # the jumps node by node, each node's rows in order, the order of the
+    # marks: a node's jump block takes one contiguous slice of them
+    jnodes, jrows = paths.jumps()
     per_node = np.bincount(jnodes).tolist()
     ends = np.cumsum(per_node).tolist()
     jump_at = {n: slice(e - k, e) for n, (k, e) in enumerate(zip(per_node, ends)) if k}
     if jump_at:
         C = jump_map_derivatives(
             _stack_calls(
-                model,
-                _jump_map_callbacks(order),
-                paths.times[jrows, jnodes],
-                jump_left,
-                paths.marks[jrows, jnodes],
+                model, _jump_map_callbacks(order), times[jnodes, jrows], jump_left, paths.marks
             ),
             order,
         )[:order]
@@ -589,7 +585,7 @@ def backward_duals(
     paths = stack_paths(model, [grid], [path.increments])
     # one row's steps, packed, are its (t..., n) rows-last arrays
     cb = _stack_calls(model, _euler_map_callbacks(order), grid.times[:-1], path.values[:-1])
-    jump_left = jump_left_limits(paths, path.left_values[None])
+    jump_left = jump_left_limits(paths, path.left_values[:, None])
     stores, first, at_jumps = dual_batch(model, cb, paths, path.values[-1:], jump_left, order)
     weights = {}
     for k, name in enumerate(("phi", "phi1", "phi2")[:order]):

@@ -13,17 +13,19 @@ Meshes refine by bisection only, with midpoint Wiener values drawn from
 the Brownian bridge so coarse and fine paths stay consistent in law.
 
 ``euler_batch`` steps a block of B paths at once, stacked into a
-``PathBatch`` (from one-row grids by ``stack_paths``, or from the arrays
-of a ``jumps.GridGroup``); it is the forward layer of both drivers, and
-``euler_path`` is its one-row case.  The rows of a block may have
-different step counts: they are ordered by descending step count, so
-the rows that take step p are the first k_p, and each array is padded
-past a row's last node.  Equal step counts are the case k_p = B.
-``euler_terminal`` runs the same steps (``_euler_steps``) without
-storing the path.  ``bridge_refine_batch`` bisects the steps of a
-``PathBatch`` with bridge draws from keyed streams, each row's from its
-position (a count of the normals its stream has given), as
-``brownian_bridge_refine`` does for one grid.
+node-major ``PathBatch``, every per-node array shaped (nodes, rows)
+(from one-row grids by ``stack_paths``, or as ``controller`` sets up a
+chunk); it is the forward layer of both drivers, and ``euler_path`` is
+its one-row case.  The rows of a block may have different step counts:
+they are ordered by descending step count, so the rows that take step p
+are the first k_p, and each step reads and writes the contiguous column
+prefixes ``[p, :k_p]``; nothing past a row's last node is written or
+read.  Equal step counts are the case k_p = B.  ``euler_terminal`` runs
+the same steps (``_euler_steps``) without storing the path.
+``bridge_refine_batch`` bisects the steps of a ``PathBatch`` with bridge
+draws from keyed streams, each row's from its position (a count of the
+normals its stream has given), as ``brownian_bridge_refine`` does for
+one grid.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, PathDivergenceError, RefinementDepthError
-from .jumps import AugmentedGrid
+from .jumps import AugmentedGrid, node_order
 from .model import JumpDiffusionModel, as_vectorized
 
 Array = np.ndarray
@@ -68,40 +70,75 @@ def sample_wiener_increments(
 
 @dataclass(frozen=True)
 class PathBatch:
-    """B paths of up to n steps as stacked node arrays.
+    """B paths of up to n steps as node-major arrays: every per-node
+    array is shaped (nodes, rows).
 
-    Row b has ``n_steps[b]`` steps; the arrays are padded past its last
-    node, with its last time repeated in ``times`` and zeros elsewhere,
-    so ``dt`` is ``np.diff(times)`` and 0 on padding.  ``n_steps`` None
-    means every row has n steps.  ``marks`` holds each jump node's mark
-    and zeros elsewhere.  The kernel takes the rows ordered by descending
-    step count (see ``running``).
+    Row b has ``n_steps[b]`` steps; ``n_steps`` None means every row has
+    n steps.  Past a row's last node ``times`` and ``dw`` are never
+    written and never read, and ``jump_flag`` is False.  The step sizes
+    are not stored: ``dt`` derives them from ``times`` by the subtraction
+    ``np.diff`` makes.  ``marks`` holds one mark per jump, in node order
+    and, within a node, in row order: the order of
+    ``np.nonzero(jump_flag)``, in which forward Euler and the dual sweep
+    meet the jumps.  The kernel takes the rows ordered by descending step
+    count, so the rows that take step p are the contiguous prefix ``[p,
+    :k_p]`` (see ``running``).
     """
 
-    times: Array  # (B, n + 1)
-    dw: Array  # (B, n, wiener_dim)
-    jump_flag: Array  # (B, n + 1) bool
-    marks: Array  # (B, n + 1, mark_dim)
-    dt: Array  # (B, n)
+    times: Array  # (n + 1, B)
+    dw: Array  # (n, B, wiener_dim)
+    jump_flag: Array  # (n + 1, B) bool
+    marks: Array  # (J, mark_dim)
     n_steps: Array = None  # (B,)
 
     def __post_init__(self):
         if self.n_steps is None:
-            object.__setattr__(self, "n_steps", np.full(len(self.dt), self.dt.shape[1]))
+            n, B = self.dw.shape[:2]
+            object.__setattr__(self, "n_steps", np.full(B, n))
+
+    def jumps(self):
+        """(node, row) of every jump, in the order of ``marks``."""
+        return np.divmod(np.flatnonzero(self.jump_flag), self.jump_flag.shape[1])
 
     def take(self, rows) -> "PathBatch":
-        """The paths of ``rows``, an index array or a slice, with the
-        padding past the longest of them cut off."""
+        """The paths of ``rows`` (distinct indices or a slice), copied and
+        cut to the longest of them."""
         n_steps = self.n_steps[rows]
         n = int(n_steps.max())
+        node, col = self.jumps()
+        place = np.full(len(self.n_steps), -1)
+        place[rows] = np.arange(len(n_steps))
+        keep = place[col] >= 0
         return PathBatch(
-            self.times[rows, : n + 1], self.dw[rows, :n], self.jump_flag[rows, : n + 1],
-            self.marks[rows, : n + 1], self.dt[rows, :n], n_steps,
+            self.times[: n + 1, rows], self.dw[:n, rows], self.jump_flag[: n + 1, rows],
+            self.marks[keep][node_order(node[keep], place[col[keep]], len(n_steps))], n_steps,
         )
 
+    def split(self, cuts):
+        """The paths of the consecutive column ranges that end at ``cuts``,
+        from column 0 on, each cut to its longest row; their arrays are
+        views."""
+        _, col = self.jumps()
+        lo = 0
+        for hi in cuts:
+            n = int(self.n_steps[lo:hi].max())
+            yield PathBatch(
+                self.times[: n + 1, lo:hi], self.dw[:n, lo:hi], self.jump_flag[: n + 1, lo:hi],
+                self.marks[(col >= lo) & (col < hi)], self.n_steps[lo:hi],
+            )
+            lo = hi
+
+    def dt(self, rows, n: int) -> Array:
+        """The first ``n`` step sizes of ``rows``, which all take at least
+        n steps, rows first: a contiguous (len(rows), n) array, so a
+        reduction over a row's steps adds them in the order it would on
+        rows-first arrays."""
+        t = self.times[: n + 1, rows]
+        return np.ascontiguousarray((t[1:] - t[:-1]).T)
+
     def real(self) -> Array:
-        """The (B, n) mask of the steps each row takes."""
-        return np.arange(self.dt.shape[1]) < self.n_steps[:, None]
+        """The (n, B) mask of the steps each row takes."""
+        return np.arange(len(self.dw))[:, None] < self.n_steps
 
     def running(self) -> Array:
         """k_p for every step p: the rows that take step p are the first
@@ -110,95 +147,115 @@ class PathBatch:
         n_steps = self.n_steps
         if (n_steps[1:] > n_steps[:-1]).any():
             raise ParameterError("paths must be ordered by descending step count")
-        steps = np.arange(self.dt.shape[1])
+        steps = np.arange(len(self.dw))
         return len(n_steps) - np.searchsorted(n_steps[::-1], steps, side="right")
 
     def by_step_count(self):
         """(rows, n) for every step count n, longest first: ``rows`` is
         the slice of the rows that take n steps (those that take step
-        n - 1 but not step n), so ``[rows, :n]`` holds their steps and no
-        padding.  A reduction over a row's steps runs on these, so numpy
-        sees the same operands whatever the padding.  Raises
+        n - 1 but not step n), so ``[:n, rows]`` holds their steps and
+        nothing past them.  A reduction over a row's steps runs on these,
+        so numpy sees the same operands whatever the other rows.  Raises
         ParameterError unless the rows are ordered by descending step
         count."""
         k = self.running().tolist() + [0]
         return [(slice(k[n], k[n - 1]), n) for n in range(len(k) - 1, 0, -1) if k[n] < k[n - 1]]
 
 
+def pack_steps(a: Array, running) -> Array:
+    """The entries of the node-major (n, B, ...) array ``a`` at the steps
+    a block's rows take, packed step by step: step p's first k_p rows
+    (``running``, the k_p of ``PathBatch.running()``), one contiguous
+    column prefix each, as one (K, ...) array."""
+    return np.concatenate([a[p, :k] for p, k in enumerate(running)])
+
+
 def stack_paths(model: JumpDiffusionModel, grids, dws) -> PathBatch:
     """Stack the grids and increments of same-length paths."""
-    times = np.stack([g.times for g in grids])
-    jump_flag = np.stack([g.jump_index >= 0 for g in grids])
-    marks = np.zeros(times.shape + (model.mark_dim,))
-    for b, g in enumerate(grids):
-        nodes = np.nonzero(g.jump_index >= 0)[0]
-        marks[b, nodes] = g.marks[g.jump_index[nodes]]
-    return PathBatch(times, np.stack(dws), jump_flag, marks, np.diff(times, axis=1))
+    jump_flag = np.stack([g.jump_index >= 0 for g in grids], axis=1)
+    row, node = np.nonzero(jump_flag.T)  # row after row, as the grids list them
+    marks = np.concatenate(
+        [np.empty((0, model.mark_dim))] + [g.marks[g.jump_index[g.jump_index >= 0]] for g in grids]
+    )
+    return PathBatch(
+        np.stack([g.times for g in grids], axis=1), np.stack(dws, axis=1), jump_flag,
+        marks[node_order(node, row, len(grids))],
+    )
 
 
 def concat_paths(batches) -> PathBatch:
-    """Batches joined row after row, each padded to the longest, in one
-    copy (a single batch is returned as it is)."""
+    """Node-major batches joined column after column in one copy, as wide
+    as the longest row, their marks merged into node order (a single
+    batch is returned as it is).  The rows keep their order, so the
+    caller orders the joined batch by step count (``take``)."""
     if len(batches) == 1:
         return batches[0]
-    n = max(b.dt.shape[1] for b in batches)
-    joined = {"n_steps": np.concatenate([b.n_steps for b in batches])}
-    for name in ("times", "dw", "jump_flag", "marks", "dt"):
-        parts = [getattr(b, name) for b in batches]
-        width = n + parts[0].shape[1] - batches[0].dt.shape[1]  # nodes or steps
-        out = np.zeros((len(joined["n_steps"]), width) + parts[0].shape[2:], parts[0].dtype)
-        at = 0
-        for a in parts:
-            out[at:at + len(a), : a.shape[1]] = a
-            if name == "times":  # the last time repeats
-                out[at:at + len(a), a.shape[1]:] = a[:, -1:]
-            at += len(a)
-        joined[name] = out
-    return PathBatch(**joined)
+    n = max(int(b.n_steps.max()) for b in batches)
+    B = sum(len(b.n_steps) for b in batches)
+    times = np.empty((n + 1, B))
+    dw = np.empty((n, B, batches[0].dw.shape[2]))
+    jump_flag = np.zeros((n + 1, B), dtype=bool)
+    nodes, rows = [], []
+    at = 0
+    for b in batches:
+        m, cols = int(b.n_steps.max()), slice(at, at + len(b.n_steps))
+        times[: m + 1, cols] = b.times[: m + 1]
+        dw[:m, cols] = b.dw[:m]
+        jump_flag[: m + 1, cols] = b.jump_flag[: m + 1]
+        node, row = b.jumps()
+        nodes.append(node)
+        rows.append(row + at)
+        at = cols.stop
+    marks = np.concatenate([b.marks for b in batches])
+    order = node_order(np.concatenate(nodes), np.concatenate(rows), B)
+    return PathBatch(times, dw, jump_flag, marks[order], np.concatenate([b.n_steps for b in batches]))
 
 
 def _euler_steps(model, paths, x0, realizations):
     """The Euler scheme along a block of B paths ordered by descending
     step count, node by node: yields the left limits and values ``(xl,
     x)`` of the rows that reach each node, the start value as node 0's
-    left limit, so after step p only the first k_p rows.  Raises
-    PathDivergenceError for the first row that leaves the finite ball of
-    radius DIVERGENCE_BOUND."""
-    times, dw, jump_flag, marks, dt = (
-        paths.times, paths.dw, paths.jump_flag, paths.marks, paths.dt
-    )
-    B = len(dw)
+    left limit, so after step p only the first k_p rows.  Each step reads
+    the contiguous column prefixes ``[p, :k_p]`` of the node-major
+    arrays, and the marks of a node's jumps are the next ones in
+    ``paths.marks``.  Raises PathDivergenceError for the first row that
+    leaves the finite ball of radius DIVERGENCE_BOUND."""
+    times, dw, jump_flag, marks = paths.times, paths.dw, paths.jump_flag, paths.marks
+    B = dw.shape[1]
     x = np.broadcast_to(model.x0 if x0 is None else x0, (B, model.dim)).astype(float)
     xl = x.copy()
-    if jump_flag[:, 0].any():
-        idx = np.nonzero(jump_flag[:, 0])[0]
-        x[idx] += np.asarray(model.jump(times[idx, 0], x[idx], marks[idx, 0]), float)
+    j = 0  # the jumps met so far
+    if jump_flag[0].any():
+        idx = np.flatnonzero(jump_flag[0])
+        x[idx] += np.asarray(model.jump(times[0, idx], x[idx], marks[: len(idx)]), float)
+        j = len(idx)
     yield xl, x
 
     for p, k in enumerate(paths.running().tolist()):
         x = x[:k]
-        tcol = times[:k, p]
-        a = np.asarray(model.drift(tcol, x), float)
-        bmat = np.asarray(model.diffusion(tcol, x), float)
-        xl = x + a * dt[:k, p, None] + np.einsum("bil,bl->bi", bmat, dw[:k, p])
+        t, t_next = times[p, :k], times[p + 1, :k]
+        a = np.asarray(model.drift(t, x), float)
+        bmat = np.asarray(model.diffusion(t, x), float)
+        xl = x + a * (t_next - t)[:, None] + np.einsum("bil,bl->bi", bmat, dw[p, :k])
         # one reduction per step; NaN fails <=, so it is caught too
         if not (np.abs(xl) <= DIVERGENCE_BOUND).all():
             bad = ~np.isfinite(xl).all(axis=1) | (np.abs(xl).max(axis=1) > DIVERGENCE_BOUND)
             row = int(np.nonzero(bad)[0][0])
             which = None if realizations is None else realizations[row]
-            where = f"t={times[row, p + 1]:g}"
+            where = f"t={t_next[row]:g}"
             if which is not None:
                 where += f", realization {which}"
             raise PathDivergenceError(
                 f"path diverged at step {p} ({where})", step=p, realization=which
             )
-        mask = jump_flag[:k, p + 1]
+        mask = jump_flag[p + 1, :k]
         if mask.any():
-            idx = np.nonzero(mask)[0]
+            idx = np.flatnonzero(mask)
             x = xl.copy()
             x[idx] = xl[idx] + np.asarray(
-                model.jump(times[idx, p + 1], xl[idx], marks[idx, p + 1]), float
+                model.jump(t_next[idx], xl[idx], marks[j : j + len(idx)]), float
             )
+            j += len(idx)
         else:
             x = xl
         yield xl, x
@@ -209,31 +266,29 @@ def euler_batch(
 ):
     """Run the Euler scheme along a block of B paths at once.
 
-    Returns (values, left), the (B, n+1, d) node values and left limits,
-    zero past each row's last node.  The rows must be ordered by
-    descending step count.  The model's callbacks must broadcast over
-    rows (see ``as_vectorized``).  ``realizations`` are the rows' absolute
-    indices, named by PathDivergenceError (None when the rows have none).
-    Arithmetic is row-wise, so each row's numbers do not depend on the
-    rows it shares the batch with.
+    Returns (values, left), the node-major (n+1, B, d) node values and
+    left limits, not written past each row's last node.  The rows must
+    be ordered by descending step count.  The model's callbacks must
+    broadcast over rows (see ``as_vectorized``).  ``realizations`` are
+    the rows' absolute indices, named by PathDivergenceError (None when
+    the rows have none).  Arithmetic is row-wise, so each row's numbers
+    do not depend on the rows it shares the batch with.
     """
-    B, n = paths.dw.shape[:2]
-    values = np.empty((B, n + 1, model.dim))
-    left = np.empty((B, n + 1, model.dim))
+    n, B = paths.dw.shape[:2]
+    values = np.empty((n + 1, B, model.dim))
+    left = np.empty((n + 1, B, model.dim))
     for p, (xl, x) in enumerate(_euler_steps(model, paths, x0, realizations)):
-        left[: len(xl), p] = xl
-        values[: len(x), p] = x
-        if len(x) < B:
-            left[len(xl):, p] = values[len(x):, p] = 0.0
+        left[p, : len(xl)] = xl
+        values[p, : len(x)] = x
     return values, left
 
 
 def terminal_values(paths: PathBatch, values: Array) -> Array:
-    """Each row's entry of the (B, n+1, ...) node array ``values`` at its
-    last node, X(T) for the node values of ``euler_batch``."""
-    B, m = values.shape[:2]
-    flat = values.reshape((B * m,) + values.shape[2:])
-    return np.take(flat, np.arange(B) * m + paths.n_steps, axis=0)  # faster than [rows, steps]
+    """Each row's entry of the node-major (n+1, B, ...) array ``values``
+    at its last node, X(T) for the node values of ``euler_batch``."""
+    m, B = values.shape[:2]
+    flat = values.reshape((m * B,) + values.shape[2:])
+    return np.take(flat, paths.n_steps * B + np.arange(B), axis=0)  # faster than [steps, rows]
 
 
 def euler_terminal(
@@ -241,7 +296,7 @@ def euler_terminal(
 ) -> Array:
     """The (B, d) terminal values X(T) of ``euler_batch``, bit for bit,
     without storing the paths: the forward-only Monte Carlo case."""
-    terminal = np.empty((len(paths.dw), model.dim))
+    terminal = np.empty((paths.dw.shape[1], model.dim))
     done = paths.running().tolist() + [0]  # rows from done[p] on end at node p
     for p, (_, x) in enumerate(_euler_steps(model, paths, x0, realizations)):
         if done[p] < len(x):
@@ -265,7 +320,7 @@ def euler_path(
         )
     model = as_vectorized(model)
     values, left = euler_batch(model, stack_paths(model, [grid], [dw]), x0)
-    return EulerPath(grid=grid, increments=dw, values=values[0], left_values=left[0])
+    return EulerPath(grid=grid, increments=dw, values=values[:, 0], left_values=left[:, 0])
 
 
 def bridge_split(dt: float, dw: Array, rng: np.random.Generator):
@@ -511,8 +566,8 @@ def bridge_refine_batch(paths: PathBatch, mask: Array, wiener, realizations, pos
     ``realizations[b]``'s Wiener stream after its first ``positions[b]``
     normals, bit for bit.
 
-    The rows may have different step counts, in any order, and ``mask``
-    is False past each row's last step.  ``wiener`` is an
+    The rows may have different step counts, in any order; ``mask`` is
+    (B, n), rows first, and False past each row's last step.  ``wiener`` is an
     ``rng.KeyedStream``.  The bridge normals of every refined row are
     read from its position on in stream order; a row that reads past
     the normals first drawn for it is drawn again alone
@@ -524,8 +579,8 @@ def bridge_refine_batch(paths: PathBatch, mask: Array, wiener, realizations, pos
     after the normals its sequential run draws (``positions[b]`` when it
     draws none), whatever was read ahead.
     """
-    dw = paths.dw
-    n, w = dw.shape[1:]
+    times, dw = paths.times, paths.dw
+    n, _, w = dw.shape
     counts = np.count_nonzero(mask, axis=1)
     ends = np.array(positions, dtype=np.int64)
     hit = np.flatnonzero(counts)
@@ -537,7 +592,7 @@ def bridge_refine_batch(paths: PathBatch, mask: Array, wiener, realizations, pos
     rank = np.arange(len(step)) - (np.cumsum(k) - k)[srow]
     normals = _BridgeNormals(wiener, realizations[hit], ends[hit], k, w)
     first, second, used = _bridge_splits(
-        paths.dt[step_row, step], dw[step_row, step], rank, srow, normals
+        times[step + 1, step_row] - times[step, step_row], dw[step, step_row], rank, srow, normals
     )
     ends[hit] += used
 
@@ -548,20 +603,24 @@ def bridge_refine_batch(paths: PathBatch, mask: Array, wiener, realizations, pos
     shift = np.zeros((len(hit), n + 1), dtype=np.intp)
     np.cumsum(mask[hit], axis=1, out=shift[:, 1:])
     h, node = np.nonzero(np.arange(n + 1) <= n_old[:, None])  # every real node
-    src, dest = (hit[h], node), (h, node + shift[h, node])
+    src, dest = (node, hit[h]), (node + shift[h, node], h)
     width = int(n_new.max())
-    times = np.repeat(paths.times[hit, n_old][:, None], width + 1, axis=1)
-    times[dest] = paths.times[src]
-    jump_flag = np.zeros((len(hit), width + 1), dtype=bool)
+    new_times = np.empty((width + 1, len(hit)))
+    new_times[dest] = times[src]
+    jump_flag = np.zeros((width + 1, len(hit)), dtype=bool)
     jump_flag[dest] = paths.jump_flag[src]
-    marks = np.zeros((len(hit), width + 1, paths.marks.shape[2]))
-    marks[dest] = paths.marks[src]
-    halves = np.zeros((len(hit), width, w))
+    halves = np.empty((width, len(hit), w))
     real = node < n_old[h]  # the nodes that start a step
     halves[dest[0][real], dest[1][real]] = dw[src[0][real], src[1][real]]
-    at = (srow, step + shift[srow, step])
-    times[at[0], at[1] + 1] = 0.5 * (paths.times[step_row, step] + paths.times[step_row, step + 1])
+    at = (step + shift[srow, step], srow)
+    new_times[at[0] + 1, at[1]] = 0.5 * (times[step, step_row] + times[step + 1, step_row])
     halves[at] = first
-    halves[at[0], at[1] + 1] = second
-    refined = PathBatch(times, halves, jump_flag, marks, np.diff(times, axis=1), n_new)
-    return hit, refined, ends
+    halves[at[0] + 1, at[1]] = second
+    # the hit rows' jumps, in the node order of their refined paths
+    jnode, jrow = paths.jumps()
+    place = np.full(len(counts), -1)
+    place[hit] = np.arange(len(hit))
+    keep = place[jrow] >= 0
+    jh, jnode = place[jrow[keep]], jnode[keep]
+    marks = paths.marks[keep][node_order(jnode + shift[jh, jnode], jh, len(hit))]
+    return hit, PathBatch(new_times, halves, jump_flag, marks, n_new), ends

@@ -375,39 +375,46 @@ def interval_of_steps(det_times: Array, times: Array) -> Array:
     return np.clip(idx, 0, len(det_times) - 2)
 
 
-@dataclass(frozen=True)
-class GridGroup:
-    """Augmented grids of one length for several rows of a chunk, stacked.
+def node_order(node: Array, row: Array, width: int) -> Array:
+    """The order that puts jumps at (``node``, ``row``) node by node and,
+    within a node, row by row: the order of ``np.nonzero`` on a
+    node-major (nodes, ``width``) flag array, in which ``GridBatch`` and
+    ``euler.PathBatch`` hold their marks."""
+    return np.argsort(node * width + row, kind="stable")
 
-    ``rows`` are the rows' positions among the grids built together, in
-    ascending order.  ``jump_index[b, n]`` is the number of row ``b``'s
-    jump at node ``n`` (counted within the row) or -1, and ``marks[b, n]``
-    that jump's mark (zeros elsewhere).
+
+@dataclass(frozen=True)
+class GridBatch:
+    """Augmented grids of a chunk's rows, node-major, longest first.
+
+    Column ``b`` holds the grid of row ``rows[b]`` (its position among
+    the grids built together); the columns are ordered by descending
+    step count and, within a step count, by ascending row.
+    ``times[:n_steps[b] + 1, b]`` are its nodes; past them ``times`` is
+    not written and ``jump_flag`` is False.  ``marks`` holds one mark per
+    jump, node by node and, within a node, column by column (the order
+    of ``np.nonzero(jump_flag)``), as ``euler.PathBatch`` holds them.
     """
 
     rows: Array  # (B,)
-    times: Array  # (B, n + 1)
+    times: Array  # (n + 1, B)
     det_times: Array  # (N + 1,)
-    jump_index: Array  # (B, n + 1) int
-    marks: Array  # (B, n + 1, mark_dim)
+    jump_flag: Array  # (n + 1, B) bool
+    marks: Array  # (J, mark_dim)
+    n_steps: Array  # (B,)
     collisions: Array  # (B,)
 
-    @property
-    def dt(self) -> Array:
-        return np.diff(self.times, axis=1)
-
-    @property
-    def n_jumps(self) -> Array:
-        return np.count_nonzero(self.jump_index >= 0, axis=1)
-
     def grid(self, b: int) -> AugmentedGrid:
-        """Row ``b`` as an ``AugmentedGrid``."""
-        jump_index = self.jump_index[b]
+        """Column ``b`` as an ``AugmentedGrid``."""
+        n = int(self.n_steps[b])
+        nodes = np.flatnonzero(self.jump_flag[: n + 1, b])
+        jump_index = np.full(n + 1, -1, dtype=np.intp)
+        jump_index[nodes] = np.arange(len(nodes))
         return AugmentedGrid(
-            times=self.times[b],
+            times=self.times[: n + 1, b].copy(),
             det_times=self.det_times,
             jump_index=jump_index,
-            marks=self.marks[b, jump_index >= 0],
+            marks=self.marks[np.nonzero(self.jump_flag)[1] == b],
             collisions=int(self.collisions[b]),
         )
 
@@ -425,7 +432,7 @@ def check_mesh(det_times: Array, horizon: float) -> Array:
     return det
 
 
-def build_grid_groups(
+def build_grid_batch(
     det_times: Array,
     n_jumps: Array,
     times: Array,
@@ -435,7 +442,9 @@ def build_grid_groups(
     realizations=None,
 ):
     """Merge each row's jump times into the deterministic mesh, all rows
-    at once, and group the grids by step count (ascending).
+    at once, into one node-major ``GridBatch`` ordered by descending step
+    count: the grids of one step count are built together, rows first
+    (a sort along each row), and written into their columns.
 
     Row ``r`` has ``n_jumps[r]`` jumps; ``times`` (K,) and ``marks``
     (K, mark_dim) hold every row's jumps, row after row.  A jump within
@@ -494,11 +503,14 @@ def build_grid_groups(
     ) - ins_start[owner]
     node = np.where(collide, near, pos) + ins_before
     node_time = np.where(collide, det[near], tau)
-    jump_no = np.arange(len(tau)) - (np.cumsum(n_jumps) - n_jumps)[owner]
     collisions = np.bincount(owner[collide], minlength=count)
 
-    groups = []
-    for k in np.unique(n_ins):
+    order = np.argsort(-n_ins, kind="stable")  # the rows by column
+    column = np.empty(count, dtype=np.intp)
+    column[order] = np.arange(count)
+    n_steps = n + n_ins[order]
+    grid_times = np.empty((int(n_steps.max(initial=n)) + 1, count))
+    for k in np.unique(n_ins)[::-1]:
         rows = np.nonzero(n_ins == k)[0]
         mine = n_ins[owner] == k
         grown = np.concatenate(
@@ -506,26 +518,26 @@ def build_grid_groups(
             axis=1,
         )
         # rows first in memory whatever concatenate chose (it lays out
-        # one inserted node column first), so a row's steps are contiguous
+        # one inserted node column first), so each row sorts a contiguous run
         times = np.ascontiguousarray(grown)
         times.sort(axis=1)
         b = np.searchsorted(rows, owner[mine])
-        at = node[mine]
-        lost = times[b, at] != node_time[mine]
+        lost = times[b, node[mine]] != node_time[mine]
         if lost.any():
             row = owner[mine][np.argmax(lost)]
             fail(EvaluationError, "jump time lost while building the grid", row)
-        jump_index = np.full(times.shape, -1, dtype=np.intp)
-        jump_index[b, at] = jump_no[mine]
-        merged = np.count_nonzero(jump_index >= 0, axis=1) != n_jumps[rows]
-        if merged.any():
-            fail(EvaluationError, "two jumps merged into one grid node", rows[np.argmax(merged)])
-        node_marks = np.zeros(times.shape + (marks.shape[1],))
-        node_marks[b, at] = marks[mine]
-        groups.append(
-            GridGroup(rows, times, det, jump_index, node_marks, collisions[rows])
-        )
-    return groups
+        at = column[rows[0]]
+        grid_times[: n + k + 1, at : at + len(rows)] = times.T
+    jump_flag = np.zeros(grid_times.shape, dtype=bool)
+    place = node * count + column[owner]  # each jump's entry of jump_flag
+    jump_flag.reshape(-1)[place] = True
+    jumps = node_order(node, column[owner], count)
+    merged = place[jumps][1:] == place[jumps][:-1]  # two jumps of a row at one node
+    if merged.any():
+        fail(EvaluationError, "two jumps merged into one grid node", owner[jumps][1:][merged].min())
+    return GridBatch(
+        order, grid_times, det, jump_flag, marks[jumps], n_steps, collisions[order]
+    )
 
 
 def build_augmented_grid(
@@ -534,13 +546,11 @@ def build_augmented_grid(
     *,
     horizon: float,
 ) -> AugmentedGrid:
-    """Merge jump times into the deterministic mesh (``build_grid_groups``
+    """Merge jump times into the deterministic mesh (``build_grid_batch``
     with one row)."""
-    (group,) = build_grid_groups(
-        det_times, [len(jumps.times)], jumps.times, jumps.marks,
-        horizon=horizon,
-    )
-    return group.grid(0)
+    return build_grid_batch(
+        det_times, [len(jumps.times)], jumps.times, jumps.marks, horizon=horizon
+    ).grid(0)
 
 
 def uniform_mesh(horizon: float, n: int) -> Array:

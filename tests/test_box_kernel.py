@@ -24,6 +24,8 @@ it.  Paths are random same-length batches, from one row and one step up,
 with jumps at random nodes.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -36,9 +38,10 @@ from jumpmc import controller as ctl  # noqa: E402
 from jumpmc import duals  # noqa: E402
 from jumpmc.density import INTERVAL_DENSITY_CALLBACKS, rho_interval_batch  # noqa: E402
 from jumpmc.duals import _euler_map_callbacks, _stack_calls, dual_batch  # noqa: E402
-from jumpmc.euler import PathBatch, concat_paths, euler_batch, terminal_values  # noqa: E402
+from jumpmc.euler import concat_paths, euler_batch, terminal_values  # noqa: E402
 from jumpmc.jumps import uniform_mesh  # noqa: E402
 from jumpmc.model import SUPPORT_AXES, JumpDiffusionModel, UniformMarks  # noqa: E402
+from rows_first_forward import RowsFirstPaths, to_node_major, to_rows_first  # noqa: E402
 
 
 def polynomial(rng, shape, d, mask=None, timed=True, marked=False):
@@ -121,7 +124,7 @@ def random_paths(rng, B, det, extra, l):
     dw = rng.standard_normal((B, n, l)) * np.sqrt(dt)[..., None]
     jump_flag = rng.random((B, n + 1)) < 0.3
     marks = np.where(jump_flag[..., None], rng.uniform(-1.0, 1.0, (B, n + 1, 1)), 0.0)
-    return PathBatch(times, dw, jump_flag, marks, dt)
+    return to_node_major(RowsFirstPaths(times, dw, jump_flag, marks, dt))
 
 
 def as_bytes(value):
@@ -141,19 +144,19 @@ def sweep_inputs(paths, values, left):
 
 
 def kernel_outputs(model, paths, det):
-    B = len(paths.dt)
+    B = len(paths.n_steps)
     out = {"path_batch": ctl._path_batch(model, paths, list(range(B)), True)}
     values, left = euler_batch(model, paths)
     times, running = paths.times, paths.running()
     for order in (1, 2, 3):
         names = _euler_map_callbacks(order) + INTERVAL_DENSITY_CALLBACKS
-        cb = _stack_calls(model, names, times[:, :-1], values[:, :-1], running=running)
+        cb = _stack_calls(model, names, times[:-1], values[:-1], running=running)
         inputs = sweep_inputs(paths, values, left)
         stores, first, at_jumps = dual_batch(model, cb, paths, *inputs, order)
         out[f"duals{order}"] = (stores, first, at_jumps)
         if order == 2:
             hi = _stack_calls(
-                model, INTERVAL_DENSITY_CALLBACKS, times[:, 1:], left[:, 1:], running=running
+                model, INTERVAL_DENSITY_CALLBACKS, times[1:], left[1:], running=running
             )
             out["rho_interval"] = rho_interval_batch(cb, hi, *stores, paths, det)
     return as_bytes(list(out.values()))
@@ -178,7 +181,7 @@ def test_declared_supports_leave_the_kernel_bit_identical(d, l, seed, B, N, extr
 def dual_sweep(model, paths, order):
     values, left = euler_batch(model, paths)
     cb = _stack_calls(
-        model, _euler_map_callbacks(order), paths.times[:, :-1], values[:, :-1],
+        model, _euler_map_callbacks(order), paths.times[:-1], values[:-1],
         running=paths.running(),
     )
     return dual_batch(model, cb, paths, *sweep_inputs(paths, values, left), order)
@@ -222,7 +225,7 @@ def test_plans_per_dual_batch_do_not_grow_with_its_steps(order):
             mp.setattr(duals, name, lambda *a, make=make: builds.append(a) or make(*a))
         for N in (2, 40):
             paths = random_paths(np.random.default_rng(N), 8, uniform_mesh(1.0, N), 1, 1)
-            assert len(set(np.nonzero(paths.jump_flag)[1].tolist())) >= 2
+            assert len(set(np.nonzero(paths.jump_flag)[0].tolist())) >= 2
             builds.clear()
             dual_sweep(model, paths, order)
             counts.append(len(builds))
@@ -234,32 +237,32 @@ def ragged_paths(rng, det, counts, l):
     2 - k extra nodes.  Besides the random jumps, every row jumps at its
     last node and every other row at node 0."""
     parts = [random_paths(rng, B, det, 2 - k, l) for k, B in enumerate(counts) if B]
-    paths = concat_paths(parts)
+    paths = to_rows_first(concat_paths(parts))
     flag = paths.jump_flag.copy()
     flag[np.arange(len(flag)), paths.n_steps] = True
     flag[::2, 0] = True
     marks = np.where(flag[..., None], rng.uniform(-1.0, 1.0, paths.marks.shape), 0.0)
-    return PathBatch(paths.times, paths.dw, flag, marks, paths.dt, paths.n_steps)
+    return to_node_major(replace(paths, jump_flag=flag, marks=marks))
 
 
 def copy_then_gather(model, cb, paths, values, left, order):
     """``dual_batch`` as it was before its jump blocks gathered with
     ``np.take``: the packed increments and a block's rows are gathered
-    by index (``[:, mask]``, ``w[..., rows]``), which lays them out rows
+    by index (``[real]``, ``w[..., rows]``), which lays them out rows
     first, and every block scatters into a copy of the weights."""
     d = model.dim
     running = paths.running().tolist()
     offsets = np.cumsum([0] + running).tolist()
-    real = paths.real().T
-    dt, dw = duals._rows_last(paths.dt, 2)[real], duals._rows_last(paths.dw, 2)[:, real]
+    real = paths.real()
+    dt, dw = np.diff(paths.times, axis=0)[real], paths.dw[real].T
     A = duals.euler_map_derivatives(cb, dt, dw, order)[:order]
-    jnodes, jrows = np.nonzero(paths.jump_flag.T)
+    jnodes, jrows = np.nonzero(paths.jump_flag)
     ends = np.cumsum(np.bincount(jnodes)).tolist()
     jump_at = {n: slice(b, e) for n, (b, e) in enumerate(zip([0] + ends, ends)) if e > b}
     C = duals.jump_map_derivatives(
         _stack_calls(
-            model, duals._jump_map_callbacks(order), paths.times[jrows, jnodes],
-            left[jrows, jnodes], paths.marks[jrows, jnodes],
+            model, duals._jump_map_callbacks(order), paths.times[jnodes, jrows],
+            left[jnodes, jrows], paths.marks,
         ),
         order,
     )[:order]
@@ -304,7 +307,7 @@ def input_bytes(cb, values, left, paths):
     """The bytes of every array ``dual_batch`` reads."""
     arrays = {name: v.value if isinstance(v, duals.Box) else v for name, v in cb.items()}
     arrays.update(values=values, left=left)
-    for name in ("times", "dw", "jump_flag", "marks", "dt", "n_steps"):
+    for name in ("times", "dw", "jump_flag", "marks", "n_steps"):
         arrays[name] = getattr(paths, name)
     return {name: as_bytes(a) for name, a in arrays.items()}
 
@@ -324,7 +327,7 @@ def test_jump_blocks_in_place_give_the_copy_then_gather_bytes(d, l, seed, counts
         values, left = euler_batch(model, paths)
         for order in (1, 2, 3):
             cb = _stack_calls(
-                model, _euler_map_callbacks(order), paths.times[:, :-1], values[:, :-1],
+                model, _euler_map_callbacks(order), paths.times[:-1], values[:-1],
                 running=paths.running(),
             )
             before = input_bytes(cb, values, left, paths)

@@ -18,7 +18,6 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from jumpmc import SeedConfig, build_model, uniform_mesh  # noqa: E402
-from jumpmc import controller as ctl  # noqa: E402
 from jumpmc.euler import (  # noqa: E402
     _BridgeNormals,
     bridge_refine_batch,
@@ -26,9 +25,9 @@ from jumpmc.euler import (  # noqa: E402
     concat_paths,
     stack_paths,
 )
-from jumpmc.jumps import intensity_integral_for  # noqa: E402
 from jumpmc.model import as_vectorized  # noqa: E402
 from jumpmc.rng import keyed_streams, philox_words, standard_normal  # noqa: E402
+from rows_first_forward import grid_of, setup_groups, to_node_major, to_rows_first  # noqa: E402
 
 REJECTING, REDRAWING = 0, 1  # the block's crafted rows
 
@@ -57,29 +56,31 @@ def block(request):
     runs through every redraw round of ``bridge_split``.
     """
     m = as_vectorized(build_model("test5"))
+    det = uniform_mesh(1.0, 5)
     streams = keyed_streams(SeedConfig())
-    groups = ctl._setup_groups(
-        m, uniform_mesh(1.0, 5), streams, 0, 200, intensity_integral_for(m)
-    )
+    groups = setup_groups(m, det, 0, 200)  # longest first
     if request.param == "ragged":
-        groups = groups[::-1]
         assert len(groups) > 2
     else:
-        groups = [max(groups, key=lambda gp: len(gp[0].rows))]
-    grids = [group.grid(b) for group, _ in groups for b in range(len(group.rows))]
-    realizations = np.concatenate([group.rows for group, _ in groups]).astype(np.int64)
-    paths = concat_paths([paths for _, paths in groups])
+        groups = [max(groups, key=lambda g: len(g[0]))]
+    grids = [
+        grid_of(paths, b, det, collisions[b])
+        for _, paths, collisions in groups for b in range(len(paths.n_steps))
+    ]
+    realizations = np.concatenate([rows for rows, _, _ in groups]).astype(np.int64)
+    paths = concat_paths([paths for _, paths, _ in groups])
     positions = paths.n_steps * m.wiener_dim
     wiener = streams[0]
     ok = fast_path(wiener, realizations[REJECTING], 400)
     assert not ok.all()
     positions[REJECTING] = np.argmin(ok)
+    first = to_rows_first(paths)
     if request.param == "w2":
-        extra = np.random.default_rng(5).standard_normal(paths.dt.shape + (1,))
-        dw = np.concatenate([paths.dw, extra * np.sqrt(paths.dt)[..., None]], axis=2)
-        paths = replace(paths, dw=dw)
-    paths.dw[REDRAWING, 2] = 1e-20
-    return m, grids, paths, realizations, positions, wiener
+        extra = np.random.default_rng(5).standard_normal(first.dt.shape + (1,))
+        dw = np.concatenate([first.dw, extra * np.sqrt(first.dt)[..., None]], axis=2)
+        first = replace(first, dw=dw)
+    first.dw[REDRAWING, 2] = 1e-20
+    return m, grids, to_node_major(first), realizations, positions, wiener
 
 
 class CountedNormals:
@@ -105,7 +106,7 @@ def check_rows(block, rows, mask):
     assert hit.tolist() == np.flatnonzero(mask.any(axis=1)).tolist()
     got = {}
     if len(hit):
-        assert refined.dt.shape[1] == refined.n_steps.max()
+        assert len(refined.dw) == refined.n_steps.max()
         got = {b: refined.take([j]) for j, b in enumerate(hit.tolist())}
     for b, row in enumerate(rows.tolist()):
         n = paths.n_steps[row]
@@ -113,12 +114,12 @@ def check_rows(block, rows, mask):
         generator = wiener.at(realizations[row])
         generator.standard_normal(positions[row])
         counted = CountedNormals(generator, positions[row])
-        grid, dw = brownian_bridge_refine(grids[row], paths.dw[row, :n], mask[b, :n], counted)
+        grid, dw = brownian_bridge_refine(grids[row], paths.dw[:n, row], mask[b, :n], counted)
         assert ends[b] == counted.drawn, b
         if b not in got:
             continue
         want = stack_paths(m, [grid], [dw])
-        for name in ("times", "dw", "jump_flag", "marks", "dt", "n_steps"):
+        for name in ("times", "dw", "jump_flag", "marks", "n_steps"):
             np.testing.assert_array_equal(getattr(got[b], name), getattr(want, name), name)
     return ends
 
@@ -133,7 +134,7 @@ def own_steps(paths, rows):
 @given(data=st.data())
 def test_batched_refine_matches_one_row_refine(block, data):
     paths = block[2]
-    n_rows, n_steps = paths.dt.shape
+    n_steps, n_rows = paths.dw.shape[:2]
     rows = data.draw(
         st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=16, unique=True),
         label="rows",
@@ -153,7 +154,7 @@ def test_batched_refine_matches_one_row_refine(block, data):
 
 def test_crafted_rows_take_both_fallbacks(block):
     _, _, paths, realizations, positions, wiener = block
-    rows = [REJECTING, REDRAWING, 2, 3, len(paths.dt) - 1]
+    rows = [REJECTING, REDRAWING, 2, 3, len(paths.n_steps) - 1]
     ends = check_rows(block, rows, own_steps(paths, rows))
     ok = fast_path(wiener, realizations[REJECTING], 400)
     # the row's first bridge normal is its stream's first ziggurat rejection
@@ -169,7 +170,7 @@ def test_top_ups_draw_again_only_the_rows_that_ran_short(block, monkeypatch):
     every row still comes out as the one-row refinement does."""
     m, grids, paths, realizations, positions, wiener = block
     dw = paths.dw.copy()
-    dw[3, [0, 1, 3]] = 1e-20  # three more steps that draw every redraw
+    dw[[0, 1, 3], 3] = 1e-20  # three more steps that draw every redraw
     block = (m, grids, replace(paths, dw=dw), realizations, positions, wiener)
     monkeypatch.setattr(_BridgeNormals, "allot", staticmethod(lambda counts: counts))
     calls = []

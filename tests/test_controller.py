@@ -341,7 +341,7 @@ def test_a_nan_mesh_is_rejected_before_any_work(monkeypatch, engine):
     def no_setup(*args, **kwargs):
         raise AssertionError("set-up ran on an invalid mesh")
 
-    monkeypatch.setattr(ctl, "_setup_groups", no_setup)
+    monkeypatch.setattr(ctl, "_setup_paths", no_setup)
     with pytest.raises(ParameterError, match="finite and strictly increasing"):
         if engine == "mesh":
             run_mesh_batch(m, det, SeedConfig(), 0, 10)
@@ -528,10 +528,11 @@ def test_the_sweep_holds_no_left_limits_and_no_density_only_callbacks(monkeypatc
     # and evaluates the callbacks only the density reads after it
     m = as_vectorized(build_model("test5"))
     det = uniform_mesh(1.0, 5)
-    groups = ctl._setup_groups(
+    rows, paths, _, _ = ctl._setup_paths(
         m, det, keyed_streams(SeedConfig()), 0, 64, intensity_integral_for(m)
     )
-    (rows, paths), = ctl._ragged_blocks([(g.rows, p) for g, p in groups[::-1]], 10**6)
+    (cols, paths), = ctl._ragged_blocks(paths, 10**6)
+    rows = rows[cols]
     assert paths.jump_flag.any() and len(set(paths.n_steps.tolist())) > 1
     density_only = {"drift", "drift_t", "diffusion", "diffusion_t"}
     left_refs, density_refs, alive = [], [], []
@@ -565,7 +566,7 @@ def test_time_control_batches_are_one_density_kernel_call_each(monkeypatch):
     # each of algorithm_d's time-control batches goes through the density
     # kernel as one block of rows with any step counts, longest first;
     # only a one-row block may take more steps than the budget.  The
-    # forward-only Monte Carlo phase runs one step-count group per call
+    # forward-only Monte Carlo phase runs one call per chunk, longest first
     density, forward = [], []
     kernel = ctl._path_batch
 
@@ -580,7 +581,24 @@ def test_time_control_batches_are_one_density_kernel_call_each(monkeypatch):
     for n in density:
         assert (n[1:] <= n[:-1]).all()
         assert len(n) == 1 or n.sum() <= ctl.MESH_BLOCK_STEPS
-    assert all(len(set(n.tolist())) == 1 for n in forward)
+    assert all(len(set(n.tolist())) > 1 and (n[1:] <= n[:-1]).all() for n in forward)
+
+
+def test_the_monte_carlo_phase_runs_one_forward_pass_per_chunk(monkeypatch):
+    # algorithm_d's forward-only Monte Carlo phase at seed 0 runs 3 chunks
+    # (of 256, 4096 and 16384 rows): one euler_terminal pass each, 136 step
+    # iterations in all (one pass per step-count group would make 19
+    # passes and 811 step iterations)
+    passes = []
+    terminal = ctl.euler_terminal
+
+    def counted(model, paths, *args, **kwargs):
+        passes.append(len(paths.running()))
+        return terminal(model, paths, *args, **kwargs)
+
+    monkeypatch.setattr(ctl, "euler_terminal", counted)
+    algorithm_d(build_model("test5"), 0.02, stats=StatParams(m0=256))
+    assert (len(passes), sum(passes)) == (3, 136)
 
 
 def test_mesh_batch_row_loop_adapter_matches_vectorized():
@@ -672,33 +690,62 @@ def _stochastic(m, start, count, workers=1):
     )
 
 
+def _mesh_any_chunk(m, start, count, workers=1):
+    """``_mesh`` and ``_mesh_density`` with MESH_CHUNK 1, 7 and its
+    default: every run must raise the same error, which is raised again."""
+    seen = {}
+    for chunk in (1, 7, ctl.MESH_CHUNK):
+        for run in (_mesh, _mesh_density):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ctl, "MESH_CHUNK", chunk)
+                with pytest.raises(JumpMCError) as exc:
+                    run(m, start, count, workers=workers)
+            error = exc.value
+            seen[type(error), error.realization, getattr(error, "step", None), str(error)] = error
+    assert len(seen) == 1, list(seen)
+    raise error
+
+
 @pytest.mark.parametrize(
-    "run, make_model, error",
+    "run, make_model, error, start, named",
     [
-        pytest.param(_mesh, diverging_model, PathDivergenceError, id="mesh"),
-        pytest.param(_stochastic, diverging_model, PathDivergenceError, id="stochastic"),
+        pytest.param(_mesh, diverging_model, PathDivergenceError, 1000, None, id="mesh"),
         pytest.param(
-            _mesh_density, overflowing_density_model, EvaluationError,
+            _stochastic, diverging_model, PathDivergenceError, 1000, None, id="stochastic"
+        ),
+        pytest.param(
+            _mesh_density, overflowing_density_model, EvaluationError, 1000, None,
             id="mesh-density-overflow",
         ),
         # the first realizations of this model diverge at a refinement
         # level; its first density overflow (at level 0) is realization 1005
         pytest.param(
-            _stochastic, overflowing_density_model, PathDivergenceError,
+            _stochastic, overflowing_density_model, PathDivergenceError, 1000, None,
             id="stochastic-density-overflow",
         ),
         # errors raised while a realization is set up
-        pytest.param(_mesh, bad_mark_model, EvaluationError, id="mesh-mark-shape"),
-        pytest.param(_stochastic, bad_mark_model, EvaluationError, id="stochastic-mark-shape"),
-        pytest.param(_mesh, unordered_jumps_model, ParameterError, id="mesh-jump-order"),
+        pytest.param(_mesh, bad_mark_model, EvaluationError, 1000, None, id="mesh-mark-shape"),
         pytest.param(
-            _stochastic, unordered_jumps_model, ParameterError, id="stochastic-jump-order"
+            _stochastic, bad_mark_model, EvaluationError, 1000, None, id="stochastic-mark-shape"
+        ),
+        pytest.param(
+            _mesh, unordered_jumps_model, ParameterError, 1000, None, id="mesh-jump-order"
+        ),
+        pytest.param(
+            _stochastic, unordered_jumps_model, ParameterError, 1000, None,
+            id="stochastic-jump-order",
+        ),
+        # one forward pass over a chunk's step-count groups: 1244 (6 steps)
+        # diverges at step 5, after the larger 1263 (7 steps, so an earlier
+        # column) at step 4; the smaller is named
+        pytest.param(
+            _mesh_any_chunk, diverging_model, PathDivergenceError, 1244, 1244,
+            id="mesh-across-step-counts",
         ),
     ],
 )
-def test_divergence_error_names_absolute_realization(run, make_model, error):
+def test_divergence_error_names_absolute_realization(run, make_model, error, start, named):
     m = make_model()
-    start = 1000
     with pytest.raises(error) as exc:
         run(m, start, 50)
     assert type(exc.value) is error
@@ -709,6 +756,12 @@ def test_divergence_error_names_absolute_realization(run, make_model, error):
     with pytest.raises(error) as alone:
         run(m, index, 1)
     assert alone.value.realization == index
+    if named is not None:
+        assert (index, exc.value.step) == (named, 5)
+        n_a = run_mesh_batch(build_model("test5"), uniform_mesh(1.0, 5), SeedConfig(), start, 50)
+        with pytest.raises(error) as later:
+            run(m, 1263, 1)
+        assert later.value.step == 4 and n_a["n_a"][1263 - start] > n_a["n_a"][named - start]
 
 
 @pytest.mark.parametrize(
@@ -750,8 +803,8 @@ def test_failing_realization_does_not_depend_on_chunking(
 ):
     # The error names the smallest failing realization whatever the chunk
     # size and the engine's block budget: the one a run with one-row
-    # chunks reaches first.  The forward-only mesh engine runs its
-    # step-count groups as they are, so its budget changes nothing there.
+    # chunks reaches first.  The forward-only mesh engine runs a chunk in
+    # one pass, so its budget changes nothing there.
     m = make_model()
     seen = set()
     budget_name = "MESH_BLOCK_STEPS" if chunk_name == "MESH_CHUNK" else "STOCH_BLOCK_STEPS"
@@ -845,7 +898,7 @@ def test_a_bad_density_tol_is_rejected_before_any_work(monkeypatch, engine, tol)
     def no_work(*args, **kwargs):
         raise AssertionError("work ran with an invalid TOL")
 
-    monkeypatch.setattr(ctl, "_setup_groups", no_work)
+    monkeypatch.setattr(ctl, "_setup_paths", no_work)
     kw = dict(tol=tol, tol_t=0.01, n_a_bar=5.0)
     with pytest.raises(ParameterError, match="TOL must lie in"):
         if engine == "mesh":
@@ -920,7 +973,7 @@ def test_integer_parameters_reject_other_numbers_before_any_work(monkeypatch, ca
     def no_work(*args, **kwargs):
         raise AssertionError("work ran with a non-integer parameter")
 
-    monkeypatch.setattr(ctl, "_setup_groups", no_work)
+    monkeypatch.setattr(ctl, "_setup_paths", no_work)
     with pytest.raises(ParameterError, match="must be an integer"):
         NOT_INTEGERS[case]()
 

@@ -16,6 +16,7 @@ from jumpmc.euler import euler_path
 from jumpmc.jumps import JumpRealization, build_augmented_grid, intensity_integral_for
 from jumpmc.model import JumpDiffusionModel
 from jumpmc.rng import keyed_streams
+from rows_first_forward import grid_of
 
 NO_JUMPS = JumpRealization(times=np.empty(0), marks=np.empty((0, 1)))
 
@@ -251,11 +252,11 @@ def test_batched_interval_totals_match_the_one_row_pipeline(monkeypatch, workers
     det = uniform_mesh(1.0, 5)
     totals = ctl.run_interval_batch(m, det, SeedConfig(), 100, workers=workers)["total"]
     rows = {}
-    for group, paths in ctl._setup_groups(
+    chunk_rows, paths, _, collisions = ctl._setup_paths(
         m, det, keyed_streams(SeedConfig()), 0, 100, intensity_integral_for(m)
-    ):
-        for b, row in enumerate(group.rows.tolist()):
-            rows[row] = group.grid(b), paths.dw[b]
+    )
+    for b, row in enumerate(chunk_rows.tolist()):
+        rows[row] = grid_of(paths, b, det, collisions[b]), paths.dw[: paths.n_steps[b], b]
     widths = np.diff(det)
     for i in range(100):
         grid, dw = rows[i]

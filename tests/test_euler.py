@@ -15,17 +15,25 @@ from jumpmc import (
 )
 from jumpmc import controller as ctl
 from jumpmc.euler import (
-    PathBatch,
     bridge_split,
     brownian_bridge_refine,
     euler_batch,
     euler_path,
     euler_terminal,
     sample_wiener_increments,
+    terminal_values,
 )
 from jumpmc.jumps import JumpRealization, build_augmented_grid, intensity_integral_for
 from jumpmc.model import JumpDiffusionModel, as_vectorized
 from jumpmc.rng import keyed_streams
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+import rows_first_forward as oracle  # noqa: E402
+from rows_first_forward import RowsFirstPaths, setup_groups, to_node_major, with_jumps  # noqa: E402
+from test_box_kernel import random_model  # noqa: E402
 
 NO_JUMPS = JumpRealization(times=np.empty(0), marks=np.empty((0, 1)))
 
@@ -254,11 +262,8 @@ def _test5_groups(model, start, count):
     """(realizations, PathBatch) of each step-count group of test5's
     realizations [start, start+count) on 40 uniform steps."""
     model = as_vectorized(model)
-    groups = ctl._setup_groups(
-        model, uniform_mesh(1.0, 40), keyed_streams(SeedConfig()), start, count,
-        intensity_integral_for(model),
-    )
-    return model, [(start + group.rows, paths) for group, paths in groups]
+    groups = setup_groups(model, uniform_mesh(1.0, 40), start, count)
+    return model, [(start + rows, paths) for rows, paths, _ in groups]
 
 
 def _divergent(name):
@@ -283,15 +288,15 @@ DIVERGENCE_AT = {
 @pytest.mark.parametrize("name", sorted(DIVERGENCE_AT))
 def test_forward_only_and_full_path_raise_the_same_divergence(name):
     model, groups = _test5_groups(_divergent(name), 300, 200)
-    assert sorted(paths.dt.shape[1] for _, paths in groups) == sorted(DIVERGENCE_AT[name])
+    assert sorted(len(paths.dw) for _, paths in groups) == sorted(DIVERGENCE_AT[name])
     for rows, paths in groups:
-        expected = DIVERGENCE_AT[name][paths.dt.shape[1]]
+        expected = DIVERGENCE_AT[name][len(paths.dw)]
         for forward in (euler_batch, euler_terminal):
             if expected is None:
                 forward(model, paths, realizations=rows.tolist())
                 continue
             step, which = expected
-            t = paths.times[list(rows).index(which), step + 1]
+            t = paths.times[step + 1, list(rows).index(which)]
             with pytest.raises(PathDivergenceError) as exc:
                 forward(model, paths, realizations=rows.tolist())
             assert type(exc.value) is PathDivergenceError
@@ -304,14 +309,78 @@ def test_forward_only_terminal_matches_the_full_path_with_edge_jumps():
     model, groups = _test5_groups(build_model("test5"), 0, 400)
     rows, paths = max(groups, key=lambda g: len(g[0]))
     # jumps at node 0 on every third row and at the last node on others
-    flag = paths.jump_flag.copy()
-    flag[::3, 0] = True
-    flag[1::3, -1] = True
-    marks = np.where(flag & ~paths.jump_flag, 0.7, paths.marks[..., 0])[..., None]
-    edged = PathBatch(paths.times, paths.dw, flag, marks, paths.dt)
+    first, last = range(0, len(rows), 3), range(1, len(rows), 3)
+    edged = with_jumps(paths, [*first, *last], [0] * len(first) + [len(paths.dw)] * len(last), 0.7)
     values, left = euler_batch(model, edged, realizations=rows.tolist())
     terminal = euler_terminal(model, edged, realizations=rows.tolist())
-    assert terminal.shape == values[:, -1].shape
-    assert terminal.tobytes() == values[:, -1].tobytes()
-    assert (values[::3, 0] != left[::3, 0]).any(axis=1).all()
-    assert (values[1::3, -1] != left[1::3, -1]).any(axis=1).all()
+    assert terminal.shape == values[-1].shape
+    assert terminal.tobytes() == values[-1].tobytes()
+    assert (values[0, ::3] != left[0, ::3]).any(axis=1).all()
+    assert (values[-1, 1::3] != left[-1, 1::3]).any(axis=1).all()
+
+
+# ---------------------------------------------------------------------------
+# the node-major forward layer against the rows-first one it replaced
+
+
+@st.composite
+def ragged_batches(draw):
+    """A rows-first batch of rows with up to three step counts, longest
+    first, on ``wiener_dim`` 1 or 2 (``test_box_kernel.random_model``):
+    random jumps, and jumps at node 0 and at a row's last node."""
+    l = draw(st.integers(1, 2), label="wiener_dim")
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    counts = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3), label="rows per count")
+    N = draw(st.integers(1, 4), label="mesh steps")
+    rng = np.random.default_rng(seed)
+    det = uniform_mesh(1.0, N)
+    rows = []
+    for k, B in enumerate(counts):
+        extra = len(counts) - 1 - k  # longest first
+        inner = np.sort(rng.uniform(0.05, 0.95, (B, extra)), axis=1)
+        rows += list(np.sort(np.concatenate([np.tile(det, (B, 1)), inner], axis=1), axis=1))
+    n_steps = np.array([len(t) - 1 for t in rows])
+    n = int(n_steps.max())
+    B = len(rows)
+    times = np.empty((B, n + 1))
+    for b, t in enumerate(rows):
+        times[b, : len(t)], times[b, len(t):] = t, t[-1]
+    dt = np.diff(times, axis=1)
+    dw = rng.standard_normal((B, n, l)) * np.sqrt(dt)[..., None]
+    jump_flag = (rng.random((B, n + 1)) < 0.3) & (np.arange(n + 1) <= n_steps[:, None])
+    jump_flag[::2, 0] = True
+    jump_flag[np.arange(1, B, 2), n_steps[1::2]] = True
+    marks = np.where(jump_flag[..., None], rng.uniform(-1.0, 1.0, (B, n + 1, 1)), 0.0)
+    model = random_model(draw(st.integers(1, 3), label="dim"), l, seed)[1]
+    return model, RowsFirstPaths(times, dw, jump_flag, marks, dt, n_steps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=ragged_batches())
+def test_node_major_forward_matches_the_rows_first_oracle(case):
+    model, first = case
+    paths = to_node_major(first)
+    values, left = euler_batch(model, paths)
+    want_values, want_left = oracle.euler_batch(model, first)
+    real = np.arange(len(paths.times))[:, None] <= paths.n_steps
+    assert values[real].tobytes() == want_values.swapaxes(0, 1)[real].tobytes()
+    assert left[real].tobytes() == want_left.swapaxes(0, 1)[real].tobytes()
+    terminal = euler_terminal(model, paths)
+    assert terminal.tobytes() == oracle.euler_terminal(model, first).tobytes()
+    assert terminal.tobytes() == terminal_values(paths, values).tobytes()
+
+
+def test_one_forward_pass_over_a_chunk_gives_the_per_group_payoffs():
+    model = as_vectorized(build_model("test5"))
+    det = uniform_mesh(1.0, 40)
+    rows, paths, _, _ = ctl._setup_paths(
+        model, det, keyed_streams(SeedConfig()), 0, 3000, intensity_integral_for(model)
+    )
+    groups = paths.by_step_count()
+    assert len(groups) > 3
+    whole, _ = ctl._path_batch(model, paths, rows.tolist(), False)
+    for cols, n in groups:
+        payoff, _ = ctl._path_batch(model, paths.take(cols), rows[cols].tolist(), False)
+        assert payoff.tobytes() == whole[cols].tobytes()
+    out = ctl.run_mesh_batch(model, det, SeedConfig(), 0, 3000)
+    assert out["payoff"][rows].tobytes() == whole.tobytes()

@@ -1,6 +1,6 @@
 """Property test of the batched augmented-grid builder.
 
-Every row of ``build_grid_groups`` must equal the grid that row gets on
+Every column of ``build_grid_batch`` must equal the grid its row gets on
 its own, and the grid of the per-jump loop the batched builder replaced
 (kept below as the reference).
 """
@@ -16,7 +16,7 @@ from jumpmc.jumps import (  # noqa: E402
     COLLISION_RTOL,
     JumpRealization,
     build_augmented_grid,
-    build_grid_groups,
+    build_grid_batch,
 )
 
 HORIZON = 1.0
@@ -87,16 +87,16 @@ def test_grid_groups_place_every_jump_once_and_match_one_row_builds(chunk):
         np.concatenate([r.times for r in rows]),
         np.concatenate([r.marks for r in rows]),
     )
-    groups = build_grid_groups(det, *flat, horizon=HORIZON)
-    assert [g.times.shape[1] for g in groups] == sorted({g.times.shape[1] for g in groups})
-    # rows first in memory, so a reduction over a row's steps runs on a
-    # contiguous run whatever the group's size
-    assert all(g.times.flags.c_contiguous for g in groups)
+    batch = build_grid_batch(det, *flat, horizon=HORIZON)
+    # longest first, each step count's rows in order
+    assert (batch.n_steps[1:] <= batch.n_steps[:-1]).all()
+    ties = batch.n_steps[1:] == batch.n_steps[:-1]
+    assert (batch.rows[1:][ties] > batch.rows[:-1][ties]).all()
+    assert not (np.arange(len(batch.times))[:, None] > batch.n_steps)[batch.jump_flag].any()
     placed = {}
-    for g in groups:
-        for b, row in enumerate(g.rows.tolist()):
-            assert row not in placed
-            placed[row] = g.grid(b)
+    for b, row in enumerate(batch.rows.tolist()):
+        assert row not in placed
+        placed[row] = batch.grid(b)
     assert sorted(placed) == list(range(len(rows)))
 
     n = len(det) - 1

@@ -18,7 +18,7 @@ from jumpmc.jumps import (
     IntensityIntegral,
     JumpRealization,
     build_augmented_grid,
-    build_grid_groups,
+    build_grid_batch,
     intensity_integral_for,
     interval_of_steps,
     jump_times_from_exponentials,
@@ -304,7 +304,7 @@ def test_grid_rejects_a_non_finite_mesh(node):
 
 
 def flat_jumps(rows):
-    """``build_grid_groups``'s (n_jumps, times, marks) of JumpRealization rows."""
+    """``build_grid_batch``'s (n_jumps, times, marks) of JumpRealization rows."""
     return (
         [len(r.times) for r in rows],
         np.concatenate([r.times for r in rows]),
@@ -322,7 +322,7 @@ def test_grid_groups_errors_name_the_realization():
     ]
     for bad, error in cases:
         with pytest.raises(error) as exc:
-            build_grid_groups(
+            build_grid_batch(
                 det, *flat_jumps([fine, bad, fine]), horizon=1.0, realizations=[7, 8, 9]
             )
         assert type(exc.value) is error
@@ -334,7 +334,7 @@ def test_grid_groups_errors_name_the_realization():
     # for the whole chunk
     bad = JumpRealization(np.array([0.3]), np.zeros((2, 1)))
     with pytest.raises(ParameterError):
-        build_grid_groups(det, *flat_jumps([fine, bad, fine]), horizon=1.0)
+        build_grid_batch(det, *flat_jumps([fine, bad, fine]), horizon=1.0)
     with pytest.raises(ParameterError):
         build_augmented_grid(det, bad, horizon=1.0)
 

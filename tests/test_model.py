@@ -44,7 +44,7 @@ def test_second_moment_symmetry():
     rng = np.random.default_rng(5)
     t, x = rng.uniform(0.0, 1.0, size=20), rng.normal(size=(20, 2))
     names = ["diffusion", "diffusion_t", "diffusion_x", "diffusion_xx"]
-    cb = _stack_calls(m, names, t[None], x[None], running=[1] * 20)
+    cb = _stack_calls(m, names, t[:, None], x[:, None], running=[1] * 20)
     for d in second_moment_arrays(*(cb[name] for name in names)):
         d = _dense(d, m.dim)
         np.testing.assert_allclose(d, np.swapaxes(d, 0, 1), atol=1e-15)

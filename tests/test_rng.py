@@ -466,7 +466,7 @@ def test_an_n40_chunk_hands_few_rows_to_the_generator(monkeypatch):
         return at(self, i, w)
 
     monkeypatch.setattr(KeyedStream, "at", counted)
-    ctl._setup_groups(
+    ctl._setup_paths(
         model, uniform_mesh(model.horizon, 40), keyed_streams(SeedConfig()), 0, 16384,
         intensity_integral_for(model),
     )
@@ -490,7 +490,7 @@ def test_jump_time_draws_of_two_chunks_hand_few_rows_to_the_generator(monkeypatc
 
     monkeypatch.setattr(KeyedStream, "at", counted)
     for start in (0, 16384):
-        ctl._setup_groups(
+        ctl._setup_paths(
             model, uniform_mesh(model.horizon, 5), keyed_streams(SeedConfig()), start, 16384,
             integral,
         )
@@ -561,7 +561,7 @@ def test_few_row_draws_make_no_philox_pass(monkeypatch):
     assert few and not any(few), calls
     calls.clear()
     model = build_model("test5")
-    ctl._setup_groups(
+    ctl._setup_paths(
         model, uniform_mesh(model.horizon, 40), keyed_streams(SeedConfig()), 0, 16384,
         intensity_integral_for(model),
     )

@@ -15,13 +15,12 @@ from hypothesis import strategies as st  # noqa: E402
 
 from dataclasses import replace  # noqa: E402
 
-from jumpmc import SeedConfig, build_model, uniform_mesh  # noqa: E402
+from jumpmc import build_model, uniform_mesh  # noqa: E402
 from jumpmc import controller as ctl  # noqa: E402
 from jumpmc.errors import PathDivergenceError  # noqa: E402
 from jumpmc.euler import concat_paths, euler_terminal, stack_paths  # noqa: E402
-from jumpmc.jumps import intensity_integral_for  # noqa: E402
 from jumpmc.model import as_vectorized  # noqa: E402
-from jumpmc.rng import keyed_streams  # noqa: E402
+from rows_first_forward import grid_of, setup_groups, with_jumps  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -30,10 +29,12 @@ def group():
     augmented grid has 6 steps, and each one's one-row kernel result."""
     m = build_model("test5")
     det = uniform_mesh(1.0, 5)
-    integral = intensity_integral_for(m)
-    groups = ctl._setup_groups(m, det, keyed_streams(SeedConfig()), 0, 120, integral)
-    group, paths = next((g, p) for g, p in groups if p.dt.shape[1] == 6)
-    rows = [(group.grid(b), paths.dw[b], i) for b, i in enumerate(group.rows.tolist())]
+    groups = setup_groups(m, det, 0, 120)
+    rows, paths, collisions = next(g for g in groups if len(g[1].dw) == 6)
+    rows = [
+        (grid_of(paths, b, det, collisions[b]), paths.dw[:, b], i)
+        for b, i in enumerate(rows.tolist())
+    ]
     alone = [
         ctl._path_batch(m, stack_paths(m, [g], [w]), [i], True) for g, w, i in rows
     ]
@@ -64,20 +65,15 @@ def one_row_pool(model, start, count):
     index, one-row PathBatch), on 5 uniform intervals.  Every fourth row
     also jumps at node 0 and every fourth, from the second, at its last
     node, with mark 0.7."""
-    groups = ctl._setup_groups(
-        model, uniform_mesh(1.0, 5), keyed_streams(SeedConfig()), start, count,
-        intensity_integral_for(model),
-    )
+    groups = setup_groups(model, uniform_mesh(1.0, 5), start, count)
     assert len(groups) > 2
     pool = []
-    for group, paths in groups:
-        for b, row in enumerate(group.rows.tolist()):
+    for rows, paths, _ in groups[::-1]:
+        for b, row in enumerate(rows.tolist()):
             one = paths.take([b])
-            edge = {0: 0, 1: -1}.get(row % 4)
-            if edge is not None and not one.jump_flag[0, edge]:
-                flag, marks = one.jump_flag.copy(), one.marks.copy()
-                flag[0, edge], marks[0, edge] = True, 0.7
-                one = replace(one, jump_flag=flag, marks=marks)
+            edge = {0: 0, 1: len(one.dw)}.get(row % 4)
+            if edge is not None:
+                one = with_jumps(one, [0], [edge], 0.7)
             pool.append((int(one.n_steps[0]), start + row, one))
     return pool
 

@@ -26,13 +26,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from jumpmc import SeedConfig, build_model, uniform_mesh  # noqa: E402
+import rows_first_forward  # noqa: E402
+from jumpmc import build_model, uniform_mesh  # noqa: E402
 from jumpmc import controller as ctl  # noqa: E402
 from jumpmc.duals import propagate  # noqa: E402
-from jumpmc.euler import euler_batch  # noqa: E402
-from jumpmc.jumps import intensity_integral_for  # noqa: E402
 from jumpmc.model import as_vectorized  # noqa: E402
-from jumpmc.rng import keyed_streams  # noqa: E402
+from rows_first_forward import setup_groups, to_rows_first  # noqa: E402
 
 # ---------------------------------------------------------------------------
 # rows-first reference kernel
@@ -156,7 +155,8 @@ def ref_rho_batch(cb, phi, phi1, phi2):
 
 
 def ref_path_batch(model, paths):
-    values, left = euler_batch(model, paths)
+    paths = to_rows_first(paths)
+    values, left = rows_first_forward.euler_batch(model, paths)
     payoff = np.asarray(model.payoff(values[:, -1]), float)
     cb = ref_stack_calls(model, ctl._SWEEP_CALLBACKS + ctl._DENSITY_ONLY_CALLBACKS, paths.times[:, :-1], values[:, :-1])
     return payoff, ref_rho_batch(cb, *ref_dual_stores(model, cb, paths, values, left))
@@ -255,12 +255,11 @@ def test_path_batch_matches_rows_first_oracle(model, n):
     m = MODELS[model]()
     det = uniform_mesh(1.0, n)
     count = 600 if m.vectorized else 60
-    streams = keyed_streams(SeedConfig())
     kernel = as_vectorized(m)
-    groups = ctl._setup_groups(kernel, det, streams, 0, count, intensity_integral_for(m))
+    groups = setup_groups(kernel, det, 0, count)
     assert len(groups) > 2
-    for group, paths in groups:
-        payoff, rho = ctl._path_batch(kernel, paths, group.rows.tolist(), True)
+    for rows, paths, _ in groups:
+        payoff, rho = ctl._path_batch(kernel, paths, rows.tolist(), True)
         ref_payoff, ref_rho = ref_path_batch(kernel, paths)
         assert_bits(payoff, ref_payoff)
         assert_bits(rho, ref_rho)

@@ -60,8 +60,8 @@ def reference_mesh_batch(model, det, seeds, start, count, tol=None, want_density
         out["n_jumps"][slots] = [g.n_jumps for g in grids]
         out["collisions"][slots] = [g.collisions for g in grids]
         if want_density:
-            contrib = rho * paths.dt ** 2
-            signed = interval_sums(contrib, paths.times, det)
+            contrib = rho * paths.dt(slice(None), n_steps) ** 2
+            signed = interval_sums(contrib, paths.times.T, det)
             out["signed_interval"][slots] = signed
             out["r"][slots] = cutoff_density_S(signed / widths ** 2, tol) * widths ** 2
             out["signed_total"][slots] = contrib.sum(axis=1)

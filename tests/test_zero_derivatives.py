@@ -78,7 +78,7 @@ def _row_derivatives(model, t, x, dw):
     the points (t, x) of one row, stacked as the kernel stacks a row, as
     dense (tensor..., points) arrays."""
     names = _euler_map_callbacks(3) + ["diffusion", "diffusion_t"]
-    cb = _stack_calls(model, names, t[None], x[None], running=[1] * len(t))
+    cb = _stack_calls(model, names, t[:, None], x[:, None], running=[1] * len(t))
     A = euler_map_derivatives(cb, np.full(len(t), 0.1), dw.T)
     D = second_moment_arrays(
         cb["diffusion"], cb["diffusion_t"], cb["diffusion_x"], cb["diffusion_xx"]
