@@ -863,10 +863,8 @@ def _refine_levels(model, rows, paths, realizations, wiener, positions, tol, tol
                 refined.append((at[hit], split))
         if not refined:
             break
-        rows = np.concatenate([r for r, _ in refined])
-        paths = concat_paths([p for _, p in refined])
-        ranked = np.argsort(-paths.n_steps, kind="stable")
-        rows, paths = rows[ranked], paths.take(ranked)
+        ranked, paths = concat_paths([p for _, p in refined])
+        rows = np.concatenate([r for r, _ in refined])[ranked]
     return out
 
 

@@ -183,32 +183,37 @@ def stack_paths(model: JumpDiffusionModel, grids, dws) -> PathBatch:
     )
 
 
-def concat_paths(batches) -> PathBatch:
-    """Node-major batches joined column after column in one copy, as wide
-    as the longest row, their marks merged into node order (a single
-    batch is returned as it is).  The rows keep their order, so the
-    caller orders the joined batch by step count (``take``)."""
-    if len(batches) == 1:
-        return batches[0]
-    n = max(int(b.n_steps.max()) for b in batches)
-    B = sum(len(b.n_steps) for b in batches)
+def concat_paths(batches):
+    """Node-major batches joined in one copy, longest first, as wide as
+    the longest row, their marks merged into node order.  Returns
+    (order, paths): column c of ``paths`` is column ``order[c]`` of the
+    batches side by side, ``order`` the stable descending order of their
+    step counts.  A single batch in that order is returned as it is."""
+    n_steps = np.concatenate([b.n_steps for b in batches])
+    B = len(n_steps)
+    order = np.argsort(-n_steps, kind="stable")
+    if len(batches) == 1 and (order == np.arange(B)).all():
+        return order, batches[0]
+    column = np.empty(B, dtype=np.intp)
+    column[order] = np.arange(B)
+    n = int(n_steps.max())
     times = np.empty((n + 1, B))
     dw = np.empty((n, B, batches[0].dw.shape[2]))
     jump_flag = np.zeros((n + 1, B), dtype=bool)
-    nodes, rows = [], []
+    nodes, cols = [], []
     at = 0
     for b in batches:
-        m, cols = int(b.n_steps.max()), slice(at, at + len(b.n_steps))
-        times[: m + 1, cols] = b.times[: m + 1]
-        dw[:m, cols] = b.dw[:m]
-        jump_flag[: m + 1, cols] = b.jump_flag[: m + 1]
+        m, to = int(b.n_steps.max()), column[at : at + len(b.n_steps)]
+        times[: m + 1, to] = b.times[: m + 1]
+        dw[:m, to] = b.dw[:m]
+        jump_flag[: m + 1, to] = b.jump_flag[: m + 1]
         node, row = b.jumps()
         nodes.append(node)
-        rows.append(row + at)
-        at = cols.stop
+        cols.append(to[row])
+        at += len(to)
     marks = np.concatenate([b.marks for b in batches])
-    order = node_order(np.concatenate(nodes), np.concatenate(rows), B)
-    return PathBatch(times, dw, jump_flag, marks[order], np.concatenate([b.n_steps for b in batches]))
+    jumps = node_order(np.concatenate(nodes), np.concatenate(cols), B)
+    return order, PathBatch(times, dw, jump_flag, marks[jumps], n_steps[order])
 
 
 def _euler_steps(model, paths, x0, realizations):

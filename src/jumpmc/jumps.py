@@ -394,29 +394,32 @@ class GridBatch:
     not written and ``jump_flag`` is False.  ``marks`` holds one mark per
     jump, node by node and, within a node, column by column (the order
     of ``np.nonzero(jump_flag)``), as ``euler.PathBatch`` holds them.
+    ``column_grid`` reads one column out as an ``AugmentedGrid``.
     """
 
     rows: Array  # (B,)
     times: Array  # (n + 1, B)
-    det_times: Array  # (N + 1,)
     jump_flag: Array  # (n + 1, B) bool
     marks: Array  # (J, mark_dim)
     n_steps: Array  # (B,)
     collisions: Array  # (B,)
 
-    def grid(self, b: int) -> AugmentedGrid:
-        """Column ``b`` as an ``AugmentedGrid``."""
-        n = int(self.n_steps[b])
-        nodes = np.flatnonzero(self.jump_flag[: n + 1, b])
-        jump_index = np.full(n + 1, -1, dtype=np.intp)
-        jump_index[nodes] = np.arange(len(nodes))
-        return AugmentedGrid(
-            times=self.times[: n + 1, b].copy(),
-            det_times=self.det_times,
-            jump_index=jump_index,
-            marks=self.marks[np.nonzero(self.jump_flag)[1] == b],
-            collisions=int(self.collisions[b]),
-        )
+
+def column_grid(batch, b: int, det_times: Array, collisions: int = 0) -> AugmentedGrid:
+    """Column ``b`` of the node-major grids ``batch`` (a ``GridBatch`` or
+    an ``euler.PathBatch``) as the ``AugmentedGrid`` on the mesh
+    ``det_times`` with ``collisions`` merged jumps."""
+    n = int(batch.n_steps[b])
+    nodes = np.flatnonzero(batch.jump_flag[: n + 1, b])
+    jump_index = np.full(n + 1, -1, dtype=np.intp)
+    jump_index[nodes] = np.arange(len(nodes))
+    return AugmentedGrid(
+        times=batch.times[: n + 1, b].copy(),
+        det_times=np.asarray(det_times, float),
+        jump_index=jump_index,
+        marks=batch.marks[np.nonzero(batch.jump_flag)[1] == b],
+        collisions=int(collisions),
+    )
 
 
 def check_mesh(det_times: Array, horizon: float) -> Array:
@@ -535,9 +538,7 @@ def build_grid_batch(
     merged = place[jumps][1:] == place[jumps][:-1]  # two jumps of a row at one node
     if merged.any():
         fail(EvaluationError, "two jumps merged into one grid node", owner[jumps][1:][merged].min())
-    return GridBatch(
-        order, grid_times, det, jump_flag, marks[jumps], n_steps, collisions[order]
-    )
+    return GridBatch(order, grid_times, jump_flag, marks[jumps], n_steps, collisions[order])
 
 
 def build_augmented_grid(
@@ -548,9 +549,10 @@ def build_augmented_grid(
 ) -> AugmentedGrid:
     """Merge jump times into the deterministic mesh (``build_grid_batch``
     with one row)."""
-    return build_grid_batch(
+    batch = build_grid_batch(
         det_times, [len(jumps.times)], jumps.times, jumps.marks, horizon=horizon
-    ).grid(0)
+    )
+    return column_grid(batch, 0, det_times, batch.collisions[0])
 
 
 def uniform_mesh(horizon: float, n: int) -> Array:

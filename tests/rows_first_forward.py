@@ -9,9 +9,8 @@ dense (B, n+1, mark_dim) marks.  ``euler_steps``, ``euler_batch`` and
 for names.  ``to_node_major`` and ``to_rows_first`` convert a batch from
 one layout to the other; ``to_node_major`` fills what a node-major batch
 never reads (times and increments past a row's last node) with NaN, so a
-read of it shows.  ``setup_groups`` and ``grid_of`` cut the engine's
-set-up into its step-count groups and one-row grids, as tests of the
-one-row pipeline take them.
+read of it shows.  ``setup_groups`` cuts the engine's set-up into
+its step-count groups, as tests of the one-row pipeline take them.
 """
 
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from jumpmc import SeedConfig
 from jumpmc import controller as ctl
 from jumpmc.errors import ParameterError, PathDivergenceError
 from jumpmc.euler import DIVERGENCE_BOUND, PathBatch
-from jumpmc.jumps import AugmentedGrid, intensity_integral_for
+from jumpmc.jumps import intensity_integral_for
 from jumpmc.model import as_vectorized
 from jumpmc.rng import keyed_streams
 
@@ -173,18 +172,3 @@ def setup_groups(model, det, start, count, seeds=SeedConfig()):
     return [
         (rows[cols], paths.take(cols), collisions[cols]) for cols, _ in paths.by_step_count()
     ]
-
-
-def grid_of(paths: PathBatch, b: int, det, collisions=0) -> AugmentedGrid:
-    """Row ``b`` of ``paths`` as the ``AugmentedGrid`` on the mesh ``det``."""
-    n = int(paths.n_steps[b])
-    nodes = np.flatnonzero(paths.jump_flag[: n + 1, b])
-    jump_index = np.full(n + 1, -1, dtype=np.intp)
-    jump_index[nodes] = np.arange(len(nodes))
-    return AugmentedGrid(
-        times=paths.times[: n + 1, b].copy(),
-        det_times=np.asarray(det, float),
-        jump_index=jump_index,
-        marks=paths.marks[np.nonzero(paths.jump_flag)[1] == b],
-        collisions=int(collisions),
-    )

@@ -237,7 +237,7 @@ def ragged_paths(rng, det, counts, l):
     2 - k extra nodes.  Besides the random jumps, every row jumps at its
     last node and every other row at node 0."""
     parts = [random_paths(rng, B, det, 2 - k, l) for k, B in enumerate(counts) if B]
-    paths = to_rows_first(concat_paths(parts))
+    paths = to_rows_first(concat_paths(parts)[1])
     flag = paths.jump_flag.copy()
     flag[np.arange(len(flag)), paths.n_steps] = True
     flag[::2, 0] = True

@@ -25,9 +25,10 @@ from jumpmc.euler import (  # noqa: E402
     concat_paths,
     stack_paths,
 )
+from jumpmc.jumps import column_grid  # noqa: E402
 from jumpmc.model import as_vectorized  # noqa: E402
 from jumpmc.rng import keyed_streams, philox_words, standard_normal  # noqa: E402
-from rows_first_forward import grid_of, setup_groups, to_node_major, to_rows_first  # noqa: E402
+from rows_first_forward import setup_groups, to_node_major, to_rows_first  # noqa: E402
 
 REJECTING, REDRAWING = 0, 1  # the block's crafted rows
 
@@ -64,11 +65,11 @@ def block(request):
     else:
         groups = [max(groups, key=lambda g: len(g[0]))]
     grids = [
-        grid_of(paths, b, det, collisions[b])
+        column_grid(paths, b, det, collisions[b])
         for _, paths, collisions in groups for b in range(len(paths.n_steps))
     ]
     realizations = np.concatenate([rows for rows, _, _ in groups]).astype(np.int64)
-    paths = concat_paths([paths for _, paths, _ in groups])
+    paths = concat_paths([paths for _, paths, _ in groups])[1]
     positions = paths.n_steps * m.wiener_dim
     wiener = streams[0]
     ok = fast_path(wiener, realizations[REJECTING], 400)

@@ -13,10 +13,14 @@ from jumpmc import controller as ctl
 from jumpmc.density import cutoff_density_S, interval_sums, rho_per_step
 from jumpmc.duals import backward_duals
 from jumpmc.euler import euler_path
-from jumpmc.jumps import JumpRealization, build_augmented_grid, intensity_integral_for
+from jumpmc.jumps import (
+    JumpRealization,
+    build_augmented_grid,
+    column_grid,
+    intensity_integral_for,
+)
 from jumpmc.model import JumpDiffusionModel
 from jumpmc.rng import keyed_streams
-from rows_first_forward import grid_of
 
 NO_JUMPS = JumpRealization(times=np.empty(0), marks=np.empty((0, 1)))
 
@@ -256,7 +260,7 @@ def test_batched_interval_totals_match_the_one_row_pipeline(monkeypatch, workers
         m, det, keyed_streams(SeedConfig()), 0, 100, intensity_integral_for(m)
     )
     for b, row in enumerate(chunk_rows.tolist()):
-        rows[row] = grid_of(paths, b, det, collisions[b]), paths.dw[: paths.n_steps[b], b]
+        rows[row] = column_grid(paths, b, det, collisions[b]), paths.dw[: paths.n_steps[b], b]
     widths = np.diff(det)
     for i in range(100):
         grid, dw = rows[i]

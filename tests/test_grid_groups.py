@@ -17,6 +17,7 @@ from jumpmc.jumps import (  # noqa: E402
     JumpRealization,
     build_augmented_grid,
     build_grid_batch,
+    column_grid,
 )
 
 HORIZON = 1.0
@@ -96,7 +97,7 @@ def test_grid_groups_place_every_jump_once_and_match_one_row_builds(chunk):
     placed = {}
     for b, row in enumerate(batch.rows.tolist()):
         assert row not in placed
-        placed[row] = batch.grid(b)
+        placed[row] = column_grid(batch, b, det, batch.collisions[b])
     assert sorted(placed) == list(range(len(rows)))
 
     n = len(det) - 1

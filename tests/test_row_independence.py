@@ -19,8 +19,9 @@ from jumpmc import build_model, uniform_mesh  # noqa: E402
 from jumpmc import controller as ctl  # noqa: E402
 from jumpmc.errors import PathDivergenceError  # noqa: E402
 from jumpmc.euler import concat_paths, euler_terminal, stack_paths  # noqa: E402
+from jumpmc.jumps import column_grid  # noqa: E402
 from jumpmc.model import as_vectorized  # noqa: E402
-from rows_first_forward import grid_of, setup_groups, with_jumps  # noqa: E402
+from rows_first_forward import setup_groups, with_jumps  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +33,7 @@ def group():
     groups = setup_groups(m, det, 0, 120)
     rows, paths, collisions = next(g for g in groups if len(g[1].dw) == 6)
     rows = [
-        (grid_of(paths, b, det, collisions[b]), paths.dw[:, b], i)
+        (column_grid(paths, b, det, collisions[b]), paths.dw[:, b], i)
         for b, i in enumerate(rows.tolist())
     ]
     alone = [
@@ -79,10 +80,10 @@ def one_row_pool(model, start, count):
 
 
 def ragged_block(pool, picked):
-    """One batch of the ``picked`` rows of ``pool``, longest first, and
-    their pool indices in that order."""
-    order = sorted(picked, key=lambda i: -pool[i][0])
-    return order, concat_paths([pool[i][2] for i in order])
+    """One batch of the ``picked`` rows of ``pool``, joined longest first
+    by ``concat_paths``, and their pool indices in that order."""
+    ranked, paths = concat_paths([pool[i][2] for i in picked])
+    return [picked[i] for i in ranked.tolist()], paths
 
 
 @pytest.fixture(scope="module", params=["test5", "purejump"])
