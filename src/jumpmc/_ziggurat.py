@@ -17,8 +17,9 @@ base64 encoded, copied from the installed static library:
 ``ke_double`` 0x1c00, ``we_double`` 0x1400, ``fe_double`` 0x0c00, 0x800
 bytes each); the table is that slice of ``rodata.bin``.  The object has no fused multiply-add
 (``objdump -d`` shows no ``vfmadd``), so numpy's array arithmetic repeats
-its wedge tests bit for bit.  ``tests/test_rng.py`` checks the draws that
-use the tables against numpy's generator.
+its wedge tests bit for bit.  ``tests/test_keyed_oracle.py`` checks a
+scalar ziggurat on the tables against numpy's generator, and the keyed
+draws against that scalar ziggurat.
 """
 
 import base64

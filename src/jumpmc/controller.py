@@ -51,8 +51,9 @@ derivatives at its own X(T).  ``_setup_paths`` sets up a whole index
 range at once from counter-based draws (``rng.KeyedStream.draws``):
 every realization's jump times, marks (``jumps.sample_jump_chunk``) and
 Wiener normals come from its own Philox streams, computed for the whole
-range in numpy, ziggurat rejections included; only a mark sampler
-without a quantile draws from a one-row generator.  All grids are merged
+range at once, ziggurat rejections included; only a mark sampler that is
+not a ``model.UniformMarks`` draws from numpy's per-realization generator
+(``rng.stream``).  All grids are merged
 in one pass by ``jumps.build_grid_batch``, which writes them node-major,
 longest first, and the scaled normals go straight into the node-major
 increments; a row's Wiener increments are the first ``n_steps *
@@ -98,9 +99,12 @@ import numpy as np
 
 # perfbench/run.py times layers by patching names on this module.  The
 # one-row euler_path, brownian_bridge_refine, backward_duals,
-# rho_per_step, sample_jumps, realization_streams, build_augmented_grid
-# and sample_wiener_increments are unused here: they serve only
-# perfbench's spans, and are imported so that they stay patchable.
+# rho_per_step, sample_jumps, build_augmented_grid and
+# sample_wiener_increments, and realization_streams (numpy's
+# per-realization generators, which the engines draw from only for a mark
+# sampler that is not a UniformMarks, through rng.stream in jumps), are
+# unused here: they serve only perfbench's spans, and are imported so that
+# they stay patchable.
 from .density import (  # noqa: F401
     INTERVAL_DENSITY_CALLBACKS,
     STEP_DENSITY_CALLBACKS,

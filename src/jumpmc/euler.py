@@ -454,8 +454,8 @@ class _BridgeNormals:
     read past a row's normals draws that row alone again, to twice the
     reach, onto the end of the buffer: ``KeyedStream.draws`` is
     row-independent, so every other row keeps its normals and offset.
-    Such a top-up is a call of one or a few rows, which ``draws`` serves
-    from numpy's generator (``rng.FEW_ROWS``), without a Philox pass."""
+    Such a top-up is a call of one or a few rows, which ``draws`` makes
+    from the rows' own Philox blocks, one state set per block."""
 
     def __init__(self, wiener, realizations, positions, counts, w):
         self.wiener, self.realizations, self.positions = wiener, realizations, positions
@@ -567,9 +567,9 @@ def _bridge_splits(dt, whole, rank, srow, normals):
 
 def bridge_refine_batch(paths: PathBatch, mask: Array, wiener, realizations, positions):
     """Bisect the ``mask``ed steps of a block of B paths: row ``b`` comes
-    out as ``brownian_bridge_refine`` refines it with the generator of
-    ``realizations[b]``'s Wiener stream after its first ``positions[b]``
-    normals, bit for bit.
+    out as ``brownian_bridge_refine`` refines it with the normals of
+    ``realizations[b]``'s keyed Wiener stream after its first
+    ``positions[b]``, bit for bit.
 
     The rows may have different step counts, in any order; ``mask`` is
     (B, n), rows first, and False past each row's last step.  ``wiener`` is an

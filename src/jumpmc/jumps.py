@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import EvaluationError, JumpMCError, ParameterError, check_integer
 from .model import JumpDiffusionModel, UniformMarks
+from .rng import stream
 
 Array = np.ndarray
 
@@ -257,11 +258,14 @@ def sample_jumps(
 
 
 def _exponential_count(total: float) -> int:
-    """Exponentials drawn per row up front: with ``rng``'s slack of
-    ``2 + count // 16`` words they fill the Philox blocks of
-    L(T) + 4 sqrt(L(T)) + 2 words, which cover all but a sliver of rows."""
-    words = 4 * math.ceil((total + 4.0 * math.sqrt(total) + 2.0) / 4.0)
-    return words - 2 - words // 16
+    """Exponentials drawn per row up front: the most that leave ``3 +
+    count // 8`` slack words (one more than ``rng``'s) in the Philox blocks
+    of L(T) + 4 sqrt(L(T)) + 2 words, so ``KeyedStream.draws`` uses every
+    block it makes and seldom draws a row again for want of words (30 of
+    16,384 rows at L(T) = ln 2, against 102 with six exponentials); they
+    reach L(T) on all but a sliver of rows, which are drawn again."""
+    words = 4 * math.ceil((total + 4.0 * math.sqrt(total) + 2.0) / 4.0) - 3
+    return words - words // 9
 
 
 def _name_realization(exc, realization):
@@ -285,8 +289,9 @@ def sample_jump_chunk(
     call of its quantile on the chunk's K jump times and K counter-based
     uniforms (none when K = 0); a quantile that does not return (K,
     mark_dim) names the chunk's first realization with a jump.  Any
-    other sampler is called per jump with the row's generator.  Errors
-    name the realization.
+    other sampler is called per jump with the row's numpy generator
+    ``rng.stream(marks seed, realization, STREAM_MARKS)``, as
+    ``rng.realization_streams`` gives it.  Errors name the realization.
     """
     count = len(realizations)
     total = integral.total
@@ -331,7 +336,8 @@ def sample_jump_chunk(
     for row in np.nonzero(n_jumps)[0].tolist():
         lo, hi = first[row], first[row] + n_jumps[row]
         try:
-            marks[lo:hi] = sample_marks(model, times[lo:hi], mark_stream.at(realizations[row]))
+            generator = stream(mark_stream.seed, realizations[row], mark_stream.stream_id)
+            marks[lo:hi] = sample_marks(model, times[lo:hi], generator)
         except JumpMCError as exc:
             _name_realization(exc, realizations[row])
             raise

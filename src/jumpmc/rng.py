@@ -1,42 +1,49 @@
 """Counter-based random streams, one triple per realization.
 
-Every realization ``i`` owns three independent Philox4x64-10 streams
-(Wiener increments, jump times, marks).  The stream key encodes the
-configured seed, the realization index and the stream id, so path ``i``
-draws the same numbers no matter how realizations are batched or spread
-over workers.  That property is what makes output byte-identical for any
-worker count.
+Every realization ``i`` owns three independent streams (Wiener
+increments, jump times, marks), each a sequence of Philox4x64-10 blocks
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
+A stream family is one (seed, stream id) pair, and its Philox key is
+``(seed, stream_id + 1)``.  Block ``b`` of realization ``i`` is the first
+four words that ``np.random.Philox(key=[seed, stream_id + 1],
+counter=[i, b, 0, 0]).random_raw(4)`` returns (numpy steps the counter
+before each block).  A row's words depend only on (seed, family,
+realization), so path ``i`` draws the same numbers however realizations
+are batched or spread over workers: output is byte-identical for any
+worker count and chunk size.
 
-Philox is a pure function of key and counter (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC'11): word ``w`` of a stream is
-word ``w % 4`` of block ``w // 4``, which numpy's generator computes with
-counter ``w // 4 + 1``.  So the engines draw a whole chunk at once:
-``philox_words`` evaluates the blocks of many (realization, block) pairs
-on uint64 arrays, and ``standard_normal``, ``standard_exponential`` and
-``random`` turn words into numpy's draws.  The first two are the fast
-path of numpy's ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000)
-with numpy's own tables; the normal's width table is doubled with its
-negation, so numpy's sign bit is part of the table index.  A draw they
-reject is mostly a wedge draw, resolved in arrays from one more word and
-libm's ``exp`` for the close calls (``_wedges``), which shifts the row's
-later draws by one or two words; each row draws a few slack words for
-that, up to the end of its last Philox block, so a row of ziggurat draws
-is whole blocks and a pass over many rows takes Philox's words as they
-come, with no gather.  A tail draw (numpy's libm ``log1p`` calls) and a
-row that runs past its drawn words go on with numpy's generator from the
-rejected draw's word.  So a row's word offset depends on its
-rejections, and it stays inside this module: ``KeyedStream.draws`` is
-the one way to draw for a chunk, and a caller counts its place in a
-stream in draws, always drawn from draw 0.  ``KeyedStream.at(i)`` is
-the one-row generator of realization ``i`` (for a mark sampler that
-needs one); only ``draws`` sets it to a word offset.
+numpy's Philox steps the first counter word, the realization, so one
+``random_raw`` call from counter ``(i, b, 0, 0)`` makes block ``b`` of
+realizations ``i, i + 1, ...`` in C.  ``KeyedStream.draws`` draws a
+call's rows in realization order, in slabs of nearby realizations (a
+slab ends at a gap of more than SLAB_GAP realizations and holds at most
+about SLAB_BLOCKS blocks): one state set and one ``random_raw`` per
+block index over the slab's span, and one ``np.take`` of each row's
+blocks.
 
-A pass over arrays has a fixed cost of about half a millisecond, while
-numpy's generator draws a short row in a few microseconds.  So a
-``draws`` call for at most ``FEW_ROWS`` rows (a bridge top-up of one
-or two rows, say) draws each row with its own generator from draw 0,
-the reference every array value matches; only calls over more rows
-take the array path.
+``standard_normal``, ``standard_exponential`` and ``random`` turn words
+into numpy's draws.  The first two are the fast path of numpy's ziggurat
+(Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000) with numpy's own tables;
+the normal's width table is doubled with its negation, so numpy's sign
+bit is part of the table index.  A draw they reject is resolved in
+arrays (``_wedges``): a wedge draw from one more word and libm's ``exp``
+for the close calls, a tail draw by numpy's tail formula with libm's
+``log1p`` (``math.log1p``) on the words after it, read from its row's
+drawn words.  Each shifts the row's later draws, so each row draws a few
+slack words, up to the end of its last block; a row whose words still
+run out (at a wedge draw without its ``u``, a tail draw without its
+words, or before its last value) is drawn again, whole, with more
+blocks.  So a row's word offset depends on its rejections, and it stays
+inside this module: a caller counts its place in a stream in draws,
+always drawn from draw 0.  The caller's row order goes into the one
+final gather.
+
+``stream`` and ``realization_streams`` are per-realization numpy
+generators, keyed ``(seed, i + ((stream_id + 1) << 60))``: that key word
+is never a family word, which stays below 2**60.  The engines use them
+only for a mark sampler that is not a ``model.UniformMarks``, which is
+called per jump with a generator; ``UniformMarks`` is the fast path,
+its uniforms drawn by ``KeyedStream.draws``.
 """
 
 from __future__ import annotations
@@ -55,8 +62,22 @@ STREAM_MARKS = 2
 
 _STREAM_SHIFT = 60  # realization indices stay below 2**60
 
-SLAB_BLOCKS = 1 << 14  # Philox blocks per pass; bounds the temporaries
-FEW_ROWS = 128  # draws for at most this many rows come from numpy's generator
+# Philox blocks per slab; bounds the temporaries.  A slab of 16,384
+# blocks (512 KB, and as much again for its take and fast-path arrays)
+# raised adapt-d's peak RSS by some 4 MB under glibc's dynamic mmap
+# threshold, at no gain in speed
+SLAB_BLOCKS = 1 << 12
+# realizations not drawn between two rows of one slab: a row alone costs a
+# state set and a random_raw call per block, about 1.6 us, as much as a
+# block for some 80 realizations in a slab (80 bridge rows spread over
+# 2,025 realizations draw their 1,001 blocks in 1.6 ms alone, 0.84 ms in
+# one slab, on a 2-CPU host)
+SLAB_GAP = 128
+
+# numpy's ziggurat tail constants (ziggurat_constants.h)
+_NOR_R = 3.654152885361009
+_NOR_INV_R = 0.2736612373297583
+_EXP_R = 7.69711747013105
 
 
 @dataclass(frozen=True)
@@ -75,105 +96,32 @@ class SeedConfig:
             object.__setattr__(self, field, value)
 
 
-def _key_word(realization: int, stream_id: int) -> int:
-    """Second Philox key word: realization index and stream id."""
-    if realization < 0 or realization >= 1 << _STREAM_SHIFT:
-        raise ParameterError(f"realization index out of range: {realization}")
-    return int(realization) + ((stream_id + 1) << _STREAM_SHIFT)
-
-
-def _check_realizations(realizations: np.ndarray) -> np.ndarray:
-    """``realizations`` (int64), after raising for the first one out of range."""
+def _check_realizations(realizations: np.ndarray):
+    """Raise for the first of ``realizations`` (int64) out of range."""
     if realizations.size and (
         realizations.min() < 0 or realizations.max() >= 1 << _STREAM_SHIFT
     ):
         bad = realizations[(realizations < 0) | (realizations >= 1 << _STREAM_SHIFT)][0]
         raise ParameterError(f"realization index out of range: {bad}")
-    return realizations
 
 
 def stream(seed: int, realization: int, stream_id: int) -> np.random.Generator:
-    """Generator for one (seed, realization, stream) triple."""
-    key = np.array([seed, _key_word(realization, stream_id)], dtype=np.uint64)
+    """Numpy's generator for one (seed, realization, stream) triple, keyed
+    ``(seed, realization + ((stream_id + 1) << 60))``."""
+    _check_realizations(np.array([realization], dtype=np.int64))
+    key = np.array([seed, int(realization) + ((stream_id + 1) << _STREAM_SHIFT)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def _families(seeds: SeedConfig):
     """(seed, stream id) of the wiener, jump_times and marks families."""
-    return (
-        (seeds.wiener, STREAM_WIENER),
-        (seeds.jump_times, STREAM_JUMP_TIMES),
-        (seeds.marks, STREAM_MARKS),
-    )
+    ids = (STREAM_WIENER, STREAM_JUMP_TIMES, STREAM_MARKS)
+    return zip((seeds.wiener, seeds.jump_times, seeds.marks), ids)
 
 
 def realization_streams(seeds: SeedConfig, realization: int):
     """(wiener, jump_times, marks) generators for one realization."""
     return tuple(stream(seed, realization, sid) for seed, sid in _families(seeds))
-
-
-# ---------------------------------------------------------------------------
-# Philox4x64-10 on arrays
-
-_MASK64 = (1 << 64) - 1
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_LOW32 = np.uint64(0xFFFFFFFF)
-_32 = np.uint64(32)
-
-
-def _mulhilo(m: int, x, lo, hi, a, b):
-    """Write the low and high words of the 128-bit products of the
-    constant ``m`` and the uint64 array ``x`` into ``lo`` and ``hi``, with
-    ``a`` and ``b`` as scratch; none of the four may be ``x``.  The high
-    word is summed from the four 32-bit products: with t = lh + (ll >>
-    32) and u = hl + (t & M32), it is hh + (t >> 32) + (u >> 32).  Array
-    products wrap, so the low word is the uint64 product itself."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    np.bitwise_and(x, _LOW32, out=a)  # x_lo
-    np.right_shift(x, _32, out=b)  # x_hi
-    np.multiply(a, m_hi, out=hi)  # hl
-    np.multiply(a, m_lo, out=a)  # ll
-    np.right_shift(a, _32, out=a)
-    np.multiply(b, m_lo, out=lo)  # lh
-    np.add(lo, a, out=a)  # t
-    np.multiply(b, m_hi, out=b)  # hh
-    np.right_shift(a, _32, out=lo)
-    np.add(b, lo, out=b)  # hh + (t >> 32)
-    np.bitwise_and(a, _LOW32, out=a)
-    np.add(hi, a, out=a)  # u
-    np.right_shift(a, _32, out=a)
-    np.add(b, a, out=hi)
-    np.multiply(x, np.uint64(m), out=lo)
-
-
-def philox_words(seed: int, stream_id: int, realizations, blocks) -> np.ndarray:
-    """The four words of block ``blocks[k]`` of realization
-    ``realizations[k]``'s stream, as a (len, 4) uint64 array: the words
-    ``4 * blocks[k]`` to ``4 * blocks[k] + 3`` that ``stream(seed,
-    realizations[k], stream_id)`` draws.  The ten rounds run in place on
-    preallocated buffers."""
-    realizations = _check_realizations(np.asarray(realizations, dtype=np.int64))
-    k1 = realizations.astype(np.uint64) + np.uint64((stream_id + 1) << _STREAM_SHIFT)
-    c0 = np.asarray(blocks, dtype=np.uint64) + np.uint64(1)
-    c1, c2, c3 = (np.zeros_like(c0) for _ in range(3))
-    lo0, hi0, lo1, hi1, a, b = (np.empty_like(c0) for _ in range(6))
-    k0 = int(seed)
-    for round_ in range(10):
-        if round_:
-            k0 = (k0 + _PHILOX_W[0]) & _MASK64
-            k1 += np.uint64(_PHILOX_W[1])
-        _mulhilo(_PHILOX_M[0], c0, lo0, hi0, a, b)
-        _mulhilo(_PHILOX_M[1], c2, lo1, hi1, a, b)
-        np.bitwise_xor(hi1, c1, out=hi1)
-        np.bitwise_xor(hi1, np.uint64(k0), out=hi1)
-        np.bitwise_xor(hi0, c3, out=hi0)
-        np.bitwise_xor(hi0, k1, out=hi0)
-        # the new state (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0); the old
-        # state's arrays are the next round's buffers
-        c0, c1, c2, c3, lo0, hi0, lo1, hi1 = hi1, lo1, hi0, lo0, c0, c1, c2, c3
-    del lo0, hi0, lo1, hi1, a, b  # free the buffers before the stacked copy
-    return np.stack([c0, c1, c2, c3], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -209,22 +157,24 @@ def random(words, out=None):
     return x, np.ones(x.shape, dtype=bool)
 
 
-# kind: (fast path, wedge) with the wedge's (index shift, table, exponent
-# of its bound) as numpy's slow path reads a rejected word; "random"
-# never rejects
+# kind: (fast path, wedge) with the wedge's (index shift, table,
+# ``table[idx - 1] - table[idx]`` for each box ``idx``, exponent of its
+# bound) as numpy's slow path reads a rejected word; "random" never rejects
+_FI_DROP, _FE_DROP = np.roll(FI_DOUBLE, 1) - FI_DOUBLE, np.roll(FE_DOUBLE, 1) - FE_DOUBLE
 _KINDS = {
-    "standard_normal": (standard_normal, (0, FI_DOUBLE, lambda x: -0.5 * x * x)),
-    "standard_exponential": (standard_exponential, (3, FE_DOUBLE, np.negative)),
+    "standard_normal": (standard_normal, (0, FI_DOUBLE, _FI_DROP, lambda x: -0.5 * x * x)),
+    "standard_exponential": (standard_exponential, (3, FE_DOUBLE, _FE_DROP, np.negative)),
     "random": (random, None),
 }
 
 
 def _slack(counts):
     """Words drawn per row for ``counts`` ziggurat draws: at least
-    ``2 + counts // 16`` words past the last one the fast path needs, up
-    to the end of the row's last Philox block (no row draws for none)."""
-    drawn = 4 * ((counts + 2 + counts // 16 + 3) // 4)
-    return np.where(counts > 0, drawn, 0)
+    ``2 + counts // 8`` words past the last one the fast path needs, up
+    to the end of the row's last Philox block (no row draws for none).
+    On 16,384 rows of 40 normals, 2 rows run out of them, against 209
+    with ``2 + counts // 16``."""
+    return 4 * ((counts + 5 + counts // 8) // 4) * (counts > 0)
 
 
 def _segment_base(lead, values):
@@ -233,143 +183,240 @@ def _segment_base(lead, values):
     return np.maximum.accumulate(np.where(lead, values, values[:1]))
 
 
-def _wedges(er, eq, word, after, x, counts, drawn, wedge):
-    """Read rows of ziggurat draws from their drawn words as numpy does,
-    resolving every rejected draw that is not a tail draw.
+def _draw_events(er, eq):
+    """Which rejected words (rows ``er``, places ``eq``, in row and place
+    order) start a draw: a run of adjacent ones alternates draw, ``u``,
+    draw, ..., since a wedge draw reads the word after it as its ``u``."""
+    run = np.ones(len(er), dtype=bool)
+    run[1:] = (eq[1:] != eq[:-1] + 1) | (er[1:] != er[:-1])
+    if run.all():
+        return run
+    k = np.arange(len(er))
+    return (k - _segment_base(run, k)) % 2 == 0
+
+
+def _draws(kind, er, eq, box, drawn, kept):
+    """The rejected words ``(er, eq)`` that start a draw, as indices, with
+    each one's tail value and words used (0 where its row's words end
+    first), each tail draw (box 0) read from its row's words in ``kept =
+    (rows, words)``.  A row's first tail draw is resolved first, since
+    the words it uses are not draws; so each round resolves one tail draw
+    per row."""
+    draw = np.flatnonzero(_draw_events(er, eq))
+    if not (box[draw] == 0).any():
+        return draw, np.zeros(len(draw)), np.zeros(len(draw), dtype=np.int64)
+    krows, kwords = kept
+    koff = np.cumsum(drawn[krows]) - drawn[krows]
+    key = (er << 32) | eq  # ascending
+    alive, tried = np.ones(len(er), dtype=bool), np.zeros(len(er), dtype=bool)
+    used, value = np.zeros(len(er), dtype=np.int64), np.zeros(len(er))
+    while True:
+        live = np.flatnonzero(alive)
+        draw = live[_draw_events(er[live], eq[live])]
+        todo = draw[(box[draw] == 0) & ~tried[draw]]
+        if not len(todo):
+            return draw, value[draw], used[draw]
+        todo = todo[np.unique(er[todo], return_index=True)[1]]
+        tried[todo] = True
+        for e in todo.tolist():
+            at = koff[np.searchsorted(krows, er[e])]
+            got = _tail(kind, kwords[at + eq[e]:at + drawn[er[e]]].tolist())
+            if got is not None:
+                value[e], used[e] = got
+        done = todo[used[todo] > 0]
+        alive[_ranges(done + 1, np.searchsorted(key, key[done] + used[done]) - done - 1)] = False
+
+
+def _wedges(kind, er, eq, word, after, x, counts, drawn, kept):
+    """Read rows of ziggurat draws of ``kind`` from their drawn words as
+    numpy does, resolving every rejected draw whose words were drawn.
 
     Row ``k`` has ``drawn[k]`` words for ``counts[k]`` draws.  Its words
     that the fast path rejects are the events ``(er, eq)`` (row, place;
     in row and place order), with the word itself, the word after it
     (meaningless past the row's drawn words) and the fast path's ``x``.
-    ``wedge`` is the kind's ``(shift, table, exponent)``: a rejected draw
-    at ``idx = (word >> shift) & 0xFF`` other than 0 reads the next word
-    as a uniform ``u`` (``Generator.random``) and keeps ``x`` if the wedge
-    test ``(table[idx-1] - table[idx]) * u + table[idx] < exp(exponent(x))``
-    holds, with libm's ``exp`` as numpy's C code calls it; else it draws
-    again from the word after ``u``.  So each rejection shifts the row's
-    later draws by one or two words.  Returns ``((row, value), delta,
-    total, hand)``: the shift ``delta`` from value ``value`` of row
-    ``row`` on, each row's total shift, and the rows handed to numpy's
-    generator as ``(rows, value, word)``: at a tail draw (``idx == 0``),
-    at a draw whose ``u`` was not drawn, or at the first word not drawn.
+    The kind's wedge reads a rejected draw's box ``idx = (word >> shift)
+    & 0xFF``.  Box 0 is a tail draw, numpy's tail formula on the words
+    after it (``_draws``, from the words of the rows in ``kept``).  Any
+    other box reads the next word as a uniform ``u`` (``Generator.random``)
+    and keeps ``x`` if the wedge test ``(table[idx-1] - table[idx]) * u +
+    table[idx] < exp(exponent(x))`` holds, with libm's ``exp`` as numpy's
+    C code calls it; else it draws again from the word after ``u``.  So
+    each rejection shifts the row's later draws.  Returns ``((row, at,
+    step), tails, redo)``: the shift ``step`` from value ``at`` of row
+    ``row`` on, the tail values as ``(rows, value, tail value)``, and the
+    rows whose words ran out (at a tail draw or a wedge draw whose words
+    were not all drawn, or before their last value), whose values past
+    there are meaningless.
     """
-    shift, table, exponent = wedge
-    # a run of adjacent rejected words alternates draw, u, draw, ...
-    k = np.arange(len(er))
-    run = np.ones(len(er), dtype=bool)
-    run[1:] = (eq[1:] != eq[:-1] + 1) | (er[1:] != er[:-1])
-    draw = (k - _segment_base(run, k)) % 2 == 0
-    er, eq, word, after, x = er[draw], eq[draw], word[draw], after[draw], x[draw]
-    idx = ((word >> np.uint64(shift)) & np.uint64(0xFF)).astype(np.intp)
-    has_u = eq + 1 < drawn[er]
+    shift, table, drop, exponent = _KINDS[kind][1]
+    box = ((word >> np.uint64(shift)) & np.uint64(0xFF)).astype(np.intp)
+    draw, tail, used = _draws(kind, er, eq, box, drawn, kept)
+    er, eq, after, x, box = (a[draw] for a in (er, eq, after, x, box))
     u, _ = random(after)
-    test = (table[idx - 1] - table[idx]) * u + table[idx]
+    test = drop[box] * u + table[box]
     # np.exp is within a few ulps of libm's exp; libm decides the close calls
     power = exponent(x)
     bound = np.exp(power)
     close = np.flatnonzero(np.abs(test - bound) <= 1e-9 * bound)
     bound[close] = [math.exp(v) for v in power[close].tolist()]
-    accept = test < bound
-    step = np.where(accept, 1, 2)
+    wedge = box != 0
+    accept = np.where(wedge, test < bound, used > 0)
+    # steps never fall: _segment_base reads the row bases off a running max
+    step = np.where(wedge, 2 - accept, np.maximum(used - 1, 0))
     lead = np.ones(len(er), dtype=bool)
     lead[1:] = er[1:] != er[:-1]
     before = np.cumsum(step) - step
     value = eq - (before - _segment_base(lead, before))  # the draw's value
     live = value < counts[er]  # a prefix of each row's draws
-    stop = live & ((idx == 0) | ~has_u)
-    hand_rows, first = np.unique(er[stop], return_index=True)
-    hand_value, hand_word = value[stop][first], eq[stop][first]
-    cut = np.full(len(counts), np.iinfo(np.int64).max)
-    cut[hand_rows] = hand_word
-    live &= eq < cut[er]
-    er, value, accept, step = er[live], value[live], accept[live], step[live]
+    short = live & np.where(wedge, eq + 1 >= drawn[er], ~accept)
+    er, value, accept, step, tails = (a[live] for a in (er, value, accept, step, ~wedge))
+    redo = counts + np.bincount(er, weights=step, minlength=len(counts)) > drawn
+    redo[er[short[live]]] = True
+    return (er, value + accept, step), (er[tails], value[tails], tail[live][tails]), np.flatnonzero(redo)
+
+
+def _uniform(word: int) -> float:
+    """``Generator.random`` of one word."""
+    return (word >> 11) * (1.0 / 9007199254740992.0)
+
+
+def _tail(kind, row):
+    """numpy's tail draw of ``kind`` read from ``row`` (Python ints: the
+    rejected word, then the words after it) with libm's ``log1p``:
+    ``(value, words used)``, or None if ``row`` ends first.  The normal's
+    sign is bit 8 of the rejected draw's ``rabs``, as numpy reads it."""
+    if kind == "standard_exponential":
+        return (_EXP_R - math.log1p(-_uniform(row[1])), 2) if len(row) > 1 else None
+    for j in range(1, len(row) - 1, 2):
+        xx = -_NOR_INV_R * math.log1p(-_uniform(row[j]))
+        yy = -math.log1p(-_uniform(row[j + 1]))
+        if yy + yy > xx * xx:
+            return (-(_NOR_R + xx) if (row[0] >> 17) & 1 else _NOR_R + xx), j + 2
+    return None
+
+
+def _ranges(start, length):
+    """The indices ``start[k]`` to ``start[k] + length[k] - 1``, row after row."""
+    off = np.cumsum(length) - length
+    return np.repeat(start - off, length) + np.arange(off[-1] + length[-1] if len(off) else 0)
+
+
+def _read(kind, slabs, woff, drawn, counts, size):
+    """Read ``counts[k]`` draws of ``kind`` from the ``drawn[k]`` words of
+    row ``k``, which start at word ``woff[k]`` of the ``size`` words that
+    ``slabs`` yields as ``(word offset, words)`` (whole rows).  Returns
+    ``(x, (row, at, step), tails, redo)``: the fast path's value of every
+    word, and ``_wedges``' shifts, tail values and rows whose words ran
+    out, reading the tail draws from the words of their rows."""
+    fast, wedge = _KINDS[kind]
+    x = np.empty(size)
+    found, kept = [], []
+    for at, wv in slabs:
+        _, ok = fast(wv, out=x[at:at + len(wv)])
+        if wedge is not None and len(ev := np.flatnonzero(~ok)):
+            found.append((at + ev, wv[ev], wv[np.minimum(ev + 1, len(wv) - 1)]))
+            tail = ev[(wv[ev] >> np.uint64(wedge[0])) & np.uint64(0xFF) == 0]
+            if len(tail):
+                k = np.unique(np.searchsorted(woff, at + tail, side="right") - 1)
+                kept.append((k, wv[_ranges(woff[k] - at, drawn[k])]))
+    none = np.empty(0, dtype=np.int64)
+    ev, word, after = (np.concatenate(p) for p in zip(*found)) if found else [none] * 3
+    if not len(ev):  # slack words are never short without a rejection
+        return x, (none, none, none), (none, none, x[:0]), none
+    kept = tuple(np.concatenate(p) for p in zip(*kept)) if kept else (none, word[:0])
+    er = np.searchsorted(woff, ev, side="right") - 1
+    return (x, *_wedges(kind, er, ev - woff[er], word, after, x[ev], counts, drawn, kept))
+
+
+def _index(base, counts, er, at, step):
+    """Where each row's values are read, row after row: value ``v`` of
+    row ``k`` is word ``base[k] + v`` plus the steps of the row's
+    rejections ``(er, at, step)``, each shifting the values from ``at`` on
+    (``at <= counts[er]``)."""
+    if not len(er):
+        return _ranges(base, counts)
+    voff = np.cumsum(counts) - counts
     total = np.bincount(er, weights=step, minlength=len(counts)).astype(np.int64)
-    over = np.flatnonzero((counts + total > drawn) & (cut > drawn))  # not handed yet
-    hand = (
-        np.concatenate([hand_rows, over]),
-        np.concatenate([hand_value, drawn[over] - total[over]]),
-        np.concatenate([hand_word, drawn[over]]),
+    place = np.ones(int(voff[-1] + counts[-1]) + 1, dtype=np.int64)
+    place[0] = 0
+    np.add.at(
+        place,
+        np.concatenate([voff, voff[er] + at, voff + counts]),
+        np.concatenate([np.diff(base - voff, prepend=0), step, -total]),
     )
-    return (er, value + accept), step, total, hand
+    return np.cumsum(place[:-1], out=place[:-1])
 
 
 class KeyedStream:
-    """One stream family (seed and stream id), realization by realization.
-
-    ``at(i, word)`` is a generator drawing exactly what
-    ``stream(seed, i, stream_id)`` draws from its word ``word`` on;
-    ``draws`` draws for many realizations at once.
-    """
+    """One stream family (seed and stream id), realization by realization:
+    ``draws`` draws for many realizations at once."""
 
     def __init__(self, seed: int, stream_id: int):
         self.seed = seed
         self.stream_id = stream_id
-        # The state setter copies these arrays, so one dict serves every reset.
-        self._state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": np.zeros(4, dtype=np.uint64),
-                "key": np.array([seed, _key_word(0, stream_id)], dtype=np.uint64),
-            },
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        self.generator = np.random.Generator(np.random.Philox(key=self._state["state"]["key"]))
+        # The state setter copies the counter, so one dict serves every
+        # slab; it reads Python lists faster than numpy arrays.
+        self._counter = [0, 0, 0, 0]
+        key = [seed, stream_id + 1]
+        self._state = dict(bit_generator="Philox", state=dict(counter=self._counter, key=key),
+                           buffer=[0] * 4, buffer_pos=4, has_uint32=0, uinteger=0)
+        self._bits = np.random.Philox(key=np.array(key, dtype=np.uint64))
 
-    def at(self, realization: int, word: int = 0) -> np.random.Generator:
-        """The generator, set to word ``word`` of realization
-        ``realization``'s stream."""
-        self._state["state"]["key"][1] = _key_word(realization, self.stream_id)
-        self._state["state"]["counter"][0] = word // 4
-        bits = self.generator.bit_generator
-        bits.state = self._state
-        if word % 4:
-            bits.random_raw(word % 4)
-        return self.generator
+    def _slab(self, realizations, stop, span, width):
+        """Blocks 0 to ``stop[k] - 1`` of the nearby ascending
+        ``realizations[k]``, row after row, over ``span`` realizations
+        and ``width`` blocks: one ``random_raw`` per block index over the
+        span, and one ``np.take`` of each row's blocks (faster than
+        ``np.compress`` with its mask, and a repeated realization takes
+        its blocks again)."""
+        slab = np.empty((span, width, 4), dtype=np.uint64)
+        self._counter[0] = r0 = int(realizations[0])
+        for b in range(width):
+            self._counter[1] = b
+            self._bits.state = self._state
+            slab[:, b] = self._bits.random_raw(4 * span).reshape(span, 4)
+        if span == len(realizations) and stop.min() == width:
+            return slab.reshape(-1)
+        rows = slab.reshape(-1, 4)
+        return np.take(rows, _ranges((realizations - r0) * width, stop), axis=0).reshape(-1)
 
-    def _slabs(self, realizations, counts):
-        """The first ``counts[k]`` Philox words of stream
-        ``realizations[k]``, over at most SLAB_BLOCKS blocks at a time:
-        yields ``(lo, hi, wv)``, the words of rows ``lo`` to ``hi - 1`` row
-        after row.  Rows of whole blocks (every ziggurat row: see
-        ``_slack``) are their blocks' words as Philox makes them; only a
-        pass with a row that ends inside a block gathers."""
-        blocks = (counts + 3) // 4
-        block_end = np.cumsum(blocks)
-        lo = 0
-        while lo < len(counts):
-            base = block_end[lo] - blocks[lo]
-            hi = max(lo + 1, int(np.searchsorted(block_end, base + SLAB_BLOCKS, side="right")))
-            nb = blocks[lo:hi]
-            first = block_end[lo:hi] - nb - base  # each row's first block in the pass
-            block = np.arange(block_end[hi - 1] - base) - np.repeat(first, nb)
-            words = philox_words(
-                self.seed, self.stream_id, np.repeat(realizations[lo:hi], nb), block
-            ).ravel()
-            n = counts[lo:hi]
-            if (n % 4).any():
-                words = words[np.arange(n.sum()) + np.repeat(4 * first - (np.cumsum(n) - n), n)]
-            yield lo, hi, words
-            lo = hi
+    def _slabs(self, realizations, stop):
+        """Blocks 0 to ``stop[k] - 1`` of the ascending ``realizations[k]``,
+        row after row: yields ``(word offset, words)`` of consecutive slabs
+        joined up to SLAB_BLOCKS blocks.  A slab ends at a gap of more than
+        SLAB_GAP realizations, and spans at most SLAB_BLOCKS blocks unless
+        one row alone has more."""
+        r, s, woff = realizations, stop, 4 * (np.cumsum(stop) - stop)
+        lo = np.append(0, np.flatnonzero(np.diff(r) > SLAB_GAP + 1) + 1)
+        runs = zip(lo.tolist(), np.append(lo[1:], len(r)).tolist(),
+                   np.maximum.reduceat(s, lo).tolist())
+        joined, size = [], 0
+        for lo, end, width in runs:
+            reach = max(1, SLAB_BLOCKS // max(width, 1))
+            while lo < end:
+                hi = lo + int(np.searchsorted(r[lo:end], r[lo] + reach))
+                if not joined:
+                    at = int(woff[lo])
+                joined.append(self._slab(r[lo:hi], s[lo:hi], int(r[hi - 1] - r[lo]) + 1, width))
+                size += len(joined[-1])
+                if size >= 4 * SLAB_BLOCKS or hi == len(r):
+                    yield at, joined[0] if len(joined) == 1 else np.concatenate(joined)
+                    joined, size = [], 0
+                lo = hi
 
     def draws(self, kind: str, realizations, counts):
         """The first ``counts[k]`` draws of ``kind`` (a ``Generator``
         method: "standard_normal", "standard_exponential" or "random") of
         stream ``realizations[k]``, row after row, every value numpy's.
 
-        A call for at most ``FEW_ROWS`` rows draws each row with numpy's
-        generator (``at``), which costs less than one pass over arrays.
-        Over more rows, ziggurat rejections are resolved in arrays
-        (``_wedges``) from a few slack words per row; a row with a tail
-        draw or past its slack goes on with numpy's generator at the word
-        of the first draw the arrays cannot make.  Uniforms never reject
-        and draw no slack.  Both routes check the input alike.
+        The rows are drawn in realization order, and the caller's order
+        is the final gather's (``_values``).  Ziggurat rejections are
+        resolved in arrays (``_wedges``) from a few slack words per row;
+        uniforms never reject and draw no slack.
         """
         if kind not in _KINDS:
             raise ParameterError(f"unknown draw kind {kind!r}, expected one of {sorted(_KINDS)}")
-        fast, wedge = _KINDS[kind]
         realizations = np.asarray(realizations, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)
         if realizations.ndim != 1 or realizations.shape != counts.shape:
@@ -383,46 +430,37 @@ class KeyedStream:
                 f"draw count must be >= 0, got {counts[k]} (realization {realizations[k]})"
             )
         _check_realizations(realizations)
-        if len(counts) <= FEW_ROWS:
-            return np.concatenate([np.empty(0)] + [
-                getattr(self.at(r), kind)(n)
-                for r, n in zip(realizations.tolist(), counts.tolist())
-            ])
-        drawn = counts if wedge is None else _slack(counts)
-        woff = np.cumsum(drawn) - drawn
-        x = np.empty(int(drawn.sum()))
-        none = np.empty(0, dtype=np.uint64)
-        events = [(np.empty(0, dtype=np.int64), none, none)]
-        for lo, hi, wv in self._slabs(realizations, drawn):
-            at = woff[lo]
-            _, ok = fast(wv, out=x[at:at + len(wv)])
-            ev = np.flatnonzero(~ok)
-            events.append((at + ev, wv[ev], wv[np.minimum(ev + 1, len(wv) - 1)]))
-        if wedge is None:
-            return x
-        ev, word, after = (np.concatenate(parts) for parts in zip(*events))
-        er = np.searchsorted(woff, ev, side="right") - 1
-        (er, at), delta, total, hand = _wedges(
-            er, ev - woff[er], word, after, x[ev], counts, drawn, wedge
+        if not counts.sum():
+            return np.empty(0)
+        order = np.argsort(realizations, kind="stable")
+        return self._values(kind, realizations[order], counts[order], order)
+
+    def _values(self, kind, rows, need, order, depth=0):
+        """The first ``need[k]`` draws of ``kind`` of the ascending
+        ``rows[k]`` as row ``order[k]`` of the values, rows after rows.
+
+        One pass draws every row's words in slabs and gathers each value
+        from the fast path's values, in the output's order.  Tail values
+        are written over theirs, and the rows whose words ran out are
+        drawn again, whole, by a further pass with 1, 3, 7, ... more
+        blocks."""
+        blocks = ((need if _KINDS[kind][1] is None else _slack(need)) + 3) // 4 + (1 << depth) - 1
+        woff = 4 * (np.cumsum(blocks) - blocks)
+        x, (er, at, step), (tu, tv, tz), redo = _read(
+            kind, self._slabs(rows, blocks), woff, 4 * blocks, need,
+            int(woff[-1] + 4 * blocks[-1]),
         )
-        # value v of row k is x[woff[k] + v + shift], the shift stepping up
-        # at each resolved rejection and back to 0 at the row's end or
-        # where the row is handed over: one cumsum over steps
+        base, counts = np.empty_like(woff), np.empty_like(need)
+        base[order], counts[order] = woff, need
+        # clipped: past where its words ran out, a row drawn again below
+        # may read outside x
+        values = np.take(x, _index(base, counts, order[er], at, step), mode="clip")
         voff = np.cumsum(counts) - counts
-        end = counts.copy()
-        end[hand[0]] = hand[1]
-        shifted = np.flatnonzero(total)
-        place = np.ones(int(counts.sum()) + 1, dtype=np.int64)
-        place[0] = 0
-        np.add.at(
-            place,
-            np.concatenate([voff[1:], voff[er] + at, voff[shifted] + end[shifted]]),
-            np.concatenate([np.diff(woff - voff), delta, -total[shifted]]),
-        )
-        values = np.take(x, np.cumsum(place[:-1], out=place[:-1]))
-        for k, v, w in zip(*(np.asarray(a).tolist() for a in hand)):
-            generator = self.at(int(realizations[k]), w)
-            values[voff[k] + v:voff[k] + counts[k]] = getattr(generator, kind)(int(counts[k] - v))
+        if len(tu):
+            values[voff[order[tu]] + tv] = tz
+        if len(redo):
+            again = self._values(kind, rows[redo], need[redo], np.arange(len(redo)), depth + 1)
+            values[_ranges(voff[order[redo]], need[redo])] = again
         return values
 
 

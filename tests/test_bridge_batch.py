@@ -3,13 +3,15 @@
 ``euler.bridge_refine_batch`` refines many rows of a ``PathBatch`` at
 once, drawing every row's bridge normals from its Wiener stream at a
 position counted in normals; each row must come out bit for bit as
-``brownian_bridge_refine`` refines it with the generator after that many
-normals, and end at the position after the normals it drew.  The rows
-of one batch may have different step counts.
+``brownian_bridge_refine`` refines it with the row stream of
+``keyed_oracle`` after that many normals, and end at the position after
+the normals it drew.  The rows of one batch may have different step
+counts.
 """
 
 from dataclasses import replace
 
+import keyed_oracle as oracle
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from jumpmc.euler import (  # noqa: E402
 )
 from jumpmc.jumps import column_grid  # noqa: E402
 from jumpmc.model import as_vectorized  # noqa: E402
-from jumpmc.rng import keyed_streams, philox_words, standard_normal  # noqa: E402
+from jumpmc.rng import keyed_streams  # noqa: E402
 from rows_first_forward import setup_groups, to_node_major, to_rows_first  # noqa: E402
 
 REJECTING, REDRAWING = 0, 1  # the block's crafted rows
@@ -37,9 +39,8 @@ def fast_path(wiener, realization, words):
     """Whether the ziggurat's fast path accepts each of the first
     ``words`` words (a multiple of 4) of ``realization``'s Wiener stream:
     up to the first rejection, word ``k`` is normal ``k``."""
-    blocks = np.arange(words // 4)
-    w = philox_words(wiener.seed, wiener.stream_id, np.full(len(blocks), realization), blocks)
-    return standard_normal(w.ravel())[1]
+    row = oracle.first_words(wiener.seed, wiener.stream_id, realization, 1, words)[0]
+    return oracle.fast_path("standard_normal", row)[0]
 
 
 @pytest.fixture(scope="module", params=["w1", "w2", "ragged"])
@@ -112,7 +113,7 @@ def check_rows(block, rows, mask):
     for b, row in enumerate(rows.tolist()):
         n = paths.n_steps[row]
         assert not mask[b, n:].any()
-        generator = wiener.at(realizations[row])
+        generator = oracle.RowStream(wiener.seed, wiener.stream_id, realizations[row])
         generator.standard_normal(positions[row])
         counted = CountedNormals(generator, positions[row])
         grid, dw = brownian_bridge_refine(grids[row], paths.dw[:n, row], mask[b, :n], counted)

@@ -106,9 +106,9 @@ def channel_redraws(dt, dw, realization):
 
 # (dt, dw, realization) of a step split from normal 0 of the stream,
 # found by a search over the realizations of SeedConfig()'s Wiener stream
-TWO_CHANNELS = (0.2, [0.03, 0.03], 34)
-TENTH_REDRAW = (0.2, [0.01], 28)
-MIDPOINT = (0.2, [0.01], 31)
+TWO_CHANNELS = (0.2, [0.03, 0.03], 71)
+TENTH_REDRAW = (0.2, [0.01], 68)
+MIDPOINT = (0.2, [0.01], 47)
 
 
 @pytest.mark.parametrize("case", ["two_channels", "tenth_redraw", "midpoint"])

@@ -39,45 +39,45 @@ CASES = {
 PINNED = {
     "simulate": {
         "exit": 0,
-        "csv": "ee33746a322833b370a30b62dcfccf15e508f65249fb8bf13dcdfc0a2dc14d8d",
-        "json": "4a06e0c17359ec966d0766120017c86d8841700fab2bd1a287b11813464be281",
-        "stdout": "4ef891e04f461cba16bda87cb127b611064cf7d1348d8389b8b1e42ffa44b97d",
+        "csv": "a184b3d806210390c8eceee82e8f3160d23e93250e2051b99dcf97bc1285e879",
+        "json": "e51c356ba346693ab8389dbdf656e1ce2cb33dc7442f0392105a5e64ec17d68d",
+        "stdout": "7cd71dce2673dc385ebc3e3e27f73af540163ae04a73a398061a6e2ed7a7bd7b",
     },
     "estimate-rhotilde": {
         "exit": 0,
-        "csv": "6ae7c1b886571a16964d977d458f470ca54f47105116b294a1d8385aea195d59",
-        "json": "165e7b813a834dd77fcb127b98b7badbd36a5ff420dfe0f1b564a0e73126fd37",
-        "stdout": "4fda4d552b51c3ef16700014c2181b636b66be6e8149b4946f7b37a03af2d03c",
+        "csv": "0177676858a131ff8b75bc5209a87900d38bb15b6566cf15228506a1230d824e",
+        "json": "2ec7b5ac28e726284ea9adc5bb8cbfc6398ce72b2b123a67eff23dd09848cb5e",
+        "stdout": "df4968bdea6bf615a7a8ce0b5683c43846bbeeb3c4dbff0cb4e526a8f5afe502",
     },
     "estimate-rhodef": {
         "exit": 0,
-        "csv": "0e7c07be67f8373285e6912aa4a08a44605953505c290db3439d04dddae0bb4c",
-        "json": "63ff2a81b8faf151336c6ca377860619fac7586b044ea739ac95de03ec8a6dba",
-        "stdout": "25b56a8afe3376159aad43d028bf591d739ea80e140b1a17448d0188365a6aa4",
+        "csv": "a656a59005cc04f2f48eb48cedc913b292a4e277c8e4183a33005c7e4f573f3b",
+        "json": "036f20893d88ec8ab18b21ae40aa2810f729e3191b42e63a0993a28b8069aa31",
+        "stdout": "4175ec5b8df83953ddce59fda52f8cc4fbda850b9d05dcdfce68a13dd8494130",
     },
     "adapt-d": {
         "exit": 0,
-        "csv": "d59e2bf2239a9cf658cc52da5011896eb63f38dcac06e143bf3890e6334bf8fd",
-        "json": "d46b5fded25e3b596894c5606ad5a338a785e836b1b2de1e5c0e15b09f02bc12",
-        "stdout": "eec109e2cc578e37a44f5e36dcc271a0a29b684d0a8d1d7513b29b6fdf18d604",
+        "csv": "e3e3b140ef90c7df9ec04d3bd43d960f5267bc1607cb0733ad5877219bba56e2",
+        "json": "a1795e9df41030f76f1fd8961ca7769842acafef419bd0ec7948194371c0ab38",
+        "stdout": "f179da4b756e33ee9ff5b67c7d3f0306d983f4265b8862d9aedf4dd1cdccace5",
     },
     "adapt-s": {
         "exit": 0,
-        "csv": "71880baad320e955eb5ebaffb61e96e9ae715c16f6d2df42f43833b35a4ab4eb",
-        "json": "94b28a3ee3a9057fba941b95e1b3f885f41eb8f6452255c0a2ede4329c72fdd9",
-        "stdout": "1fc3b5d9bc19da8f29314eba1466a26c66d12073c2b4394de709f7ecd3e613cc",
+        "csv": "dc0eb4e3c472be238d096bbd5aeed758b8702916a3ed5e9367c44bdcb19a480d",
+        "json": "b72950a1e47ee9fac02ec01e16517aefcf598ade33a8bd97c85e23b8c83fcf24",
+        "stdout": "74ccd564724ca7a1f4a505d53b095e1777ad720661bc151eddf557535c0ce7f4",
     },
     "adapt-s-purejump": {
         "exit": 0,
-        "csv": "7eb0c4ba819f4305c2b92d16dbb40d18910877d0242eab43bbe38b4a48b48419",
-        "json": "65004090e1903d63766682ab4c3b9ad397fc1c2770117a8bbe71f016b6b8cbac",
-        "stdout": "038b543a3fd1c53acb4237db2473b3ded786e6208c7ff8a3936709e413d49084",
+        "csv": "59f0cd50d43d2ac09723b0c8db0434225561b712350248ce842ee5fc7733d85b",
+        "json": "ae079fe3ae7cd7a76612357407469baaf336df4b8b5799cf04fa31c50ad45600",
+        "stdout": "cd129e93ce2b99a43c815f6722498fefb71dc778e86db06cfda774374c949012",
     },
     "verify": {
         "exit": 0,
-        "csv": "c9d97ba436b7cc214b10cbb6e56d9436a2e4004b567af719edfc4d5fea81216a",
-        "json": "5cdbc86f481be14ec1c06863337168e25b82dc5f2d08cb8b004f05ad42b60e4c",
-        "stdout": "c349f32b1fc2ea68bb897097a090d100d926d7f48d3d60aed7585fe85c5cfebf",
+        "csv": "df8b258dd54f1680a3a33f2c00ff96006519a4b2fe09c64f3d75c86874c44d16",
+        "json": "e94d04e1a80827669272cc3fe364ac737bd80542244f5a0307bf8c93afa5d0f8",
+        "stdout": "3c5a5dafbed7620cff1c8d93b8f12733dcdd913b03d202e3e8ee9c9ac4c5b1ac",
     },
 }
 

@@ -4,6 +4,7 @@ import math
 import weakref
 from dataclasses import replace
 
+import keyed_oracle as oracle
 import numpy as np
 import pytest
 
@@ -38,7 +39,7 @@ from jumpmc.duals import backward_duals
 from jumpmc.euler import brownian_bridge_refine, euler_path, sample_wiener_increments
 from jumpmc.jumps import build_augmented_grid, intensity_integral_for, sample_jumps
 from jumpmc.model import as_vectorized
-from jumpmc.rng import keyed_streams, realization_streams
+from jumpmc.rng import keyed_streams
 
 
 def test_split_tolerance_components():
@@ -268,7 +269,7 @@ def test_stochastic_batch_worker_invariance(monkeypatch):
 def test_control_time_error_pure_jump_accepts_immediately():
     m = build_model("purejump")
     seeds = SeedConfig()
-    _, jump_rng, mark_rng = realization_streams(seeds, 3)
+    _, jump_rng, mark_rng = oracle.engine_streams(m, seeds, 3)
     jumps = sample_jumps(m, intensity_integral_for(m), jump_rng, mark_rng)
     out = control_time_error(
         m,
@@ -387,7 +388,7 @@ def reference_realization(model, seeds, index, det, tol, tol_t, n_a_bar, adapt):
     pipeline; stops refining at the last simulated level.  Also reports
     the next normals of its Wiener generator after the refinement."""
     integral = intensity_integral_for(model)
-    w_rng, t_rng, z_rng = realization_streams(seeds, index)
+    w_rng, t_rng, z_rng = oracle.engine_streams(model, seeds, index)
     jumps = sample_jumps(model, integral, t_rng, z_rng)
     grid = build_augmented_grid(det, jumps, horizon=model.horizon)
     dw = sample_wiener_increments(grid, w_rng, model.wiener_dim)
@@ -475,8 +476,8 @@ def test_control_time_error_level_cap_reports_last_mesh():
         n_a_bar=5.0,
         adapt=AdaptParams(max_refinements=1),
     )
-    ref = reference_realization(m, seeds, 2, det, **kw)
-    out = control_time_error(m, det, seeds, 2, **kw)
+    ref = reference_realization(m, seeds, 1, det, **kw)
+    out = control_time_error(m, det, seeds, 1, **kw)
     assert not out.accepted and out.levels == 1
     assert out.n_a == ref["n_a"] and out.work == ref["work"]
     assert out.payoff == ref["payoff"]
@@ -586,9 +587,9 @@ def test_time_control_batches_are_one_density_kernel_call_each(monkeypatch):
 
 def test_the_monte_carlo_phase_runs_one_forward_pass_per_chunk(monkeypatch):
     # algorithm_d's forward-only Monte Carlo phase at seed 0 runs 3 chunks
-    # (of 256, 4096 and 16384 rows): one euler_terminal pass each, 136 step
-    # iterations in all (one pass per step-count group would make 19
-    # passes and 811 step iterations)
+    # (of 256, 4096 and 16384 rows): one euler_terminal pass each, 135 step
+    # iterations in all (one pass per step-count group would make 18
+    # passes and 766 step iterations)
     passes = []
     terminal = ctl.euler_terminal
 
@@ -598,7 +599,7 @@ def test_the_monte_carlo_phase_runs_one_forward_pass_per_chunk(monkeypatch):
 
     monkeypatch.setattr(ctl, "euler_terminal", counted)
     algorithm_d(build_model("test5"), 0.02, stats=StatParams(m0=256))
-    assert (len(passes), sum(passes)) == (3, 136)
+    assert (len(passes), sum(passes)) == (3, 135)
 
 
 def test_mesh_batch_row_loop_adapter_matches_vectorized():
@@ -717,10 +718,11 @@ def _mesh_any_chunk(m, start, count, workers=1):
             _mesh_density, overflowing_density_model, EvaluationError, 1000, None,
             id="mesh-density-overflow",
         ),
-        # the first realizations of this model diverge at a refinement
-        # level; its first density overflow (at level 0) is realization 1005
+        # from 1002 the first realizations of this model diverge at a
+        # refinement level; its first density overflow (at level 0) is
+        # realization 1004
         pytest.param(
-            _stochastic, overflowing_density_model, PathDivergenceError, 1000, None,
+            _stochastic, overflowing_density_model, PathDivergenceError, 1002, None,
             id="stochastic-density-overflow",
         ),
         # errors raised while a realization is set up
@@ -735,11 +737,11 @@ def _mesh_any_chunk(m, start, count, workers=1):
             _stochastic, unordered_jumps_model, ParameterError, 1000, None,
             id="stochastic-jump-order",
         ),
-        # one forward pass over a chunk's step-count groups: 1244 (6 steps)
-        # diverges at step 5, after the larger 1263 (7 steps, so an earlier
+        # one forward pass over a chunk's step-count groups: 1169 (6 steps)
+        # diverges at step 5, after the larger 1192 (7 steps, so an earlier
         # column) at step 4; the smaller is named
         pytest.param(
-            _mesh_any_chunk, diverging_model, PathDivergenceError, 1244, 1244,
+            _mesh_any_chunk, diverging_model, PathDivergenceError, 1169, 1169,
             id="mesh-across-step-counts",
         ),
     ],
@@ -760,8 +762,8 @@ def test_divergence_error_names_absolute_realization(run, make_model, error, sta
         assert (index, exc.value.step) == (named, 5)
         n_a = run_mesh_batch(build_model("test5"), uniform_mesh(1.0, 5), SeedConfig(), start, 50)
         with pytest.raises(error) as later:
-            run(m, 1263, 1)
-        assert later.value.step == 4 and n_a["n_a"][1263 - start] > n_a["n_a"][named - start]
+            run(m, 1192, 1)
+        assert later.value.step == 4 and n_a["n_a"][1192 - start] > n_a["n_a"][named - start]
 
 
 @pytest.mark.parametrize(
@@ -778,9 +780,9 @@ def test_divergence_in_a_pool_worker_reaches_the_caller(monkeypatch, run, chunk_
         with pytest.raises(PathDivergenceError) as exc:
             run(m, 1037, 50, workers=workers)
         assert type(exc.value) is PathDivergenceError
-        # 1062 (step 5) and 1064 (step 4) diverge; the smaller one is named
-        assert (exc.value.realization, exc.value.step) == (1062, 5)
-        assert "realization 1062" in str(exc.value)
+        # 1081 (step 5) and 1086 (step 4) diverge; the smaller one is named
+        assert (exc.value.realization, exc.value.step) == (1081, 5)
+        assert "realization 1081" in str(exc.value)
 
 
 @pytest.mark.parametrize(
@@ -823,7 +825,7 @@ def test_failing_realization_does_not_depend_on_chunking(
         run(m, which, 1)
     assert alone.value.realization == which
     if make_model is diverging_model:
-        assert (which, error.step) == (1062, 5)
+        assert (which, error.step) == (1081, 5)
 
 
 def nan_payoff_model():

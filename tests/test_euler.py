@@ -270,11 +270,10 @@ def _divergent(name):
 
 
 # (step, realization) of each step-count group's PathDivergenceError for
-# realizations 300-499, as the full-path kernel raised them before the
-# forward-only path existed
+# realizations 300-499, as the full-path kernel (euler_batch) raises them
 DIVERGENCE_AT = {
-    "overflow": {40: None, 41: (18, 451), 42: (29, 417), 43: (26, 369), 44: (28, 454)},
-    "nan": {40: None, 41: (17, 451), 42: (28, 354), 43: (25, 369), 44: (26, 454)},
+    "overflow": {40: None, 41: (20, 360), 42: (21, 411), 43: (28, 499), 44: (29, 305)},
+    "nan": {40: None, 41: (18, 360), 42: (20, 490), 43: (27, 499), 44: (24, 305)},
 }
 
 

@@ -42,8 +42,8 @@ INVERSE = {
     0.69: "0x1.fcc848499ccb6p-1",
 }
 MESH_BATCH = {
-    "n_jumps": "8dfad6f116f56b39a39f4c8a138c06f60df0edaa7988756bde2ad92920348c99",
-    "payoff": "2d6834f21f701b461caeed16631767435bdcf37774a60ab95ea36b0d98d3e3ad",
+    "n_jumps": "2ae3182fb85acdf08803ad046e68c75c8d552127c65aba2e74cbcfd332e05ba2",
+    "payoff": "90960677ac0a33f6a5042b7e3019fb10e806ad1c5dfff71707aa6bb1b277a5d8",
 }
 
 pinned = pytest.mark.skipif(

@@ -26,38 +26,38 @@ NUMPY_SERIES = "2.4"
 PINNED = {
     "stochastic-0.04": {
         "accepted": "4bbb9f550ae5f70b9c2a6881e50b499a2d049d0c3eb460d1bdf3271a7cea12fe",
-        "levels": "507588a3e06eb1e710a45c1a9c864f14ec531ecf7f00540419dc30a95a00a693",
-        "n_a": "5aae7c44f33377283d05f5c59fb54893674dcc9d21916957515dc42983ddfdf3",
-        "n_jumps": "447b138f543b314bf33c3099a5a2207fca6e7c772b1d3575b33656f5c8037d15",
-        "payoff": "05533e465a05a4dc6b18b18c6602cee8c10571d9d43f006d868165ad02902e47",
-        "r_total": "d245b5e397fd65390547f32e2b23bf56637df025b6f6a9c33f9bff1bad349fb9",
-        "signed_total": "1975053c4acc8feb5f3360aa700806fc70b9329c2b1c8ea9a29ef3be0406783f",
-        "work": "6cd72f1c7a628881ccdffbeaf892471d27709797bc980080abb092f301d4e9ee",
+        "levels": "18557c74d507c2c45404216bad56d6fe718f551f0e8d62999fb4257bc9dfbcb5",
+        "n_a": "f32dd46968090011a499cac61897aba3f0543ea15321ea33b848919675057665",
+        "n_jumps": "20175363cd19f3f4d91599875bf91be0ed9429fa4463fca57cdaa9a8df99dfc4",
+        "payoff": "49c032823a4dcb5930c9708b59d3e5bfc899a470f2a13d1f36b4ed689f8ab51b",
+        "r_total": "4b046fe8121d3fbf692c5358c302d6f2869b48f453b439bb4b35f465fcca2ce9",
+        "signed_total": "da990d91c0dcf80f909f2b82a06a042b7edd47aae67c39457f17905b9cc4ce90",
+        "work": "cc32424cb9aed6dc3847bb97a392bbaacd925334b4bd3cd54ee35ad3769e2ee4",
     },
     "stochastic-0.02": {
         "accepted": "3b1edbf9ece78d867e268df9f2794803b4f4bb1c69c4fa37e7376f66b5c92810",
-        "levels": "8595f6d97df90a0329c272fda2bb7cba4178b4fff020438ed32b3f43bb255343",
-        "n_a": "09b2611c8561ad32cc187f2d90c42f84d9a2535b1d410307e2fdaee81cae2e32",
-        "n_jumps": "e9f6a29b0262886f40372bcc278d652bc256add694faeb9398eb06d4f452fe5b",
-        "payoff": "e0b21862bd8974ea65f015f8b668567eb63abfbf188278148a9579ae5f99f9f1",
-        "r_total": "2053c4fff392686f04f7737d50d81d0899eb1684ff51ae5c9ad9fdaf63a85073",
-        "signed_total": "a142d7f6236c8485cf0820c54e589d602bf85a3a61a1a410418551bf862428e3",
-        "work": "1434217b2651b2458685125de3b27f24fa2d695bc0df966e772c5494049ee380",
+        "levels": "9c315e145c106c0970ad1a9f8086e728936b6f2ca9e4d248c7917aafa632ebd8",
+        "n_a": "5552d8ac0795bb2227c80b84a49359033b68c44b700d77c4d0a4886db229fd7b",
+        "n_jumps": "c4b9d4156822f302c76116a0e1bebd863115489f2dba234d26e77067839921f5",
+        "payoff": "dbfaa16d20fe3ec3863f85f4c9f6da9ffcb6e13b2f02a51511c86207ea95c02a",
+        "r_total": "68e208aa55669b5b56949fa4d9d499e7388cbc4a50127ade5549b88a8540ce01",
+        "signed_total": "53a2f626e9117de2345564aeeae0f4ea4c2501c5fb33142503ebf82eeb6abbe6",
+        "work": "36282f5731aa4ae5ece05530cc8ea0efd0772e3f64b66d84beda24643fa89c72",
     },
     "mesh-density": {
         "collisions": "516945faaebc52ad5b4bddcc8bb82cdeb0d6051a69a2911632f045f74e0d2109",
-        "n_a": "84c9fac22aa5d2ad0fcf1b9abae80a6f9656bae5766582d4e0db45a3f731a122",
-        "n_jumps": "c937225b5194f1ec16b16d073f9df490f017b5ff43e29cf1224a574ef9a77605",
-        "payoff": "8437480587e7c3bcccbea0dcf98b987e2d709771323708359ae00783d83f5f91",
-        "r": "ed50b015a7c132596014f1dc3edef8bbfd58fb44a4d6716afa2cb84063810281",
-        "signed_interval": "879fe779280c308bd622f7c18304a9f0515b52a814fa40dab5b6715078a564e7",
-        "signed_total": "8d430761f470fa8ebc46904b4a88a6b00e10680a86814f2ba77a45b587e99f61",
+        "n_a": "59c25dbaad96edb9e6cf7fa3a6cb65d2d2e73f307832fdd5a29a563d6cf3e5a4",
+        "n_jumps": "5fdb98aa9ca4cce27acd942b313ee6d6f021b372addfac4857075371a965e186",
+        "payoff": "bc9f30e4aeadfb1aab2c669b2d97524f6d27670b905c0cb9f8d47efc2d5d06cf",
+        "r": "ec67003fade2ee7ecf09949dd56a88f0e477f031a5ec58ee0340169ebcd8a84b",
+        "signed_interval": "507a551170cddf16de306fcb6b7ea8bbcbfcdf88a6b1eb6f582fbd22f8221ed5",
+        "signed_total": "62f98264bbaeada51dba78c12176a5cdce233bf62866f4a42508d64468f89f3d",
     },
     "mesh-forward-40": {
         "collisions": "18d4054f55847a2629236063606544bf450ab24fb8b4a17b1d9133b57f0996d1",
-        "n_a": "a50881e940909595d509fb5fef91f273f06e4c3888be1ba9f8279b766c551591",
-        "n_jumps": "3d3ecc1d803fefc903d2e680f546a971f2e5a119f96ad5b95e64bf698dc9e579",
-        "payoff": "fc7c3014013122b9ebf345553c4484f3b5c0934ed217268d5c0dd77863a41f49",
+        "n_a": "df62540352bf4639c55bae41f8ba3ea4b86a9d814b4b91b7f52f24bf66e8235c",
+        "n_jumps": "5f94ce31c6746d058a972977be830f6c27a713755cd856a5824b4c6c07c0c57c",
+        "payoff": "493969398540a98c6b4c46054e9bc57bc488c281a1ca482c46279f05aa0d985c",
     },
 }
 

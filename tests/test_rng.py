@@ -1,11 +1,12 @@
-"""Counter-based stream layout: disjoint, reproducible, seed-validated,
-and the chunk-wide draws against numpy's own generator."""
+"""Counter-based stream layout: disjoint, reproducible, seed-validated;
+the keyed words against numpy's Philox, and the chunk-wide draws against
+the row streams of ``keyed_oracle``."""
 
 import ast
-import math
 from dataclasses import replace
 from pathlib import Path
 
+import keyed_oracle as oracle
 import numpy as np
 import pytest
 
@@ -21,7 +22,7 @@ from jumpmc import (
 from jumpmc import controller as ctl
 from jumpmc import jumps
 from jumpmc import rng as rng_module
-from jumpmc._ziggurat import FE_DOUBLE, FI_DOUBLE, KE_DOUBLE, KI_DOUBLE, WE_DOUBLE, WI_DOUBLE
+from jumpmc._ziggurat import KI_DOUBLE, WI_DOUBLE
 from jumpmc.jumps import intensity_integral_for, sample_jumps, sample_marks
 from jumpmc.model import MODELS, UniformMarks
 from jumpmc.rng import (
@@ -30,10 +31,10 @@ from jumpmc.rng import (
     STREAM_WIENER,
     KeyedStream,
     keyed_streams,
-    philox_words,
     realization_streams,
     stream,
 )
+from test_keyed_oracle import crafted, run_crafted
 
 
 def test_streams_are_reproducible():
@@ -99,121 +100,112 @@ def test_no_consumption_order_coupling():
 
 
 def test_keyed_stream_reset_matches_a_new_stream():
+    # one KeyedStream serves every call: its state is set anew for each
+    # slab, whatever the calls before it drew
     rng = np.random.default_rng(4)
     near_zero = rng.integers(0, 1000, size=4)
     near_top = (1 << 60) - 1 - rng.integers(0, 1000, size=4)
     for stream_id in (STREAM_WIENER, STREAM_JUMP_TIMES, STREAM_MARKS):
         keyed = KeyedStream(2**64 - 5, stream_id)
         for index in [0, (1 << 60) - 1, *near_zero.tolist(), *near_top.tolist()]:
-            # leave a half-used 64-bit word and a partly read buffer behind
-            keyed.at(index + 1 if index == 0 else index - 1).integers(
-                0, 2**32, size=3, dtype=np.uint32
+            keyed.draws("random", [index + 1 if index == 0 else index - 1], [3])
+            got = KeyedStream(2**64 - 5, stream_id).draws("standard_normal", [index], [7])
+            np.testing.assert_array_equal(keyed.draws("standard_normal", [index], [7]), got)
+            np.testing.assert_array_equal(
+                got, oracle.draws(2**64 - 5, stream_id, "standard_normal", [index], [7])
             )
-            got = keyed.at(index)
-            fresh = stream(2**64 - 5, index, stream_id)
-            assert got.integers(0, 2**32, dtype=np.uint32) == fresh.integers(
-                0, 2**32, dtype=np.uint32
-            )
-            np.testing.assert_array_equal(got.standard_normal(7), fresh.standard_normal(7))
-            np.testing.assert_array_equal(got.random(5), fresh.random(5))
-    for bad in (-1, 1 << 60):
-        with pytest.raises(ParameterError):
-            KeyedStream(7, STREAM_WIENER).at(bad)
 
 
 def test_keyed_streams_follow_the_realization_layout():
     seeds = SeedConfig(wiener=3, jump_times=4, marks=5)
-    for keyed, fresh in zip(keyed_streams(seeds), realization_streams(seeds, 11)):
-        np.testing.assert_array_equal(keyed.at(11).standard_normal(6), fresh.standard_normal(6))
+    for keyed, row in zip(keyed_streams(seeds), oracle.row_streams(seeds, 11)):
+        np.testing.assert_array_equal(keyed.draws("standard_normal", [11], [6]), row.standard_normal(6))
 
 
 # ---------------------------------------------------------------------------
-# counter-based draws against numpy's Philox and Generator
+# the keyed words against numpy's Philox
+
+
+def block_words(keyed, realizations, blocks):
+    """The words of block ``blocks[k]`` of ``realizations[k]`` (ascending)
+    as the keyed stream's slabs make them, (len, 4)."""
+    realizations, stop = np.asarray(realizations), np.asarray(blocks) + 1
+    words = np.empty(4 * stop.sum(), dtype=np.uint64)
+    for at, wv in keyed._slabs(realizations, stop):
+        words[at:at + len(wv)] = wv
+    return words.reshape(-1, 4)[np.cumsum(stop) - 1]
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 @pytest.mark.parametrize("stream_id", [STREAM_WIENER, STREAM_JUMP_TIMES, STREAM_MARKS])
 def test_philox_words_match_random_raw(seed, stream_id):
+    keyed = KeyedStream(seed, stream_id)
+    key = np.array([seed, stream_id + 1], dtype=np.uint64)
     for index in (0, (1 << 60) - 1, 12345):
-        raw = stream(seed, index, stream_id).bit_generator.random_raw(16)
-        words = philox_words(seed, stream_id, [index] * 4, [0, 1, 2, 3])
-        np.testing.assert_array_equal(words.ravel(), raw)
-        keyed = KeyedStream(seed, stream_id)
-        for word in range(10):  # offsets across 4-word blocks
-            got = keyed.at(index, word).bit_generator.random_raw(6)
-            np.testing.assert_array_equal(got, raw[word:word + 6])
-            assert keyed.generator.bit_generator.random_raw() == raw[word + 6]
+        words = block_words(keyed, [index] * 4, [0, 1, 2, 3])
+        for block in range(4):
+            counter = np.array([index, block, 0, 0], dtype=np.uint64)
+            bits = np.random.Philox(key=key, counter=counter)
+            np.testing.assert_array_equal(words[block], bits.random_raw(4))
     with pytest.raises(ParameterError):
-        philox_words(seed, stream_id, [1 << 60], [0])
+        keyed.draws("random", [1 << 60], [1])
 
 
 @pytest.mark.parametrize("stream_id", [STREAM_WIENER, STREAM_JUMP_TIMES, STREAM_MARKS])
 def test_philox_words_match_numpy_philox_on_random_keys_and_counters(stream_id):
     rng = np.random.default_rng(11 + stream_id)
     for seed in [0, 2**64 - 1, *rng.integers(0, 2**64, 3, dtype=np.uint64).tolist()]:
-        realizations = rng.integers(0, 1 << 60, 64, dtype=np.int64)
-        blocks = rng.integers(0, 1 << 63, 64, dtype=np.uint64)
-        blocks[:3] = [0, 1, (1 << 63) - 1]
-        words = philox_words(seed, stream_id, realizations, blocks)
+        realizations = np.sort(rng.integers(0, 1 << 60, 64, dtype=np.int64))
+        realizations[:8] = np.arange(8) * 40  # slabs over nearby realizations
+        blocks = rng.integers(0, 64, 64, dtype=np.int64)
+        blocks[:3] = [0, 1, 255]
+        words = block_words(KeyedStream(seed, stream_id), realizations, blocks)
+        key = np.array([seed, stream_id + 1], dtype=np.uint64)
         for r, block, got in zip(realizations.tolist(), blocks.tolist(), words):
-            key = np.array([seed, r + ((stream_id + 1) << 60)], dtype=np.uint64)
             # numpy's Philox steps its counter before each block
-            counter = np.array([block, 0, 0, 0], dtype=np.uint64)
-            bits = np.random.Philox(key=key, counter=counter)
-            np.testing.assert_array_equal(got, bits.random_raw(4))
+            counter = np.array([r, block, 0, 0], dtype=np.uint64)
+            np.testing.assert_array_equal(got, np.random.Philox(key=key, counter=counter).random_raw(4))
 
 
-def _words(keyed, indices, count):
-    """The first ``count`` Philox words of each of the streams ``indices``,
-    as a (len(indices), count) array."""
-    blocks = (count + 3) // 4
-    return philox_words(
-        keyed.seed, keyed.stream_id, np.repeat(indices, blocks),
-        np.tile(np.arange(blocks), len(indices)),
-    ).reshape(len(indices), -1)[:, :count]
-
-
-def first_rejections(kind, keyed, indices, count):
-    """Each row's first word that the fast path of ``kind`` rejects
-    (``count`` when none): its first draw that is not a fast-path draw."""
-    _, ok = getattr(rng_module, kind)(_words(keyed, indices, count))
-    return np.where(ok.all(axis=1), count, np.argmin(ok, axis=1))
+def assert_rows_match_the_oracle(keyed, kind, rows, counts, values, check):
+    """Rows ``check`` of a ``draws`` call against the oracle."""
+    at = np.cumsum(counts) - counts
+    for k in check:
+        want = oracle.draws(keyed.seed, keyed.stream_id, kind, rows[k:k + 1], counts[k:k + 1])
+        np.testing.assert_array_equal(values[at[k]:at[k] + counts[k]], want)
 
 
 @pytest.mark.parametrize("kind", ["standard_normal", "standard_exponential"])
 def test_draws_match_the_generator_on_a_million_values(kind):
+    # the row streams of the oracle are the generators of the keyed layout
     count = 50
     keyed = KeyedStream(2**64 - 3, STREAM_WIENER)
     # rows whose fast path rejects at their first, middle and last draw
-    probe = np.arange(5000, 25000)
-    first = first_rejections(kind, keyed, probe, count)
-    built = [int(probe[np.argmax(first == k)]) for k in (0, count // 2, count - 1)]
-    assert all(first_rejections(kind, keyed, built, count) == [0, count // 2, count - 1])
+    probe = oracle.first_words(keyed.seed, keyed.stream_id, 5000, 20000, 52)
+    fast, _ = oracle.fast_path(kind, probe[:, :count])
+    first = np.where(fast.all(axis=1), count, np.argmin(fast, axis=1))
+    built = [5000 + int(np.argmax(first == k)) for k in (0, count // 2, count - 1)]
     rows = np.concatenate([np.arange(20010), built, [(1 << 60) - 1]])
     counts = np.full(len(rows), count)
     counts[:7] = [0, 1, 2, 3, 4, 5, 9]
-    values = keyed.draws(kind, rows, counts)  # every value numpy's
-    assert values.size >= 10**6
-    at = 0
-    for index, n in zip(rows.tolist(), counts.tolist()):
-        generator = stream(2**64 - 3, index, STREAM_WIENER)
-        np.testing.assert_array_equal(values[at:at + n], getattr(generator, kind)(n))
-        at += n
-    assert at == values.size
+    values = keyed.draws(kind, rows, counts)
+    assert values.size >= 10**6 and values.size == counts.sum()
+    check = [*range(10), *range(20010, len(rows)), *range(10, 20010, 97)]
+    assert_rows_match_the_oracle(keyed, kind, rows, counts, values, check)
 
 
 def test_uniforms_match_generator_random(monkeypatch):
     keyed = KeyedStream(101, STREAM_MARKS)
     rows = np.arange(300, 600)
-    words = []
+    blocks = []
     slabs = KeyedStream._slabs
     monkeypatch.setattr(
-        KeyedStream, "_slabs", lambda self, r, c: words.append(c.sum()) or slabs(self, r, c)
+        KeyedStream, "_slabs", lambda self, r, s: blocks.append(s.sum()) or slabs(self, r, s)
     )
     values = keyed.draws("random", rows, rows % 11)
-    assert words == [(rows % 11).sum()]  # never rejects, so no slack words
-    expected = [stream(101, i, STREAM_MARKS).random(i % 11) for i in rows.tolist()]
-    np.testing.assert_array_equal(values, np.concatenate(expected))
+    assert blocks == [((rows % 11 + 3) // 4).sum()]  # never rejects, so no slack words
+    want = oracle.draws(101, STREAM_MARKS, "random", rows, rows % 11)
+    np.testing.assert_array_equal(values, want)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -242,14 +234,14 @@ def test_jump_chunk_matches_one_row_sampling(monkeypatch, name, wrapped):
     integral = intensity_integral_for(model)
     seeds = SeedConfig(wiener=1, jump_times=2, marks=3)
     _, times_stream, marks_stream = keyed_streams(seeds)
-    rows = range(2000, 4000)
+    rows = range(2000, 2400)
     n_jumps, times, marks = jumps.sample_jump_chunk(
         model, integral, times_stream, marks_stream, rows
     )
     assert bool(calls) == wrapped
     at = 0
     for i, n in zip(rows, n_jumps.tolist()):
-        _, t_rng, z_rng = realization_streams(seeds, i)
+        _, t_rng, z_rng = oracle.engine_streams(model, seeds, i)
         one = sample_jumps(model, integral, t_rng, z_rng)
         np.testing.assert_array_equal(times[at:at + n], one.times)
         np.testing.assert_array_equal(marks[at:at + n], one.marks)
@@ -274,7 +266,7 @@ def test_jump_chunk_redraws_rows_that_do_not_reach_the_integral(monkeypatch):
     assert (n_jumps >= 4).sum() > 50
     at = 0
     for i, n in enumerate(n_jumps.tolist()):
-        one = sample_jumps(model, integral, *realization_streams(seeds, i)[1:])
+        one = sample_jumps(model, integral, *oracle.engine_streams(model, seeds, i)[1:])
         np.testing.assert_array_equal(times[at:at + n], one.times)
         np.testing.assert_array_equal(marks[at:at + n], one.marks)
         at += n
@@ -306,8 +298,8 @@ def test_samplers_without_a_quantile_raise_per_realization(monkeypatch, engine):
             run_stochastic_batch(bad_mark_model(), det, SeedConfig(), 1000, 50, **kw)
     assert calls  # the per-jump path
     assert type(exc.value) is EvaluationError
-    assert exc.value.realization == 1008
-    assert str(exc.value) == "mark sampler returned shape (3,), expected (1,) (realization 1008)"
+    assert exc.value.realization == 1004
+    assert str(exc.value) == "mark sampler returned shape (3,), expected (1,) (realization 1004)"
 
 
 @pytest.mark.parametrize("engine", ["mesh", "stochastic"])
@@ -320,40 +312,27 @@ def test_a_wrongly_shaped_quantile_names_the_first_realization_with_a_jump(
     model = build_model("test5")
     _, times_stream, marks_stream = keyed_streams(SeedConfig())
     n_jumps, _, _ = jumps.sample_jump_chunk(
-        model, intensity_integral_for(model), times_stream, marks_stream, range(1000, 1050)
+        model, intensity_integral_for(model), times_stream, marks_stream, range(1002, 1052)
     )
-    first = 1000 + int(np.argmax(n_jumps > 0))
-    assert first > 1000  # realization 1000 does not jump, so the chunk start is not named
+    first = 1002 + int(np.argmax(n_jumps > 0))
+    assert first > 1002  # realization 1002 does not jump, so the chunk start is not named
     shaped = replace(model, mark_sampler=UniformMarks(lambda t, u: np.zeros((len(t), 3))))
     det = uniform_mesh(1.0, 5)
     with pytest.raises(EvaluationError) as exc:
         if engine == "mesh":
             monkeypatch.setattr(ctl, "MESH_CHUNK", chunk)
-            run_mesh_batch(shaped, det, SeedConfig(), 1000, 50, workers=workers)
+            run_mesh_batch(shaped, det, SeedConfig(), 1002, 50, workers=workers)
         else:
             monkeypatch.setattr(ctl, "STOCH_CHUNK", chunk)
             kw = dict(tol=0.1, tol_t=0.1 / 3.0, n_a_bar=5.0, workers=workers)
-            run_stochastic_batch(shaped, det, SeedConfig(), 1000, 50, **kw)
+            run_stochastic_batch(shaped, det, SeedConfig(), 1002, 50, **kw)
     assert type(exc.value) is EvaluationError
     assert exc.value.realization == first
     assert str(exc.value).endswith(f"(realization {first})")
 
 
 # ---------------------------------------------------------------------------
-# ziggurat rejections resolved in arrays, against the generator
-
-
-def _assert_draws_match(keyed, rows, counts, kind="standard_normal"):
-    """Check ``draws`` against the generator, one row at a time; the
-    realizations it handed to the generator, in order."""
-    handed = []
-    at = keyed.at
-    keyed.at = lambda i, w=0: handed.append(i) or at(i, w)
-    values = keyed.draws(kind, rows, counts)
-    del keyed.at
-    expected = [getattr(keyed.at(i), kind)(n) for i, n in zip(rows.tolist(), counts.tolist())]
-    np.testing.assert_array_equal(values, np.concatenate(expected))
-    return handed
+# ziggurat rejections resolved in arrays, against the oracle
 
 
 def test_normal_draws_match_the_generator_from_any_start():
@@ -365,284 +344,144 @@ def test_normal_draws_match_the_generator_from_any_start():
     counts = rng.choice([0, 1, 6, 41], p=[0.05, 0.05, 0.1, 0.8], size=len(rows))
     starts = rng.integers(0, 8, size=len(rows))
     assert counts.sum() >= 10**6 and set(starts.tolist()) == set(range(8))
-    _assert_draws_match(keyed, rows, starts + counts)
-
-
-# kind: (wedge index and fast-path integer of a word, then the fast-path
-# bound, width and wedge tables, and the exponent of the wedge bound)
-_ZIGGURATS = {
-    "standard_normal": (
-        lambda w: (w & 0xFF, (w >> 9) & 0xFFFFFFFFFFFFF),
-        KI_DOUBLE, WI_DOUBLE, FI_DOUBLE, lambda x: -0.5 * x * x,
-    ),
-    "standard_exponential": (
-        lambda w: ((w >> 3) & 0xFF, w >> 11), KE_DOUBLE, WE_DOUBLE, FE_DOUBLE, lambda x: -x,
-    ),
-}
-
-
-def _ziggurat_walk(kind, words, count):
-    """numpy's ziggurat reading ``count`` draws of ``kind`` from
-    ``words``, a scalar oracle of its control flow: the rejected draws it
-    meets in order ("tail", "accept" or "reject" by the wedge test),
-    whether two words in a row fail the fast path, and whether the last
-    value needed the wedge test.  Stops at a tail draw or at the end of
-    the words."""
-    split, k, width, f, exponent = _ZIGGURATS[kind]
-    parts = [split(int(w)) for w in words]
-    fast = [r < k[idx] for idx, r in parts]
-    met, adjacent, last, q, made = [], False, False, 0, 0
-    while made < count and q < len(words) - 1:
-        idx, r = parts[q]
-        adjacent |= not fast[q] and not fast[q + 1]
-        if fast[q]:
-            made, q, last = made + 1, q + 1, False
-            continue
-        if idx == 0:
-            met.append("tail")
-            break
-        x = r * width[idx]
-        u = (int(words[q + 1]) >> 11) * (1.0 / 9007199254740992.0)
-        ok = (f[idx - 1] - f[idx]) * u + f[idx] < math.exp(exponent(x))
-        met.append("accept" if ok else "reject")
-        made, q, last = made + ok, q + 2, bool(ok)
-    return met, adjacent, last
-
-
-def _crafted_rows(kind, keyed, count):
-    """Realizations whose ``count`` draws of ``kind`` from word 0 meet: a
-    wedge test at the last draw, two adjacent fast-path failures, a wedge
-    accept, a wedge reject, a tail draw, and exactly two rejections."""
-    probe = np.arange(4000)
-    wanted = {}
-    for i, row in zip(probe.tolist(), _words(keyed, probe, count + 13)):
-        met, adjacent, last = _ziggurat_walk(kind, row, count)
-        for name, has in (
-            ("last", last), ("adjacent", adjacent), ("accept", "accept" in met),
-            ("reject", "reject" in met), ("tail", "tail" in met),
-            ("several", len(met) == 2 and "tail" not in met),
-        ):
-            if has:
-                wanted.setdefault(name, i)
-    assert len(wanted) == 6, wanted
-    return wanted
-
-
-def _check_crafted_rows(monkeypatch, kind, keyed, slack):
-    monkeypatch.setattr(rng_module, "FEW_ROWS", 0)  # the array path, for 26 rows
-    crafted = _crafted_rows(kind, keyed, 41)
-    if slack is not None:  # every rejection runs past the drawn words
-        monkeypatch.setattr(
-            rng_module, "_slack", lambda counts: np.where(counts > 0, counts + slack, 0)
-        )
-    rows = np.array(sorted(set(crafted.values())) + list(range(20)))
-    counts = np.full(len(rows), 41)
-    counts[-3:] = [0, 1, 6]
-    handed = _assert_draws_match(keyed, rows, counts, kind)
-    assert crafted["tail"] in handed
-    assert (crafted["several"] in handed) == (slack is not None)
+    values = keyed.draws("standard_normal", rows, starts + counts)
+    check = [*range(0, 31000, 113), len(rows) - 1]
+    assert_rows_match_the_oracle(keyed, "standard_normal", rows, starts + counts, values, check)
 
 
 @pytest.mark.parametrize("slack", [None, 0, 1])
 def test_crafted_rejections_match_the_generator(monkeypatch, slack):
-    _check_crafted_rows(monkeypatch, "standard_normal", KeyedStream(7, STREAM_WIENER), slack)
+    # tail draws, wedge accepts and rejects, adjacent rejected words, and
+    # with little slack words that run out (test_keyed_oracle.crafted)
+    run_crafted(monkeypatch, "standard_normal", slack)
 
 
 @pytest.mark.parametrize("slack", [None, 0, 1])
 def test_crafted_exponential_rejections_match_the_generator(monkeypatch, slack):
-    keyed = KeyedStream(20, STREAM_JUMP_TIMES)
-    _check_crafted_rows(monkeypatch, "standard_exponential", keyed, slack)
+    run_crafted(monkeypatch, "standard_exponential", slack)
 
 
-def test_an_n40_chunk_hands_few_rows_to_the_generator(monkeypatch):
-    monkeypatch.setattr(rng_module, "FEW_ROWS", 0)  # count the array path's hand-overs
+def spy_redo(monkeypatch, stream_id):
+    """The rows drawn again and the tail draws read in place by each
+    ``_wedges`` call of the ``stream_id`` family from now on."""
+    seen = {"redo": 0, "tails": 0}
+    wedges, draws = rng_module._wedges, KeyedStream.draws
+    family = []
+
+    def spy(*args):
+        events, tails, redo = wedges(*args)
+        if family[-1] == stream_id:
+            seen["redo"] += len(redo)
+            seen["tails"] += len(tails[0])
+        return events, tails, redo
+
+    def counted(self, *args):
+        family.append(self.stream_id)
+        return draws(self, *args)
+
+    monkeypatch.setattr(rng_module, "_wedges", spy)
+    monkeypatch.setattr(KeyedStream, "draws", counted)
+    return seen
+
+
+def test_an_n40_chunk_draws_few_rows_again(monkeypatch):
     model = build_model("test5")
-    wiener_calls = []
-    at = KeyedStream.at
-
-    def counted(self, i, w=0):
-        if self.stream_id == STREAM_WIENER:
-            wiener_calls.append(i)
-        return at(self, i, w)
-
-    monkeypatch.setattr(KeyedStream, "at", counted)
+    seen = spy_redo(monkeypatch, STREAM_WIENER)
     ctl._setup_paths(
         model, uniform_mesh(model.horizon, 40), keyed_streams(SeedConfig()), 0, 16384,
         intensity_integral_for(model),
     )
-    assert 0 < len(wiener_calls) <= 0.02 * 16384
+    # a tail draw every 4,000 normals or so, read from the row's words
+    assert seen["tails"] > 50 and seen["redo"] <= 0.002 * 16384
 
 
-def test_jump_time_draws_of_two_chunks_hand_few_rows_to_the_generator(monkeypatch):
-    monkeypatch.setattr(rng_module, "FEW_ROWS", 0)  # count the array path's hand-overs
+def test_jump_time_draws_of_two_chunks_draw_few_rows_again(monkeypatch):
     model = build_model("test5")
     integral = intensity_integral_for(model)
-    # six exponentials and their slack fill two Philox blocks at L(T) = ln 2
+    # five exponentials and their slack fill two Philox blocks at L(T) = ln 2
     count = jumps._exponential_count(integral.total)
-    assert (count, rng_module._slack(np.array([count]))[0]) == (6, 8)
-    handed = []
-    at = KeyedStream.at
-
-    def counted(self, i, w=0):
-        if self.stream_id == STREAM_JUMP_TIMES:
-            handed.append(i)
-        return at(self, i, w)
-
-    monkeypatch.setattr(KeyedStream, "at", counted)
+    assert (count, rng_module._slack(np.array([count]))[0]) == (5, 8)
+    seen = spy_redo(monkeypatch, STREAM_JUMP_TIMES)
     for start in (0, 16384):
         ctl._setup_paths(
             model, uniform_mesh(model.horizon, 5), keyed_streams(SeedConfig()), start, 16384,
             integral,
         )
-    assert 0 < len(handed) < 0.01 * 2 * 16384
-
-
-# ---------------------------------------------------------------------------
-# few-row calls on numpy's generator, many-row calls on the array path
-
-
-def _count_passes(monkeypatch):
-    """(rows, Philox passes) of every ``draws`` call from now on."""
-    calls, passes = [], []
-    philox, draws = rng_module.philox_words, KeyedStream.draws
-    monkeypatch.setattr(rng_module, "philox_words", lambda *a: passes.append(a) or philox(*a))
-
-    def counted(self, kind, realizations, counts):
-        before = len(passes)
-        values = draws(self, kind, realizations, counts)
-        calls.append((len(counts), len(passes) - before))
-        return values
-
-    monkeypatch.setattr(KeyedStream, "draws", counted)
-    return calls
+    assert seen["tails"] > 0 and seen["redo"] < 0.01 * 2 * 16384
 
 
 @pytest.mark.parametrize("kind", ["standard_normal", "standard_exponential", "random"])
-def test_few_row_and_array_routes_match_the_generator(monkeypatch, kind):
+def test_calls_of_any_row_count_match_the_oracle(monkeypatch, kind):
     seed = 2**64 - 5
     keyed = KeyedStream(seed, STREAM_JUMP_TIMES)
-    # ziggurat rows with a tail draw, wedge accepts and rejects, ...
-    crafted = [] if kind == "random" else sorted(set(_crafted_rows(kind, keyed, 41).values()))
-    calls = _count_passes(monkeypatch)
-    for n in (rng_module.FEW_ROWS, rng_module.FEW_ROWS + 1):
-        rows = np.array(crafted + list(range(5000, 5000 + n - len(crafted))))
-        counts = np.resize([41] * len(crafted) + [0, 1, 6, 41], n)
+    special = [] if kind == "random" else sorted(crafted(kind).values())
+    for n in (1, 2, 3, 128, 129):
+        rows = np.array([r for r, _ in special] + list(range(5000, 5000 + n)))[:n]
+        counts = np.resize([c for _, c in special] + [0, 1, 6, 41], n)
         values = keyed.draws(kind, rows, counts)
-        expected = [
-            getattr(stream(seed, i, STREAM_JUMP_TIMES), kind)(c)
-            for i, c in zip(rows.tolist(), counts.tolist())
-        ]
-        np.testing.assert_array_equal(values, np.concatenate(expected))
-    (few, few_passes), (many, many_passes) = calls
-    assert few == rng_module.FEW_ROWS and few_passes == 0
-    assert many == rng_module.FEW_ROWS + 1 and many_passes == 1
+        np.testing.assert_array_equal(values, oracle.draws(seed, STREAM_JUMP_TIMES, kind, rows, counts))
 
 
 @pytest.mark.parametrize("bad, count", [(-1, 3), (1 << 60, 0)])
-def test_both_draws_routes_reject_a_realization_out_of_range(bad, count):
+def test_draws_reject_a_realization_out_of_range(bad, count):
     keyed = KeyedStream(7, STREAM_WIENER)
-    messages = []
-    for n in (rng_module.FEW_ROWS, rng_module.FEW_ROWS + 1):
+    for n in (1, 129):
         rows, counts = np.arange(n), np.full(n, 2)
         rows[n // 2], counts[n // 2] = bad, count
         with pytest.raises(ParameterError, match="realization index out of range") as exc:
             keyed.draws("standard_normal", rows, counts)
-        messages.append(str(exc.value))
-    assert messages == [f"realization index out of range: {bad}"] * 2
-
-
-def test_few_row_draws_make_no_philox_pass(monkeypatch):
-    # the per-call cost of a Philox pass is what the few-row route saves:
-    # guard that the small calls of algorithm_s (bridge top-ups, refined
-    # pieces) stay off the array path, and that large set-up calls stay on it
-    calls = _count_passes(monkeypatch)
-    ctl.algorithm_s(build_model("test5"), 0.3)
-    few = [passes for rows, passes in calls if rows <= rng_module.FEW_ROWS]
-    assert few and not any(few), calls
-    calls.clear()
-    model = build_model("test5")
-    ctl._setup_paths(
-        model, uniform_mesh(model.horizon, 40), keyed_streams(SeedConfig()), 0, 16384,
-        intensity_integral_for(model),
-    )
-    many = [passes for rows, passes in calls if rows > rng_module.FEW_ROWS]
-    assert many and all(many), calls
-
-
-def _calls_with_a_word_offset(tree):
-    """Lines of the ``.at(...)`` calls in ``tree`` that pass more than a
-    realization (numpy's ``np.<ufunc>.at`` aside)."""
-    lines = []
-    for node in ast.walk(tree):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "at"
-        ):
-            continue
-        owner = node.func.value
-        if isinstance(owner, ast.Attribute) and isinstance(owner.value, ast.Name) \
-                and owner.value.id == "np":
-            continue
-        if len(node.args) + len(node.keywords) > 1:
-            lines.append(node.lineno)
-    return lines
+        assert str(exc.value) == f"realization index out of range: {bad}"
 
 
 def test_only_rng_draws_at_a_word_offset():
-    # a Philox word offset depends on the row's ziggurat rejections, so
-    # only rng may set a generator to one
+    # a row's word offset depends on its ziggurat rejections, so only rng
+    # sets a Philox counter: no other module builds a bit generator, reads
+    # raw words or touches a keyed stream's state
     package = Path(rng_module.__file__).parent
+    private = {"Philox", "random_raw", "_counter", "_state", "_bits", "_slabs", "_values"}
     found = {
-        path.name: _calls_with_a_word_offset(ast.parse(path.read_text()))
+        path.name: sorted(
+            {node.attr for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute)} & private
+        )
         for path in sorted(package.glob("*.py"))
     }
-    assert found.pop("rng.py")  # the check sees rng's own hand-over
+    assert found.pop("rng.py")  # the check sees rng's own
     assert not any(found.values()), found
 
 
 # ---------------------------------------------------------------------------
-# slab passes, the signed-table fast path and input checks
+# slabs, the signed-table fast path and input checks
 
 
 @pytest.mark.parametrize("kind", ["standard_normal", "standard_exponential", "random"])
 def test_slab_passes_of_whole_and_partial_blocks_match_the_generator(monkeypatch, kind):
-    # passes of four blocks; with one slack word, a ziggurat row of 3 mod 4
-    # draws fills whole blocks and any other row ends inside one (uniforms
-    # draw no slack: whole blocks at 0 mod 4)
+    # slabs of four blocks: a slab of rows of one block range over a span
+    # without gaps is the words as Philox makes them; any other slab takes
+    # each row's blocks
     monkeypatch.setattr(rng_module, "SLAB_BLOCKS", 4)
     if kind != "random":
-        monkeypatch.setattr(
-            rng_module, "_slack", lambda counts: np.where(counts > 0, counts + 1, 0)
-        )
-    made = []
-    philox = rng_module.philox_words
-    monkeypatch.setattr(
-        rng_module, "philox_words", lambda *a: made.append(philox(*a)) or made[-1]
-    )
-    passes = []  # (yields the pass's Philox words, every row is whole blocks)
-    slabs = KeyedStream._slabs
+        monkeypatch.setattr(rng_module, "_slack", lambda counts: (counts + 1) * (counts > 0))
+    passes = []  # whether the slab's rows fill it
+    slab = KeyedStream._slab
 
-    def spy(self, realizations, drawn):
-        for lo, hi, wv in slabs(self, realizations, drawn):
-            whole = bool((drawn[lo:hi] % 4 == 0).all())
-            passes.append((wv.base is made[-1], whole))
-            yield lo, hi, wv
+    def spy(self, realizations, stop, span, width):
+        passes.append(span == len(realizations) and set(stop.tolist()) == {width})
+        return slab(self, realizations, stop, span, width)
 
-    monkeypatch.setattr(KeyedStream, "_slabs", spy)
+    monkeypatch.setattr(KeyedStream, "_slab", spy)
     seed = 2**64 - 7
     keyed = KeyedStream(seed, STREAM_MARKS)
     rng = np.random.default_rng(3)
-    rows = np.concatenate([rng.integers(0, 1 << 60, 400), [0, (1 << 60) - 1]])
+    rows = np.concatenate([
+        rng.integers(0, 1 << 60, 200), np.arange(100, 300), np.arange(9000, 9200), [0, (1 << 60) - 1]
+    ])
     counts = rng.choice([0, 1, 2, 3, 4, 5, 7, 8, 11, 15, 16, 23, 41], size=len(rows))
+    counts[400:600] = rng.choice([0, 1, 2, 3, 4, 5, 7], size=200)  # slabs of two to four rows
     values = keyed.draws(kind, rows, counts)
-    assert [shared for shared, _ in passes] == [whole for _, whole in passes]
-    assert any(whole for _, whole in passes) and not all(whole for _, whole in passes)
-    expected = [
-        getattr(stream(seed, i, STREAM_MARKS), kind)(n)
-        for i, n in zip(rows.tolist(), counts.tolist())
-    ]
-    np.testing.assert_array_equal(values, np.concatenate(expected))
+    assert any(passes) and not all(passes)
+    want = oracle.draws(seed, STREAM_MARKS, kind, rows, counts)
+    np.testing.assert_array_equal(values, want)
 
 
 def _sign_bit_normal(words):

@@ -1,8 +1,8 @@
 """The batched realization set-up against the one-row pieces it replaces.
 
 The reference draws each realization on its own, as the engines did
-before the set-up was batched: new generators from
-``realization_streams``, ``sample_jumps``, ``build_augmented_grid`` and
+before the set-up was batched: the row streams of ``keyed_oracle``
+(``engine_streams``), ``sample_jumps``, ``build_augmented_grid`` and
 ``sample_wiener_increments`` per realization, then ``stack_paths`` per
 step count into the kernel.  The mesh engine must match it bit for bit
 (the per-realization engine is checked against its own one-row reference
@@ -11,6 +11,7 @@ in ``test_controller``).
 
 from dataclasses import replace
 
+import keyed_oracle as oracle
 import numpy as np
 import pytest
 
@@ -25,7 +26,6 @@ from jumpmc.density import cutoff_density_S, interval_sums
 from jumpmc.euler import sample_wiener_increments, stack_paths
 from jumpmc.jumps import build_augmented_grid, intensity_integral_for, sample_jumps
 from jumpmc.model import as_vectorized
-from jumpmc.rng import realization_streams
 
 
 def reference_mesh_batch(model, det, seeds, start, count, tol=None, want_density=False):
@@ -33,7 +33,7 @@ def reference_mesh_batch(model, det, seeds, start, count, tol=None, want_density
     integral = intensity_integral_for(model)
     groups = {}
     for i in range(start, start + count):
-        w_rng, t_rng, z_rng = realization_streams(seeds, i)
+        w_rng, t_rng, z_rng = oracle.engine_streams(model, seeds, i)
         jumps = sample_jumps(model, integral, t_rng, z_rng)
         grid = build_augmented_grid(det, jumps, horizon=model.horizon)
         dw = sample_wiener_increments(grid, w_rng, model.wiener_dim)
