@@ -53,7 +53,7 @@ every realization's jump times, marks (``jumps.sample_jump_chunk``) and
 Wiener normals come from its own Philox streams, computed for the whole
 range at once, ziggurat rejections included; only a mark sampler that is
 not a ``model.UniformMarks`` draws from numpy's per-realization generator
-(``rng.stream``).  All grids are merged
+(``rng.stream``, reset per row by ``rng.stream_generator``).  All grids are merged
 in one pass by ``jumps.build_grid_batch``, which writes them node-major,
 longest first, and the scaled normals go straight into the node-major
 increments; a row's Wiener increments are the first ``n_steps *
@@ -102,9 +102,9 @@ import numpy as np
 # rho_per_step, sample_jumps, build_augmented_grid and
 # sample_wiener_increments, and realization_streams (numpy's
 # per-realization generators, which the engines draw from only for a mark
-# sampler that is not a UniformMarks, through rng.stream in jumps), are
-# unused here: they serve only perfbench's spans, and are imported so that
-# they stay patchable.
+# sampler that is not a UniformMarks, through rng.stream_generator in
+# jumps), are unused here: they serve only perfbench's spans, and are
+# imported so that they stay patchable.
 from .density import (  # noqa: F401
     INTERVAL_DENSITY_CALLBACKS,
     STEP_DENSITY_CALLBACKS,

@@ -466,8 +466,10 @@ class _BridgeNormals:
     @staticmethod
     def allot(counts):
         """Normals per channel first drawn for ``counts`` splits: a draw
-        and a spare per split, and ten more."""
-        return 2 * counts + 10
+        and a spare per split, and sixteen more.  A row drawn again costs
+        a ``draws`` call of its own; with ten more, one ``algorithm_s``
+        call at TOL 0.04 made 13 such calls, with sixteen 4."""
+        return 2 * counts + 16
 
     def take(self, h, slot, k, more=True):
         """Normals ``slot`` to ``slot + k - 1`` of rows ``h``, as (len(h),

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import EvaluationError, JumpMCError, ParameterError, check_integer
 from .model import JumpDiffusionModel, UniformMarks
-from .rng import stream
+from .rng import most_draws, stream_generator
 
 Array = np.ndarray
 
@@ -258,14 +258,11 @@ def sample_jumps(
 
 
 def _exponential_count(total: float) -> int:
-    """Exponentials drawn per row up front: the most that leave ``3 +
-    count // 8`` slack words (one more than ``rng``'s) in the Philox blocks
-    of L(T) + 4 sqrt(L(T)) + 2 words, so ``KeyedStream.draws`` uses every
-    block it makes and seldom draws a row again for want of words (30 of
-    16,384 rows at L(T) = ln 2, against 102 with six exponentials); they
-    reach L(T) on all but a sliver of rows, which are drawn again."""
-    words = 4 * math.ceil((total + 4.0 * math.sqrt(total) + 2.0) / 4.0) - 3
-    return words - words // 9
+    """Exponentials drawn per row up front: the most whose words fill the
+    Philox blocks of L(T) + 4 sqrt(L(T)) + 2 words (``rng.most_draws``),
+    so ``KeyedStream.draws`` uses every block it makes; they reach L(T)
+    on all but a sliver of rows, which are drawn again."""
+    return most_draws(math.ceil((total + 4.0 * math.sqrt(total) + 2.0) / 4.0))
 
 
 def _name_realization(exc, realization):
@@ -291,7 +288,8 @@ def sample_jump_chunk(
     mark_dim) names the chunk's first realization with a jump.  Any
     other sampler is called per jump with the row's numpy generator
     ``rng.stream(marks seed, realization, STREAM_MARKS)``, as
-    ``rng.realization_streams`` gives it.  Errors name the realization.
+    ``rng.realization_streams`` gives it, one generator reset per row
+    (``rng.stream_generator``).  Errors name the realization.
     """
     count = len(realizations)
     total = integral.total
@@ -333,11 +331,11 @@ def sample_jump_chunk(
         return n_jumps, times, marks
     marks = np.empty((len(times), model.mark_dim))
     first = np.cumsum(n_jumps) - n_jumps
+    generator = stream_generator(mark_stream.seed, mark_stream.stream_id)
     for row in np.nonzero(n_jumps)[0].tolist():
         lo, hi = first[row], first[row] + n_jumps[row]
         try:
-            generator = stream(mark_stream.seed, realizations[row], mark_stream.stream_id)
-            marks[lo:hi] = sample_marks(model, times[lo:hi], generator)
+            marks[lo:hi] = sample_marks(model, times[lo:hi], generator(realizations[row]))
         except JumpMCError as exc:
             _name_realization(exc, realizations[row])
             raise

@@ -15,11 +15,11 @@ worker count and chunk size.
 numpy's Philox steps the first counter word, the realization, so one
 ``random_raw`` call from counter ``(i, b, 0, 0)`` makes block ``b`` of
 realizations ``i, i + 1, ...`` in C.  ``KeyedStream.draws`` draws a
-call's rows in realization order, in slabs of nearby realizations (a
-slab ends at a gap of more than SLAB_GAP realizations and holds at most
-about SLAB_BLOCKS blocks): one state set and one ``random_raw`` per
-block index over the slab's span, and one ``np.take`` of each row's
-blocks.
+call's rows in realization order, SLAB_BLOCKS blocks at a time, in
+slabs of nearby realizations (a slab ends at a gap of more than SLAB_GAP
+realizations and makes at most SLAB_SPAN blocks): one state set and one
+``random_raw`` per block index over the slab's span, and one ``np.take``
+of each row's blocks.  A row alone in its slab is drawn block by block.
 
 ``standard_normal``, ``standard_exponential`` and ``random`` turn words
 into numpy's draws.  The first two are the fast path of numpy's ziggurat
@@ -42,8 +42,9 @@ final gather.
 generators, keyed ``(seed, i + ((stream_id + 1) << 60))``: that key word
 is never a family word, which stays below 2**60.  The engines use them
 only for a mark sampler that is not a ``model.UniformMarks``, which is
-called per jump with a generator; ``UniformMarks`` is the fast path,
-its uniforms drawn by ``KeyedStream.draws``.
+called per jump with a generator (``stream_generator`` resets one per
+row); ``UniformMarks`` is the fast path, its uniforms drawn by
+``KeyedStream.draws``.
 """
 
 from __future__ import annotations
@@ -62,17 +63,14 @@ STREAM_MARKS = 2
 
 _STREAM_SHIFT = 60  # realization indices stay below 2**60
 
-# Philox blocks per slab; bounds the temporaries.  A slab of 16,384
-# blocks (512 KB, and as much again for its take and fast-path arrays)
-# raised adapt-d's peak RSS by some 4 MB under glibc's dynamic mmap
-# threshold, at no gain in speed
+# Philox blocks a pass of the fast path reads; bounds the temporaries
 SLAB_BLOCKS = 1 << 12
-# realizations not drawn between two rows of one slab: a row alone costs a
-# state set and a random_raw call per block, about 1.6 us, as much as a
-# block for some 80 realizations in a slab (80 bridge rows spread over
-# 2,025 realizations draw their 1,001 blocks in 1.6 ms alone, 0.84 ms in
-# one slab, on a 2-CPU host)
-SLAB_GAP = 128
+# realizations not drawn between two rows of one slab: each block index of
+# a slab costs a state set and a random_raw call, about as much as
+# making that block for some 256 realizations more
+SLAB_GAP = 256
+# Philox blocks one slab makes at most (1 MB), realizations times blocks
+SLAB_SPAN = 1 << 15
 
 # numpy's ziggurat tail constants (ziggurat_constants.h)
 _NOR_R = 3.654152885361009
@@ -98,19 +96,32 @@ class SeedConfig:
 
 def _check_realizations(realizations: np.ndarray):
     """Raise for the first of ``realizations`` (int64) out of range."""
-    if realizations.size and (
-        realizations.min() < 0 or realizations.max() >= 1 << _STREAM_SHIFT
-    ):
-        bad = realizations[(realizations < 0) | (realizations >= 1 << _STREAM_SHIFT)][0]
-        raise ParameterError(f"realization index out of range: {bad}")
+    bad = realizations[(realizations < 0) | (realizations >= 1 << _STREAM_SHIFT)]
+    if len(bad):
+        raise ParameterError(f"realization index out of range: {bad[0]}")
 
 
 def stream(seed: int, realization: int, stream_id: int) -> np.random.Generator:
     """Numpy's generator for one (seed, realization, stream) triple, keyed
     ``(seed, realization + ((stream_id + 1) << 60))``."""
     _check_realizations(np.array([realization], dtype=np.int64))
-    key = np.array([seed, int(realization) + ((stream_id + 1) << _STREAM_SHIFT)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return stream_generator(seed, stream_id)(realization)
+
+
+def stream_generator(seed: int, stream_id: int):
+    """A function of a realization ``r`` that returns one numpy generator
+    reset to ``stream(seed, r, stream_id)`` by a state set (a few us,
+    against some 30 us for a new ``Philox`` and ``Generator``); each call
+    resets the generator the last one returned.  ``r`` is not checked."""
+    generator = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    state = generator.bit_generator.state  # a new stream's: counter 0, no words kept
+
+    def reset(realization):
+        state["state"]["key"][1] = int(realization) + ((stream_id + 1) << _STREAM_SHIFT)
+        generator.bit_generator.state = state
+        return generator
+
+    return reset
 
 
 def _families(seeds: SeedConfig):
@@ -170,11 +181,18 @@ _KINDS = {
 
 def _slack(counts):
     """Words drawn per row for ``counts`` ziggurat draws: at least
-    ``2 + counts // 8`` words past the last one the fast path needs, up
+    ``3 + counts // 8`` words past the last one the fast path needs, up
     to the end of the row's last Philox block (no row draws for none).
-    On 16,384 rows of 40 normals, 2 rows run out of them, against 209
-    with ``2 + counts // 16``."""
-    return 4 * ((counts + 5 + counts // 8) // 4) * (counts > 0)
+    On 16,384 rows of 40 normals, 2 rows run out of them with ``2 +
+    counts // 8``, against 209 with ``2 + counts // 16``."""
+    return 4 * ((counts + 6 + counts // 8) // 4) * (counts > 0)
+
+
+def most_draws(blocks: int) -> int:
+    """The most ziggurat draws of a row whose words (``_slack``) fit in
+    ``blocks`` Philox blocks."""
+    words = 4 * blocks - 3  # for count + count // 8: 9 per 8 draws
+    return 8 * (words // 9) + min(7, words % 9)
 
 
 def _segment_base(lead, values):
@@ -187,8 +205,7 @@ def _draw_events(er, eq):
     """Which rejected words (rows ``er``, places ``eq``, in row and place
     order) start a draw: a run of adjacent ones alternates draw, ``u``,
     draw, ..., since a wedge draw reads the word after it as its ``u``."""
-    run = np.ones(len(er), dtype=bool)
-    run[1:] = (eq[1:] != eq[:-1] + 1) | (er[1:] != er[:-1])
+    run = (np.diff(eq, prepend=-2) != 1) | (np.diff(er, prepend=-1) != 0)
     if run.all():
         return run
     k = np.arange(len(er))
@@ -264,8 +281,7 @@ def _wedges(kind, er, eq, word, after, x, counts, drawn, kept):
     accept = np.where(wedge, test < bound, used > 0)
     # steps never fall: _segment_base reads the row bases off a running max
     step = np.where(wedge, 2 - accept, np.maximum(used - 1, 0))
-    lead = np.ones(len(er), dtype=bool)
-    lead[1:] = er[1:] != er[:-1]
+    lead = np.diff(er, prepend=-1) != 0
     before = np.cumsum(step) - step
     value = eq - (before - _segment_base(lead, before))  # the draw's value
     live = value < counts[er]  # a prefix of each row's draws
@@ -321,9 +337,9 @@ def _read(kind, slabs, woff, drawn, counts, size):
                 k = np.unique(np.searchsorted(woff, at + tail, side="right") - 1)
                 kept.append((k, wv[_ranges(woff[k] - at, drawn[k])]))
     none = np.empty(0, dtype=np.int64)
-    ev, word, after = (np.concatenate(p) for p in zip(*found)) if found else [none] * 3
-    if not len(ev):  # slack words are never short without a rejection
+    if not found:  # slack words are never short without a rejection
         return x, (none, none, none), (none, none, x[:0]), none
+    ev, word, after = found[0] if len(found) == 1 else (np.concatenate(p) for p in zip(*found))
     kept = tuple(np.concatenate(p) for p in zip(*kept)) if kept else (none, word[:0])
     er = np.searchsorted(woff, ev, side="right") - 1
     return (x, *_wedges(kind, er, ev - woff[er], word, after, x[ev], counts, drawn, kept))
@@ -363,47 +379,54 @@ class KeyedStream:
                            buffer=[0] * 4, buffer_pos=4, has_uint32=0, uinteger=0)
         self._bits = np.random.Philox(key=np.array(key, dtype=np.uint64))
 
-    def _slab(self, realizations, stop, span, width):
-        """Blocks 0 to ``stop[k] - 1`` of the nearby ascending
-        ``realizations[k]``, row after row, over ``span`` realizations
-        and ``width`` blocks: one ``random_raw`` per block index over the
-        span, and one ``np.take`` of each row's blocks (faster than
-        ``np.compress`` with its mask, and a repeated realization takes
-        its blocks again)."""
-        slab = np.empty((span, width, 4), dtype=np.uint64)
-        self._counter[0] = r0 = int(realizations[0])
-        for b in range(width):
+    def _slab(self, words, at, realizations, stop):
+        """Write blocks 0 to ``stop[k] - 1`` of the nearby ascending
+        ``realizations[k]`` to blocks ``at[k]`` on of ``words`` (blocks):
+        per block index, one state set and one ``random_raw`` over their
+        span, and one ``np.take`` of each row's blocks (a repeated
+        realization takes its blocks again)."""
+        self._counter[0] = int(realizations[0])
+        if len(stop) == 1:  # a lone row's blocks go in place, one by one
+            for b in range(int(stop[0])):
+                self._counter[1] = b
+                self._bits.state = self._state
+                words[int(at[0]) + b] = self._bits.random_raw(4)
+            return
+        rel = realizations - realizations[0]
+        n = int(rel[-1]) + 1
+        slab = np.empty((int(stop.max()), n, 4), dtype=np.uint64)
+        for b in range(len(slab)):
             self._counter[1] = b
             self._bits.state = self._state
-            slab[:, b] = self._bits.random_raw(4 * span).reshape(span, 4)
-        if span == len(realizations) and stop.min() == width:
-            return slab.reshape(-1)
-        rows = slab.reshape(-1, 4)
-        return np.take(rows, _ranges((realizations - r0) * width, stop), axis=0).reshape(-1)
+            slab[b] = self._bits.random_raw(4 * n).reshape(n, 4)
+        block = np.arange(int(stop.sum())) - np.repeat(at - at[0], stop)
+        np.take(slab.reshape(-1, 4), block * n + np.repeat(rel, stop), axis=0,
+                out=words[at[0]:at[0] + len(block)])
 
     def _slabs(self, realizations, stop):
         """Blocks 0 to ``stop[k] - 1`` of the ascending ``realizations[k]``,
-        row after row: yields ``(word offset, words)`` of consecutive slabs
-        joined up to SLAB_BLOCKS blocks.  A slab ends at a gap of more than
-        SLAB_GAP realizations, and spans at most SLAB_BLOCKS blocks unless
-        one row alone has more."""
-        r, s, woff = realizations, stop, 4 * (np.cumsum(stop) - stop)
-        lo = np.append(0, np.flatnonzero(np.diff(r) > SLAB_GAP + 1) + 1)
-        runs = zip(lo.tolist(), np.append(lo[1:], len(r)).tolist(),
-                   np.maximum.reduceat(s, lo).tolist())
-        joined, size = [], 0
-        for lo, end, width in runs:
-            reach = max(1, SLAB_BLOCKS // max(width, 1))
-            while lo < end:
-                hi = lo + int(np.searchsorted(r[lo:end], r[lo] + reach))
-                if not joined:
-                    at = int(woff[lo])
-                joined.append(self._slab(r[lo:hi], s[lo:hi], int(r[hi - 1] - r[lo]) + 1, width))
-                size += len(joined[-1])
-                if size >= 4 * SLAB_BLOCKS or hi == len(r):
-                    yield at, joined[0] if len(joined) == 1 else np.concatenate(joined)
-                    joined, size = [], 0
-                lo = hi
+        row after row: yields ``(word offset, words)`` of consecutive rows,
+        SLAB_BLOCKS blocks at a time unless one row alone has more.  Their
+        slabs (``_slab``) end at gaps of more than SLAB_GAP realizations
+        and make at most SLAB_SPAN blocks unless one realization's need
+        more."""
+        end = np.cumsum(stop)
+        lo = 0
+        while lo < len(stop):
+            base = int(end[lo] - stop[lo])
+            hi = max(lo + 1, int(np.searchsorted(end, base + SLAB_BLOCKS, side="right")))
+            r, s = realizations[lo:hi], stop[lo:hi]
+            at = end[lo:hi] - s - base
+            words = np.empty((int(end[hi - 1]) - base, 4), dtype=np.uint64)
+            cut = (np.flatnonzero(np.diff(r) > SLAB_GAP) + 1).tolist()
+            for a, z in zip([0] + cut, cut + [len(r)]):
+                reach = max(1, SLAB_SPAN // max(int(s[a:z].max()), 1))
+                while a < z:
+                    y = a + int(np.searchsorted(r[a:z], r[a] + reach))
+                    self._slab(words, at[a:y], r[a:y], s[a:y])
+                    a = y
+            yield 4 * base, words.reshape(-1)
+            lo = hi
 
     def draws(self, kind: str, realizations, counts):
         """The first ``counts[k]`` draws of ``kind`` (a ``Generator``
@@ -445,10 +468,10 @@ class KeyedStream:
         drawn again, whole, by a further pass with 1, 3, 7, ... more
         blocks."""
         blocks = ((need if _KINDS[kind][1] is None else _slack(need)) + 3) // 4 + (1 << depth) - 1
-        woff = 4 * (np.cumsum(blocks) - blocks)
+        end = np.cumsum(4 * blocks)
+        woff = end - 4 * blocks
         x, (er, at, step), (tu, tv, tz), redo = _read(
-            kind, self._slabs(rows, blocks), woff, 4 * blocks, need,
-            int(woff[-1] + 4 * blocks[-1]),
+            kind, self._slabs(rows, blocks), woff, 4 * blocks, need, int(end[-1])
         )
         base, counts = np.empty_like(woff), np.empty_like(need)
         base[order], counts[order] = woff, need

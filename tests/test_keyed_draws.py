@@ -1,8 +1,8 @@
 """``KeyedStream.draws`` against the oracle of ``keyed_oracle``.
 
 Calls mix realizations in any order, repeated, sparse (gaps wider than
-SLAB_GAP) and near the top of the index range, with zero counts, slabs
-of four blocks, little slack, and the crafted rows of
+SLAB_GAP) and near the top of the index range, with zero counts, passes
+of four blocks, slabs of a few realizations, little slack, and the crafted rows of
 ``test_keyed_oracle`` (tail draws, wedge draws, words that run out).
 Every value must be the oracle's, and every row its own one-row call's.
 """
@@ -25,7 +25,7 @@ TOP = (1 << 60) - 1
 
 @st.composite
 def calls(draw):
-    """(kind, realizations, counts, SLAB_BLOCKS, slack) of one call."""
+    """(kind, realizations, counts, SLAB_BLOCKS, SLAB_SPAN, slack) of one call."""
     kind = draw(st.sampled_from(KINDS), label="kind")
     special = [] if kind == "random" else sorted(crafted(kind).values())
     index = st.one_of(
@@ -42,18 +42,20 @@ def calls(draw):
     counts += [n for _, n in picked]
     order = draw(st.permutations(range(len(rows))), label="order")
     slab_blocks = draw(st.sampled_from([4, rng_module.SLAB_BLOCKS]), label="SLAB_BLOCKS")
+    slab_span = draw(st.sampled_from([16, rng_module.SLAB_SPAN]), label="SLAB_SPAN")
     slack = draw(st.sampled_from([None, 0, 1]), label="slack")
     return (
-        kind, np.array(rows)[order], np.array(counts)[order], slab_blocks, slack,
+        kind, np.array(rows)[order], np.array(counts)[order], slab_blocks, slab_span, slack,
     )
 
 
 @settings(max_examples=120, deadline=None)
 @given(call=calls())
 def test_draws_match_the_oracle(call):
-    kind, rows, counts, slab_blocks, slack = call
+    kind, rows, counts, slab_blocks, slab_span, slack = call
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rng_module, "SLAB_BLOCKS", slab_blocks)
+        mp.setattr(rng_module, "SLAB_SPAN", slab_span)
         if slack is not None:
             mp.setattr(rng_module, "_slack", lambda c: (c + slack) * (c > 0))
         keyed = KeyedStream(SEED, STREAM_JUMP_TIMES)

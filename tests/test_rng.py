@@ -33,6 +33,7 @@ from jumpmc.rng import (
     keyed_streams,
     realization_streams,
     stream,
+    stream_generator,
 )
 from test_keyed_oracle import crafted, run_crafted
 
@@ -66,6 +67,19 @@ def test_realization_streams_match_roles():
         z.standard_normal(4), stream(101, 5, STREAM_MARKS).standard_normal(4)
     )
 
+
+
+def test_a_reset_generator_is_the_realization_stream():
+    # each reset returns one generator in the state of a new stream, after
+    # any use: 32-bit integers leave a buffered half word behind
+    reset = stream_generator(2**64 - 3, STREAM_MARKS)
+    for r in [5, 0, 5, (1 << 60) - 1, 77]:
+        got = reset(r)
+        want = stream(2**64 - 3, r, STREAM_MARKS)
+        np.testing.assert_array_equal(got.integers(0, 2**31, 3, dtype=np.int32),
+                                      want.integers(0, 2**31, 3, dtype=np.int32))
+        np.testing.assert_array_equal(got.standard_normal(5), want.standard_normal(5))
+        np.testing.assert_array_equal(got.random(3), want.random(3))
 
 def test_seed_config_defaults_and_validation():
     seeds = SeedConfig()
@@ -456,25 +470,27 @@ def test_only_rng_draws_at_a_word_offset():
 
 @pytest.mark.parametrize("kind", ["standard_normal", "standard_exponential", "random"])
 def test_slab_passes_of_whole_and_partial_blocks_match_the_generator(monkeypatch, kind):
-    # slabs of four blocks: a slab of rows of one block range over a span
-    # without gaps is the words as Philox makes them; any other slab takes
-    # each row's blocks
+    # passes of four blocks: a slab of consecutive distinct realizations
+    # writes Philox's words as they come; any other slab takes each row's
+    # block from them
     monkeypatch.setattr(rng_module, "SLAB_BLOCKS", 4)
     if kind != "random":
         monkeypatch.setattr(rng_module, "_slack", lambda counts: (counts + 1) * (counts > 0))
-    passes = []  # whether the slab's rows fill it
+    passes = []  # whether the slab's realizations are consecutive and distinct
     slab = KeyedStream._slab
 
-    def spy(self, realizations, stop, span, width):
-        passes.append(span == len(realizations) and set(stop.tolist()) == {width})
-        return slab(self, realizations, stop, span, width)
+    def spy(self, words, at, realizations, stop):
+        first = realizations[0]
+        passes.append(np.array_equal(realizations, first + np.arange(len(realizations))))
+        return slab(self, words, at, realizations, stop)
 
     monkeypatch.setattr(KeyedStream, "_slab", spy)
     seed = 2**64 - 7
     keyed = KeyedStream(seed, STREAM_MARKS)
     rng = np.random.default_rng(3)
     rows = np.concatenate([
-        rng.integers(0, 1 << 60, 200), np.arange(100, 300), np.arange(9000, 9200), [0, (1 << 60) - 1]
+        rng.integers(0, 1 << 60, 200), np.arange(100, 300), np.arange(9000, 9200), [0, (1 << 60) - 1],
+        np.arange(20000, 20600, 3), [30000, 30000, 30001],
     ])
     counts = rng.choice([0, 1, 2, 3, 4, 5, 7, 8, 11, 15, 16, 23, 41], size=len(rows))
     counts[400:600] = rng.choice([0, 1, 2, 3, 4, 5, 7], size=200)  # slabs of two to four rows
@@ -483,6 +499,16 @@ def test_slab_passes_of_whole_and_partial_blocks_match_the_generator(monkeypatch
     want = oracle.draws(seed, STREAM_MARKS, kind, rows, counts)
     np.testing.assert_array_equal(values, want)
 
+
+
+@pytest.mark.parametrize("kind", ["standard_normal", "standard_exponential", "random"])
+@pytest.mark.parametrize("rows", [[0, 0, 2], [0, 0, 1, 3], [4, 2, 2, 3]])
+def test_repeated_realizations_of_one_span_take_their_own_blocks(kind, rows):
+    # as many rows as the slab spans, of one block count, yet not one row
+    # per realization: each row still reads its own realization's blocks
+    values = KeyedStream(9, STREAM_WIENER).draws(kind, rows, [10] * len(rows))
+    want = oracle.draws(9, STREAM_WIENER, kind, rows, [10] * len(rows))
+    np.testing.assert_array_equal(values, want)
 
 def _sign_bit_normal(words):
     """The normal fast path with numpy's sign bit read apart: bit 8 of the
