@@ -181,17 +181,18 @@ _KINDS = {
 
 def _slack(counts):
     """Words drawn per row for ``counts`` ziggurat draws: at least
-    ``3 + counts // 8`` words past the last one the fast path needs, up
+    ``2 + counts // 8`` words past the last one the fast path needs, up
     to the end of the row's last Philox block (no row draws for none).
-    On 16,384 rows of 40 normals, 2 rows run out of them with ``2 +
-    counts // 8``, against 209 with ``2 + counts // 16``."""
-    return 4 * ((counts + 6 + counts // 8) // 4) * (counts > 0)
+    On 16,384 rows of 40 normals, 2 rows run out of them, against 209
+    with ``2 + counts // 16``; ``3 + counts // 8`` raised adapt-d's peak
+    RSS by 0.7 MB."""
+    return 4 * ((counts + 5 + counts // 8) // 4) * (counts > 0)
 
 
 def most_draws(blocks: int) -> int:
     """The most ziggurat draws of a row whose words (``_slack``) fit in
     ``blocks`` Philox blocks."""
-    words = 4 * blocks - 3  # for count + count // 8: 9 per 8 draws
+    words = 4 * blocks - 2  # for count + count // 8: 9 per 8 draws
     return 8 * (words // 9) + min(7, words % 9)
 
 
