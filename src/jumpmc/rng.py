@@ -189,10 +189,10 @@ def _slack(counts):
     return 4 * ((counts + 5 + counts // 8) // 4) * (counts > 0)
 
 
-def most_draws(blocks: int) -> int:
-    """The most ziggurat draws of a row whose words (``_slack``) fit in
-    ``blocks`` Philox blocks."""
-    words = 4 * blocks - 2  # for count + count // 8: 9 per 8 draws
+def most_draws(blocks: int, spare: int = 0) -> int:
+    """The most ziggurat draws of a row whose words (``_slack``), with
+    ``spare`` more slack words, fit in ``blocks`` Philox blocks."""
+    words = 4 * blocks - 2 - spare  # for count + count // 8: 9 per 8 draws
     return 8 * (words // 9) + min(7, words % 9)
 
 

@@ -412,9 +412,9 @@ def test_an_n40_chunk_draws_few_rows_again(monkeypatch):
 def test_jump_time_draws_of_two_chunks_draw_few_rows_again(monkeypatch):
     model = build_model("test5")
     integral = intensity_integral_for(model)
-    # six exponentials and their slack fill two Philox blocks at L(T) = ln 2
+    # five exponentials and their slack fill two Philox blocks at L(T) = ln 2
     count = jumps._exponential_count(integral.total)
-    assert (count, rng_module._slack(np.array([count]))[0]) == (6, 8)
+    assert (count, rng_module._slack(np.array([count]))[0]) == (5, 8)
     seen = spy_redo(monkeypatch, STREAM_JUMP_TIMES)
     for start in (0, 16384):
         ctl._setup_paths(
