@@ -96,9 +96,11 @@ class SeedConfig:
 
 def _check_realizations(realizations: np.ndarray):
     """Raise for the first of ``realizations`` (int64) out of range."""
-    bad = realizations[(realizations < 0) | (realizations >= 1 << _STREAM_SHIFT)]
-    if len(bad):
-        raise ParameterError(f"realization index out of range: {bad[0]}")
+    if realizations.size and (
+        realizations.min() < 0 or realizations.max() >= 1 << _STREAM_SHIFT
+    ):
+        bad = realizations[(realizations < 0) | (realizations >= 1 << _STREAM_SHIFT)][0]
+        raise ParameterError(f"realization index out of range: {bad}")
 
 
 def stream(seed: int, realization: int, stream_id: int) -> np.random.Generator:
@@ -206,7 +208,8 @@ def _draw_events(er, eq):
     """Which rejected words (rows ``er``, places ``eq``, in row and place
     order) start a draw: a run of adjacent ones alternates draw, ``u``,
     draw, ..., since a wedge draw reads the word after it as its ``u``."""
-    run = (np.diff(eq, prepend=-2) != 1) | (np.diff(er, prepend=-1) != 0)
+    run = np.ones(len(er), dtype=bool)
+    run[1:] = (eq[1:] != eq[:-1] + 1) | (er[1:] != er[:-1])
     if run.all():
         return run
     k = np.arange(len(er))
@@ -282,7 +285,8 @@ def _wedges(kind, er, eq, word, after, x, counts, drawn, kept):
     accept = np.where(wedge, test < bound, used > 0)
     # steps never fall: _segment_base reads the row bases off a running max
     step = np.where(wedge, 2 - accept, np.maximum(used - 1, 0))
-    lead = np.diff(er, prepend=-1) != 0
+    lead = np.ones(len(er), dtype=bool)
+    lead[1:] = er[1:] != er[:-1]
     before = np.cumsum(step) - step
     value = eq - (before - _segment_base(lead, before))  # the draw's value
     live = value < counts[er]  # a prefix of each row's draws
@@ -469,10 +473,10 @@ class KeyedStream:
         drawn again, whole, by a further pass with 1, 3, 7, ... more
         blocks."""
         blocks = ((need if _KINDS[kind][1] is None else _slack(need)) + 3) // 4 + (1 << depth) - 1
-        end = np.cumsum(4 * blocks)
-        woff = end - 4 * blocks
+        woff = 4 * (np.cumsum(blocks) - blocks)
         x, (er, at, step), (tu, tv, tz), redo = _read(
-            kind, self._slabs(rows, blocks), woff, 4 * blocks, need, int(end[-1])
+            kind, self._slabs(rows, blocks), woff, 4 * blocks, need,
+            int(woff[-1] + 4 * blocks[-1]),
         )
         base, counts = np.empty_like(woff), np.empty_like(need)
         base[order], counts[order] = woff, need
