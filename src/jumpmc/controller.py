@@ -146,7 +146,7 @@ from .jumps import (  # noqa: F401
     uniform_mesh,
 )
 from .model import JumpDiffusionModel, as_vectorized
-from .rng import SeedConfig, keyed_streams, realization_streams  # noqa: F401
+from .rng import REALIZATIONS, SeedConfig, keyed_streams, realization_streams  # noqa: F401
 
 Array = np.ndarray
 
@@ -686,8 +686,10 @@ def _run_chunked(chunk_fn, model, arg_list, workers):
 
 
 def _check_count(count, start=0):
-    check_integer("batch size", count, 1)
-    check_integer("start", start, 0)
+    """ParameterError unless realizations [start, start + count) are a
+    nonempty range of valid indices, checked in Python integers."""
+    if check_integer("batch size", count, 1) + check_integer("start", start, 0) > REALIZATIONS:
+        raise ParameterError(f"realization index out of range: {max(start, REALIZATIONS)}")
 
 
 def _check_workers(workers):

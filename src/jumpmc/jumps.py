@@ -32,18 +32,37 @@ Array = np.ndarray
 COLLISION_RTOL = 1e-14  # jump/deterministic node merge tolerance, times horizon
 PANELS = 64  # Gauss-Legendre panels of a numeric integrated intensity
 NODES = 8  # Gauss-Legendre nodes per panel
+BISECTIONS = 60  # halvings of a panel's bracket by the numeric inverse
+
+
+def _bisect(f, lo, hi, target):
+    """Solve f = target on each bracket [lo, hi], all entries at once: the
+    end of the bracket after BISECTIONS halvings whose f is nearer the
+    target (f is nondecreasing and maps arrays entrywise)."""
+    for _ in range(BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        below = f(mid) < target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return np.where(target - f(lo) < f(hi) - target, lo, hi)
 
 
 class IntensityIntegral:
     """Integrated intensity L(t) on [0, horizon] with a monotone inverse.
 
-    Uses model-provided closed forms when available, otherwise composite
-    Gauss-Legendre panels with a bracketed root solve for the inverse.
-    Scipy is loaded only for these numeric fallbacks (``roots_legendre``
-    when L has no closed form, ``brentq`` when its inverse has none), so
-    a model with both closed forms, like the builtins, needs numpy alone.
-    The intensity must be nonnegative (and within its declared bound)
-    wherever it is evaluated.
+    A model's closed forms are used when given.  Without a closed L the
+    constructor reads lam once, at the 8 Gauss-Legendre nodes of each of
+    64 panels, and keeps each panel's L as the integral of the degree-7
+    interpolant of those values, a Legendre series in the panel
+    coordinate u in [-1, 1]; a panel's total is its Gauss rule.  ``values``
+    and ``inverses`` work on whole arrays from that table and never call
+    lam again: each sum is bracketed in its panel by ``searchsorted`` and
+    all sums are bisected at once, in t, on their panels' series.  With a
+    closed L but no closed inverse, ``values`` and ``total`` are the
+    closed L and the inverse bisects it on the panel its values at the
+    panel edges bracket, so L(L^-1(s)) = s to rounding.
+    numpy.polynomial is imported only without a closed L.  The intensity
+    must be nonnegative (and within its declared bound) wherever it is
+    read.
     """
 
     def __init__(
@@ -64,53 +83,57 @@ class IntensityIntegral:
         self._closed_inverse = inverse
 
         self._edges = np.linspace(0.0, self.horizon, PANELS + 1)
+        self._half = 0.5 * np.diff(self._edges)
+        self._mid = self._edges[:-1] + self._half
 
         if closed_form is None:
-            from scipy.special import roots_legendre
+            from numpy.polynomial import legendre
 
-            self._gl_x, self._gl_w = roots_legendre(NODES)
-            panel_vals = np.array(
-                [
-                    self._gauss(self._edges[i], self._edges[i + 1])
-                    for i in range(PANELS)
-                ]
-            )
-            self._cum = np.concatenate([[0.0], np.cumsum(panel_vals)])
+            x, w = legendre.leggauss(NODES)
+            rates = self._rates(self._mid[:, None] + self._half[:, None] * x)
+            # interpolant coefficients (n + 1/2) sum_j w_j lam_j P_n(x_j)
+            coef = (rates * w) @ legendre.legvander(x, NODES - 1) * (np.arange(NODES) + 0.5)
+            self._series = self._half[:, None] * legendre.legint(coef, lbnd=-1, axis=1)
+            self._cum = np.concatenate([[0.0], np.cumsum(self._half * (rates @ w))])
         else:
-            # Spot-check nonnegativity on the same lattice the numeric
-            # path would use.
-            mids = 0.5 * (self._edges[:-1] + self._edges[1:])
-            for t in np.concatenate([self._edges, mids]):
-                self._check_rate(float(t))
+            # Spot-check nonnegativity on the panel edges and midpoints.
+            self._rates(np.concatenate([self._edges, self._mid]))
             self._cum = np.array([closed_form(t) for t in self._edges], float)
             if np.any(np.diff(self._cum) < -1e-12):
                 raise EvaluationError("closed-form integrated intensity decreases")
 
-    def _check_rate(self, t: float) -> float:
-        lam = float(self.intensity(t))
-        if not lam >= 0.0:  # NaN fails >= too
-            raise EvaluationError(f"intensity is negative or NaN at t={t}: {lam}")
-        if self.bound is not None and lam > self.bound * (1.0 + 1e-9):
+    def _rates(self, times: Array) -> Array:
+        """lam at ``times``, checked in one pass; the first time where it
+        is negative, NaN or above the declared bound raises."""
+        rates = np.array([float(self.intensity(t)) for t in times.ravel().tolist()])
+        limit = math.inf if self.bound is None else self.bound * (1.0 + 1e-9)
+        bad = ~(rates >= 0.0) | (rates > limit)  # NaN fails >= too
+        if bad.any():
+            t, lam = times.ravel()[bad][0], rates[bad][0]
             raise EvaluationError(
-                f"intensity at t={t} is {lam}, above its declared bound {self.bound}"
+                f"intensity is negative or NaN at t={t}: {lam}" if not lam >= 0.0
+                else f"intensity at t={t} is {lam}, above its declared bound {self.bound}"
             )
-        return lam
+        return rates.reshape(times.shape)
 
-    def _gauss(self, lo: float, hi: float) -> float:
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        ts = mid + half * self._gl_x
-        vals = np.array([self._check_rate(float(t)) for t in ts])
-        return half * float(self._gl_w @ vals)
+    def _panels(self, k: Array):
+        """The numeric L as a function of t, t[i] on panel k[i]."""
+        from numpy.polynomial.legendre import legval
+
+        cum, coef, mid, half = self._cum[k], self._series[k].T, self._mid[k], self._half[k]
+        return lambda t: cum + legval((t - mid) / half, coef, tensor=False)
+
+    def values(self, t) -> Array:
+        """L at every entry of the array ``t``, clipped to [0, horizon]."""
+        t = np.clip(np.asarray(t, float), 0.0, self.horizon)
+        if self._closed_form is not None:
+            return np.frompyfunc(self._closed_form, 1, 1)(t).astype(float)
+        k = np.clip(np.searchsorted(self._edges, t, side="right") - 1, 0, PANELS - 1)
+        return self._panels(k)(t)
 
     def value(self, t: float) -> float:
         """L(t) for t in [0, horizon]."""
-        if self._closed_form is not None:
-            return float(self._closed_form(t))
-        t = float(np.clip(t, 0.0, self.horizon))
-        k = int(np.searchsorted(self._edges, t, side="right")) - 1
-        k = min(max(k, 0), len(self._edges) - 2)
-        return float(self._cum[k] + self._gauss(self._edges[k], t))
+        return float(self.values([t])[0])
 
     @property
     def total(self) -> float:
@@ -119,48 +142,39 @@ class IntensityIntegral:
             return float(self._closed_form(self.horizon))
         return float(self._cum[-1])
 
-    def inverse(self, s: float) -> float:
-        """Smallest t with L(t) = s, for s in [0, L(horizon)]."""
+    def _solve(self, sums: Array) -> Array:
+        """``inverses`` without naming a failing entry."""
         if self._closed_inverse is not None:
-            return float(self._closed_inverse(s))
-        if s <= 0.0:
-            return 0.0
-        if s >= self.total:
-            return self.horizon
-        k = int(np.searchsorted(self._cum, s, side="right")) - 1
-        k = min(max(k, 0), len(self._edges) - 2)
-        lo, hi = self._edges[k], self._edges[k + 1]
-        from scipy.optimize import brentq
+            return np.frompyfunc(self._closed_inverse, 1, 1)(sums).astype(float)
+        k = np.clip(np.searchsorted(self._cum, sums, side="right") - 1, 0, PANELS - 1)
+        f = self.values if self._closed_form is not None else self._panels(k)
+        t = _bisect(f, self._edges[k], self._edges[k + 1], sums)
+        return np.where(sums <= 0.0, 0.0, np.where(sums >= self.total, self.horizon, t))
 
-        t = brentq(lambda u: self.value(u) - s, lo, hi, xtol=1e-15)
-        # Newton polish; the bracketed solve leaves |L(t) - s| near rounding
-        # already, one step tightens it when lam(t) is not tiny.
-        lam = self._check_rate(t)
-        if lam > 0.0:
-            t = float(np.clip(t - (self.value(t) - s) / lam, lo, hi))
-        return float(t)
-
-    def inverses(self, sums: Array) -> Array:
-        """``inverse`` of every entry of the 1-D array ``sums``.
+    def inverses(self, sums) -> Array:
+        """The smallest t with L(t) = s for every entry s of the 1-D array
+        ``sums``: 0 for s <= 0 and the horizon for s >= L(horizon).
 
         A closed inverse is mapped with ``np.frompyfunc``, so each value
         is the closed form's own (a ``math`` call stays on libm).  A
-        JumpMCError from the inverse of ``sums[k]`` carries ``exc.jump =
-        k``.
+        JumpMCError raised by a closed form carries ``exc.jump = k``, the
+        first entry whose own solve raises.
         """
-        if self._closed_inverse is not None:
-            try:
-                return np.frompyfunc(self._closed_inverse, 1, 1)(sums).astype(float)
-            except JumpMCError:
-                pass  # the loop finds the failing entry
-        out = np.empty(len(sums))
-        for k, s in enumerate(sums.tolist()):
-            try:
-                out[k] = self.inverse(s)
-            except JumpMCError as exc:
-                exc.jump = k
-                raise
-        return out
+        sums = np.asarray(sums, dtype=float)
+        try:
+            return self._solve(sums)
+        except JumpMCError:
+            for k in range(len(sums)):  # find the failing entry
+                try:
+                    self._solve(sums[k : k + 1])
+                except JumpMCError as exc:
+                    exc.jump = k
+                    raise
+            raise
+
+    def inverse(self, s: float) -> float:
+        """Smallest t with L(t) = s, for s in [0, L(horizon)]."""
+        return float(self.inverses([s])[0])
 
 
 def intensity_integral_for(model: JumpDiffusionModel) -> IntensityIntegral:
@@ -192,19 +206,18 @@ def jump_times_from_exponentials(
     """Jump times from an explicit unit-exponential supply.
 
     Deterministic core of :func:`sample_jump_times`, split out so tests can
-    drive it with chosen increments.  Raises if the supply is exhausted
+    drive it with chosen increments: the partial sums below L(T), mapped
+    by one ``integral.inverses`` call.  Raises if the supply is exhausted
     before the partial sums leave [0, L(T)).
     """
     total = integral.total
-    times = []
-    s = 0.0
+    sums = [0.0]
     for e in exponentials:
         if e <= 0.0:
             raise ParameterError(f"exponential increments must be > 0, got {e}")
-        s += e
-        if s >= total:
-            return np.array(times)
-        times.append(integral.inverse(s))
+        sums.append(sums[-1] + e)
+        if sums[-1] >= total:
+            return integral.inverses(np.array(sums[1:-1]))
     raise ParameterError(
         "exponential supply exhausted before the integrated intensity was covered"
     )

@@ -93,8 +93,8 @@ class JumpDiffusionModel:
     payoff_xx: Optional[Callable] = None
     payoff_xxx: Optional[Callable] = None
 
-    # Closed forms for the integrated intensity and its inverse; when absent
-    # they are computed by quadrature.
+    # Closed forms for the integrated intensity and its inverse, an optional
+    # pair; without them jumps.IntensityIntegral tabulates the intensity.
     intensity_integral: Optional[Callable[[float], float]] = None
     intensity_integral_inverse: Optional[Callable[[float], float]] = None
 

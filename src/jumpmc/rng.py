@@ -61,7 +61,8 @@ STREAM_WIENER = 0
 STREAM_JUMP_TIMES = 1
 STREAM_MARKS = 2
 
-_STREAM_SHIFT = 60  # realization indices stay below 2**60
+_STREAM_SHIFT = 60
+REALIZATIONS = 1 << _STREAM_SHIFT  # realization indices stay below 2**60
 
 # Philox blocks a pass of the fast path reads; bounds the temporaries
 SLAB_BLOCKS = 1 << 12
@@ -94,19 +95,23 @@ class SeedConfig:
             object.__setattr__(self, field, value)
 
 
-def _check_realizations(realizations: np.ndarray):
-    """Raise for the first of ``realizations`` (int64) out of range."""
-    if realizations.size and (
-        realizations.min() < 0 or realizations.max() >= 1 << _STREAM_SHIFT
-    ):
-        bad = realizations[(realizations < 0) | (realizations >= 1 << _STREAM_SHIFT)][0]
-        raise ParameterError(f"realization index out of range: {bad}")
+def _realization_array(realizations) -> np.ndarray:
+    """``realizations`` as int64; ParameterError for the first one out of
+    [0, 2**60), found in Python integers where int64 cannot hold it."""
+    try:
+        rows = np.asarray(realizations, dtype=np.int64)
+        bad = rows[(rows < 0) | (rows >= REALIZATIONS)]
+    except OverflowError:
+        bad = [r for r in map(int, realizations) if not 0 <= r < REALIZATIONS]
+    if len(bad):
+        raise ParameterError(f"realization index out of range: {bad[0]}")
+    return rows
 
 
 def stream(seed: int, realization: int, stream_id: int) -> np.random.Generator:
     """Numpy's generator for one (seed, realization, stream) triple, keyed
     ``(seed, realization + ((stream_id + 1) << 60))``."""
-    _check_realizations(np.array([realization], dtype=np.int64))
+    _realization_array([realization])
     return stream_generator(seed, stream_id)(realization)
 
 
@@ -445,7 +450,7 @@ class KeyedStream:
         """
         if kind not in _KINDS:
             raise ParameterError(f"unknown draw kind {kind!r}, expected one of {sorted(_KINDS)}")
-        realizations = np.asarray(realizations, dtype=np.int64)
+        realizations = _realization_array(realizations)
         counts = np.asarray(counts, dtype=np.int64)
         if realizations.ndim != 1 or realizations.shape != counts.shape:
             raise ParameterError(
@@ -457,7 +462,6 @@ class KeyedStream:
             raise ParameterError(
                 f"draw count must be >= 0, got {counts[k]} (realization {realizations[k]})"
             )
-        _check_realizations(realizations)
         if not counts.sum():
             return np.empty(0)
         order = np.argsort(realizations, kind="stable")

@@ -1,17 +1,20 @@
 """The numeric integrated-intensity path, pinned bit for bit.
 
 A model without closed forms for L(t) = int_0^t lam(s) ds and its inverse
-gets composite Gauss-Legendre panels and a bracketed root solve in
-``jumps.IntensityIntegral``.  The builtins both give closed forms, so no
+gets the node table of ``jumps.IntensityIntegral``: lam read once at the
+Gauss-Legendre nodes of its panels, and a bisection of each panel's
+series for the inverse.  The builtins both give closed forms, so no
 engine digest covers this path; these pins do.  ``float.hex`` values of
 the total and of the inverse at a few levels, plus digests of a small
 ``run_mesh_batch`` on ``test5`` with its closed forms removed.  A
-subprocess check keeps scipy off the import path of the package, the
-command line and the builtin models: only this path loads it.
+subprocess check keeps scipy off the package's import path, on every
+model, and ``numpy.polynomial`` off it for the builtin models: only the
+numeric path loads it.
 
-The values depend on the quadrature nodes and the root solver of scipy
-as well as on numpy's draws, so they are checked only under the series
-they were generated with.  Regenerate them with
+The values depend on numpy's Gauss-Legendre nodes and its draws, so they
+are checked only under the numpy series they were generated with.
+``test_intensity_oracle`` bounds them against the scipy path the table
+replaced and against exact closed forms.  Regenerate them with
 ``python tests/test_numeric_intensity.py`` only for a change that is
 meant to alter results, and say so.
 """
@@ -21,7 +24,6 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
-from importlib.metadata import version
 from pathlib import Path
 
 import numpy as np
@@ -32,26 +34,22 @@ from jumpmc import controller as ctl
 from jumpmc.jumps import IntensityIntegral
 
 NUMPY_SERIES = "2.4"
-SCIPY_SERIES = "1.17"
 
 TOTAL = "0x1.62e42fefa39efp-1"
 INVERSE = {
     0.05: "0x1.a403484548655p-5",
     0.3: "0x1.6641632306a56p-2",
-    0.5: "0x1.4c2531c3c0d37p-1",
+    0.5: "0x1.4c2531c3c0d38p-1",
     0.69: "0x1.fcc848499ccb6p-1",
 }
 MESH_BATCH = {
     "n_jumps": "2ae3182fb85acdf08803ad046e68c75c8d552127c65aba2e74cbcfd332e05ba2",
-    "payoff": "90960677ac0a33f6a5042b7e3019fb10e806ad1c5dfff71707aa6bb1b277a5d8",
+    "payoff": "c13c1908674d55f15c5e2d5c82929fea15ca4187e6f9bb4749574d65680e8957",
 }
 
 pinned = pytest.mark.skipif(
-    not (
-        np.__version__.startswith(NUMPY_SERIES + ".")
-        and version("scipy").startswith(SCIPY_SERIES + ".")
-    ),
-    reason=f"pinned under numpy {NUMPY_SERIES} and scipy {SCIPY_SERIES}",
+    not np.__version__.startswith(NUMPY_SERIES + "."),
+    reason=f"pinned under numpy {NUMPY_SERIES}",
 )
 
 
@@ -87,22 +85,24 @@ import jumpmc.cli
 from jumpmc import SeedConfig, build_model, controller, uniform_mesh
 
 
-def scipy_loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def loaded(name):
+    return sorted(m for m in sys.modules if m == name or m.startswith(name + "."))
 
 
 model = build_model("test5")
 det = uniform_mesh(model.horizon, 5)
 controller.run_mesh_batch(model, det, SeedConfig(), 0, 64)
-assert not scipy_loaded(), scipy_loaded()
+assert not loaded("scipy"), loaded("scipy")
+assert not loaded("numpy.polynomial"), loaded("numpy.polynomial")
 numeric = replace(model, intensity_integral=None, intensity_integral_inverse=None)
 out = controller.run_mesh_batch(numeric, det, SeedConfig(), 0, 64)
 assert out["n_jumps"].sum() > 0
-assert {"scipy.optimize", "scipy.special"} <= set(scipy_loaded()), scipy_loaded()
+assert not loaded("scipy"), loaded("scipy")
+assert "numpy.polynomial.legendre" in loaded("numpy.polynomial"), loaded("numpy.polynomial")
 """
 
 
-def test_scipy_is_loaded_only_for_a_numeric_intensity():
+def test_scipy_is_never_loaded_and_numpy_polynomial_only_for_a_numeric_intensity():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(

@@ -447,6 +447,41 @@ def test_draws_reject_a_realization_out_of_range(bad, count):
         assert str(exc.value) == f"realization index out of range: {bad}"
 
 
+@pytest.mark.parametrize("bad", [1 << 60, 1 << 63, 1 << 64, -1])
+def test_realizations_beyond_int64_are_out_of_range(bad):
+    # checked in Python integers, so an index int64 cannot hold raises
+    # ParameterError as one in [2**60, 2**63) does, not OverflowError
+    message = f"realization index out of range: {bad}"
+    with pytest.raises(ParameterError) as exc:
+        KeyedStream(7, STREAM_WIENER).draws("random", [5, bad], [1, 1])
+    assert str(exc.value) == message
+    with pytest.raises(ParameterError) as exc:
+        stream(7, bad, STREAM_WIENER)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "start, count, bad",
+    [
+        ((1 << 60) - 1, 2, 1 << 60),
+        (1 << 60, 2, 1 << 60),
+        (1 << 63, 2, 1 << 63),
+        (0, 1 << 64, 1 << 60),
+    ],
+)
+def test_a_batch_past_the_last_realization_is_out_of_range(start, count, bad):
+    # checked before any row is drawn, so no large count is run
+    det = uniform_mesh(1.0, 5)
+    with pytest.raises(ParameterError) as exc:
+        run_mesh_batch(build_model("test5"), det, SeedConfig(), start, count)
+    assert str(exc.value) == f"realization index out of range: {bad}"
+    with pytest.raises(ParameterError, match="realization index out of range"):
+        run_stochastic_batch(
+            build_model("test5"), det, SeedConfig(), start, count, tol=0.04, tol_t=0.02,
+            n_a_bar=5.0,
+        )
+
+
 def test_only_rng_draws_at_a_word_offset():
     # a row's word offset depends on its ziggurat rejections, so only rng
     # sets a Philox counter: no other module builds a bit generator, reads
