@@ -146,7 +146,8 @@ from .jumps import (  # noqa: F401
     uniform_mesh,
 )
 from .model import JumpDiffusionModel, as_vectorized
-from .rng import REALIZATIONS, SeedConfig, keyed_streams, realization_streams  # noqa: F401
+from .rng import REALIZATIONS, SeedConfig, call_slabs, keyed_streams
+from .rng import realization_streams  # noqa: F401
 
 Array = np.ndarray
 
@@ -514,28 +515,36 @@ def _setup_paths(model, det, streams, start, count, integral):
     ``jumps.sample_jump_chunk`` draws every realization's jumps (with the
     model's intensity ``integral``) and marks from its keyed ``streams``;
     ``jumps.build_grid_batch`` merges all grids in one pass, written
-    node-major group by group; the standard normals of every row come from
-    one ``KeyedStream.draws`` call on the Wiener family, in column order,
-    and are scaled by sqrt(dt) into the node-major increments, a
-    step-count group at a time.  A row's increments are the first
-    ``n_steps * wiener_dim`` normals of its Wiener stream.  Set-up errors
-    name the realization.
+    node-major group by group; the standard normals come from the Wiener
+    family in slabs of consecutive realizations of at most
+    ``rng.CALL_DRAWS`` normals (``rng.call_slabs``), one
+    ``KeyedStream.draws`` call per slab in column order, and each
+    step-count group's share of a slab, a column range, is scaled by
+    sqrt(dt) into the node-major increments.  So no chunk-wide array of
+    normals exists, and the draws' transients are bounded by the slab.  A
+    row's increments are the first ``n_steps * wiener_dim`` normals of its
+    Wiener stream.  Set-up errors name the realization.
     """
     wiener, jump_times, marks = streams
     realizations = range(start, start + count)
     jumps = sample_jump_chunk(model, integral, jump_times, marks, realizations)
     grids = build_grid_batch(det, *jumps, horizon=model.horizon, realizations=realizations)
     l = model.wiener_dim
-    z = wiener.draws("standard_normal", start + grids.rows, grids.n_steps * l)
     dw = np.empty((len(grids.times) - 1, count, l))
     paths = PathBatch(grids.times, dw, grids.jump_flag, grids.marks, grids.n_steps)
-    at = 0
-    for cols, n in paths.by_step_count():
-        t = grids.times[: n + 1, cols]
-        size = (cols.stop - cols.start) * n * l
-        normals = z[at : at + size].reshape(-1, n, l).swapaxes(0, 1)
-        np.multiply(normals, np.sqrt(t[1:] - t[:-1])[:, :, None], out=dw[:n, cols])
-        at += size
+    cuts = call_slabs(np.bincount(grids.rows, grids.n_steps * l))
+    # a group's columns ascend by row, so its share of each slab is a
+    # column range; a slab's columns follow the groups'
+    groups = [(c.start + np.searchsorted(grids.rows[c], cuts), n) for c, n in paths.by_step_count()]
+    for s in range(len(cuts) - 1):
+        spans = [(at[s], at[s + 1], n) for at, n in groups if at[s] < at[s + 1]]
+        cols = np.concatenate([np.arange(lo, hi) for lo, hi, _ in spans])
+        z = wiener.draws("standard_normal", start + grids.rows[cols], grids.n_steps[cols] * l)
+        ends = np.cumsum([(hi - lo) * n * l for lo, hi, n in spans])
+        for (lo, hi, n), normals in zip(spans, np.split(z, ends[:-1])):
+            t = grids.times[: n + 1, lo:hi]
+            normals = normals.reshape(-1, n, l).swapaxes(0, 1)
+            np.multiply(normals, np.sqrt(t[1:] - t[:-1])[:, :, None], out=dw[:n, lo:hi])
     return grids.rows, paths, jumps[0], grids.collisions
 
 

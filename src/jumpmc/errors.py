@@ -32,16 +32,16 @@ class ParameterError(JumpMCError, ValueError):
     """An argument is outside its documented domain."""
 
 
-def check_integer(name, value, least):
+def check_integer(name, value, least=None):
     """``value`` as an int (numpy integers too); ParameterError unless it
-    is an integer, not a bool, of at least ``least``."""
+    is an integer, not a bool, of at least ``least`` (if given)."""
     try:
         if isinstance(value, bool):
             raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ParameterError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
+    if least is not None and value < least:
         raise ParameterError(f"{name} must be >= {least}, got {value}")
     return value
 

@@ -72,6 +72,12 @@ SLAB_BLOCKS = 1 << 12
 SLAB_GAP = 256
 # Philox blocks one slab makes at most (1 MB), realizations times blocks
 SLAB_SPAN = 1 << 15
+# draws a call makes at most where its caller splits its rows
+# (``call_slabs``), so that the call's transients (words, slack words,
+# fast-path values, index: a few times its output) are bounded by the
+# slab.  On algorithm_d's 16,384-row Monte Carlo chunk at N=40 this cut
+# the set-up's traced peak from 25.2 to 17.9 MiB (2**16: 16.0 MiB)
+CALL_DRAWS = 1 << 17
 
 # numpy's ziggurat tail constants (ziggurat_constants.h)
 _NOR_R = 3.654152885361009
@@ -95,17 +101,25 @@ class SeedConfig:
             object.__setattr__(self, field, value)
 
 
+def _integers(name, values) -> np.ndarray:
+    """``values`` as an integer array, of Python ints (dtype object) where
+    numpy holds them in no integer dtype; ParameterError for the first
+    that is not an integer (a float or a bool, even an integral one)."""
+    array = np.asarray(values)
+    if array.dtype.kind in "iu":
+        return array
+    items = np.asarray(values, dtype=object)
+    return np.array([check_integer(name, v) for v in items.flat], dtype=object).reshape(items.shape)
+
+
 def _realization_array(realizations) -> np.ndarray:
-    """``realizations`` as int64; ParameterError for the first one out of
-    [0, 2**60), found in Python integers where int64 cannot hold it."""
-    try:
-        rows = np.asarray(realizations, dtype=np.int64)
-        bad = rows[(rows < 0) | (rows >= REALIZATIONS)]
-    except OverflowError:
-        bad = [r for r in map(int, realizations) if not 0 <= r < REALIZATIONS]
-    if len(bad):
+    """``realizations`` as int64; ParameterError for the first one that is
+    not an integer or is out of [0, 2**60), with its true value."""
+    rows = _integers("realization index", realizations)
+    bad = rows[(rows < 0) | (rows >= REALIZATIONS)]
+    if bad.size:
         raise ParameterError(f"realization index out of range: {bad[0]}")
-    return rows
+    return rows.astype(np.int64, copy=False)
 
 
 def stream(seed: int, realization: int, stream_id: int) -> np.random.Generator:
@@ -194,6 +208,17 @@ def _slack(counts):
     with ``2 + counts // 16``; ``3 + counts // 8`` raised adapt-d's peak
     RSS by 0.7 MB."""
     return 4 * ((counts + 5 + counts // 8) // 4) * (counts > 0)
+
+
+def call_slabs(counts) -> list:
+    """Cuts ``[0, ..., len(counts)]`` of rows into slabs of consecutive
+    rows holding at most CALL_DRAWS of the ``counts`` draws in all, unless
+    one row alone has more."""
+    end, cuts = np.cumsum(counts), [0]
+    while cuts[-1] < len(counts):
+        base = end[cuts[-1]] - counts[cuts[-1]]
+        cuts.append(max(cuts[-1] + 1, int(np.searchsorted(end, base + CALL_DRAWS, side="right"))))
+    return cuts
 
 
 def most_draws(blocks: int, spare: int = 0) -> int:
@@ -451,7 +476,7 @@ class KeyedStream:
         if kind not in _KINDS:
             raise ParameterError(f"unknown draw kind {kind!r}, expected one of {sorted(_KINDS)}")
         realizations = _realization_array(realizations)
-        counts = np.asarray(counts, dtype=np.int64)
+        counts = _integers("draw count", counts).astype(np.int64, copy=False)
         if realizations.ndim != 1 or realizations.shape != counts.shape:
             raise ParameterError(
                 f"realizations and counts must be 1-d and of one length, "

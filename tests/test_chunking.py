@@ -23,7 +23,7 @@ from jumpmc import (  # noqa: E402
     uniform_mesh,
 )
 from jumpmc import controller as ctl  # noqa: E402
-from jumpmc import density  # noqa: E402
+from jumpmc import density, rng  # noqa: E402
 
 MODEL = build_model("test5")
 SEEDS = SeedConfig(wiener=11, jump_times=12, marks=13)
@@ -45,9 +45,10 @@ def assert_same(got, want):
     n=st.sampled_from([5, 40]),
     want_density=st.booleans(),
     steps=st.integers(1, 2000),
+    slab=st.integers(1, 3000),
 )
-@example(chunk=300, block=4, start=0, n=5, want_density=True, steps=2000)
-def test_mesh_batch_does_not_depend_on_chunking(chunk, block, start, n, want_density, steps):
+@example(chunk=300, block=4, start=0, n=5, want_density=True, steps=2000, slab=3000)
+def test_mesh_batch_does_not_depend_on_chunking(chunk, block, start, n, want_density, steps, slab):
     # a block budget below every row's step count (each row has at least
     # n) makes one-row blocks
     det = uniform_mesh(1.0, n)
@@ -57,6 +58,7 @@ def test_mesh_batch_does_not_depend_on_chunking(chunk, block, start, n, want_den
         patch.setattr(ctl, "MESH_CHUNK", chunk)
         patch.setattr(ctl, "MESH_BLOCK_STEPS", block)
         patch.setattr(density, "DENSITY_SLICE", steps)
+        patch.setattr(rng, "CALL_DRAWS", slab)
         got = run_mesh_batch(MODEL, det, SEEDS, start, 300, **kw)
     assert_same(got, want)
     # each realization's rows are the same when the range starts later

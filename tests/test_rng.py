@@ -447,17 +447,27 @@ def test_draws_reject_a_realization_out_of_range(bad, count):
         assert str(exc.value) == f"realization index out of range: {bad}"
 
 
-@pytest.mark.parametrize("bad", [1 << 60, 1 << 63, 1 << 64, -1])
+@pytest.mark.parametrize("bad", [1 << 60, 1 << 63, 1 << 64, -1, np.uint64(1 << 63)])
 def test_realizations_beyond_int64_are_out_of_range(bad):
-    # checked in Python integers, so an index int64 cannot hold raises
-    # ParameterError as one in [2**60, 2**63) does, not OverflowError
-    message = f"realization index out of range: {bad}"
-    with pytest.raises(ParameterError) as exc:
-        KeyedStream(7, STREAM_WIENER).draws("random", [5, bad], [1, 1])
-    assert str(exc.value) == message
+    # checked in Python integers or in their own unsigned dtype, so an
+    # index int64 cannot hold raises ParameterError with its true value,
+    # as one in [2**60, 2**63) does, not OverflowError
+    message = f"realization index out of range: {int(bad)}"
+    calls = [[5, bad], np.array([5, bad], dtype=np.uint64)] if 0 <= bad < 1 << 64 else [[5, bad]]
+    for realizations in calls:
+        with pytest.raises(ParameterError) as exc:
+            KeyedStream(7, STREAM_WIENER).draws("random", realizations, [1, 1])
+        assert str(exc.value) == message
     with pytest.raises(ParameterError) as exc:
         stream(7, bad, STREAM_WIENER)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("bad", [1.9, 2.0, True])
+def test_stream_rejects_a_realization_that_is_not_an_integer(bad):
+    # int() would truncate 1.9 to realization 1's stream
+    with pytest.raises(ParameterError, match=f"realization index must be an integer, got {bad!r}"):
+        stream(7, bad, STREAM_WIENER)
 
 
 @pytest.mark.parametrize(
@@ -578,6 +588,12 @@ def test_signed_table_normal_fast_path_matches_the_sign_bit_formula():
         ("standard_normal", [1, 2], [3], r"of one length, got shapes \(2,\) and \(1,\)"),
         ("random", [4, 5, 6], [3, -2, 1], r"must be >= 0, got -2 \(realization 5\)"),
         ("normal", [1], [3], "unknown draw kind 'normal'"),
+        # not truncated to realization 1, or to a count of 1
+        ("random", [1.5], [1], "realization index must be an integer, got 1.5"),
+        ("random", np.array([0.0, 2.0]), [1, 1], "realization index must be an integer, got 0.0"),
+        ("random", [True], [1], "realization index must be an integer, got True"),
+        ("random", [1], [1.5], "draw count must be an integer, got 1.5"),
+        ("standard_normal", [1, 2], np.array([3.0, 1.0]), "draw count must be an integer, got 3.0"),
     ],
 )
 def test_draws_reject_bad_input(kind, realizations, counts, message):

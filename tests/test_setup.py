@@ -9,6 +9,7 @@ step count into the kernel.  The mesh engine must match it bit for bit
 in ``test_controller``).
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import keyed_oracle as oracle
@@ -22,10 +23,12 @@ from jumpmc import (
     uniform_mesh,
 )
 from jumpmc import controller as ctl
+from jumpmc import rng
 from jumpmc.density import cutoff_density_S, interval_sums
 from jumpmc.euler import sample_wiener_increments, stack_paths
 from jumpmc.jumps import build_augmented_grid, intensity_integral_for, sample_jumps
 from jumpmc.model import as_vectorized
+from jumpmc.rng import keyed_streams
 
 
 def reference_mesh_batch(model, det, seeds, start, count, tol=None, want_density=False):
@@ -69,15 +72,24 @@ def reference_mesh_batch(model, det, seeds, start, count, tol=None, want_density
 
 
 @pytest.mark.parametrize(
-    "n, start, count, want_density, vectorized",
+    "n, start, count, want_density, vectorized, slab",
     [
-        pytest.param(5, 0, 500, True, True, id="N5-density"),
-        pytest.param(40, 0, 200, False, True, id="N40-forward"),
-        pytest.param(5, 0, 100, True, False, id="N5-density-row-loop"),
-        pytest.param(5, 1000, 200, True, True, id="N5-density-start1000"),
+        pytest.param(5, 0, 500, True, True, None, id="N5-density"),
+        pytest.param(40, 0, 200, False, True, None, id="N40-forward"),
+        pytest.param(5, 0, 100, True, False, None, id="N5-density-row-loop"),
+        pytest.param(5, 1000, 200, True, True, None, id="N5-density-start1000"),
+        # every row has at least 5 normals, so no two rows of 6 share a
+        # slab and a row of 7 or more is alone over the bound
+        pytest.param(5, 0, 300, True, True, 11, id="N5-density-one-row-slabs"),
+        # some 9 rows a slab, spanning the step-count groups
+        pytest.param(40, 1000, 200, False, True, 400, id="N40-forward-slabs"),
     ],
 )
-def test_mesh_batch_matches_one_row_setup(n, start, count, want_density, vectorized):
+def test_mesh_batch_matches_one_row_setup(
+    monkeypatch, n, start, count, want_density, vectorized, slab
+):
+    if slab is not None:
+        monkeypatch.setattr(rng, "CALL_DRAWS", slab)
     m = replace(build_model("test5"), vectorized=vectorized)
     det = uniform_mesh(1.0, n)
     kw = dict(tol=0.05, want_density=want_density)
@@ -88,3 +100,25 @@ def test_mesh_batch_matches_one_row_setup(n, start, count, want_density, vectori
         assert got[key].dtype == want[key].dtype, key
         np.testing.assert_array_equal(got[key], want[key], err_msg=key)
 
+
+
+def test_setup_holds_one_slab_of_normals_at_a_time(monkeypatch):
+    # The Wiener normals are drawn a slab of rows at a time and scaled
+    # into the increments, so beyond what it keeps the set-up holds one
+    # slab's transients (the draw's words, slack words, fast-path values
+    # and index: about six times its normals) and the chunk's jumps.  One
+    # draw of the chunk's 1.3 MiB of normals held about 2.4 times them.
+    monkeypatch.setattr(rng, "CALL_DRAWS", 1 << 12)
+    model = build_model("test5")
+    args = (model, uniform_mesh(1.0, 40), keyed_streams(SeedConfig()), 0, 4096,
+            intensity_integral_for(model))
+    ctl._setup_paths(*args)
+    tracemalloc.start()
+    try:
+        rows, paths, n_jumps, collisions = ctl._setup_paths(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in (rows, n_jumps, collisions, paths.times, paths.dw,
+                                  paths.jump_flag, paths.marks, paths.n_steps))
+    assert peak - kept <= 16 * 8 * rng.CALL_DRAWS < paths.n_steps.sum() * 8 / 2
