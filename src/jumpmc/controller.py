@@ -25,13 +25,14 @@ which chains the batched layers for a block of B paths: forward Euler
 (``euler.euler_batch``; ``euler.euler_terminal`` when only X(T) is
 needed, as in ``monte_carlo``), order-3 dual weights
 (``duals.dual_batch``) and the per-step density
-(``density.rho_batch``), with every callback
-evaluated once per node and shared by the dual and density layers.  The
-backward sweep reads only X(T) and the left limits at the jumps of the
-forward paths: the left limits are freed before it, once their values
-at the jumps are taken, and the callbacks only the density reads are
-evaluated after it; the memory this saves goes to larger level-loop
-blocks.  A
+(``density.rho_batch``), with every callback evaluated once per node and
+shared by the layers: forward Euler returns the drift and diffusion it
+evaluated, packed as the dual and density layers read them, and only
+the derivatives are evaluated after it.  The backward sweep reads only
+X(T) and the left limits at the jumps of the forward paths: the left
+limits are freed before it, once their values at the jumps are taken,
+and the time derivatives only the density reads are evaluated after
+it; the memory this saves goes to larger level-loop blocks.  A
 derivative with a declared support (``derivative_support``) is copied
 and contracted only on the bounding box of that support, and one with
 an empty support is not evaluated; the support is static, so this
@@ -107,7 +108,6 @@ import numpy as np
 # imported so that they stay patchable.
 from .density import (  # noqa: F401
     INTERVAL_DENSITY_CALLBACKS,
-    STEP_DENSITY_CALLBACKS,
     _check_tol,
     cutoff_density_S,
     interval_sums,
@@ -441,9 +441,10 @@ def stopping_deterministic(rbar: Array, n: int, tol_tt: float, D1: float) -> boo
 # fixed-mesh batch engine
 
 # the Euler-map callbacks the sweep reads, evaluated before it, and those
-# only the density reads, evaluated after it
+# only the density reads, evaluated after it; forward Euler gives the
+# drift and diffusion
 _SWEEP_CALLBACKS = _euler_map_callbacks(3)
-_DENSITY_ONLY_CALLBACKS = [n for n in STEP_DENSITY_CALLBACKS if n not in _SWEEP_CALLBACKS]
+_DENSITY_ONLY_CALLBACKS = ["drift_t", "diffusion_t"]
 
 
 def _path_batch(model, paths, realizations, want_rho):
@@ -459,16 +460,17 @@ def _path_batch(model, paths, realizations, want_rho):
     ``want_rho``; rho is (B, n), 0 past a row's last step.  The model's
     callbacks must broadcast over rows (see ``as_vectorized``); each is
     evaluated once per real node, and the dual and density layers share
-    the values.  The backward sweep holds only what it reads of the
-    forward paths: the forward left limits are freed before it, once
-    their values at the jumps are taken, and the density-only callbacks
-    (``_DENSITY_ONLY_CALLBACKS``) are evaluated after it, at the same
-    nodes, after which the node values are freed too.
+    the values: the drift and diffusion are forward Euler's, packed as
+    ``euler_batch`` returns them.  The backward sweep holds only what it
+    reads of the forward paths: the forward left limits are freed before
+    it, once their values at the jumps are taken, and the density-only
+    callbacks (``_DENSITY_ONLY_CALLBACKS``) are evaluated after it, at
+    the same nodes, after which the node values are freed too.
     """
     if not want_rho:
         terminal = euler_terminal(model, paths, realizations=realizations)
         return _payoff(model, terminal, realizations), None
-    values, left = euler_batch(model, paths, realizations=realizations)
+    values, left, cb = euler_batch(model, paths, realizations=realizations)
     x_T = terminal_values(paths, values)
     payoff = _payoff(model, x_T, realizations)
     model.require(
@@ -478,7 +480,7 @@ def _path_batch(model, paths, realizations, want_rho):
     del left
     nodes = (paths.times[:-1], values[:-1])
     running = paths.running()
-    cb = _stack_calls(model, _SWEEP_CALLBACKS, *nodes, running=running)
+    cb.update(_stack_calls(model, _SWEEP_CALLBACKS, *nodes, running=running))
     stores, _, _ = dual_batch(model, cb, paths, x_T, jump_left, 3)
     cb.update(_stack_calls(model, _DENSITY_ONLY_CALLBACKS, *nodes, running=running))
     del values, nodes, x_T, jump_left  # freed before the density layer
@@ -607,13 +609,12 @@ def _interval_batch(model, paths, realizations, det):
     """Payoffs and the (B, N) signed interval densities on the mesh
     ``det`` of a block of rows, as ``_path_batch`` runs the per-step
     density: the interval density needs order-2 duals only, and its
-    left-node drift and diffusion come from the same callback call as
-    the dual layer's."""
+    left-node drift and diffusion are forward Euler's."""
     model.require(*_required_callbacks(2, with_jumps=paths.jump_flag.any()))
-    values, left = euler_batch(model, paths, realizations=realizations)
+    values, left, cb = euler_batch(model, paths, realizations=realizations)
     times, running = paths.times, paths.running()
-    names = _euler_map_callbacks(2) + INTERVAL_DENSITY_CALLBACKS
-    cb = _stack_calls(model, names, times[:-1], values[:-1], running=running)
+    nodes = (times[:-1], values[:-1])
+    cb.update(_stack_calls(model, _euler_map_callbacks(2), *nodes, running=running))
     x_T = terminal_values(paths, values)
     stores, _, _ = dual_batch(model, cb, paths, x_T, jump_left_limits(paths, left), 2)
     hi = _stack_calls(model, INTERVAL_DENSITY_CALLBACKS, times[1:], left[1:], running=running)

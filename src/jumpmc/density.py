@@ -23,19 +23,20 @@ and ``rho_per_step`` is the one-row case of ``rho_batch``.
 
 The batched density layers take the dual layer's rows-last arrays:
 tensor axes first and the trailing lead axes (n, B) at the end (see
-``duals``).  Only the final contraction of each term with the dual
-weights runs on a contiguous rows-first (B*n, ...) copy: numpy adds a
-contiguous run of products in another order than a loop over rows-last
-planes, and this keeps those 4- and 8-term sums in the order of the
-earlier rows-first kernel.
+``duals``).  The final contraction of each term with the dual weights
+runs on them too, with no rows-first copy: it adds each step's products
+one tensor entry after the other, in C order.  The earlier kernel
+copied factors and weights to contiguous rows-first (K, ...) stacks,
+over which numpy's SIMD sum adds a run of products in another order;
+the results are the same where a contraction has at most two non-zero
+products, as on test5, and move by a few rounding errors of the sum of
+the absolute products elsewhere (``tests/test_rows_last_density.py``).
 
 Declared derivative supports reach this layer as ``duals.Box`` values:
 ``second_moment_arrays`` and ``rho_batch`` form every inner term with
 ``duals.box_einsum`` and ``duals.box_sum``, so only the boxes are
 contracted and a term with an empty box is dropped.  The final
-contractions stay dense (a box is padded with zeros first): numpy's SIMD
-sum over a contiguous run groups the products by their place in the
-run, so a shorter run would add them in another order.  The
+contractions stay dense (a box is padded with zeros first).  The
 results are those of the full tensors up to the sign of a zero and
 0 * inf, and cannot depend on chunk size or worker count, because the
 supports are static.
@@ -48,7 +49,7 @@ import numpy as np
 from .duals import (
     DualWeights,
     _dense,
-    _rows_first,
+    _einsum,
     _rows_last,
     _scale,
     _stack_calls,
@@ -76,18 +77,13 @@ STEP_DENSITY_CALLBACKS = [
 ]
 
 
-# steps per pass of rho_batch, which bounds its second-moment arrays,
-# factors and their copies.  In one pass per kernel block they set the
-# process's peak RSS: on test5 at TOL 0.04, with blocks of 3072 steps
-# (the level loop's budget then), passes of 1536 lowered the adapt-s
-# benchmark's peak by about 0.5 MB
-DENSITY_SLICE = 1536
-
-
-def _flat_rows(w: Array) -> Array:
-    """A packed (t..., K) array as the contiguous (K, t...) stack the
-    final full contractions run on."""
-    return _rows_first(w, 1)
+# steps per pass of rho_batch, which bounds its second-moment arrays and
+# factors.  In one pass per kernel block they set the process's peak RSS
+# (passes of 1536 once lowered the adapt-s benchmark's peak by about 0.5
+# MB); on the kernel blocks of the mesh-density benchmark (N=5, 2,700
+# rows, CPU time) passes of 4096 were the fastest of 1536, 2048, 4096
+# and 8192
+DENSITY_SLICE = 4096
 
 
 def rho_batch(cb: dict, phi: Array, phi1: Array, phi2: Array) -> Array:
@@ -99,9 +95,9 @@ def rho_batch(cb: dict, phi: Array, phi1: Array, phi2: Array) -> Array:
     X(t_n)), as ``duals._stack_calls`` packs them (the declared ones as
     Boxes), and ``phi``, ``phi1``, ``phi2`` are the (t..., K) left-limit
     dual weights at the right nodes.  The steps are taken DENSITY_SLICE
-    at a time, which bounds the memory of the second-moment arrays, the
-    factors and their copies.  Pointwise arithmetic only, so a row's
-    value never depends on which other rows share the stack or a slice.
+    at a time, which bounds the memory of the second-moment arrays and
+    the factors.  Pointwise arithmetic only, so a row's value never
+    depends on which other rows share the stack or a slice.
     """
     d = len(cb["drift"])
     rho = np.empty(phi.shape[-1])
@@ -111,13 +107,9 @@ def rho_batch(cb: dict, phi: Array, phi1: Array, phi2: Array) -> Array:
             {name: value[..., part] for name, value in cb.items()}
         )
         rho[part] = 0.5 * (
-            np.einsum("nk,nk->n", _flat_rows(_dense(drift_part, d)), _flat_rows(phi[..., part]))
-            + np.einsum(
-                "nkm,nkm->n", _flat_rows(_dense(diff_part, d)), _flat_rows(phi1[..., part])
-            )
-            + np.einsum(
-                "nkmr,nkmr->n", _flat_rows(_dense(third_part, d)), _flat_rows(phi2[..., part])
-            )
+            _einsum("k...,k...->...", _dense(drift_part, d), phi[..., part])
+            + _einsum("km...,km...->...", _dense(diff_part, d), phi1[..., part])
+            + _einsum("kmr...,kmr...->...", _dense(third_part, d), phi2[..., part])
         )
     return rho
 
@@ -171,12 +163,6 @@ def second_moment_arrays(b, b_t, b_x, b_xx):
     return dd, d_t, d_x, d_xx
 
 
-def _one_row(w: Array) -> Array:
-    """Left-limit weights at nodes 1..N of a ``DualWeights`` array,
-    rows last as (t..., n), one row's steps packed."""
-    return _rows_last(w[1:], 1)
-
-
 def rho_per_step(model: JumpDiffusionModel, path: EulerPath, duals: DualWeights) -> Array:
     """Signed per-step error density, one value per augmented step
     (``rho_batch`` with one row).
@@ -195,8 +181,9 @@ def rho_per_step(model: JumpDiffusionModel, path: EulerPath, duals: DualWeights)
     cb = _stack_calls(
         as_vectorized(model), STEP_DENSITY_CALLBACKS, grid.times[:-1], path.values[:-1]
     )
+    # the left-limit weights at nodes 1..N, rows last as (t..., n)
     weights = (duals.phi_left, duals.phi1_left, duals.phi2_left)
-    return rho_batch(cb, *map(_one_row, weights))
+    return rho_batch(cb, *(_rows_last(w[1:], 1) for w in weights))
 
 
 INTERVAL_DENSITY_CALLBACKS = ["drift", "diffusion"]
@@ -227,9 +214,7 @@ def rho_interval_batch(
     ddd = dd_of(hi["diffusion"]) - dd_of(lo["diffusion"])
     real = paths.real()
     step_sum = np.zeros(real.shape[::-1])  # (B, n), rows first
-    step_sum.T[real] = np.einsum("nk,nk->n", _flat_rows(da), _flat_rows(phi)) + np.einsum(
-        "nkm,nkm->n", _flat_rows(ddd), _flat_rows(phi1)
-    )
+    step_sum.T[real] = _einsum("k...,k...->...", da, phi) + _einsum("km...,km...->...", ddd, phi1)
     sums = np.empty((len(step_sum), len(det) - 1))
     for rows, n in paths.by_step_count():
         contrib = step_sum[rows, :n] * paths.dt(rows, n)

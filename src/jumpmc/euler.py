@@ -20,8 +20,11 @@ its one-row case.  The rows of a block may have different step counts:
 they are ordered by descending step count, so the rows that take step p
 are the first k_p, and each step reads and writes the contiguous column
 prefixes ``[p, :k_p]``; nothing past a row's last node is written or
-read.  Equal step counts are the case k_p = B.  ``euler_terminal`` runs
-the same steps (``_euler_steps``) without storing the path.
+read.  Equal step counts are the case k_p = B.  ``euler_batch`` also
+returns the drift and diffusion its steps evaluated, packed rows last,
+so the dual and density layers do not evaluate them again.
+``euler_terminal`` runs the same steps (``_euler_steps``) without
+storing the path.
 ``bridge_refine_batch`` bisects the steps of a ``PathBatch`` with bridge
 draws from keyed streams, each row's from its position (a count of the
 normals its stream has given), as ``brownian_bridge_refine`` does for
@@ -220,11 +223,12 @@ def _euler_steps(model, paths, x0, realizations):
     """The Euler scheme along a block of B paths ordered by descending
     step count, node by node: yields the left limits and values ``(xl,
     x)`` of the rows that reach each node, the start value as node 0's
-    left limit, so after step p only the first k_p rows.  Each step reads
-    the contiguous column prefixes ``[p, :k_p]`` of the node-major
-    arrays, and the marks of a node's jumps are the next ones in
-    ``paths.marks``.  Raises PathDivergenceError for the first row that
-    leaves the finite ball of radius DIVERGENCE_BOUND."""
+    left limit, so after step p only the first k_p rows, with the (k_p,
+    d) drift and (k_p, d, l) diffusion the step evaluated (None at node
+    0).  Each step reads the contiguous column prefixes ``[p, :k_p]`` of
+    the node-major arrays, and the marks of a node's jumps are the next
+    ones in ``paths.marks``.  Raises PathDivergenceError for the first
+    row that leaves the finite ball of radius DIVERGENCE_BOUND."""
     times, dw, jump_flag, marks = paths.times, paths.dw, paths.jump_flag, paths.marks
     B = dw.shape[1]
     x = np.broadcast_to(model.x0 if x0 is None else x0, (B, model.dim)).astype(float)
@@ -234,7 +238,7 @@ def _euler_steps(model, paths, x0, realizations):
         idx = np.flatnonzero(jump_flag[0])
         x[idx] += np.asarray(model.jump(times[0, idx], x[idx], marks[: len(idx)]), float)
         j = len(idx)
-    yield xl, x
+    yield xl, x, None, None
 
     for p, k in enumerate(paths.running().tolist()):
         x = x[:k]
@@ -263,7 +267,7 @@ def _euler_steps(model, paths, x0, realizations):
             j += len(idx)
         else:
             x = xl
-        yield xl, x
+        yield xl, x, a, bmat
 
 
 def euler_batch(
@@ -271,21 +275,34 @@ def euler_batch(
 ):
     """Run the Euler scheme along a block of B paths at once.
 
-    Returns (values, left), the node-major (n+1, B, d) node values and
-    left limits, not written past each row's last node.  The rows must
-    be ordered by descending step count.  The model's callbacks must
+    Returns (values, left, coefficients): the node-major (n+1, B, d)
+    node values and left limits, not written past each row's last node,
+    and the drift and diffusion the steps evaluated at their left nodes,
+    ``{"drift": (d, K), "diffusion": (d, l, K)}``, packed rows last over
+    the K steps the rows take as the dual and density layers take them
+    (``duals._stack_calls(..., running=paths.running())``), so those
+    layers do not evaluate them again.  The rows must be ordered by
+    descending step count.  The model's callbacks must
     broadcast over rows (see ``as_vectorized``).  ``realizations`` are
     the rows' absolute indices, named by PathDivergenceError (None when
     the rows have none).  Arithmetic is row-wise, so each row's numbers
     do not depend on the rows it shares the batch with.
     """
     n, B = paths.dw.shape[:2]
-    values = np.empty((n + 1, B, model.dim))
-    left = np.empty((n + 1, B, model.dim))
-    for p, (xl, x) in enumerate(_euler_steps(model, paths, x0, realizations)):
+    d, K = model.dim, int(paths.n_steps.sum())
+    values = np.empty((n + 1, B, d))
+    left = np.empty((n + 1, B, d))
+    drift = np.empty((d, K))
+    diffusion = np.empty((d, model.wiener_dim, K))
+    at = 0
+    for p, (xl, x, a, b) in enumerate(_euler_steps(model, paths, x0, realizations)):
         left[p, : len(xl)] = xl
         values[p, : len(x)] = x
-    return values, left
+        if p:
+            drift[:, at : at + len(a)] = a.T
+            diffusion[..., at : at + len(a)] = b.transpose(1, 2, 0)
+            at += len(a)
+    return values, left, {"drift": drift, "diffusion": diffusion}
 
 
 def terminal_values(paths: PathBatch, values: Array) -> Array:
@@ -303,7 +320,7 @@ def euler_terminal(
     without storing the paths: the forward-only Monte Carlo case."""
     terminal = np.empty((paths.dw.shape[1], model.dim))
     done = paths.running().tolist() + [0]  # rows from done[p] on end at node p
-    for p, (_, x) in enumerate(_euler_steps(model, paths, x0, realizations)):
+    for p, (_, x, _, _) in enumerate(_euler_steps(model, paths, x0, realizations)):
         if done[p] < len(x):
             terminal[done[p]:len(x)] = x[done[p]:]
     return terminal
@@ -324,7 +341,7 @@ def euler_path(
             f"got {dw.shape}"
         )
     model = as_vectorized(model)
-    values, left = euler_batch(model, stack_paths(model, [grid], [dw]), x0)
+    values, left, _ = euler_batch(model, stack_paths(model, [grid], [dw]), x0)
     return EulerPath(grid=grid, increments=dw, values=values[:, 0], left_values=left[:, 0])
 
 

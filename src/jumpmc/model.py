@@ -256,21 +256,24 @@ def _oscillator_callbacks():
         x1, x2 = x[..., 0], x[..., 1]
         return np.stack([-x2, x1 + 0.5 * x2 / (1.0 + t)], axis=-1)
 
+    # drift_t, drift_x, diffusion and diffusion_t fill one array each,
+    # which costs less than stacking pieces at 256 to 16,384 rows; drift
+    # keeps its stack: filled, it did not speed up forward-only Euler
+
     def drift_t(t, x):
         t = np.asarray(t, float)
-        x2 = x[..., 1]
-        z = np.zeros_like(x2)
-        return np.stack([z, -0.5 * x2 / (1.0 + t) ** 2], axis=-1)
+        out = np.zeros(x.shape[:-1] + (2,))
+        out[..., 1] = -0.5 * x[..., 1] / (1.0 + t) ** 2
+        return out
 
     def drift_x(t, x):
         t = np.asarray(t, float)
-        x1 = x[..., 0]
-        one = np.ones_like(x1)
-        zero = np.zeros_like(x1)
-        lam = 1.0 / (1.0 + t) * one
-        row0 = np.stack([zero, -one], axis=-1)
-        row1 = np.stack([one, 0.5 * lam], axis=-1)
-        return np.stack([row0, row1], axis=-2)
+        out = np.empty(x.shape[:-1] + (2, 2))
+        out[..., 0, 0] = 0.0
+        out[..., 0, 1] = -1.0
+        out[..., 1, 0] = 1.0
+        out[..., 1, 1] = 0.5 * (1.0 / (1.0 + t))
+        return out
 
     def drift_xx(t, x):
         return np.zeros(x.shape[:-1] + (2, 2, 2))
@@ -280,15 +283,15 @@ def _oscillator_callbacks():
 
     def diffusion(t, x):
         t = np.asarray(t, float)
-        x1 = x[..., 0]
-        top = np.sin(x1) / (1.0 + t)
-        return np.stack([top, np.zeros_like(top)], axis=-1)[..., None]
+        out = np.zeros(x.shape[:-1] + (2, 1))
+        out[..., 0, 0] = np.sin(x[..., 0]) / (1.0 + t)
+        return out
 
     def diffusion_t(t, x):
         t = np.asarray(t, float)
-        x1 = x[..., 0]
-        top = -np.sin(x1) / (1.0 + t) ** 2
-        return np.stack([top, np.zeros_like(top)], axis=-1)[..., None]
+        out = np.zeros(x.shape[:-1] + (2, 1))
+        out[..., 0, 0] = -np.sin(x[..., 0]) / (1.0 + t) ** 2
+        return out
 
     def _b_deriv(t, x, fn, order):
         # Only d^k b_1^1 / d x1^k is nonzero; fn gives that entry.

@@ -476,17 +476,20 @@ class KeyedStream:
         if kind not in _KINDS:
             raise ParameterError(f"unknown draw kind {kind!r}, expected one of {sorted(_KINDS)}")
         realizations = _realization_array(realizations)
-        counts = _integers("draw count", counts).astype(np.int64, copy=False)
+        counts = _integers("draw count", counts)
         if realizations.ndim != 1 or realizations.shape != counts.shape:
             raise ParameterError(
                 f"realizations and counts must be 1-d and of one length, "
                 f"got shapes {realizations.shape} and {counts.shape}"
             )
-        if counts.size and counts.min() < 0:
-            k = int(np.argmin(counts))
+        bad = (counts < 0) | (counts >= 2**63)  # before the int64 cast, which would wrap
+        if bad.any():
+            k = int(np.argmax(bad))
+            bound = ">= 0" if counts[k] < 0 else "< 2**63"
             raise ParameterError(
-                f"draw count must be >= 0, got {counts[k]} (realization {realizations[k]})"
+                f"draw count must be {bound}, got {counts[k]} (realization {realizations[k]})"
             )
+        counts = counts.astype(np.int64, copy=False)
         if not counts.sum():
             return np.empty(0)
         order = np.argsort(realizations, kind="stable")

@@ -146,7 +146,7 @@ def sweep_inputs(paths, values, left):
 def kernel_outputs(model, paths, det):
     B = len(paths.n_steps)
     out = {"path_batch": ctl._path_batch(model, paths, list(range(B)), True)}
-    values, left = euler_batch(model, paths)
+    values, left, _ = euler_batch(model, paths)
     times, running = paths.times, paths.running()
     for order in (1, 2, 3):
         names = _euler_map_callbacks(order) + INTERVAL_DENSITY_CALLBACKS
@@ -179,7 +179,7 @@ def test_declared_supports_leave_the_kernel_bit_identical(d, l, seed, B, N, extr
 
 
 def dual_sweep(model, paths, order):
-    values, left = euler_batch(model, paths)
+    values, left, _ = euler_batch(model, paths)
     cb = _stack_calls(
         model, _euler_map_callbacks(order), paths.times[:-1], values[:-1],
         running=paths.running(),
@@ -324,7 +324,7 @@ def test_jump_blocks_in_place_give_the_copy_then_gather_bytes(d, l, seed, counts
     paths = ragged_paths(np.random.default_rng(seed + 1), uniform_mesh(1.0, N), counts, l)
     assert len(set(paths.n_steps.tolist())) == sum(map(bool, counts))
     for model in random_model(d, l, seed):  # boxed, then dense
-        values, left = euler_batch(model, paths)
+        values, left, _ = euler_batch(model, paths)
         for order in (1, 2, 3):
             cb = _stack_calls(
                 model, _euler_map_callbacks(order), paths.times[:-1], values[:-1],

@@ -525,8 +525,9 @@ def test_level_loop_blocks_hold_any_step_counts_within_the_budget(monkeypatch):
 
 
 def test_the_sweep_holds_no_left_limits_and_no_density_only_callbacks(monkeypatch):
-    # _path_batch frees the forward left limits before the backward sweep
-    # and evaluates the callbacks only the density reads after it
+    # _path_batch frees the forward left limits before the backward sweep,
+    # evaluates drift_t and diffusion_t only after it, and hands the
+    # density forward Euler's own drift and diffusion arrays
     m = as_vectorized(build_model("test5"))
     det = uniform_mesh(1.0, 5)
     rows, paths, _, _ = ctl._setup_paths(
@@ -535,16 +536,19 @@ def test_the_sweep_holds_no_left_limits_and_no_density_only_callbacks(monkeypatc
     (cols, paths), = ctl._ragged_blocks(paths, 10**6)
     rows = rows[cols]
     assert paths.jump_flag.any() and len(set(paths.n_steps.tolist())) > 1
-    density_only = {"drift", "drift_t", "diffusion", "diffusion_t"}
-    left_refs, density_refs, alive = [], [], []
+    density_only = {"drift_t", "diffusion_t"}
+    left_refs, density_refs, alive, evaluated, forward_out, density_in = [], [], [], [], [], []
     forward, stack_calls, propagate = ctl.euler_batch, ctl._stack_calls, duals.propagate
+    rho_batch = ctl.rho_batch
 
     def spied_forward(*args, **kwargs):
-        values, left = forward(*args, **kwargs)
+        values, left, coefficients = forward(*args, **kwargs)
         left_refs.append(weakref.ref(left))
-        return values, left
+        forward_out.append((values, dict(coefficients)))
+        return values, left, coefficients
 
     def spied_stack_calls(model, names, *args, **kwargs):
+        evaluated.extend(names)
         out = stack_calls(model, names, *args, **kwargs)
         for name in density_only.intersection(names):
             value = out[name]
@@ -555,12 +559,26 @@ def test_the_sweep_holds_no_left_limits_and_no_density_only_callbacks(monkeypatc
         alive.extend(ref() is not None for ref in left_refs + density_refs)
         return propagate(G, phi, plans)
 
+    def spied_rho_batch(cb, *stores):
+        density_in.append(dict(cb))
+        return rho_batch(cb, *stores)
+
     monkeypatch.setattr(ctl, "euler_batch", spied_forward)
     monkeypatch.setattr(ctl, "_stack_calls", spied_stack_calls)
     monkeypatch.setattr(duals, "propagate", spied_propagate)
+    monkeypatch.setattr(ctl, "rho_batch", spied_rho_batch)
     ctl._path_batch(m, paths, rows.tolist(), True)
     assert len(left_refs) == 1 and len(density_refs) == len(density_only)
     assert alive and not any(alive)
+    assert not {"drift", "diffusion"}.intersection(evaluated)
+    ((values, coefficients),), (cb,) = forward_out, density_in
+    assert cb["drift"] is coefficients["drift"]
+    assert cb["diffusion"] is coefficients["diffusion"]
+    # the bytes the kernel evaluated at the packed nodes before
+    nodes = (paths.times[:-1], values[:-1])
+    again = stack_calls(m, ["drift", "diffusion"], *nodes, running=paths.running())
+    for name, value in again.items():
+        assert coefficients[name].tobytes() == value.tobytes()
 
 
 def test_time_control_batches_are_one_density_kernel_call_each(monkeypatch):

@@ -303,7 +303,7 @@ def test_forward_only_terminal_matches_the_full_path_with_edge_jumps():
     # jumps at node 0 on every third row and at the last node on others
     first, last = range(0, len(rows), 3), range(1, len(rows), 3)
     edged = with_jumps(paths, [*first, *last], [0] * len(first) + [len(paths.dw)] * len(last), 0.7)
-    values, left = euler_batch(model, edged, realizations=rows.tolist())
+    values, left, _ = euler_batch(model, edged, realizations=rows.tolist())
     terminal = euler_terminal(model, edged, realizations=rows.tolist())
     assert terminal.shape == values[-1].shape
     assert terminal.tobytes() == values[-1].tobytes()

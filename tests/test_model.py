@@ -1,6 +1,7 @@
 """Model construction, coefficient evaluation, and derivative adapters."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +49,74 @@ def test_second_moment_symmetry():
     for d in second_moment_arrays(*(cb[name] for name in names)):
         d = _dense(d, m.dim)
         np.testing.assert_allclose(d, np.swapaxes(d, 0, 1), atol=1e-15)
+
+
+def stacked_test5_callbacks():
+    """test5's drift_t, drift_x, diffusion and diffusion_t in their
+    earlier form, stacked from ones_like and zeros_like pieces."""
+
+    def drift_t(t, x):
+        t = np.asarray(t, float)
+        x2 = x[..., 1]
+        z = np.zeros_like(x2)
+        return np.stack([z, -0.5 * x2 / (1.0 + t) ** 2], axis=-1)
+
+    def drift_x(t, x):
+        t = np.asarray(t, float)
+        x1 = x[..., 0]
+        one = np.ones_like(x1)
+        zero = np.zeros_like(x1)
+        lam = 1.0 / (1.0 + t) * one
+        row0 = np.stack([zero, -one], axis=-1)
+        row1 = np.stack([one, 0.5 * lam], axis=-1)
+        return np.stack([row0, row1], axis=-2)
+
+    def diffusion(t, x):
+        t = np.asarray(t, float)
+        x1 = x[..., 0]
+        top = np.sin(x1) / (1.0 + t)
+        return np.stack([top, np.zeros_like(top)], axis=-1)[..., None]
+
+    def diffusion_t(t, x):
+        t = np.asarray(t, float)
+        x1 = x[..., 0]
+        top = -np.sin(x1) / (1.0 + t) ** 2
+        return np.stack([top, np.zeros_like(top)], axis=-1)[..., None]
+
+    return dict(drift_t=drift_t, drift_x=drift_x, diffusion=diffusion, diffusion_t=diffusion_t)
+
+
+def test_filled_test5_callbacks_give_the_stacked_bytes():
+    # the callbacks that fill one array return the bytes, shape and dtype
+    # of the stacked forms, for one point and for K rows
+    m = build_model("test5")
+    rng = np.random.default_rng(3)
+    K = 257
+    points = [
+        (0.3, rng.normal(size=2)),
+        (np.float64(0.0), np.array([-0.0, 1e-300])),
+        (rng.uniform(0.0, 1.0, K), rng.normal(size=(K, 2))),
+        (np.zeros(K), np.zeros((K, 2))),
+    ]
+    looped = as_vectorized(replace(m, vectorized=False))
+    for name, stacked in stacked_test5_callbacks().items():
+        for t, x in points:
+            got, want = getattr(m, name)(t, x), stacked(t, x)
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert got.tobytes() == want.tobytes(), name
+        t, x = points[2]
+        assert getattr(looped, name)(t, x).tobytes() == getattr(m, name)(t, x).tobytes()
+
+
+def test_filled_test5_callbacks_agree_with_finite_differences():
+    # drift_t, drift_x and diffusion_t differenced from drift and
+    # diffusion, at one point and over K rows
+    m = build_model("test5")
+    fd = finite_difference_adapter(replace(m, drift_t=None, drift_x=None, diffusion_t=None))
+    rng = np.random.default_rng(29)
+    for t, x in ((0.4, rng.normal(size=2)), (rng.uniform(0.1, 0.9, 50), rng.normal(size=(50, 2)))):
+        for name in ("drift_t", "drift_x", "diffusion_t"):
+            np.testing.assert_allclose(getattr(fd, name)(t, x), getattr(m, name)(t, x), atol=1e-8)
 
 
 def test_oscillator_intensity_inverse_roundtrip():

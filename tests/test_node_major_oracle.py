@@ -5,6 +5,13 @@
 counts, longest first, ``wiener_dim`` 1 or 2, jumps at node 0 and at a
 row's last node) the node-major ``euler_batch``, ``euler_terminal`` and
 ``terminal_values`` must give their bytes at every node each row reaches.
+The drift and diffusion ``euler_batch`` returns are packed as
+``duals._stack_calls(..., running=...)`` packs them, and agree with its
+values to rounding only: forward Euler's state arrays start F-ordered
+(and numpy's elementwise steps keep that layout), the packed copy is
+C-ordered, and ``random_model``'s callbacks compute ``x @ v``, which BLAS
+rounds differently on the two layouts.  On test5 they are the same bytes
+(``test_controller``).
 """
 
 import numpy as np
@@ -16,6 +23,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 import rows_first_forward as oracle  # noqa: E402
 from jumpmc import uniform_mesh  # noqa: E402
+from jumpmc.duals import _stack_calls  # noqa: E402
 from jumpmc.euler import euler_batch, euler_terminal, terminal_values  # noqa: E402
 from rows_first_forward import RowsFirstPaths, to_node_major  # noqa: E402
 from test_box_kernel import random_model  # noqa: E402
@@ -58,8 +66,13 @@ def ragged_batches(draw):
 def test_node_major_forward_matches_the_rows_first_oracle(case):
     model, first = case
     paths = to_node_major(first)
-    values, left = euler_batch(model, paths)
+    values, left, coefficients = euler_batch(model, paths)
     want_values, want_left = oracle.euler_batch(model, first)
+    nodes = (paths.times[:-1], values[:-1])
+    stacked = _stack_calls(model, ["drift", "diffusion"], *nodes, running=paths.running())
+    for name, value in stacked.items():
+        assert coefficients[name].shape == value.shape
+        np.testing.assert_allclose(coefficients[name], value, rtol=1e-12, atol=1e-15)
     real = np.arange(len(paths.times))[:, None] <= paths.n_steps
     assert values[real].tobytes() == want_values.swapaxes(0, 1)[real].tobytes()
     assert left[real].tobytes() == want_left.swapaxes(0, 1)[real].tobytes()

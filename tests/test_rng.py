@@ -594,6 +594,13 @@ def test_signed_table_normal_fast_path_matches_the_sign_bit_formula():
         ("random", [True], [1], "realization index must be an integer, got True"),
         ("random", [1], [1.5], "draw count must be an integer, got 1.5"),
         ("standard_normal", [1, 2], np.array([3.0, 1.0]), "draw count must be an integer, got 3.0"),
+        # checked before the int64 cast: not wrapped, and no raw OverflowError
+        (
+            "random", [1, 2], np.array([0, 2**63], dtype=np.uint64),
+            r"must be < 2\*\*63, got 9223372036854775808 \(realization 2\)",
+        ),
+        ("random", [1], [2**64], r"must be < 2\*\*63, got 18446744073709551616 \(realization 1\)"),
+        ("random", [1, 3], [2**64, -1], r"must be < 2\*\*63, got 18446744073709551616 \(realization 1\)"),
     ],
 )
 def test_draws_reject_bad_input(kind, realizations, counts, message):

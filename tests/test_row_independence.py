@@ -194,7 +194,8 @@ def test_a_ragged_call_evaluates_callbacks_at_real_nodes_only():
     assert len(set(paths.n_steps.tolist())) > 2
     counts = {}
     names = [
-        "jump", "payoff", *ctl._SWEEP_CALLBACKS, *ctl._DENSITY_ONLY_CALLBACKS,
+        "jump", "payoff", "drift", "diffusion", *ctl._SWEEP_CALLBACKS,
+        *ctl._DENSITY_ONLY_CALLBACKS,
         "jump_x", "jump_xx", "jump_xxx", "payoff_x", "payoff_xx", "payoff_xxx",
     ]
     names = sorted({n for n in names if getattr(base, n) is not None})
@@ -204,8 +205,7 @@ def test_a_ragged_call_evaluates_callbacks_at_real_nodes_only():
     nodes = int(paths.n_steps.sum())
     jumps = int(paths.jump_flag.sum())
     rows = len(order)
-    want = {name: nodes for name in names}
-    want.update(drift=2 * nodes, diffusion=2 * nodes)  # forward Euler and the kernel
+    want = {name: nodes for name in names}  # drift and diffusion: forward Euler's
     want.update({name: jumps for name in ("jump", "jump_x", "jump_xx", "jump_xxx")})
     want.update({name: rows for name in ("payoff", "payoff_x", "payoff_xx", "payoff_xxx")})
     for name, support in base.derivative_support.items():

@@ -10,6 +10,13 @@ of three variants (row-loop callbacks; a denser d_t; wider declared
 supports, see below).  The reference evaluates and contracts every
 callback in full, whatever the model declares.
 
+The reference's final contractions of the density factors with the
+dual weights (``ref_contract``) add their products in the rows-last
+kernel's order, one tensor entry after the other; the rows-first einsum
+they replaced adds a contiguous run in another order, which shows in
+the last bits once three products are nonzero (``dense-d_t``).
+``test_rows_last_density`` bounds that move against the earlier form.
+
 Bitwise agreement is a property of these models, not of every model:
 the rows-first einsum adds a contiguous run of 3 or more products in a
 different order than a rows-last loop, so inner contractions with dense
@@ -29,6 +36,7 @@ from hypothesis import strategies as st  # noqa: E402
 import rows_first_forward  # noqa: E402
 from jumpmc import build_model, uniform_mesh  # noqa: E402
 from jumpmc import controller as ctl  # noqa: E402
+from jumpmc.density import STEP_DENSITY_CALLBACKS  # noqa: E402
 from jumpmc.duals import propagate  # noqa: E402
 from jumpmc.model import as_vectorized  # noqa: E402
 from rows_first_forward import setup_groups, to_rows_first  # noqa: E402
@@ -147,18 +155,30 @@ def ref_rho_batch(cb, phi, phi1, phi2):
     )
     third_part = 2.0 * np.einsum("nkmj,njr->nkmr", d_x, dd)
     rho = 0.5 * (
-        np.einsum("nk,nk->n", drift_part, phi)
-        + np.einsum("nkm,nkm->n", diff_part, phi1)
-        + np.einsum("nkmr,nkmr->n", third_part, phi2)
+        ref_contract(drift_part, phi)
+        + ref_contract(diff_part, phi1)
+        + ref_contract(third_part, phi2)
     )
     return rho.reshape(lead)
+
+
+def ref_contract(a, b):
+    """The (n, t...) products a * b summed over their tensor axes, one
+    tensor entry after the other from 0.0 in C order: the order in which
+    the rows-last kernel's final contractions add them."""
+    products = (a * b).reshape(len(a), -1)
+    out = np.zeros(len(a))
+    for column in products.T:
+        out += column
+    return out
 
 
 def ref_path_batch(model, paths):
     paths = to_rows_first(paths)
     values, left = rows_first_forward.euler_batch(model, paths)
     payoff = np.asarray(model.payoff(values[:, -1]), float)
-    cb = ref_stack_calls(model, ctl._SWEEP_CALLBACKS + ctl._DENSITY_ONLY_CALLBACKS, paths.times[:, :-1], values[:, :-1])
+    names = sorted(set(ctl._SWEEP_CALLBACKS + STEP_DENSITY_CALLBACKS))
+    cb = ref_stack_calls(model, names, paths.times[:, :-1], values[:, :-1])
     return payoff, ref_rho_batch(cb, *ref_dual_stores(model, cb, paths, values, left))
 
 
