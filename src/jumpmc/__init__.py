@@ -43,6 +43,7 @@ from .errors import (
 from .jumps import uniform_mesh
 from .model import (
     JumpDiffusionModel,
+    UniformMarks,
     build_model,
     finite_difference_adapter,
     oscillator_problem,
@@ -68,6 +69,7 @@ __all__ = [
     "StatParams",
     "TimeControlledRealization",
     "ToleranceBudget",
+    "UniformMarks",
     "algorithm_d",
     "algorithm_s",
     "build_model",

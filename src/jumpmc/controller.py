@@ -50,14 +50,13 @@ steps the rows take (equal step counts are the case k_p = B, where that
 is (t..., n, B) flattened); each row's sweep starts from the payoff
 derivatives at its own X(T).  ``_setup_paths`` sets up a whole index
 range at once from counter-based draws (``rng.KeyedStream.draws``):
-every realization's jump times, marks (``jumps.sample_jump_chunk``) and
-Wiener normals come from its own Philox streams, computed for the whole
-range at once, ziggurat rejections included; only a mark sampler that is
-not a ``model.UniformMarks`` draws from numpy's per-realization generator
-(``rng.stream``, reset per row by ``rng.stream_generator``).  All grids are merged
-in one pass by ``jumps.build_grid_batch``, which writes them node-major,
-longest first, and the scaled normals go straight into the node-major
-increments; a row's Wiener increments are the first ``n_steps *
+every realization's jump times, marks (``jumps.sample_jump_chunk``, one
+call of the model's mark quantile per chunk) and Wiener normals come
+from its own Philox streams, computed for the whole range at once,
+ziggurat rejections included; the set-up builds no numpy generator.
+All grids are merged in one pass by ``jumps.build_grid_batch``, which
+writes them node-major, longest first, and the scaled normals go
+straight into the node-major increments; a row's Wiener increments are the first ``n_steps *
 wiener_dim`` normals of its stream, so that is its position after
 set-up.  Both engines send their rows through the kernel in the blocks
 of ``_ragged_blocks``, column slices of consecutive rows that take at
@@ -102,10 +101,9 @@ import numpy as np
 # one-row euler_path, brownian_bridge_refine, backward_duals,
 # rho_per_step, sample_jumps, build_augmented_grid and
 # sample_wiener_increments, and realization_streams (numpy's
-# per-realization generators, which the engines draw from only for a mark
-# sampler that is not a UniformMarks, through rng.stream_generator in
-# jumps), are unused here: they serve only perfbench's spans, and are
-# imported so that they stay patchable.
+# per-realization generators, which the engines never draw from), are
+# unused here: they serve only perfbench's spans, and are imported so
+# that they stay patchable.
 from .density import (  # noqa: F401
     INTERVAL_DENSITY_CALLBACKS,
     _check_tol,

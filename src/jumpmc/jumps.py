@@ -11,8 +11,9 @@ times; a jump falling within rounding distance of a deterministic node is
 merged into that node.
 
 ``sample_jump_chunk`` works on a chunk's flat arrays: the inverse
-integrated intensity and a ``UniformMarks`` quantile are each mapped over
-all of the chunk's jumps at once, not called per jump.
+integrated intensity and the model's mark quantile
+(``model.UniformMarks``) are each mapped over all of the chunk's jumps
+at once, not called per jump.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import EvaluationError, JumpMCError, ParameterError, check_integer
-from .model import JumpDiffusionModel, UniformMarks
-from .rng import most_draws, stream_generator
+from .model import JumpDiffusionModel, check_intensity_pair
+from .rng import most_draws
 
 Array = np.ndarray
 
@@ -47,22 +48,22 @@ def _bisect(f, lo, hi, target):
 
 
 class IntensityIntegral:
-    """Integrated intensity L(t) on [0, horizon] with a monotone inverse.
+    """Integrated intensity L(t) on [0, horizon] with a monotone inverse,
+    in one of two modes.
 
-    A model's closed forms are used when given.  Without a closed L the
-    constructor reads lam once, at the 8 Gauss-Legendre nodes of each of
-    64 panels, and keeps each panel's L as the integral of the degree-7
-    interpolant of those values, a Legendre series in the panel
-    coordinate u in [-1, 1]; a panel's total is its Gauss rule.  ``values``
-    and ``inverses`` work on whole arrays from that table and never call
-    lam again: each sum is bracketed in its panel by ``searchsorted`` and
-    all sums are bisected at once, in t, on their panels' series.  With a
-    closed L but no closed inverse, ``values`` and ``total`` are the
-    closed L and the inverse bisects it on the panel its values at the
-    panel edges bracket, so L(L^-1(s)) = s to rounding.
-    numpy.polynomial is imported only without a closed L.  The intensity
-    must be nonnegative (and within its declared bound) wherever it is
-    read.
+    Given the closed pair, L (``closed_form``) and its inverse
+    (``inverse``), ``values``, ``total`` and ``inverses`` map them over
+    arrays.  Without it the constructor reads lam once, at the 8
+    Gauss-Legendre nodes of each of 64 panels, and keeps each panel's L
+    as the integral of the degree-7 interpolant of those values, a
+    Legendre series in the panel coordinate u in [-1, 1]; a panel's total
+    is its Gauss rule.  ``values`` and ``inverses`` work on whole arrays
+    from that table and never call lam again: each sum is bracketed in
+    its panel by ``searchsorted`` and all sums are bisected at once, in
+    t, on their panels' series.  One of the pair without the other raises
+    ParameterError.  numpy.polynomial is imported only for the table.
+    The intensity must be nonnegative (and within its declared bound)
+    wherever it is read.
     """
 
     def __init__(
@@ -74,8 +75,9 @@ class IntensityIntegral:
         closed_form: Optional[Callable[[float], float]] = None,
         inverse: Optional[Callable[[float], float]] = None,
     ):
-        if not horizon > 0.0:
-            raise ParameterError(f"horizon must be > 0, got {horizon}")
+        if not 0.0 < horizon < math.inf:
+            raise ParameterError(f"horizon must be > 0 and finite, got {horizon}")
+        check_intensity_pair(closed_form, inverse)
         self.intensity = intensity
         self.horizon = float(horizon)
         self.bound = bound
@@ -98,8 +100,7 @@ class IntensityIntegral:
         else:
             # Spot-check nonnegativity on the panel edges and midpoints.
             self._rates(np.concatenate([self._edges, self._mid]))
-            self._cum = np.array([closed_form(t) for t in self._edges], float)
-            if np.any(np.diff(self._cum) < -1e-12):
+            if np.any(np.diff([closed_form(t) for t in self._edges]) < -1e-12):
                 raise EvaluationError("closed-form integrated intensity decreases")
 
     def _rates(self, times: Array) -> Array:
@@ -147,15 +148,14 @@ class IntensityIntegral:
         if self._closed_inverse is not None:
             return np.frompyfunc(self._closed_inverse, 1, 1)(sums).astype(float)
         k = np.clip(np.searchsorted(self._cum, sums, side="right") - 1, 0, PANELS - 1)
-        f = self.values if self._closed_form is not None else self._panels(k)
-        t = _bisect(f, self._edges[k], self._edges[k + 1], sums)
+        t = _bisect(self._panels(k), self._edges[k], self._edges[k + 1], sums)
         return np.where(sums <= 0.0, 0.0, np.where(sums >= self.total, self.horizon, t))
 
     def inverses(self, sums) -> Array:
         """The smallest t with L(t) = s for every entry s of the 1-D array
         ``sums``: 0 for s <= 0 and the horizon for s >= L(horizon).
 
-        A closed inverse is mapped with ``np.frompyfunc``, so each value
+        The closed inverse is mapped with ``np.frompyfunc``, so each value
         is the closed form's own (a ``math`` call stays on libm).  A
         JumpMCError raised by a closed form carries ``exc.jump = k``, the
         first entry whose own solve raises.
@@ -178,7 +178,8 @@ class IntensityIntegral:
 
 
 def intensity_integral_for(model: JumpDiffusionModel) -> IntensityIntegral:
-    """IntensityIntegral for a model, using its closed forms when given."""
+    """IntensityIntegral for a model: its closed pair when given, else the
+    table."""
     return IntensityIntegral(
         model.intensity,
         model.horizon,
@@ -228,34 +229,32 @@ def sample_jump_times(integral: IntensityIntegral, rng: np.random.Generator) -> 
     return jump_times_from_exponentials(integral, iter(rng.exponential, None))
 
 
-def _mark_rows(model: JumpDiffusionModel, marks) -> Array:
-    """(K, mark_dim) array of the mark sampler outputs ``marks``; a
-    wrongly shaped mark raises EvaluationError."""
-    shape = (len(marks), model.mark_dim)
-    try:
-        rows = np.asarray(marks, dtype=float)
-    except (TypeError, ValueError):  # ragged or not numbers: checked one by one
-        rows = None
-    if rows is not None and (
-        rows.shape == shape or (rows.shape == shape[:1] and shape[1] == 1)
-    ):
-        return rows.reshape(shape)
-    rows = np.empty(shape)
-    for k, z in enumerate(marks):
-        z = np.atleast_1d(np.asarray(z, float))
-        if z.shape != (model.mark_dim,):
-            raise EvaluationError(
-                f"mark sampler returned shape {z.shape}, expected ({model.mark_dim},)"
-            )
-        rows[k] = z
-    return rows
+def _quantile_marks(model: JumpDiffusionModel, times: Array, uniforms: Array, realization=None):
+    """The marks of the K jumps at ``times``: one call of the model's
+    quantile on them and the K * mark_dim ``uniforms`` as (K, mark_dim),
+    none when K = 0.  A quantile that does not return (K, mark_dim)
+    raises EvaluationError, naming ``realization`` if given; with K rows
+    its message gives a row's shape, which does not depend on K."""
+    shape = (len(times), model.mark_dim)
+    if not len(times):
+        return np.empty(shape)
+    marks = np.asarray(model.mark_sampler.quantile(times, uniforms.reshape(shape)), dtype=float)
+    if marks.shape != shape:
+        got = (f"{marks.shape[1:]} per jump" if marks.shape[:1] == shape[:1]
+               else f"shape {marks.shape} for {len(times)} jumps")
+        exc = EvaluationError(f"mark quantile returned {got}, expected {shape[1:]} per jump")
+        if realization is not None:
+            _name_realization(exc, realization)
+        raise exc
+    return marks
 
 
 def sample_marks(
     model: JumpDiffusionModel, times: Array, rng: np.random.Generator
 ) -> Array:
-    """Draw a mark for each jump time from the model's mark sampler."""
-    return _mark_rows(model, [model.mark_sampler(float(t), rng) for t in times])
+    """Draw a mark for each jump time: the model's quantile of
+    ``rng.random((K, mark_dim))``."""
+    return _quantile_marks(model, times, rng.random((len(times), model.mark_dim)))
 
 
 def sample_jumps(
@@ -298,14 +297,12 @@ def sample_jump_chunk(
     ``np.cumsum`` adds them in the order of the one-row loop, and
     ``integral.inverses`` maps every sum below L(T).  A row whose
     exponentials do not reach L(T) is drawn again from its first one,
-    twice as many.  Marks of a ``UniformMarks`` sampler come from one
-    call of its quantile on the chunk's K jump times and K counter-based
-    uniforms (none when K = 0); a quantile that does not return (K,
-    mark_dim) names the chunk's first realization with a jump.  Any
-    other sampler is called per jump with the row's numpy generator
-    ``rng.stream(marks seed, realization, STREAM_MARKS)``, as
-    ``rng.realization_streams`` gives it, one generator reset per row
-    (``rng.stream_generator``).  Errors name the realization.
+    twice as many.  The marks come from one call of the model's quantile
+    (``model.UniformMarks``) on the chunk's K jump times and K *
+    mark_dim counter-based uniforms, each row's first ``n_jumps *
+    mark_dim`` uniforms of its marks stream (none when K = 0); a quantile
+    that does not return (K, mark_dim) names the chunk's first
+    realization with a jump.  Errors name the realization.
     """
     count = len(realizations)
     total = integral.total
@@ -332,30 +329,9 @@ def sample_jump_chunk(
         _name_realization(exc, realizations[owner[order[exc.jump]]])
         raise
 
-    if isinstance(model.mark_sampler, UniformMarks):
-        shape = (len(times), model.mark_dim)
-        if not len(times):
-            return n_jumps, times, np.empty(shape)
-        uniforms = mark_stream.draws("random", ids, n_jumps)
-        marks = np.asarray(model.mark_sampler.quantile(times, uniforms), dtype=float)
-        if marks.shape != shape:
-            exc = EvaluationError(
-                f"mark quantile returned shape {marks.shape}, expected {shape}"
-            )
-            _name_realization(exc, realizations[int(np.argmax(n_jumps > 0))])
-            raise exc
-        return n_jumps, times, marks
-    marks = np.empty((len(times), model.mark_dim))
-    first = np.cumsum(n_jumps) - n_jumps
-    generator = stream_generator(mark_stream.seed, mark_stream.stream_id)
-    for row in np.nonzero(n_jumps)[0].tolist():
-        lo, hi = first[row], first[row] + n_jumps[row]
-        try:
-            marks[lo:hi] = sample_marks(model, times[lo:hi], generator(realizations[row]))
-        except JumpMCError as exc:
-            _name_realization(exc, realizations[row])
-            raise
-    return n_jumps, times, marks
+    uniforms = mark_stream.draws("random", ids, n_jumps * model.mark_dim)
+    first = realizations[int(np.argmax(n_jumps > 0))] if count else None
+    return n_jumps, times, _quantile_marks(model, times, uniforms, first)
 
 
 @dataclass(frozen=True)

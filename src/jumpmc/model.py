@@ -6,7 +6,9 @@ A model bundles the coefficient functions of the SDE
 
 where jumps arrive with deterministic time intensity ``intensity(t)`` and
 add ``c(t, X(t-), z)`` to the state for a mark ``z`` drawn from the
-time-dependent mark distribution.  Derivative callbacks follow a
+time-dependent mark distribution, given as a quantile of uniforms
+(``UniformMarks``).  The integrated intensity and its inverse are a
+closed pair or not given at all.  Derivative callbacks follow a
 component-first layout throughout:
 
     drift_x(t, x)[i, j]        = d a_i / d x_j
@@ -44,16 +46,45 @@ from .errors import CapabilityError, ParameterError
 Array = np.ndarray
 
 
+class UniformMarks:
+    """The mark law of a model, as a quantile of uniforms.
+
+    ``quantile(t, u)`` maps the (K,) times and (K, mark_dim) uniforms of K
+    jumps to their (K, mark_dim) marks, row k from row k alone.  Any law
+    on R^q is such a map of q uniforms: the first mark entry is the
+    inverse of its marginal law at ``u[:, 0]``, each later entry the
+    inverse of its law given the entries before it at its own column (the
+    conditional quantiles).  The engines call ``quantile`` once per chunk,
+    on the jump times and counter-based uniforms of the whole chunk
+    (``jumps.sample_jump_chunk``).
+    """
+
+    def __init__(self, quantile: Callable[[Array, Array], Array]):
+        self.quantile = quantile
+
+
+def check_intensity_pair(integral, inverse) -> None:
+    """ParameterError unless the closed integrated intensity and its
+    inverse are given together or not at all."""
+    if (integral is None) != (inverse is None):
+        raise ParameterError(
+            "intensity_integral and intensity_integral_inverse must be given "
+            "together or not at all; without them the intensity is tabulated"
+        )
+
+
 @dataclass(frozen=True)
 class JumpDiffusionModel:
     """Coefficient functions and derivatives for one jump-diffusion problem.
 
     Only ``drift``, ``diffusion``, ``jump``, ``intensity``, ``mark_sampler``
-    and ``payoff`` are needed to simulate.  Dual weights of order ``p``
-    additionally need the state derivatives of drift/diffusion/jump/payoff
-    up to order ``p``; the per-step error density needs first time
-    derivatives as well.  Missing derivatives can be filled with
-    :func:`finite_difference_adapter`.
+    and ``payoff`` are needed to simulate; ``mark_sampler`` must be a
+    ``UniformMarks``, and the closed ``intensity_integral`` and
+    ``intensity_integral_inverse`` come as a pair.  Dual weights of order
+    ``p`` additionally need the state derivatives of
+    drift/diffusion/jump/payoff up to order ``p``; the per-step error
+    density needs first time derivatives as well.  Missing derivatives can
+    be filled with :func:`finite_difference_adapter`.
 
     ``derivative_support`` maps names among ``SUPPORT_AXES`` to the index
     tuples of the entries that may be non-zero; every other entry of that
@@ -72,7 +103,7 @@ class JumpDiffusionModel:
     jump: Callable[[float, Array, Array], Array]
     intensity: Callable[[float], float]
     intensity_bound: float
-    mark_sampler: Callable[[float, np.random.Generator], Array]
+    mark_sampler: UniformMarks
     payoff: Callable[[Array], float]
 
     x0: Array = None
@@ -93,8 +124,9 @@ class JumpDiffusionModel:
     payoff_xx: Optional[Callable] = None
     payoff_xxx: Optional[Callable] = None
 
-    # Closed forms for the integrated intensity and its inverse, an optional
-    # pair; without them jumps.IntensityIntegral tabulates the intensity.
+    # Closed forms for the integrated intensity and its inverse, given
+    # together or not at all; without them jumps.IntensityIntegral
+    # tabulates the intensity.
     intensity_integral: Optional[Callable[[float], float]] = None
     intensity_integral_inverse: Optional[Callable[[float], float]] = None
 
@@ -115,11 +147,20 @@ class JumpDiffusionModel:
             raise ParameterError(
                 f"intensity_bound must be >= 0, got {self.intensity_bound}"
             )
-        if not self.horizon > 0.0:
-            raise ParameterError(f"horizon must be > 0, got {self.horizon}")
+        if not 0.0 < self.horizon < math.inf:
+            raise ParameterError(f"horizon must be > 0 and finite, got {self.horizon}")
+        if not isinstance(self.mark_sampler, UniformMarks):
+            raise CapabilityError(
+                "mark_sampler must be a model.UniformMarks: wrap the mark law as "
+                "UniformMarks(quantile), quantile(t, u) mapping (K,) times and "
+                "(K, mark_dim) uniforms to (K, mark_dim) marks"
+            )
+        check_intensity_pair(self.intensity_integral, self.intensity_integral_inverse)
         x0 = np.zeros(self.dim) if self.x0 is None else np.asarray(self.x0, float)
         if x0.shape != (self.dim,):
             raise ParameterError(f"x0 must have shape ({self.dim},), got {x0.shape}")
+        if not np.isfinite(x0).all():
+            raise ParameterError(f"x0 must be finite, got {x0}")
         object.__setattr__(self, "x0", x0)
         support, shapes = {}, {}
         for name, entries in dict(self.derivative_support).items():
@@ -374,27 +415,9 @@ def _oscillator_callbacks():
     )
 
 
-class UniformMarks:
-    """Mark sampler that maps one uniform per jump through ``quantile``.
-
-    ``quantile(t, u)`` maps the (K,) times and (K,) uniforms of K jumps to
-    their (K, mark_dim) marks.  Called as a sampler, ``(t, rng)``, it is
-    the K=1 case with ``u = rng.random()``.  The engines recognise the
-    class and call ``quantile`` once on the jump times and counter-based
-    uniforms of a whole chunk instead (see ``jumps.sample_jump_chunk``);
-    any other sampler, including a function wrapping this one, is called
-    once per jump.
-    """
-
-    def __init__(self, quantile: Callable[[Array, Array], Array]):
-        self.quantile = quantile
-
-    def __call__(self, t: float, rng: np.random.Generator) -> Array:
-        return self.quantile(np.array([t], float), np.array([rng.random()], float))[0]
-
-
 def _oscillator_mark_quantile(t: Array, u: Array) -> Array:
-    """Marks with mean cos(2 pi t) and a centered uniform spread, (K, 1).
+    """Marks with mean cos(2 pi t) and a centered uniform spread, (K, 1),
+    from the (K, 1) uniforms ``u``.
 
     The uniform part is scaled by 2 sqrt(3) so its variance is 1 before the
     sin(2 pi t) envelope.  The operations and their order are those of the
@@ -402,7 +425,7 @@ def _oscillator_mark_quantile(t: Array, u: Array) -> Array:
     """
     z = np.cos(2.0 * math.pi * t) + np.sin(2.0 * math.pi * t) * (
         2.0 * math.sqrt(3.0)
-    ) * (u - 0.5)
+    ) * (u[:, 0] - 0.5)
     return z[:, None]
 
 
@@ -520,8 +543,8 @@ def finite_difference_adapter(
     A missing callback with an empty declared support is not filled, and
     neither are the missing orders above it.  The declarations are kept.
     """
-    if not h > 0.0:
-        raise ParameterError(f"finite difference step must be > 0, got {h}")
+    if not 0.0 < h < math.inf:
+        raise ParameterError(f"finite difference step must be > 0 and finite, got {h}")
     d = model.dim
     h1, h2, h3 = h, h ** 0.75, h ** 0.5
 

@@ -40,11 +40,11 @@ final gather.
 
 ``stream`` and ``realization_streams`` are per-realization numpy
 generators, keyed ``(seed, i + ((stream_id + 1) << 60))``: that key word
-is never a family word, which stays below 2**60.  The engines use them
-only for a mark sampler that is not a ``model.UniformMarks``, which is
-called per jump with a generator (``stream_generator`` resets one per
-row); ``UniformMarks`` is the fast path, its uniforms drawn by
-``KeyedStream.draws``.
+is never a family word, which stays below 2**60.  The engines never use
+them: every draw of their set-up, the mark uniforms included, is a
+``KeyedStream.draws`` call.  They serve the one-row functions
+(``jumps.sample_jumps``, ``euler.sample_wiener_increments``) and the
+tests that read those.
 """
 
 from __future__ import annotations
@@ -125,24 +125,8 @@ def _realization_array(realizations) -> np.ndarray:
 def stream(seed: int, realization: int, stream_id: int) -> np.random.Generator:
     """Numpy's generator for one (seed, realization, stream) triple, keyed
     ``(seed, realization + ((stream_id + 1) << 60))``."""
-    _realization_array([realization])
-    return stream_generator(seed, stream_id)(realization)
-
-
-def stream_generator(seed: int, stream_id: int):
-    """A function of a realization ``r`` that returns one numpy generator
-    reset to ``stream(seed, r, stream_id)`` by a state set (a few us,
-    against some 30 us for a new ``Philox`` and ``Generator``); each call
-    resets the generator the last one returned.  ``r`` is not checked."""
-    generator = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    state = generator.bit_generator.state  # a new stream's: counter 0, no words kept
-
-    def reset(realization):
-        state["state"]["key"][1] = int(realization) + ((stream_id + 1) << _STREAM_SHIFT)
-        generator.bit_generator.state = state
-        return generator
-
-    return reset
+    word = int(_realization_array([realization])[0]) + ((stream_id + 1) << _STREAM_SHIFT)
+    return np.random.Generator(np.random.Philox(key=np.array([seed, word], dtype=np.uint64)))
 
 
 def _families(seeds: SeedConfig):

@@ -17,8 +17,7 @@ import math
 import numpy as np
 
 from jumpmc._ziggurat import FE_DOUBLE, FI_DOUBLE, KE_DOUBLE, KI_DOUBLE, WE_DOUBLE, WI_DOUBLE
-from jumpmc.model import UniformMarks
-from jumpmc.rng import STREAM_JUMP_TIMES, STREAM_MARKS, STREAM_WIENER, stream
+from jumpmc.rng import STREAM_JUMP_TIMES, STREAM_MARKS, STREAM_WIENER
 
 KI, WI, FI = KI_DOUBLE.tolist(), WI_DOUBLE.tolist(), FI_DOUBLE.tolist()
 KE, WE, FE = KE_DOUBLE.tolist(), WE_DOUBLE.tolist(), FE_DOUBLE.tolist()
@@ -176,16 +175,6 @@ def row_streams(seeds, realization):
         RowStream(seeds.jump_times, STREAM_JUMP_TIMES, realization),
         RowStream(seeds.marks, STREAM_MARKS, realization),
     )
-
-
-def engine_streams(model, seeds, realization):
-    """The generators the engines' draws for one realization match: the
-    row streams, except that a mark sampler that is not a
-    ``UniformMarks`` gets numpy's per-realization generator."""
-    wiener, times, marks = row_streams(seeds, realization)
-    if not isinstance(model.mark_sampler, UniformMarks):
-        marks = stream(seeds.marks, realization, STREAM_MARKS)
-    return wiener, times, marks
 
 
 def _uniform(word):

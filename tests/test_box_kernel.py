@@ -105,7 +105,7 @@ def random_model(d, l, seed):
     common = dict(
         dim=d, wiener_dim=l, mark_dim=1,
         intensity=lambda t: 1.0, intensity_bound=1.0,
-        mark_sampler=UniformMarks(lambda t, u: u[:, None]),
+        mark_sampler=UniformMarks(lambda t, u: u),
         x0=rng.uniform(-0.5, 0.5, d), vectorized=True, **cb,
     )
     return (

@@ -17,6 +17,7 @@ from jumpmc import (
     PathDivergenceError,
     SeedConfig,
     StatParams,
+    UniformMarks,
     algorithm_d,
     algorithm_s,
     build_model,
@@ -269,7 +270,7 @@ def test_stochastic_batch_worker_invariance(monkeypatch):
 def test_control_time_error_pure_jump_accepts_immediately():
     m = build_model("purejump")
     seeds = SeedConfig()
-    _, jump_rng, mark_rng = oracle.engine_streams(m, seeds, 3)
+    _, jump_rng, mark_rng = oracle.row_streams(seeds, 3)
     jumps = sample_jumps(m, intensity_integral_for(m), jump_rng, mark_rng)
     out = control_time_error(
         m,
@@ -388,7 +389,7 @@ def reference_realization(model, seeds, index, det, tol, tol_t, n_a_bar, adapt):
     pipeline; stops refining at the last simulated level.  Also reports
     the next normals of its Wiener generator after the refinement."""
     integral = intensity_integral_for(model)
-    w_rng, t_rng, z_rng = oracle.engine_streams(model, seeds, index)
+    w_rng, t_rng, z_rng = oracle.row_streams(seeds, index)
     jumps = sample_jumps(model, integral, t_rng, z_rng)
     grid = build_augmented_grid(det, jumps, horizon=model.horizon)
     dw = sample_wiener_increments(grid, w_rng, model.wiener_dim)
@@ -671,14 +672,11 @@ def overflowing_density_model():
 
 
 def bad_mark_model():
-    """test5 whose mark sampler returns three entries for jumps after t=0.5."""
-    base = build_model("test5")
-
-    def sampler(t, rng):
-        z = base.mark_sampler(t, rng)
-        return np.zeros(3) if t > 0.5 else z
-
-    return replace(base, mark_sampler=sampler)
+    """test5 whose mark quantile returns three entries per jump: a chunk
+    fails at its first realization with a jump."""
+    return replace(
+        build_model("test5"), mark_sampler=UniformMarks(lambda t, u: np.zeros((len(t), 3)))
+    )
 
 
 def unordered_jumps_model():

@@ -19,7 +19,7 @@ from jumpmc.jumps import (
     column_grid,
     intensity_integral_for,
 )
-from jumpmc.model import JumpDiffusionModel
+from jumpmc.model import JumpDiffusionModel, UniformMarks
 from jumpmc.rng import keyed_streams
 
 NO_JUMPS = JumpRealization(times=np.empty(0), marks=np.empty((0, 1)))
@@ -43,7 +43,7 @@ def scalar_drift_model():
         jump=zeros(1),
         intensity=lambda t: 0.0,
         intensity_bound=0.0,
-        mark_sampler=lambda t, rng: np.zeros(1),
+        mark_sampler=UniformMarks(lambda t, u: np.zeros_like(u)),
         payoff=lambda x: float(x[0]),
         drift_t=zeros(1),
         drift_x=lambda t, x: np.ones((1, 1)),

@@ -25,7 +25,7 @@ from jumpmc.jumps import (
     intensity_integral_for,
     sample_jumps,
 )
-from jumpmc.model import JumpDiffusionModel, as_vectorized
+from jumpmc.model import JumpDiffusionModel, UniformMarks, as_vectorized
 from jumpmc.rng import realization_streams
 
 NO_JUMPS = JumpRealization(times=np.empty(0), marks=np.empty((0, 1)))
@@ -49,7 +49,7 @@ def linear_model(rate=2.0, payoff_quadratic=True):
         jump=lambda t, x, z: np.zeros(1),
         intensity=lambda t: 0.0,
         intensity_bound=0.0,
-        mark_sampler=lambda t, rng: np.zeros(1),
+        mark_sampler=UniformMarks(lambda t, u: np.zeros_like(u)),
         payoff=lambda x: float(x[0] ** 2),
         drift_t=lambda t, x: np.zeros(1),
         drift_x=lambda t, x: np.array([[rate]]),

@@ -23,7 +23,7 @@ from jumpmc.euler import (
     sample_wiener_increments,
 )
 from jumpmc.jumps import JumpRealization, build_augmented_grid, intensity_integral_for
-from jumpmc.model import JumpDiffusionModel, as_vectorized
+from jumpmc.model import JumpDiffusionModel, UniformMarks, as_vectorized
 from jumpmc.rng import keyed_streams
 
 from rows_first_forward import setup_groups, with_jumps
@@ -53,7 +53,7 @@ def toy_model(drift=None, diffusion=None, jump=None, x0=(0.0,)):
         jump=jump or add_mark,
         intensity=lambda t: 0.0,
         intensity_bound=0.0,
-        mark_sampler=lambda t, rng: np.zeros(1),
+        mark_sampler=UniformMarks(lambda t, u: np.zeros_like(u)),
         payoff=lambda x: float(np.sum(x)),
         x0=np.asarray(x0, float),
         horizon=1.0,

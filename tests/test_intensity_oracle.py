@@ -7,10 +7,8 @@ Gauss-Legendre nodes of its panels and answers ``values`` and
 scalar quadrature and ``brentq`` path it replaced; its tests skip
 without scipy.  The bound: no jump time moves by more than MOVE = 1e-13
 times the horizon, from the oracle or from the exact inverse (the
-largest move seen is about 5e-15).  A closed L without a closed inverse
-is bisected, and L(L^-1(s)) is within 4 ulp of L(T) of s where lam(T) T
-<= 1.6 L(T) (|k| horizon <= 1 below): one ulp of t then moves L by at
-most about 3 ulp of L(T), so no float t does much better.
+largest move seen is about 5e-15).  A closed L comes only with its
+closed inverse, so the table is the one numeric path.
 """
 
 import math
@@ -60,9 +58,9 @@ class Exponential:
     def inverse(self, s):
         return np.log1p(np.asarray(s) * self.k / self.c) / self.k
 
-    def integral(self, **closed):
+    def integral(self):
         bound = max(self.c, self.rate(self.horizon))
-        return IntensityIntegral(self.rate, self.horizon, bound=bound, **closed)
+        return IntensityIntegral(self.rate, self.horizon, bound=bound)
 
 
 def exponentials(growth):
@@ -135,20 +133,6 @@ def test_the_table_matches_the_scipy_path_on_a_family(model):
     s = levels(integral, 50)
     moved = np.abs(integral.inverses(s) - [oracle.inverse(x) for x in s.tolist()])
     assert moved.max() <= MOVE * model.horizon
-
-
-@settings(max_examples=40, deadline=None)
-@given(model=exponentials(1.0))
-def test_a_closed_integral_alone_is_inverted_to_rounding(model):
-    integral = model.integral(closed_form=model.closed_form)
-    total = integral.total
-    assert total == model.closed_form(model.horizon)
-    s = levels(integral)
-    t = integral.inverses(s)
-    assert np.all(np.diff(t[np.argsort(s)]) >= 0.0)
-    again = np.array([model.closed_form(x) for x in t.tolist()])
-    assert np.abs(again - s).max() <= 4 * np.spacing(total)
-    assert np.abs(t - model.inverse(s)).max() <= MOVE * model.horizon
 
 
 def test_a_numeric_chunk_moves_no_jump_time_beyond_the_bound():

@@ -10,6 +10,7 @@ from jumpmc import (
     EvaluationError,
     ParameterError,
     SeedConfig,
+    UniformMarks,
     build_model,
     run_mesh_batch,
     uniform_mesh,
@@ -169,8 +170,8 @@ def test_mark_sampler_frozen_value():
         def random(self, size=None):
             return 0.5 if size is None else np.full(size, 0.5)
 
-    z = m.mark_sampler(0.25, Fixed())
-    assert float(np.asarray(z)[0]) == pytest.approx(0.0, abs=1e-15)
+    z = sample_marks(m, np.array([0.25]), Fixed())
+    assert z.shape == (1, 1) and z[0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_mark_second_moment():
@@ -179,7 +180,7 @@ def test_mark_second_moment():
     rng = stream(101, 0, STREAM_MARKS)
     taus = np.linspace(0.0, 1.0, 7)
     for tau in taus:
-        zs = np.array([float(m.mark_sampler(tau, rng)[0]) for _ in range(4000)])
+        zs = sample_marks(m, np.full(4000, tau), rng)[:, 0]
         assert abs((zs**2).mean() - 1.0) < 0.08
 
 
@@ -198,7 +199,7 @@ def test_array_mark_quantile_has_the_bits_of_the_scalar_math_formula():
             + math.sin(2.0 * math.pi * s) * (2.0 * math.sqrt(3.0)) * (v - 0.5)
             for s, v in zip(t.tolist(), u.tolist())
         ]
-        np.testing.assert_array_equal(quantile(t, u), np.array(scalar)[:, None])
+        np.testing.assert_array_equal(quantile(t, u[:, None]), np.array(scalar)[:, None])
 
 
 def test_mapped_closed_inverse_has_the_bits_of_the_scalar_loop():
@@ -209,20 +210,12 @@ def test_mapped_closed_inverse_has_the_bits_of_the_scalar_loop():
 
 
 def test_sample_marks_shape_validation():
+    # the one-row draw checks the quantile's shape as the chunk does
     m = build_model("test5")
-
-    class Bad:
-        def random(self, size=None):
-            return 0.5
-
-    bad_model = type(m)(
-        **{
-            **{f.name: getattr(m, f.name) for f in m.__dataclass_fields__.values()},
-            "mark_sampler": lambda t, rng: np.zeros(3),
-        }
-    )
-    with pytest.raises(EvaluationError):
-        sample_marks(bad_model, np.array([0.5]), Bad())
+    bad_model = replace(m, mark_sampler=UniformMarks(lambda t, u: np.zeros(3)))
+    message = r"returned shape \(3,\) for 1 jumps, expected \(1,\) per jump"
+    with pytest.raises(EvaluationError, match=message):
+        sample_marks(bad_model, np.array([0.5]), np.random.default_rng(0))
 
 
 def test_sample_jumps_reproducible():

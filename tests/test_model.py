@@ -16,7 +16,8 @@ from jumpmc import (
 )
 from jumpmc.density import second_moment_arrays
 from jumpmc.duals import _dense, _stack_calls
-from jumpmc.model import JumpDiffusionModel, as_vectorized
+from jumpmc.jumps import IntensityIntegral
+from jumpmc.model import JumpDiffusionModel, UniformMarks, as_vectorized
 
 
 def test_oscillator_coefficients_frozen_point():
@@ -205,7 +206,7 @@ def test_finite_difference_adapter_constant_jump():
         jump=lambda t, x, z: np.ones_like(x),
         intensity=lambda t: 1.0,
         intensity_bound=1.0,
-        mark_sampler=lambda t, rng: np.array([0.0]),
+        mark_sampler=UniformMarks(lambda t, u: np.zeros_like(u)),
         payoff=lambda x: x[..., 0],
         horizon=1.0,
     )
@@ -234,7 +235,7 @@ def test_require_reports_missing_callbacks():
         jump=lambda t, x, z: np.zeros_like(x),
         intensity=lambda t: 0.0,
         intensity_bound=0.0,
-        mark_sampler=lambda t, rng: np.array([0.0]),
+        mark_sampler=UniformMarks(lambda t, u: np.zeros_like(u)),
         payoff=lambda x: x[..., 0],
         horizon=1.0,
     )
@@ -251,7 +252,7 @@ def test_model_validation():
         jump=lambda t, x, z: np.zeros_like(x),
         intensity=lambda t: 1.0,
         intensity_bound=1.0,
-        mark_sampler=lambda t, rng: np.array([0.0]),
+        mark_sampler=UniformMarks(lambda t, u: np.zeros_like(u)),
         payoff=lambda x: x[..., 0],
         horizon=1.0,
     )
@@ -289,3 +290,46 @@ def test_exact_value_and_defaults():
     np.testing.assert_allclose(m.x0, np.zeros(2), atol=0)
     assert m.horizon == 1.0
     assert m.vectorized
+
+
+def test_a_plain_mark_sampler_is_refused_with_the_fix():
+    # a sampler called per jump with a generator is no longer a mark law
+    base = oscillator_problem()
+    with pytest.raises(CapabilityError, match=r"UniformMarks\(quantile\)"):
+        replace(base, mark_sampler=lambda t, rng: np.zeros(1))
+    fields = {f: getattr(base, f) for f in base.__dataclass_fields__}
+    with pytest.raises(CapabilityError, match="must be a model.UniformMarks"):
+        JumpDiffusionModel(**{**fields, "mark_sampler": base.mark_sampler.quantile})
+
+
+@pytest.mark.parametrize("given", ["intensity_integral", "intensity_integral_inverse"])
+def test_half_of_the_intensity_pair_is_refused(given):
+    base = oscillator_problem()
+    half = dict(intensity_integral=None, intensity_integral_inverse=None)
+    half[given] = getattr(base, given)
+    with pytest.raises(ParameterError, match="together or not at all"):
+        replace(base, **half)
+    closed_form, inverse = half.values()
+    with pytest.raises(ParameterError, match="together or not at all"):
+        IntensityIntegral(base.intensity, 1.0, bound=1.0, closed_form=closed_form, inverse=inverse)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda m: replace(m, horizon=math.inf), id="model-horizon-inf"),
+        pytest.param(lambda m: replace(m, horizon=math.nan), id="model-horizon-nan"),
+        pytest.param(
+            lambda m: IntensityIntegral(m.intensity, math.inf, bound=1.0),
+            id="integral-horizon-inf",
+        ),
+        pytest.param(lambda m: replace(m, x0=[math.nan, 0.0]), id="x0-nan"),
+        pytest.param(lambda m: replace(m, x0=[0.0, -math.inf]), id="x0-inf"),
+        pytest.param(lambda m: finite_difference_adapter(m, h=math.inf), id="fd-step-inf"),
+        pytest.param(lambda m: finite_difference_adapter(m, h=math.nan), id="fd-step-nan"),
+    ],
+)
+def test_non_finite_inputs_are_refused_at_construction(build):
+    # each used to pass its check and fail later, inside a run
+    with pytest.raises(ParameterError, match="finite"):
+        build(oscillator_problem())

@@ -27,6 +27,7 @@ PUBLIC_API = [
     "StatParams",
     "TimeControlledRealization",
     "ToleranceBudget",
+    "UniformMarks",
     "algorithm_d",
     "algorithm_s",
     "build_model",

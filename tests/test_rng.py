@@ -33,7 +33,6 @@ from jumpmc.rng import (
     keyed_streams,
     realization_streams,
     stream,
-    stream_generator,
 )
 from test_keyed_oracle import crafted, run_crafted
 
@@ -67,19 +66,6 @@ def test_realization_streams_match_roles():
         z.standard_normal(4), stream(101, 5, STREAM_MARKS).standard_normal(4)
     )
 
-
-
-def test_a_reset_generator_is_the_realization_stream():
-    # each reset returns one generator in the state of a new stream, after
-    # any use: 32-bit integers leave a buffered half word behind
-    reset = stream_generator(2**64 - 3, STREAM_MARKS)
-    for r in [5, 0, 5, (1 << 60) - 1, 77]:
-        got = reset(r)
-        want = stream(2**64 - 3, r, STREAM_MARKS)
-        np.testing.assert_array_equal(got.integers(0, 2**31, 3, dtype=np.int32),
-                                      want.integers(0, 2**31, 3, dtype=np.int32))
-        np.testing.assert_array_equal(got.standard_normal(5), want.standard_normal(5))
-        np.testing.assert_array_equal(got.random(3), want.random(3))
 
 def test_seed_config_defaults_and_validation():
     seeds = SeedConfig()
@@ -224,13 +210,17 @@ def test_uniforms_match_generator_random(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_mark_quantile_matches_the_scalar_sampler(name):
+    # the quantile of 200 jumps is that of each jump alone, and the one-row
+    # sample_marks draws its uniforms from the generator in jump order
     model = build_model(name)
-    assert isinstance(model.mark_sampler, UniformMarks)
+    quantile = model.mark_sampler.quantile
     times = np.random.default_rng(5).random(200)
+    uniforms = stream(101, 3, STREAM_MARKS).random((200, 1))
+    one_by_one = [quantile(times[k:k + 1], uniforms[k:k + 1])[0] for k in range(200)]
+    np.testing.assert_array_equal(quantile(times, uniforms), one_by_one)
     scalar = stream(101, 3, STREAM_MARKS)
-    uniforms = stream(101, 3, STREAM_MARKS).random(200)
-    one_by_one = [model.mark_sampler(t, scalar) for t in times.tolist()]
-    np.testing.assert_array_equal(model.mark_sampler.quantile(times, uniforms), one_by_one)
+    drawn = [sample_marks(model, times[k:k + 1], scalar)[0] for k in range(200)]
+    np.testing.assert_array_equal(drawn, one_by_one)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -238,9 +228,10 @@ def test_mark_quantile_matches_the_scalar_sampler(name):
 def test_jump_chunk_matches_one_row_sampling(monkeypatch, name, wrapped):
     model = build_model(name)
     if wrapped:
-        # a plain function loses the quantile: marks are drawn per jump
-        builtin = model.mark_sampler
-        model = replace(model, mark_sampler=lambda t, rng: builtin(t, rng))
+        # a model author's own quantile, a Python function around the
+        # builtin one, takes the same one call per chunk
+        quantile = model.mark_sampler.quantile
+        model = replace(model, mark_sampler=UniformMarks(lambda t, u: quantile(t, u)))
     calls = []
     monkeypatch.setattr(
         jumps, "sample_marks", lambda *a: calls.append(1) or sample_marks(*a)
@@ -252,10 +243,10 @@ def test_jump_chunk_matches_one_row_sampling(monkeypatch, name, wrapped):
     n_jumps, times, marks = jumps.sample_jump_chunk(
         model, integral, times_stream, marks_stream, rows
     )
-    assert bool(calls) == wrapped
+    assert not calls
     at = 0
     for i, n in zip(rows, n_jumps.tolist()):
-        _, t_rng, z_rng = oracle.engine_streams(model, seeds, i)
+        _, t_rng, z_rng = oracle.row_streams(seeds, i)
         one = sample_jumps(model, integral, t_rng, z_rng)
         np.testing.assert_array_equal(times[at:at + n], one.times)
         np.testing.assert_array_equal(marks[at:at + n], one.marks)
@@ -280,40 +271,10 @@ def test_jump_chunk_redraws_rows_that_do_not_reach_the_integral(monkeypatch):
     assert (n_jumps >= 4).sum() > 50
     at = 0
     for i, n in enumerate(n_jumps.tolist()):
-        one = sample_jumps(model, integral, *oracle.engine_streams(model, seeds, i)[1:])
+        one = sample_jumps(model, integral, *oracle.row_streams(seeds, i)[1:])
         np.testing.assert_array_equal(times[at:at + n], one.times)
         np.testing.assert_array_equal(marks[at:at + n], one.marks)
         at += n
-
-
-def bad_mark_model():
-    """test5 whose mark sampler returns three entries for jumps after t=0.5."""
-    base = build_model("test5")
-
-    def sampler(t, rng):
-        z = base.mark_sampler(t, rng)
-        return np.zeros(3) if t > 0.5 else z
-
-    return replace(base, mark_sampler=sampler)
-
-
-@pytest.mark.parametrize("engine", ["mesh", "stochastic"])
-def test_samplers_without_a_quantile_raise_per_realization(monkeypatch, engine):
-    det = uniform_mesh(1.0, 5)
-    calls = []
-    monkeypatch.setattr(
-        jumps, "sample_marks", lambda *a: calls.append(1) or sample_marks(*a)
-    )
-    with pytest.raises(EvaluationError) as exc:
-        if engine == "mesh":
-            run_mesh_batch(bad_mark_model(), det, SeedConfig(), 1000, 50)
-        else:
-            kw = dict(tol=0.1, tol_t=0.1 / 3.0, n_a_bar=5.0)
-            run_stochastic_batch(bad_mark_model(), det, SeedConfig(), 1000, 50, **kw)
-    assert calls  # the per-jump path
-    assert type(exc.value) is EvaluationError
-    assert exc.value.realization == 1004
-    assert str(exc.value) == "mark sampler returned shape (3,), expected (1,) (realization 1004)"
 
 
 @pytest.mark.parametrize("engine", ["mesh", "stochastic"])

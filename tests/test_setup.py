@@ -2,7 +2,7 @@
 
 The reference draws each realization on its own, as the engines did
 before the set-up was batched: the row streams of ``keyed_oracle``
-(``engine_streams``), ``sample_jumps``, ``build_augmented_grid`` and
+(``row_streams``), ``sample_jumps``, ``build_augmented_grid`` and
 ``sample_wiener_increments`` per realization, then ``stack_paths`` per
 step count into the kernel.  The mesh engine must match it bit for bit
 (the per-realization engine is checked against its own one-row reference
@@ -36,7 +36,7 @@ def reference_mesh_batch(model, det, seeds, start, count, tol=None, want_density
     integral = intensity_integral_for(model)
     groups = {}
     for i in range(start, start + count):
-        w_rng, t_rng, z_rng = oracle.engine_streams(model, seeds, i)
+        w_rng, t_rng, z_rng = oracle.row_streams(seeds, i)
         jumps = sample_jumps(model, integral, t_rng, z_rng)
         grid = build_augmented_grid(det, jumps, horizon=model.horizon)
         dw = sample_wiener_increments(grid, w_rng, model.wiener_dim)
